@@ -216,6 +216,14 @@ type Cluster struct {
 	// partitions are the currently active network splits (topology.go).
 	partitions []*Partition
 
+	// topoGen counts changes to where nodes sit: a VM gaining, changing
+	// or losing its host, or a PM's rack label changing. See
+	// TopologyGen.
+	topoGen uint64
+
+	// solve is the fair-share scratch every PM's re-solve reuses.
+	solve solveScratch
+
 	tracer   *trace.Tracer
 	auditLog *audit.Log
 	inv      InvariantSink
@@ -287,6 +295,13 @@ func (c *Cluster) SetInvariants(s InvariantSink) { c.inv = s }
 // Config returns the effective (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
+// TopologyGen returns a counter that changes whenever a node's physical
+// placement or rack changes: a VM is provisioned, attaches to a
+// migration destination or is destroyed, or a PM's rack label is set.
+// Callers caching per-machine or per-rack answers over many nodes
+// compare it to rebuild only when the layout actually moved.
+func (c *Cluster) TopologyGen() uint64 { return c.topoGen }
+
 // AddPM provisions a physical machine.
 func (c *Cluster) AddPM(name string) *PM {
 	pm := &PM{
@@ -339,6 +354,7 @@ func (c *Cluster) AddVM(name string, host *PM, vcpus int, memMB float64) (*VM, e
 	}
 	host.vms = append(host.vms, vm)
 	c.vms = append(c.vms, vm)
+	c.topoGen++
 	host.update()
 	if c.tracer != nil {
 		c.tracer.Instant(vm.name, "vm", "boot",

@@ -45,6 +45,9 @@ type Consumer struct {
 	alloc      resource.Vector
 	speed      float64
 	completion *sim.Event
+	// completeFn is c.complete bound once per run, so rescheduling the
+	// completion on every re-solve does not allocate a method value.
+	completeFn func()
 	state      consumerState
 }
 
@@ -186,6 +189,7 @@ func (c *Consumer) detach() {
 	c.vm = nil
 	c.alloc = resource.Vector{}
 	c.speed = 0
+	c.completeFn = nil // finished consumers often stay referenced
 }
 
 func (c *Consumer) complete() {

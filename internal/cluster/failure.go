@@ -55,6 +55,7 @@ func (pm *PM) Fail() error {
 	// Destroyed VMs are removed from the cluster inventory.
 	for _, vm := range vms {
 		pm.cluster.vms = removeVM(pm.cluster.vms, vm)
+		pm.cluster.topoGen++
 		vm.host = nil
 		vm.state = VMDestroyed
 		vm.pauseSpan.End()
@@ -106,6 +107,7 @@ func (c *Cluster) destroyVM(vm *VM) {
 	victims := make([]*Consumer, len(vm.consumers))
 	copy(victims, vm.consumers)
 	c.vms = removeVM(c.vms, vm)
+	c.topoGen++
 	vm.host = nil
 	vm.state = VMDestroyed
 	vm.pauseSpan.End()

@@ -65,6 +65,9 @@ func (pm *PM) IsVirtual() bool { return false }
 // Machine returns the PM itself.
 func (pm *PM) Machine() *PM { return pm }
 
+// Cluster returns the cluster the PM was provisioned in.
+func (pm *PM) Cluster() *Cluster { return pm.cluster }
+
 // Capacity returns the raw hardware capacity.
 func (pm *PM) Capacity() resource.Vector { return pm.capacity }
 
@@ -292,18 +295,6 @@ func (pm *PM) resolve() {
 	diskInflate := 1 + cfg.IOContentionPerVM*float64(max(kDisk-1, 0))
 	netInflate := 1 + cfg.IOContentionPerVM*float64(max(kNet-1, 0))
 
-	// Top level: one group per native consumer plus one per VM.
-	type group struct {
-		members    []*Consumer
-		vm         *VM // nil for native
-		overhead   OverheadProfile
-		inflate    resource.Vector
-		weight     float64
-		cap        resource.Vector
-		memCap     float64 // memory available to members
-		rawDemands []resource.Vector
-	}
-
 	hostMem := pm.capacity.Get(resource.Memory)
 	var vmReserved float64
 	for _, vm := range pm.vms {
@@ -314,10 +305,12 @@ func (pm *PM) resolve() {
 		nativeMem = 0
 	}
 
-	groups := make([]*group, 0, len(pm.native)+len(pm.vms))
-	for _, c := range pm.native {
-		groups = append(groups, &group{
-			members:  []*Consumer{c},
+	// Top level: one group per native consumer plus one per VM.
+	sc := &pm.cluster.solve
+	groups := sc.groups[:0]
+	for i, c := range pm.native {
+		groups = append(groups, solveGroup{
+			members:  pm.native[i : i+1],
 			overhead: pm.nativeOverhead,
 			inflate:  resource.NewVector(1, 1, 1, 1),
 			weight:   effWeight(c.Weight),
@@ -330,7 +323,7 @@ func (pm *PM) resolve() {
 			// their consumers' speeds are zeroed below.
 			continue
 		}
-		g := &group{
+		g := solveGroup{
 			members:  vm.consumers,
 			vm:       vm,
 			overhead: vm.overhead,
@@ -350,28 +343,32 @@ func (pm *PM) resolve() {
 		}
 		groups = append(groups, g)
 	}
+	sc.groups = groups
 
 	// Raw (host-level) demand of each member: useful demand divided by
 	// efficiency, inflated by cross-VM I/O contention.
-	groupDemand := make([]resource.Vector, len(groups))
-	groupWeights := make([]float64, len(groups))
-	groupCaps := make([]resource.Vector, len(groups))
-	for gi, g := range groups {
-		g.rawDemands = make([]resource.Vector, len(g.members))
+	raw := sc.raw[:0]
+	groupDemand := sc.demand[:0]
+	groupWeights := sc.weights[:0]
+	groupCaps := sc.caps[:0]
+	for gi := range groups {
+		g := &groups[gi]
+		g.rawStart = len(raw)
 		var total resource.Vector
-		for mi, c := range g.members {
-			raw := rawDemand(c.Demand, g.overhead, g.inflate)
-			g.rawDemands[mi] = raw
-			total = total.Add(raw)
+		for _, c := range g.members {
+			r := rawDemand(c.Demand, g.overhead, g.inflate)
+			raw = append(raw, r)
+			total = total.Add(r)
 		}
 		// A VM reserves its full memory on the host regardless of usage.
 		if g.vm != nil {
 			total = total.Set(resource.Memory, g.vm.memMB)
 		}
-		groupDemand[gi] = total
-		groupWeights[gi] = g.weight
-		groupCaps[gi] = g.cap
+		groupDemand = append(groupDemand, total)
+		groupWeights = append(groupWeights, g.weight)
+		groupCaps = append(groupCaps, g.cap)
 	}
+	sc.raw, sc.demand, sc.weights, sc.caps = raw, groupDemand, groupWeights, groupCaps
 	// Seek thrashing: an oversubscribed disk loses sequential bandwidth
 	// to head movement between competing streams.
 	solveCap := pm.capacity
@@ -391,34 +388,41 @@ func (pm *PM) resolve() {
 		}
 		solveCap = solveCap.Set(resource.DiskIO, diskCap/divisor)
 	}
-	groupAlloc := resource.ShareVector(solveCap, groupDemand, groupWeights, groupCaps)
+	groupAlloc := resource.ShareVectorInto(sc.alloc, solveCap, groupDemand, groupWeights, groupCaps, &sc.share)
+	sc.alloc = groupAlloc
 
 	// Second level: members share their group's allocation.
 	var totalRaw resource.Vector
-	for gi, g := range groups {
-		weights := make([]float64, len(g.members))
-		caps := make([]resource.Vector, len(g.members))
-		for mi, c := range g.members {
-			weights[mi] = effWeight(c.Weight)
-			caps[mi] = rawDemand(c.Cap, g.overhead, g.inflate)
+	for gi := range groups {
+		g := &groups[gi]
+		weights := sc.memberWeights[:0]
+		caps := sc.memberCaps[:0]
+		for _, c := range g.members {
+			weights = append(weights, effWeight(c.Weight))
+			caps = append(caps, rawDemand(c.Cap, g.overhead, g.inflate))
 		}
-		memberAlloc := resource.ShareVector(groupAlloc[gi], g.rawDemands, weights, caps)
+		sc.memberWeights, sc.memberCaps = weights, caps
+		rawDemands := raw[g.rawStart : g.rawStart+len(g.members)]
+		memberAlloc := resource.ShareVectorInto(sc.memberAlloc, groupAlloc[gi], rawDemands, weights, caps, &sc.share)
+		sc.memberAlloc = memberAlloc
 
 		// Memory pressure inside the container: overcommit causes
 		// thrashing that slows every memory-using member. A consumer
 		// with a memory cap below its demand pages on its own (self
 		// penalty) but relieves the container.
 		var memDemand float64
-		selfPenalty := make([]float64, len(g.members))
-		for mi, c := range g.members {
+		selfPenalty := sc.selfPenalty[:0]
+		for _, c := range g.members {
 			use := c.Demand.Get(resource.Memory)
-			selfPenalty[mi] = 1
+			penalty := 1.0
 			if capMem := c.Cap.Get(resource.Memory); capMem > 0 && capMem < use {
-				selfPenalty[mi] = math.Pow(capMem/use, cfg.MemPenaltyExp)
+				penalty = math.Pow(capMem/use, cfg.MemPenaltyExp)
 				use = capMem
 			}
+			selfPenalty = append(selfPenalty, penalty)
 			memDemand += use
 		}
+		sc.selfPenalty = selfPenalty
 		memPenalty := 1.0
 		if g.memCap > 0 && memDemand > g.memCap {
 			memPenalty = math.Pow(g.memCap/memDemand, cfg.MemPenaltyExp)
@@ -459,6 +463,37 @@ func (pm *PM) resolve() {
 	pm.rawUsage = totalRaw
 }
 
+// solveScratch holds the buffers resolve reuses from solve to solve, so
+// a steady-state re-solve allocates nothing. Solves never nest — resolve
+// calls out to nothing — so the PMs of a cluster share one scratch:
+// per-PM buffers would hold live heap in proportion to the fleet for no
+// gain.
+type solveScratch struct {
+	groups        []solveGroup
+	raw           []resource.Vector // every member's raw demand, group by group
+	demand        []resource.Vector
+	weights       []float64
+	caps          []resource.Vector
+	alloc         []resource.Vector
+	memberWeights []float64
+	memberCaps    []resource.Vector
+	memberAlloc   []resource.Vector
+	selfPenalty   []float64
+	share         resource.ShareScratch
+}
+
+// solveGroup is one top-level share of a PM: a native consumer or a VM.
+type solveGroup struct {
+	members  []*Consumer
+	vm       *VM // nil for native
+	overhead OverheadProfile
+	inflate  resource.Vector
+	weight   float64
+	cap      resource.Vector
+	memCap   float64 // memory available to members
+	rawStart int     // first member's index in solveScratch.raw
+}
+
 // reschedule cancels and re-creates the completion event of every finite
 // consumer, using the freshly computed speeds.
 func (pm *PM) reschedule() {
@@ -474,7 +509,10 @@ func (pm *PM) reschedule() {
 		if c.speed <= 0 {
 			return // stalled: a future update will reschedule
 		}
-		c.completion = engine.AfterSeconds(c.remaining/c.speed, c.complete)
+		if c.completeFn == nil {
+			c.completeFn = c.complete
+		}
+		c.completion = engine.AfterSeconds(c.remaining/c.speed, c.completeFn)
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -91,6 +92,14 @@ type FileSystem struct {
 	pool    []*DataNode
 	poolPos map[*DataNode]int
 
+	// nodeGen counts changes to the DataNode set; clusters lists the
+	// distinct clusters whose machines back registered DataNodes. The
+	// two together key topo, so a placement or a launch asks its
+	// fleet-wide question in O(1) instead of scanning every DataNode.
+	nodeGen  uint64
+	clusters []*cluster.Cluster
+	topo     topoCache
+
 	tracer *trace.Tracer
 	perf   *perfstat.Stats
 
@@ -167,6 +176,10 @@ func (fs *FileSystem) AddDataNode(n cluster.Node) *DataNode {
 	}
 	d := &DataNode{node: n, blocks: make(map[string]struct{})}
 	fs.datanodes = append(fs.datanodes, d)
+	fs.nodeGen++
+	if pm := n.Machine(); pm != nil && !slices.Contains(fs.clusters, pm.Cluster()) {
+		fs.clusters = append(fs.clusters, pm.Cluster())
+	}
 	fs.byNode[n] = d
 	fs.poolPos[d] = len(fs.pool)
 	fs.pool = append(fs.pool, d)
@@ -362,20 +375,61 @@ func nodeIsolated(d *DataNode) bool {
 
 // spansRacks reports whether the registered DataNodes sit in more than
 // one rack — the condition under which rack-diverse placement engages.
-func (fs *FileSystem) spansRacks() bool {
+func (fs *FileSystem) spansRacks() bool { return fs.topology().spansRacks }
+
+// OffHostFraction is the probability that a random DataNode lives on a
+// different physical machine than n — the share of replication traffic
+// written by a task on n that crosses the wire. It is 1 when no
+// DataNode is registered.
+func (fs *FileSystem) OffHostFraction(n cluster.Node) float64 {
+	if len(fs.datanodes) == 0 {
+		return 1
+	}
+	off := len(fs.datanodes) - fs.topology().perMachine[n.Machine()]
+	return float64(off) / float64(len(fs.datanodes))
+}
+
+// topoCache holds the answers that depend on where every DataNode sits:
+// whether they span racks, and how many sit on each machine (the nil
+// key counts DataNodes whose VM was destroyed). It is valid while
+// neither the DataNode set nor any backing cluster's topology changed;
+// the zero value is valid for the empty DataNode set it starts with.
+type topoCache struct {
+	nodeGen    uint64
+	topoGen    uint64
+	spansRacks bool
+	perMachine map[*cluster.PM]int
+}
+
+// topology returns the placement cache, rebuilding it in place when the
+// DataNode set or a backing cluster's topology moved since the last
+// build. The clusters' generations only grow, so their sum changes
+// exactly when one of them does.
+func (fs *FileSystem) topology() *topoCache {
+	var gen uint64
+	for _, c := range fs.clusters {
+		gen += c.TopologyGen()
+	}
+	t := &fs.topo
+	if t.nodeGen == fs.nodeGen && t.topoGen == gen {
+		return t
+	}
+	if t.perMachine == nil {
+		t.perMachine = make(map[*cluster.PM]int, len(fs.datanodes))
+	}
+	clear(t.perMachine)
+	t.spansRacks = false
 	first := ""
-	seen := false
-	for _, d := range fs.datanodes {
-		r := nodeRack(d)
-		if !seen {
-			first, seen = r, true
-			continue
-		}
-		if r != first {
-			return true
+	for i, d := range fs.datanodes {
+		t.perMachine[d.node.Machine()]++
+		if r := nodeRack(d); i == 0 {
+			first = r
+		} else if r != first {
+			t.spansRacks = true
 		}
 	}
-	return false
+	t.nodeGen, t.topoGen = fs.nodeGen, gen
+	return t
 }
 
 // FailureReport summarizes the namespace damage after a DataNode loss.
@@ -410,6 +464,7 @@ func (fs *FileSystem) HandleNodeFailures(nodes []cluster.Node) FailureReport {
 		}
 		failedSet[failed] = struct{}{}
 		delete(fs.byNode, n)
+		fs.nodeGen++
 		for i, d := range fs.datanodes {
 			if d == failed {
 				fs.datanodes = append(fs.datanodes[:i], fs.datanodes[i+1:]...)

@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -16,7 +17,10 @@ import (
 //     must be: a tracker whose map slots are full but reduce slots are
 //     empty would otherwise sit in every map wave's scan as a no-op
 //     visit, and with waves sized to the fleet those visits are the
-//     O(n^2) the sweep measured.
+//     O(n^2) the sweep measured. Each set is a blocked sorted list
+//     (freeSet: blocks of at most freeBlockMax trackers), so the
+//     remove-and-reinsert of every launch, release and pressure refresh
+//     moves a bounded number of pointers instead of half the fleet.
 //   - runningSorted: every running attempt ordered by consumer name,
 //     maintained at launch/release. RunningAttempts() copies it instead
 //     of rebuilding and sorting from the attempts map.
@@ -38,38 +42,155 @@ import (
 // code produced each call), by registration index alone otherwise (the
 // fixed heartbeat order of vanilla Hadoop).
 func (jt *JobTracker) freeLess(a, b *TaskTracker) bool {
-	if jt.cfg.CapacityAware && a.pressure != b.pressure {
+	return freeOrder(jt.cfg.CapacityAware, a, b)
+}
+
+func freeOrder(byPressure bool, a, b *TaskTracker) bool {
+	if byPressure && a.pressure != b.pressure {
 		return a.pressure < b.pressure
 	}
 	return a.idx < b.idx
 }
 
-// freeInsert adds a tracker to one free-slot set at its sorted position,
-// returning the updated slice.
-func (jt *JobTracker) freeInsert(set []*TaskTracker, tr *TaskTracker) []*TaskTracker {
-	i := sort.Search(len(set), func(i int) bool {
-		return jt.freeLess(tr, set[i])
-	})
-	set = append(set, nil)
-	copy(set[i+1:], set[i:])
-	set[i] = tr
-	return set
+// freeBlockMax is the capacity of one free-set block. An insert or
+// remove shifts at most this many trackers, plus a block list
+// freeBlockMax times shorter than the set.
+const freeBlockMax = 128
+
+// freeSet is one free-slot set in freeLess order, stored as a two-level
+// sorted list: a sequence of blocks, each sorted and holding 1 to
+// freeBlockMax trackers, every block's entries ordering before the next
+// block's. A lookup binary-searches the blocks by their last entry, then
+// the one block, so insert and remove cost O(log n + freeBlockMax)
+// instead of memmoving half the fleet. A full block splits in half; a
+// block that empties, or that a removal leaves small enough to fold into
+// a neighbour (the two together holding at most freeBlockMax/2), is
+// moved to spare and reused by the next split or by a refill of a
+// drained set, so steady-state churn never allocates. Merging keeps
+// every pair of adjacent blocks above freeBlockMax/2 entries, bounding
+// the block count at 4n/freeBlockMax + 1.
+type freeSet struct {
+	byPressure bool
+	blocks     [][]*TaskTracker
+	spare      [][]*TaskTracker // emptied blocks, length 0, capacity freeBlockMax
+	n          int              // trackers across all blocks
 }
 
-// freeRemove deletes a tracker from one free-slot set. The search runs
-// on the same cached key the element was inserted under, so it always
-// lands on the exact slot.
-func (jt *JobTracker) freeRemove(set []*TaskTracker, tr *TaskTracker) []*TaskTracker {
-	i := sort.Search(len(set), func(i int) bool {
-		return !jt.freeLess(set[i], tr)
-	})
-	for i < len(set) && set[i] != tr {
+func (s *freeSet) less(a, b *TaskTracker) bool { return freeOrder(s.byPressure, a, b) }
+
+// appendTo appends the set's trackers to dst in order.
+func (s *freeSet) appendTo(dst []*TaskTracker) []*TaskTracker {
+	for _, b := range s.blocks {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
+// locate returns the index of the first block whose last entry does not
+// order before tr — the block tr is in or belongs in — or len(blocks)
+// when tr orders after every entry.
+func (s *freeSet) locate(tr *TaskTracker) int {
+	lo, hi := 0, len(s.blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		b := s.blocks[m]
+		if s.less(b[len(b)-1], tr) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// newBlock returns an empty block, recycled when one is spare.
+func (s *freeSet) newBlock() []*TaskTracker {
+	if n := len(s.spare); n > 0 {
+		b := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return b
+	}
+	return make([]*TaskTracker, 0, freeBlockMax)
+}
+
+// recycle keeps an emptied block for reuse.
+func (s *freeSet) recycle(b []*TaskTracker) {
+	clear(b)
+	s.spare = append(s.spare, b[:0])
+}
+
+// insert adds a tracker at its sorted position.
+func (s *freeSet) insert(tr *TaskTracker) {
+	s.n++
+	if len(s.blocks) == 0 {
+		s.blocks = append(s.blocks, append(s.newBlock(), tr))
+		return
+	}
+	bi := s.locate(tr)
+	if bi == len(s.blocks) {
+		bi--
+	}
+	b := s.blocks[bi]
+	if len(b) == freeBlockMax {
+		// Split: the upper half moves to a new block right after this
+		// one, and tr goes to whichever half its key falls in.
+		upper := append(s.newBlock(), b[freeBlockMax/2:]...)
+		clear(b[freeBlockMax/2:])
+		b = b[:freeBlockMax/2]
+		s.blocks[bi] = b
+		s.blocks = slices.Insert(s.blocks, bi+1, upper)
+		if s.less(b[len(b)-1], tr) {
+			bi++
+			b = upper
+		}
+	}
+	i := sort.Search(len(b), func(i int) bool { return s.less(tr, b[i]) })
+	b = append(b, nil)
+	copy(b[i+1:], b[i:])
+	b[i] = tr
+	s.blocks[bi] = b
+}
+
+// remove deletes a tracker. The search runs on the same cached key the
+// tracker was inserted under, so it always lands on the exact slot.
+func (s *freeSet) remove(tr *TaskTracker) {
+	bi := s.locate(tr)
+	if bi == len(s.blocks) {
+		return // not present; defensive only
+	}
+	b := s.blocks[bi]
+	i := sort.Search(len(b), func(i int) bool { return !s.less(b[i], tr) })
+	for i < len(b) && b[i] != tr {
 		i++ // equal keys cannot happen (idx is unique); defensive only
 	}
-	if i < len(set) {
-		set = append(set[:i], set[i+1:]...)
+	if i == len(b) {
+		return
 	}
-	return set
+	copy(b[i:], b[i+1:])
+	b[len(b)-1] = nil
+	b = b[:len(b)-1]
+	s.blocks[bi] = b
+	s.n--
+	if len(b) == 0 {
+		s.recycle(b)
+		s.blocks = slices.Delete(s.blocks, bi, bi+1)
+		return
+	}
+	if bi+1 < len(s.blocks) && len(b)+len(s.blocks[bi+1]) <= freeBlockMax/2 {
+		s.mergeNext(bi)
+	}
+	if bi > 0 && len(s.blocks[bi-1])+len(s.blocks[bi]) <= freeBlockMax/2 {
+		s.mergeNext(bi - 1)
+	}
+}
+
+// mergeNext folds block i+1 into block i.
+func (s *freeSet) mergeNext(i int) {
+	next := s.blocks[i+1]
+	s.blocks[i] = append(s.blocks[i], next...)
+	s.recycle(next)
+	s.blocks = slices.Delete(s.blocks, i+1, i+2)
 }
 
 // syncFree reconciles a tracker's free-slot set memberships with its
@@ -77,17 +198,17 @@ func (jt *JobTracker) freeRemove(set []*TaskTracker, tr *TaskTracker) []*TaskTra
 func (jt *JobTracker) syncFree(tr *TaskTracker) {
 	if freeM := tr.mapRunning < jt.cfg.MapSlots; freeM != tr.inFreeMaps {
 		if freeM {
-			jt.freeMaps = jt.freeInsert(jt.freeMaps, tr)
+			jt.freeMaps.insert(tr)
 		} else {
-			jt.freeMaps = jt.freeRemove(jt.freeMaps, tr)
+			jt.freeMaps.remove(tr)
 		}
 		tr.inFreeMaps = freeM
 	}
 	if freeR := tr.redsRunning < jt.cfg.ReduceSlots; freeR != tr.inFreeReds {
 		if freeR {
-			jt.freeReds = jt.freeInsert(jt.freeReds, tr)
+			jt.freeReds.insert(tr)
 		} else {
-			jt.freeReds = jt.freeRemove(jt.freeReds, tr)
+			jt.freeReds.remove(tr)
 		}
 		tr.inFreeReds = freeR
 	}
@@ -153,20 +274,20 @@ func (jt *JobTracker) flushDirty() {
 // sort comparison.
 func (jt *JobTracker) refreshPressure(tr *TaskTracker) {
 	if tr.inFreeMaps {
-		jt.freeMaps = jt.freeRemove(jt.freeMaps, tr)
+		jt.freeMaps.remove(tr)
 	}
 	if tr.inFreeReds {
-		jt.freeReds = jt.freeRemove(jt.freeReds, tr)
+		jt.freeReds.remove(tr)
 	}
 	if jt.perf != nil {
 		jt.perf.C.JTPressureProbes++
 	}
 	tr.pressure = trackerPressure(tr)
 	if tr.inFreeMaps {
-		jt.freeMaps = jt.freeInsert(jt.freeMaps, tr)
+		jt.freeMaps.insert(tr)
 	}
 	if tr.inFreeReds {
-		jt.freeReds = jt.freeInsert(jt.freeReds, tr)
+		jt.freeReds.insert(tr)
 	}
 }
 

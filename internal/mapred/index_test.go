@@ -16,23 +16,55 @@ import (
 // prewarming before measuring.
 
 // TestFreeSetMaintenanceZeroAlloc measures the slot-churn hot path:
-// a tracker leaving and re-entering the free-slot sets as its map and
-// reduce slots fill and drain.
+// trackers leaving and re-entering the free-slot sets as their map and
+// reduce slots fill and drain. The fleet spans several blocks, so the
+// churn crosses block splits and merges, and the last case drains both
+// sets completely and refills them — the pattern of a small fleet
+// saturating and idling between waves.
 func TestFreeSetMaintenanceZeroAlloc(t *testing.T) {
-	_, jt := rig(t, 16, Config{}, nil)
+	_, jt := rig(t, 3*freeBlockMax+17, Config{}, nil)
 	trackers := jt.Trackers()
-	tr := trackers[len(trackers)/2]
-	churn := func() {
-		tr.mapRunning = jt.cfg.MapSlots
-		tr.redsRunning = jt.cfg.ReduceSlots
-		jt.syncFree(tr) // leaves both sets
-		tr.mapRunning = 0
-		tr.redsRunning = 0
-		jt.syncFree(tr) // re-enters both sets
+	setFull := func(tr *TaskTracker, full bool) {
+		tr.mapRunning, tr.redsRunning = 0, 0
+		if full {
+			tr.mapRunning, tr.redsRunning = jt.cfg.MapSlots, jt.cfg.ReduceSlots
+		}
+		jt.syncFree(tr)
 	}
-	churn() // prewarm: every tracker already resides in both sets from AddTracker
-	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
-		t.Errorf("free-set churn allocates %.1f times per slot cycle, want 0", allocs)
+	cases := []struct {
+		name  string
+		churn func()
+	}{
+		{"one tracker", func() {
+			tr := trackers[len(trackers)/2]
+			setFull(tr, true)  // leaves both sets
+			setFull(tr, false) // re-enters both sets
+		}},
+		{"block edges", func() {
+			for _, i := range []int{0, freeBlockMax - 1, freeBlockMax, len(trackers) - 1} {
+				setFull(trackers[i], true)
+			}
+			for _, i := range []int{freeBlockMax, 0, len(trackers) - 1, freeBlockMax - 1} {
+				setFull(trackers[i], false)
+			}
+		}},
+		{"drain and refill", func() {
+			for _, tr := range trackers {
+				setFull(tr, true)
+			}
+			if jt.freeMaps.n != 0 || jt.freeReds.n != 0 {
+				t.Fatal("sets not drained")
+			}
+			for _, tr := range trackers {
+				setFull(tr, false)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		tc.churn() // prewarm: grows the block list and the spare pool once
+		if allocs := testing.AllocsPerRun(100, tc.churn); allocs != 0 {
+			t.Errorf("%s: free-set churn allocates %.1f times per cycle, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -65,13 +97,13 @@ func TestRunningIndexMaintenanceZeroAlloc(t *testing.T) {
 
 // TestPressureRefreshKeepsSetsOrdered drives the dirty-PM refresh path
 // and verifies both free-slot sets stay sorted under their comparator —
-// the invariant the binary searches in freeInsert/freeRemove rely on.
+// the invariant the binary searches in freeSet.insert/remove rely on.
 func TestPressureRefreshKeepsSetsOrdered(t *testing.T) {
 	_, jt := rig(t, 16, Config{CapacityAware: true}, nil)
 	for _, tr := range jt.Trackers() {
 		jt.refreshPressure(tr)
 	}
-	for _, set := range [][]*TaskTracker{jt.freeMaps, jt.freeReds} {
+	for _, set := range [][]*TaskTracker{jt.freeMaps.appendTo(nil), jt.freeReds.appendTo(nil)} {
 		for i := 1; i < len(set); i++ {
 			if jt.freeLess(set[i], set[i-1]) {
 				t.Fatalf("free set out of order at %d: %s before %s",

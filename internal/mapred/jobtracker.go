@@ -284,8 +284,9 @@ type JobTracker struct {
 	// prefix order the old sort.SliceStable produced. Their union is the
 	// old single free set; schedule() merge-iterates whichever sets have
 	// schedulable work so a map wave never walks map-full trackers.
-	freeMaps    []*TaskTracker
-	freeReds    []*TaskTracker
+	// Both are blocked sorted lists (freeSet in index.go).
+	freeMaps    freeSet
+	freeReds    freeSet
 	scratchMaps []*TaskTracker
 	scratchReds []*TaskTracker
 	runningSnap []*Attempt
@@ -334,11 +335,14 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 	if sched == nil {
 		sched = FIFO{}
 	}
+	cfg = cfg.withDefaults()
 	return &JobTracker{
 		engine:     engine,
 		fs:         fs,
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		sched:      sched,
+		freeMaps:   freeSet{byPressure: cfg.CapacityAware},
+		freeReds:   freeSet{byPressure: cfg.CapacityAware},
 		attempts:   make(map[*Attempt]struct{}),
 		buckets:    make(map[cluster.Node]*nodeBucket),
 		dirtySet:   make(map[*cluster.PM]bool),
@@ -524,6 +528,10 @@ func (jt *JobTracker) Trackers() []*TaskTracker {
 	return out
 }
 
+// TrackerCount returns the number of registered workers without copying
+// the list.
+func (jt *JobTracker) TrackerCount() int { return len(jt.trackers) }
+
 // Jobs returns jobs that are not yet complete, in submission order.
 func (jt *JobTracker) Jobs() []*Job {
 	out := make([]*Job, len(jt.activeJobs))
@@ -663,11 +671,11 @@ func (jt *JobTracker) schedule() {
 		// during a map wave, which is where its O(n^2) hid.
 		var snapM, snapR []*TaskTracker
 		if jt.schedulableMaps > 0 {
-			snapM = append(jt.scratchMaps[:0], jt.freeMaps...)
+			snapM = jt.freeMaps.appendTo(jt.scratchMaps[:0])
 			jt.scratchMaps = snapM
 		}
 		if jt.schedulableReds > 0 {
-			snapR = append(jt.scratchReds[:0], jt.freeReds...)
+			snapR = jt.freeReds.appendTo(jt.scratchReds[:0])
 			jt.scratchReds = snapR
 		}
 		// Merge-iterate the two sets in the shared (pressure, idx) order;
@@ -1068,23 +1076,6 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	jt.setTaskState(a.Task, TaskPending)
 	a.Task.pendingSince = jt.engine.Now()
 	return jt.launch(a.Task, dst, false)
-}
-
-// offHostFraction is the probability that a random DataNode lives on a
-// different physical machine than n — the share of replication traffic
-// that crosses the wire.
-func (jt *JobTracker) offHostFraction(n cluster.Node) float64 {
-	dns := jt.fs.DataNodes()
-	if len(dns) == 0 {
-		return 1
-	}
-	off := 0
-	for _, d := range dns {
-		if d.Node().Machine() != n.Machine() {
-			off++
-		}
-	}
-	return float64(off) / float64(len(dns))
 }
 
 // HandleMachineFailure declares lost every tracker whose compute or

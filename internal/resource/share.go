@@ -1,6 +1,6 @@
 package resource
 
-import "sort"
+import "slices"
 
 // Claim is one consumer's request in a fair-share round for a single
 // resource dimension.
@@ -34,6 +34,25 @@ func (c Claim) bound() float64 {
 	return b
 }
 
+// ShareScratch holds the working buffers of fair-share solves. A caller
+// that solves repeatedly keeps one and passes it to FairShareInto and
+// ShareVectorInto, which then allocate nothing once the buffers have
+// grown to the largest claim count seen. The zero value is ready to use.
+// A scratch serves one solve at a time.
+type ShareScratch struct {
+	claims  []Claim
+	allocs  []float64
+	entries []shareEntry
+}
+
+// shareEntry is one positive claim in the water-filling order.
+type shareEntry struct {
+	idx     int
+	bound   float64
+	weight  float64
+	perUnit float64 // bound / weight: the water level at which it saturates
+}
+
 // FairShare divides capacity among claims by weighted max-min fairness
 // (progressive filling): every claim is granted min(bound, weighted share),
 // and capacity freed by claims that need less than their share is
@@ -43,18 +62,18 @@ func (c Claim) bound() float64 {
 // The algorithm sorts claims by bound/weight and fills in one pass, which
 // is O(n log n) and exact for the water-filling solution.
 func FairShare(capacity float64, claims []Claim) []float64 {
-	alloc := make([]float64, len(claims))
+	return FairShareInto(make([]float64, len(claims)), capacity, claims, new(ShareScratch))
+}
+
+// FairShareInto is FairShare writing into dst (resized to len(claims)
+// and reusing its storage) with its working set in s.
+func FairShareInto(dst []float64, capacity float64, claims []Claim, s *ShareScratch) []float64 {
+	alloc := resize(dst, len(claims))
 	if capacity <= 0 || len(claims) == 0 {
 		return alloc
 	}
 
-	type entry struct {
-		idx     int
-		bound   float64
-		weight  float64
-		perUnit float64 // bound / weight: the water level at which it saturates
-	}
-	entries := make([]entry, 0, len(claims))
+	entries := s.entries[:0]
 	totalWeight := 0.0
 	for i, c := range claims {
 		b := c.bound()
@@ -62,10 +81,21 @@ func FairShare(capacity float64, claims []Claim) []float64 {
 			continue
 		}
 		w := c.effWeight()
-		entries = append(entries, entry{idx: i, bound: b, weight: w, perUnit: b / w})
+		entries = append(entries, shareEntry{idx: i, bound: b, weight: w, perUnit: b / w})
 		totalWeight += w
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].perUnit < entries[j].perUnit })
+	s.entries = entries
+	// Same pdqsort as sort.Slice with the same comparisons, so equal
+	// levels keep the same order and the fill sums stay bit-identical.
+	slices.SortFunc(entries, func(a, b shareEntry) int {
+		switch {
+		case a.perUnit < b.perUnit:
+			return -1
+		case a.perUnit > b.perUnit:
+			return 1
+		}
+		return 0
+	})
 
 	remaining := capacity
 	for i, e := range entries {
@@ -95,8 +125,14 @@ func FairShare(capacity float64, claims []Claim) []float64 {
 // demands, weights and caps are parallel slices: weights applies to all
 // dimensions of a consumer, caps may be the zero Vector for "no cap".
 func ShareVector(capacity Vector, demands []Vector, weights []float64, caps []Vector) []Vector {
-	out := make([]Vector, len(demands))
-	claims := make([]Claim, len(demands))
+	return ShareVectorInto(make([]Vector, len(demands)), capacity, demands, weights, caps, new(ShareScratch))
+}
+
+// ShareVectorInto is ShareVector writing into dst (resized to
+// len(demands) and reusing its storage) with its working set in s.
+func ShareVectorInto(dst []Vector, capacity Vector, demands []Vector, weights []float64, caps []Vector, s *ShareScratch) []Vector {
+	out := resize(dst, len(demands))
+	s.claims = resize(s.claims, len(demands))
 	for _, k := range Kinds() {
 		for i := range demands {
 			var w float64 = 1
@@ -107,12 +143,23 @@ func ShareVector(capacity Vector, demands []Vector, weights []float64, caps []Ve
 			if caps != nil {
 				cap = caps[i].Get(k)
 			}
-			claims[i] = Claim{Demand: demands[i].Get(k), Weight: w, Cap: cap}
+			s.claims[i] = Claim{Demand: demands[i].Get(k), Weight: w, Cap: cap}
 		}
-		allocs := FairShare(capacity.Get(k), claims)
+		s.allocs = FairShareInto(s.allocs, capacity.Get(k), s.claims, s)
 		for i := range out {
-			out[i] = out[i].Set(k, allocs[i])
+			out[i] = out[i].Set(k, s.allocs[i])
 		}
 	}
 	return out
+}
+
+// resize returns buf with length n and every element zeroed, reusing
+// its storage when the capacity allows.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
