@@ -17,9 +17,12 @@
 package audit
 
 import (
-	"encoding/json"
+	"bufio"
 	"io"
+	"strconv"
 	"time"
+
+	"repro/internal/jsonenc"
 )
 
 // DefaultCap is the ring-buffer capacity used when New is given a
@@ -126,19 +129,25 @@ func (l *Log) Dropped() uint64 {
 	return l.seq - uint64(len(l.buf))
 }
 
+// ordered returns the retained records oldest-first as the two halves
+// of the ring, without copying.
+func (l *Log) ordered() (older, newer []Record) {
+	if l.seq <= uint64(l.cap) {
+		return l.buf, nil
+	}
+	start := int(l.seq % uint64(l.cap))
+	return l.buf[start:], l.buf[:start]
+}
+
 // Records returns the retained records oldest-first. The slice is a
 // copy; mutating it does not affect the log.
 func (l *Log) Records() []Record {
 	if l == nil || len(l.buf) == 0 {
 		return nil
 	}
+	older, newer := l.ordered()
 	out := make([]Record, 0, len(l.buf))
-	if l.seq <= uint64(l.cap) {
-		return append(out, l.buf...)
-	}
-	start := int(l.seq % uint64(l.cap))
-	out = append(out, l.buf[start:]...)
-	return append(out, l.buf[:start]...)
+	return append(append(out, older...), newer...)
 }
 
 // Filter returns the retained records matching pred, oldest-first.
@@ -152,49 +161,81 @@ func (l *Log) Filter(pred func(Record) bool) []Record {
 	return out
 }
 
-// jsonCandidate and jsonRecord pin the JSONL field order; struct-field
-// order is what encoding/json emits, so exports are byte-stable.
-type jsonCandidate struct {
-	Name   string  `json:"name"`
-	Score  float64 `json:"score"`
-	Chosen bool    `json:"chosen,omitempty"`
-	Note   string  `json:"note,omitempty"`
-}
-
-type jsonRecord struct {
-	Seq        uint64          `json:"seq"`
-	TsUs       int64           `json:"ts_us"`
-	Subsystem  string          `json:"subsystem"`
-	Action     string          `json:"action"`
-	Subject    string          `json:"subject"`
-	Decision   string          `json:"decision"`
-	Reason     string          `json:"reason,omitempty"`
-	Candidates []jsonCandidate `json:"candidates,omitempty"`
-}
-
 // WriteJSONL writes the retained records as one JSON object per line,
 // oldest first. Timestamps are integer microseconds of simulated time
-// (ts_us), matching the trace JSONL convention.
+// (ts_us), matching the trace JSONL convention. The field order is
+// fixed, and reason, candidates and a candidate's chosen and note are
+// omitted when empty:
+//
+//	{"seq":…,"ts_us":…,"subsystem":…,"action":…,"subject":…,"decision":…,"reason":…,
+//	 "candidates":[{"name":…,"score":…,"chosen":true,"note":…},…]}
+//
+// The bytes are those encoding/json gives for that schema. Output is
+// buffered; a record that cannot be encoded (a NaN or infinite score)
+// stops the export with an error after the records before it.
 func (l *Log) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range l.Records() {
-		jr := jsonRecord{
-			Seq:       r.Seq,
-			TsUs:      r.At.Microseconds(),
-			Subsystem: r.Subsystem,
-			Action:    r.Action,
-			Subject:   r.Subject,
-			Decision:  r.Decision,
-			Reason:    r.Reason,
-		}
-		for _, c := range r.Candidates {
-			jr.Candidates = append(jr.Candidates, jsonCandidate{
-				Name: c.Name, Score: c.Score, Chosen: c.Chosen, Note: c.Note,
-			})
-		}
-		if err := enc.Encode(jr); err != nil {
-			return err
+	if l == nil {
+		return nil
+	}
+	bw := bufio.NewWriter(w)
+	var buf []byte
+	older, newer := l.ordered()
+	for _, half := range [2][]Record{older, newer} {
+		for i := range half {
+			var err error
+			if buf, err = appendRecord(buf[:0], &half[i]); err != nil {
+				_ = bw.Flush() // still deliver the records before this one
+				return err
+			}
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return bw.Flush()
+}
+
+// appendRecord appends one record's JSONL line.
+func appendRecord(b []byte, r *Record) ([]byte, error) {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, r.Seq, 10)
+	b = append(b, `,"ts_us":`...)
+	b = strconv.AppendInt(b, r.At.Microseconds(), 10)
+	b = append(b, `,"subsystem":`...)
+	b = jsonenc.AppendString(b, r.Subsystem)
+	b = append(b, `,"action":`...)
+	b = jsonenc.AppendString(b, r.Action)
+	b = append(b, `,"subject":`...)
+	b = jsonenc.AppendString(b, r.Subject)
+	b = append(b, `,"decision":`...)
+	b = jsonenc.AppendString(b, r.Decision)
+	if r.Reason != "" {
+		b = append(b, `,"reason":`...)
+		b = jsonenc.AppendString(b, r.Reason)
+	}
+	if len(r.Candidates) > 0 {
+		b = append(b, `,"candidates":[`...)
+		for i, c := range r.Candidates {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = jsonenc.AppendString(b, c.Name)
+			b = append(b, `,"score":`...)
+			var err error
+			if b, err = jsonenc.AppendFloat(b, c.Score); err != nil {
+				return b, err
+			}
+			if c.Chosen {
+				b = append(b, `,"chosen":true`...)
+			}
+			if c.Note != "" {
+				b = append(b, `,"note":`...)
+				b = jsonenc.AppendString(b, c.Note)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...), nil
 }

@@ -213,8 +213,10 @@ func (pm *PM) PowerW() float64 {
 	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*pm.Utilization().Get(resource.CPU)
 }
 
-// allConsumers iterates native consumers and those of every hosted VM.
-func (pm *PM) allConsumers(fn func(c *Consumer)) {
+// EachConsumer calls fn on every consumer resident on the machine, in
+// place: the native consumers in attach order, then each hosted VM's in
+// VM order. fn must not attach or detach consumers.
+func (pm *PM) EachConsumer(fn func(c *Consumer)) {
 	for _, c := range pm.native {
 		fn(c)
 	}
@@ -230,7 +232,7 @@ func (pm *PM) allConsumers(fn func(c *Consumer)) {
 // allocations.
 func (pm *PM) settle() {
 	now := pm.cluster.engine.Now()
-	pm.allConsumers(func(c *Consumer) {
+	pm.EachConsumer(func(c *Consumer) {
 		if c.Work < 0 {
 			c.lastSettle = now
 			return
@@ -443,7 +445,7 @@ func (pm *PM) resolve() {
 	// An injected straggler factor slows every consumer on the machine
 	// below what its allocation would sustain.
 	if pm.slowdown > 1 {
-		pm.allConsumers(func(c *Consumer) {
+		pm.EachConsumer(func(c *Consumer) {
 			c.speed /= pm.slowdown
 		})
 	}
@@ -498,7 +500,7 @@ type solveGroup struct {
 // consumer, using the freshly computed speeds.
 func (pm *PM) reschedule() {
 	engine := pm.cluster.engine
-	pm.allConsumers(func(c *Consumer) {
+	pm.EachConsumer(func(c *Consumer) {
 		if c.completion != nil {
 			engine.Cancel(c.completion)
 			c.completion = nil

@@ -305,11 +305,11 @@ func (jt *JobTracker) reexecuteLostMaps(tr *TaskTracker) int {
 				decision += ", roll job back to map phase"
 			}
 			jt.auditLog.Add("mapred", "reexecute-maps",
-				fmt.Sprintf("%s-%d", job.Spec.Name, job.ID), decision,
+				job.key, decision,
 				fmt.Sprintf("map outputs lived on lost tracker %s; reducers can no longer fetch them", tr.Compute.Name()))
 		}
 		if jt.tracer != nil {
-			jt.tracer.Instant(fmt.Sprintf("job:%s-%d", job.Spec.Name, job.ID),
+			jt.tracer.Instant("job:"+job.key,
 				"job", "maps-reexecuted",
 				trace.S("tracker", tr.Compute.Name()),
 				trace.F("count", float64(n)))
@@ -331,7 +331,7 @@ func (jt *JobTracker) rollbackToMapPhase(job *Job) {
 	job.phaseSpan.End(trace.S("outcome", "rolled-back"))
 	if jt.tracer != nil {
 		job.phaseSpan = jt.tracer.Begin(
-			fmt.Sprintf("job:%s-%d", job.Spec.Name, job.ID), "job", "map-phase",
+			"job:"+job.key, "job", "map-phase",
 			trace.S("cause", "map-output-lost"))
 	}
 	for _, t := range job.reduces {

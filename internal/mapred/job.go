@@ -30,7 +30,10 @@ type Job struct {
 	// job) finishes.
 	OnComplete func(*Job)
 
-	jt        *JobTracker
+	jt *JobTracker
+	// key is the job's "<name>-<id>" label, built once at Submit; task
+	// IDs, trace tracks and audit subjects all start from it.
+	key       string
 	inputName string
 	maps      []*Task
 	reduces   []*Task

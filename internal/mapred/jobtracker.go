@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/audit"
@@ -583,6 +584,7 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 		mapOutputMB: make(map[*cluster.PM]float64),
 		rateStats:   make(map[TaskKind]*rateStat),
 	}
+	job.key = spec.Name + "-" + strconv.Itoa(job.ID)
 	jt.nextID++
 
 	if spec.FixedMapWork > 0 {
@@ -590,7 +592,7 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 			job.maps = append(job.maps, &Task{Job: job, Kind: MapTask, Index: i, state: TaskPending})
 		}
 	} else {
-		job.inputName = fmt.Sprintf("/jobs/%s-%d/input", spec.Name, job.ID)
+		job.inputName = "/jobs/" + job.key + "/input"
 		file, ok := jt.fs.File(job.inputName)
 		if !ok {
 			var err error
@@ -617,7 +619,7 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 	jt.schedulableMaps += job.pendingMaps
 
 	if jt.tracer != nil {
-		track := fmt.Sprintf("job:%s-%d", spec.Name, job.ID)
+		track := "job:" + job.key
 		job.span = jt.tracer.Begin(track, "job", spec.Name,
 			trace.F("maps", float64(len(job.maps))),
 			trace.F("reduces", float64(len(job.reduces))),
@@ -757,7 +759,7 @@ func trackerPressure(tr *TaskTracker) float64 {
 	}
 	cap := pm.Capacity()
 	var p float64
-	add := func(c *cluster.Consumer) {
+	pm.EachConsumer(func(c *cluster.Consumer) {
 		best := 0.0
 		for _, k := range resource.Kinds() {
 			if cv := cap.Get(k); cv > 0 {
@@ -767,22 +769,15 @@ func trackerPressure(tr *TaskTracker) float64 {
 			}
 		}
 		p += best
-	}
-	for _, c := range pm.Consumers() {
-		add(c)
-	}
-	for _, vm := range pm.VMs() {
-		for _, c := range vm.Consumers() {
-			add(c)
-		}
-	}
+	})
 	return p
 }
 
 // launch starts an attempt of task on tracker.
 func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) error {
+	id := task.ID()
 	if tr.lost {
-		return fmt.Errorf("mapred: launch(%s): tracker %s is lost", task.ID(), tr.Compute.Name())
+		return fmt.Errorf("mapred: launch(%s): tracker %s is lost", id, tr.Compute.Name())
 	}
 	if task.Kind == MapTask && task.Block != nil && len(task.Block.Replicas) == 0 {
 		// Correlated failures can destroy every holder of an input block
@@ -793,7 +788,7 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		if jt.fs.RestoreBlock(task.Block) {
 			jt.auditLog.Add("dfs", "restore-input", task.Block.ID,
 				"re-ingested from source",
-				fmt.Sprintf("all replicas lost; map %s needs the block", task.ID()))
+				"all replicas lost; map "+id+" needs the block")
 		}
 	}
 	demand, work, serveDisk := demandAndWork(task, tr)
@@ -804,7 +799,7 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		StartedAt:   jt.engine.Now(),
 	}
 	a.consumer = &cluster.Consumer{
-		Name:   fmt.Sprintf("%s@%s", task.ID(), tr.Compute.Name()),
+		Name:   id + "@" + tr.Compute.Name(),
 		Demand: demand,
 		Work:   work,
 	}
@@ -835,18 +830,18 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		jt.fs.CountRead(task.Block, tr.Compute, loc)
 	}
 	if jt.tracer != nil {
-		args := []trace.Arg{
-			trace.S("job", fmt.Sprintf("%s-%d", task.Job.Spec.Name, task.Job.ID)),
+		var argBuf [5]trace.Arg
+		args := append(argBuf[:0],
+			trace.S("job", task.Job.key),
 			trace.S("kind", task.Kind.String()),
-			trace.F("slot_wait_sec", a.SlotWait.Seconds()),
-		}
+			trace.F("slot_wait_sec", a.SlotWait.Seconds()))
 		if speculative {
 			args = append(args, trace.S("speculative", "true"))
 		}
 		if loc != 0 {
 			args = append(args, trace.S("locality", loc.String()))
 		}
-		a.span = jt.tracer.Begin(tr.Compute.Name(), "task", task.ID(), args...)
+		a.span = jt.tracer.Begin(tr.Compute.Name(), "task", id, args...)
 	}
 	if jt.auditLog != nil {
 		reason := "fixed heartbeat order (vanilla Hadoop)"
@@ -856,12 +851,12 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		if speculative {
 			reason = "speculative backup on the least-loaded alternative"
 		}
-		jt.auditLog.Add("mapred", "assign", task.ID(), tr.Compute.Name(), reason,
+		jt.auditLog.Add("mapred", "assign", id, tr.Compute.Name(), reason,
 			jt.assignCandidates(task.Kind, tr)...)
 	}
 	if serveDisk > 0 && tr.split() {
 		a.serve = &cluster.Consumer{
-			Name:   fmt.Sprintf("%s-serve@%s", task.ID(), tr.Storage.Name()),
+			Name:   id + "-serve@" + tr.Storage.Name(),
 			Demand: demandServe(serveDisk),
 			Work:   work,
 		}
@@ -887,28 +882,37 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 // assignCandidates lists, for the audit log, the trackers that had a
 // free slot of the kind when one of them was chosen, scored by machine
 // pressure. The list is capped (the chosen tracker is always kept) so
-// records stay readable on large clusters.
+// records stay readable on large clusters; only the kept trackers are
+// scored.
 func (jt *JobTracker) assignCandidates(kind TaskKind, chosen *TaskTracker) []audit.Candidate {
 	const maxCandidates = 8
-	var out []audit.Candidate
+	var kept [maxCandidates]*TaskTracker
+	n, seenChosen := 0, false
 	for _, tr := range jt.trackers {
 		if tr != chosen && (tr.disabled || tr.lost || tr.FreeSlots(kind) <= 0) {
 			continue
 		}
-		c := audit.Candidate{
+		if n < maxCandidates {
+			kept[n] = tr
+			n++
+		} else if tr == chosen {
+			kept[n-1] = tr // chosen beyond the cap replaces the tail
+		}
+		if tr == chosen {
+			seenChosen = true
+		}
+		if seenChosen && n == maxCandidates {
+			break // nothing later can enter the list
+		}
+	}
+	out := make([]audit.Candidate, n)
+	for i, tr := range kept[:n] {
+		out[i] = audit.Candidate{
 			Name:   tr.Compute.Name(),
 			Score:  trackerPressure(tr),
 			Chosen: tr == chosen,
 			Note:   "machine pressure",
 		}
-		if len(out) == maxCandidates {
-			if tr != chosen {
-				continue
-			}
-			out[len(out)-1] = c // chosen beyond the cap replaces the tail
-			continue
-		}
-		out = append(out, c)
 	}
 	return out
 }
@@ -978,7 +982,7 @@ func (jt *JobTracker) attemptFinished(a *Attempt) {
 				}
 				if jt.tracer != nil {
 					job.phaseSpan = jt.tracer.Begin(
-						fmt.Sprintf("job:%s-%d", job.Spec.Name, job.ID), "job", "reduce-phase")
+						"job:"+job.key, "job", "reduce-phase")
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 package mapred
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -97,7 +97,7 @@ func (t *Task) OutputTracker() *TaskTracker { return t.outputTracker }
 
 // ID identifies the task within its job.
 func (t *Task) ID() string {
-	return fmt.Sprintf("%s-%d/%s-%d", t.Job.Spec.Name, t.Job.ID, t.Kind, t.Index)
+	return t.Job.key + "/" + t.Kind.String() + "-" + strconv.Itoa(t.Index)
 }
 
 // Attempt is one execution of a task on a specific tracker.

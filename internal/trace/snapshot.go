@@ -174,10 +174,9 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	evs := t.snapshot()
-	out := make([]Event, len(evs))
-	for i, ev := range evs {
-		out[i] = Event{
+	out := make([]Event, 0, t.n+t.OpenSpans())
+	_ = t.each(func(ev *event) error {
+		out = append(out, Event{
 			Instant:  ev.phase == 'i',
 			Start:    ev.start,
 			Duration: ev.dur,
@@ -185,8 +184,9 @@ func (t *Tracer) Events() []Event {
 			Category: ev.cat,
 			Name:     ev.name,
 			Args:     ev.args,
-		}
-	}
+		})
+		return nil
+	})
 	return out
 }
 

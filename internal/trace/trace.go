@@ -6,12 +6,23 @@
 // write the collected events as JSONL or as the Chrome trace_event format
 // loadable in Perfetto / chrome://tracing.
 //
-// Two properties shape the design:
+// Three properties shape the design:
 //
 //   - Disabled tracing must be free. Every method is nil-safe: a nil
 //     *Tracer, *Registry, *Counter, *Gauge or *Histogram accepts the full
 //     API as a no-op, so instrumented code never branches and the hot
 //     path of an untraced simulation pays only a nil check.
+//
+//   - Enabled tracing must be cheap. Completed events live in a chunked
+//     store: chunks are allocated at their final size and never regrown,
+//     so recording never copies earlier events. Event args are copied
+//     into an arena the tracer owns, so a span's Begin and End args end
+//     up contiguous without a concatenated slice, callers' variadic arg
+//     slices never escape, and Instant and a Begin/End pair allocate
+//     nothing per call on a warm tracer. Exporters walk the store in
+//     place and hand-encode each line with package jsonenc, whose
+//     appenders reproduce encoding/json byte for byte, into one reused
+//     buffer behind a bufio.Writer.
 //
 //   - Traces must be deterministic. Timestamps come exclusively from the
 //     bound simulation clock (never the wall clock), events are stored in
@@ -56,7 +67,8 @@ type event struct {
 }
 
 // openSpan is a begun-but-unfinished span. Slots are reused through a
-// free list; gen guards stale Span handles after reuse.
+// free list; gen guards stale Span handles after reuse. args is the
+// slot's own buffer, reused by every span that occupies the slot.
 type openSpan struct {
 	start time.Duration
 	track string
@@ -67,15 +79,35 @@ type openSpan struct {
 	live  bool
 }
 
+// Chunk capacities of the event store and the args arena: the first
+// chunk is small so short-lived tracers stay cheap, and each later one
+// doubles up to the cap.
+const (
+	minChunk = 64
+	maxChunk = 4096
+)
+
+func nextChunkCap(prev int) int {
+	return min(max(2*prev, minChunk), maxChunk)
+}
+
 // Tracer collects spans and instant events against a simulation clock.
 // The zero value is not usable; use New. A nil *Tracer is a valid no-op
 // tracer. Tracers are not safe for concurrent use: the simulation stack
 // is single-goroutine by construction.
 type Tracer struct {
-	clock  Clock
-	events []event
-	open   []openSpan
-	free   []int
+	clock Clock
+	// chunks holds the completed events in emission order. Each chunk
+	// is allocated at its final capacity and never regrown, so
+	// recording never copies earlier events.
+	chunks [][]event
+	n      int
+	// arena is the current chunk of the args arena: recorded events
+	// copy their args into it, so no caller slice is retained. Full
+	// chunks stay alive through the events that reference them.
+	arena []Arg
+	open  []openSpan
+	free  []int
 }
 
 // New returns an empty tracer. The clock may be nil initially (events
@@ -100,12 +132,45 @@ func (t *Tracer) now() time.Duration {
 	return t.clock.Now()
 }
 
+// push returns the next free slot of the event store.
+func (t *Tracer) push() *event {
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		prev := 0
+		if last >= 0 {
+			prev = cap(t.chunks[last])
+		}
+		t.chunks = append(t.chunks, make([]event, 0, nextChunkCap(prev)))
+		last++
+	}
+	c := t.chunks[last]
+	c = c[:len(c)+1]
+	t.chunks[last] = c
+	t.n++
+	return &c[len(c)-1]
+}
+
+// store copies a followed by b into the args arena and returns the
+// copy, capped so that appending to it can never overwrite a neighbour.
+func (t *Tracer) store(a, b []Arg) []Arg {
+	n := len(a) + len(b)
+	if n == 0 {
+		return nil
+	}
+	if cap(t.arena)-len(t.arena) < n {
+		t.arena = make([]Arg, 0, max(nextChunkCap(cap(t.arena)), n))
+	}
+	lo := len(t.arena)
+	t.arena = append(append(t.arena, a...), b...)
+	return t.arena[lo:len(t.arena):len(t.arena)]
+}
+
 // Len returns the number of completed events recorded so far.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
 }
 
 // OpenSpans returns the number of begun-but-unfinished spans.
@@ -127,14 +192,14 @@ func (t *Tracer) Instant(track, category, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{
+	*t.push() = event{
 		phase: 'i',
 		start: t.now(),
 		track: track,
 		cat:   category,
 		name:  name,
-		args:  args,
-	})
+		args:  t.store(args, nil),
+	}
 }
 
 // Span is a handle to an in-progress span returned by Begin. The zero
@@ -161,17 +226,12 @@ func (t *Tracer) Begin(track, category, name string, args ...Arg) Span {
 		t.open = append(t.open, openSpan{})
 	}
 	slot := &t.open[idx]
-	gen := slot.gen + 1
-	*slot = openSpan{
-		start: t.now(),
-		track: track,
-		cat:   category,
-		name:  name,
-		args:  args,
-		gen:   gen,
-		live:  true,
-	}
-	return Span{t: t, idx: idx, gen: gen}
+	slot.start = t.now()
+	slot.track, slot.cat, slot.name = track, category, name
+	slot.args = append(slot.args[:0], args...)
+	slot.gen++
+	slot.live = true
+	return Span{t: t, idx: idx, gen: slot.gen}
 }
 
 // End closes the span, recording a complete event whose duration runs
@@ -185,22 +245,17 @@ func (s Span) End(args ...Arg) {
 	if !slot.live || slot.gen != s.gen {
 		return
 	}
-	all := slot.args
-	if len(args) > 0 {
-		all = append(append([]Arg{}, slot.args...), args...)
-	}
-	now := s.t.now()
-	s.t.events = append(s.t.events, event{
+	*s.t.push() = event{
 		phase: 'X',
 		start: slot.start,
-		dur:   now - slot.start,
+		dur:   s.t.now() - slot.start,
 		track: slot.track,
 		cat:   slot.cat,
 		name:  slot.name,
-		args:  all,
-	})
+		args:  s.t.store(slot.args, args),
+	}
 	slot.live = false
-	slot.args = nil
+	clear(slot.args)
 	s.t.free = append(s.t.free, s.idx)
 }
 
@@ -214,18 +269,26 @@ func (s Span) Active() bool {
 	return slot.live && slot.gen == s.gen
 }
 
-// snapshot returns completed events plus every still-open span rendered
-// as a span ending at the export instant, in deterministic order.
-func (t *Tracer) snapshot() []event {
-	out := make([]event, 0, len(t.events)+len(t.open))
-	out = append(out, t.events...)
+// each calls fn, in place and in deterministic order, on every
+// completed event and then on every still-open span rendered as a span
+// ending at the export instant with a trailing state=running arg. Only
+// the open-span events are built fresh. The first error stops the walk
+// and is returned.
+func (t *Tracer) each(fn func(ev *event) error) error {
+	for _, c := range t.chunks {
+		for i := range c {
+			if err := fn(&c[i]); err != nil {
+				return err
+			}
+		}
+	}
 	now := t.now()
 	for i := range t.open {
 		slot := &t.open[i]
 		if !slot.live {
 			continue
 		}
-		out = append(out, event{
+		ev := event{
 			phase: 'X',
 			start: slot.start,
 			dur:   now - slot.start,
@@ -233,7 +296,10 @@ func (t *Tracer) snapshot() []event {
 			cat:   slot.cat,
 			name:  slot.name,
 			args:  append(append([]Arg{}, slot.args...), S("state", "running")),
-		})
+		}
+		if err := fn(&ev); err != nil {
+			return err
+		}
 	}
-	return out
+	return nil
 }

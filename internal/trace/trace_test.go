@@ -60,12 +60,12 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("Len=%d OpenSpans=%d, want 1/0", tr.Len(), tr.OpenSpans())
 	}
 
-	ev := tr.events[0]
-	if ev.phase != 'X' || ev.start != 5*time.Second || ev.dur != 7*time.Second {
+	ev := tr.Events()[0]
+	if ev.Instant || ev.Start != 5*time.Second || ev.Duration != 7*time.Second {
 		t.Fatalf("event = %+v, want X span [5s,12s]", ev)
 	}
-	if len(ev.args) != 2 || ev.args[0].Key != "job" || ev.args[1].Key != "progress" {
-		t.Fatalf("args = %+v, want Begin args then End args", ev.args)
+	if len(ev.Args) != 2 || ev.Args[0].Key != "job" || ev.Args[1].Key != "progress" {
+		t.Fatalf("args = %+v, want Begin args then End args", ev.Args)
 	}
 
 	// Double End is a no-op.
@@ -99,8 +99,8 @@ func TestInstant(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tr.Len())
 	}
-	ev := tr.events[0]
-	if ev.phase != 'i' || ev.start != 3*time.Second || ev.name != "power-off" {
+	ev := tr.Events()[0]
+	if !ev.Instant || ev.Start != 3*time.Second || ev.Name != "power-off" {
 		t.Fatalf("event = %+v", ev)
 	}
 }
@@ -111,17 +111,17 @@ func TestSnapshotIncludesOpenSpans(t *testing.T) {
 	tr.Begin("t", "c", "still-running")
 	clk.t = 9 * time.Second
 
-	evs := tr.snapshot()
+	evs := tr.Events()
 	if len(evs) != 1 {
 		t.Fatalf("snapshot has %d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.dur != 9*time.Second {
-		t.Fatalf("open span dur = %v, want 9s", ev.dur)
+	if ev.Duration != 9*time.Second {
+		t.Fatalf("open span dur = %v, want 9s", ev.Duration)
 	}
-	last := ev.args[len(ev.args)-1]
-	if last.Key != "state" || last.str != "running" {
-		t.Fatalf("open span missing state=running arg: %+v", ev.args)
+	last := ev.Args[len(ev.Args)-1]
+	if v, ok := last.Text(); last.Key != "state" || !ok || v != "running" {
+		t.Fatalf("open span missing state=running arg: %+v", ev.Args)
 	}
 	// Snapshot must not close the span.
 	if tr.OpenSpans() != 1 {
@@ -135,8 +135,9 @@ func TestLateClockBinding(t *testing.T) {
 	clk := &fakeClock{t: time.Minute}
 	tr.SetClock(clk)
 	tr.Instant("t", "c", "late")
-	if tr.events[0].start != 0 || tr.events[1].start != time.Minute {
-		t.Fatalf("timestamps = %v, %v", tr.events[0].start, tr.events[1].start)
+	evs := tr.Events()
+	if evs[0].Start != 0 || evs[1].Start != time.Minute {
+		t.Fatalf("timestamps = %v, %v", evs[0].Start, evs[1].Start)
 	}
 }
 
