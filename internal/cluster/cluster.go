@@ -397,13 +397,38 @@ func (c *Cluster) VMs() []*VM {
 	return out
 }
 
-// TotalPowerW sums the instantaneous power draw of all powered-on PMs.
-func (c *Cluster) TotalPowerW() float64 {
-	var w float64
+// FleetStats is one observation of the fleet's power and load.
+type FleetStats struct {
+	// PowerW is the total instantaneous draw of the powered-on PMs.
+	PowerW float64
+	// Util is the per-resource mean utilization across powered-on PMs.
+	Util resource.Vector
+	// PMsOn counts the powered-on PMs, as PoweredOnPMs.
+	PMsOn int
+}
+
+// FleetStats walks the fleet once and returns its power draw, mean
+// utilization and powered-on count — the energy recorder's view. Each
+// sum runs in PM order over the per-PM values, and a powered-off PM adds
+// nothing to any of them.
+func (c *Cluster) FleetStats() FleetStats {
+	var s FleetStats
+	var sum resource.Vector
 	for _, pm := range c.pms {
-		w += pm.PowerW()
+		if pm.off {
+			continue
+		}
+		u := pm.Utilization()
+		s.PowerW += pm.powerAt(u)
+		sum = sum.Add(u)
+		s.PMsOn++
 	}
-	return w
+	if s.PMsOn > 0 {
+		for _, k := range resource.Kinds() {
+			s.Util = s.Util.Set(k, sum.Get(k)/float64(s.PMsOn))
+		}
+	}
+	return s
 }
 
 // PoweredOnPMs counts PMs that are not powered off.
@@ -415,22 +440,4 @@ func (c *Cluster) PoweredOnPMs() int {
 		}
 	}
 	return n
-}
-
-// MeanUtilization averages the given resource's utilization across
-// powered-on PMs.
-func (c *Cluster) MeanUtilization(kind resource.Kind) float64 {
-	var sum float64
-	var n int
-	for _, pm := range c.pms {
-		if pm.off {
-			continue
-		}
-		sum += pm.Utilization().Get(kind)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

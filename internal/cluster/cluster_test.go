@@ -367,8 +367,8 @@ func TestPowerModel(t *testing.T) {
 	if got := pm.PowerW(); math.Abs(got-cfg.PowerPeakW) > 1 {
 		t.Errorf("busy power = %v, want ~%v", got, cfg.PowerPeakW)
 	}
-	if got := c.TotalPowerW(); math.Abs(got-pm.PowerW()) > 1e-9 {
-		t.Errorf("TotalPowerW = %v, want %v", got, pm.PowerW())
+	if got := c.FleetStats().PowerW; math.Abs(got-pm.PowerW()) > 1e-9 {
+		t.Errorf("fleet power = %v, want %v", got, pm.PowerW())
 	}
 }
 
@@ -416,8 +416,8 @@ func TestUtilizationReporting(t *testing.T) {
 	if math.Abs(u.Get(resource.DiskIO)-0.5) > 0.01 {
 		t.Errorf("disk util = %v, want 0.5", u.Get(resource.DiskIO))
 	}
-	if got := c.MeanUtilization(resource.CPU); math.Abs(got-0.5) > 0.01 {
-		t.Errorf("MeanUtilization = %v, want 0.5", got)
+	if got := c.FleetStats().Util.Get(resource.CPU); math.Abs(got-0.5) > 0.01 {
+		t.Errorf("fleet mean cpu util = %v, want 0.5", got)
 	}
 }
 

@@ -121,16 +121,48 @@ func (c *Consumer) SetDemand(d resource.Vector) {
 }
 
 // SetCap installs a resource throttle (the Phase II DRM's actuator) and
-// re-solves the host.
+// re-solves the host. The solve reads a cap only as the claim bound
+// min(demand, cap) and in the paging test 0 < cap < demand, so when
+// neither the old nor the new cap binds in any dimension that changed
+// (capSwapInert) it would reproduce every allocation and speed bit for
+// bit: SetCap then skips it, but still settles and re-creates every
+// completion event on the machine from the settled remaining work,
+// exactly as a re-solve would. No watcher is notified, since nothing was
+// re-solved.
 func (c *Consumer) SetCap(cap resource.Vector) {
-	if c.host != nil {
-		c.host.settle()
+	host := c.host
+	if host == nil {
+		c.Cap = cap
+		return
 	}
+	host.settle()
+	old := c.Cap
 	c.Cap = cap
-	if c.host != nil {
-		c.host.update()
+	if capSwapInert(c.Demand, old, cap) {
+		host.reschedule()
+		return
 	}
+	host.reshare()
 }
+
+// capSwapInert reports whether replacing cap old by new leaves the solve
+// unchanged: in every dimension where they differ, each is either unset
+// (<= 0) or at least the demand. The conversion to raw host units
+// divides by the overhead and multiplies by the I/O inflation, both
+// positive and monotone under rounding, so "at least the demand"
+// survives it.
+func capSwapInert(demand, old, new resource.Vector) bool {
+	for _, k := range resource.Kinds() {
+		o, n, d := old.Get(k), new.Get(k), demand.Get(k)
+		if o != n && !(capUnbound(o, d) && capUnbound(n, d)) {
+			return false
+		}
+	}
+	return true
+}
+
+// capUnbound reports whether a cap leaves a demand untouched.
+func capUnbound(cap, demand float64) bool { return cap <= 0 || cap >= demand }
 
 // SetWeight changes the fair-share weight and re-solves the host.
 func (c *Consumer) SetWeight(w float64) {
@@ -139,7 +171,7 @@ func (c *Consumer) SetWeight(w float64) {
 	}
 	c.Weight = w
 	if c.host != nil {
-		c.host.update()
+		c.host.reshare()
 	}
 }
 

@@ -51,7 +51,11 @@ type PM struct {
 	lastSettle time.Duration
 	slowdown   float64 // injected straggler factor; <= 1 means full speed
 
-	watchers []func() // notified after every update(); see Watch
+	watchers []func() // notified after every re-solve; see Watch
+	// residentGen counts the re-solves that may have changed which
+	// consumers are resident or what they demand: every one except those
+	// from a cap or weight change. See ResidentGen.
+	residentGen uint64
 
 	offSpan trace.Span // open while the PM is powered off
 }
@@ -209,8 +213,14 @@ func (pm *PM) PowerW() float64 {
 	if pm.off {
 		return 0
 	}
-	cfg := pm.cluster.cfg
-	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*pm.Utilization().Get(resource.CPU)
+	return pm.powerAt(pm.Utilization())
+}
+
+// powerAt is the linear power model at utilization u, the one definition
+// PowerW and Cluster.FleetStats share.
+func (pm *PM) powerAt(u resource.Vector) float64 {
+	cfg := &pm.cluster.cfg
+	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*u.Get(resource.CPU)
 }
 
 // EachConsumer calls fn on every consumer resident on the machine, in
@@ -253,16 +263,35 @@ func (pm *PM) settle() {
 // allocation (consumer attach/detach, demand/cap/weight change, VM
 // arrival/departure, power or slowdown transitions, failure). Schedulers
 // use it to invalidate cached per-machine state instead of rescanning the
-// fleet. Callbacks must not mutate cluster state; they run synchronously
-// on the simulation goroutine, so ordering is deterministic.
+// fleet. A cap swap the solve provably ignores — neither the old nor the
+// new cap binds in any dimension that changed (see Consumer.SetCap) — is
+// not a re-solve and notifies no one: every allocation and speed stays
+// bit-identical. Callbacks must not mutate cluster state; they run
+// synchronously on the simulation goroutine, so ordering is
+// deterministic.
 func (pm *PM) Watch(fn func()) {
 	pm.watchers = append(pm.watchers, fn)
 }
+
+// ResidentGen returns a counter that moves on every re-solve that may
+// have changed the machine's resident consumers or their demands: every
+// re-solve except those from Consumer.SetCap and Consumer.SetWeight.
+// State derived only from residents, demands and capacity, cached
+// together with the generation it was computed at, is still current
+// while the generation has not moved.
+func (pm *PM) ResidentGen() uint64 { return pm.residentGen }
 
 // update re-solves the two-level fair-share allocation and reschedules
 // completion events. Callers must settle first (update settles again
 // defensively; settling twice at the same instant is a no-op).
 func (pm *PM) update() {
+	pm.residentGen++
+	pm.reshare()
+}
+
+// reshare is update for a change that leaves every resident consumer and
+// its demand alone — a cap or weight change — so ResidentGen stays put.
+func (pm *PM) reshare() {
 	pm.settle()
 	pm.resolve()
 	pm.reschedule()

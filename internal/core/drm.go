@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/audit"
@@ -68,6 +68,11 @@ type DRM struct {
 	Policy policy.DRMParams
 	// Adjustments counts cap changes, for reporting.
 	Adjustments int
+
+	// Scratch reused by every node of every epoch, so a steady-state
+	// tick allocates nothing.
+	deficits []rateDeficit
+	ordered  []*mapred.Attempt
 
 	tracer       *trace.Tracer
 	auditLog     *audit.Log
@@ -214,13 +219,7 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 		return
 	}
 	used := 0.0
-	type deficit struct {
-		a       *mapred.Attempt
-		demand  float64
-		cap     float64
-		benefit float64
-	}
-	var deficits []deficit
+	deficits := d.deficits[:0]
 	for _, a := range attempts {
 		c := a.Consumer()
 		if d.deferred[c] {
@@ -248,14 +247,17 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 			}
 			speedAtDemand := speedWithCap(c, kind, demand)
 			benefit := rem/speed - rem/maxf(speedAtDemand, 1e-9)
-			deficits = append(deficits, deficit{a: a, demand: demand, cap: capV, benefit: benefit})
+			deficits = append(deficits, rateDeficit{a: a, demand: demand, cap: capV, benefit: benefit})
 		}
 	}
+	d.deficits = deficits
 	headroom := capacity - used
 	if headroom <= 0 || len(deficits) == 0 {
 		return
 	}
-	sort.Slice(deficits, func(i, j int) bool { return deficits[i].benefit > deficits[j].benefit })
+	// slices.SortFunc runs the same pdqsort as sort.Slice, making the
+	// same comparisons, so equal benefits keep the same order.
+	slices.SortFunc(deficits, byBenefitDesc)
 	available := headroom
 	granted := 0
 	var cands []audit.Candidate
@@ -322,9 +324,9 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 	}
 	// Consider the most-progressed attempts first: they keep running,
 	// the tail gets deferred.
-	ordered := make([]*mapred.Attempt, len(attempts))
-	copy(ordered, attempts)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Progress() > ordered[j].Progress() })
+	ordered := append(d.ordered[:0], attempts...)
+	d.ordered = ordered
+	slices.SortFunc(ordered, byProgressDesc)
 
 	budget := capacityMB
 	for _, a := range ordered {
@@ -363,6 +365,39 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 				fmt.Sprintf("resident demand %.0f MB exceeds the %.0f MB left in the container; thrashing every task is worse", want, budget))
 		}
 	}
+}
+
+// rateDeficit is one resource-deficit attempt in a balanceRate pass.
+type rateDeficit struct {
+	a       *mapred.Attempt
+	demand  float64
+	cap     float64
+	benefit float64
+}
+
+// byBenefitDesc orders deficits most beneficial first.
+func byBenefitDesc(a, b rateDeficit) int {
+	switch {
+	case a.benefit > b.benefit:
+		return -1
+	case a.benefit < b.benefit:
+		return 1
+	}
+	return 0
+}
+
+// byProgressDesc orders attempts most progressed first. It reads each
+// attempt's progress once per comparison, a then b, exactly as the
+// sort.Slice comparator it replaced did.
+func byProgressDesc(a, b *mapred.Attempt) int {
+	pa, pb := a.Progress(), b.Progress()
+	switch {
+	case pa > pb:
+		return -1
+	case pa < pb:
+		return 1
+	}
+	return 0
 }
 
 func (d *DRM) setCap(c *cluster.Consumer, kind resource.Kind, v float64) {

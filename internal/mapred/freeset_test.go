@@ -10,6 +10,16 @@ import (
 	"repro/internal/resource"
 )
 
+// appendTo appends the set's trackers to dst in order: the snapshot
+// schedule() used to copy every round, kept as the reference its live
+// walk is checked against.
+func (s *freeSet) appendTo(dst []*TaskTracker) []*TaskTracker {
+	for _, b := range s.blocks {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
 // checkFreeSet verifies a free set against its reference: the flattened
 // blocks equal the sorted model, and the block structure keeps its
 // bounds (no empty or oversized block, adjacent pairs above half a
@@ -18,6 +28,13 @@ func checkFreeSet(t *testing.T, step int, s *freeSet, model []*TaskTracker) {
 	t.Helper()
 	if got := s.appendTo(nil); !slices.Equal(got, model) {
 		t.Fatalf("step %d: flattened set differs from the sorted model (%d vs %d entries)", step, len(got), len(model))
+	}
+	var walked []*TaskTracker
+	for tr := s.first(); tr != nil; tr = s.after(tr) {
+		walked = append(walked, tr)
+	}
+	if !slices.Equal(walked, model) {
+		t.Fatalf("step %d: first/after walk differs from the sorted model (%d vs %d entries)", step, len(walked), len(model))
 	}
 	if s.n != len(model) {
 		t.Fatalf("step %d: n = %d, want %d", step, s.n, len(model))
@@ -38,7 +55,8 @@ func checkFreeSet(t *testing.T, step int, s *freeSet, model []*TaskTracker) {
 // re-key, reinsert — what refreshPressure does) while the population
 // swings between empty and several blocks' worth, so splits, merges,
 // complete drains and refills all happen. After every step the set must
-// equal a plain sorted slice maintained alongside it.
+// equal a plain sorted slice maintained alongside it, walked whole by
+// first/after and probed by after from a random key.
 func TestFreeSetMatchesSortedModel(t *testing.T) {
 	for _, byPressure := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(17))
@@ -100,6 +118,16 @@ func TestFreeSetMatchesSortedModel(t *testing.T) {
 				}
 			}
 			checkFreeSet(t, step, &s, model)
+			// after from any key, member or not, with whatever hint the
+			// last call left: the first model entry ordering after it.
+			probe := trackers[rng.Intn(len(trackers))]
+			var want *TaskTracker
+			if i := sort.Search(len(model), func(i int) bool { return less(probe, model[i]) }); i < len(model) {
+				want = model[i]
+			}
+			if got := s.after(probe); got != want {
+				t.Fatalf("step %d: after(%d) is not the first entry past its key", step, probe.idx)
+			}
 			maxBlocks = max(maxBlocks, len(s.blocks))
 			if len(s.blocks) < blocksBefore && len(model) > 0 {
 				merges++

@@ -12,15 +12,16 @@ import (
 //
 //   - freeMaps/freeReds: trackers with a free slot of each task type,
 //     ordered by (cached machine pressure, registration index).
-//     schedule() merge-iterates them instead of copying and sorting the
-//     whole fleet every call. The sets are per task type because they
-//     must be: a tracker whose map slots are full but reduce slots are
-//     empty would otherwise sit in every map wave's scan as a no-op
-//     visit, and with waves sized to the fleet those visits are the
-//     O(n^2) the sweep measured. Each set is a blocked sorted list
-//     (freeSet: blocks of at most freeBlockMax trackers), so the
-//     remove-and-reinsert of every launch, release and pressure refresh
-//     moves a bounded number of pointers instead of half the fleet.
+//     schedule() merge-walks the live sets in place instead of copying
+//     and sorting the whole fleet every call. The sets are per task
+//     type because they must be: a tracker whose map slots are full but
+//     reduce slots are empty would otherwise sit in every map wave's
+//     scan as a no-op visit, and with waves sized to the fleet those
+//     visits are the O(n^2) the sweep measured. Each set is a blocked
+//     sorted list (freeSet: blocks of at most freeBlockMax trackers), so
+//     the remove-and-reinsert of every launch, release and pressure
+//     refresh moves a bounded number of pointers instead of half the
+//     fleet.
 //   - runningSorted: every running attempt ordered by consumer name,
 //     maintained at launch/release. RunningAttempts() copies it instead
 //     of rebuilding and sorting from the attempts map.
@@ -30,12 +31,18 @@ import (
 //
 // Cached pressures are invalidated through cluster watchers: every PM
 // backing a tracker notifies the JobTracker when its allocation is
-// re-solved (consumer attach/detach, demand or cap change, VM arrival or
-// departure, failure), and flushDirty refreshes exactly the affected
-// trackers at the next schedule() entry. Because every input of
-// trackerPressure changes only through PM re-solves, the cached value at
-// schedule() entry always equals what a fresh computation would return —
-// the index changes where the cost goes, never what is decided.
+// re-solved (consumer attach/detach, demand, cap or weight change, VM
+// arrival or departure, failure), and flushDirty refreshes the affected
+// trackers at the next schedule() entry. Pressures never change between
+// flushes: trackerPressure reads only the machine's capacity and its
+// resident consumers' demands, and every change to those goes through a
+// PM re-solve that also moves the machine's ResidentGen. Cap-only and
+// weight-only re-solves leave ResidentGen alone, so they cannot
+// invalidate a cached pressure, and flushDirty skips any tracker whose
+// pressure was computed at its machine's current generation. So the
+// cached value at schedule() entry always equals what a fresh
+// computation would return — the index changes where the cost goes,
+// never what is decided.
 
 // freeLess orders the free-slot index: by cached pressure then
 // registration index under CapacityAware (the stable-sort order the old
@@ -74,16 +81,56 @@ type freeSet struct {
 	blocks     [][]*TaskTracker
 	spare      [][]*TaskTracker // emptied blocks, length 0, capacity freeBlockMax
 	n          int              // trackers across all blocks
+	// hintB/hintI locate the tracker first or after last returned, if
+	// the set has not shifted it since; see after.
+	hintB, hintI int
 }
 
 func (s *freeSet) less(a, b *TaskTracker) bool { return freeOrder(s.byPressure, a, b) }
 
-// appendTo appends the set's trackers to dst in order.
-func (s *freeSet) appendTo(dst []*TaskTracker) []*TaskTracker {
-	for _, b := range s.blocks {
-		dst = append(dst, b...)
+// first returns the set's first tracker, or nil when it is empty.
+func (s *freeSet) first() *TaskTracker {
+	if len(s.blocks) == 0 {
+		return nil
 	}
-	return dst
+	s.hintB, s.hintI = 0, 0
+	return s.blocks[0][0]
+}
+
+// after returns the first tracker in the set that orders strictly after
+// tr's key, or nil. tr itself need not be in the set, so a walk can
+// continue past a tracker a launch just removed. When tr still sits
+// where first or after last returned it, its successor is the next slot,
+// so an undisturbed walk steps in O(1); otherwise after binary-searches.
+// Keys are unique, so a hint confirmed by identity is always right.
+func (s *freeSet) after(tr *TaskTracker) *TaskTracker {
+	bi, i := s.hintB, s.hintI
+	if bi < len(s.blocks) && i < len(s.blocks[bi]) && s.blocks[bi][i] == tr {
+		if i++; i == len(s.blocks[bi]) {
+			bi, i = bi+1, 0
+		}
+	} else {
+		lo, hi := 0, len(s.blocks)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			b := s.blocks[m]
+			if s.less(tr, b[len(b)-1]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		bi = lo
+		if bi < len(s.blocks) {
+			b := s.blocks[bi]
+			i = sort.Search(len(b), func(i int) bool { return s.less(tr, b[i]) })
+		}
+	}
+	if bi == len(s.blocks) {
+		return nil
+	}
+	s.hintB, s.hintI = bi, i
+	return s.blocks[bi][i]
 }
 
 // locate returns the index of the first block whose last entry does not
@@ -193,12 +240,25 @@ func (s *freeSet) mergeNext(i int) {
 	s.blocks = slices.Delete(s.blocks, i+1, i+2)
 }
 
+// freeInsertHook, when non-nil, observes every free-set insertion. Tests
+// set it to prove that schedule()'s live walk (jt.walking) never sees
+// one, which is what lets the walk stand in for a snapshot.
+var freeInsertHook func(jt *JobTracker, tr *TaskTracker)
+
+// insertFree adds a tracker to one of the free-slot sets.
+func (jt *JobTracker) insertFree(s *freeSet, tr *TaskTracker) {
+	if freeInsertHook != nil {
+		freeInsertHook(jt, tr)
+	}
+	s.insert(tr)
+}
+
 // syncFree reconciles a tracker's free-slot set memberships with its
 // slot counters; launch and releaseSlot call it after every change.
 func (jt *JobTracker) syncFree(tr *TaskTracker) {
 	if freeM := tr.mapRunning < jt.cfg.MapSlots; freeM != tr.inFreeMaps {
 		if freeM {
-			jt.freeMaps.insert(tr)
+			jt.insertFree(&jt.freeMaps, tr)
 		} else {
 			jt.freeMaps.remove(tr)
 		}
@@ -206,7 +266,7 @@ func (jt *JobTracker) syncFree(tr *TaskTracker) {
 	}
 	if freeR := tr.redsRunning < jt.cfg.ReduceSlots; freeR != tr.inFreeReds {
 		if freeR {
-			jt.freeReds.insert(tr)
+			jt.insertFree(&jt.freeReds, tr)
 		} else {
 			jt.freeReds.remove(tr)
 		}
@@ -236,17 +296,40 @@ func (jt *JobTracker) markDirty(pm *cluster.PM) {
 // flushDirty refreshes the cached pressure of every tracker on a dirtied
 // machine, re-slotting it in the free index under its new key. Trackers
 // whose compute VM migrated away are remapped to their current machine
-// first (the source PM is always dirtied by the migration's detach).
-// Pressures never change between flushes — every input of
-// trackerPressure changes only through a PM re-solve, which dirties the
-// machine — so after a flush every cached value equals a fresh one.
+// first. The source PM is dirtied when the VM detaches, but a flush
+// between that detach and the attach still finds the VM on the source,
+// and the attach dirties only the destination, so trackers seen
+// mid-migration are kept on jt.migrating and re-checked at every flush
+// until the migration ends. Pressures never change between flushes —
+// every input of trackerPressure changes only through a PM re-solve,
+// which dirties the machine — so after a flush every cached value equals
+// a fresh one. A re-solve for a cap or weight change leaves the
+// machine's ResidentGen alone, and a tracker whose pressure was computed
+// at the current generation of the machine it is still on keeps it
+// untouched.
 func (jt *JobTracker) flushDirty() {
-	if !jt.cfg.CapacityAware || len(jt.dirtyPMs) == 0 {
+	if !jt.cfg.CapacityAware {
 		return
+	}
+	for i := 0; i < len(jt.migrating); i++ {
+		tr := jt.migrating[i]
+		if cur := tr.Compute.Machine(); cur != tr.pm {
+			list := jt.pmTrackers[tr.pm]
+			if j := slices.Index(list, tr); j >= 0 {
+				jt.pmTrackers[tr.pm] = slices.Delete(list, j, j+1)
+			}
+			jt.remap(tr, cur)
+			jt.refreshPressure(tr)
+		}
+		if !inMigration(tr) {
+			jt.migrating = slices.Delete(jt.migrating, i, i+1)
+			i--
+		}
 	}
 	for _, pm := range jt.dirtyPMs {
 		delete(jt.dirtySet, pm)
 		list := jt.pmTrackers[pm]
+		gen := pm.ResidentGen()
 		for i := 0; i < len(list); i++ {
 			tr := list[i]
 			if cur := tr.Compute.Machine(); cur != pm {
@@ -254,24 +337,39 @@ func (jt *JobTracker) flushDirty() {
 				list[len(list)-1] = nil
 				list = list[:len(list)-1]
 				i--
-				tr.pm = cur
-				if cur != nil {
-					jt.pmTrackers[cur] = append(jt.pmTrackers[cur], tr)
-					jt.watchPM(cur)
-				}
+				jt.remap(tr, cur)
+			} else if tr.pressureGen == gen {
+				continue
 			}
 			jt.refreshPressure(tr)
+			if inMigration(tr) && !slices.Contains(jt.migrating, tr) {
+				jt.migrating = append(jt.migrating, tr)
+			}
 		}
 		jt.pmTrackers[pm] = list
 	}
 	jt.dirtyPMs = jt.dirtyPMs[:0]
 }
 
+// remap lists a tracker under the machine now backing it; the caller has
+// already dropped it from its old machine's list.
+func (jt *JobTracker) remap(tr *TaskTracker, cur *cluster.PM) {
+	tr.pm = cur
+	if cur != nil {
+		jt.pmTrackers[cur] = append(jt.pmTrackers[cur], tr)
+		jt.watchPM(cur)
+	}
+}
+
+// inMigration reports whether a tracker's compute VM is being migrated.
+func inMigration(tr *TaskTracker) bool {
+	vm, ok := tr.Compute.(*cluster.VM)
+	return ok && vm.State() == cluster.VMMigrating
+}
+
 // refreshPressure recomputes one tracker's cached pressure, keeping the
 // free-slot sets ordered: entries are removed under the old key and
-// reinserted under the new one. jt.pressure_probes counts exactly these
-// recomputations now — the real work done — instead of two probes per
-// sort comparison.
+// reinserted under the new one.
 func (jt *JobTracker) refreshPressure(tr *TaskTracker) {
 	if tr.inFreeMaps {
 		jt.freeMaps.remove(tr)
@@ -279,15 +377,25 @@ func (jt *JobTracker) refreshPressure(tr *TaskTracker) {
 	if tr.inFreeReds {
 		jt.freeReds.remove(tr)
 	}
+	jt.probePressure(tr)
+	if tr.inFreeMaps {
+		jt.insertFree(&jt.freeMaps, tr)
+	}
+	if tr.inFreeReds {
+		jt.insertFree(&jt.freeReds, tr)
+	}
+}
+
+// probePressure computes a tracker's pressure into its cache, stamped
+// with the backing machine's ResidentGen. jt.pressure_probes counts
+// exactly these computations — the real work done.
+func (jt *JobTracker) probePressure(tr *TaskTracker) {
 	if jt.perf != nil {
 		jt.perf.C.JTPressureProbes++
 	}
 	tr.pressure = trackerPressure(tr)
-	if tr.inFreeMaps {
-		jt.freeMaps.insert(tr)
-	}
-	if tr.inFreeReds {
-		jt.freeReds.insert(tr)
+	if tr.pm != nil {
+		tr.pressureGen = tr.pm.ResidentGen()
 	}
 }
 

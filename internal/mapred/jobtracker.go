@@ -139,9 +139,12 @@ type TaskTracker struct {
 	// the free-slot index can follow VM migrations.
 	pm *cluster.PM
 	// pressure caches trackerPressure(tr); it is recomputed only when the
-	// backing machine's allocation changed (see JobTracker.flushDirty), so
-	// at every schedule() entry it equals the freshly computed value.
+	// backing machine's residents or demands may have changed (see
+	// JobTracker.flushDirty), so at every schedule() entry it equals the
+	// freshly computed value.
 	pressure float64
+	// pressureGen is pm's ResidentGen when pressure was computed.
+	pressureGen uint64
 	// inFreeMaps/inFreeReds record membership in the JobTracker's
 	// per-task-type free-slot sets.
 	inFreeMaps bool
@@ -286,10 +289,11 @@ type JobTracker struct {
 	// old single free set; schedule() merge-iterates whichever sets have
 	// schedulable work so a map wave never walks map-full trackers.
 	// Both are blocked sorted lists (freeSet in index.go).
-	freeMaps    freeSet
-	freeReds    freeSet
-	scratchMaps []*TaskTracker
-	scratchReds []*TaskTracker
+	freeMaps freeSet
+	freeReds freeSet
+	// walking is set while schedule() walks the free sets, which must
+	// then see no insertion (see freeInsertHook).
+	walking     bool
 	runningSnap []*Attempt
 	// runningSorted holds every running attempt ordered by consumer name,
 	// maintained at launch/release instead of rebuilt and re-sorted per
@@ -307,6 +311,9 @@ type JobTracker struct {
 	dirtyPMs   []*cluster.PM
 	pmTrackers map[*cluster.PM][]*TaskTracker
 	watched    map[*cluster.PM]bool
+	// migrating holds trackers whose compute VM was mid-migration at a
+	// flush; see flushDirty.
+	migrating []*TaskTracker
 
 	tracer     *trace.Tracer
 	auditLog   *audit.Log
@@ -505,10 +512,7 @@ func (jt *JobTracker) AddSplitTracker(compute, storage cluster.Node) *TaskTracke
 			jt.pmTrackers[tr.pm] = append(jt.pmTrackers[tr.pm], tr)
 			jt.watchPM(tr.pm)
 		}
-		if jt.perf != nil {
-			jt.perf.C.JTPressureProbes++
-		}
-		tr.pressure = trackerPressure(tr)
+		jt.probePressure(tr)
 	}
 	jt.syncFree(tr) // a fresh tracker always has free slots
 	if len(jt.activeJobs) > 0 {
@@ -663,52 +667,50 @@ func (jt *JobTracker) schedule() {
 			jt.perf.C.JTScheduleRounds++
 		}
 		assigned := false
-		// Snapshot the free sets with schedulable work: launches during
-		// the round remove filled trackers from the live sets, and the
-		// original per-call order must hold for the whole round.
-		// Pressures are not recomputed mid-call, exactly as the old
-		// per-call sort froze them. A set whose task type has nothing
+		// Walk the live free sets with schedulable work in the shared
+		// (pressure, idx) order. The walk visits exactly the trackers a
+		// snapshot taken at the start of the round would, in the same
+		// order, without copying the sets: keys are frozen for the whole
+		// call (pressures refresh only at entry, exactly as the old
+		// per-call sort froze them), a launch removes at most the tracker
+		// being visited (syncFree once its slots fill), and nothing
+		// inserts into a set (releaseSlot runs only from completion
+		// events). So "the first tracker after the last one visited" is
+		// the snapshot's next entry. A set whose task type has nothing
 		// schedulable is skipped entirely — every visit to it would be
 		// the no-op probe the old scan performed on map-full trackers
 		// during a map wave, which is where its O(n^2) hid.
-		var snapM, snapR []*TaskTracker
+		jt.walking = true
+		var nextM, nextR *TaskTracker
 		if jt.schedulableMaps > 0 {
-			snapM = jt.freeMaps.appendTo(jt.scratchMaps[:0])
-			jt.scratchMaps = snapM
+			nextM = jt.freeMaps.first()
 		}
 		if jt.schedulableReds > 0 {
-			snapR = jt.freeReds.appendTo(jt.scratchReds[:0])
-			jt.scratchReds = snapR
+			nextR = jt.freeReds.first()
 		}
-		// Merge-iterate the two sets in the shared (pressure, idx) order;
-		// a tracker free for both kinds appears in both and is visited
-		// once, map kind first — the old per-tracker kind order.
-		mi, ri := 0, 0
-		for mi < len(snapM) || ri < len(snapR) {
+		// A tracker free for both kinds appears in both sets and is
+		// visited once, map kind first — the old per-tracker kind order.
+		for nextM != nil || nextR != nil {
 			if jt.schedulableMaps == 0 && jt.schedulableReds == 0 {
 				break // drained: every further probe would return nil
 			}
 			var tr *TaskTracker
-			tryMap, tryRed := false, false
 			switch {
-			case mi < len(snapM) && ri < len(snapR):
-				if snapM[mi] == snapR[ri] {
-					tr, tryMap, tryRed = snapM[mi], true, true
-					mi++
-					ri++
-				} else if jt.freeLess(snapM[mi], snapR[ri]) {
-					tr, tryMap = snapM[mi], true
-					mi++
-				} else {
-					tr, tryRed = snapR[ri], true
-					ri++
-				}
-			case mi < len(snapM):
-				tr, tryMap = snapM[mi], true
-				mi++
+			case nextR == nil || nextM == nextR:
+				tr = nextM
+			case nextM == nil:
+				tr = nextR
+			case jt.freeLess(nextM, nextR):
+				tr = nextM
 			default:
-				tr, tryRed = snapR[ri], true
-				ri++
+				tr = nextR
+			}
+			tryMap, tryRed := tr == nextM, tr == nextR
+			if tryMap {
+				nextM = jt.freeMaps.after(tr)
+			}
+			if tryRed {
+				nextR = jt.freeReds.after(tr)
 			}
 			if tr.disabled || tr.lost {
 				continue
@@ -738,6 +740,7 @@ func (jt *JobTracker) schedule() {
 				}
 			}
 		}
+		jt.walking = false
 		if !assigned {
 			return
 		}

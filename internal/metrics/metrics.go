@@ -54,7 +54,7 @@ func NewRecorder(c *cluster.Cluster, interval, horizon time.Duration) *Recorder 
 		cluster: c,
 		horizon: horizon,
 		lastAt:  c.Engine().Now(),
-		lastW:   c.TotalPowerW(),
+		lastW:   c.FleetStats().PowerW,
 	}
 	r.ticker = sim.NewTicker(r.engine, interval, func(now time.Duration) {
 		r.sample(now)
@@ -84,7 +84,8 @@ func (r *Recorder) sample(now time.Duration) {
 	if n := len(r.samples); n > 0 && r.samples[n-1].At == now {
 		return
 	}
-	w := r.cluster.TotalPowerW()
+	fleet := r.cluster.FleetStats()
+	w := fleet.PowerW
 	// Trapezoidal integration of power into energy.
 	dt := (now - r.lastAt).Seconds()
 	if dt > 0 {
@@ -92,11 +93,7 @@ func (r *Recorder) sample(now time.Duration) {
 	}
 	r.lastAt = now
 	r.lastW = w
-	var util resource.Vector
-	for _, k := range resource.Kinds() {
-		util = util.Set(k, r.cluster.MeanUtilization(k))
-	}
-	pmsOn := r.cluster.PoweredOnPMs()
+	util, pmsOn := fleet.Util, fleet.PMsOn
 	r.samples = append(r.samples, Sample{At: now, Util: util, PowerW: w, PMsOn: pmsOn})
 	if r.ts != nil {
 		r.ts.SetGauge("cluster.power_w", "", now, w)

@@ -5,6 +5,13 @@
 // data size, and per map/reduce phase in cluster size (inverse relation
 // for the map phase, piece-wise for the reduce phase), exactly as the
 // paper's Figure 5 analysis prescribes.
+//
+// The database indexes its history per cluster size, and for each size
+// keeps running least-squares sums (stats.LinearSums) of JCT, map time
+// and reduce time against data size. DB.Add is their only writer and
+// adds each run in insertion order, so the data-size fits an estimate
+// needs are answered in O(1) however long the history grows, and are
+// bit-identical to refitting the stored runs.
 package profiler
 
 import (
@@ -62,9 +69,8 @@ type entry struct {
 // element-for-element identical to the old full-scan filters — the
 // regression fits, and therefore every estimate, are bit-exact.
 type keyIndex struct {
-	// byNodes maps a cluster size to the ascending entry indices recorded
-	// at that size.
-	byNodes map[int][]int
+	// byNodes maps a cluster size to the entries recorded at that size.
+	byNodes map[int]*nodesGroup
 	// nodesAsc is the sorted list of distinct cluster sizes seen, kept in
 	// ascending order as sizes first appear.
 	nodesAsc []int
@@ -75,19 +81,37 @@ type keyIndex struct {
 	dataVals []dataVal
 }
 
+// nodesGroup is the history at one cluster size: the ascending entry
+// indices, for Lookup's exact-match scan, and the running least-squares
+// sums of JCT, map time and reduce time against data size, for the
+// data-size fits. The sums take the same additions in the same order a
+// scan of the group would, so a fit from them is bit-identical to
+// FitLinear over the group, at O(1) per estimate however long the
+// history grows. DB.Add is the only writer, so they never go stale.
+type nodesGroup struct {
+	idxs               []int
+	jct, mapT, reduceT stats.LinearSums
+}
+
 type dataVal struct {
 	mb   float64
 	idxs []int // ascending entry indices with almostEqual(dataMB, mb)
 }
 
 func (ki *keyIndex) add(i int, e entry) {
-	if _, ok := ki.byNodes[e.nodes]; !ok {
+	g, ok := ki.byNodes[e.nodes]
+	if !ok {
 		pos := sort.SearchInts(ki.nodesAsc, e.nodes)
 		ki.nodesAsc = append(ki.nodesAsc, 0)
 		copy(ki.nodesAsc[pos+1:], ki.nodesAsc[pos:])
 		ki.nodesAsc[pos] = e.nodes
+		g = &nodesGroup{}
+		ki.byNodes[e.nodes] = g
 	}
-	ki.byNodes[e.nodes] = append(ki.byNodes[e.nodes], i)
+	g.idxs = append(g.idxs, i)
+	g.jct.Add(e.dataMB, e.result.JCTSec)
+	g.mapT.Add(e.dataMB, e.result.MapSec)
+	g.reduceT.Add(e.dataMB, e.result.ReduceSec)
 	for gi := range ki.dataVals {
 		if almostEqual(ki.dataVals[gi].mb, e.dataMB) {
 			ki.dataVals[gi].idxs = append(ki.dataVals[gi].idxs, i)
@@ -113,8 +137,10 @@ func NewDB() *DB {
 	}
 }
 
+// dbKey names a history: "job/env". Concatenation instead of fmt keeps
+// an estimate's allocations fixed (fmt's buffer pool is not).
 func dbKey(job string, env Environment) string {
-	return fmt.Sprintf("%s/%s", job, env)
+	return job + "/" + env.String()
 }
 
 // Add records an observation.
@@ -123,7 +149,7 @@ func (db *DB) Add(job string, env Environment, nodes int, dataMB float64, r RunR
 	e := entry{nodes: nodes, dataMB: dataMB, result: r}
 	ki, ok := db.index[k]
 	if !ok {
-		ki = &keyIndex{byNodes: make(map[int][]int)}
+		ki = &keyIndex{byNodes: make(map[int]*nodesGroup)}
 		db.index[k] = ki
 	}
 	ki.add(len(db.entries[k]), e)
@@ -145,8 +171,12 @@ func (db *DB) Lookup(job string, env Environment, nodes int, dataMB float64) (Ru
 	if ki == nil {
 		return RunResult{}, false
 	}
+	g := ki.byNodes[nodes]
+	if g == nil {
+		return RunResult{}, false
+	}
 	all := db.entries[k]
-	for _, i := range ki.byNodes[nodes] {
+	for _, i := range g.idxs {
 		if db.perf != nil {
 			db.perf.C.P1ProfileEntriesScanned++
 		}
@@ -190,7 +220,7 @@ func (db *DB) Estimate(job string, env Environment, nodes int, dataMB float64) (
 		return r, nil
 	}
 
-	if r, err := db.extrapolateData(all, ki, nodes, dataMB); err == nil {
+	if r, err := extrapolateData(ki, nodes, dataMB); err == nil {
 		return r, nil
 	}
 	if r, err := db.extrapolateCluster(all, ki, nodes, dataMB); err == nil {
@@ -205,76 +235,39 @@ func (db *DB) Estimate(job string, env Environment, nodes int, dataMB float64) (
 	if !ok {
 		return RunResult{}, fmt.Errorf("%w: no usable runs of %s", ErrNoProfile, job)
 	}
-	return db.combinedEstimate(all, ki, nearest, nodes, dataMB)
+	return combinedEstimate(ki, nearest, nodes, dataMB), nil
 }
 
-func (db *DB) combinedEstimate(all []entry, ki *keyIndex, n0, nodes int, dataMB float64) (RunResult, error) {
-	group := ki.byNodes[n0]
-	if db.perf != nil {
-		db.perf.C.P1ProfileEntriesScanned += int64(len(group))
-	}
-	var xs, ms, rs []float64
-	for _, i := range group {
-		e := all[i]
-		xs = append(xs, e.dataMB)
-		ms = append(ms, e.result.MapSec)
-		rs = append(rs, e.result.ReduceSec)
-	}
-	if len(xs) < 2 {
-		return RunResult{}, ErrNoProfile
-	}
-	mapM, err := stats.FitLinear(xs, ms)
-	if err != nil {
-		return RunResult{}, err
-	}
-	redM, err := stats.FitLinear(xs, rs)
-	if err != nil {
-		return RunResult{}, err
-	}
+// combinedEstimate is resolution step 4 at n0, which nearestNodes only
+// picks when it holds at least two runs, so both fits exist.
+func combinedEstimate(ki *keyIndex, n0, nodes int, dataMB float64) RunResult {
+	g := ki.byNodes[n0]
+	mapM, _ := g.mapT.Line()
+	redM, _ := g.reduceT.Line()
 	ratio := float64(n0) / float64(nodes)
 	r := RunResult{
 		MapSec:    mapM.Intercept + mapM.Slope*dataMB*ratio,
 		ReduceSec: redM.Intercept + redM.Slope*dataMB*ratio,
 	}
 	r.JCTSec = r.MapSec + r.ReduceSec
-	return clampResult(r), nil
+	return clampResult(r)
 }
 
 // extrapolateData fits JCT (and phases) linearly against data size using
-// runs at exactly the requested cluster size; the index hands over that
-// group directly, in insertion order.
-func (db *DB) extrapolateData(all []entry, ki *keyIndex, nodes int, dataMB float64) (RunResult, error) {
-	group := ki.byNodes[nodes]
-	if db.perf != nil {
-		db.perf.C.P1ProfileEntriesScanned += int64(len(group))
-	}
-	var xs, jct, ms, rs []float64
-	for _, i := range group {
-		e := all[i]
-		xs = append(xs, e.dataMB)
-		jct = append(jct, e.result.JCTSec)
-		ms = append(ms, e.result.MapSec)
-		rs = append(rs, e.result.ReduceSec)
-	}
-	if len(xs) < 2 {
+// runs at exactly the requested cluster size. The group's running sums
+// answer the three fits in O(1), bit-identical to refitting its entries.
+func extrapolateData(ki *keyIndex, nodes int, dataMB float64) (RunResult, error) {
+	g := ki.byNodes[nodes]
+	if g == nil || len(g.idxs) < 2 {
 		return RunResult{}, ErrNoProfile
 	}
-	jctM, err := stats.FitLinear(xs, jct)
-	if err != nil {
-		return RunResult{}, err
-	}
-	mapM, err := stats.FitLinear(xs, ms)
-	if err != nil {
-		return RunResult{}, err
-	}
-	redM, err := stats.FitLinear(xs, rs)
-	if err != nil {
-		return RunResult{}, err
-	}
+	jct, _ := g.jct.Predict(dataMB)
+	mapSec, _ := g.mapT.Predict(dataMB)
+	reduceSec, _ := g.reduceT.Predict(dataMB)
 	return clampResult(RunResult{
-		JCTSec:    jctM.Predict(dataMB),
-		MapSec:    mapM.Predict(dataMB),
-		ReduceSec: redM.Predict(dataMB),
+		JCTSec:    jct,
+		MapSec:    mapSec,
+		ReduceSec: reduceSec,
 	}), nil
 }
 
@@ -352,7 +345,7 @@ func nearestNodes(ki *keyIndex, nodes int) (int, bool) {
 	// on equal distance) over distinct sizes instead of every entry.
 	best, bestDist, found := 0, 0, false
 	for _, n := range ki.nodesAsc {
-		if len(ki.byNodes[n]) < 2 {
+		if len(ki.byNodes[n].idxs) < 2 {
 			continue
 		}
 		if d := abs(n - nodes); !found || d < bestDist {

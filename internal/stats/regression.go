@@ -48,24 +48,68 @@ func FitLinear(xs, ys []float64) (*Linear, error) {
 	if len(xs) < 2 {
 		return nil, ErrInsufficientData
 	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
+	var s LinearSums
 	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		s.Add(xs[i], ys[i])
 	}
-	den := n*sxx - sx*sx
+	m, degenerate := s.line()
+	if !degenerate {
+		m.R2 = rSquared(xs, ys, &m)
+	}
+	return &m, nil
+}
+
+// LinearSums accumulates the running sums ordinary least squares needs —
+// n, Σx, Σy, Σxx and Σxy — so a line over a growing sample set is refit
+// in O(1) per query instead of O(n). FitLinear accumulates through it,
+// so a fit from sums is bit-identical to FitLinear over the same points
+// added in the same order. The zero value holds no points.
+type LinearSums struct {
+	n                int
+	sx, sy, sxx, sxy float64
+}
+
+// Add accumulates one point.
+func (s *LinearSums) Add(x, y float64) {
+	s.n++
+	s.sx += x
+	s.sy += y
+	s.sxx += x * x
+	s.sxy += x * y
+}
+
+// Line returns the least-squares line through the points added, with R2
+// left zero (the points themselves are not kept). It needs at least two
+// points; when every x is equal it falls back to the mean of y, exactly
+// as FitLinear does.
+func (s *LinearSums) Line() (Linear, error) {
+	if s.n < 2 {
+		return Linear{}, ErrInsufficientData
+	}
+	m, _ := s.line()
+	return m, nil
+}
+
+// Predict evaluates Line at x: FitLinear(xs, ys).Predict(x), bit for bit.
+func (s *LinearSums) Predict(x float64) (float64, error) {
+	m, err := s.Line()
+	if err != nil {
+		return 0, err
+	}
+	return m.Predict(x), nil
+}
+
+// line solves the normal equations; degenerate reports the all-x-equal
+// fallback to the mean.
+func (s *LinearSums) line() (m Linear, degenerate bool) {
+	n := float64(s.n)
+	den := n*s.sxx - s.sx*s.sx
 	if math.Abs(den) < 1e-12 {
 		// Degenerate: all x identical. Fall back to the mean.
-		return &Linear{Intercept: sy / n, Slope: 0, R2: 0}, nil
+		return Linear{Intercept: s.sy / n}, true
 	}
-	b := (n*sxy - sx*sy) / den
-	a := (sy - b*sx) / n
-	m := &Linear{Intercept: a, Slope: b}
-	m.R2 = rSquared(xs, ys, m)
-	return m, nil
+	b := (n*s.sxy - s.sx*s.sy) / den
+	return Linear{Intercept: (s.sy - b*s.sx) / n, Slope: b}, false
 }
 
 // Exponential is y = A * exp(B*x). It is fit by log-linear least squares,

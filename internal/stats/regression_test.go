@@ -286,3 +286,48 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLinearSumsMatchFitLinear checks that the running sums predict
+// exactly what a fresh FitLinear over the same points does, bit for
+// bit, after every point added — including the degenerate case where
+// every x is equal — and that fewer than two points are refused.
+func TestLinearSumsMatchFitLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		degenerate := trial%4 == 0
+		var s LinearSums
+		var xs, ys []float64
+		if _, err := s.Predict(1); !errors.Is(err, ErrInsufficientData) {
+			t.Fatalf("empty sums: err = %v, want ErrInsufficientData", err)
+		}
+		for i := 0; i < 300; i++ {
+			x := 64 * float64(1+rng.Intn(40))
+			if degenerate {
+				x = 512
+			}
+			y := 3 + 0.02*x + rng.NormFloat64()
+			s.Add(x, y)
+			xs, ys = append(xs, x), append(ys, y)
+			if len(xs) < 2 {
+				continue
+			}
+			m, err := FitLinear(xs, ys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []float64{0, 100, 4096, -3.5} {
+				got, err := s.Predict(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := m.Predict(q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d, %d points, x=%v: sums predict %v, FitLinear %v", trial, len(xs), q, got, want)
+				}
+			}
+			line, _ := s.Line()
+			if line.Intercept != m.Intercept || line.Slope != m.Slope {
+				t.Fatalf("trial %d: Line %+v, FitLinear %+v", trial, line, *m)
+			}
+		}
+	}
+}
