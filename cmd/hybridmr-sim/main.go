@@ -96,6 +96,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/progress"
 	"repro/internal/report"
@@ -133,11 +134,8 @@ type runObs struct {
 	suffix string // "" or "-<benchmark>" for job lists
 	seed   int64
 
-	tracer *trace.Tracer
-	reg    *trace.Registry
-	log    *audit.Log
-	rec    *metrics.Recorder
-	ts     *timeseries.Collector
+	sinks obs.Sinks
+	rec   *metrics.Recorder
 
 	title  string
 	simEnd time.Duration
@@ -148,16 +146,16 @@ type runObs struct {
 func newRunObs(cfg obsConfig, suffix string, seed int64) *runObs {
 	o := &runObs{cfg: cfg, suffix: suffix, seed: seed}
 	if cfg.traceFile != "" || cfg.reportFile != "" {
-		o.tracer = trace.New(nil)
+		o.sinks.Tracer = trace.New(nil)
 	}
 	if cfg.metricsOn || cfg.traceFile != "" || cfg.reportFile != "" {
-		o.reg = trace.NewRegistry()
+		o.sinks.Metrics = trace.NewRegistry()
 	}
 	if cfg.auditFile != "" || cfg.reportFile != "" {
-		o.log = audit.New(0)
+		o.sinks.Audit = audit.New(0)
 	}
 	if cfg.tsFile != "" || cfg.sloFile != "" {
-		o.ts = timeseries.New(0, 0)
+		o.sinks.TimeSeries = timeseries.New(0, 0)
 	}
 	return o
 }
@@ -166,9 +164,8 @@ func newRunObs(cfg obsConfig, suffix string, seed int64) *runObs {
 // a report or windowed telemetry was requested; the report's timeline
 // view reads it back, and its ticks sample the telemetry probes.
 func (o *runObs) watch(cl *cluster.Cluster) {
-	if o.cfg.reportFile != "" || o.ts != nil {
-		o.rec = metrics.NewRecorder(cl, 10*time.Second, 0)
-		o.rec.SetTimeSeries(o.ts)
+	if o.cfg.reportFile != "" || o.sinks.TimeSeries != nil {
+		o.rec = metrics.NewRecorder(cl, 10*time.Second, 0, &o.sinks)
 	}
 }
 
@@ -214,17 +211,17 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 	var sloRep timeseries.SLOReport
 	var sloRows []timeseries.WindowEval
 	if o.cfg.sloFile != "" {
-		sloRep, sloRows = timeseries.Evaluate(o.ts, timeseries.DefaultObjectives())
+		sloRep, sloRows = timeseries.Evaluate(o.sinks.TimeSeries, timeseries.DefaultObjectives())
 	}
 	if o.cfg.reportFile != "" {
 		d := report.Data{
 			Title:        o.title,
 			Seed:         o.seed,
 			SimEnd:       o.simEnd,
-			Events:       o.tracer.Events(),
-			Audit:        o.log.Records(),
-			AuditDropped: o.log.Dropped(),
-			Metrics:      o.reg.Snapshot(),
+			Events:       o.sinks.Tracer.Events(),
+			Audit:        o.sinks.Audit.Records(),
+			AuditDropped: o.sinks.Audit.Dropped(),
+			Metrics:      o.sinks.Metrics.Snapshot(),
 			Perf:         o.perf,
 			Jobs:         o.jobs,
 		}
@@ -232,8 +229,8 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 			d.Samples = o.rec.Samples()
 			d.EnergyWh = o.rec.EnergyWh()
 		}
-		if o.ts != nil {
-			d.TimeSeries = o.ts.Snapshot()
+		if o.sinks.TimeSeries != nil {
+			d.TimeSeries = o.sinks.TimeSeries.Snapshot()
 		}
 		if o.cfg.sloFile != "" {
 			d.SLO = &sloRep
@@ -260,14 +257,14 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		if err != nil {
 			return err
 		}
-		if err := o.log.WriteJSONL(f); err != nil {
+		if err := o.sinks.Audit.WriteJSONL(f); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\naudit: %d decisions -> %s\n", o.log.Len(), path)
+		fmt.Fprintf(out, "\naudit: %d decisions -> %s\n", o.sinks.Audit.Len(), path)
 	}
 	if o.cfg.tsFile != "" {
 		path := suffixed(o.cfg.tsFile, o.suffix)
@@ -277,7 +274,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		}
 		// Series windows first, then the SLO evaluation rows (when -slo is
 		// on): one JSONL stream carries the full windowed record.
-		if err := o.ts.WriteJSONL(f); err != nil {
+		if err := o.sinks.TimeSeries.WriteJSONL(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -289,7 +286,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 			return err
 		}
 		fmt.Fprintf(out, "\ntimeseries: %d windows x %.0fs -> %s\n",
-			o.ts.Windows(), o.ts.Window().Seconds(), path)
+			o.sinks.TimeSeries.Windows(), o.sinks.TimeSeries.Window().Seconds(), path)
 	}
 	if o.cfg.sloFile != "" {
 		path := suffixed(o.cfg.sloFile, o.suffix)
@@ -306,7 +303,7 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 	// Wall-clock throughput goes to the registry only — never into the
 	// report, trace or audit files, which must stay deterministic.
 	if eventsPerSec > 0 {
-		o.reg.Gauge("engine.events_per_sec").Set(eventsPerSec)
+		o.sinks.Metrics.Gauge("engine.events_per_sec").Set(eventsPerSec)
 	}
 	if o.cfg.traceFile != "" {
 		path := suffixed(o.cfg.traceFile, o.suffix)
@@ -314,18 +311,18 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		if err != nil {
 			return err
 		}
-		if err := o.tracer.Write(f, trace.ExportFormat(o.cfg.traceFormat)); err != nil {
+		if err := o.sinks.Tracer.Write(f, trace.ExportFormat(o.cfg.traceFormat)); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\ntrace: %d events -> %s (%s format)\n", o.tracer.Len(), path, o.cfg.traceFormat)
+		fmt.Fprintf(out, "\ntrace: %d events -> %s (%s format)\n", o.sinks.Tracer.Len(), path, o.cfg.traceFormat)
 	}
 	if o.cfg.metricsOn {
 		fmt.Fprintf(out, "\nmetrics:\n")
-		o.reg.Fprint(out)
+		o.sinks.Metrics.Fprint(out)
 	}
 	return nil
 }
@@ -484,10 +481,10 @@ func runQuickstart(seed int64, policies *hybridmr.PolicySet, obs *runObs, pr *pr
 		VMsPerHost:     2,
 		Seed:           seed,
 		Policies:       policies,
-		Tracer:         obs.tracer,
-		Metrics:        obs.reg,
-		Audit:          obs.log,
-		TimeSeries:     obs.ts,
+		Tracer:         obs.sinks.Tracer,
+		Metrics:        obs.sinks.Metrics,
+		Audit:          obs.sinks.Audit,
+		TimeSeries:     obs.sinks.TimeSeries,
 	})
 	if err != nil {
 		return err
@@ -620,10 +617,7 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 		VMsPerPM:   2,
 		Seed:       seed,
 		Policies:   policies,
-		Tracer:     obs.tracer,
-		Metrics:    obs.reg,
-		Audit:      obs.log,
-		TimeSeries: obs.ts,
+		Obs:        obs.sinks,
 		Invariants: inv,
 		Faults: &fault.Options{
 			Seed: faultSeed,
@@ -672,7 +666,7 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 		}
 		fmt.Fprintln(out, "invariants: all held")
 	}
-	obs.snapPerf(rig.Perf)
+	obs.snapPerf(rig.Obs.Perf)
 	obs.simEnd = rig.Engine.Now()
 	return nil
 }
@@ -812,10 +806,7 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		Policies:     o.policies,
 		Scheduler:    scheduler,
 		MapredConfig: mrCfg,
-		Tracer:       obs.tracer,
-		Metrics:      obs.reg,
-		Audit:        obs.log,
-		TimeSeries:   obs.ts,
+		Obs:          obs.sinks,
 	})
 	if err != nil {
 		return err
@@ -831,7 +822,7 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		return err
 	}
 	obs.addJob(res.Name, res.CritPath)
-	obs.snapPerf(rig.Perf)
+	obs.snapPerf(rig.Obs.Perf)
 	obs.simEnd = rig.Engine.Now()
 	fmt.Fprintf(out, "benchmark:    %s\n", res.Name)
 	fmt.Fprintf(out, "workers:      %d (%d PMs x %d VMs/PM)\n", len(rig.Workers), o.pms, o.vmsPerPM)

@@ -40,6 +40,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/resource"
@@ -122,7 +123,7 @@ type (
 	FaultKind = fault.Kind
 	// PerfStats collects algorithmic cost counters and hierarchical
 	// wall-time spans from every layer of a deployment; hand one to
-	// ClusterSpec.Perf or RigOptions.Perf. Nil-safe: a nil *PerfStats
+	// ClusterSpec.Perf or RigOptions.Obs.Perf. Nil-safe: a nil *PerfStats
 	// disables all instrumentation.
 	PerfStats = perfstat.Stats
 	// PerfSnapshot is a point-in-time view of a PerfStats: counter map
@@ -140,8 +141,9 @@ type (
 	InvariantViolation = invariant.Violation
 	// TimeSeriesCollector aggregates counters, gauges and histogram
 	// digests into sim-clock windows with fixed memory regardless of run
-	// length; hand one to ClusterSpec.TimeSeries or RigOptions.TimeSeries.
-	// Nil-safe: a nil collector disables all windowed telemetry.
+	// length; hand one to ClusterSpec.TimeSeries or
+	// RigOptions.Obs.TimeSeries. Nil-safe: a nil collector disables all
+	// windowed telemetry.
 	TimeSeriesCollector = timeseries.Collector
 	// TimeSeriesSnapshot is one series' windowed aggregates.
 	TimeSeriesSnapshot = timeseries.SeriesSnapshot
@@ -221,8 +223,8 @@ const (
 var ParseFaultProfile = fault.ParseProfile
 
 // NewTracer builds an unbound tracer; hand it to ClusterSpec.Tracer or
-// RigOptions.Tracer and its clock is bound to the simulation engine when
-// the cluster is assembled.
+// RigOptions.Obs.Tracer and its clock is bound to the simulation engine
+// when the cluster is assembled.
 func NewTracer() *Tracer { return trace.New(nil) }
 
 // NewMetricsRegistry builds an empty metrics registry.
@@ -230,8 +232,8 @@ var NewMetricsRegistry = trace.NewRegistry
 
 // NewAuditLog builds a decision log holding up to capacity records
 // (<= 0 uses a generous default); hand it to ClusterSpec.Audit or
-// RigOptions.Audit and its clock is bound to the simulation engine when
-// the cluster is assembled.
+// RigOptions.Obs.Audit and its clock is bound to the simulation engine
+// when the cluster is assembled.
 var NewAuditLog = audit.New
 
 // Trace export formats.
@@ -393,9 +395,7 @@ type HybridCluster struct {
 
 	engine         *sim.Engine
 	nextSvc        int
-	metricsReg     *MetricsRegistry
-	perfFlushed    perfstat.Counters
-	ts             *TimeSeriesCollector
+	obs            obs.Sinks
 	sampleInterval time.Duration
 }
 
@@ -409,15 +409,11 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		spec.VMsPerHost = 2
 	}
 
-	perf := spec.Perf
-	if perf == nil && spec.Metrics != nil {
-		perf = perfstat.New()
+	sinks := obs.Sinks{
+		Tracer: spec.Tracer, Metrics: spec.Metrics, Audit: spec.Audit,
+		Perf: spec.Perf, TimeSeries: spec.TimeSeries,
 	}
-
-	hc := &HybridCluster{
-		Perf: perf, metricsReg: spec.Metrics,
-		ts: spec.TimeSeries, sampleInterval: spec.SampleInterval,
-	}
+	hc := &HybridCluster{sampleInterval: spec.SampleInterval}
 	var engine *sim.Engine
 	var cl *cluster.Cluster
 
@@ -432,49 +428,29 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: !spec.VanillaHadoop,
 			},
-			Policies:   spec.Policies,
-			Tracer:     spec.Tracer,
-			Metrics:    spec.Metrics,
-			Audit:      spec.Audit,
-			Perf:       perf,
-			TimeSeries: spec.TimeSeries,
+			Policies: spec.Policies,
+			Obs:      sinks,
 		})
 		if err != nil {
 			return nil, err
 		}
-		engine, cl = rig.Engine, rig.Cluster
+		// Copy the bound handle: a pointer into the rig would keep the
+		// rig, and its worker list, alive for the deployment's lifetime.
+		engine, cl, hc.obs = rig.Engine, rig.Cluster, rig.Obs
 		hc.VirtualJT = rig.JT
 		hc.VMs = rig.VMs
 		hc.HostPMs = rig.PMs
 	} else {
-		engine = sim.New()
-		if perf != nil {
-			engine.SetPerf(perf)
-		}
-		cl = cluster.New(engine, cluster.Config{}, spec.Seed)
-		if spec.Tracer != nil || spec.Metrics != nil {
-			spec.Tracer.SetClock(engine)
-			cl.SetTrace(spec.Tracer, spec.Metrics)
-		}
-		if spec.Audit != nil {
-			spec.Audit.SetClock(engine)
-			cl.SetAudit(spec.Audit)
-		}
-		if ts := spec.TimeSeries; ts != nil {
-			// The virtual-partition path registers these through the
-			// testbed; a native-only deployment wires them here.
-			cl.SetTimeSeries(ts)
-			ts.ProbeCounter("sim.events", "", func() float64 { return float64(engine.Fired()) })
-			ts.Probe("sim.pending_events", "", func() float64 { return float64(engine.Pending()) })
-			ts.Probe("sim.freelist_events", "", func() float64 { return float64(engine.FreelistLen()) })
-			ts.Probe("sim.cancel_debt", "", func() float64 { return float64(engine.CancelDebt()) })
-		}
+		engine, hc.obs = sim.New(), sinks
+		hc.obs.Bind(engine)
+		cl = cluster.New(engine, cluster.Config{}, spec.Seed, &hc.obs)
 	}
+	hc.Perf = hc.obs.Perf
 
 	if spec.NativePMs > 0 {
 		pms := cl.AddPMs("native", spec.NativePMs)
 		cluster.StripeTopology(pms, spec.Racks, spec.PowerDomains)
-		nativeFS := dfs.New(engine, dfs.Config{}, spec.Seed+13)
+		nativeFS := dfs.New(engine, dfs.Config{}, spec.Seed+13, &hc.obs)
 		nativeSched := mapred.Scheduler(mapred.Fair{})
 		nativeCfg := mapred.Config{}
 		if spec.Policies != nil {
@@ -483,21 +459,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 			nativeCfg.DisableSpeculation = sp.Disable
 			nativeCfg.SpeculationSlowdown = sp.Slowdown
 		}
-		hc.NativeJT = mapred.NewJobTracker(engine, nativeFS, nativeCfg, nativeSched)
-		if spec.Tracer != nil || spec.Metrics != nil {
-			nativeFS.SetTrace(spec.Tracer, spec.Metrics)
-			hc.NativeJT.SetTrace(spec.Tracer, spec.Metrics)
-		}
-		if spec.Audit != nil {
-			hc.NativeJT.SetAudit(spec.Audit)
-		}
-		if perf != nil {
-			nativeFS.SetPerf(perf)
-			hc.NativeJT.SetPerf(perf)
-		}
-		if spec.TimeSeries != nil {
-			hc.NativeJT.SetTimeSeries(spec.TimeSeries, "native")
-		}
+		hc.NativeJT = mapred.NewJobTracker(engine, nativeFS, nativeCfg, nativeSched, &hc.obs, "native")
 		for _, pm := range pms {
 			hc.NativeJT.AddTracker(pm)
 		}
@@ -511,27 +473,15 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 	}
-	sys, err := core.NewSystem(engine, cl, hc.NativeJT, hc.VirtualJT, cfg)
+	sys, err := core.NewSystem(engine, cl, hc.NativeJT, hc.VirtualJT, cfg, &hc.obs)
 	if err != nil {
 		return nil, err
-	}
-	if spec.Tracer != nil || spec.Metrics != nil {
-		sys.SetTrace(spec.Tracer, spec.Metrics)
-	}
-	if spec.Audit != nil {
-		sys.SetAudit(spec.Audit)
-	}
-	if perf != nil {
-		sys.SetPerf(perf)
-	}
-	if spec.TimeSeries != nil {
-		sys.SetTimeSeries(spec.TimeSeries)
 	}
 	hc.System = sys
 	hc.Cluster = cl
 	hc.engine = engine
 
-	env := fault.Env{Engine: engine, Cluster: cl}
+	env := fault.Env{Engine: engine, Cluster: cl, Obs: &hc.obs}
 	if hc.VirtualJT != nil {
 		env.FSs = append(env.FSs, hc.VirtualJT.FS())
 		env.JTs = append(env.JTs, hc.VirtualJT)
@@ -548,21 +498,9 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		}
 	}
 	hc.Faults = fault.NewInjector(env, faultOpts)
-	if spec.Tracer != nil || spec.Metrics != nil {
-		hc.Faults.SetTrace(spec.Tracer, spec.Metrics)
-	}
-	if spec.Audit != nil {
-		hc.Faults.SetAudit(spec.Audit)
-	}
-	if perf != nil {
-		hc.Faults.SetPerf(perf)
-	}
-	if spec.Invariants != nil {
-		// One attach covering both partitions: the checker keeps the full
-		// FS/JT set so its end-of-run liveness sweep sees every job.
-		spec.Invariants.Attach(engine, cl, env.FSs, env.JTs, spec.Audit)
-		hc.Faults.SetInvariants(spec.Invariants)
-	}
+	// One attach covering both partitions: the checker keeps the full
+	// FS/JT set so its end-of-run liveness sweep sees every job.
+	spec.Invariants.Attach(hc.Faults)
 	if spec.Faults != nil {
 		if err := hc.Faults.Arm(); err != nil {
 			return nil, err
@@ -601,9 +539,7 @@ func (hc *HybridCluster) NewRecorder(interval time.Duration) *Recorder {
 	if interval <= 0 {
 		interval = hc.sampleInterval
 	}
-	rec := metrics.NewRecorder(hc.Cluster, interval, 0)
-	rec.SetTimeSeries(hc.ts)
-	return rec
+	return metrics.NewRecorder(hc.Cluster, interval, 0, &hc.obs)
 }
 
 // RunFor advances simulated time by d.
@@ -619,27 +555,13 @@ func (hc *HybridCluster) RunUntilIdle() {
 	hc.FlushPerf()
 }
 
-// FlushPerf folds the cost-counter increments accumulated since the last
-// flush into the deployment's metrics registry as perfstat.* counters.
-// All counter names are materialized — including zero ones — so merged
-// snapshots keep a stable key set; wall-time spans stay out of the
-// registry (they are nondeterministic). RunFor and RunUntilIdle flush
-// automatically.
-func (hc *HybridCluster) FlushPerf() {
-	if hc.metricsReg != nil {
-		hc.metricsReg.Gauge("engine.pending_events").Set(float64(hc.engine.Pending()))
-		hc.metricsReg.Gauge("engine.freelist_events").Set(float64(hc.engine.FreelistLen()))
-		hc.metricsReg.Gauge("engine.cancel_debt").Set(float64(hc.engine.CancelDebt()))
-	}
-	if hc.Perf == nil || hc.metricsReg == nil {
-		return
-	}
-	delta := hc.Perf.C.Delta(hc.perfFlushed)
-	hc.perfFlushed = hc.Perf.C
-	delta.Each(func(name string, v int64) {
-		hc.metricsReg.Counter("perfstat." + name).Add(float64(v))
-	})
-}
+// FlushPerf writes the engine's occupancy gauges and the cost-counter
+// increments accumulated since the last flush into the deployment's
+// metrics registry as perfstat.* counters. All counter names are
+// materialized — including zero ones — so merged snapshots keep a stable
+// key set; wall-time spans stay out of the registry (they are
+// nondeterministic). RunFor and RunUntilIdle flush automatically.
+func (hc *HybridCluster) FlushPerf() { hc.obs.Flush(hc.engine) }
 
 // Now returns the current simulated time.
 func (hc *HybridCluster) Now() time.Duration { return hc.engine.Now() }

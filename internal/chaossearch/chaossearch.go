@@ -27,6 +27,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -183,7 +184,7 @@ func Run(tpl Template, sched []fault.ScheduledFault) ([]invariant.Violation, err
 		PowerDomains: tpl.PowerDomains,
 		Seed:         tpl.Seed,
 		MapredConfig: mapred.Config{DisableMapReexecution: tpl.BreakMapRecovery},
-		Audit:        audit.New(0),
+		Obs:          obs.Sinks{Audit: audit.New(0)},
 		Faults:       &fault.Options{Seed: tpl.Seed + 2, Schedule: sched},
 		Invariants:   inv,
 	})

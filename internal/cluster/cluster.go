@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/timeseries"
@@ -229,8 +230,7 @@ type Cluster struct {
 	inv      InvariantSink
 	ts       *timeseries.Collector
 
-	// Cached metric handles; nil (a no-op) until SetTrace installs a
-	// registry.
+	// Cached metric handles; nil (a no-op) without a registry.
 	mMigrations        *trace.Counter
 	mMigrationDowntime *trace.Histogram
 	mPowerTransitions  *trace.Counter
@@ -242,42 +242,34 @@ type Cluster struct {
 }
 
 // New creates an empty cluster. Zero-valued Config fields take the paper's
-// testbed defaults.
-func New(engine *sim.Engine, cfg Config, seed int64) *Cluster {
+// testbed defaults. The cluster records migration lifecycle decisions
+// (start, completion, abort, retry, abandonment) on the handle's audit
+// log, and migration completions and PM power transitions as windowed
+// time series; a nil handle records nothing.
+func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *Cluster {
+	o := obs.Of(sinks)
+	reg := o.Metrics
 	return &Cluster{
-		engine: engine,
-		cfg:    cfg.withDefaults(),
-		rng:    rand.New(rand.NewSource(seed)),
+		engine:   engine,
+		cfg:      cfg.withDefaults(),
+		rng:      rand.New(rand.NewSource(seed)),
+		tracer:   o.Tracer,
+		auditLog: o.Audit,
+		ts:       o.TimeSeries,
+
+		mMigrations:        reg.Counter("cluster.migrations.completed"),
+		mMigrationDowntime: reg.Histogram("cluster.migration.downtime_sec"),
+		mPowerTransitions:  reg.Counter("cluster.pm.power_transitions"),
+		mVMPauses:          reg.Counter("cluster.vm.pauses"),
+		mMigrationsAborted: reg.Counter("cluster.migrations.aborted"),
+		mMigrationRetries:  reg.Counter("cluster.migrations.retried"),
+		mVMCrashes:         reg.Counter("cluster.vm.crashes"),
+		mPMCrashes:         reg.Counter("cluster.pm.crashes"),
 	}
 }
 
 // Engine returns the shared simulation engine.
 func (c *Cluster) Engine() *sim.Engine { return c.engine }
-
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (c *Cluster) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	c.tracer = tr
-	c.mMigrations = reg.Counter("cluster.migrations.completed")
-	c.mMigrationDowntime = reg.Histogram("cluster.migration.downtime_sec")
-	c.mPowerTransitions = reg.Counter("cluster.pm.power_transitions")
-	c.mVMPauses = reg.Counter("cluster.vm.pauses")
-	c.mMigrationsAborted = reg.Counter("cluster.migrations.aborted")
-	c.mMigrationRetries = reg.Counter("cluster.migrations.retried")
-	c.mVMCrashes = reg.Counter("cluster.vm.crashes")
-	c.mPMCrashes = reg.Counter("cluster.pm.crashes")
-}
-
-// SetAudit installs a decision log; migration lifecycle decisions
-// (start, completion, abort, retry, abandonment) are recorded on it. A
-// nil log keeps auditing off.
-func (c *Cluster) SetAudit(l *audit.Log) { c.auditLog = l }
-
-// SetTimeSeries attaches a windowed telemetry collector: migration
-// completions and PM power transitions become windowed counter series,
-// giving the SLO layer time-resolved churn data the end-of-run registry
-// totals cannot provide. A nil collector keeps the series off.
-func (c *Cluster) SetTimeSeries(ts *timeseries.Collector) { c.ts = ts }
 
 // InvariantSink receives cluster-level safety events; the invariant
 // checker implements it. All methods must tolerate being called from

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -14,7 +15,7 @@ import (
 func testCluster(t *testing.T) (*sim.Engine, *Cluster) {
 	t.Helper()
 	engine := sim.New()
-	return engine, New(engine, DefaultConfig(), 1)
+	return engine, New(engine, DefaultConfig(), 1, nil)
 }
 
 func runConsumer(t *testing.T, engine *sim.Engine, node Node, c *Consumer) time.Duration {
@@ -137,7 +138,7 @@ func TestCrossVMIOContentionSuperlinear(t *testing.T) {
 	// share alone would predict, because of the Dom-0 inflation.
 	mkJCT := func(nVM int) float64 {
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), 1)
+		c := New(engine, DefaultConfig(), 1, nil)
 		pm := c.AddPM("pm-0")
 		var last float64
 		for i := 0; i < nVM; i++ {
@@ -326,7 +327,7 @@ func TestAddVMMemoryExhaustion(t *testing.T) {
 func TestDom0ModeSmallOverhead(t *testing.T) {
 	run := func(dom0 bool) float64 {
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), 1)
+		c := New(engine, DefaultConfig(), 1, nil)
 		pm := c.AddPM("pm-0")
 		pm.SetDom0Mode(dom0)
 		// Saturate the disk so that the Dom-0 efficiency binds; overhead
@@ -472,7 +473,7 @@ func TestMigrationMovesVM(t *testing.T) {
 func TestMigrationBusyVMTakesLonger(t *testing.T) {
 	migTime := func(busy bool) time.Duration {
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), 1)
+		c := New(engine, DefaultConfig(), 1, nil)
 		src := c.AddPM("s")
 		dst := c.AddPM("d")
 		vm, err := c.AddVM("vm", src, 1, 1024)
@@ -633,10 +634,10 @@ func TestVMCapLimitsIO(t *testing.T) {
 }
 
 func TestClusterMetricsInstrumentation(t *testing.T) {
-	engine, c := testCluster(t)
+	engine := sim.New()
 	tr := trace.New(engine)
 	reg := trace.NewRegistry()
-	c.SetTrace(tr, reg)
+	c := New(engine, DefaultConfig(), 1, &obs.Sinks{Tracer: tr, Metrics: reg})
 
 	src := c.AddPM("pm-src")
 	dst := c.AddPM("pm-dst")

@@ -18,7 +18,7 @@ func fleetRig(tb testing.TB, seed int64, pms int) *Cluster {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	engine := sim.New()
-	c := New(engine, DefaultConfig(), seed)
+	c := New(engine, DefaultConfig(), seed, nil)
 	for i, pm := range c.AddPMs("pm", pms) {
 		switch rng.Intn(5) {
 		case 0:

@@ -210,11 +210,11 @@ func TestSystemEndToEnd(t *testing.T) {
 	rig := virtualRig(t, 4)
 	// Add a native partition on 4 more PMs in the same cluster.
 	nativePMs := rig.Cluster.AddPMs("native", 4)
-	nativeJT := mapred.NewJobTracker(rig.Engine, rig.FS, mapred.Config{}, mapred.Fair{})
+	nativeJT := mapred.NewJobTracker(rig.Engine, rig.FS, mapred.Config{}, mapred.Fair{}, nil, "")
 	for _, pm := range nativePMs {
 		nativeJT.AddTracker(pm)
 	}
-	sys, err := NewSystem(rig.Engine, rig.Cluster, nativeJT, rig.JT, Config{TrainingSeed: 21})
+	sys, err := NewSystem(rig.Engine, rig.Cluster, nativeJT, rig.JT, Config{TrainingSeed: 21}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestSystemEndToEnd(t *testing.T) {
 
 func TestSystemRequiresAPartition(t *testing.T) {
 	rig := virtualRig(t, 2)
-	if _, err := NewSystem(rig.Engine, rig.Cluster, nil, nil, Config{}); err == nil {
+	if _, err := NewSystem(rig.Engine, rig.Cluster, nil, nil, Config{}, nil); err == nil {
 		t.Error("NewSystem with no partitions succeeded")
 	}
 }
 
 func TestSystemFallsBackWhenPartitionMissing(t *testing.T) {
 	rig := virtualRig(t, 4)
-	sys, err := NewSystem(rig.Engine, rig.Cluster, nil, rig.JT, Config{TrainingSeed: 5})
+	sys, err := NewSystem(rig.Engine, rig.Cluster, nil, rig.JT, Config{TrainingSeed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestDRMEstimatorLearns(t *testing.T) {
 
 // newTestProfiler trains on fast mini-sims.
 func newTestProfiler() *profiler.Profiler {
-	return profiler.New(SimRunner(testbed.Options{Seed: 77}))
+	return profiler.New(SimRunner(testbed.Options{Seed: 77}), nil)
 }
 
 func TestPlacerValidation(t *testing.T) {

@@ -104,23 +104,6 @@ func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoc
 	}
 }
 
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (d *DRM) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	d.tracer = tr
-	d.mAdjustments = reg.Counter("drm.cap_adjustments")
-	d.mDeferrals = reg.Counter("drm.deferrals")
-}
-
-// SetAudit installs a decision log; cap grants and memory deferrals are
-// recorded on it. A nil log keeps auditing off.
-func (d *DRM) SetAudit(l *audit.Log) { d.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; each epoch's
-// node sweep is then counted and timed. A nil collector keeps the
-// instrumentation off.
-func (d *DRM) SetPerf(ps *perfstat.Stats) { d.perf = ps }
-
 // Start begins the epoch loop. The loop parks itself whenever the job
 // queue drains and must be re-armed by the next Submit (see
 // System.SubmitJob) — this keeps event queues finite.

@@ -100,29 +100,6 @@ func (p *IPS) ApplyPolicy(params policy.IPSParams) {
 	p.ThrottleFactor = params.ThrottleFactor
 }
 
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (p *IPS) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	p.tracer = tr
-	p.reg = reg
-}
-
-// SetAudit installs a decision log; every Arbiter mitigation is
-// recorded on it. A nil log keeps auditing off.
-func (p *IPS) SetAudit(l *audit.Log) { p.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; monitoring
-// epochs are then counted and timed. A nil collector keeps the
-// instrumentation off.
-func (p *IPS) SetPerf(ps *perfstat.Stats) { p.perf = ps }
-
-// SetTimeSeries attaches a windowed telemetry collector. Each monitoring
-// epoch then records every watched service's latency into a per-service
-// windowed histogram and SLA violations into a per-service counter
-// series — the time-resolved view the end-state-only SLAViolated flag
-// cannot give. A nil collector keeps the series off.
-func (p *IPS) SetTimeSeries(ts *timeseries.Collector) { p.ts = ts }
-
 // Watch registers an interactive service for SLA monitoring.
 func (p *IPS) Watch(svc *workload.Service) {
 	p.services = append(p.services, &ipsService{svc: svc, models: interference.NewModels()})

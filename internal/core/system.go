@@ -8,12 +8,12 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -99,25 +99,35 @@ type System struct {
 // NewSystem wires a HybridMR instance. nativeJT or virtualJT may be nil
 // when the corresponding partition does not exist (the Figure 9 design
 // points). The profiler's training runner defaults to SimRunner with the
-// cluster's hardware profile.
-func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config) (*System, error) {
+// cluster's hardware profile. The system, its Phase II controllers and
+// the Phase I profiler record into the handle's sinks: Phase I
+// placements (with the JCT estimates weighed), DRM cap grants and
+// deferrals and IPS mitigations are audited, the IPS records
+// per-service latency and SLA-violation series, and every controller is
+// counted and timed. A nil handle records nothing.
+func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config, sinks *obs.Sinks) (*System, error) {
 	if nativeJT == nil && virtualJT == nil {
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
 	}
 	cfg = cfg.withDefaults()
+	o := obs.Of(sinks)
 	s := &System{
-		engine:     engine,
-		cluster:    cl,
-		cfg:        cfg,
-		NativeJT:   nativeJT,
-		VirtualJT:  virtualJT,
-		placements: make(map[*mapred.Job]Placement),
+		engine:      engine,
+		cluster:     cl,
+		cfg:         cfg,
+		NativeJT:    nativeJT,
+		VirtualJT:   virtualJT,
+		placements:  make(map[*mapred.Job]Placement),
+		tracer:      o.Tracer,
+		auditLog:    o.Audit,
+		perf:        o.Perf,
+		mPlacements: o.Metrics.Counter("core.placements"),
 	}
 	s.prof = profiler.New(SimRunner(testbed.Options{
 		Seed:          cfg.TrainingSeed,
 		ClusterConfig: cl.Config(),
-		EventSink:     cfg.EventSink,
-	}))
+		Obs:           obs.Sinks{Events: cfg.EventSink},
+	}), sinks)
 	nativeNodes, virtualNodes := 0, 0
 	if nativeJT != nil {
 		nativeNodes = nativeJT.TrackerCount()
@@ -140,10 +150,15 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 		if !cfg.DisableDRM {
 			s.drm = NewDRM(engine, virtualJT, cfg.Modes, cfg.Epoch)
 			s.drm.Policy = pol.DRM.Params()
+			s.drm.tracer, s.drm.auditLog, s.drm.perf = o.Tracer, o.Audit, o.Perf
+			s.drm.mAdjustments = o.Metrics.Counter("drm.cap_adjustments")
+			s.drm.mDeferrals = o.Metrics.Counter("drm.deferrals")
 		}
 		if !cfg.DisableIPS {
 			s.ips = NewIPS(engine, cl, virtualJT)
 			s.ips.ApplyPolicy(pol.IPS.Params())
+			s.ips.tracer, s.ips.reg, s.ips.auditLog = o.Tracer, o.Metrics, o.Audit
+			s.ips.perf, s.ips.ts = o.Perf, o.TimeSeries
 		}
 	}
 	return s, nil
@@ -151,59 +166,6 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 
 // Engine returns the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.engine }
-
-// SetTrace installs a tracer and metrics registry on the system and its
-// Phase II controllers (the cluster, DFS and JobTrackers are wired where
-// they are built — see testbed.Options and hybridmr.ClusterSpec). Either
-// argument may be nil; instrumentation is then a no-op.
-func (s *System) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	s.tracer = tr
-	s.mPlacements = reg.Counter("core.placements")
-	if s.drm != nil {
-		s.drm.SetTrace(tr, reg)
-	}
-	if s.ips != nil {
-		s.ips.SetTrace(tr, reg)
-	}
-}
-
-// SetAudit installs a decision log on the system and its Phase II
-// controllers. Phase I placements (with the JCT estimates weighed), DRM
-// cap grants/deferrals and IPS mitigations are recorded on it; a nil
-// log keeps auditing off.
-func (s *System) SetAudit(l *audit.Log) {
-	s.auditLog = l
-	if s.drm != nil {
-		s.drm.SetAudit(l)
-	}
-	if s.ips != nil {
-		s.ips.SetAudit(l)
-	}
-}
-
-// SetPerf installs a performance-attribution collector on the system,
-// its Phase II controllers and the Phase I profiler. A nil collector
-// keeps the instrumentation off.
-func (s *System) SetPerf(ps *perfstat.Stats) {
-	s.perf = ps
-	if s.drm != nil {
-		s.drm.SetPerf(ps)
-	}
-	if s.ips != nil {
-		s.ips.SetPerf(ps)
-	}
-	s.prof.SetPerf(ps)
-}
-
-// SetTimeSeries attaches a windowed telemetry collector to the Phase II
-// controllers — currently the IPS, whose per-service latency and
-// SLA-violation series feed the SLO engine. A nil collector keeps the
-// series off.
-func (s *System) SetTimeSeries(ts *timeseries.Collector) {
-	if s.ips != nil {
-		s.ips.SetTimeSeries(ts)
-	}
-}
 
 // Profiler exposes the Phase I profiler (e.g. for pre-training or
 // accuracy experiments).

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -103,8 +104,7 @@ type FileSystem struct {
 	tracer *trace.Tracer
 	perf   *perfstat.Stats
 
-	// Cached metric handles; nil (a no-op) until SetTrace installs a
-	// registry.
+	// Cached metric handles; nil (a no-op) without a registry.
 	mReadNodeLocal     *trace.Counter
 	mReadHostLocal     *trace.Counter
 	mReadRemote        *trace.Counter
@@ -114,8 +114,12 @@ type FileSystem struct {
 	mReplicasCorrupted *trace.Counter
 }
 
-// New creates an empty filesystem on the given engine.
-func New(engine *sim.Engine, cfg Config, seed int64) *FileSystem {
+// New creates an empty filesystem on the given engine. Block placement
+// and repair work is counted and timed on the handle's perf collector;
+// a nil handle records nothing.
+func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *FileSystem {
+	o := obs.Of(sinks)
+	reg := o.Metrics
 	return &FileSystem{
 		engine:  engine,
 		cfg:     cfg.withDefaults(),
@@ -123,29 +127,21 @@ func New(engine *sim.Engine, cfg Config, seed int64) *FileSystem {
 		byNode:  make(map[cluster.Node]*DataNode),
 		files:   make(map[string]*File),
 		poolPos: make(map[*DataNode]int),
+		tracer:  o.Tracer,
+		perf:    o.Perf,
+
+		mReadNodeLocal:     reg.Counter("dfs.reads.node_local"),
+		mReadHostLocal:     reg.Counter("dfs.reads.host_local"),
+		mReadRemote:        reg.Counter("dfs.reads.remote"),
+		mReReplications:    reg.Counter("dfs.blocks.rereplicated"),
+		mBlocksLost:        reg.Counter("dfs.blocks.lost"),
+		mBlocksRestored:    reg.Counter("dfs.blocks.restored"),
+		mReplicasCorrupted: reg.Counter("dfs.replicas.corrupted"),
 	}
 }
 
 // Config returns the effective configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (fs *FileSystem) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	fs.tracer = tr
-	fs.mReadNodeLocal = reg.Counter("dfs.reads.node_local")
-	fs.mReadHostLocal = reg.Counter("dfs.reads.host_local")
-	fs.mReadRemote = reg.Counter("dfs.reads.remote")
-	fs.mReReplications = reg.Counter("dfs.blocks.rereplicated")
-	fs.mBlocksLost = reg.Counter("dfs.blocks.lost")
-	fs.mBlocksRestored = reg.Counter("dfs.blocks.restored")
-	fs.mReplicasCorrupted = reg.Counter("dfs.replicas.corrupted")
-}
-
-// SetPerf installs a performance-attribution collector; block placement
-// and repair work is then counted and timed. A nil collector keeps the
-// instrumentation off.
-func (fs *FileSystem) SetPerf(ps *perfstat.Stats) { fs.perf = ps }
 
 // CountRead records a block read at the given locality in the metrics
 // registry and, when a tracer is installed, as an instant event on the

@@ -12,11 +12,11 @@ import (
 func benchFleet(b *testing.B) (*FileSystem, []cluster.Node) {
 	b.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1)
+	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
 	native := c.AddPMs("pm", 5000)
 	hosts := c.AddPMs("host", 5000)
 	cluster.StripeTopology(append(native, hosts...), 40, 0)
-	fs := New(engine, Config{}, 1)
+	fs := New(engine, Config{}, 1, nil)
 	var nodes []cluster.Node
 	for _, pm := range native {
 		nodes = append(nodes, pm)

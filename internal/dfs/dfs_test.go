@@ -12,9 +12,9 @@ import (
 func testFS(t *testing.T, nPMs, vmsPerPM int) (*sim.Engine, *cluster.Cluster, *FileSystem, []cluster.Node) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 42)
+	c := cluster.New(engine, cluster.DefaultConfig(), 42, nil)
 	pms := c.AddPMs("pm", nPMs)
-	fs := New(engine, Config{}, 42)
+	fs := New(engine, Config{}, 42, nil)
 	var nodes []cluster.Node
 	if vmsPerPM == 0 {
 		for _, pm := range pms {
@@ -94,7 +94,7 @@ func TestDeleteFreesSpace(t *testing.T) {
 
 func TestLocalityLevels(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1)
+	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
 	pm0 := c.AddPM("pm-0")
 	pm1 := c.AddPM("pm-1")
 	vmA, err := c.AddVM("vm-a", pm0, 1, 1024)
@@ -109,7 +109,7 @@ func TestLocalityLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := New(engine, Config{Replication: 1}, 1)
+	fs := New(engine, Config{Replication: 1}, 1, nil)
 	fs.AddDataNode(vmA)
 	f, err := fs.CreateFile("/f", 10, vmA)
 	if err != nil {
@@ -264,9 +264,9 @@ func TestPlacementInvariants(t *testing.T) {
 		size := float64(sizeRaw%4096) + 1
 		n := int(nNodes%12) + 1
 		engine := sim.New()
-		c := cluster.New(engine, cluster.DefaultConfig(), int64(nNodes))
+		c := cluster.New(engine, cluster.DefaultConfig(), int64(nNodes), nil)
 		pms := c.AddPMs("pm", n)
-		fs := New(engine, Config{}, int64(sizeRaw))
+		fs := New(engine, Config{}, int64(sizeRaw), nil)
 		for _, pm := range pms {
 			fs.AddDataNode(pm)
 		}
@@ -360,9 +360,9 @@ func TestHandleNodeFailuresBatch(t *testing.T) {
 func TestTotalReplicaLossReported(t *testing.T) {
 	// Replication 1: failing the only holder loses the block.
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1)
+	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
 	pms := c.AddPMs("pm", 2)
-	fs := New(engine, Config{Replication: 1}, 1)
+	fs := New(engine, Config{Replication: 1}, 1, nil)
 	for _, pm := range pms {
 		fs.AddDataNode(pm)
 	}
@@ -420,9 +420,9 @@ func TestReReplicationAndConcurrentReadSurviveNodeFailure(t *testing.T) {
 
 func TestReadFailsCleanlyWhenAllReplicasGone(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 9)
+	c := cluster.New(engine, cluster.DefaultConfig(), 9, nil)
 	pms := c.AddPMs("pm", 3)
-	fs := New(engine, Config{Replication: 1}, 9)
+	fs := New(engine, Config{Replication: 1}, 9, nil)
 	for _, pm := range pms {
 		fs.AddDataNode(pm)
 	}

@@ -44,9 +44,9 @@ func bruteOffHostFraction(fs *FileSystem, n cluster.Node) float64 {
 // shows up as a stale answer at the next check.
 func TestTopologyCacheCoherent(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 9)
+	c := cluster.New(engine, cluster.DefaultConfig(), 9, nil)
 	pms := c.AddPMs("pm", 10)
-	fs := New(engine, Config{}, 9)
+	fs := New(engine, Config{}, 9, nil)
 	var nodes []cluster.Node
 	var vms []*cluster.VM
 	for i, pm := range pms {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -65,7 +66,7 @@ func ExtIterative() (*Outcome, error) {
 	pool := newMetricsPool()
 	run := func(virtual, inMemory bool) (float64, error) {
 		reg := pool.registry()
-		opts := testbed.Options{PMs: 8, Seed: 1201, EventSink: &fired, Metrics: reg}
+		opts := testbed.Options{PMs: 8, Seed: 1201, Obs: obs.Sinks{Events: &fired, Metrics: reg}}
 		if virtual {
 			opts.VMsPerPM = 2
 		}
@@ -145,7 +146,7 @@ func ExtStream() (*Outcome, error) {
 			cfg.DisableDRM = true
 			cfg.DisableIPS = true
 		}
-		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg)
+		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
 		if err != nil {
 			return result{}, err
 		}
@@ -242,8 +243,7 @@ func AblSpeculation() (*Outcome, error) {
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, Seed: 1217,
 			MapredConfig: mapred.Config{DisableSpeculation: disable},
-			EventSink:    &fired,
-			Metrics:      reg,
+			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -308,8 +308,7 @@ func AblCapacity() (*Outcome, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: aware,
 			},
-			EventSink: &fired,
-			Metrics:   reg,
+			Obs: obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, 0, err
@@ -385,8 +384,7 @@ func AblDeferral() (*Outcome, error) {
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, VMsPerPM: 2, Seed: 1229,
 			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
-			EventSink:    &fired,
-			Metrics:      reg,
+			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -33,7 +34,7 @@ func ExtFaults() (*Outcome, error) {
 		// must fail the experiment (and with it the -check fidelity gate)
 		// by name rather than skew the JCT curve silently.
 		inv := invariant.New()
-		opts := testbed.Options{PMs: pms, Seed: 1237, EventSink: &fired, Metrics: reg, Invariants: inv}
+		opts := testbed.Options{PMs: pms, Seed: 1237, Obs: obs.Sinks{Events: &fired, Metrics: reg}, Invariants: inv}
 		if virtual {
 			opts.VMsPerPM = 2
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -28,7 +29,7 @@ func runIsolated(spec mapred.JobSpec, vmsPerPM int, seed int64, sink *atomic.Uin
 	const repeats = 3
 	for r := 0; r < repeats; r++ {
 		reg := pool.registry()
-		opts := testbed.Options{Seed: seed + int64(r)*131, PMs: testbedPMs, VMsPerPM: vmsPerPM, EventSink: sink, Metrics: reg}
+		opts := testbed.Options{Seed: seed + int64(r)*131, PMs: testbedPMs, VMsPerPM: vmsPerPM, Obs: obs.Sinks{Events: sink, Metrics: reg}}
 		if vmsPerPM == 1 {
 			// A single VM per PM is sized to fill the host, as an
 			// operator would configure it.
@@ -183,14 +184,13 @@ func Fig1c() (*Outcome, error) {
 	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(vmsPerPM int, totalMB float64) (point, error) {
-		engine := sim.New()
-		engine.SetFiredSink(&fired)
 		reg := pool.registry()
-		cl := cluster.New(engine, cluster.Config{}, 107)
-		cl.SetTrace(nil, reg)
-		fs := dfs.New(engine, dfs.Config{}, 107)
-		fs.SetTrace(nil, reg)
 		defer pool.fold(reg)
+		sinks := &obs.Sinks{Metrics: reg, Events: &fired}
+		engine := sim.New()
+		sinks.Bind(engine)
+		cl := cluster.New(engine, cluster.Config{}, 107, sinks)
+		fs := dfs.New(engine, dfs.Config{}, 107, sinks)
 		var nodes []cluster.Node
 		if vmsPerPM <= 0 {
 			for _, pm := range cl.AddPMs("pm", testbedPMs) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -32,7 +33,7 @@ func Fig10a() (*Outcome, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: hybrid,
 			},
-			EventSink: &fired,
+			Obs: obs.Sinks{Events: &fired},
 		})
 		if err != nil {
 			return nil, err
@@ -87,7 +88,7 @@ func Fig10a() (*Outcome, error) {
 				drm.Start()
 			})
 		}
-		rec := metrics.NewRecorder(rig.Cluster, time.Minute, 80*time.Minute)
+		rec := metrics.NewRecorder(rig.Cluster, time.Minute, 80*time.Minute, nil)
 		rig.Engine.RunUntil(80 * time.Minute)
 		rec.Stop()
 		if ips != nil {
@@ -137,7 +138,7 @@ func Fig10a() (*Outcome, error) {
 // migrationSweep migrates each of 24 VMs once and returns per-node stats.
 func migrationSweep(memMB float64, runWcount bool, sink *atomic.Uint64) ([]cluster.MigrationStats, error) {
 	rig, err := testbed.New(testbed.Options{
-		PMs: 24, VMsPerPM: 1, VMMemoryMB: memMB, Seed: 1009, EventSink: sink,
+		PMs: 24, VMsPerPM: 1, VMMemoryMB: memMB, Seed: 1009, Obs: obs.Sinks{Events: sink},
 	})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -68,14 +69,14 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: true,
 			},
-			EventSink: sink,
+			Obs: obs.Sinks{Events: sink},
 		})
 		if err != nil {
 			return fig11Run{}, err
 		}
 		virtualJT = rig.JT
 	} else {
-		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, EventSink: sink})
+		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, Obs: obs.Sinks{Events: sink}})
 		if err != nil {
 			return fig11Run{}, err
 		}
@@ -85,13 +86,13 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 		// Separate HDFS instance for the native partition, as on the
 		// paper's testbed.
 		pms := rig.Cluster.AddPMs("native", cfg.nativePMs)
-		nativeFS := dfs.New(rig.Engine, dfs.Config{}, 1123)
-		nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{})
+		nativeFS := dfs.New(rig.Engine, dfs.Config{}, 1123, nil)
+		nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{}, nil, "")
 		for _, pm := range pms {
 			nativeJT.AddTracker(pm)
 		}
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117, EventSink: sink})
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117, EventSink: sink}, nil)
 	if err != nil {
 		return fig11Run{}, err
 	}
@@ -132,7 +133,7 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 		}
 	})
 	defer slaTick.Stop()
-	rec := metrics.NewRecorder(rig.Cluster, 30*time.Second, 0)
+	rec := metrics.NewRecorder(rig.Cluster, 30*time.Second, 0, nil)
 	specs := []mapred.JobSpec{
 		workload.Sort().WithInputMB(scaledMB(3 * workload.GB)),
 		workload.Kmeans().WithInputMB(scaledMB(2 * workload.GB)),

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -31,8 +32,7 @@ func Fig2a() (*Outcome, error) {
 			VMMemoryMB:   480,
 			Seed:         211,
 			MapredConfig: mapred.Config{MapSlots: 1, ReduceSlots: 1},
-			EventSink:    &fired,
-			Metrics:      reg,
+			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -115,8 +115,7 @@ func Fig2b() (*Outcome, error) {
 			VMsPerPM:     c.vmsPerPM,
 			Seed:         223,
 			MapredConfig: mapred.Config{MapSlots: c.mapSlots, ReduceSlots: c.redSlots},
-			EventSink:    &fired,
-			Metrics:      reg,
+			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -169,7 +168,7 @@ func Fig2c() (*Outcome, error) {
 		if err != nil {
 			return 0, err
 		}
-		rig, err := testbed.New(testbed.Options{PMs: testbedPMs, Dom0: true, Seed: 229, EventSink: &fired})
+		rig, err := testbed.New(testbed.Options{PMs: testbedPMs, Dom0: true, Seed: 229, Obs: obs.Sinks{Events: &fired}})
 		if err != nil {
 			return 0, err
 		}
@@ -207,11 +206,11 @@ func Fig2d() (*Outcome, error) {
 	pool := newMetricsPool()
 	ratios, err := Map(len(specs), func(i int) (float64, error) {
 		spec := specs[i]
-		combined, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Seed: 233, EventSink: &fired}, spec, pool)
+		combined, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Seed: 233, Obs: obs.Sinks{Events: &fired}}, spec, pool)
 		if err != nil {
 			return 0, err
 		}
-		split, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Split: true, Seed: 233, EventSink: &fired}, spec, pool)
+		split, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Split: true, Seed: 233, Obs: obs.Sinks{Events: &fired}}, spec, pool)
 		if err != nil {
 			return 0, err
 		}
@@ -234,7 +233,7 @@ func Fig2d() (*Outcome, error) {
 
 func runOnRig(opts testbed.Options, spec mapred.JobSpec, pool *metricsPool) (float64, error) {
 	reg := pool.registry()
-	opts.Metrics = reg
+	opts.Obs.Metrics = reg
 	rig, err := testbed.New(opts)
 	if err != nil {
 		return 0, err

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -19,7 +20,7 @@ func virtualJCT(spec mapred.JobSpec, vms int, seed int64, sink *atomic.Uint64, p
 		pms, vpp = 1, 1
 	}
 	reg := pool.registry()
-	rig, err := testbed.New(testbed.Options{PMs: pms, VMsPerPM: vpp, Seed: seed, EventSink: sink, Metrics: reg})
+	rig, err := testbed.New(testbed.Options{PMs: pms, VMsPerPM: vpp, Seed: seed, Obs: obs.Sinks{Events: sink, Metrics: reg}})
 	if err != nil {
 		return testbed.JobResult{}, err
 	}

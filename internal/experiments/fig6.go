@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -22,7 +23,7 @@ import (
 func Fig6a() (*Outcome, error) {
 	var fired atomic.Uint64
 	pool := newMetricsPool()
-	prof := profiler.New(core.SimRunner(testbed.Options{Seed: 601, EventSink: &fired}))
+	prof := profiler.New(core.SimRunner(testbed.Options{Seed: 601, Obs: obs.Sinks{Events: &fired}}), nil)
 	// Profile a slightly denser training grid than the placement default,
 	// as the paper's accuracy study accumulates more history.
 	prof.TrainNodes = []int{4, 8, 16}
@@ -86,37 +87,34 @@ func Fig6a() (*Outcome, error) {
 // interferenceRig builds the paper's quad-core interference testbed: one
 // 4-core PM hosting 4 VMs whose vCPUs float across all cores (the study
 // runs 8 concurrent threads, so guests are not confined to one core).
-func interferenceRig(sink *atomic.Uint64) (*sim.Engine, *cluster.Cluster, []*cluster.VM, error) {
+func interferenceRig(sinks *obs.Sinks) (*sim.Engine, []*cluster.VM, error) {
 	engine := sim.New()
-	if sink != nil {
-		engine.SetFiredSink(sink)
-	}
+	sinks.Bind(engine)
 	cfg := cluster.DefaultConfig()
 	cfg.Cores = 4
-	cl := cluster.New(engine, cfg, 613)
+	cl := cluster.New(engine, cfg, 613, sinks)
 	pm := cl.AddPM("quad")
 	vms := make([]*cluster.VM, 0, 4)
 	for i := 0; i < 4; i++ {
 		vm, err := cl.AddVM(fmt.Sprintf("vm-%d", i), pm, 4, 1024)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		vms = append(vms, vm)
 	}
-	return engine, cl, vms, nil
+	return engine, vms, nil
 }
 
 // victimJCT runs a victim task on vms[0] with antagonists spreading the
 // given total CPU (cores) and disk (MB/s) demand over vms[1:3], and
 // returns the victim's completion time in seconds.
 func victimJCT(victim resource.Vector, antagonistCPU, antagonistDisk float64, sink *atomic.Uint64, pool *metricsPool) (float64, error) {
-	engine, cl, vms, err := interferenceRig(sink)
+	reg := pool.registry()
+	defer pool.fold(reg)
+	engine, vms, err := interferenceRig(&obs.Sinks{Metrics: reg, Events: sink})
 	if err != nil {
 		return 0, err
 	}
-	reg := pool.registry()
-	cl.SetTrace(nil, reg)
-	defer pool.fold(reg)
 	// The victim VM competes like a single busy thread; antagonist VMs
 	// carry as much scheduler weight as the threads they run, as the Xen
 	// credit scheduler grants runnable vCPUs.

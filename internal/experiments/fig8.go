@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -37,8 +38,7 @@ func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, sink *
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: capacityAware,
 		},
-		EventSink: sink,
-		Metrics:   reg,
+		Obs: obs.Sinks{Events: sink, Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -55,8 +55,8 @@ func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, sink *
 		// paper's testbed; otherwise native jobs would pull blocks from
 		// (and interfere with) the virtual cluster's DataNodes.
 		pms := rig.Cluster.AddPMs("native", nativePMs)
-		nativeFS := dfs.New(rig.Engine, dfs.Config{}, seed+13)
-		h.nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{})
+		nativeFS := dfs.New(rig.Engine, dfs.Config{}, seed+13, nil)
+		h.nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{}, nil, "")
 		for _, pm := range pms {
 			h.nativeJT.AddTracker(pm)
 		}
@@ -89,7 +89,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, sink *atomic.Uint6
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 	}
-	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg)
+	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
 	if err != nil {
 		return mixResult{}, err
 	}
@@ -248,8 +248,7 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: managed,
 		},
-		EventSink: sink,
-		Metrics:   reg,
+		Obs: obs.Sinks{Events: sink, Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -403,8 +402,7 @@ func Fig8d() (*Outcome, error) {
 				CapacityAware: ips,
 			},
 			Scheduler: mapred.FIFO{},
-			EventSink: &fired,
-			Metrics:   reg,
+			Obs:       obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -32,7 +33,7 @@ func Fig9a() (*Outcome, error) {
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: true,
 		},
-		EventSink: &fired,
+		Obs: obs.Sinks{Events: &fired},
 	})
 	if err != nil {
 		return nil, err
@@ -124,7 +125,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 	)
 	switch design {
 	case "Native":
-		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, EventSink: sink})
+		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, Obs: obs.Sinks{Events: sink}})
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +137,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		rig, err = testbed.New(testbed.Options{
 			PMs: 12, VMsPerPM: 2, Seed: 907,
 			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
-			EventSink:    sink,
+			Obs:          obs.Sinks{Events: sink},
 		})
 		if err != nil {
 			return nil, err
@@ -156,7 +157,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: true,
 			},
-			EventSink: sink,
+			Obs: obs.Sinks{Events: sink},
 		})
 		if err != nil {
 			return nil, err
@@ -164,8 +165,8 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		virtualJT = rig.JT
 		// The native partition runs its own HDFS, as on the testbed.
 		pms := rig.Cluster.AddPMs("native", 12)
-		nativeFS := dfs.New(rig.Engine, dfs.Config{}, 911)
-		nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{})
+		nativeFS := dfs.New(rig.Engine, dfs.Config{}, 911, nil)
+		nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{}, nil, "")
 		for _, pm := range pms {
 			nativeJT.AddTracker(pm)
 		}
@@ -185,7 +186,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +212,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		svc.SetClients(1600)
 	}
 
-	rec := metrics.NewRecorder(rig.Cluster, 30*time.Second, 0)
+	rec := metrics.NewRecorder(rig.Cluster, 30*time.Second, 0, nil)
 	var jobs []*mapred.Job
 	for i, b := range workload.Benchmarks() {
 		spec := scaledSpec(b)

@@ -21,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -152,6 +153,10 @@ type Env struct {
 	Cluster *cluster.Cluster
 	FSs     []*dfs.FileSystem
 	JTs     []*mapred.JobTracker
+	// Obs is the stack's observer handle; nil records nothing. The
+	// injector traces, counts and times every injection, and audits it
+	// so recovery actions can be traced back to their trigger.
+	Obs *obs.Sinks
 }
 
 // Injector schedules and applies faults. Its manual methods (CrashPM,
@@ -185,24 +190,15 @@ func (in *Injector) SetInvariants(s InvariantSink) { in.inv = s }
 // NewInjector builds an injector over the environment. Nothing fires
 // until Arm.
 func NewInjector(env Env, opts Options) *Injector {
-	return &Injector{env: env, opts: opts, byKind: make(map[Kind]int)}
+	o := obs.Of(env.Obs)
+	return &Injector{
+		env: env, opts: opts, byKind: make(map[Kind]int),
+		tracer: o.Tracer, reg: o.Metrics, auditLog: o.Audit, perf: o.Perf,
+	}
 }
 
-// SetTrace installs a tracer and metrics registry. Either may be nil.
-func (in *Injector) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	in.tracer = tr
-	in.reg = reg
-}
-
-// SetAudit installs a decision log; every injected fault is recorded
-// on it so recovery actions can be traced back to their trigger. A nil
-// log keeps auditing off.
-func (in *Injector) SetAudit(l *audit.Log) { in.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; injections are
-// then counted and the injection paths timed. A nil collector keeps the
-// instrumentation off.
-func (in *Injector) SetPerf(ps *perfstat.Stats) { in.perf = ps }
+// Env returns the stack the injector was built over.
+func (in *Injector) Env() Env { return in.env }
 
 // Injections returns how many faults of each kind have fired so far.
 func (in *Injector) Injections() map[Kind]int {

@@ -30,7 +30,9 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/fault"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -85,23 +87,26 @@ func New() *Checker {
 	return &Checker{seen: make(map[string]bool)}
 }
 
-// Attach wires the checker into a built stack: it registers itself as
-// the cluster's and every jobtracker's invariant sink and keeps the
-// references it needs for the end-of-run liveness checks. Callers with
-// a fault injector should additionally pass the checker to its
-// SetInvariants (the fault package is a layer above this one, so the
-// checker cannot reach it itself). Attaching a nil checker is a no-op.
-func (c *Checker) Attach(engine *sim.Engine, cl *cluster.Cluster, fss []*dfs.FileSystem, jts []*mapred.JobTracker, log *audit.Log) {
+// Attach wires the checker into a built stack through its fault
+// injector, whose environment names every layer: the checker registers
+// itself as the invariant sink of the cluster, every jobtracker and the
+// injector, keeps the references it needs for the end-of-run liveness
+// checks, and reads the most recent decision from the environment's
+// audit log. Attaching a nil checker is a no-op.
+func (c *Checker) Attach(in *fault.Injector) {
 	if c == nil {
 		return
 	}
-	c.engine, c.cluster, c.fss, c.jts, c.log = engine, cl, fss, jts, log
-	if cl != nil {
-		cl.SetInvariants(c)
+	env := in.Env()
+	c.engine, c.cluster, c.fss, c.jts = env.Engine, env.Cluster, env.FSs, env.JTs
+	c.log = obs.Of(env.Obs).Audit
+	if env.Cluster != nil {
+		env.Cluster.SetInvariants(c)
 	}
-	for _, jt := range jts {
+	for _, jt := range env.JTs {
 		jt.SetInvariants(c)
 	}
+	in.SetInvariants(c)
 }
 
 // violate records one breach, deduplicating exact repeats (a broken

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/trace"
@@ -22,7 +23,7 @@ import (
 // The whole API must be a no-op on a nil receiver, like trace and audit.
 func TestNilCheckerNoOps(t *testing.T) {
 	var c *invariant.Checker
-	c.Attach(nil, nil, nil, nil, nil)
+	c.Attach(nil)
 	c.AttemptStarted(nil, nil)
 	c.AttemptFinished(nil, nil)
 	c.MigrationCommitted(nil, nil, nil)
@@ -42,7 +43,7 @@ func TestHealthyFaultRunClean(t *testing.T) {
 	inv := invariant.New()
 	rig, err := testbed.New(testbed.Options{
 		PMs: 4, VMsPerPM: 2, Racks: 2, PowerDomains: 2, Seed: 5,
-		Audit:      audit.New(0),
+		Obs:        obs.Sinks{Audit: audit.New(0)},
 		Invariants: inv,
 		Faults: &fault.Options{
 			Seed: 9,
@@ -83,7 +84,7 @@ func TestBrokenRecoveryFlagged(t *testing.T) {
 	rig, err := testbed.New(testbed.Options{
 		PMs: 4, VMsPerPM: 2, Seed: 3,
 		MapredConfig: mapred.Config{DisableMapReexecution: true},
-		Audit:        audit.New(0),
+		Obs:          obs.Sinks{Audit: audit.New(0)},
 		Invariants:   inv,
 	})
 	if err != nil {
@@ -148,8 +149,7 @@ func TestPartitionDuringShuffleFetchGate(t *testing.T) {
 	reg := trace.NewRegistry()
 	rig, err := testbed.New(testbed.Options{
 		PMs: 6, VMsPerPM: 2, Racks: 3, PowerDomains: 2, Seed: 5,
-		Audit:      audit.New(0),
-		Metrics:    reg,
+		Obs:        obs.Sinks{Audit: audit.New(0), Metrics: reg},
 		Invariants: inv,
 	})
 	if err != nil {
@@ -197,14 +197,14 @@ func TestPartitionDuringShuffleFetchGate(t *testing.T) {
 // destinations, and exact repeats deduplicate.
 func TestMigrationCommitChecks(t *testing.T) {
 	engine := sim.New()
-	cl := cluster.New(engine, cluster.Config{}, 1)
+	cl := cluster.New(engine, cluster.Config{}, 1, nil)
 	pms := cl.AddPMs("pm", 3)
 	vm, err := cl.AddVM("vm-0", pms[0], 1, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inv := invariant.New()
-	inv.Attach(engine, cl, nil, nil, nil)
+	inv.Attach(fault.NewInjector(fault.Env{Engine: engine, Cluster: cl}, fault.Options{}))
 
 	inv.MigrationCommitted(vm, pms[0], pms[1])
 	if !inv.Ok() {

@@ -18,9 +18,9 @@ func newEngineForTest() *sim.Engine { return sim.New() }
 // JobTracker over its VMs.
 func newVirtualJT(t *testing.T, engine *sim.Engine, pms, vmsPerPM int) *JobTracker {
 	t.Helper()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7)
-	fs := dfs.New(engine, dfs.Config{}, 7)
-	jt := NewJobTracker(engine, fs, Config{}, nil)
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	fs := dfs.New(engine, dfs.Config{}, 7, nil)
+	jt := NewJobTracker(engine, fs, Config{}, nil, nil, "")
 	hosts := c.AddPMs("pm", pms)
 	vms, err := c.SpreadVMs("vm", pms*vmsPerPM, hosts, 1, 1024)
 	if err != nil {

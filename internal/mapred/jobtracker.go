@@ -9,6 +9,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -322,8 +323,7 @@ type JobTracker struct {
 	ts         *timeseries.Collector
 	countReads bool
 
-	// Cached metric handles; nil (a no-op) until SetTrace installs a
-	// registry.
+	// Cached metric handles; nil (a no-op) without a registry.
 	mSlotWait            *trace.Histogram
 	mAttemptDuration     *trace.Histogram
 	mSpeculative         *trace.Counter
@@ -338,13 +338,20 @@ type JobTracker struct {
 }
 
 // NewJobTracker creates a framework instance over the given DFS. A nil
-// scheduler defaults to FIFO.
-func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Scheduler) *JobTracker {
+// scheduler defaults to FIFO. The JobTracker records slot assignments,
+// speculation triggers and tracker blacklisting on the handle's audit
+// log, per-job slot waits as windowed histograms, and registers its
+// pending/running task depths as time-series probes tagged with label
+// (hybrid deployments run two JobTrackers against one collector). A nil
+// handle records nothing.
+func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Scheduler, sinks *obs.Sinks, label string) *JobTracker {
 	if sched == nil {
 		sched = FIFO{}
 	}
 	cfg = cfg.withDefaults()
-	return &JobTracker{
+	o := obs.Of(sinks)
+	reg := o.Metrics
+	jt := &JobTracker{
 		engine:     engine,
 		fs:         fs,
 		cfg:        cfg,
@@ -356,7 +363,34 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		dirtySet:   make(map[*cluster.PM]bool),
 		pmTrackers: make(map[*cluster.PM][]*TaskTracker),
 		watched:    make(map[*cluster.PM]bool),
+		tracer:     o.Tracer,
+		auditLog:   o.Audit,
+		perf:       o.Perf,
+		ts:         o.TimeSeries,
+		countReads: o.Tracer != nil || reg != nil,
+
+		mSlotWait:            reg.Histogram("mapred.task.slot_wait_sec"),
+		mAttemptDuration:     reg.Histogram("mapred.attempt.duration_sec"),
+		mSpeculative:         reg.Counter("mapred.attempts.speculative"),
+		mKilled:              reg.Counter("mapred.attempts.killed"),
+		mRelocations:         reg.Counter("mapred.attempts.relocated"),
+		mJobsCompleted:       reg.Counter("mapred.jobs.completed"),
+		mTrackersLost:        reg.Counter("mapred.trackers.lost"),
+		mTrackersRestored:    reg.Counter("mapred.trackers.restored"),
+		mTrackersBlacklisted: reg.Counter("mapred.trackers.blacklisted"),
+		mMapsReexecuted:      reg.Counter("mapred.maps.reexecuted"),
+		mFetchFailures:       reg.Counter("mapred.shuffle.fetch_failures"),
 	}
+	// Like obs.Sinks.Bind: no probe closures for a nil collector.
+	if jt.ts != nil {
+		jt.ts.Probe("mapred.tasks.pending", label, func() float64 {
+			return float64(jt.schedulableMaps + jt.schedulableReds)
+		})
+		jt.ts.Probe("mapred.tasks.running", label, func() float64 {
+			return float64(len(jt.runningSorted))
+		})
+	}
+	return jt
 }
 
 // nodeBucket groups the running attempts on one compute node, ordered by
@@ -383,50 +417,6 @@ func (jt *JobTracker) ensureSpecTicker() {
 			return
 		}
 		jt.speculate()
-	})
-}
-
-// SetTrace installs a tracer and metrics registry. Either may be nil;
-// instrumentation is then a no-op.
-func (jt *JobTracker) SetTrace(tr *trace.Tracer, reg *trace.Registry) {
-	jt.tracer = tr
-	jt.countReads = tr != nil || reg != nil
-	jt.mSlotWait = reg.Histogram("mapred.task.slot_wait_sec")
-	jt.mAttemptDuration = reg.Histogram("mapred.attempt.duration_sec")
-	jt.mSpeculative = reg.Counter("mapred.attempts.speculative")
-	jt.mKilled = reg.Counter("mapred.attempts.killed")
-	jt.mRelocations = reg.Counter("mapred.attempts.relocated")
-	jt.mJobsCompleted = reg.Counter("mapred.jobs.completed")
-	jt.mTrackersLost = reg.Counter("mapred.trackers.lost")
-	jt.mTrackersRestored = reg.Counter("mapred.trackers.restored")
-	jt.mTrackersBlacklisted = reg.Counter("mapred.trackers.blacklisted")
-	jt.mMapsReexecuted = reg.Counter("mapred.maps.reexecuted")
-	jt.mFetchFailures = reg.Counter("mapred.shuffle.fetch_failures")
-}
-
-// SetAudit installs a decision log. Slot assignments, speculation
-// triggers and tracker blacklisting decisions are recorded on it; a nil
-// log keeps auditing off.
-func (jt *JobTracker) SetAudit(l *audit.Log) { jt.auditLog = l }
-
-// SetPerf installs a performance-attribution collector; scheduling
-// rounds, tracker×kind scans and speculation sweeps are then counted
-// and timed. A nil collector keeps the instrumentation off.
-func (jt *JobTracker) SetPerf(ps *perfstat.Stats) { jt.perf = ps }
-
-// SetTimeSeries attaches a windowed telemetry collector: slot waits
-// become per-job windowed histograms (labeled by job name), and
-// pending/running task depths are registered as probes the recorder
-// samples each tick, labeled with the given partition label (hybrid
-// deployments run two JobTrackers against one collector). A nil
-// collector keeps the series off.
-func (jt *JobTracker) SetTimeSeries(ts *timeseries.Collector, label string) {
-	jt.ts = ts
-	ts.Probe("mapred.tasks.pending", label, func() float64 {
-		return float64(jt.schedulableMaps + jt.schedulableReds)
-	})
-	ts.Probe("mapred.tasks.running", label, func() float64 {
-		return float64(len(jt.runningSorted))
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -44,9 +45,9 @@ func piLike() JobSpec {
 func rig(t testing.TB, nPMs int, cfg Config, sched Scheduler) (*sim.Engine, *JobTracker) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7)
-	fs := dfs.New(engine, dfs.Config{}, 7)
-	jt := NewJobTracker(engine, fs, cfg, sched)
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	fs := dfs.New(engine, dfs.Config{}, 7, nil)
+	jt := NewJobTracker(engine, fs, cfg, sched, nil, "")
 	for _, pm := range c.AddPMs("pm", nPMs) {
 		jt.AddTracker(pm)
 	}
@@ -154,7 +155,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
-	empty := NewJobTracker(jt.Engine(), jt.FS(), Config{}, nil)
+	empty := NewJobTracker(jt.Engine(), jt.FS(), Config{}, nil, nil, "")
 	if _, err := empty.Submit(sortLike(128), nil); err == nil {
 		t.Error("submit with no trackers accepted")
 	}
@@ -210,9 +211,9 @@ func TestFairSchedulerHelpsSmallJob(t *testing.T) {
 func TestSpeculationRescuesStraggler(t *testing.T) {
 	run := func(disable bool) time.Duration {
 		engine := sim.New()
-		c := cluster.New(engine, cluster.DefaultConfig(), 7)
-		fs := dfs.New(engine, dfs.Config{}, 7)
-		jt := NewJobTracker(engine, fs, Config{DisableSpeculation: disable}, nil)
+		c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+		fs := dfs.New(engine, dfs.Config{}, 7, nil)
+		jt := NewJobTracker(engine, fs, Config{DisableSpeculation: disable}, nil, nil, "")
 		pms := c.AddPMs("pm", 4)
 		for _, pm := range pms {
 			jt.AddTracker(pm)
@@ -280,9 +281,9 @@ func TestKilledAttemptReexecutes(t *testing.T) {
 
 func TestSplitArchitectureCompletes(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7)
-	fs := dfs.New(engine, dfs.Config{}, 7)
-	jt := NewJobTracker(engine, fs, Config{}, nil)
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	fs := dfs.New(engine, dfs.Config{}, 7, nil)
+	jt := NewJobTracker(engine, fs, Config{}, nil, nil, "")
 	pms := c.AddPMs("pm", 4)
 	for i, pm := range pms {
 		compute, err := c.AddVM("tt", pm, 1, 1024)
@@ -410,14 +411,12 @@ func TestWithHelpers(t *testing.T) {
 
 func TestMapredMetricsInstrumentation(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7)
-	fs := dfs.New(engine, dfs.Config{}, 7)
-	jt := NewJobTracker(engine, fs, Config{}, nil)
 	tr := trace.New(engine)
 	reg := trace.NewRegistry()
-	c.SetTrace(tr, reg)
-	fs.SetTrace(tr, reg)
-	jt.SetTrace(tr, reg)
+	sinks := &obs.Sinks{Tracer: tr, Metrics: reg}
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, sinks)
+	fs := dfs.New(engine, dfs.Config{}, 7, sinks)
+	jt := NewJobTracker(engine, fs, Config{}, nil, sinks, "")
 	pms := c.AddPMs("pm", 4)
 	for _, pm := range pms {
 		jt.AddTracker(pm)

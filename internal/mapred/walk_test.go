@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -218,10 +219,9 @@ func TestFreeSetAfterZeroAlloc(t *testing.T) {
 // though cap- and weight-only re-solves skip the recomputation.
 func TestCachedPressuresStayFresh(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7)
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7), Config{CapacityAware: true}, nil)
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
 	ps := perfstat.New()
-	jt.SetPerf(ps)
+	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{CapacityAware: true}, nil, &obs.Sinks{Perf: ps}, "")
 	hosts := c.AddPMs("pm", 12)
 	vms, err := c.SpreadVMs("vm", 24, hosts, 1, 1024)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -44,8 +45,13 @@ type Recorder struct {
 // NewRecorder starts sampling every interval (default 10 s). If horizon
 // is positive the recorder stops itself at that time, letting the event
 // queue drain naturally; no sample or energy is recorded past the
-// horizon, even when the ticks do not divide it evenly.
-func NewRecorder(c *cluster.Cluster, interval, horizon time.Duration) *Recorder {
+// horizon, even when the ticks do not divide it evenly. When the handle
+// carries a time-series collector, every sampling tick feeds the
+// cluster's power, powered-on PM count and per-resource utilization
+// gauges into it and triggers a probe sweep, so probe-backed series
+// (engine depth, task queues) share the recorder's cadence. A nil handle
+// records samples only.
+func NewRecorder(c *cluster.Cluster, interval, horizon time.Duration, sinks *obs.Sinks) *Recorder {
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
@@ -55,6 +61,7 @@ func NewRecorder(c *cluster.Cluster, interval, horizon time.Duration) *Recorder 
 		horizon: horizon,
 		lastAt:  c.Engine().Now(),
 		lastW:   c.FleetStats().PowerW,
+		ts:      obs.Of(sinks).TimeSeries,
 	}
 	r.ticker = sim.NewTicker(r.engine, interval, func(now time.Duration) {
 		r.sample(now)
@@ -65,13 +72,6 @@ func NewRecorder(c *cluster.Cluster, interval, horizon time.Duration) *Recorder 
 	})
 	return r
 }
-
-// SetTimeSeries attaches a windowed telemetry collector: every sampling
-// tick feeds the cluster's power, powered-on PM count and per-resource
-// utilization gauges into it and triggers a probe sweep, so probe-backed
-// series (engine depth, task queues) share the recorder's cadence. Call
-// before the first tick; a nil collector detaches.
-func (r *Recorder) SetTimeSeries(ts *timeseries.Collector) { r.ts = ts }
 
 func (r *Recorder) sample(now time.Duration) {
 	// Accounting never extends past the horizon: the first tick at or

@@ -13,14 +13,14 @@ import (
 func rig(t *testing.T) (*sim.Engine, *cluster.Cluster, *cluster.PM) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 5)
+	c := cluster.New(engine, cluster.DefaultConfig(), 5, nil)
 	pm := c.AddPM("pm-0")
 	return engine, c, pm
 }
 
 func TestRecorderEnergyIdle(t *testing.T) {
 	engine, c, _ := rig(t)
-	rec := NewRecorder(c, 10*time.Second, time.Hour)
+	rec := NewRecorder(c, 10*time.Second, time.Hour, nil)
 	engine.RunUntil(time.Hour)
 	rec.Stop()
 	engine.Run()
@@ -43,7 +43,7 @@ func TestRecorderBusyEnergyAndUtil(t *testing.T) {
 	if err := pm.Start(con); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(c, 10*time.Second, time.Hour)
+	rec := NewRecorder(c, 10*time.Second, time.Hour, nil)
 	engine.RunUntil(time.Hour)
 	rec.Stop()
 	// Fully busy: 250 W for 1 h.
@@ -73,7 +73,7 @@ func TestRecorderSeries(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	rec := NewRecorder(c, 10*time.Second, 2*time.Minute)
+	rec := NewRecorder(c, 10*time.Second, 2*time.Minute, nil)
 	engine.RunUntil(2 * time.Minute)
 	rec.Stop()
 	ts, us := rec.Series(resource.CPU)
@@ -90,7 +90,7 @@ func TestRecorderSeries(t *testing.T) {
 
 func TestRecorderStopIdempotent(t *testing.T) {
 	engine, c, _ := rig(t)
-	rec := NewRecorder(c, 10*time.Second, 0)
+	rec := NewRecorder(c, 10*time.Second, 0, nil)
 	engine.RunUntil(time.Minute)
 	rec.Stop()
 	rec.Stop()
@@ -104,7 +104,7 @@ func TestRecorderStopIdempotent(t *testing.T) {
 func TestRecorderHorizonClampsAccounting(t *testing.T) {
 	engine, c, _ := rig(t)
 	// Ticks at 10 s, 20 s, 30 s — the horizon (25 s) falls between ticks.
-	rec := NewRecorder(c, 10*time.Second, 25*time.Second)
+	rec := NewRecorder(c, 10*time.Second, 25*time.Second, nil)
 	engine.RunUntil(40 * time.Second)
 
 	samples := rec.Samples()
@@ -135,7 +135,7 @@ func TestRecorderHorizonClampsAccounting(t *testing.T) {
 
 func TestRecorderStopAtTickInstantNoDoubleCount(t *testing.T) {
 	engine, c, _ := rig(t)
-	rec := NewRecorder(c, 10*time.Second, 0)
+	rec := NewRecorder(c, 10*time.Second, 0, nil)
 	// Run to exactly a tick time, then Stop at the same instant.
 	engine.RunUntil(30 * time.Second)
 	rec.Stop()

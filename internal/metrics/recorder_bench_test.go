@@ -16,7 +16,7 @@ import (
 // power, per-resource utilization and the powered-on count.
 func BenchmarkRecorderSample(b *testing.B) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1)
+	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
 	for i, pm := range c.AddPMs("pm", 10000) {
 		switch {
 		case i%10 == 9:
@@ -33,7 +33,7 @@ func BenchmarkRecorderSample(b *testing.B) {
 			}
 		}
 	}
-	r := NewRecorder(c, time.Second, 0)
+	r := NewRecorder(c, time.Second, 0, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/stats"
 )
@@ -386,22 +387,20 @@ type Profiler struct {
 	perf *perfstat.Stats
 }
 
-// SetPerf installs a performance-attribution collector; estimates,
-// database scans and training runs are then counted. A nil collector
-// keeps the instrumentation off.
-func (p *Profiler) SetPerf(ps *perfstat.Stats) {
-	p.perf = ps
-	p.DB.perf = ps
-}
-
-// New creates a profiler over a fresh database.
-func New(run Runner) *Profiler {
+// New creates a profiler over a fresh database. Estimates, database
+// scans and training runs are counted on the handle's perf collector; a
+// nil handle counts nothing.
+func New(run Runner, sinks *obs.Sinks) *Profiler {
+	perf := obs.Of(sinks).Perf
+	db := NewDB()
+	db.perf = perf
 	return &Profiler{
-		DB:             NewDB(),
+		DB:             db,
 		Run:            run,
 		TrainNodes:     []int{4, 8},
 		TrainFractions: []float64{0.05, 0.10},
 		Repeats:        3,
+		perf:           perf,
 	}
 }
 

@@ -144,7 +144,7 @@ func TestCombinedExtrapolation(t *testing.T) {
 }
 
 func TestProfilerTrainAndEstimate(t *testing.T) {
-	p := New(analyticRunner(0))
+	p := New(analyticRunner(0), nil)
 	spec := sortSpec(20 * 1024)
 	got, err := p.EstimateJCT(spec, Virtual, 8)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestProfilerTrainAndEstimate(t *testing.T) {
 }
 
 func TestProfilerDistinguishesEnvironments(t *testing.T) {
-	p := New(analyticRunner(0))
+	p := New(analyticRunner(0), nil)
 	spec := sortSpec(10 * 1024)
 	native, err := p.EstimateJCT(spec, Native, 8)
 	if err != nil {
@@ -189,7 +189,7 @@ func TestProfilerDistinguishesEnvironments(t *testing.T) {
 }
 
 func TestProfilerNoRunner(t *testing.T) {
-	p := New(nil)
+	p := New(nil, nil)
 	if _, err := p.EstimateJCT(sortSpec(1024), Virtual, 8); err == nil {
 		t.Error("estimate without runner succeeded")
 	}
@@ -198,14 +198,14 @@ func TestProfilerNoRunner(t *testing.T) {
 func TestProfilerRunnerError(t *testing.T) {
 	p := New(func(mapred.JobSpec, Environment, int, int64) (RunResult, error) {
 		return RunResult{}, errors.New("boom")
-	})
+	}, nil)
 	if _, err := p.EstimateJCT(sortSpec(1024), Virtual, 8); err == nil {
 		t.Error("runner failure not propagated")
 	}
 }
 
 func TestFixedWorkJobTraining(t *testing.T) {
-	p := New(analyticRunner(0))
+	p := New(analyticRunner(0), nil)
 	pi := mapred.JobSpec{
 		Name:          "PiEst",
 		Reduces:       1,
@@ -224,7 +224,7 @@ func TestEnvironmentString(t *testing.T) {
 }
 
 func TestObserveFeedsOnlineProfile(t *testing.T) {
-	p := New(analyticRunner(0))
+	p := New(analyticRunner(0), nil)
 	spec := sortSpec(20 * 1024)
 	// Training-based estimate first.
 	trained, err := p.EstimateJCT(spec, Virtual, 24)
@@ -244,7 +244,7 @@ func TestObserveFeedsOnlineProfile(t *testing.T) {
 }
 
 func TestObserveFixedWorkKey(t *testing.T) {
-	p := New(analyticRunner(0))
+	p := New(analyticRunner(0), nil)
 	pi := mapred.JobSpec{Name: "PiEst", Reduces: 1, FixedMapWork: 55, FixedMapTasks: 48}
 	p.Observe(pi, Native, 8, RunResult{JCTSec: 123, MapSec: 100, ReduceSec: 23})
 	got, ok := p.DB.Lookup("PiEst", Native, 8, 48)

@@ -7,10 +7,8 @@ package testbed
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/critpath"
 	"repro/internal/dfs"
@@ -18,11 +16,9 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/perfstat"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/timeseries"
-	"repro/internal/trace"
 )
 
 // Options selects a rig shape. Zero values mean: native cluster, paper
@@ -70,43 +66,18 @@ type Options struct {
 	// (The Phase I/DRM/IPS halves are consumed by core.Config.Policies;
 	// a plain rig has no System.)
 	Policies *policy.Set
-	// Tracer, when non-nil, records structured events from every layer of
-	// the rig. Its clock is bound to the rig's engine.
-	Tracer *trace.Tracer
-	// Metrics, when non-nil, receives the rig's counters, gauges and
-	// histograms.
-	Metrics *trace.Registry
-	// Audit, when non-nil, records every scheduling, migration and
-	// fault-recovery decision the rig makes. Its clock is bound to the
-	// rig's engine.
-	Audit *audit.Log
+	// Obs holds the rig's recording sinks, bound to the rig's engine and
+	// passed to every layer as it is built; the zero value records
+	// nothing. See obs.Sinks.
+	Obs obs.Sinks
 	// Faults, when non-nil, arms the rig's fault injector with the given
 	// schedule and/or chaos profile. A zero Faults.Seed derives one from
 	// the rig seed, so a chaos run is pinned by -seed alone.
 	Faults *fault.Options
-	// EventSink, when non-nil, accumulates the rig engine's fired-event
-	// total (flushed at Run/RunUntil boundaries). Experiment runners share
-	// one sink across every rig a figure builds — including concurrent
-	// sweep points — to attribute simulation events per experiment.
-	EventSink *atomic.Uint64
-	// Perf, when non-nil, collects algorithmic cost counters and wall-time
-	// spans from every layer of the rig. When nil but Metrics is set, the
-	// rig creates its own collector so counter increments surface in the
-	// registry (as perfstat.* counters, flushed by RunJob/RunJobs) with no
-	// extra wiring. Collectors are per-rig: they must not be shared across
-	// concurrently running rigs.
-	Perf *perfstat.Stats
 	// Invariants, when non-nil, is attached to every layer of the rig as
 	// a runtime safety-invariant checker; read its Violations (or call
-	// Final) after the run. Checkers are per-rig, like Perf.
+	// Final) after the run. Checkers are per-rig, like the sinks.
 	Invariants *invariant.Checker
-	// TimeSeries, when non-nil, attaches a windowed telemetry collector
-	// to every layer of the rig: slot waits, task-queue depths, migration
-	// and power churn, and (via Probe registration here) the engine's
-	// live pending-event, freelist and cancel-debt gauges. Collectors are
-	// per-rig, like Perf. Pair with NewRecorder so probe series actually
-	// get sampled.
-	TimeSeries *timeseries.Collector
 	// SampleInterval sets the cadence of recorders built by Rig.NewRecorder
 	// (default 10s). Each sample costs 56 bytes regardless of PM count —
 	// utilization is pre-aggregated into a fixed resource.Vector — so one
@@ -170,16 +141,10 @@ type Rig struct {
 	// Callers use it to stop periodic observers (utilization samplers)
 	// whose ticks would otherwise keep the event queue alive forever.
 	OnAllJobsDone func()
+	// Obs is the rig's bound observer handle: Options.Obs, plus the Perf
+	// collector Bind creates when only Metrics was set.
+	Obs obs.Sinks
 
-	// Perf is the rig's performance-attribution collector (nil when
-	// neither Options.Perf nor Options.Metrics was set).
-	Perf *perfstat.Stats
-	// TimeSeries is the rig's windowed telemetry collector (nil unless
-	// Options.TimeSeries was set).
-	TimeSeries *timeseries.Collector
-	// metrics and perfFlushed support FlushPerf.
-	metrics        *trace.Registry
-	perfFlushed    perfstat.Counters
 	sampleInterval time.Duration
 }
 
@@ -187,48 +152,13 @@ type Rig struct {
 func New(opts Options) (*Rig, error) {
 	opts = opts.withDefaults()
 	engine := sim.New()
-	if opts.EventSink != nil {
-		engine.SetFiredSink(opts.EventSink)
-	}
-	cl := cluster.New(engine, opts.ClusterConfig, opts.Seed)
-	fs := dfs.New(engine, dfs.Config{}, opts.Seed+1)
-	jt := mapred.NewJobTracker(engine, fs, opts.MapredConfig, opts.Scheduler)
-
-	perf := opts.Perf
-	if perf == nil && opts.Metrics != nil {
-		perf = perfstat.New()
-	}
-	if perf != nil {
-		engine.SetPerf(perf)
-		fs.SetPerf(perf)
-		jt.SetPerf(perf)
-	}
-
-	if opts.Tracer != nil || opts.Metrics != nil {
-		opts.Tracer.SetClock(engine)
-		cl.SetTrace(opts.Tracer, opts.Metrics)
-		fs.SetTrace(opts.Tracer, opts.Metrics)
-		jt.SetTrace(opts.Tracer, opts.Metrics)
-	}
-	if opts.Audit != nil {
-		opts.Audit.SetClock(engine)
-		cl.SetAudit(opts.Audit)
-		jt.SetAudit(opts.Audit)
-	}
-
-	rig := &Rig{
-		Engine: engine, Cluster: cl, FS: fs, JT: jt, Perf: perf,
-		TimeSeries: opts.TimeSeries, metrics: opts.Metrics,
-		sampleInterval: opts.SampleInterval,
-	}
-	if ts := opts.TimeSeries; ts != nil {
-		cl.SetTimeSeries(ts)
-		jt.SetTimeSeries(ts, "")
-		ts.ProbeCounter("sim.events", "", func() float64 { return float64(engine.Fired()) })
-		ts.Probe("sim.pending_events", "", func() float64 { return float64(engine.Pending()) })
-		ts.Probe("sim.freelist_events", "", func() float64 { return float64(engine.FreelistLen()) })
-		ts.Probe("sim.cancel_debt", "", func() float64 { return float64(engine.CancelDebt()) })
-	}
+	rig := &Rig{Engine: engine, Obs: opts.Obs, sampleInterval: opts.SampleInterval}
+	rig.Obs.Bind(engine)
+	o := &rig.Obs
+	cl := cluster.New(engine, opts.ClusterConfig, opts.Seed, o)
+	fs := dfs.New(engine, dfs.Config{}, opts.Seed+1, o)
+	jt := mapred.NewJobTracker(engine, fs, opts.MapredConfig, opts.Scheduler, o, "")
+	rig.Cluster, rig.FS, rig.JT = cl, fs, jt
 	rig.PMs = cl.AddPMs("pm", opts.PMs)
 	cluster.StripeTopology(rig.PMs, opts.Racks, opts.PowerDomains)
 
@@ -282,21 +212,10 @@ func New(opts Options) (*Rig, error) {
 		Cluster: cl,
 		FSs:     []*dfs.FileSystem{fs},
 		JTs:     []*mapred.JobTracker{jt},
+		Obs:     o,
 	}, faultOpts)
-	if opts.Tracer != nil || opts.Metrics != nil {
-		rig.Faults.SetTrace(opts.Tracer, opts.Metrics)
-	}
-	if opts.Audit != nil {
-		rig.Faults.SetAudit(opts.Audit)
-	}
-	if perf != nil {
-		rig.Faults.SetPerf(perf)
-	}
-	if opts.Invariants != nil {
-		opts.Invariants.Attach(engine, cl, []*dfs.FileSystem{fs}, []*mapred.JobTracker{jt}, opts.Audit)
-		rig.Faults.SetInvariants(opts.Invariants)
-		rig.Invariants = opts.Invariants
-	}
+	opts.Invariants.Attach(rig.Faults)
+	rig.Invariants = opts.Invariants
 	if opts.Faults != nil {
 		if err := rig.Faults.Arm(); err != nil {
 			return nil, err
@@ -362,31 +281,12 @@ func (r *Rig) RunJob(spec mapred.JobSpec) (JobResult, error) {
 	return resultOf(job), nil
 }
 
-// FlushPerf folds the cost-counter increments accumulated since the last
-// flush into the rig's metrics registry as perfstat.* counters. All
-// counter names are materialized — including zero ones — so merged
-// snapshots keep a stable key set. Wall-time spans never enter the
-// registry: they are nondeterministic and would break byte-identical
-// snapshot comparisons. RunJob/RunJobs flush automatically; drivers that
-// pump the engine directly (RunUntil loops) call this before snapshotting.
-func (r *Rig) FlushPerf() {
-	if r.metrics != nil {
-		// Engine occupancy gauges (satellite of the time-series work):
-		// pending events, freelist size and lazy-cancel debt, read only at
-		// flush boundaries so the event pump itself stays untouched.
-		r.metrics.Gauge("engine.pending_events").Set(float64(r.Engine.Pending()))
-		r.metrics.Gauge("engine.freelist_events").Set(float64(r.Engine.FreelistLen()))
-		r.metrics.Gauge("engine.cancel_debt").Set(float64(r.Engine.CancelDebt()))
-	}
-	if r.Perf == nil || r.metrics == nil {
-		return
-	}
-	delta := r.Perf.C.Delta(r.perfFlushed)
-	r.perfFlushed = r.Perf.C
-	delta.Each(func(name string, v int64) {
-		r.metrics.Counter("perfstat." + name).Add(float64(v))
-	})
-}
+// FlushPerf writes the engine's occupancy gauges and the cost-counter
+// increments accumulated since the last flush into the rig's metrics
+// registry (see obs.Sinks.Flush). RunJob/RunJobs flush automatically;
+// drivers that pump the engine directly (RunUntil loops) call this
+// before snapshotting.
+func (r *Rig) FlushPerf() { r.Obs.Flush(r.Engine) }
 
 // NewRecorder builds a utilization/power recorder over the rig's cluster
 // at Options.SampleInterval (default 10s), wired to the rig's telemetry
@@ -395,9 +295,7 @@ func (r *Rig) FlushPerf() {
 // Stop it (typically from OnAllJobsDone) before draining the queue, or
 // give it a horizon.
 func (r *Rig) NewRecorder(horizon time.Duration) *metrics.Recorder {
-	rec := metrics.NewRecorder(r.Cluster, r.sampleInterval, horizon)
-	rec.SetTimeSeries(r.TimeSeries)
-	return rec
+	return metrics.NewRecorder(r.Cluster, r.sampleInterval, horizon, &r.Obs)
 }
 
 // RunJobs submits all jobs at once and drives the simulation until every

@@ -60,7 +60,7 @@ func TestByName(t *testing.T) {
 func deployOnVM(t *testing.T) (*sim.Engine, *cluster.Cluster, *Service, *cluster.VM) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 3)
+	c := cluster.New(engine, cluster.DefaultConfig(), 3, nil)
 	pm := c.AddPM("pm-0")
 	vm, err := c.AddVM("vm-0", pm, 1, 1024)
 	if err != nil {
