@@ -1,8 +1,11 @@
-// Command hybridmr-bench regenerates the paper's tables and figures.
+// Command hybridmr-bench regenerates the paper's tables and figures and
+// runs the chaos, scale and policy sweep harnesses.
 //
 // Usage:
 //
-//	hybridmr-bench [-scale 1.0] [-parallel 8] [-only fig1a,fig8b] [-list] [-json] [-check]
+//	hybridmr-bench [-scale 1.0] [-parallel 8] [-only fig1a,fig8b] [-list] [-json] [-check] [-out FIDELITY.json]
+//	hybridmr-bench -sweep chaos|scale|policy [-seed N] [-sizes 24,96,384] [-budget N] [-out PATH]
+//	hybridmr-bench -replay CHAOS.json
 //
 // Each experiment prints the same rows/series the paper plots, followed
 // by headline notes comparing measured numbers against the paper's
@@ -30,38 +33,39 @@
 // the paper-fidelity assertion suite (internal/fidelity): the headline
 // claim of each figure as a machine-checkable predicate, with documented
 // waivers where the simulator knowingly diverges. The verdicts are
-// written to FIDELITY.json (-fidelity-out), a summary table is printed,
+// written to -out (default FIDELITY.json), a summary table is printed,
 // and the command exits non-zero if any unwaived assertion fails. The
 // fidelity report carries no timestamps, so it is byte-identical at any
 // -parallel value.
 //
-// -baseline compares each experiment's measured events/sec against a
-// committed baseline file and fails if throughput drops below a third
-// of the recorded value — a coarse tripwire for order-of-magnitude
-// regressions that tolerates machine-to-machine variance. The baseline
-// also records deterministic scans-per-decision cost ratios derived
-// from the perfstat counters (tracker×kind pairs per schedule call,
-// profile entries per estimate, ...); those are guarded tightly, so a
-// change that silently inflates a controller's per-decision work fails
-// even when wall-clock throughput looks fine. -write-baseline
-// regenerates the file from the current run.
+// -sweep chaos|scale|policy runs a sweep harness instead, on one path:
+// run it, write its artifact to -out, print a summary, run its guards.
+// Unset -seed, -budget, -sizes and -out take the kind's defaults:
 //
-// -scale-sweep switches to the controller-complexity study: the same
-// weak-scaling scenario at geometrically spaced cluster sizes
-// (-sweep-sizes, default 24,96,384), per-counter growth exponents
-// fitted by log-log regression, and a PERF.json report (-perf-out)
-// naming each controller's empirical O(n^k). The report section of
-// PERF.json is byte-deterministic at any -parallel value; wall times
-// live in a separate section excluded from determinism comparisons.
+//	chaos   seed 1, budget 200 schedules, CHAOS.json
+//	scale   seed 1, sizes 24,96,384, PERF.json
+//	policy  seed 11, budget 24 (the -grid random size), SEARCH.json
 //
-// -scale-up runs the same scenario at synthetic datacenter-scale
-// operating points (-scale-up-sizes, default 2500,10000 PMs) and writes
-// a SCALEUP.json report (-scale-up-out) with the same layout. It fails
-// if any indexed controller (jt, drm, p1) grows faster than the
-// O(n^1.2) acceptance ceiling across the points, and when -baseline is
-// given it also guards each point's events/sec against the file's
-// scale_up floors (-write-baseline records them, preserving the
-// figure-experiment sections).
+// chaos fuzzes correlated-fault schedules through the invariant checker
+// and minimizes the first violation into a byte-deterministic repro
+// (-break-recovery seeds a recovery bug to prove it is caught; -replay
+// re-runs a repro and fails while it reproduces). scale fits each
+// controller's cost growth O(n^k) over the cluster sizes; its report
+// section is byte-deterministic, and with two or more sizes it fails if
+// jt, drm or p1 grows past O(n^1.2). The datacenter-scale points are
+// -sweep scale -sizes 2500,10000 -out SCALEUP.json. policy scores a
+// policy grid (-grid smoke, full or random) for the JCT/energy/SLA
+// Pareto frontier; -report adds an observatory HTML.
+//
+// -baseline guards throughput against a committed file, failing when
+// events/sec drops below a third of the recorded value — a coarse
+// tripwire that tolerates machine-to-machine variance. Figure mode also
+// guards deterministic scans-per-decision cost ratios from the perfstat
+// counters tightly, so a change that silently inflates a controller's
+// per-decision work fails even when throughput looks fine. -sweep scale
+// guards the pm<N> floors of the scale_up section, -sweep policy the
+// policy_search floor. The file is loaded once; -write-baseline fills
+// only the running mode's section and writes the file back once.
 //
 // -cpuprofile, -memprofile and -profile-dir wire the Go runtime
 // profilers around whichever mode runs, for use with go tool pprof.
@@ -73,7 +77,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -130,15 +133,12 @@ type baselineFile struct {
 	// costRatioTolerance × baseline fails the comparison. Lower is
 	// always fine — that is an algorithmic improvement.
 	CostRatios map[string]map[string]float64 `json:"cost_ratios,omitempty"`
-	// ScaleUp records events/sec per datacenter-scale operating point
-	// ("pm2500", "pm10000") from the -scale-up suite, guarded with the
-	// same baselineTolerance floor as the figure experiments. Written by
-	// -scale-up -write-baseline, which leaves the sections above intact
-	// (and vice versa).
+	// ScaleUp records events/sec per scale-sweep operating point
+	// ("pm2500", "pm10000"), guarded with the same baselineTolerance
+	// floor as the figure experiments.
 	ScaleUp map[string]float64 `json:"scale_up,omitempty"`
-	// PolicySearch records the policy-search sweep's events/sec, guarded
-	// with the same baselineTolerance floor. Written by -policy-search
-	// -write-baseline, preserving every other section (and vice versa).
+	// PolicySearch records the policy sweep's events/sec, guarded with
+	// the same baselineTolerance floor.
 	PolicySearch float64 `json:"policy_search,omitempty"`
 }
 
@@ -179,6 +179,209 @@ func costRatios(m trace.Snapshot) map[string]float64 {
 	return out
 }
 
+// baseline is one run's handle on the -baseline file: loaded once, each
+// mode checks — or with -write-baseline fills — only its own section,
+// and save writes the file back at most once. A nil *baseline (no
+// -baseline given) accepts every method as a no-op.
+type baseline struct {
+	path  string
+	write bool
+	file  baselineFile
+}
+
+// loadBaseline reads the baseline file. A file that cannot be read is
+// an error unless this run is about to write it.
+func loadBaseline(path string, write bool) (*baseline, error) {
+	if path == "" {
+		return nil, nil
+	}
+	b := &baseline{path: path, write: write}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if write {
+			return b, nil
+		}
+		return nil, fmt.Errorf("read baseline: %w", err)
+	}
+	if err := json.Unmarshal(data, &b.file); err != nil {
+		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
+	}
+	return b, nil
+}
+
+// save writes the file back when this run records a baseline.
+func (b *baseline) save(stdout io.Writer) error {
+	if b == nil || !b.write {
+		return nil
+	}
+	data, err := json.MarshalIndent(b.file, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(b.path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("write baseline: %w", err)
+	}
+	fmt.Fprintf(stdout, "wrote baseline %s\n", b.path)
+	return nil
+}
+
+// figures records or checks the figure experiments' section: events/sec
+// per experiment (in order) at the run's scale, and the cost ratios.
+func (b *baseline) figures(scale float64, order []string, measured map[string]float64, ratios map[string]map[string]float64, stdout io.Writer) error {
+	if b == nil {
+		return nil
+	}
+	if b.write {
+		b.file.Scale, b.file.EventsPerSec, b.file.CostRatios = scale, measured, ratios
+		return nil
+	}
+	if b.file.Scale != scale {
+		return fmt.Errorf("baseline %s was recorded at scale %g, run at %g", b.path, b.file.Scale, scale)
+	}
+	if err := checkFloors("throughput regression", order, measured, b.file.EventsPerSec, stdout); err != nil {
+		return err
+	}
+	var inflations []string
+	for _, id := range order {
+		got, ran := ratios[id]
+		want, ok := b.file.CostRatios[id]
+		if !ran || !ok {
+			continue
+		}
+		for _, d := range costRatioDefs {
+			g, gok := got[d.name]
+			w, wok := want[d.name]
+			if !gok || !wok || w <= 0 {
+				continue
+			}
+			ceiling := w * costRatioTolerance
+			if g > ceiling {
+				inflations = append(inflations,
+					fmt.Sprintf("%s %s: %.1f scans/decision, ceiling %.1f (baseline %.1f)", id, d.name, g, ceiling, w))
+			}
+		}
+	}
+	if len(inflations) > 0 {
+		return fmt.Errorf("cost-counter inflation (scheduler doing more work per decision):\n  %s", strings.Join(inflations, "\n  "))
+	}
+	return nil
+}
+
+// scaleUp records or checks the scale sweep's events/sec per point
+// ("pm<N>", in size order). The scenario does not depend on -scale, so
+// no scale consistency check applies.
+func (b *baseline) scaleUp(points []string, measured map[string]float64, stdout io.Writer) error {
+	if b == nil {
+		return nil
+	}
+	if b.write {
+		b.file.ScaleUp = measured
+		return nil
+	}
+	return checkFloors("scale-up throughput regression", points, measured, b.file.ScaleUp, stdout)
+}
+
+// policySearch records or checks the policy sweep's events/sec.
+func (b *baseline) policySearch(eps float64, stdout io.Writer) error {
+	if b == nil {
+		return nil
+	}
+	if b.write {
+		b.file.PolicySearch = eps
+		return nil
+	}
+	const key = "policy-search"
+	return checkFloors("policy-search throughput regression", []string{key},
+		map[string]float64{key: eps}, map[string]float64{key: b.file.PolicySearch}, stdout)
+}
+
+// checkFloors fails when any key's measured events/sec falls below its
+// recorded value divided by baselineTolerance. Keys that did not run or
+// have no positive recorded value are skipped.
+func checkFloors(what string, keys []string, measured, recorded map[string]float64, stdout io.Writer) error {
+	var regressions []string
+	for _, k := range keys {
+		got, ran := measured[k]
+		want, ok := recorded[k]
+		if !ran || !ok || want <= 0 {
+			continue
+		}
+		floor := want / baselineTolerance
+		if got < floor {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.0f events/sec, floor %.0f (baseline %.0f)", k, got, floor, want))
+		} else {
+			fmt.Fprintf(stdout, "throughput %s: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n", k, got, want, floor)
+		}
+	}
+	if len(regressions) > 0 {
+		return fmt.Errorf("%s:\n  %s", what, strings.Join(regressions, "\n  "))
+	}
+	return nil
+}
+
+// options holds the parsed command line.
+type options struct {
+	// Figure mode.
+	scale                     float64
+	parallel                  int
+	only                      string
+	ext, list, jsonOut, check bool
+	// Throughput guard.
+	baselinePath  string
+	writeBaseline bool
+	// Sweeps; seed, budget and out are resolved per mode by parseArgs.
+	sweep, sizes, out    string
+	seed                 int64
+	budget               int
+	replay, grid, report string
+	breakRecovery        bool
+	// Observation.
+	progress                           bool
+	cpuprofile, memprofile, profileDir string
+}
+
+// modeDefaults are the values an unset -seed, -budget or -out takes in
+// each mode; the empty kind is figure mode, whose -out is the -check
+// report.
+var modeDefaults = map[string]struct {
+	seed   int64
+	budget int
+	out    string
+}{
+	"":       {out: "FIDELITY.json"},
+	"chaos":  {seed: 1, budget: 200, out: "CHAOS.json"},
+	"scale":  {seed: 1, out: "PERF.json"},
+	"policy": {seed: 11, budget: 24, out: "SEARCH.json"},
+}
+
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("hybridmr-bench", flag.ContinueOnError)
+	fs.Float64Var(&o.scale, "scale", 1.0, "input-size scale factor (1 = paper sizes)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS)")
+	fs.StringVar(&o.only, "only", "", "comma-separated experiment ids (default: all)")
+	fs.BoolVar(&o.ext, "ext", false, "include the extension and ablation experiments")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.BoolVar(&o.jsonOut, "json", false, "write BENCH_<id>.json perf records")
+	fs.BoolVar(&o.check, "check", false, "run the paper-fidelity assertion suite (implies -ext)")
+	fs.StringVar(&o.baselinePath, "baseline", "", "guard events/sec against this baseline file")
+	fs.BoolVar(&o.writeBaseline, "write-baseline", false, "record this run's section of the -baseline file instead of checking it")
+	fs.StringVar(&o.sweep, "sweep", "", "run a sweep harness instead of the figure experiments: chaos, scale or policy")
+	fs.Int64Var(&o.seed, "seed", 0, "sweep seed (default: chaos 1, scale 1, policy 11)")
+	fs.StringVar(&o.sizes, "sizes", "", "comma-separated total-PM counts for -sweep scale (default 24,96,384)")
+	fs.IntVar(&o.budget, "budget", 0, "schedules for -sweep chaos (default 200), or the -grid random size for -sweep policy (default 24)")
+	fs.StringVar(&o.out, "out", "", "artifact path (default: FIDELITY.json with -check, else CHAOS.json, PERF.json or SEARCH.json per -sweep)")
+	fs.StringVar(&o.replay, "replay", "", "replay a minimized CHAOS.json repro instead of running anything else")
+	fs.BoolVar(&o.breakRecovery, "break-recovery", false, "disable map re-execution under -sweep chaos, to prove the harness catches a broken recovery path")
+	fs.StringVar(&o.grid, "grid", "smoke", "candidate grid for -sweep policy: smoke, full or random")
+	fs.StringVar(&o.report, "report", "", "also write a search observatory HTML to this path (with -sweep policy)")
+	fs.BoolVar(&o.progress, "progress", false, "print a live wall-clock heartbeat (completed points, events/sec, ETA) to stderr")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.profileDir, "profile-dir", "", "write cpu.pprof and mem.pprof into this directory (overrides -cpuprofile/-memprofile)")
+	return fs
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hybridmr-bench:", err)
@@ -186,132 +389,97 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("hybridmr-bench", flag.ContinueOnError)
-	scale := fs.Float64("scale", 1.0, "input-size scale factor (1 = paper sizes)")
-	parallel := fs.Int("parallel", 0, "worker goroutines per experiment (0 = GOMAXPROCS)")
-	only := fs.String("only", "", "comma-separated experiment ids (default: all)")
-	ext := fs.Bool("ext", false, "include the extension and ablation experiments")
-	list := fs.Bool("list", false, "list experiment ids and exit")
-	jsonOut := fs.Bool("json", false, "write BENCH_<id>.json perf records")
-	check := fs.Bool("check", false, "run the paper-fidelity assertion suite (implies -ext)")
-	fidelityOut := fs.String("fidelity-out", "FIDELITY.json", "fidelity report path (with -check)")
-	baselinePath := fs.String("baseline", "", "compare events/sec against this baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "write the -baseline file from this run instead of comparing")
-	chaosSearch := fs.Bool("chaos-search", false, "run the chaos search (random correlated-fault schedules through the invariant checker) instead of the figure experiments")
-	chaosBudget := fs.Int("chaos-budget", 200, "number of random schedules to try (with -chaos-search)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "search seed; fixes every generated schedule (with -chaos-search)")
-	chaosOut := fs.String("chaos-out", "CHAOS.json", "chaos report path (with -chaos-search)")
-	chaosReplay := fs.String("chaos-replay", "", "replay a minimized CHAOS.json repro instead of searching")
-	chaosBreak := fs.Bool("chaos-break-recovery", false, "disable map re-execution under the search, to prove the harness catches a broken recovery path")
-	scaleSweep := fs.Bool("scale-sweep", false, "run the controller-complexity scale sweep instead of the figure experiments")
-	sweepSizes := fs.String("sweep-sizes", "", "comma-separated total-PM counts for -scale-sweep (default 24,96,384)")
-	sweepSeed := fs.Int64("sweep-seed", 1, "base seed for -scale-sweep")
-	perfOut := fs.String("perf-out", "PERF.json", "scale-sweep report path (with -scale-sweep)")
-	policySearch := fs.Bool("policy-search", false, "sweep the policy registry for the JCT/energy/SLA Pareto frontier instead of the figure experiments")
-	searchGrid := fs.String("search-grid", "smoke", "candidate grid for -policy-search: smoke, full or random")
-	searchSamples := fs.Int("search-samples", 24, "random-grid size (with -search-grid random)")
-	searchSeed := fs.Int64("search-seed", 11, "scenario seed for -policy-search; every candidate runs the same seed")
-	searchOut := fs.String("search-out", "SEARCH.json", "policy-search report path (with -policy-search)")
-	searchReport := fs.String("search-report", "", "also write a policy-search observatory HTML to this path (with -policy-search)")
-	scaleUp := fs.Bool("scale-up", false, "run the datacenter-scale operating points instead of the figure experiments")
-	scaleUpSizes := fs.String("scale-up-sizes", "", "comma-separated total-PM counts for -scale-up (default 2500,10000)")
-	scaleUpOut := fs.String("scale-up-out", "SCALEUP.json", "scale-up report path (with -scale-up)")
-	progressOn := fs.Bool("progress", false, "print a live wall-clock heartbeat (completed points, events/sec, ETA) to stderr")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	profileDir := fs.String("profile-dir", "", "write cpu.pprof and mem.pprof into this directory (overrides -cpuprofile/-memprofile)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := perfstat.StartProfiles(*cpuprofile, *memprofile, *profileDir)
+func run(args []string, stdout io.Writer) (err error) {
+	o, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-	profilesStopped := false
-	stopProf := func() error {
-		if profilesStopped {
-			return nil
-		}
-		profilesStopped = true
-		return stopProfiles()
-	}
-	defer stopProf()
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
-		}
-		for _, e := range experiments.Extensions() {
+	if o.list {
+		for _, e := range append(experiments.All(), experiments.Extensions()...) {
 			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
-	if *writeBaseline && *baselinePath == "" {
-		return fmt.Errorf("-write-baseline needs -baseline <path>")
+	stopProfiles, err := perfstat.StartProfiles(o.cpuprofile, o.memprofile, o.profileDir)
+	if err != nil {
+		return err
 	}
-	experiments.Scale = *scale
-	experiments.Parallelism = *parallel
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
+	experiments.Scale = o.scale
+	experiments.Parallelism = o.parallel
 
 	// The heartbeat prints to stderr from its own goroutine and reads
 	// only atomic state, so it cannot disturb any deterministic output.
 	var pr *progress.Reporter
-	if *progressOn {
+	if o.progress {
 		pr = progress.Start(os.Stderr, "bench", 0, 0)
 		defer pr.Stop()
 	}
 
-	if *chaosReplay != "" {
-		if err := runChaosReplay(*chaosReplay, stdout); err != nil {
-			return err
-		}
-		return stopProf()
+	if o.replay != "" {
+		return runChaosReplay(o.replay, stdout)
 	}
-	if *chaosSearch {
-		if err := runChaosSearch(*chaosSeed, *chaosBudget, *chaosBreak, *chaosOut, stdout); err != nil {
-			return err
-		}
-		return stopProf()
+	base, err := loadBaseline(o.baselinePath, o.writeBaseline)
+	if err != nil {
+		return err
 	}
-	if *scaleSweep {
-		sizes, err := parseSizes(*sweepSizes)
-		if err != nil {
-			return err
-		}
-		if err := runScaleSweep(sizes, *sweepSeed, *perfOut, pr, stdout); err != nil {
-			return err
-		}
-		return stopProf()
+	if o.sweep == "" {
+		err = runFigures(o, base, pr, stdout)
+	} else {
+		err = runSweep(o, base, pr, stdout)
 	}
-	if *policySearch {
-		if err := runPolicySearch(*searchGrid, *searchSamples, *searchSeed, *searchOut, *searchReport, *baselinePath, *writeBaseline, pr, stdout); err != nil {
-			return err
-		}
-		return stopProf()
+	if err != nil {
+		return err
 	}
-	if *scaleUp {
-		sizes, err := parseSizes(*scaleUpSizes)
-		if err != nil {
-			return err
-		}
-		if sizes == nil {
-			sizes = scalesweep.DefaultScaleUpSizes()
-		}
-		if err := runScaleUp(sizes, *sweepSeed, *scaleUpOut, *baselinePath, *writeBaseline, pr, stdout); err != nil {
-			return err
-		}
-		return stopProf()
-	}
+	return base.save(stdout)
+}
 
+// parseArgs parses the command line and gives every unset -seed,
+// -budget and -out its mode's default.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := newFlags(&o)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.writeBaseline && o.baselinePath == "" {
+		return o, fmt.Errorf("-write-baseline needs -baseline <path>")
+	}
+	d, ok := modeDefaults[o.sweep]
+	if !ok {
+		return o, fmt.Errorf("unknown -sweep %q (chaos, scale or policy)", o.sweep)
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["seed"] {
+		o.seed = d.seed
+	}
+	if !set["budget"] {
+		o.budget = d.budget
+	}
+	if !set["out"] {
+		o.out = d.out
+	}
+	return o, nil
+}
+
+// runFigures runs the selected paper experiments, then the throughput
+// and fidelity guards.
+func runFigures(o options, base *baseline, pr *progress.Reporter, stdout io.Writer) error {
 	var selected []experiments.Experiment
-	if *only == "" {
+	if o.only == "" {
 		selected = experiments.All()
 		// The fidelity gate covers the extensions too: every registered
 		// experiment must face its assertions.
-		if *ext || *check {
+		if o.ext || o.check {
 			selected = append(selected, experiments.Extensions()...)
 		}
 	} else {
-		for _, id := range strings.Split(*only, ",") {
+		for _, id := range strings.Split(o.only, ",") {
 			id = strings.TrimSpace(id)
 			e, ok := experiments.ByID(id)
 			if !ok {
@@ -321,18 +489,20 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	report := &fidelity.Report{Scale: *scale}
+	rep := &fidelity.Report{Scale: o.scale}
+	order := make([]string, 0, len(selected))
 	measured := make(map[string]float64, len(selected))
 	ratios := make(map[string]map[string]float64, len(selected))
 	pr.SetTotal(int64(len(selected)))
 	for _, e := range selected {
+		order = append(order, e.ID)
 		start := time.Now()
 		outcome, err := e.Run()
 		if err != nil {
-			if *check {
+			if o.check {
 				// The gate reports a broken experiment as a failure
 				// rather than aborting the remaining figures.
-				report.Add(fidelity.FigureResult{ID: e.ID, Error: err.Error()})
+				rep.Add(fidelity.FigureResult{ID: e.ID, Error: err.Error()})
 				fmt.Fprintf(stdout, "%s: ERROR: %v\n\n", e.ID, err)
 				continue
 			}
@@ -347,12 +517,12 @@ func run(args []string, stdout io.Writer) error {
 		if r := costRatios(outcome.Metrics); r != nil {
 			ratios[e.ID] = r
 		}
-		if *jsonOut {
+		if o.jsonOut {
 			// EventsFired comes from the experiment's own engine sinks,
 			// not a process-global delta, so concurrent experiments (or
 			// nested training simulations) never bleed into each other.
 			rec := benchRecord{
-				Name: e.ID, Scale: *scale, Parallel: experiments.Workers(),
+				Name: e.ID, Scale: o.scale, Parallel: experiments.Workers(),
 				WallSeconds: wall, EventsFired: outcome.EventsFired,
 				Metrics: outcome.Metrics, CritPaths: outcome.CritPaths,
 			}
@@ -363,42 +533,156 @@ func run(args []string, stdout io.Writer) error {
 				return fmt.Errorf("%s: write bench json: %w", e.ID, err)
 			}
 		}
-		if *check {
-			fr := fidelity.Evaluate(e.ID, outcome, *scale)
+		if o.check {
+			fr := fidelity.Evaluate(e.ID, outcome, o.scale)
 			fr.WallSeconds = wall
 			fr.EventsFired = outcome.EventsFired
-			report.Add(fr)
+			rep.Add(fr)
 		}
 		pr.Add(1)
 	}
 
-	if *baselinePath != "" {
-		order := make([]string, 0, len(selected))
-		for _, e := range selected {
-			order = append(order, e.ID)
-		}
-		if err := handleBaseline(*baselinePath, *writeBaseline, *scale, order, measured, ratios, stdout); err != nil {
-			return err
-		}
+	if err := base.figures(o.scale, order, measured, ratios, stdout); err != nil {
+		return err
 	}
-	if *check {
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*fidelityOut, data, 0o644); err != nil {
-			return fmt.Errorf("write fidelity report: %w", err)
-		}
-		report.Summary(stdout)
-		if report.HasFailures() {
-			return fmt.Errorf("fidelity: %d assertion(s) failed (see %s)", report.Failed, *fidelityOut)
-		}
+	if !o.check {
+		return nil
 	}
-	return stopProf()
+	data, err := rep.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(o.out, data, 0o644); err != nil {
+		return fmt.Errorf("write fidelity report: %w", err)
+	}
+	rep.Summary(stdout)
+	if rep.HasFailures() {
+		return fmt.Errorf("fidelity: %d assertion(s) failed (see %s)", rep.Failed, o.out)
+	}
+	return nil
 }
 
-// parseSizes parses the -sweep-sizes list; empty means the default
-// geometric sequence.
+// sweepRun is what one -sweep kind hands the shared path: the artifact
+// for -out, the summary to print after writing it, and the guards to
+// run last (nil when the kind has none).
+type sweepRun struct {
+	artifact interface{ JSON() ([]byte, error) }
+	summary  string
+	guard    func(stdout io.Writer) error
+}
+
+// runSweep runs one -sweep kind: harness, artifact, summary, guards.
+func runSweep(o options, base *baseline, pr *progress.Reporter, stdout io.Writer) error {
+	var s sweepRun
+	var err error
+	switch o.sweep {
+	case "chaos":
+		s, err = chaosSweep(o)
+	case "scale":
+		s, err = scaleSweep(o, base, pr)
+	case "policy":
+		s, err = policySweep(o, base, pr)
+	}
+	if err != nil {
+		return err
+	}
+	data, err := s.artifact.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(o.out, data, 0o644); err != nil {
+		return fmt.Errorf("write %s: %w", o.out, err)
+	}
+	io.WriteString(stdout, s.summary)
+	fmt.Fprintf(stdout, "wrote %s\n", o.out)
+	if s.guard == nil {
+		return nil
+	}
+	return s.guard(stdout)
+}
+
+// chaosSweep fuzzes random correlated-fault schedules through the
+// runtime invariant checker and minimizes the first failure found into
+// a byte-deterministic repro. Its guard fails on any violation.
+func chaosSweep(o options) (sweepRun, error) {
+	tpl := chaossearch.DefaultTemplate()
+	tpl.BreakMapRecovery = o.breakRecovery
+	rep, err := chaossearch.Search(tpl, o.seed, o.budget)
+	if err != nil {
+		return sweepRun{}, err
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "chaos search: %d schedule(s) against template %s (seed %d)\n", o.budget, tpl.Name, o.seed)
+	if rep.FailingIndex < 0 {
+		sb.WriteString("all invariants held\n")
+		return sweepRun{artifact: rep, summary: sb.String()}, nil
+	}
+	fmt.Fprintf(&sb, "trial %d violated invariants; minimized %d faults -> %d in %d run(s)\n",
+		rep.FailingIndex, rep.OriginalFaults, len(rep.Schedule), rep.MinimizeRuns)
+	printViolations(&sb, rep.Violations)
+	return sweepRun{artifact: rep, summary: sb.String(), guard: func(io.Writer) error {
+		return fmt.Errorf("chaos search found %d invariant violation(s) (replay with -replay %s)", len(rep.Violations), o.out)
+	}}, nil
+}
+
+// scaleSweep runs the weak-scaling scenario at each -sizes cluster size.
+// Its guards enforce the indexed controllers' growth ceiling when at
+// least two sizes ran, then each point's events/sec against the
+// baseline's scale_up floors.
+func scaleSweep(o options, base *baseline, pr *progress.Reporter) (sweepRun, error) {
+	sizes, err := parseSizes(o.sizes)
+	if err != nil {
+		return sweepRun{}, err
+	}
+	pr.SetTotal(int64(len(sizes)))
+	f, err := scalesweep.Run(scalesweep.Options{
+		Sizes: sizes, Seed: o.seed,
+		OnPointDone: func() { pr.Add(1) },
+	})
+	if err != nil {
+		return sweepRun{}, err
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Scale sweep over PM counts %v (seed %d):\n", f.Report.Sizes, o.seed)
+	points := make([]string, len(f.Wall))
+	measured := make(map[string]float64, len(f.Wall))
+	for i, w := range f.Wall {
+		r := f.Report.Results[i]
+		eps := 0.0
+		if w.WallSeconds > 0 {
+			eps = float64(r.EventsFired) / w.WallSeconds
+		}
+		points[i] = fmt.Sprintf("pm%d", w.Size)
+		measured[points[i]] = eps
+		fmt.Fprintf(&sb, "  %5d PMs: %d trackers, %d jobs, %d events in %.2fs (%.0f events/sec)\n",
+			r.Size, r.Trackers, r.Jobs, r.EventsFired, w.WallSeconds, eps)
+	}
+	for _, c := range f.Report.Controllers {
+		note := ""
+		if c.Superlinear {
+			note = "  SUPERLINEAR"
+		}
+		fmt.Fprintf(&sb, "  growth %-8s %-10s via %s%s\n", c.Name, c.Complexity, c.DrivenBy, note)
+	}
+	return sweepRun{artifact: f, summary: sb.String(), guard: func(stdout io.Writer) error {
+		if len(f.Report.Sizes) >= 2 {
+			var busts []string
+			for _, c := range scalesweep.OverCeiling(f.Report.Controllers) {
+				busts = append(busts, fmt.Sprintf("%s grows %s via %s, ceiling O(n^%.1f)",
+					c.Name, c.Complexity, c.DrivenBy, scalesweep.AcceptanceCeiling))
+			}
+			if len(busts) > 0 {
+				return fmt.Errorf("scale growth regression (indexed controller past the ceiling):\n  %s",
+					strings.Join(busts, "\n  "))
+			}
+			fmt.Fprintf(stdout, "indexed controllers %s within O(n^%.1f)\n",
+				strings.Join(scalesweep.IndexedControllers, ", "), scalesweep.AcceptanceCeiling)
+		}
+		return base.scaleUp(points, measured, stdout)
+	}}, nil
+}
+
+// parseSizes parses the -sizes list; empty leaves the sweep's default.
 func parseSizes(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -407,202 +691,43 @@ func parseSizes(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 2 {
-			return nil, fmt.Errorf("bad -sweep-sizes entry %q", part)
+			return nil, fmt.Errorf("bad -sizes entry %q", part)
 		}
 		sizes = append(sizes, n)
 	}
 	return sizes, nil
 }
 
-// runScaleSweep runs the controller-complexity sweep and writes
-// PERF.json. The report section of the file is byte-deterministic; the
-// wall section is not, and determinism comparisons must strip it.
-func runScaleSweep(sizes []int, seed int64, outPath string, pr *progress.Reporter, stdout io.Writer) error {
-	if len(sizes) == 0 {
-		sizes = scalesweep.DefaultSweepSizes()
-	}
-	pr.SetTotal(int64(len(sizes)))
-	f, err := scalesweep.Run(scalesweep.Options{
-		Sizes: sizes, Seed: seed,
-		OnPointDone: func() { pr.Add(1) },
-	})
-	if err != nil {
-		return err
-	}
-	data, err := f.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Fprintf(stdout, "Controller cost growth over cluster sizes %v (seed %d):\n", f.Report.Sizes, seed)
-	for _, c := range f.Report.Controllers {
-		flag := ""
-		if c.Superlinear {
-			flag = "  SUPERLINEAR"
-		}
-		fmt.Fprintf(stdout, "  %-8s %-10s driven by %-30s%s\n", c.Name, c.Complexity, c.DrivenBy, flag)
-	}
-	for _, w := range f.Wall {
-		fmt.Fprintf(stdout, "  size %4d ran in %.2fs wall time\n", w.Size, w.WallSeconds)
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", outPath)
-	return nil
-}
-
-// runScaleUp runs the weak-scaling scenario at synthetic
-// datacenter-scale operating points, writes the SCALEUP.json report
-// (same byte-deterministic layout as PERF.json), enforces the indexed
-// controllers' growth ceiling when more than one point ran, and guards
-// each point's events/sec against the baseline's scale_up floors.
-func runScaleUp(sizes []int, seed int64, outPath, baselinePath string, writeBaseline bool, pr *progress.Reporter, stdout io.Writer) error {
-	pr.SetTotal(int64(len(sizes)))
-	f, err := scalesweep.Run(scalesweep.Options{
-		Sizes: sizes, Seed: seed,
-		OnPointDone: func() { pr.Add(1) },
-	})
-	if err != nil {
-		return err
-	}
-	data, err := f.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Fprintf(stdout, "Scale-up suite over PM counts %v (seed %d):\n", f.Report.Sizes, seed)
-	measured := make(map[string]float64, len(f.Wall))
-	for i, w := range f.Wall {
-		r := f.Report.Results[i]
-		eps := 0.0
-		if w.WallSeconds > 0 {
-			eps = float64(r.EventsFired) / w.WallSeconds
-		}
-		measured[fmt.Sprintf("pm%d", w.Size)] = eps
-		fmt.Fprintf(stdout, "  %5d PMs: %d trackers, %d jobs, %d events in %.2fs (%.0f events/sec)\n",
-			r.Size, r.Trackers, r.Jobs, r.EventsFired, w.WallSeconds, eps)
-	}
-	if len(f.Report.Sizes) >= 2 {
-		indexed := make(map[string]bool, len(scalesweep.IndexedControllers))
-		for _, name := range scalesweep.IndexedControllers {
-			indexed[name] = true
-		}
-		var busts []string
-		for _, c := range f.Report.Controllers {
-			if !indexed[c.Name] {
-				continue
-			}
-			if c.MaxExponent > scalesweep.AcceptanceCeiling {
-				busts = append(busts, fmt.Sprintf("%s grows %s via %s, ceiling O(n^%.1f)",
-					c.Name, c.Complexity, c.DrivenBy, scalesweep.AcceptanceCeiling))
-			} else {
-				fmt.Fprintf(stdout, "  growth %-4s %s via %s (ceiling O(n^%.1f)) ok\n",
-					c.Name, c.Complexity, c.DrivenBy, scalesweep.AcceptanceCeiling)
-			}
-		}
-		if len(busts) > 0 {
-			return fmt.Errorf("scale-up growth regression (indexed controller past the ceiling):\n  %s",
-				strings.Join(busts, "\n  "))
-		}
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", outPath)
-	if baselinePath != "" {
-		return handleScaleUpBaseline(baselinePath, writeBaseline, measured, stdout)
-	}
-	return nil
-}
-
-// handleScaleUpBaseline records or checks the per-point events/sec
-// floors of the scale-up suite. Writing preserves the figure-experiment
-// sections of the baseline file; the scenario does not depend on -scale,
-// so no scale consistency check applies here.
-func handleScaleUpBaseline(path string, write bool, measured map[string]float64, stdout io.Writer) error {
-	var base baselineFile
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("parse baseline %s: %w", path, err)
-		}
-	} else if !write {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	if write {
-		base.ScaleUp = measured
-		out, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write baseline: %w", err)
-		}
-		fmt.Fprintf(stdout, "wrote scale-up floors for %d operating point(s) to %s\n", len(measured), path)
-		return nil
-	}
-	keys := make([]string, 0, len(measured))
-	for k := range measured {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var regressions []string
-	for _, k := range keys {
-		got := measured[k]
-		want, ok := base.ScaleUp[k]
-		if !ok || want <= 0 {
-			continue
-		}
-		floor := want / baselineTolerance
-		if got < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec, floor %.0f (baseline %.0f)", k, got, floor, want))
-		} else {
-			fmt.Fprintf(stdout, "throughput %s: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n", k, got, want, floor)
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("scale-up throughput regression:\n  %s", strings.Join(regressions, "\n  "))
-	}
-	return nil
-}
-
-// runPolicySearch sweeps a candidate grid across the worker pool, writes
-// the byte-deterministic SEARCH.json (whole-file deterministic — cmp the
-// -parallel 1 and -parallel 8 outputs directly), prints the scored
-// table, optionally renders a search observatory seeded with the
-// winner's audit trail, and guards the sweep's events/sec against the
+// policySweep scores a candidate grid across the worker pool for the
+// Pareto frontier, optionally rendering a search observatory seeded
+// with the winner's audit trail. SEARCH.json is whole-file
+// deterministic. Its guard checks the sweep's events/sec against the
 // baseline's policy_search floor.
-func runPolicySearch(gridName string, samples int, seed int64, outPath, reportPath, baselinePath string, writeBaseline bool, pr *progress.Reporter, stdout io.Writer) error {
+func policySweep(o options, base *baseline, pr *progress.Reporter) (sweepRun, error) {
 	var grid []policy.Spec
-	switch gridName {
+	switch o.grid {
 	case "smoke":
 		grid = policysearch.SmokeGrid()
 	case "full":
 		grid = policysearch.FullGrid()
 	case "random":
-		grid = policysearch.RandomGrid(samples, seed)
+		grid = policysearch.RandomGrid(o.budget, o.seed)
 	default:
-		return fmt.Errorf("unknown -search-grid %q (smoke, full or random)", gridName)
+		return sweepRun{}, fmt.Errorf("unknown -grid %q (smoke, full or random)", o.grid)
 	}
 	pr.SetTotal(int64(len(grid)))
 	start := time.Now()
 	f, winnerLog, err := policysearch.Run(policysearch.Options{
-		Grid: grid, Seed: seed,
+		Grid: grid, Seed: o.seed,
 		OnPointDone: func() { pr.Add(1) },
 	})
 	if err != nil {
-		return err
+		return sweepRun{}, err
 	}
 	wall := time.Since(start).Seconds()
-	data, err := f.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
 	rep := f.Report
-	fmt.Fprintf(stdout, "Policy search over %d candidate(s) (%s grid, seed %d):\n", len(rep.Candidates), gridName, seed)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Policy search over %d candidate(s) (%s grid, seed %d):\n", len(rep.Candidates), o.grid, o.seed)
 	var events int64
 	for _, c := range rep.Candidates {
 		events += c.EventsFired
@@ -610,21 +735,20 @@ func runPolicySearch(gridName string, samples int, seed int64, outPath, reportPa
 		if c.Pareto {
 			mark = "*"
 		}
-		fmt.Fprintf(stdout, "  %s jct %7.1fs  energy %8.1f Wh  sla-viol %5.3f  %s\n",
+		fmt.Fprintf(&sb, "  %s jct %7.1fs  energy %8.1f Wh  sla-viol %5.3f  %s\n",
 			mark, c.Objectives.MeanJCTSec, c.Objectives.EnergyWh, c.Objectives.SLAViolationRate, c.Policy)
 	}
-	fmt.Fprintf(stdout, "frontier: %d point(s); * marks Pareto-optimal candidates\n", len(rep.Frontier))
+	fmt.Fprintf(&sb, "frontier: %d point(s); * marks Pareto-optimal candidates\n", len(rep.Frontier))
 	if rep.Winner != nil {
-		fmt.Fprintf(stdout, "winner (min energy on frontier): %s\n", rep.Winner.Policy)
-		fmt.Fprintf(stdout, "  %d audited decision(s) across %d (stage, action) pair(s)\n",
+		fmt.Fprintf(&sb, "winner (min energy on frontier): %s\n", rep.Winner.Policy)
+		fmt.Fprintf(&sb, "  %d audited decision(s) across %d (stage, action) pair(s)\n",
 			rep.Winner.Decisions, len(rep.Winner.ByStage))
 		if rep.Winner.FirstPlacement != "" {
-			fmt.Fprintf(stdout, "  first placement: %s\n", rep.Winner.FirstPlacement)
+			fmt.Fprintf(&sb, "  first placement: %s\n", rep.Winner.FirstPlacement)
 		}
 	}
-	fmt.Fprintf(stdout, "wrote %s\n", outPath)
 
-	if reportPath != "" {
+	if o.report != "" {
 		points := make([]report.SearchPoint, 0, len(rep.Candidates))
 		for _, c := range rep.Candidates {
 			points = append(points, report.SearchPoint{
@@ -636,97 +760,29 @@ func runPolicySearch(gridName string, samples int, seed int64, outPath, reportPa
 				Winner:           rep.Winner != nil && c.Policy == rep.Winner.Policy,
 			})
 		}
-		d := report.Data{Title: "policy search (" + gridName + " grid)", Seed: seed, Search: points}
+		d := report.Data{Title: "policy search (" + o.grid + " grid)", Seed: o.seed, Search: points}
 		if winnerLog != nil {
 			d.Audit = winnerLog.Records()
 			d.AuditDropped = winnerLog.Dropped()
 		}
 		var buf strings.Builder
 		if err := report.Write(&buf, d); err != nil {
-			return err
+			return sweepRun{}, err
 		}
-		if err := os.WriteFile(reportPath, []byte(buf.String()), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", reportPath, err)
+		if err := os.WriteFile(o.report, []byte(buf.String()), 0o644); err != nil {
+			return sweepRun{}, fmt.Errorf("write %s: %w", o.report, err)
 		}
-		fmt.Fprintf(stdout, "wrote %s\n", reportPath)
+		fmt.Fprintf(&sb, "wrote %s\n", o.report)
 	}
 
 	eps := 0.0
 	if wall > 0 {
 		eps = float64(events) / wall
 	}
-	fmt.Fprintf(stdout, "search fired %d events in %.2fs wall time (%.0f events/sec)\n", events, wall, eps)
-	if baselinePath != "" {
-		return handlePolicySearchBaseline(baselinePath, writeBaseline, eps, stdout)
-	}
-	return nil
-}
-
-// handlePolicySearchBaseline records or checks the policy-search sweep's
-// events/sec floor, preserving every other baseline section.
-func handlePolicySearchBaseline(path string, write bool, eps float64, stdout io.Writer) error {
-	var base baselineFile
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("parse baseline %s: %w", path, err)
-		}
-	} else if !write {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	if write {
-		base.PolicySearch = eps
-		out, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write baseline: %w", err)
-		}
-		fmt.Fprintf(stdout, "wrote policy-search floor (%.0f events/sec) to %s\n", eps, path)
-		return nil
-	}
-	if base.PolicySearch <= 0 {
-		return nil
-	}
-	floor := base.PolicySearch / baselineTolerance
-	if eps < floor {
-		return fmt.Errorf("policy-search throughput regression: %.0f events/sec, floor %.0f (baseline %.0f)",
-			eps, floor, base.PolicySearch)
-	}
-	fmt.Fprintf(stdout, "throughput policy-search: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n",
-		eps, base.PolicySearch, floor)
-	return nil
-}
-
-// runChaosSearch fuzzes random correlated-fault schedules through the
-// runtime invariant checker, minimizes the first failure found, writes
-// the byte-deterministic CHAOS.json report and fails on any violation.
-func runChaosSearch(seed int64, budget int, breakRecovery bool, outPath string, stdout io.Writer) error {
-	tpl := chaossearch.DefaultTemplate()
-	tpl.BreakMapRecovery = breakRecovery
-	rep, err := chaossearch.Search(tpl, seed, budget)
-	if err != nil {
-		return err
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Fprintf(stdout, "chaos search: %d schedule(s) against template %s (seed %d)\n",
-		budget, tpl.Name, seed)
-	if rep.FailingIndex < 0 {
-		fmt.Fprintf(stdout, "all invariants held; wrote %s\n", outPath)
-		return nil
-	}
-	fmt.Fprintf(stdout, "trial %d violated invariants; minimized %d faults -> %d in %d run(s)\n",
-		rep.FailingIndex, rep.OriginalFaults, len(rep.Schedule), rep.MinimizeRuns)
-	printViolations(stdout, rep.Violations)
-	fmt.Fprintf(stdout, "wrote repro to %s (replay with -chaos-replay %s)\n", outPath, outPath)
-	return fmt.Errorf("chaos search found %d invariant violation(s)", len(rep.Violations))
+	fmt.Fprintf(&sb, "search fired %d events in %.2fs wall time (%.0f events/sec)\n", events, wall, eps)
+	return sweepRun{artifact: f, summary: sb.String(), guard: func(stdout io.Writer) error {
+		return base.policySearch(eps, stdout)
+	}}, nil
 }
 
 // runChaosReplay re-runs a minimized CHAOS.json repro and reports what
@@ -757,90 +813,13 @@ func runChaosReplay(path string, stdout io.Writer) error {
 
 // printViolations lists violations, truncated: the full set is in the
 // JSON artifact, the console only needs the shape of the breach.
-func printViolations(stdout io.Writer, vs []invariant.Violation) {
+func printViolations(w io.Writer, vs []invariant.Violation) {
 	const keep = 8
 	for i, v := range vs {
 		if i == keep {
-			fmt.Fprintf(stdout, "  ... and %d more (see the JSON report)\n", len(vs)-keep)
+			fmt.Fprintf(w, "  ... and %d more (see the JSON report)\n", len(vs)-keep)
 			return
 		}
-		fmt.Fprintf(stdout, "  %s\n", v)
+		fmt.Fprintf(w, "  %s\n", v)
 	}
-}
-
-// handleBaseline either records this run's throughput as the new
-// baseline or compares against the committed one, failing on any
-// experiment that ran more than baselineTolerance times slower.
-func handleBaseline(path string, write bool, scale float64, order []string, measured map[string]float64, ratios map[string]map[string]float64, stdout io.Writer) error {
-	if write {
-		base := baselineFile{Scale: scale, EventsPerSec: measured, CostRatios: ratios}
-		if prev, err := os.ReadFile(path); err == nil {
-			var old baselineFile
-			if json.Unmarshal(prev, &old) == nil {
-				base.ScaleUp = old.ScaleUp
-			}
-		}
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write baseline: %w", err)
-		}
-		fmt.Fprintf(stdout, "wrote throughput baseline for %d experiment(s) to %s\n", len(measured), path)
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base baselineFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	if base.Scale != scale {
-		return fmt.Errorf("baseline %s was recorded at scale %g, run at %g", path, base.Scale, scale)
-	}
-	var regressions []string
-	for _, id := range order {
-		got, ran := measured[id]
-		want, ok := base.EventsPerSec[id]
-		if !ran || !ok || want <= 0 {
-			continue
-		}
-		floor := want / baselineTolerance
-		if got < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec, floor %.0f (baseline %.0f)", id, got, floor, want))
-		} else {
-			fmt.Fprintf(stdout, "throughput %s: %.0f events/sec vs baseline %.0f (floor %.0f) ok\n", id, got, want, floor)
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("throughput regression:\n  %s", strings.Join(regressions, "\n  "))
-	}
-	var inflations []string
-	for _, id := range order {
-		got, ran := ratios[id]
-		want, ok := base.CostRatios[id]
-		if !ran || !ok {
-			continue
-		}
-		for _, d := range costRatioDefs {
-			g, gok := got[d.name]
-			w, wok := want[d.name]
-			if !gok || !wok || w <= 0 {
-				continue
-			}
-			ceiling := w * costRatioTolerance
-			if g > ceiling {
-				inflations = append(inflations,
-					fmt.Sprintf("%s %s: %.1f scans/decision, ceiling %.1f (baseline %.1f)", id, d.name, g, ceiling, w))
-			}
-		}
-	}
-	if len(inflations) > 0 {
-		return fmt.Errorf("cost-counter inflation (scheduler doing more work per decision):\n  %s", strings.Join(inflations, "\n  "))
-	}
-	return nil
 }

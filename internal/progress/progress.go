@@ -1,11 +1,12 @@
 // Package progress prints a live wall-clock heartbeat for long runs:
 // completed fraction, simulated time, events fired, events/sec and an
-// ETA, on stderr. It exists for the human watching a -scale-up sweep, so
-// everything it prints is wall-clock-derived and must never enter a
-// deterministic artifact. The engine's state is not goroutine-safe; the
-// only engine value the reporter reads from its own goroutine is the
-// atomic processed-event total (sim.ProcessEvents), and everything else
-// arrives via the atomic setters below.
+// ETA, on stderr. It exists for the human watching a long
+// hybridmr-bench -sweep scale run, so everything it prints is
+// wall-clock-derived and must never enter a deterministic artifact. The
+// engine's state is not goroutine-safe; the only engine value the
+// reporter reads from its own goroutine is the atomic processed-event
+// total (sim.ProcessEvents), and everything else arrives via the atomic
+// setters below.
 package progress
 
 import (

@@ -77,7 +77,7 @@ type Data struct {
 	SLO     *timeseries.SLOReport
 	SLORows []timeseries.WindowEval
 	// Search holds policy-search candidates when the report accompanies a
-	// SEARCH.json sweep (hybridmr-bench -policy-search -search-report);
+	// SEARCH.json sweep (hybridmr-bench -sweep policy -report);
 	// the section is omitted entirely for ordinary runs. The winner's
 	// decision trail lands in Audit, so the frontier links back to the
 	// audit table below.
@@ -623,7 +623,7 @@ func perfSection(b *bytes.Buffer, d Data) {
 		b.WriteString("<p class=\"dim\">no wall-time spans recorded</p>\n")
 		return
 	}
-	b.WriteString("<p class=\"dim\">span hit counts; wall-clock times are excluded to keep the report byte-deterministic (run with -scale-sweep or -metrics for timings)</p>\n")
+	b.WriteString("<p class=\"dim\">span hit counts; wall-clock times are excluded to keep the report byte-deterministic (run with -sweep scale or -metrics for timings)</p>\n")
 	b.WriteString("<table><thead><tr><th>span</th><th class=\"num\">entries</th></tr></thead><tbody>\n")
 	var walk func(spans []perfstat.SpanSnapshot, depth int)
 	walk = func(spans []perfstat.SpanSnapshot, depth int) {

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -46,9 +47,21 @@ const AcceptanceCeiling = 1.2
 // IndexedControllers names the controllers covered by AcceptanceCeiling.
 var IndexedControllers = []string{"jt", "drm", "p1"}
 
+// OverCeiling returns the IndexedControllers among cs whose fitted
+// growth exceeds AcceptanceCeiling: the one definition of the guard.
+func OverCeiling(cs []Controller) []Controller {
+	var over []Controller
+	for _, c := range cs {
+		if c.MaxExponent > AcceptanceCeiling && slices.Contains(IndexedControllers, c.Name) {
+			over = append(over, c)
+		}
+	}
+	return over
+}
+
 // DefaultScaleUpSizes are the synthetic datacenter-scale operating
-// points the -scale-up suite runs: 2.5k PMs (CI-speed smoke) and 10k
-// PMs (the full datacenter point).
+// points (hybridmr-bench -sweep scale -sizes 2500,10000): 2.5k PMs
+// (CI-speed smoke) and 10k PMs (the full datacenter point).
 func DefaultScaleUpSizes() []int { return []int{2500, 10000} }
 
 // DefaultSweepSizes are the controller-complexity sweep's geometric
@@ -187,8 +200,7 @@ func Run(opts Options) (File, error) {
 
 // RunPoint runs the sweep's weak-scaling scenario at a single cluster
 // size and returns its deterministic result and wall timing — the
-// single-operating-point entry used by the scale-up suite and the sim
-// CLI's scaleup scenario.
+// single-operating-point entry used by the sim CLI's scaleup scenario.
 func RunPoint(size int, opts Options) (SizeResult, WallResult, error) {
 	return runSize(size, opts.withDefaults())
 }

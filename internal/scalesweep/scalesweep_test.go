@@ -95,15 +95,28 @@ func TestIndexedControllersStayFlat(t *testing.T) {
 		byName[c.Name] = c
 	}
 	for _, name := range IndexedControllers {
-		c, ok := byName[name]
-		if !ok {
+		if _, ok := byName[name]; !ok {
 			t.Errorf("no controller verdict for indexed controller %s", name)
-			continue
 		}
-		if c.MaxExponent > AcceptanceCeiling {
-			t.Errorf("%s regressed past the ceiling: grows %s via %s (ceiling O(n^%.1f))",
-				name, c.Complexity, c.DrivenBy, AcceptanceCeiling)
-		}
+	}
+	for _, c := range OverCeiling(f.Report.Controllers) {
+		t.Errorf("%s regressed past the ceiling: grows %s via %s (ceiling O(n^%.1f))",
+			c.Name, c.Complexity, c.DrivenBy, AcceptanceCeiling)
+	}
+}
+
+// TestOverCeiling pins the guard's predicate: only indexed controllers
+// count, and only strictly above the ceiling.
+func TestOverCeiling(t *testing.T) {
+	cs := []Controller{
+		{Name: "dfs", MaxExponent: 2.0},
+		{Name: "drm", MaxExponent: AcceptanceCeiling},
+		{Name: "jt", MaxExponent: 1.3},
+		{Name: "p1", MaxExponent: 0.5},
+	}
+	over := OverCeiling(cs)
+	if len(over) != 1 || over[0].Name != "jt" {
+		t.Fatalf("OverCeiling = %+v, want only jt", over)
 	}
 }
 
