@@ -145,11 +145,11 @@ func sameBits(a, b solveState) bool {
 
 // capSwapMismatches drives seeded random machines through random cap
 // swaps. Whenever pred calls a swap inert, it takes SetCap's skip path —
-// settle, install the cap, re-create the completion events — then forces
-// a full re-solve and rescheduling, and counts the swaps where the two
-// differ in any allocation, speed, raw usage or completion time. Swaps
-// pred rejects go through the normal re-solve. It returns the mismatch
-// count and how many swaps were judged inert.
+// settle, install the cap, re-key the completion events without a
+// solve — then forces a full re-solve and re-key, and counts the swaps
+// where the two differ in any allocation, speed, raw usage or
+// completion time. Swaps pred rejects go through the normal re-solve.
+// It returns the mismatch count and how many swaps were judged inert.
 func capSwapMismatches(tb testing.TB, pred func(demand, old, new resource.Vector) bool) (mismatches, inert int) {
 	tb.Helper()
 	for seed := int64(1); seed <= 60; seed++ {
@@ -169,10 +169,11 @@ func capSwapMismatches(tb testing.TB, pred func(demand, old, new resource.Vector
 			inert++
 			pm.settle()
 			c.Cap = cap
-			pm.reschedule()
+			pm.request(false)
+			pm.cluster.flush()
 			skipped := captureSolve(pm)
 			pm.resolve()
-			pm.reschedule()
+			pm.rekey()
 			if !sameBits(skipped, captureSolve(pm)) {
 				mismatches++
 			}

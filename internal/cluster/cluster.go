@@ -7,15 +7,20 @@
 // Execution is modeled as event-driven processor sharing. Work is
 // expressed as Consumers: a consumer declares a full-speed demand vector
 // (CPU cores, memory MB, disk MB/s, network MB/s) and an amount of work in
-// full-speed seconds. Whenever the set of consumers on a PM changes, the
-// PM re-solves a two-level weighted max-min fair allocation (VMs share the
-// PM; tasks share their VM), each consumer's progress rate is the minimum
-// ratio of allocation to demand across the rate dimensions (a Leontief
-// machine model), and the next completion is scheduled on the shared
-// discrete-event engine. The model reproduces the contention behaviours
-// the paper measures: virtual I/O penalties that grow with VMs per PM,
-// memory-overcommit thrashing, and exponential slowdown under cross-VM I/O
-// contention.
+// full-speed seconds. Whenever the set of consumers on a PM or their
+// demands, caps or weights change, the PM re-solves a two-level weighted
+// max-min fair allocation (VMs share the PM; tasks share their VM), each
+// consumer's progress rate is the minimum ratio of allocation to demand
+// across the rate dimensions (a Leontief machine model), and the next
+// completion is scheduled on the shared discrete-event engine. Re-solves
+// are demand-driven: a change settles progress, reserves the completion
+// events' tie order and marks the PM stale, and the solve runs at the
+// first read of an allocation or at the flush the engine runs before it
+// pops the next event, so several changes to one PM at one instant cost
+// one solve and the same outcome. The model reproduces the contention
+// behaviours the paper measures: virtual I/O penalties that grow with VMs
+// per PM, memory-overcommit thrashing, and exponential slowdown under
+// cross-VM I/O contention.
 package cluster
 
 import (
@@ -225,6 +230,11 @@ type Cluster struct {
 	// solve is the fair-share scratch every PM's re-solve reuses.
 	solve solveScratch
 
+	// dirty lists the PMs with a re-solve request not yet flushed, in
+	// request order; flushFn is flush, bound once for Engine.Defer.
+	dirty   []*PM
+	flushFn func()
+
 	tracer   *trace.Tracer
 	auditLog *audit.Log
 	inv      InvariantSink
@@ -249,7 +259,7 @@ type Cluster struct {
 func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *Cluster {
 	o := obs.Of(sinks)
 	reg := o.Metrics
-	return &Cluster{
+	c := &Cluster{
 		engine:   engine,
 		cfg:      cfg.withDefaults(),
 		rng:      rand.New(rand.NewSource(seed)),
@@ -266,6 +276,31 @@ func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *Cluster 
 		mVMCrashes:         reg.Counter("cluster.vm.crashes"),
 		mPMCrashes:         reg.Counter("cluster.pm.crashes"),
 	}
+	c.flushFn = c.flush
+	return c
+}
+
+// enqueue puts a PM with a fresh re-solve request on the flush list,
+// asking the engine for a flush when the list was empty.
+func (c *Cluster) enqueue(pm *PM) {
+	if len(c.dirty) == 0 {
+		c.engine.Defer(c.flushFn)
+	}
+	c.dirty = append(c.dirty, pm)
+}
+
+// flush solves every PM with a pending request and re-keys its
+// completion events. The engine runs it before it pops the next event
+// or moves its clock, so no event fires and no time passes on a stale
+// allocation.
+func (c *Cluster) flush() {
+	for i, pm := range c.dirty {
+		c.dirty[i] = nil
+		pm.queued = false
+		pm.solve()
+		pm.rekey()
+	}
+	c.dirty = c.dirty[:0]
 }
 
 // Engine returns the shared simulation engine.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/resource"
@@ -72,11 +73,23 @@ func (c *Consumer) Killed() bool { return c.state == consumerKilled }
 // Node returns where the consumer runs, or nil.
 func (c *Consumer) Node() Node { return c.node }
 
-// Alloc returns the current resource allocation.
-func (c *Consumer) Alloc() resource.Vector { return c.alloc }
+// Alloc returns the current resource allocation, re-solving the host
+// first if a change left it stale.
+func (c *Consumer) Alloc() resource.Vector {
+	if c.host != nil {
+		c.host.solve()
+	}
+	return c.alloc
+}
 
-// Speed returns the current progress rate in [0, 1].
-func (c *Consumer) Speed() float64 { return c.speed }
+// Speed returns the current progress rate in [0, 1], re-solving the host
+// first if a change left it stale.
+func (c *Consumer) Speed() float64 {
+	if c.host != nil {
+		c.host.solve()
+	}
+	return c.speed
+}
 
 // Remaining returns the un-done work in full-speed seconds, settling
 // progress to the current instant first. Open-ended consumers return
@@ -121,14 +134,16 @@ func (c *Consumer) SetDemand(d resource.Vector) {
 }
 
 // SetCap installs a resource throttle (the Phase II DRM's actuator) and
-// re-solves the host. The solve reads a cap only as the claim bound
-// min(demand, cap) and in the paging test 0 < cap < demand, so when
-// neither the old nor the new cap binds in any dimension that changed
-// (capSwapInert) it would reproduce every allocation and speed bit for
-// bit: SetCap then skips it, but still settles and re-creates every
+// requests a re-solve of the host, notifying its watchers; the solve
+// runs when its outputs are first read or at the engine's next flush, so
+// k caps on one machine at one instant cost one solve. The solve reads a
+// cap only as the claim bound min(demand, cap) and in the paging test
+// 0 < cap < demand, so when neither the old nor the new cap binds in any
+// dimension that changed (capSwapInert) it would reproduce every
+// allocation and speed bit for bit: SetCap then requests no solve and
+// notifies no watcher, but still settles and has the flush re-key every
 // completion event on the machine from the settled remaining work,
-// exactly as a re-solve would. No watcher is notified, since nothing was
-// re-solved.
+// exactly as a re-solve would.
 func (c *Consumer) SetCap(cap resource.Vector) {
 	host := c.host
 	if host == nil {
@@ -139,7 +154,7 @@ func (c *Consumer) SetCap(cap resource.Vector) {
 	old := c.Cap
 	c.Cap = cap
 	if capSwapInert(c.Demand, old, cap) {
-		host.reschedule()
+		host.request(false)
 		return
 	}
 	host.reshare()
@@ -207,10 +222,7 @@ func (c *Consumer) Kill() {
 
 // detach removes the consumer from its container without re-solving.
 func (c *Consumer) detach() {
-	if c.completion != nil {
-		c.host.cluster.engine.Cancel(c.completion)
-		c.completion = nil
-	}
+	c.cancelCompletion(c.host.cluster.engine)
 	if c.vm != nil {
 		c.vm.consumers = removeConsumer(c.vm.consumers, c)
 	} else if c.host != nil {
@@ -222,6 +234,33 @@ func (c *Consumer) detach() {
 	c.alloc = resource.Vector{}
 	c.speed = 0
 	c.completeFn = nil // finished consumers often stay referenced
+}
+
+// rekey points the consumer's completion event at now plus its remaining
+// work over its speed, under sequence number key, or cancels it when the
+// consumer is open-ended, detached or stalled (a later re-solve re-keys
+// it).
+func (c *Consumer) rekey(engine *sim.Engine, now time.Duration, key uint64) {
+	if c.Work < 0 || c.state != consumerRunning || c.speed <= 0 {
+		c.cancelCompletion(engine)
+		return
+	}
+	sec := c.remaining / c.speed
+	if math.IsNaN(sec) || math.IsInf(sec, 0) {
+		c.cancelCompletion(engine)
+		return
+	}
+	if c.completeFn == nil {
+		c.completeFn = c.complete
+	}
+	c.completion = engine.Retime(c.completion, now+sim.DurationFromSeconds(sec), key, c.completeFn)
+}
+
+func (c *Consumer) cancelCompletion(engine *sim.Engine) {
+	if c.completion != nil {
+		engine.Cancel(c.completion)
+		c.completion = nil
+	}
 }
 
 func (c *Consumer) complete() {

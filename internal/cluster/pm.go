@@ -51,11 +51,21 @@ type PM struct {
 	lastSettle time.Duration
 	slowdown   float64 // injected straggler factor; <= 1 means full speed
 
-	watchers []func() // notified after every re-solve; see Watch
-	// residentGen counts the re-solves that may have changed which
-	// consumers are resident or what they demand: every one except those
-	// from a cap or weight change. See ResidentGen.
+	watchers []func() // notified on every re-solve request; see Watch
+	// residentGen counts the re-solve requests that may have changed
+	// which consumers are resident or what they demand: every one except
+	// those from a cap or weight change. See ResidentGen.
 	residentGen uint64
+
+	// stale marks allocations and speeds as out of date: the next read
+	// of them, or the cluster's flush, re-solves first. See request.
+	stale bool
+	// queued marks the machine as on the cluster's flush list, its
+	// completion events awaiting re-keying.
+	queued bool
+	// keys is the first of the engine sequence numbers reserved at the
+	// latest change, one per resident consumer in EachConsumer order.
+	keys uint64
 
 	offSpan trace.Span // open while the PM is powered off
 }
@@ -202,6 +212,7 @@ func (pm *PM) Slowdown() float64 {
 // Utilization returns the PM's current raw usage divided by capacity,
 // per resource dimension, each in [0, 1].
 func (pm *PM) Utilization() resource.Vector {
+	pm.solve()
 	u := pm.rawUsage.Div(pm.capacity)
 	one := resource.NewVector(1, 1, 1, 1)
 	return u.Min(one)
@@ -237,11 +248,27 @@ func (pm *PM) EachConsumer(fn func(c *Consumer)) {
 	}
 }
 
+// residents counts the consumers resident on the machine, the ones
+// EachConsumer visits.
+func (pm *PM) residents() int {
+	n := len(pm.native)
+	for _, vm := range pm.vms {
+		n += len(vm.consumers)
+	}
+	return n
+}
+
 // settle integrates every consumer's progress at the current speeds up to
 // the present instant. It must run before any state change that affects
 // allocations.
 func (pm *PM) settle() {
 	now := pm.cluster.engine.Now()
+	if pm.stale && now != pm.lastSettle {
+		// The engine flushes every request before its clock moves, so
+		// this is a safety net: integrate at the speeds in force since
+		// the last settle, not at stale ones.
+		pm.solve()
+	}
 	pm.EachConsumer(func(c *Consumer) {
 		if c.Work < 0 {
 			c.lastSettle = now
@@ -259,31 +286,32 @@ func (pm *PM) settle() {
 	pm.lastSettle = now
 }
 
-// Watch registers a callback invoked after every re-solve of this PM's
-// allocation (consumer attach/detach, demand/cap/weight change, VM
-// arrival/departure, power or slowdown transitions, failure). Schedulers
-// use it to invalidate cached per-machine state instead of rescanning the
-// fleet. A cap swap the solve provably ignores — neither the old nor the
-// new cap binds in any dimension that changed (see Consumer.SetCap) — is
-// not a re-solve and notifies no one: every allocation and speed stays
-// bit-identical. Callbacks must not mutate cluster state; they run
-// synchronously on the simulation goroutine, so ordering is
-// deterministic.
+// Watch registers a callback invoked on every re-solve request of this
+// PM's allocation (consumer attach/detach, demand/cap/weight change, VM
+// arrival/departure, pause, resume, migration, slowdown transitions,
+// failure). Schedulers use it to invalidate cached per-machine state
+// instead of rescanning the fleet. A cap swap the solve provably
+// ignores — neither the old nor the new cap binds in any dimension that
+// changed (see Consumer.SetCap) — requests no re-solve and notifies no
+// one: every allocation and speed stays bit-identical. The solve itself
+// runs on demand, so a callback may read allocations (Consumer.Alloc,
+// Consumer.Speed, Utilization): the first read re-solves. Callbacks must
+// not mutate cluster state; they run synchronously on the simulation
+// goroutine, so ordering is deterministic.
 func (pm *PM) Watch(fn func()) {
 	pm.watchers = append(pm.watchers, fn)
 }
 
-// ResidentGen returns a counter that moves on every re-solve that may
-// have changed the machine's resident consumers or their demands: every
-// re-solve except those from Consumer.SetCap and Consumer.SetWeight.
-// State derived only from residents, demands and capacity, cached
-// together with the generation it was computed at, is still current
-// while the generation has not moved.
+// ResidentGen returns a counter that moves on every re-solve request
+// that may have changed the machine's resident consumers or their
+// demands: every request except those from Consumer.SetCap and
+// Consumer.SetWeight. State derived only from residents, demands and
+// capacity, cached together with the generation it was computed at, is
+// still current while the generation has not moved.
 func (pm *PM) ResidentGen() uint64 { return pm.residentGen }
 
-// update re-solves the two-level fair-share allocation and reschedules
-// completion events. Callers must settle first (update settles again
-// defensively; settling twice at the same instant is a no-op).
+// update requests a re-solve after a change that may have moved the
+// resident consumers or their demands.
 func (pm *PM) update() {
 	pm.residentGen++
 	pm.reshare()
@@ -292,11 +320,41 @@ func (pm *PM) update() {
 // reshare is update for a change that leaves every resident consumer and
 // its demand alone — a cap or weight change — so ResidentGen stays put.
 func (pm *PM) reshare() {
-	pm.settle()
-	pm.resolve()
-	pm.reschedule()
+	pm.request(true)
 	for _, fn := range pm.watchers {
 		fn()
+	}
+}
+
+// request records a change to the machine without solving it. It
+// settles progress at the old speeds, marks the allocations stale when
+// resolve is set, and reserves one engine sequence number per resident
+// consumer, in EachConsumer order, for the completion events the change
+// re-keys. The machine then waits on the cluster's flush list: the
+// solve runs at the first read of its outputs or at the flush the engine
+// runs before its next pop, whichever comes first, and the flush re-keys
+// every completion to the reserved sequence numbers. Because the solve
+// is a pure function of the resident state and the reserved keys sit
+// where an immediate cancel-and-reschedule would have put them, the
+// outcome is exactly that of solving at every change — except that a
+// solve superseded by a later change at the same instant never runs.
+func (pm *PM) request(resolve bool) {
+	pm.settle()
+	if resolve {
+		pm.stale = true
+	}
+	pm.keys = pm.cluster.engine.Reserve(pm.residents())
+	if !pm.queued {
+		pm.queued = true
+		pm.cluster.enqueue(pm)
+	}
+}
+
+// solve brings stale allocations and speeds up to date.
+func (pm *PM) solve() {
+	if pm.stale {
+		pm.stale = false
+		pm.resolve()
 	}
 }
 
@@ -525,25 +583,17 @@ type solveGroup struct {
 	rawStart int     // first member's index in solveScratch.raw
 }
 
-// reschedule cancels and re-creates the completion event of every finite
-// consumer, using the freshly computed speeds.
-func (pm *PM) reschedule() {
+// rekey points the completion event of every finite running consumer
+// at the time its freshly solved speed gives, under the sequence number
+// reserved for it at the latest change, and cancels the events of
+// consumers that stalled. The machine must be solved.
+func (pm *PM) rekey() {
 	engine := pm.cluster.engine
+	now := engine.Now()
+	key := pm.keys
 	pm.EachConsumer(func(c *Consumer) {
-		if c.completion != nil {
-			engine.Cancel(c.completion)
-			c.completion = nil
-		}
-		if c.Work < 0 || c.state != consumerRunning {
-			return
-		}
-		if c.speed <= 0 {
-			return // stalled: a future update will reschedule
-		}
-		if c.completeFn == nil {
-			c.completeFn = c.complete
-		}
-		c.completion = engine.AfterSeconds(c.remaining/c.speed, c.completeFn)
+		c.rekey(engine, now, key)
+		key++
 	})
 }
 

@@ -48,21 +48,31 @@ func solveRig(tb testing.TB, perVM int) *PM {
 			}
 		}
 	}
-	// Warm the scratch buffers and cycle the engine's freelist through
-	// its cancel-debt compactions.
+	// Warm the scratch buffers, the flush list and the engine's
+	// deferred-callback list.
 	for i := 0; i < 2000; i++ {
-		pm.update()
+		updateAndFlush(pm)
 	}
 	return pm
 }
 
+// updateAndFlush requests a re-solve of pm and has the engine flush it
+// without moving the clock: one full settle, solve and completion
+// re-key.
+func updateAndFlush(pm *PM) {
+	pm.update()
+	engine := pm.cluster.engine
+	engine.RunUntil(engine.Now())
+}
+
 // TestPMUpdateZeroAlloc pins the steady-state re-solve: with the
-// consumer set unchanged, settling, solving and rescheduling completions
-// reuse the cluster's scratch and the engine's freelist.
+// consumer set unchanged, settling, solving and re-keying completions
+// reuse the cluster's scratch, the flush list and the events in the
+// engine's queue.
 func TestPMUpdateZeroAlloc(t *testing.T) {
 	pm := solveRig(t, 3)
-	if allocs := testing.AllocsPerRun(200, pm.update); allocs != 0 {
-		t.Errorf("PM.update allocates %.1f times per re-solve, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { updateAndFlush(pm) }); allocs != 0 {
+		t.Errorf("PM.update plus flush allocates %.1f times per re-solve, want 0", allocs)
 	}
 }
 
@@ -116,4 +126,58 @@ func TestTopologyGenTracksPlacementChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// capBurst returns one step of a Phase II DRM sweep over pm: every
+// consumer on the machine gets a binding cap, alternating between two
+// levels from step to step, then the engine flushes.
+func capBurst(pm *PM) func(step int) {
+	var burst []*Consumer
+	pm.EachConsumer(func(c *Consumer) { burst = append(burst, c) })
+	engine := pm.cluster.engine
+	return func(step int) {
+		f := 0.4 + 0.2*float64(step%2)
+		for _, c := range burst {
+			c.SetCap(c.Demand.Scale(f))
+		}
+		engine.RunUntil(engine.Now())
+	}
+}
+
+// TestSetCapBurstSolvesOnce checks that a burst of binding caps on one
+// machine at one instant defers its re-solve: every cap notifies the
+// watchers, but the machine waits on the flush list once, still stale,
+// until the engine flushes it. The steady-state burst allocates
+// nothing.
+func TestSetCapBurstSolvesOnce(t *testing.T) {
+	pm := solveRig(t, 3)
+	burst := capBurst(pm)
+	burst(0)
+	notified := 0
+	pm.Watch(func() { notified++ })
+	var cs []*Consumer
+	pm.EachConsumer(func(c *Consumer) { cs = append(cs, c) })
+	for i, c := range cs {
+		c.SetCap(c.Demand.Scale(0.3 + 0.01*float64(i)))
+	}
+	if notified != len(cs) {
+		t.Errorf("%d caps notified watchers %d times", len(cs), notified)
+	}
+	if !pm.stale || len(pm.cluster.dirty) != 1 {
+		t.Errorf("after the burst: stale=%v, %d flush-list entries; want stale, 1 entry",
+			pm.stale, len(pm.cluster.dirty))
+	}
+	engine := pm.cluster.engine
+	engine.RunUntil(engine.Now())
+	if pm.stale || pm.queued || len(pm.cluster.dirty) != 0 {
+		t.Error("the engine's flush left the machine stale or queued")
+	}
+
+	step := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		step++
+		burst(step)
+	}); allocs != 0 {
+		t.Errorf("SetCap burst plus flush allocates %.1f times per burst, want 0", allocs)
+	}
 }

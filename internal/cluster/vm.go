@@ -202,6 +202,7 @@ func (vm *VM) activityLevel() float64 {
 	if vm.state != VMRunning || len(vm.consumers) == 0 {
 		return 0
 	}
+	vm.host.solve()
 	level := 0.0
 	for _, c := range vm.consumers {
 		level += c.speed

@@ -2,20 +2,42 @@
 //
 // The engine maintains a virtual clock and an ordered queue of events.
 // Events scheduled for the same instant fire in the order they were
-// scheduled, which makes every simulation that uses a seeded random source
-// fully reproducible. All of the data-center substrates in this repository
-// (cluster, DFS, MapReduce, interactive services) advance on a shared
-// Engine.
+// scheduled (an event re-keyed with Retime takes the place its reserved
+// sequence number gives it), which makes every simulation that uses a
+// seeded random source fully reproducible. All of the data-center
+// substrates in this repository (cluster, DFS, MapReduce, interactive
+// services) advance on a shared Engine.
 //
 // # Performance model
 //
 // The queue is an inlined 4-ary min-heap specialized to *Event — no
 // interface dispatch on the hot path — and fired events are recycled
 // through a per-engine freelist, so steady-state scheduling (one event
-// scheduled per event fired) performs no heap allocations. Cancel is a
-// lazy deletion: it marks the event and the queue skips it at pop time,
-// so cancelling costs O(1) instead of an O(log n) removal; when dead
-// events outnumber live ones the queue compacts in one O(n) pass.
+// scheduled per event fired) performs no heap allocations.
+//
+// Every queued event knows its heap index, so an event whose deadline
+// moves is re-keyed in place: Retime rewrites its (time, sequence) key
+// and sifts it to its new position in O(log n), with no corpse left
+// behind and no freelist round trip. Reserve hands out sequence numbers
+// ahead of time, so a caller that decides an event's time later still
+// gets the tie order it would have had by scheduling at the moment it
+// reserved: retiming to a reserved key pops in exactly the order a
+// Cancel followed by a fresh At at reservation time would have given.
+// The cluster substrate re-keys completion events this way instead of
+// cancelling and re-pushing them on every fair-share re-solve, so
+// completion churn costs no cancellations at all.
+//
+// Cancel remains a lazy deletion for the events that really die: it
+// marks the event and the queue skips it at pop time, so cancelling
+// costs O(1) instead of an O(log n) removal; when dead events outnumber
+// live ones the queue compacts in one O(n) pass. With re-keying in
+// place of cancel churn, compaction is rare.
+//
+// Defer queues work that must happen before simulated time can observe
+// it: deferred callbacks run once, before the next event is popped and
+// before RunUntil moves the clock. The cluster substrate defers its
+// fair-share re-solves this way, so k changes to one machine at one
+// instant cost one solve.
 //
 // # Event retention contract
 //
@@ -25,7 +47,9 @@
 // within the callback (as sim.Ticker and the cluster substrates do), and
 // never call Cancel on an event that is known to have fired in an earlier
 // step. Cancelling the event currently being fired, from inside its own
-// callback, is safe and remains a no-op.
+// callback, is safe and remains a no-op. Retime is the one exception to
+// the rule: handed a handle that has fired, was cancelled or is on the
+// freelist (but not yet reused), it schedules a fresh event instead.
 //
 // An Engine is not safe for concurrent use; run concurrent simulations on
 // separate engines (the experiment worker pool runs one engine per sweep
@@ -60,6 +84,7 @@ type Event struct {
 	at     time.Duration
 	seq    uint64
 	fn     func()
+	idx    int // heap index while queued
 	fired  bool
 	cancel bool
 	freed  bool // on the freelist; any use is a retention bug
@@ -86,6 +111,7 @@ type Engine struct {
 	maxPending int
 	halted     bool
 	sink       *atomic.Uint64
+	deferred   []func() // run once before the next pop; see Defer
 
 	// Heap-operation tallies for perfstat. They are engine-local plain
 	// integers (no atomics, no indirection) so the hot path stays
@@ -183,11 +209,17 @@ func (e *Engine) At(t time.Duration, fn func()) *Event {
 	if t < e.now {
 		t = e.now
 	}
+	seq := e.seq
+	e.seq++
+	return e.schedule(t, seq, fn)
+}
+
+// schedule queues a fresh event under the key (t, seq).
+func (e *Engine) schedule(t time.Duration, seq uint64, fn func()) *Event {
 	ev := e.alloc()
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
-	e.seq++
 	e.heapPushes++
 	e.queue.push(ev, &e.siftSwaps)
 	e.live++
@@ -195,6 +227,57 @@ func (e *Engine) At(t time.Duration, fn func()) *Event {
 		e.maxPending = e.live
 	}
 	return ev
+}
+
+// Reserve claims n consecutive sequence numbers and returns the first.
+// An event later given one of them through Retime orders among
+// same-instant events exactly as if it had been scheduled at the moment
+// of the reservation: after every event scheduled before it, before
+// every event scheduled after it.
+func (e *Engine) Reserve(n int) uint64 {
+	seq := e.seq
+	e.seq += uint64(n)
+	return seq
+}
+
+// Retime moves ev to fire fn at (t, seq), where seq came from Reserve,
+// and returns the event that now carries that key. A pending event is
+// re-keyed in place, keeping its handle; a nil handle, or one that has
+// fired, was cancelled or is back on the freelist, gets a fresh event
+// instead. Either way the pop order is exactly what cancelling ev and
+// scheduling fn at t at the moment seq was reserved would have given.
+// Times in the past are clamped to Now, as At does.
+func (e *Engine) Retime(ev *Event, t time.Duration, seq uint64, fn func()) *Event {
+	if t < e.now {
+		t = e.now
+	}
+	if ev == nil || ev.freed || ev.fired || ev.cancel {
+		return e.schedule(t, seq, fn)
+	}
+	ev.at = t
+	ev.seq = seq
+	ev.fn = fn
+	e.queue.fix(ev.idx, &e.siftSwaps)
+	return ev
+}
+
+// Defer queues fn to run once before the engine next pops an event or
+// RunUntil next moves the clock, whichever comes first. Deferred
+// callbacks run in the order they were deferred and may schedule,
+// retime or cancel events; one deferred from inside another runs in the
+// same drain.
+func (e *Engine) Defer(fn func()) {
+	e.deferred = append(e.deferred, fn)
+}
+
+// runDeferred drains the deferred callbacks.
+func (e *Engine) runDeferred() {
+	for i := 0; i < len(e.deferred); i++ {
+		fn := e.deferred[i]
+		e.deferred[i] = nil
+		fn()
+	}
+	e.deferred = e.deferred[:0]
 }
 
 // After schedules fn to run d from now. Negative durations are clamped to
@@ -325,6 +408,9 @@ func (e *Engine) Step() bool {
 	if e.halted {
 		return false
 	}
+	if len(e.deferred) > 0 {
+		e.runDeferred()
+	}
 	ev := e.peekLive()
 	if ev == nil {
 		return false
@@ -350,6 +436,9 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t time.Duration) {
 	e.perf.Enter("engine.pump")
 	for !e.halted {
+		if len(e.deferred) > 0 {
+			e.runDeferred()
+		}
 		ev := e.peekLive()
 		if ev == nil || ev.at > t {
 			break
@@ -358,6 +447,9 @@ func (e *Engine) RunUntil(t time.Duration) {
 		e.queue.pop(&e.siftSwaps)
 		e.live--
 		e.fire(ev)
+	}
+	if len(e.deferred) > 0 {
+		e.runDeferred()
 	}
 	if t > e.now {
 		e.now = t
@@ -418,19 +510,12 @@ func (q eventQueue) peek() *Event {
 
 // The queue methods take a swap tally so the engine can attribute heap
 // work (sift swaps) to perfstat without any indirection held inside the
-// queue itself.
+// queue itself. Every move of an event records its new index, so Retime
+// can find it in O(1).
 func (q *eventQueue) push(ev *Event, swaps *uint64) {
 	h := append(*q, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !before(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		*swaps++
-		i = p
-	}
+	ev.idx = len(h) - 1
+	h.siftUp(ev.idx, swaps)
 	*q = h
 }
 
@@ -444,9 +529,31 @@ func (q *eventQueue) pop(swaps *uint64) *Event {
 	*q = h
 	if n > 0 {
 		h[0] = last
+		last.idx = 0
 		h.siftDown(0, swaps)
 	}
 	return root
+}
+
+// fix restores heap order after the key of the event at index i changed.
+func (q eventQueue) fix(i int, swaps *uint64) {
+	if i > 0 && before(q[i], q[(i-1)>>2]) {
+		q.siftUp(i, swaps)
+	} else {
+		q.siftDown(i, swaps)
+	}
+}
+
+func (q eventQueue) siftUp(i int, swaps *uint64) {
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !before(q[i], q[p]) {
+			return
+		}
+		q.swap(i, p)
+		*swaps++
+		i = p
+	}
 }
 
 func (q eventQueue) siftDown(i int, swaps *uint64) {
@@ -469,14 +576,23 @@ func (q eventQueue) siftDown(i int, swaps *uint64) {
 		if !before(q[best], q[i]) {
 			return
 		}
-		q[i], q[best] = q[best], q[i]
+		q.swap(i, best)
 		*swaps++
 		i = best
 	}
 }
 
+func (q eventQueue) swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx = i
+	q[j].idx = j
+}
+
 // heapify restores heap order over the whole slice after a compaction.
 func (q eventQueue) heapify(swaps *uint64) {
+	for i, ev := range q {
+		ev.idx = i
+	}
 	for i := (len(q) - 2) >> 2; i >= 0; i-- {
 		q.siftDown(i, swaps)
 	}

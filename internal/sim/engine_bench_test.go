@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// The engine microbenchmarks cover the three hot paths of the simulator:
+// The engine microbenchmarks cover the four hot paths of the simulator:
 // steady-state schedule+fire (the common case: one event scheduled per
 // event fired, queue depth roughly constant), schedule+cancel churn (the
 // timer-wheel pattern every timeout/heartbeat follows: most scheduled
-// events are cancelled before they fire), and the Ticker steady state
+// events are cancelled before they fire), in-place re-keying (every
+// completion event on a re-solved machine), and the Ticker steady state
 // that backs every periodic controller in the system.
 
 // BenchmarkScheduleFire measures raw schedule+fire throughput at queue
@@ -72,5 +73,24 @@ func BenchmarkTickerSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// BenchmarkRetime measures the completion re-key a fair-share re-solve
+// pays per consumer: reserve a sequence number and move one pending
+// event of a 1024-deep queue to a new time in place.
+func BenchmarkRetime(b *testing.B) {
+	e := New()
+	fn := func() {}
+	evs := make([]*Event, 1024)
+	for i := range evs {
+		evs[i] = e.At(time.Duration(i+1)*time.Second, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i * 7 % len(evs)
+		t := time.Duration(1+(i*131)%2048) * time.Second
+		evs[j] = e.Retime(evs[j], t, e.Reserve(1), fn)
 	}
 }
