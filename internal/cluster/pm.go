@@ -23,7 +23,9 @@ type Node interface {
 	// UsefulCapacity is the node's full-speed capacity in useful units
 	// (after virtualization overhead), assuming no contention.
 	UsefulCapacity() resource.Vector
-	// Consumers returns the consumers currently attached.
+	// Consumers returns the consumers currently attached. The slice is
+	// the node's own list, not a copy: callers must not modify or keep
+	// it, nor attach or detach consumers while ranging over it.
 	Consumers() []*Consumer
 }
 
@@ -115,12 +117,9 @@ func (pm *PM) VMs() []*VM {
 	return out
 }
 
-// Consumers returns the native consumers attached directly to the PM.
-func (pm *PM) Consumers() []*Consumer {
-	out := make([]*Consumer, len(pm.native))
-	copy(out, pm.native)
-	return out
-}
+// Consumers returns the native consumers attached directly to the PM,
+// as the PM's own list; see Node.
+func (pm *PM) Consumers() []*Consumer { return pm.native }
 
 // Start begins executing a consumer natively on the PM.
 func (pm *PM) Start(c *Consumer) error {

@@ -89,12 +89,9 @@ func (vm *VM) UsefulCapacity() resource.Vector {
 	)
 }
 
-// Consumers returns the consumers currently attached to the VM.
-func (vm *VM) Consumers() []*Consumer {
-	out := make([]*Consumer, len(vm.consumers))
-	copy(out, vm.consumers)
-	return out
-}
+// Consumers returns the consumers currently attached to the VM, as the
+// VM's own list; see Node.
+func (vm *VM) Consumers() []*Consumer { return vm.consumers }
 
 // Start begins executing a consumer inside the VM. Starting work on a
 // paused VM is allowed; it simply makes no progress until Resume.

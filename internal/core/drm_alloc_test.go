@@ -14,8 +14,8 @@ import (
 
 // TestDRMObserveDoesNotAllocate pins the estimator lookup: keying by
 // job name and task kind instead of a formatted string makes a sweep's
-// observe pass allocation-free. Each estimator's bounded sample window
-// regrows once per few hundred samples, which amortizes to zero.
+// observe pass allocation-free. Each estimator's full sample window
+// slides in place.
 func TestDRMObserveDoesNotAllocate(t *testing.T) {
 	rig := virtualRig(t, 4)
 	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)

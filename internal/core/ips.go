@@ -180,19 +180,18 @@ func (p *IPS) tick(time.Duration) {
 func (p *IPS) observe(st *ipsService) {
 	pm := st.svc.Node().Machine()
 	var cpu, mem, io float64
-	running := p.jt.RunningAttempts()
 	if p.perf != nil {
-		p.perf.C.IPSAttemptsScanned += int64(len(running))
+		p.perf.C.IPSAttemptsScanned += int64(p.jt.RunningCount())
 	}
-	for _, a := range running {
+	p.jt.EachRunningAttempt(func(a *mapred.Attempt) {
 		if a.Node().Machine() != pm {
-			continue
+			return
 		}
 		alloc := a.Consumer().Alloc()
 		cpu += alloc.Get(resource.CPU)
 		mem += a.Consumer().Demand.Get(resource.Memory)
 		io += alloc.Get(resource.DiskIO) + alloc.Get(resource.NetIO)
-	}
+	})
 	lat := st.svc.LatencyMs()
 	p.ts.Observe("service.latency_ms", st.svc.Spec().Name, p.engine.Now(), lat)
 	st.models.CPU.Observe(cpu, lat)
@@ -358,52 +357,47 @@ func (p *IPS) bestFitTracker(a *mapred.Attempt, avoid *cluster.PM) *mapred.TaskT
 	demand := a.Consumer().Demand
 	var best *mapred.TaskTracker
 	bestLeft := 0.0
-	for _, tr := range p.jt.Trackers() {
+	p.jt.EachTracker(func(tr *mapred.TaskTracker) {
 		if tr.Compute.Machine() == avoid {
-			continue
+			return
 		}
 		if tr.FreeSlots(a.Task.Kind) <= 0 {
-			continue
+			return
 		}
 		// Never evict interference onto a machine hosting any watched
 		// service — that just moves the problem.
 		if p.hostsAnyService(tr.Compute.Machine()) {
-			continue
+			return
 		}
 		free := p.freeCapacity(tr.Compute)
 		left := 0.0
-		fits := true
 		for _, k := range [...]resource.Kind{resource.CPU, resource.DiskIO, resource.NetIO} {
 			d := demand.Get(k)
 			f := free.Get(k)
 			if d > f {
-				fits = false
-				break
+				return
 			}
 			left += f - d
-		}
-		if !fits {
-			continue
 		}
 		if best == nil || left < bestLeft {
 			best, bestLeft = tr, left
 		}
-	}
+	})
 	if best == nil {
 		// Fall back to the emptiest service-free tracker with a free
 		// slot, even if the task will contend there: re-execution beats
 		// SLA violation.
-		for _, tr := range p.jt.Trackers() {
+		p.jt.EachTracker(func(tr *mapred.TaskTracker) {
 			if tr.Compute.Machine() == avoid || tr.FreeSlots(a.Task.Kind) <= 0 {
-				continue
+				return
 			}
 			if p.hostsAnyService(tr.Compute.Machine()) {
-				continue
+				return
 			}
 			if best == nil || len(tr.Compute.Consumers()) < len(best.Compute.Consumers()) {
 				best = tr
 			}
-		}
+		})
 	}
 	return best
 }

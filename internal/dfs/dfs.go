@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -39,11 +40,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DataNode stores block replicas on a cluster node.
+// DataNode stores block replicas on a cluster node. The namespace's
+// Block.Replicas lists are the one record of which blocks a DataNode
+// holds; the DataNode keeps only their count and total size, updated at
+// every step that adds it to or removes it from a Replicas list.
 type DataNode struct {
 	node   cluster.Node
-	blocks map[string]struct{}
+	blocks int
 	usedMB float64
+}
+
+// hold records a replica of b joining the DataNode.
+func (d *DataNode) hold(b *Block) {
+	d.blocks++
+	d.usedMB += b.SizeMB
+}
+
+// release records a replica of b leaving the DataNode.
+func (d *DataNode) release(b *Block) {
+	d.blocks--
+	d.usedMB -= b.SizeMB
 }
 
 // Node returns the cluster node backing this DataNode.
@@ -53,7 +69,7 @@ func (d *DataNode) Node() cluster.Node { return d.node }
 func (d *DataNode) UsedMB() float64 { return d.usedMB }
 
 // BlockCount returns the number of replicas resident.
-func (d *DataNode) BlockCount() int { return len(d.blocks) }
+func (d *DataNode) BlockCount() int { return d.blocks }
 
 // Block is one block of a file.
 type Block struct {
@@ -170,7 +186,7 @@ func (fs *FileSystem) AddDataNode(n cluster.Node) *DataNode {
 	if d, ok := fs.byNode[n]; ok {
 		return d
 	}
-	d := &DataNode{node: n, blocks: make(map[string]struct{})}
+	d := &DataNode{node: n}
 	fs.datanodes = append(fs.datanodes, d)
 	fs.nodeGen++
 	if pm := n.Machine(); pm != nil && !slices.Contains(fs.clusters, pm.Cluster()) {
@@ -227,14 +243,13 @@ func (fs *FileSystem) CreateFile(name string, sizeMB float64, preferred cluster.
 		size := math.Min(fs.cfg.BlockMB, remaining)
 		remaining -= size
 		b := &Block{
-			ID:     fmt.Sprintf("blk-%d", fs.nextBlock),
+			ID:     "blk-" + strconv.Itoa(fs.nextBlock),
 			SizeMB: size,
 		}
 		fs.nextBlock++
 		b.Replicas = fs.placeReplicas(preferred)
 		for _, d := range b.Replicas {
-			d.blocks[b.ID] = struct{}{}
-			d.usedMB += size
+			d.hold(b)
 		}
 		f.Blocks = append(f.Blocks, b)
 	}
@@ -250,10 +265,7 @@ func (fs *FileSystem) Delete(name string) error {
 	}
 	for _, b := range f.Blocks {
 		for _, d := range b.Replicas {
-			if _, has := d.blocks[b.ID]; has {
-				delete(d.blocks, b.ID)
-				d.usedMB -= b.SizeMB
-			}
+			d.release(b)
 		}
 	}
 	delete(fs.files, name)
@@ -523,8 +535,7 @@ func (fs *FileSystem) repairBlock(b *Block) bool {
 		return false
 	}
 	b.Replicas = append(b.Replicas, target)
-	target.blocks[b.ID] = struct{}{}
-	target.usedMB += b.SizeMB
+	target.hold(b)
 	fs.mReReplications.Inc()
 	if fs.tracer != nil {
 		fs.tracer.Instant(target.node.Name(), "dfs", "re-replicate",
@@ -634,8 +645,7 @@ func (fs *FileSystem) RestoreBlock(b *Block) bool {
 			break
 		}
 		b.Replicas = append(b.Replicas, target)
-		target.blocks[b.ID] = struct{}{}
-		target.usedMB += b.SizeMB
+		target.hold(b)
 		restored = true
 		fs.mBlocksRestored.Inc()
 		if fs.tracer != nil {
@@ -671,8 +681,7 @@ func (fs *FileSystem) CorruptReplica(b *Block, d *DataNode) (lost bool) {
 	if !found {
 		return false
 	}
-	delete(d.blocks, b.ID)
-	d.usedMB -= b.SizeMB
+	d.release(b)
 	fs.mReplicasCorrupted.Inc()
 	if fs.tracer != nil {
 		fs.tracer.Instant(d.node.Name(), "dfs", "replica-corrupted",

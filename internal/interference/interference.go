@@ -49,10 +49,15 @@ func (f Family) minSamples() int {
 // the LRM.
 type Predictor struct {
 	family Family
-	xs     []float64
-	ys     []float64
-	model  stats.Model
-	dirty  bool
+	// xs and ys are the observation window, oldest first. Under a
+	// positive MaxSamples they are windows into xbuf and ybuf, which grow
+	// by doubling to at most twice the bound: the window then slides
+	// forward in place, and moves back to the front when it reaches the
+	// end of the arrays, so a full window observes without allocating.
+	xs, ys     []float64
+	xbuf, ybuf []float64
+	model      stats.Model
+	dirty      bool
 	// MaxSamples bounds the observation window (default 512); the oldest
 	// samples are discarded, so the model tracks phase changes.
 	MaxSamples int
@@ -75,13 +80,38 @@ func (p *Predictor) Observe(pressure, response float64) {
 	if p.family == ExponentialFamily && response <= 0 {
 		response = 1e-6
 	}
+	if p.MaxSamples > 0 {
+		if len(p.xs) >= p.MaxSamples {
+			p.xs, p.ys = p.xs[1:], p.ys[1:]
+		}
+		if len(p.xs) == cap(p.xs) {
+			p.makeRoom()
+		}
+	}
 	p.xs = append(p.xs, pressure)
 	p.ys = append(p.ys, response)
-	if p.MaxSamples > 0 && len(p.xs) > p.MaxSamples {
-		p.xs = p.xs[1:]
-		p.ys = p.ys[1:]
-	}
 	p.dirty = true
+}
+
+// makeRoom frees a slot past the end of a window that fills its backing
+// arrays. A window shorter than half of them moves back to the front: an
+// amortized O(1) copy, since sliding it there took more observations
+// than it has samples. A longer one moves into new arrays twice its
+// length plus the new slot, capped at twice MaxSamples when that still
+// leaves room (the full window then slides without allocating), so a
+// predictor that sees few samples never holds the full-size arrays.
+func (p *Predictor) makeRoom() {
+	n := len(p.xs)
+	if 2*n >= cap(p.xbuf) {
+		size := max(2*(n+1), 8)
+		if limit := 2 * p.MaxSamples; limit > n {
+			size = min(size, limit)
+		}
+		p.xbuf, p.ybuf = make([]float64, size), make([]float64, size)
+	}
+	copy(p.xbuf, p.xs)
+	copy(p.ybuf, p.ys)
+	p.xs, p.ys = p.xbuf[:n], p.ybuf[:n]
 }
 
 // refit rebuilds the model if observations changed.

@@ -1,9 +1,12 @@
 package interference
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestPredictorNeedsMinimumSamples(t *testing.T) {
@@ -126,6 +129,127 @@ func TestObservationWindowSlides(t *testing.T) {
 	}
 	if math.Abs(got-9) > 0.5 {
 		t.Errorf("Predict(4) = %v, want ~9 (new regime)", got)
+	}
+
+	// The in-place window must hold exactly what the append-and-reslice
+	// window it replaced held, so every fit sees the same samples in the
+	// same order and returns the same coefficients, bit for bit.
+	rng := rand.New(rand.NewSource(19))
+	for _, bound := range []int{1, 2, 3, 10, 512} {
+		for _, family := range []Family{LinearFamily, PiecewiseFamily, ExponentialFamily} {
+			p := NewPredictor(family)
+			p.MaxSamples = bound
+			ref := &appendWindow{family: family, bound: bound}
+			fitEvery := 1 + bound/8 // piecewise fits are quadratic in the window
+			for i := 1; i <= 5*bound; i++ {
+				x, y := rng.Float64()*4, rng.NormFloat64()+2 // some y <= 0: the exponential clamp
+				p.Observe(x, y)
+				ref.observe(x, y)
+				if !sameBits(p.xs, ref.xs) || !sameBits(p.ys, ref.ys) {
+					t.Fatalf("MaxSamples %d %v: window after %d samples differs from append/[1:]", bound, family, i)
+				}
+				if i%fitEvery != 0 && i != 5*bound {
+					continue
+				}
+				want := (&Predictor{family: family, xs: ref.xs, ys: ref.ys, dirty: true}).Model()
+				if got := p.Model(); !sameBits(coefficients(got), coefficients(want)) {
+					t.Fatalf("MaxSamples %d %v after %d samples: model %v, want %v", bound, family, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// appendWindow is the observation window Predictor used to keep: append
+// the sample, then drop the oldest by reslicing once over the bound.
+type appendWindow struct {
+	family Family
+	bound  int
+	xs, ys []float64
+}
+
+func (w *appendWindow) observe(x, y float64) {
+	if w.family == ExponentialFamily && y <= 0 {
+		y = 1e-6
+	}
+	w.xs = append(w.xs, x)
+	w.ys = append(w.ys, y)
+	if w.bound > 0 && len(w.xs) > w.bound {
+		w.xs = w.xs[1:]
+		w.ys = w.ys[1:]
+	}
+}
+
+// coefficients flattens a fitted model's parameters (nil before a fit).
+func coefficients(m stats.Model) []float64 {
+	switch m := m.(type) {
+	case nil:
+		return nil
+	case *stats.Linear:
+		return []float64{m.Intercept, m.Slope, m.R2}
+	case *stats.Exponential:
+		return []float64{m.A, m.B, m.R2}
+	case *stats.PiecewiseLinear:
+		return []float64{m.Break, m.Left.Intercept, m.Left.Slope, m.Left.R2,
+			m.Right.Intercept, m.Right.Slope, m.Right.R2, m.R2}
+	default:
+		panic(fmt.Sprintf("unknown model %T", m))
+	}
+}
+
+// sameBits reports whether two float slices are identical bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFullWindowObservesWithoutAllocating pins the steady state: once a
+// bounded window is full it slides and wraps inside its backing arrays.
+func TestFullWindowObservesWithoutAllocating(t *testing.T) {
+	for _, bound := range []int{1, 2, 3, 10, 512} {
+		p := NewPredictor(LinearFamily)
+		p.MaxSamples = bound
+		x := 0.0
+		observe := func() {
+			x++
+			p.Observe(x, 2*x)
+		}
+		for i := 0; i < 3*bound; i++ {
+			observe()
+		}
+		// AllocsPerRun truncates its average, so measure one run of many
+		// samples: enough to wrap the window around its arrays twice.
+		if allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 4*bound+10; i++ {
+				observe()
+			}
+		}); allocs != 0 {
+			t.Errorf("MaxSamples %d: %v allocations over %d samples on a full window, want 0", bound, allocs, 4*bound+10)
+		}
+		if p.Len() != bound {
+			t.Errorf("MaxSamples %d: window holds %d samples", bound, p.Len())
+		}
+	}
+}
+
+// BenchmarkPredictorObserve measures one sample into a full window of
+// the default size, the steady state of every IPS and DRM model.
+func BenchmarkPredictorObserve(b *testing.B) {
+	p := NewPredictor(ExponentialFamily)
+	for i := 0; i < 2*p.MaxSamples; i++ {
+		p.Observe(float64(i%7), 1+float64(i%5))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Observe(float64(i%7), 1+float64(i%5))
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 //     fleet.
 //   - runningSorted: every running attempt ordered by consumer name,
 //     maintained at launch/release. RunningAttempts() copies it instead
-//     of rebuilding and sorting from the attempts map.
+//     of rebuilding and sorting from the attempts map; per-tick readers
+//     (the IPS, the straggler scan) walk it in place.
 //   - buckets/bucketOrder: running attempts grouped per compute node in
 //     node-name order, the exact iteration order the DRM's tick used to
 //     reconstruct by sorting every sweep.

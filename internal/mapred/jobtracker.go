@@ -300,6 +300,9 @@ type JobTracker struct {
 	// maintained at launch/release instead of rebuilt and re-sorted per
 	// RunningAttempts call.
 	runningSorted []*Attempt
+	// spec is speculate's per-tick scratch, reused so a tick that finds
+	// no straggler allocates nothing.
+	spec specScratch
 	// buckets groups running attempts by compute node for the DRM's
 	// per-node sweep; bucketOrder keeps the buckets in node-name order.
 	buckets     map[cluster.Node]*nodeBucket
@@ -523,6 +526,14 @@ func (jt *JobTracker) Trackers() []*TaskTracker {
 	return out
 }
 
+// EachTracker calls fn on every registered worker in registration order,
+// in place. fn must not register trackers.
+func (jt *JobTracker) EachTracker(fn func(tr *TaskTracker)) {
+	for _, tr := range jt.trackers {
+		fn(tr)
+	}
+}
+
 // TrackerCount returns the number of registered workers without copying
 // the list.
 func (jt *JobTracker) TrackerCount() int { return len(jt.trackers) }
@@ -555,6 +566,19 @@ func (jt *JobTracker) RunningAttempts() []*Attempt {
 	out := make([]*Attempt, len(jt.runningSorted))
 	copy(out, jt.runningSorted)
 	return out
+}
+
+// EachRunningAttempt calls fn on every running attempt in place, in the
+// order and with the jt.attempts_sorted count of RunningAttempts, for
+// per-tick readers that would otherwise copy the list. fn must not
+// launch, kill, or relocate attempts; reading allocations is safe.
+func (jt *JobTracker) EachRunningAttempt(fn func(a *Attempt)) {
+	if jt.perf != nil {
+		jt.perf.C.JTAttemptsSorted += int64(len(jt.runningSorted))
+	}
+	for _, a := range jt.runningSorted {
+		fn(a)
+	}
 }
 
 // Submit enqueues a job. Input data is materialized in the DFS
@@ -1145,27 +1169,21 @@ func (jt *JobTracker) speculate() {
 	defer jt.perf.Exit()
 	// Group via the sorted attempt list and visit jobs in submission
 	// order: iteration order decides which straggler claims the last free
-	// slot, so it must be stable across runs.
-	byJobKind := make(map[*Job]map[TaskKind][]*Attempt)
-	running := jt.RunningAttempts()
+	// slot, so it must be stable across runs. The groups are filled
+	// before any backup launches, so the launches cannot disturb them.
+	sc := &jt.spec
+	defer sc.reset()
 	if jt.perf != nil {
-		jt.perf.C.JTSpeculationScans += int64(len(running))
+		jt.perf.C.JTSpeculationScans += int64(len(jt.runningSorted))
 	}
-	for _, a := range running {
-		m, ok := byJobKind[a.Task.Job]
-		if !ok {
-			m = make(map[TaskKind][]*Attempt)
-			byJobKind[a.Task.Job] = m
-		}
-		m[a.Task.Kind] = append(m[a.Task.Kind], a)
-	}
+	jt.EachRunningAttempt(sc.add)
 	for _, job := range jt.activeJobs {
-		kinds, ok := byJobKind[job]
+		g, ok := sc.group[job]
 		if !ok {
 			continue
 		}
 		for _, kind := range [...]TaskKind{MapTask, ReduceTask} {
-			attempts := kinds[kind]
+			attempts := sc.attempts[g+kind.slot()]
 			if len(attempts) == 0 {
 				continue
 			}
@@ -1177,7 +1195,7 @@ func (jt *JobTracker) speculate() {
 				if len(attempts) < 2 {
 					continue
 				}
-				reference = medianSpeed(attempts)
+				reference = sc.medianSpeed(attempts)
 			}
 			if reference <= 0 {
 				continue
@@ -1252,17 +1270,68 @@ func (jt *JobTracker) freeTrackerExcluding(exclude *TaskTracker, kind TaskKind) 
 	return best
 }
 
-func medianSpeed(attempts []*Attempt) float64 {
+// specScratch groups one speculation tick's running attempts by job and
+// kind: group[job] is the index in attempts of the job's map group, its
+// reduce group follows. Between ticks the map is empty and every group
+// has length 0, but the storage stays for the next tick.
+type specScratch struct {
+	group    map[*Job]int
+	attempts [][]*Attempt
+	used     int
+	speeds   []float64
+}
+
+// slot is the kind's offset within a job's pair of groups.
+func (k TaskKind) slot() int {
+	if k == MapTask {
+		return 0
+	}
+	return 1
+}
+
+// add appends a to its job and kind's group, opening the job's pair of
+// groups on its first attempt.
+func (sc *specScratch) add(a *Attempt) {
+	if sc.group == nil {
+		sc.group = make(map[*Job]int)
+	}
+	g, ok := sc.group[a.Task.Job]
+	if !ok {
+		g = sc.used
+		sc.used += 2
+		for len(sc.attempts) < sc.used {
+			sc.attempts = append(sc.attempts, nil)
+		}
+		sc.group[a.Task.Job] = g
+	}
+	k := g + a.Task.Kind.slot()
+	sc.attempts[k] = append(sc.attempts[k], a)
+}
+
+// reset empties the groups, dropping their pointers so finished jobs and
+// attempts are not kept alive until the next tick.
+func (sc *specScratch) reset() {
+	clear(sc.group)
+	for i := range sc.attempts[:sc.used] {
+		clear(sc.attempts[i])
+		sc.attempts[i] = sc.attempts[i][:0]
+	}
+	sc.used = 0
+}
+
+// medianSpeed is the median progress rate of attempts.
+func (sc *specScratch) medianSpeed(attempts []*Attempt) float64 {
 	// Mass re-execution after a failure can empty an attempt list
 	// between grouping and inspection; a zero reference disables
 	// speculation for the scan rather than indexing an empty slice.
 	if len(attempts) == 0 {
 		return 0
 	}
-	speeds := make([]float64, len(attempts))
-	for i, a := range attempts {
-		speeds[i] = a.Speed()
+	speeds := sc.speeds[:0]
+	for _, a := range attempts {
+		speeds = append(speeds, a.Speed())
 	}
+	sc.speeds = speeds
 	// Insertion sort: attempt lists are small.
 	for i := 1; i < len(speeds); i++ {
 		for k := i; k > 0 && speeds[k] < speeds[k-1]; k-- {

@@ -147,7 +147,7 @@ func ShareVectorInto(dst []Vector, capacity Vector, demands []Vector, weights []
 		}
 		s.allocs = FairShareInto(s.allocs, capacity.Get(k), s.claims, s)
 		for i := range out {
-			out[i] = out[i].Set(k, s.allocs[i])
+			out[i][k.index()] = s.allocs[i]
 		}
 	}
 	return out
