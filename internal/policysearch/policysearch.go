@@ -38,9 +38,10 @@ const Schema = "hybridmr.search/v1"
 
 // Options parameterizes a search.
 type Options struct {
-	// Grid is the candidate policy specs to score (default SmokeGrid()).
+	// Grid is the candidate policy specs to score.
 	Grid []policy.Spec
-	// Seed fixes the scenario; every candidate runs the same seed.
+	// Seed fixes the scenario; every candidate runs the same seed, zero
+	// included.
 	Seed int64
 	// Jobs is the batch-roster size (default 6).
 	Jobs int
@@ -53,12 +54,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if len(o.Grid) == 0 {
-		o.Grid = SmokeGrid()
-	}
-	if o.Seed == 0 {
-		o.Seed = 11
-	}
 	if o.Jobs <= 0 {
 		o.Jobs = 6
 	}
@@ -161,8 +156,8 @@ type Candidate struct {
 	// Jobs is how many batch jobs completed (all of them, or the run
 	// errors).
 	Jobs int `json:"jobs"`
-	// EventsFired counts the candidate's simulation events — the
-	// denominator of the bench throughput floor.
+	// EventsFired counts the candidate's simulation events; the policy
+	// sweep sums them into the events/sec line of its summary.
 	EventsFired int64 `json:"events_fired"`
 	// Pareto marks frontier membership: no other candidate is at least
 	// as good on every objective and better on one.

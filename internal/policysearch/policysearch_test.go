@@ -23,7 +23,7 @@ func runJSON(t *testing.T, parallelism int) []byte {
 	prev := experiments.Parallelism
 	experiments.Parallelism = parallelism
 	defer func() { experiments.Parallelism = prev }()
-	file, _, err := Run(Options{Grid: testGrid(), Jobs: 3, Services: 1})
+	file, _, err := Run(Options{Grid: testGrid(), Seed: 11, Jobs: 3, Services: 1})
 	if err != nil {
 		t.Fatalf("Run(parallelism=%d): %v", parallelism, err)
 	}
@@ -50,7 +50,7 @@ func TestParallelDeterminism(t *testing.T) {
 // and a winner digest referencing a frontier policy with audited
 // decisions.
 func TestRunShape(t *testing.T) {
-	file, log, err := Run(Options{Grid: testGrid(), Jobs: 3, Services: 1})
+	file, log, err := Run(Options{Grid: testGrid(), Seed: 11, Jobs: 3, Services: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
