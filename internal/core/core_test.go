@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/mapred"
 	"repro/internal/profiler"
+	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -313,6 +315,44 @@ func TestDRMEstimatorLearns(t *testing.T) {
 	}
 	if drm.Adjustments == 0 {
 		t.Error("DRM made no adjustments")
+	}
+}
+
+// TestDRMForgetsEndedDeferrals kills an attempt the memory balancer has
+// deferred: the next epoch drops its entry, so the deferral map does not
+// keep the ended attempt's consumer alive for the rest of the run.
+func TestDRMForgetsEndedDeferrals(t *testing.T) {
+	rig := virtualRig(t, 4)
+	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)
+	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(2048), nil); err != nil {
+		t.Fatal(err)
+	}
+	rig.Engine.RunUntil(30 * time.Second)
+	var victim *mapred.Attempt
+	rig.JT.EachNodeAttempts(func(_ cluster.Node, attempts []*mapred.Attempt) {
+		if victim != nil || len(attempts) < 2 {
+			return
+		}
+		// Room for only the most-progressed attempt: the rest defer.
+		drm.balanceMemory(attempts, attempts[0].Consumer().Demand.Get(resource.Memory))
+		for _, a := range attempts {
+			if drm.deferred[a.Consumer()] {
+				victim = a
+				return
+			}
+		}
+	})
+	if victim == nil {
+		t.Fatal("no attempt was deferred")
+	}
+	c := victim.Consumer()
+	c.Kill()
+	if !drm.deferred[c] {
+		t.Fatal("the kill itself dropped the entry; the test is vacuous")
+	}
+	drm.tick()
+	if _, ok := drm.deferred[c]; ok {
+		t.Error("the killed attempt's deferral entry survived a DRM epoch")
 	}
 }
 

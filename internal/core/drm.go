@@ -59,7 +59,8 @@ type DRM struct {
 	// estimators fit per-job/kind speed-versus-allocation models; the
 	// Performance Balancer ranks cap grants by their predicted benefit.
 	estimators map[estimatorKey]*interference.Predictor
-	// deferred tracks attempts swapped out by the memory balancer.
+	// deferred tracks attempts swapped out by the memory balancer, until
+	// they resume or end (see pruneDeferred).
 	deferred map[*cluster.Consumer]bool
 	// Policy holds the Performance Balancer's knobs: the paper's
 	// deferral discipline by default, the proportional static split (the
@@ -146,6 +147,9 @@ func (d *DRM) tick() {
 	if d.perf != nil {
 		d.perf.C.DRMSweeps++
 		d.perf.C.DRMAttemptsObserved += int64(d.jt.RunningCount())
+	}
+	if d.modes.Memory {
+		d.pruneDeferred()
 	}
 	d.jt.EachNodeAttempts(func(node cluster.Node, attempts []*mapred.Attempt) {
 		if d.perf != nil {
@@ -346,6 +350,18 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 			}
 			d.auditLog.Add("drm", "defer", c.Name, "swap out (least progressed first)",
 				fmt.Sprintf("resident demand %.0f MB exceeds the %.0f MB left in the container; thrashing every task is worse", want, budget))
+		}
+	}
+}
+
+// pruneDeferred drops the deferral entries of ended attempts. A deferred
+// attempt that is killed, relocated or loses its race never resumes, so
+// its entry would pin its consumer for the rest of the run. Every
+// decision looks up running consumers only, so none changes.
+func (d *DRM) pruneDeferred() {
+	for c := range d.deferred {
+		if !c.Running() {
+			delete(d.deferred, c)
 		}
 	}
 }

@@ -254,19 +254,21 @@ func (p *IPS) arbitrate(st *ipsService) {
 		if relocated >= p.MaxRelocationsPerEpoch {
 			break
 		}
+		// Read before Relocate: it ends the attempt, which drops the
+		// consumer.
+		c := a.Consumer()
 		// Relocation restarts the attempt from scratch; nearly-finished
 		// tasks are throttled instead so their work is not wasted.
 		if a.Progress() < p.RelocateBelowProgress {
 			if dst := p.bestFitTracker(a, svcPM); dst != nil {
 				if err := p.jt.Relocate(a, dst); err == nil {
 					relocated++
-					p.log("relocate", st.svc.Spec().Name, a.Consumer().Name)
+					p.log("relocate", st.svc.Spec().Name, c.Name)
 					continue
 				}
 			}
 		}
 		// No placement found: throttle the interferer's bottleneck share.
-		c := a.Consumer()
 		cur := c.Cap.Get(bottleneck)
 		if cur <= 0 {
 			cur = c.Alloc().Get(bottleneck)

@@ -99,19 +99,13 @@ func (j *Job) State() JobState { return j.state }
 // Done reports whether the job has finished.
 func (j *Job) Done() bool { return j.state == JobDone }
 
-// Maps returns the job's map tasks.
-func (j *Job) Maps() []*Task {
-	out := make([]*Task, len(j.maps))
-	copy(out, j.maps)
-	return out
-}
+// Maps returns the job's map tasks. The slice is the job's own, capped
+// at its length so an append copies: callers must only read it.
+func (j *Job) Maps() []*Task { return j.maps[:len(j.maps):len(j.maps)] }
 
-// Reduces returns the job's reduce tasks.
-func (j *Job) Reduces() []*Task {
-	out := make([]*Task, len(j.reduces))
-	copy(out, j.reduces)
-	return out
-}
+// Reduces returns the job's reduce tasks. The slice is the job's own,
+// capped at its length so an append copies: callers must only read it.
+func (j *Job) Reduces() []*Task { return j.reduces[:len(j.reduces):len(j.reduces)] }
 
 // JCT returns the job completion time; zero until the job is done.
 func (j *Job) JCT() time.Duration {

@@ -792,7 +792,7 @@ func trackerPressure(tr *TaskTracker) float64 {
 
 // launch starts an attempt of task on tracker.
 func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) error {
-	id := task.ID()
+	name, id := task.attemptName(tr.Compute.Name())
 	if tr.lost {
 		return fmt.Errorf("mapred: launch(%s): tracker %s is lost", id, tr.Compute.Name())
 	}
@@ -816,7 +816,7 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		StartedAt:   jt.engine.Now(),
 	}
 	a.consumer = &cluster.Consumer{
-		Name:   id + "@" + tr.Compute.Name(),
+		Name:   name,
 		Demand: demand,
 		Work:   work,
 	}
@@ -957,6 +957,7 @@ func (jt *JobTracker) attemptFinished(a *Attempt) {
 	if elapsed := (jt.engine.Now() - a.StartedAt).Seconds(); elapsed > 0 && a.consumer != nil {
 		a.Task.Job.recordAttemptRate(a.Task.Kind, a.consumer.Work/elapsed)
 	}
+	a.release()
 	task := a.Task
 	if task.state == TaskDone {
 		jt.schedule()
@@ -977,6 +978,7 @@ func (jt *JobTracker) attemptFinished(a *Attempt) {
 			if other.serve != nil && other.serve.Running() {
 				other.serve.Stop()
 			}
+			other.release()
 		}
 	}
 	job := task.Job
@@ -1027,6 +1029,7 @@ func (jt *JobTracker) attemptKilled(a *Attempt) {
 	if a.serve != nil && a.serve.Running() {
 		a.serve.Stop()
 	}
+	a.release()
 	task := a.Task
 	if task.state == TaskRunning && task.runningAttempts() == 0 {
 		jt.setTaskState(task, TaskPending)
@@ -1094,6 +1097,7 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	if a.serve != nil && a.serve.Running() {
 		a.serve.Stop()
 	}
+	a.release()
 	jt.setTaskState(a.Task, TaskPending)
 	a.Task.pendingSince = jt.engine.Now()
 	return jt.launch(a.Task, dst, false)

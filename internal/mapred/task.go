@@ -70,12 +70,10 @@ type Task struct {
 // State returns the task's scheduling state.
 func (t *Task) State() TaskState { return t.state }
 
-// Attempts returns all attempts launched so far.
-func (t *Task) Attempts() []*Attempt {
-	out := make([]*Attempt, len(t.attempts))
-	copy(out, t.attempts)
-	return out
-}
+// Attempts returns all attempts launched so far. The slice is the
+// task's own, capped at its length so an append copies: callers must
+// only read it.
+func (t *Task) Attempts() []*Attempt { return t.attempts[:len(t.attempts):len(t.attempts)] }
 
 // runningAttempts counts attempts still executing.
 func (t *Task) runningAttempts() int {
@@ -100,15 +98,21 @@ func (t *Task) ID() string {
 	return t.Job.key + "/" + t.Kind.String() + "-" + strconv.Itoa(t.Index)
 }
 
+// attemptName builds the name of the task's attempt on node,
+// "<ID>@<node>", in one allocation, and returns the task ID as its
+// prefix.
+func (t *Task) attemptName(node string) (name, id string) {
+	var idx [20]byte
+	name = t.Job.key + "/" + t.Kind.String() + "-" + string(strconv.AppendInt(idx[:0], int64(t.Index), 10)) + "@" + node
+	return name, name[:len(name)-len(node)-1]
+}
+
 // Attempt is one execution of a task on a specific tracker.
 type Attempt struct {
 	// Task is the task being attempted.
 	Task *Task
 	// Tracker is where the attempt runs.
 	Tracker *TaskTracker
-	// Speculative marks backup attempts launched by the straggler
-	// detector.
-	Speculative bool
 	// StartedAt is the simulation time the attempt began.
 	StartedAt time.Duration
 	// FinishedAt is when the attempt completed, was killed, or lost the
@@ -120,21 +124,39 @@ type Attempt struct {
 
 	consumer *cluster.Consumer
 	serve    *cluster.Consumer // split-architecture storage-side stream
-	finished bool
-	killed   bool
+	// progress is the fraction of work reached when the attempt ended;
+	// Progress reads it once release has dropped the consumer.
+	progress float64
 	span     trace.Span
+	// Speculative marks backup attempts launched by the straggler
+	// detector.
+	Speculative bool
+	finished    bool
+	killed      bool
 }
 
 // Running reports whether the attempt is still executing.
 func (a *Attempt) Running() bool { return !a.finished && !a.killed }
 
-// Progress returns the completed fraction in [0, 1].
+// release drops an ended attempt's resource consumers so it keeps only
+// its record. It runs after the last read of either consumer on every
+// path that ends an attempt (completion, kill, lost speculative race,
+// relocation), and saves the fraction of work reached for Progress.
+func (a *Attempt) release() {
+	if a.consumer != nil {
+		a.progress = a.consumer.Progress()
+	}
+	a.consumer, a.serve = nil, nil
+}
+
+// Progress returns the completed fraction in [0, 1]: 1 once finished,
+// the fraction reached once killed.
 func (a *Attempt) Progress() float64 {
 	if a.finished {
 		return 1
 	}
 	if a.consumer == nil {
-		return 0
+		return a.progress
 	}
 	return a.consumer.Progress()
 }
@@ -149,7 +171,8 @@ func (a *Attempt) Speed() float64 {
 
 // Consumer exposes the underlying resource consumer so that the Phase II
 // DRM can observe usage and install caps, and the IPS can kill or weigh
-// down interfering attempts.
+// down interfering attempts. It is nil once the attempt has ended: an
+// ended attempt keeps only its record.
 func (a *Attempt) Consumer() *cluster.Consumer { return a.consumer }
 
 // Node returns the node the attempt runs on.

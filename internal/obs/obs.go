@@ -46,6 +46,9 @@ type Sinks struct {
 
 	// flushed is the Perf counter state at the last Flush.
 	flushed perfstat.Counters
+	// perfCounters are Metrics' perfstat.* counters in CounterNames
+	// order, looked up at the first Flush.
+	perfCounters []*trace.Counter
 }
 
 // Bind attaches the handle to the deployment's engine: it binds the
@@ -75,8 +78,9 @@ func (s *Sinks) Bind(engine *sim.Engine) {
 // Flush writes the engine's occupancy gauges into Metrics and folds the
 // Perf counter increments since the last Flush into it as perfstat.*
 // counters. Every counter name is materialized, zero ones included, so
-// merged snapshots keep a stable key set. Wall-time spans never enter
-// the registry: they are nondeterministic and would break byte-identical
+// merged snapshots keep a stable key set; the handles are looked up once,
+// so a later Flush allocates nothing. Wall-time spans never enter the
+// registry: they are nondeterministic and would break byte-identical
 // snapshot comparisons.
 func (s *Sinks) Flush(engine *sim.Engine) {
 	if s.Metrics == nil {
@@ -88,11 +92,17 @@ func (s *Sinks) Flush(engine *sim.Engine) {
 	if s.Perf == nil {
 		return
 	}
-	delta := s.Perf.C.Delta(s.flushed)
-	s.flushed = s.Perf.C
-	delta.Each(func(name string, v int64) {
-		s.Metrics.Counter("perfstat." + name).Add(float64(v))
+	if s.perfCounters == nil {
+		names := perfstat.CounterNames()
+		s.perfCounters = make([]*trace.Counter, len(names))
+		for i, name := range names {
+			s.perfCounters[i] = s.Metrics.Counter("perfstat." + name)
+		}
+	}
+	s.Perf.C.EachDelta(&s.flushed, func(i int, v int64) {
+		s.perfCounters[i].Add(float64(v))
 	})
+	s.flushed = s.Perf.C
 }
 
 // Of returns the handle s points to, or the all-off handle when s is

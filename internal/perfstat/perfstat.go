@@ -136,13 +136,12 @@ func (c *Counters) Each(f func(name string, v int64)) {
 	}
 }
 
-// Delta returns c - prev, fieldwise.
-func (c Counters) Delta(prev Counters) Counters {
-	var out Counters
-	for _, d := range counterDefs {
-		*d.get(&out) = *d.get(&c) - *d.get(&prev)
+// EachDelta calls f with every counter's position in CounterNames and
+// its value in c minus its value in prev.
+func (c *Counters) EachDelta(prev *Counters, f func(i int, delta int64)) {
+	for i, d := range counterDefs {
+		f(i, *d.get(c)-*d.get(prev))
 	}
-	return out
 }
 
 // AddFrom accumulates other into c, fieldwise.

@@ -144,14 +144,19 @@ func TestDeltaEach(t *testing.T) {
 	prev.DFSBlocksPlaced = 4
 	cur.DFSBlocksPlaced = 10
 	cur.EngineEventsFired = 2
-	d := cur.Delta(prev)
-	if d.DFSBlocksPlaced != 6 || d.EngineEventsFired != 2 {
-		t.Errorf("delta wrong: %+v", d)
+	names := CounterNames()
+	d := map[string]int64{}
+	cur.EachDelta(&prev, func(i int, v int64) { d[names[i]] = v })
+	if d["dfs.blocks_placed"] != 6 || d["engine.events_fired"] != 2 {
+		t.Errorf("delta wrong: %v", d)
+	}
+	if len(d) != len(names) {
+		t.Errorf("EachDelta visited %d counters, want %d", len(d), len(names))
 	}
 	seen := 0
-	d.Each(func(name string, v int64) { seen++ })
-	if seen != len(CounterNames()) {
-		t.Errorf("Each visited %d counters, want %d", seen, len(CounterNames()))
+	cur.Each(func(name string, v int64) { seen++ })
+	if seen != len(names) {
+		t.Errorf("Each visited %d counters, want %d", seen, len(names))
 	}
 }
 
