@@ -46,8 +46,10 @@ type Consumer struct {
 	alloc      resource.Vector
 	speed      float64
 	completion *sim.Event
-	// completeFn is c.complete bound once per run, so rescheduling the
-	// completion on every re-solve does not allocate a method value.
+	// completeFn is c.complete, bound at the first completion scheduled
+	// and kept for the consumer's lifetime, so neither rescheduling the
+	// completion on every re-solve nor restarting a recycled consumer
+	// allocates a method value.
 	completeFn func()
 	state      consumerState
 }
@@ -233,7 +235,6 @@ func (c *Consumer) detach() {
 	c.vm = nil
 	c.alloc = resource.Vector{}
 	c.speed = 0
-	c.completeFn = nil // finished consumers often stay referenced
 }
 
 // rekey points the consumer's completion event at now plus its remaining

@@ -320,7 +320,8 @@ func TestDRMEstimatorLearns(t *testing.T) {
 
 // TestDRMForgetsEndedDeferrals kills an attempt the memory balancer has
 // deferred: the next epoch drops its entry, so the deferral map does not
-// keep the ended attempt's consumer alive for the rest of the run.
+// keep the ended attempt alive for the rest of the run, and a later
+// attempt that reuses its consumer does not inherit the deferral.
 func TestDRMForgetsEndedDeferrals(t *testing.T) {
 	rig := virtualRig(t, 4)
 	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)
@@ -336,7 +337,7 @@ func TestDRMForgetsEndedDeferrals(t *testing.T) {
 		// Room for only the most-progressed attempt: the rest defer.
 		drm.balanceMemory(attempts, attempts[0].Consumer().Demand.Get(resource.Memory))
 		for _, a := range attempts {
-			if drm.deferred[a.Consumer()] {
+			if drm.deferred[a] {
 				victim = a
 				return
 			}
@@ -347,11 +348,26 @@ func TestDRMForgetsEndedDeferrals(t *testing.T) {
 	}
 	c := victim.Consumer()
 	c.Kill()
-	if !drm.deferred[c] {
+	if !drm.deferred[victim] {
 		t.Fatal("the kill itself dropped the entry; the test is vacuous")
 	}
+	// Run until a later attempt reuses the killed one's consumer.
+	var heir *mapred.Attempt
+	for heir == nil && rig.Engine.Step() {
+		rig.JT.EachRunningAttempt(func(a *mapred.Attempt) {
+			if a.Consumer() == c {
+				heir = a
+			}
+		})
+	}
+	if heir == nil {
+		t.Fatal("no later attempt reused the killed attempt's consumer")
+	}
+	if drm.deferred[heir] {
+		t.Error("the attempt reusing a deferred consumer inherited its deferral")
+	}
 	drm.tick()
-	if _, ok := drm.deferred[c]; ok {
+	if _, ok := drm.deferred[victim]; ok {
 		t.Error("the killed attempt's deferral entry survived a DRM epoch")
 	}
 }

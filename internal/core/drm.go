@@ -60,8 +60,9 @@ type DRM struct {
 	// Performance Balancer ranks cap grants by their predicted benefit.
 	estimators map[estimatorKey]*interference.Predictor
 	// deferred tracks attempts swapped out by the memory balancer, until
-	// they resume or end (see pruneDeferred).
-	deferred map[*cluster.Consumer]bool
+	// they resume or end (see pruneDeferred). It is keyed by attempt, not
+	// consumer: the JobTracker recycles an ended attempt's consumer.
+	deferred map[*mapred.Attempt]bool
 	// Policy holds the Performance Balancer's knobs: the paper's
 	// deferral discipline by default, the proportional static split (the
 	// deferral ablation's alternative) when policy.StaticSplitDRM is
@@ -100,7 +101,7 @@ func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoc
 		epoch:      epoch,
 		engine:     engine,
 		estimators: make(map[estimatorKey]*interference.Predictor),
-		deferred:   make(map[*cluster.Consumer]bool),
+		deferred:   make(map[*mapred.Attempt]bool),
 		Policy:     policy.PaperDRM{}.Params(),
 	}
 }
@@ -209,7 +210,7 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 	deficits := d.deficits[:0]
 	for _, a := range attempts {
 		c := a.Consumer()
-		if d.deferred[c] {
+		if d.deferred[a] {
 			// Swapped out by the memory balancer; do not grant rate
 			// resources it cannot use.
 			continue
@@ -324,8 +325,8 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 		}
 		if want <= budget {
 			// Fits: release any deferral and grant full residency.
-			if d.deferred[c] {
-				delete(d.deferred, c)
+			if d.deferred[a] {
+				delete(d.deferred, a)
 				d.setCap(c, resource.CPU, c.Demand.Get(resource.CPU))
 				d.auditLog.Add("drm", "resume-deferred", c.Name, "restore cpu+mem caps",
 					fmt.Sprintf("%.0f MB of container memory freed up", budget))
@@ -338,8 +339,8 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 		}
 		// Does not fit: defer (swap out) rather than thrash the whole
 		// container.
-		if !d.deferred[c] {
-			d.deferred[c] = true
+		if !d.deferred[a] {
+			d.deferred[a] = true
 			d.setCap(c, resource.Memory, 1)
 			d.setCap(c, resource.CPU, 0.01)
 			d.mDeferrals.Inc()
@@ -354,14 +355,15 @@ func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 	}
 }
 
-// pruneDeferred drops the deferral entries of ended attempts. A deferred
-// attempt that is killed, relocated or loses its race never resumes, so
-// its entry would pin its consumer for the rest of the run. Every
-// decision looks up running consumers only, so none changes.
+// pruneDeferred drops the deferral entries of attempts whose consumer
+// no longer runs. A deferred attempt that is killed, relocated or loses
+// its race never resumes, so its entry would pin the attempt for the
+// rest of the run. Every decision looks up running attempts only, so
+// none changes.
 func (d *DRM) pruneDeferred() {
-	for c := range d.deferred {
-		if !c.Running() {
-			delete(d.deferred, c)
+	for a := range d.deferred {
+		if c := a.Consumer(); c == nil || !c.Running() {
+			delete(d.deferred, a)
 		}
 	}
 }

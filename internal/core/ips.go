@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/audit"
@@ -45,6 +47,10 @@ type IPS struct {
 	blacklisted map[*mapred.TaskTracker]string
 	backoff     map[*cluster.PM]*blacklistBackoff
 	actions     []IPSAction
+	// Scratch reused by every maybeResume pass, so a tick that resumes
+	// nothing allocates nothing.
+	pausedScratch      []*cluster.VM
+	blacklistedScratch []*mapred.TaskTracker
 
 	tracer   *trace.Tracer
 	reg      *trace.Registry
@@ -472,12 +478,14 @@ func (p *IPS) hostsService(vm *cluster.VM) bool {
 func (p *IPS) maybeResume() {
 	// Iterate in name order: resuming a VM (or re-enabling a tracker)
 	// triggers reschedules, so map-iteration order would perturb the
-	// event sequence across runs.
-	paused := make([]*cluster.VM, 0, len(p.paused))
+	// event sequence across runs. slices.SortFunc runs the same pdqsort
+	// as sort.Slice, making the same comparisons.
+	paused := p.pausedScratch[:0]
 	for vm := range p.paused {
 		paused = append(paused, vm)
 	}
-	sort.Slice(paused, func(i, j int) bool { return paused[i].Name() < paused[j].Name() })
+	p.pausedScratch = paused
+	slices.SortFunc(paused, byVMName)
 	for _, vm := range paused {
 		svcName := p.paused[vm]
 		pm := vm.Machine()
@@ -496,13 +504,12 @@ func (p *IPS) maybeResume() {
 			p.log("resume", svcName, vm.Name())
 		}
 	}
-	blacklisted := make([]*mapred.TaskTracker, 0, len(p.blacklisted))
+	blacklisted := p.blacklistedScratch[:0]
 	for tr := range p.blacklisted {
 		blacklisted = append(blacklisted, tr)
 	}
-	sort.Slice(blacklisted, func(i, j int) bool {
-		return blacklisted[i].Compute.Name() < blacklisted[j].Compute.Name()
-	})
+	p.blacklistedScratch = blacklisted
+	slices.SortFunc(blacklisted, byComputeName)
 	for _, tr := range blacklisted {
 		svcName := p.blacklisted[tr]
 		pm := tr.Compute.Machine()
@@ -516,6 +523,14 @@ func (p *IPS) maybeResume() {
 		delete(p.blacklisted, tr)
 		p.log("unblacklist", svcName, tr.Compute.Name())
 	}
+}
+
+// byVMName orders VMs by name.
+func byVMName(a, b *cluster.VM) int { return strings.Compare(a.Name(), b.Name()) }
+
+// byComputeName orders trackers by compute node name.
+func byComputeName(a, b *mapred.TaskTracker) int {
+	return strings.Compare(a.Compute.Name(), b.Compute.Name())
 }
 
 type blacklistBackoff struct {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -33,5 +34,34 @@ func TestIPSObserveZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { ips.observe(st) }); allocs != 0 {
 		t.Fatalf("observe over %d attempts: %v allocs/op, want 0", rig.JT.RunningCount(), allocs)
+	}
+}
+
+// TestIPSMaybeResumeZeroAlloc pins the resume pass of a monitoring
+// epoch: while a paused VM and a blacklisted tracker wait out their
+// hosts' backoff, the pass sorts them in reused scratch and allocates
+// nothing.
+func TestIPSMaybeResumeZeroAlloc(t *testing.T) {
+	rig := virtualRig(t, 4)
+	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	vm := rig.VMs[0]
+	if err := vm.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	ips.paused[vm] = "RUBiS"
+	tr := rig.JT.Trackers()[len(rig.JT.Trackers())-1]
+	tr.SetDisabled(true)
+	ips.blacklisted[tr] = "RUBiS"
+	hold := rig.Engine.Now() + time.Hour
+	ips.backoff[vm.Machine()] = &blacklistBackoff{count: 1, until: hold}
+	ips.backoff[tr.Compute.Machine()] = &blacklistBackoff{count: 1, until: hold}
+	if allocs := testing.AllocsPerRun(100, ips.maybeResume); allocs != 0 {
+		t.Fatalf("maybeResume: %v allocs/op, want 0", allocs)
+	}
+	if _, ok := ips.paused[vm]; !ok || vm.State() != cluster.VMPaused {
+		t.Error("the paused VM resumed inside its backoff")
+	}
+	if _, ok := ips.blacklisted[tr]; !ok || !tr.Disabled() {
+		t.Error("the blacklisted tracker rejoined inside its backoff")
 	}
 }

@@ -78,7 +78,7 @@ func TestRunningIndexMaintenanceZeroAlloc(t *testing.T) {
 	for i, tr := range trackers {
 		attempts[i] = &Attempt{
 			Tracker:  tr,
-			consumer: &cluster.Consumer{Name: fmt.Sprintf("alloc-test-%02d", i)},
+			consumer: &attemptConsumer{Consumer: cluster.Consumer{Name: fmt.Sprintf("alloc-test-%02d", i)}},
 		}
 	}
 	churn := func() {

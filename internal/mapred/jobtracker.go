@@ -263,8 +263,8 @@ type JobTracker struct {
 	nextID     int
 	specTick   *sim.Ticker
 	healthTick *sim.Ticker
-	// attempts holds every running attempt for DRM/IPS introspection.
-	attempts map[*Attempt]struct{}
+	// pool recycles the consumers of ended attempts (see consumerPool).
+	pool consumerPool
 
 	// Incrementally maintained indexes. They replace the full-fleet scans
 	// the scale sweep measured superlinear (jt O(n^2.20) before): schedule()
@@ -361,7 +361,6 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		sched:      sched,
 		freeMaps:   freeSet{byPressure: cfg.CapacityAware},
 		freeReds:   freeSet{byPressure: cfg.CapacityAware},
-		attempts:   make(map[*Attempt]struct{}),
 		buckets:    make(map[cluster.Node]*nodeBucket),
 		dirtySet:   make(map[*cluster.PM]bool),
 		pmTrackers: make(map[*cluster.PM][]*TaskTracker),
@@ -606,9 +605,7 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 	jt.nextID++
 
 	if spec.FixedMapWork > 0 {
-		for i := 0; i < spec.FixedMapTasks; i++ {
-			job.maps = append(job.maps, &Task{Job: job, Kind: MapTask, Index: i, state: TaskPending})
-		}
+		job.maps = newTasks(job, MapTask, spec.FixedMapTasks)
 	} else {
 		job.inputName = "/jobs/" + job.key + "/input"
 		file, ok := jt.fs.File(job.inputName)
@@ -619,17 +616,16 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 				return nil, fmt.Errorf("mapred: materialize input: %w", err)
 			}
 		}
-		for i, b := range file.Blocks {
-			job.maps = append(job.maps, &Task{Job: job, Kind: MapTask, Index: i, Block: b, state: TaskPending})
+		job.maps = newTasks(job, MapTask, len(file.Blocks))
+		for i, t := range job.maps {
+			t.Block = file.Blocks[i]
 		}
 	}
 	job.mapsRemaining = len(job.maps)
 	for _, t := range job.maps {
 		t.pendingSince = job.submittedAt
 	}
-	for i := 0; i < spec.Reduces; i++ {
-		job.reduces = append(job.reduces, &Task{Job: job, Kind: ReduceTask, Index: i, state: TaskPending})
-	}
+	job.reduces = newTasks(job, ReduceTask, spec.Reduces)
 	job.redsRemaining = len(job.reduces)
 	job.pendingMaps = len(job.maps)
 	job.pendingReds = len(job.reduces)
@@ -815,11 +811,7 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		Speculative: speculative,
 		StartedAt:   jt.engine.Now(),
 	}
-	a.consumer = &cluster.Consumer{
-		Name:   name,
-		Demand: demand,
-		Work:   work,
-	}
+	a.consumer = jt.newConsumer(a, name, demand, work)
 	if p := jt.cfg.SlotCaps; p != nil {
 		cap := tr.Compute.UsefulCapacity()
 		a.consumer.Cap = resource.NewVector(
@@ -829,9 +821,8 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 			cap.Get(resource.NetIO)*p.NetFrac,
 		)
 	}
-	a.consumer.OnComplete = func() { jt.attemptFinished(a) }
-	a.consumer.OnKilled = func() { jt.attemptKilled(a) }
-	if err := tr.Compute.Start(a.consumer); err != nil {
+	if err := tr.Compute.Start(&a.consumer.Consumer); err != nil {
+		jt.pool.putBack(a.consumer)
 		return err
 	}
 	if !speculative {
@@ -888,7 +879,7 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		tr.redsRunning++
 	}
 	jt.syncFree(tr)
-	jt.attempts[a] = struct{}{}
+	a.slotHeld = true
 	jt.runningInsert(a)
 	if jt.inv != nil {
 		jt.inv.AttemptStarted(jt, a)
@@ -971,8 +962,7 @@ func (jt *JobTracker) attemptFinished(a *Attempt) {
 			other.FinishedAt = jt.engine.Now()
 			other.span.End(trace.S("outcome", "lost-race"))
 			jt.releaseSlot(other)
-			if other.consumer != nil && other.consumer.Running() {
-				other.consumer.OnKilled = nil
+			if other.consumer != nil {
 				other.consumer.Stop()
 			}
 			if other.serve != nil && other.serve.Running() {
@@ -1039,10 +1029,10 @@ func (jt *JobTracker) attemptKilled(a *Attempt) {
 }
 
 func (jt *JobTracker) releaseSlot(a *Attempt) {
-	if _, live := jt.attempts[a]; !live {
+	if !a.slotHeld {
 		return
 	}
-	delete(jt.attempts, a)
+	a.slotHeld = false
 	jt.runningRemove(a)
 	if a.Task.Kind == MapTask {
 		a.Tracker.mapRunning--
@@ -1090,8 +1080,7 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	a.span.End(trace.S("outcome", "relocated"), trace.S("to", dst.Compute.Name()))
 	jt.mRelocations.Inc()
 	jt.releaseSlot(a)
-	if a.consumer != nil && a.consumer.Running() {
-		a.consumer.OnKilled = nil
+	if a.consumer != nil {
 		a.consumer.Stop()
 	}
 	if a.serve != nil && a.serve.Running() {

@@ -13,17 +13,70 @@ import (
 
 // launchRecorder keeps every attempt's consumers as they were at launch,
 // so a test can compare an ended attempt with the consumers it dropped.
+// A JobTracker reuses a retired consumer once a later event has fired,
+// so the comparison must run within the event that ended the attempt:
+// step drives the engine one event at a time and checks each attempt
+// that ended during it.
 type launchRecorder struct {
 	consumer map[*Attempt]*cluster.Consumer
 	serve    map[*Attempt]*cluster.Consumer
+	// live holds the launched attempts not yet seen ended.
+	live []*Attempt
+	// served and partial count the checked attempts that had a serve
+	// stream and those that ended part-way; reused counts launches that
+	// got a consumer an earlier attempt had used.
+	served, partial, reused int
 }
 
 func (r *launchRecorder) AttemptStarted(_ *JobTracker, a *Attempt) {
-	r.consumer[a] = a.consumer
+	c := a.Consumer()
+	for _, old := range r.consumer {
+		if old == c {
+			r.reused++
+			break
+		}
+	}
+	r.consumer[a] = c
 	r.serve[a] = a.serve
+	r.live = append(r.live, a)
 }
 
 func (*launchRecorder) AttemptFinished(*JobTracker, *Attempt) {}
+
+// checkEnded runs checkReleased over every attempt that has ended since
+// the last call.
+func (r *launchRecorder) checkEnded(t *testing.T) {
+	t.Helper()
+	live := r.live[:0]
+	for _, a := range r.live {
+		if a.Running() {
+			live = append(live, a)
+			continue
+		}
+		checkReleased(t, r, a)
+		if r.serve[a] != nil {
+			r.served++
+		}
+		if p := a.Progress(); p > 0 && p < 1 {
+			r.partial++
+		}
+	}
+	clear(r.live[len(live):])
+	r.live = live
+}
+
+// step fires events one at a time, checking the attempts each ended,
+// until job is done or the clock passes horizon.
+func (r *launchRecorder) step(t *testing.T, engine *sim.Engine, job *Job, horizon time.Duration) {
+	t.Helper()
+	r.checkEnded(t)
+	for !job.Done() && engine.Now() <= horizon && engine.Step() {
+		r.checkEnded(t)
+	}
+	if !job.Done() {
+		t.Fatalf("job %s did not finish", job.key)
+	}
+}
 
 // releaseRig builds a split-architecture cluster (a compute and a storage
 // VM per PM, so map attempts carry a storage-side serve stream) whose
@@ -62,6 +115,9 @@ func checkReleased(t *testing.T, rec *launchRecorder, a *Attempt) {
 	if a.Running() || c.Running() {
 		t.Fatalf("%s@%s: attempt has not ended", a.Task.ID(), a.Tracker.Compute.Name())
 	}
+	if want := a.Task.ID() + "@" + a.Tracker.Compute.Name(); c.Name != want {
+		t.Fatalf("%s: consumer renamed %s within the event that ended its attempt", want, c.Name)
+	}
 	if a.Consumer() != nil || a.serve != nil {
 		t.Errorf("%s: ended attempt still holds its consumers", c.Name)
 	}
@@ -71,27 +127,6 @@ func checkReleased(t *testing.T, rec *launchRecorder, a *Attempt) {
 	if got, want := a.Speed(), c.Speed(); got != want {
 		t.Errorf("%s: Speed() = %v after release, want %v", c.Name, got, want)
 	}
-}
-
-// checkAllEnded runs checkReleased over every ended attempt of job and
-// counts the attempts that had a serve stream and those killed part-way.
-func checkAllEnded(t *testing.T, rec *launchRecorder, job *Job) (served, partial int) {
-	t.Helper()
-	for _, task := range append(job.Maps(), job.Reduces()...) {
-		for _, a := range task.Attempts() {
-			if a.Running() {
-				continue
-			}
-			checkReleased(t, rec, a)
-			if rec.serve[a] != nil {
-				served++
-			}
-			if p := a.Progress(); p > 0 && p < 1 {
-				partial++
-			}
-		}
-	}
-	return served, partial
 }
 
 // TestEndedAttemptsReleaseConsumers covers the four ways an attempt ends:
@@ -104,7 +139,11 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 
 	t.Run("finished", func(t *testing.T) {
 		engine, jt, rec, _ := releaseRig(t, 4, Config{DisableSpeculation: true})
-		job := runJob(t, engine, jt, sortLike(512))
+		job, err := jt.Submit(sortLike(512), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.step(t, engine, job, time.Hour)
 		finished := 0
 		for _, task := range append(job.Maps(), job.Reduces()...) {
 			for _, a := range task.Attempts() {
@@ -116,8 +155,11 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 		if finished != len(job.Maps())+len(job.Reduces()) {
 			t.Fatalf("%d finished attempts, want one per task", finished)
 		}
-		if served, _ := checkAllEnded(t, rec, job); served == 0 {
+		if rec.served == 0 {
 			t.Fatal("no attempt had a serve stream; the split path is untested")
+		}
+		if rec.reused == 0 {
+			t.Fatal("no launch reused a retired consumer; the pool is untested")
 		}
 	})
 
@@ -127,7 +169,9 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine.RunUntil(10 * time.Second)
+		for engine.Now() < 10*time.Second && engine.Step() {
+			rec.checkEnded(t)
+		}
 		running := jt.RunningAttempts()
 		if len(running) == 0 {
 			t.Fatal("no attempt running")
@@ -141,16 +185,14 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 			if !a.killed {
 				t.Fatalf("%s survived its tracker's loss", a.Task.ID())
 			}
-			checkReleased(t, rec, a)
-			if p := a.Progress(); p <= 0 || p >= 1 {
+			if p := rec.consumer[a].Progress(); p <= 0 || p >= 1 {
 				t.Errorf("%s: killed at progress %v, want part-way", a.Task.ID(), p)
 			}
 		}
-		engine.Run()
-		if !job.Done() {
-			t.Fatal("job did not recover from the lost tracker")
+		rec.step(t, engine, job, time.Hour)
+		if rec.partial < len(victims) {
+			t.Errorf("%d attempts ended part-way, want at least the %d victims", rec.partial, len(victims))
 		}
-		checkAllEnded(t, rec, job)
 	})
 
 	t.Run("lost speculative race", func(t *testing.T) {
@@ -169,11 +211,8 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine.RunUntil(4 * time.Hour)
+		rec.step(t, engine, job, 4*time.Hour)
 		jt.Close()
-		if !job.Done() {
-			t.Fatal("job did not finish")
-		}
 		lost := 0
 		for _, task := range append(job.Maps(), job.Reduces()...) {
 			for _, a := range task.Attempts() {
@@ -185,7 +224,7 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 		if lost == 0 {
 			t.Fatal("no attempt lost a speculative race; the test is vacuous")
 		}
-		if _, partial := checkAllEnded(t, rec, job); partial == 0 {
+		if rec.partial == 0 {
 			t.Error("every loser had progress 0 or 1; the saved fraction is untested")
 		}
 	})
@@ -196,7 +235,9 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine.RunUntil(5 * time.Second)
+		for engine.Now() < 5*time.Second && engine.Step() {
+			rec.checkEnded(t)
+		}
 		a := jt.RunningAttempts()[0]
 		var dst *TaskTracker
 		for _, tr := range jt.Trackers() {
@@ -211,15 +252,12 @@ func TestEndedAttemptsReleaseConsumers(t *testing.T) {
 		if err := jt.Relocate(a, dst); err != nil {
 			t.Fatal(err)
 		}
-		checkReleased(t, rec, a)
+		// The relaunch on dst must not reuse the consumer just retired.
+		rec.checkEnded(t)
 		if p := a.Progress(); p <= 0 {
 			t.Errorf("relocated attempt's progress %v, want part-way", p)
 		}
-		engine.Run()
-		if !job.Done() {
-			t.Fatal("job did not finish after the relocation")
-		}
-		checkAllEnded(t, rec, job)
+		rec.step(t, engine, job, time.Hour)
 	})
 }
 

@@ -67,6 +67,21 @@ type Task struct {
 	outputMB      float64
 }
 
+// newTasks returns a job's n pending tasks of a kind, allocated as one
+// block: they live as long as the job does.
+func newTasks(job *Job, kind TaskKind, n int) []*Task {
+	if n <= 0 {
+		return nil
+	}
+	block := make([]Task, n)
+	tasks := make([]*Task, n)
+	for i := range block {
+		block[i] = Task{Job: job, Kind: kind, Index: i, state: TaskPending}
+		tasks[i] = &block[i]
+	}
+	return tasks
+}
+
 // State returns the task's scheduling state.
 func (t *Task) State() TaskState { return t.state }
 
@@ -122,7 +137,9 @@ type Attempt struct {
 	// attempt's slot.
 	SlotWait time.Duration
 
-	consumer *cluster.Consumer
+	// consumer is the attempt's pooled resource container, nil once the
+	// attempt has ended.
+	consumer *attemptConsumer
 	serve    *cluster.Consumer // split-architecture storage-side stream
 	// progress is the fraction of work reached when the attempt ended;
 	// Progress reads it once release has dropped the consumer.
@@ -133,18 +150,25 @@ type Attempt struct {
 	Speculative bool
 	finished    bool
 	killed      bool
+	// slotHeld is set while the attempt occupies its tracker's slot and
+	// the running indexes; releaseSlot clears it.
+	slotHeld bool
 }
 
 // Running reports whether the attempt is still executing.
 func (a *Attempt) Running() bool { return !a.finished && !a.killed }
 
 // release drops an ended attempt's resource consumers so it keeps only
-// its record. It runs after the last read of either consumer on every
-// path that ends an attempt (completion, kill, lost speculative race,
-// relocation), and saves the fraction of work reached for Progress.
+// its record, and retires the compute-side consumer to its JobTracker's
+// pool. It runs after the last read of either consumer on every path
+// that ends an attempt (completion, kill, lost speculative race,
+// relocation), once the consumer no longer runs, and saves the fraction
+// of work reached for Progress.
 func (a *Attempt) release() {
-	if a.consumer != nil {
-		a.progress = a.consumer.Progress()
+	if ac := a.consumer; ac != nil {
+		a.progress = ac.Progress()
+		jt := a.Task.Job.jt
+		jt.pool.retire(ac, jt.engine.Fired())
 	}
 	a.consumer, a.serve = nil, nil
 }
@@ -172,8 +196,15 @@ func (a *Attempt) Speed() float64 {
 // Consumer exposes the underlying resource consumer so that the Phase II
 // DRM can observe usage and install caps, and the IPS can kill or weigh
 // down interfering attempts. It is nil once the attempt has ended: an
-// ended attempt keeps only its record.
-func (a *Attempt) Consumer() *cluster.Consumer { return a.consumer }
+// ended attempt keeps only its record. The JobTracker reuses a retired
+// consumer for a later attempt once another engine event has fired, so
+// hold the Attempt, not its Consumer, across events.
+func (a *Attempt) Consumer() *cluster.Consumer {
+	if a.consumer == nil {
+		return nil
+	}
+	return &a.consumer.Consumer
+}
 
 // Node returns the node the attempt runs on.
 func (a *Attempt) Node() cluster.Node { return a.Tracker.Compute }
