@@ -338,7 +338,6 @@ func run(args []string, out io.Writer) error {
 	dom0 := fs.Bool("dom0", false, "run native work in the privileged domain")
 	split := fs.Bool("split", false, "split TaskTracker/DataNode architecture")
 	slotCaps := fs.Bool("slot-caps", false, "static Hadoop slot containers")
-	sched := fs.String("scheduler", "fair", "job scheduler: fair or fifo")
 	policyFlag := fs.String("policy", "", "policy selections as k=v pairs, e.g. p2=fifo-p2,drm=static-split,p1.overhead=0.5 (keys: p1, drm, ips, p2, p1.overhead, p2.slowdown)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	faults := fs.String("faults", "", "chaos profile, e.g. pm-crash=2,vm-crash=4,block-loss=6 (chaos scenario; default moderate profile)")
@@ -362,13 +361,10 @@ func run(args []string, out io.Writer) error {
 	// An explicit -benchmark keeps the pre-scenario CLI working: it
 	// implies job mode unless the user also picked a scenario.
 	mode := *scenario
-	pmsSet, schedSet := false, false
+	pmsSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "pms" {
 			pmsSet = true
-		}
-		if f.Name == "scheduler" {
-			schedSet = true
 		}
 		if f.Name == "benchmark" && mode == "" {
 			mode = "job"
@@ -394,6 +390,13 @@ func run(args []string, out io.Writer) error {
 		pspec, err := hybridmr.ParsePolicySpec(*policyFlag)
 		if err != nil {
 			return err
+		}
+		// The job and chaos scenarios build a bare rig, with no HybridMR
+		// System to take the Phase I, DRM and IPS seams: naming one
+		// there would be silently dropped.
+		if (mode == "job" || mode == "chaos") &&
+			(pspec.Phase1 != "" || pspec.DRM != "" || pspec.IPS != "" || pspec.Overhead > 0) {
+			return fmt.Errorf("-policy: the %s scenario has no Phase I, DRM or IPS; only p2 and p2.slowdown apply", mode)
 		}
 		if policies, err = pspec.Resolve(); err != nil {
 			return err
@@ -441,8 +444,8 @@ func run(args []string, out io.Writer) error {
 		case "job":
 			return runJobs(*bench, jobOptions{
 				dataGB: *dataGB, pms: *pms, vmsPerPM: *vmsPerPM,
-				dom0: *dom0, split: *split, slotCaps: *slotCaps, sched: *sched, seed: *seed,
-				policies: policies, schedSet: schedSet,
+				dom0: *dom0, split: *split, slotCaps: *slotCaps, seed: *seed,
+				policies: policies,
 			}, *parallel, cfg, throughput, out)
 		case "chaos":
 			obs := newRunObs(cfg, "", *seed)
@@ -480,7 +483,7 @@ func runQuickstart(seed int64, policies *hybridmr.PolicySet, obs *runObs, pr *pr
 		VirtualHostPMs: 4,
 		VMsPerHost:     2,
 		Seed:           seed,
-		Policies:       policies,
+		Config:         hybridmr.SystemConfig{Policies: policies},
 		Tracer:         obs.sinks.Tracer,
 		Metrics:        obs.sinks.Metrics,
 		Audit:          obs.sinks.Audit,
@@ -708,12 +711,8 @@ type jobOptions struct {
 	pms, vmsPerPM int
 	dom0, split   bool
 	slotCaps      bool
-	sched         string
-	// schedSet records whether -scheduler was passed explicitly; an
-	// explicit choice wins over the -policy set's Phase II scheduler.
-	schedSet bool
-	policies *hybridmr.PolicySet
-	seed     int64
+	policies      *hybridmr.PolicySet
+	seed          int64
 }
 
 // runJobs fans a comma-separated benchmark list across the experiment
@@ -780,19 +779,6 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		spec = spec.WithInputMB(o.dataGB * workload.GB)
 	}
 
-	// A -policy set picks the Phase II scheduler unless -scheduler was
-	// passed explicitly, which wins.
-	var scheduler mapred.Scheduler
-	if o.policies == nil || o.schedSet {
-		switch o.sched {
-		case "fair":
-			scheduler = mapred.Fair{}
-		case "fifo":
-			scheduler = mapred.FIFO{}
-		default:
-			return fmt.Errorf("unknown scheduler %q", o.sched)
-		}
-	}
 	mrCfg := mapred.Config{}
 	if o.slotCaps {
 		mrCfg.SlotCaps = mapred.DefaultSlotCaps()
@@ -804,7 +790,6 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		Split:        o.split,
 		Seed:         o.seed,
 		Policies:     o.policies,
-		Scheduler:    scheduler,
 		MapredConfig: mrCfg,
 		Obs:          obs.sinks,
 	})

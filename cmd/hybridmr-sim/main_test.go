@@ -401,3 +401,42 @@ func TestChaosBadProfileRejected(t *testing.T) {
 		t.Fatal("invalid -faults profile accepted")
 	}
 }
+
+// TestSchedulerFlagRemoved: the Phase II scheduler is chosen only
+// through -policy p2=..., so the old -scheduler flag must not parse.
+func TestSchedulerFlagRemoved(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-benchmark", "PiEst", "-pms", "4", "-scheduler", "fifo"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "scheduler") {
+		t.Fatalf("-scheduler: err = %v, want an undefined-flag error", err)
+	}
+}
+
+// rejectsSystemSeams checks that a scenario without a HybridMR System
+// refuses every -policy key only a System honours, before any setup
+// runs, and still takes the Phase II keys.
+func rejectsSystemSeams(t *testing.T, base []string) {
+	t.Helper()
+	for _, sel := range []string{"p1=static-native", "drm=static-split", "ips=throttle-first", "p1.overhead=0.5"} {
+		var out bytes.Buffer
+		err := run(append(append([]string{}, base...), "-policy", sel+",p2=fifo-p2"), &out)
+		if err == nil || !strings.Contains(err.Error(), "only p2 and p2.slowdown apply") {
+			t.Errorf("-policy %s: err = %v, want a rejection", sel, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-policy %s: rejected only after the run started:\n%s", sel, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := run(append(append([]string{}, base...), "-policy", "p2=fifo-p2,p2.slowdown=0.4"), &out); err != nil {
+		t.Errorf("-policy p2=fifo-p2,p2.slowdown=0.4: %v", err)
+	}
+}
+
+func TestJobModeRejectsSystemPolicySeams(t *testing.T) {
+	rejectsSystemSeams(t, []string{"-benchmark", "PiEst", "-pms", "4"})
+}
+
+func TestChaosRejectsSystemPolicySeams(t *testing.T) {
+	rejectsSystemSeams(t, []string{"-scenario", "chaos", "-seed", "7", "-fault-seed", "99"})
+}

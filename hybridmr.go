@@ -160,7 +160,7 @@ type (
 	SLOAlert = timeseries.Alert
 	// PolicySet is a resolved bundle of scheduling policies, one per
 	// seam (Phase I placement, DRM, IPS, Phase II slots+speculation);
-	// hand one to ClusterSpec.Policies or RigOptions.Policies.
+	// hand one to ClusterSpec.Config.Policies or RigOptions.Policies.
 	PolicySet = policy.Set
 	// PolicySpec is the textual policy selection the -policy flag
 	// parses; Resolve it into a PolicySet.
@@ -320,14 +320,13 @@ type ClusterSpec struct {
 	PowerDomains int
 	// Seed fixes all randomized behaviour.
 	Seed int64
-	// Config tunes the HybridMR scheduler (zero = paper defaults).
+	// Config tunes the HybridMR scheduler (zero = paper defaults). Its
+	// Policies field selects a controller implementation per seam —
+	// Phase I placement, DRM balancing, IPS arbitration, and Phase II
+	// slot assignment and speculation on both partitions. Nil takes the
+	// paper's defaults; resolve one from -policy syntax with
+	// ParsePolicySpec + Resolve.
 	Config SystemConfig
-	// Policies selects a controller implementation per seam — Phase I
-	// placement, DRM balancing, IPS arbitration, Phase II slot
-	// assignment and speculation. Nil (or Config.Policies when this is
-	// nil) takes the paper's defaults; resolve one from -policy syntax
-	// with ParsePolicySpec + Resolve.
-	Policies *PolicySet
 	// VanillaHadoop disables HybridMR's Phase II behaviours on the
 	// virtual partition (static slot containers remain), for baseline
 	// comparisons.
@@ -365,10 +364,6 @@ type ClusterSpec struct {
 	// gauges. Pair with NewRecorder so probe-backed series get sampled.
 	// Collectors are per-deployment, like Perf.
 	TimeSeries *TimeSeriesCollector
-	// SampleInterval sets the cadence of recorders built by NewRecorder
-	// when its interval argument is zero (default 10s). Each sample costs
-	// 56 bytes regardless of PM count.
-	SampleInterval time.Duration
 }
 
 // HybridCluster is a ready-to-use hybrid data center running HybridMR.
@@ -393,10 +388,9 @@ type HybridCluster struct {
 	// when neither ClusterSpec.Perf nor ClusterSpec.Metrics was set).
 	Perf *PerfStats
 
-	engine         *sim.Engine
-	nextSvc        int
-	obs            obs.Sinks
-	sampleInterval time.Duration
+	engine  *sim.Engine
+	nextSvc int
+	obs     obs.Sinks
 }
 
 // NewHybridCluster assembles a hybrid data center per the spec and wires
@@ -413,7 +407,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		Tracer: spec.Tracer, Metrics: spec.Metrics, Audit: spec.Audit,
 		Perf: spec.Perf, TimeSeries: spec.TimeSeries,
 	}
-	hc := &HybridCluster{sampleInterval: spec.SampleInterval}
+	hc := &HybridCluster{}
 	var engine *sim.Engine
 	var cl *cluster.Cluster
 
@@ -428,7 +422,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: !spec.VanillaHadoop,
 			},
-			Policies: spec.Policies,
+			Policies: spec.Config.Policies,
 			Obs:      sinks,
 		})
 		if err != nil {
@@ -451,14 +445,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		pms := cl.AddPMs("native", spec.NativePMs)
 		cluster.StripeTopology(pms, spec.Racks, spec.PowerDomains)
 		nativeFS := dfs.New(engine, dfs.Config{}, spec.Seed+13, &hc.obs)
-		nativeSched := mapred.Scheduler(mapred.Fair{})
-		nativeCfg := mapred.Config{}
-		if spec.Policies != nil {
-			nativeSched = spec.Policies.Phase2.NewScheduler()
-			sp := spec.Policies.Phase2.Speculation()
-			nativeCfg.DisableSpeculation = sp.Disable
-			nativeCfg.SpeculationSlowdown = sp.Slowdown
-		}
+		nativeSched, nativeCfg := spec.Config.Policies.Phase2Setup(mapred.Config{})
 		hc.NativeJT = mapred.NewJobTracker(engine, nativeFS, nativeCfg, nativeSched, &hc.obs, "native")
 		for _, pm := range pms {
 			hc.NativeJT.AddTracker(pm)
@@ -466,9 +453,6 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 	}
 
 	cfg := spec.Config
-	if spec.Policies != nil {
-		cfg.Policies = spec.Policies
-	}
 	if spec.VanillaHadoop {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
@@ -532,13 +516,11 @@ func (hc *HybridCluster) SubmitJob(spec JobSpec, desiredJCT time.Duration, onDon
 }
 
 // NewRecorder starts sampling utilization and energy on the cluster. A
-// zero interval takes ClusterSpec.SampleInterval (default 10s). When the
-// deployment carries a TimeSeries collector, each tick also feeds the
-// cluster gauges into it and samples the registered probes.
+// zero interval takes the recorder's 10 s default; each sample costs 56
+// bytes regardless of PM count. When the deployment carries a
+// TimeSeries collector, each tick also feeds the cluster gauges into it
+// and samples the registered probes.
 func (hc *HybridCluster) NewRecorder(interval time.Duration) *Recorder {
-	if interval <= 0 {
-		interval = hc.sampleInterval
-	}
 	return metrics.NewRecorder(hc.Cluster, interval, 0, &hc.obs)
 }
 

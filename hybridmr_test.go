@@ -1,6 +1,8 @@
 package hybridmr_test
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +167,142 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 	if _, ok := hybridmr.ExperimentByID("fig99"); ok {
 		t.Error("ByID accepted an unknown id")
+	}
+}
+
+// seamRun drives one hybrid deployment under a policy set (nil = the
+// paper's defaults) and returns its decision log and Phase I placements.
+// Two jobs go through Phase I; two more go straight to each partition's
+// JobTracker, so both partitions' slot schedulers see competing jobs.
+// The virtual partition hosts a loaded RUBiS, so the DRM and the IPS
+// both act.
+func seamRun(t *testing.T, set *hybridmr.PolicySet) (*hybridmr.AuditLog, []hybridmr.Placement) {
+	t.Helper()
+	log := hybridmr.NewAuditLog(0)
+	dc, err := hybridmr.NewHybridCluster(hybridmr.ClusterSpec{
+		NativePMs: 2, VirtualHostPMs: 4, VMsPerHost: 2, Seed: 3, Audit: log,
+		Config: hybridmr.SystemConfig{Policies: set},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	svc, err := dc.DeployService(hybridmr.RUBiS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetClients(3000)
+	var placements []hybridmr.Placement
+	for _, spec := range []hybridmr.JobSpec{hybridmr.Twitter().WithInputMB(2048), hybridmr.PiEst()} {
+		_, p, err := dc.SubmitJob(spec, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placements = append(placements, p)
+	}
+	for _, jt := range []*hybridmr.JobTracker{dc.NativeJT, dc.VirtualJT} {
+		for _, spec := range []hybridmr.JobSpec{hybridmr.Kmeans().WithInputMB(1024), hybridmr.Wcount().WithInputMB(1024)} {
+			if _, err := jt.Submit(spec, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dc.RunFor(40 * time.Minute)
+	return log, placements
+}
+
+// mapsInSubmissionOrder reports whether the first-attempt map launches
+// on trackers named with prefix went to jobs in submission order — what
+// FIFO slot assignment does and Fair sharing does not. Job IDs count
+// submissions per JobTracker and end each attempt's job key.
+func mapsInSubmissionOrder(t *testing.T, log *hybridmr.AuditLog, prefix string) bool {
+	t.Helper()
+	last, n := -1, 0
+	for _, r := range log.Records() {
+		if r.Subsystem != "mapred" || r.Action != "assign" || !strings.HasPrefix(r.Decision, prefix) ||
+			!strings.Contains(r.Subject, "/map-") || strings.HasPrefix(r.Reason, "speculative") {
+			continue
+		}
+		key, _, _ := strings.Cut(r.Subject, "/")
+		id, err := strconv.Atoi(key[strings.LastIndex(key, "-")+1:])
+		if err != nil {
+			t.Fatalf("attempt %q: %v", r.Subject, err)
+		}
+		if id < last {
+			return false
+		}
+		last, n = id, n+1
+	}
+	if n == 0 {
+		t.Fatalf("no map launches on %s* trackers", prefix)
+	}
+	return true
+}
+
+// TestPolicySetReachesEverySeam: a policy set handed to NewHybridCluster
+// through ClusterSpec.Config.Policies reaches Phase I, the DRM, the IPS
+// and the slot schedulers of both partitions. Each seam is observed by
+// its effect on the decision log, against a paper-default run of the
+// same scenario that shows the effect's absence.
+func TestPolicySetReachesEverySeam(t *testing.T) {
+	spec, err := hybridmr.ParsePolicySpec("p1=static-virtual,drm=static-split,ips=throttle-first,p2=fifo-p2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, _ := seamRun(t, nil)
+	chosen, placements := seamRun(t, set)
+
+	count := func(log *hybridmr.AuditLog, subsystem, action string) int {
+		return len(log.Filter(func(r hybridmr.AuditRecord) bool {
+			return r.Subsystem == subsystem && r.Action == action
+		}))
+	}
+	staticPlaced := func(log *hybridmr.AuditLog) int {
+		return len(log.Filter(func(r hybridmr.AuditRecord) bool {
+			return r.Subsystem == "phase1" && strings.HasPrefix(r.Reason, "static placement")
+		}))
+	}
+
+	// Phase I: the static placer decides every placement.
+	if got := staticPlaced(chosen); got != len(placements) {
+		t.Errorf("p1: %d of %d placements by the static placer", got, len(placements))
+	}
+	for i, p := range placements {
+		if p != hybridmr.PlacedVirtual {
+			t.Errorf("p1: job %d placed %v under static-virtual", i, p)
+		}
+	}
+	if staticPlaced(paper) != 0 {
+		t.Error("p1: the paper's placer gave a static-placement reason")
+	}
+	// DRM: static-split shares memory pressure instead of deferring.
+	if n := count(paper, "drm", "defer"); n == 0 {
+		t.Fatal("drm: the paper's DRM deferred nothing; the scenario cannot tell the policies apart")
+	}
+	if n := count(chosen, "drm", "defer"); n != 0 {
+		t.Errorf("drm: %d deferrals under static-split", n)
+	}
+	// IPS: throttle-first never relocates.
+	if n := count(paper, "ips", "relocate"); n == 0 {
+		t.Fatal("ips: the paper's IPS relocated nothing; the scenario cannot tell the policies apart")
+	}
+	if n := count(chosen, "ips", "relocate"); n != 0 {
+		t.Errorf("ips: %d relocations under throttle-first", n)
+	}
+	if count(chosen, "ips", "throttle") == 0 {
+		t.Error("ips: throttle-first throttled nothing")
+	}
+	// Phase II: FIFO on both partitions' JobTrackers.
+	for _, part := range []struct{ name, prefix string }{{"native", "native-"}, {"virtual", "vm-"}} {
+		if !mapsInSubmissionOrder(t, chosen, part.prefix) {
+			t.Errorf("p2: %s partition did not serve maps in submission order under fifo-p2", part.name)
+		}
+		if mapsInSubmissionOrder(t, paper, part.prefix) {
+			t.Errorf("p2: %s partition served maps in submission order under the paper's Fair scheduler", part.name)
+		}
 	}
 }

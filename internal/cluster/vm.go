@@ -108,6 +108,9 @@ func (vm *VM) Start(c *Consumer) error {
 	if vm.host == nil {
 		return fmt.Errorf("cluster: %s: VM destroyed (host failed)", vm.name)
 	}
+	if vm.host.off {
+		return fmt.Errorf("cluster: %s: host %s powered off", vm.name, vm.host.name)
+	}
 	pm := vm.host
 	pm.settle()
 	c.state = consumerRunning

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mapred"
+	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/resource"
 	"repro/internal/testbed"
@@ -187,27 +188,6 @@ func TestProfilingPlacerOverheadRouting(t *testing.T) {
 	}
 }
 
-func TestRandomAndStaticPlacers(t *testing.T) {
-	r := NewRandomPlacer(3)
-	counts := map[Placement]int{}
-	for i := 0; i < 100; i++ {
-		p, err := r.Place(workload.PiEst(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[p]++
-	}
-	if counts[PlacedNative] < 20 || counts[PlacedVirtual] < 20 {
-		t.Errorf("random placer skewed: %v", counts)
-	}
-	for _, want := range []Placement{PlacedNative, PlacedVirtual} {
-		got, err := StaticPlacer(want).Place(workload.Sort(), 0)
-		if err != nil || got != want {
-			t.Errorf("StaticPlacer(%v) = %v, %v", want, got, err)
-		}
-	}
-}
-
 func TestSystemEndToEnd(t *testing.T) {
 	rig := virtualRig(t, 4)
 	// Add a native partition on 4 more PMs in the same cluster.
@@ -251,13 +231,16 @@ func TestSystemRequiresAPartition(t *testing.T) {
 
 func TestSystemFallsBackWhenPartitionMissing(t *testing.T) {
 	rig := virtualRig(t, 4)
-	sys, err := NewSystem(rig.Engine, rig.Cluster, nil, rig.JT, Config{TrainingSeed: 5}, nil)
+	// Force a native decision; the system must degrade to virtual.
+	set, err := policy.Spec{Phase1: "static-native"}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(rig.Engine, rig.Cluster, nil, rig.JT, Config{Policies: set, TrainingSeed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Stop()
-	// Force a native decision; the system must degrade to virtual.
-	sys.Placer = StaticPlacer(PlacedNative)
 	_, placement, err := sys.SubmitJob(workload.PiEst(), 0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package core
 
 import "repro/internal/policy"
 
-// The Phase I placement types moved to internal/policy when the
-// controllers went behind the policy registry; these aliases keep the
-// core API (and every experiment that swaps placers) unchanged.
+// The Phase I placement types live in internal/policy, behind the
+// policy registry; these aliases name the ones the System works with.
+// A deployment chooses its placer through Config.Policies.
 type (
 	// Placement says which partition of the hybrid cluster a job runs on.
 	Placement = policy.Placement
@@ -18,11 +18,6 @@ type (
 	ExplainedPlacer = policy.ExplainedPlacer
 	// ProfilingPlacer is HybridMR's Phase I scheduler (Algorithm 2).
 	ProfilingPlacer = policy.ProfilingPlacer
-	// RandomPlacer is the paper's FCFS baseline for Figure 8(a).
-	RandomPlacer = policy.RandomPlacer
-	// StaticPlacer always answers the same partition (Figure 9's
-	// native-only and virtual-only design points).
-	StaticPlacer = policy.StaticPlacer
 )
 
 // Placements.
@@ -30,6 +25,3 @@ const (
 	PlacedNative  = policy.PlacedNative
 	PlacedVirtual = policy.PlacedVirtual
 )
-
-// NewRandomPlacer builds the baseline placer.
-var NewRandomPlacer = policy.NewRandomPlacer

@@ -18,31 +18,32 @@ import (
 	"repro/internal/workload"
 )
 
+// The Phase II control periods, as on the paper's testbed.
+const (
+	// drmEpoch is the DRM control period.
+	drmEpoch = 5 * time.Second
+	// slaInterval is the IPS monitoring period.
+	slaInterval = 5 * time.Second
+)
+
 // Config tunes the HybridMR system. Zero values take defaults matching
 // the paper's setup.
 type Config struct {
-	// Epoch is the DRM control period (default 5 s).
-	Epoch time.Duration
-	// SLAInterval is the IPS monitoring period (default 5 s).
-	SLAInterval time.Duration
-	// Modes selects the DRM-managed resources (default all).
-	Modes ResourceModes
 	// DisableDRM turns Phase II resource orchestration off (the
 	// "JCTdefault" baseline of Figure 8(b)).
 	DisableDRM bool
 	// DisableIPS turns SLA enforcement off (the "RUBiS+MapReduce"
 	// baseline of Figure 8(d)).
 	DisableIPS bool
-	// OverheadThreshold is Phase I's acceptable virtual JCT inflation
-	// for jobs without deadlines (default 0.25).
-	OverheadThreshold float64
-	// Policies selects the controller implementations for every seam
-	// (Phase I placement, DRM balancing, IPS arbitration); nil takes
-	// policy.Default(), the paper's set. The Phase II slot/speculation
-	// half of a policy set is consumed where the JobTrackers are built
-	// (testbed.Options / hybridmr.ClusterSpec).
+	// Policies is the one selection of the controller implementations
+	// and their knobs; nil takes policy.Default(), the paper's set. The
+	// System consumes the Phase I, DRM and IPS seams; the Phase II
+	// slot/speculation seam is consumed where the JobTrackers are built
+	// (policy.Set.Phase2Setup, which the facade's NewHybridCluster calls
+	// for both partitions with this same set).
 	Policies *policy.Set
-	// TrainingSeed parameterizes the Phase I training simulations.
+	// TrainingSeed parameterizes the Phase I training simulations and
+	// seeds randomized placers (random-p1).
 	TrainingSeed int64
 	// EventSink, when non-nil, accumulates fired-event totals from the
 	// Phase I training rigs (the nested simulations SimRunner spins up),
@@ -51,37 +52,21 @@ type Config struct {
 	EventSink *atomic.Uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = 5 * time.Second
-	}
-	if c.SLAInterval <= 0 {
-		c.SLAInterval = 5 * time.Second
-	}
-	if c.Modes == (ResourceModes{}) {
-		c.Modes = AllModes()
-	}
-	if c.OverheadThreshold <= 0 {
-		c.OverheadThreshold = 0.25
-	}
-	return c
-}
-
 // System is a running HybridMR deployment over a hybrid cluster: a
 // native MapReduce partition, a virtual partition shared with interactive
 // services, the Phase I placer, and the Phase II DRM and IPS.
 type System struct {
 	engine  *sim.Engine
 	cluster *cluster.Cluster
-	cfg     Config
 
 	// NativeJT and VirtualJT are the two MapReduce partitions; either
 	// (but not both) may be nil.
 	NativeJT  *mapred.JobTracker
 	VirtualJT *mapred.JobTracker
 
-	// Placer decides Phase I placement; defaults to ProfilingPlacer.
-	Placer Placer
+	// placer decides Phase I placement, built by Config.Policies'
+	// Phase I policy.
+	placer Placer
 
 	drm      *DRM
 	ips      *IPS
@@ -109,12 +94,10 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	if nativeJT == nil && virtualJT == nil {
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
 	}
-	cfg = cfg.withDefaults()
 	o := obs.Of(sinks)
 	s := &System{
 		engine:      engine,
 		cluster:     cl,
-		cfg:         cfg,
 		NativeJT:    nativeJT,
 		VirtualJT:   virtualJT,
 		placements:  make(map[*mapred.Job]Placement),
@@ -139,16 +122,15 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	if pol == nil {
 		pol = policy.Default()
 	}
-	s.Placer = pol.Phase1.NewPlacer(policy.Phase1Env{
-		Profiler:          s.prof,
-		NativeNodes:       nativeNodes,
-		VirtualNodes:      virtualNodes,
-		OverheadThreshold: cfg.OverheadThreshold,
-		Seed:              cfg.TrainingSeed,
+	s.placer = pol.Phase1.NewPlacer(policy.Phase1Env{
+		Profiler:     s.prof,
+		NativeNodes:  nativeNodes,
+		VirtualNodes: virtualNodes,
+		Seed:         cfg.TrainingSeed,
 	})
 	if virtualJT != nil {
 		if !cfg.DisableDRM {
-			s.drm = NewDRM(engine, virtualJT, cfg.Modes, cfg.Epoch)
+			s.drm = NewDRM(engine, virtualJT, AllModes(), drmEpoch)
 			s.drm.Policy = pol.DRM.Params()
 			s.drm.tracer, s.drm.auditLog, s.drm.perf = o.Tracer, o.Audit, o.Perf
 			s.drm.mAdjustments = o.Metrics.Counter("drm.cap_adjustments")
@@ -189,7 +171,7 @@ func (s *System) DeployService(spec workload.ServiceSpec, vm *cluster.VM) (*work
 	s.services = append(s.services, svc)
 	if s.ips != nil {
 		s.ips.Watch(svc)
-		s.ips.Start(s.cfg.SLAInterval)
+		s.ips.Start(slaInterval)
 	}
 	return svc, nil
 }
@@ -210,13 +192,13 @@ func (s *System) SubmitJob(spec mapred.JobSpec, desiredJCT time.Duration, onDone
 	var candidates []audit.Candidate
 	var err error
 	s.perf.Enter("core.phase1")
-	switch p := s.Placer.(type) {
+	switch p := s.placer.(type) {
 	case ExplainedPlacer:
 		placement, reason, candidates, err = p.PlaceExplained(spec, desiredJCT)
 	case ReasonedPlacer:
 		placement, reason, err = p.PlaceWithReason(spec, desiredJCT)
 	default:
-		placement, err = s.Placer.Place(spec, desiredJCT)
+		placement, err = s.placer.Place(spec, desiredJCT)
 	}
 	if s.perf != nil {
 		s.perf.C.P1Placements++

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/critpath"
 	"repro/internal/mapred"
+	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -32,6 +33,16 @@ func scaledMB(mb float64) float64 {
 		out = 256
 	}
 	return out
+}
+
+// mustResolve resolves a policy selection. Experiments name only
+// registered policies, so a failure is a programming error.
+func mustResolve(spec policy.Spec) *policy.Set {
+	set, err := spec.Resolve()
+	if err != nil {
+		panic(err)
+	}
+	return set
 }
 
 // scaledSpec shrinks a benchmark's input (and fixed-work task count)

@@ -145,15 +145,13 @@ func ExtStream() (*Outcome, error) {
 		if !hybrid {
 			cfg.DisableDRM = true
 			cfg.DisableIPS = true
+			cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 		}
 		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
 		if err != nil {
 			return result{}, err
 		}
 		defer sys.Stop()
-		if !hybrid {
-			sys.Placer = core.NewRandomPlacer(1207)
-		}
 		var services []*workload.Service
 		for i, spec := range workload.Services() {
 			svcVM, err := addServiceVM(h.rig, i, spec.Name)

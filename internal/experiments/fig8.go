@@ -11,6 +11,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -88,15 +89,13 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, sink *atomic.Uint6
 	if !usePhase1 {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
+		cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 	}
 	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
 	if err != nil {
 		return mixResult{}, err
 	}
 	defer sys.Stop()
-	if !usePhase1 {
-		sys.Placer = core.NewRandomPlacer(seed)
-	}
 
 	svcSpecs := workload.Services()
 	var services []*workload.Service
@@ -401,8 +400,8 @@ func Fig8d() (*Outcome, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: ips,
 			},
-			Scheduler: mapred.FIFO{},
-			Obs:       obs.Sinks{Events: &fired, Metrics: reg},
+			Policies: mustResolve(policy.Spec{Phase2: "fifo-p2"}),
+			Obs:      obs.Sinks{Events: &fired, Metrics: reg},
 		})
 		if err != nil {
 			return 0, err

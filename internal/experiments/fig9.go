@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/resource"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -186,17 +187,17 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 	}
+	switch design {
+	case "Native":
+		cfg.Policies = mustResolve(policy.Spec{Phase1: "static-native"})
+	case "Virtual":
+		cfg.Policies = mustResolve(policy.Spec{Phase1: "static-virtual"})
+	}
 	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Stop()
-	if design == "Native" {
-		sys.Placer = core.StaticPlacer(core.PlacedNative)
-	}
-	if design == "Virtual" {
-		sys.Placer = core.StaticPlacer(core.PlacedVirtual)
-	}
 
 	svcSpecs := workload.Services()
 	for i, node := range svcNodes {

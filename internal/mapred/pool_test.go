@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dfs"
 	"repro/internal/resource"
+	"repro/internal/sim"
 )
 
 // TestConsumerQuarantine pins the pool's one rule: a consumer retired
@@ -118,6 +120,61 @@ func TestMachineFailureKillsOnlyItsVictims(t *testing.T) {
 	engine.Run()
 	if !job.Done() {
 		t.Fatal("job did not recover from the failure")
+	}
+}
+
+// TestMachineFailureSparesItsVMs is the virtual-cluster case: a machine
+// that fails inside an event kills the attempts on its VMs, and the
+// re-queued tasks must relaunch on VMs of live machines. A relaunch onto
+// a VM of the failing machine would sit Running on a destroyed VM until
+// the heartbeat timeout declared its tracker lost.
+func TestMachineFailureSparesItsVMs(t *testing.T) {
+	engine := sim.New()
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
+	hosts := c.AddPMs("pm", 3)
+	vms, err := c.SpreadVMs("vm", 6, hosts, 1, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range vms {
+		jt.AddTracker(vm)
+	}
+	spec := piLike()
+	spec.Reduces = 0
+	spec.FixedMapTasks = 6
+	spec.FixedMapWork = 300
+	job, err := jt.Submit(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.RunUntil(10 * time.Second)
+
+	failed := hosts[0]
+	victims := 0
+	for _, a := range jt.RunningAttempts() {
+		if a.Node().Machine() == failed {
+			victims++
+		}
+	}
+	if victims == 0 {
+		t.Fatal("no attempt on the failing machine; the test is vacuous")
+	}
+	engine.At(engine.Now()+time.Second, func() {
+		if err := failed.Fail(); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range jt.RunningAttempts() {
+			if pm := a.Node().Machine(); pm == nil || pm.Off() {
+				t.Errorf("%s runs on %s, whose machine is down", a.Consumer().Name, a.Node().Name())
+			}
+		}
+	})
+	engine.RunUntil(engine.Now() + time.Second)
+	jt.HandleMachineFailure(failed)
+	engine.Run()
+	if !job.Done() {
+		t.Fatal("job did not complete after the failure")
 	}
 }
 

@@ -27,17 +27,14 @@ import (
 )
 
 // Phase1Env is the deployment context a Phase I policy builds its Placer
-// from: the trained profiler, the partition sizes the estimates scale
-// to, and the deployment's configured knobs.
+// from: the trained profiler and the partition sizes the estimates
+// scale to.
 type Phase1Env struct {
 	// Profiler supplies Algorithm 1 JCT estimates.
 	Profiler *profiler.Profiler
 	// NativeNodes and VirtualNodes are the partition sizes.
 	NativeNodes  int
 	VirtualNodes int
-	// OverheadThreshold is the deployment's configured virtual-overhead
-	// tolerance (core.Config.OverheadThreshold, defaulted to 0.25).
-	OverheadThreshold float64
 	// Seed parameterizes randomized placers.
 	Seed int64
 }
@@ -51,8 +48,9 @@ type Phase1Policy interface {
 }
 
 // PaperPhase1 is Algorithm 2, the paper's profiling placer
-// ("paper-p1"). Overhead, when positive, overrides the deployment's
-// OverheadThreshold — the knob the policy search sweeps.
+// ("paper-p1"). Overhead, when positive, replaces the placer's 0.25
+// virtual-overhead tolerance — the knob the policy search sweeps
+// ("p1.overhead").
 type PaperPhase1 struct{ Overhead float64 }
 
 // Name returns "paper-p1".
@@ -60,15 +58,11 @@ func (PaperPhase1) Name() string { return "paper-p1" }
 
 // NewPlacer builds the ProfilingPlacer.
 func (p PaperPhase1) NewPlacer(env Phase1Env) Placer {
-	threshold := p.Overhead
-	if threshold <= 0 {
-		threshold = env.OverheadThreshold
-	}
 	return &ProfilingPlacer{
 		Profiler:          env.Profiler,
 		NativeNodes:       env.NativeNodes,
 		VirtualNodes:      env.VirtualNodes,
-		OverheadThreshold: threshold,
+		OverheadThreshold: p.Overhead,
 	}
 }
 
@@ -205,8 +199,6 @@ func (ThrottleFirstIPS) Params() IPSParams {
 // SpecParams are the Phase II speculation knobs, mapped onto the
 // framework's straggler detector.
 type SpecParams struct {
-	// Disable turns straggler backups off.
-	Disable bool
 	// Slowdown is the fraction of the median attempt speed below which
 	// an attempt counts as a straggler (0 takes the default 0.5).
 	Slowdown float64
@@ -224,9 +216,8 @@ type Phase2Policy interface {
 }
 
 // PaperPhase2 is the testbed's Fair scheduler with median-speed
-// speculation ("paper-p2"). Slowdown, when positive, overrides the
-// straggler threshold.
-type PaperPhase2 struct{ Slowdown float64 }
+// speculation ("paper-p2").
+type PaperPhase2 struct{}
 
 // Name returns "paper-p2".
 func (PaperPhase2) Name() string { return "paper-p2" }
@@ -235,7 +226,7 @@ func (PaperPhase2) Name() string { return "paper-p2" }
 func (PaperPhase2) NewScheduler() mapred.Scheduler { return mapred.Fair{} }
 
 // Speculation returns the paper's speculation knobs.
-func (p PaperPhase2) Speculation() SpecParams { return SpecParams{Slowdown: p.Slowdown} }
+func (PaperPhase2) Speculation() SpecParams { return SpecParams{} }
 
 // FIFOPhase2 serves jobs strictly in submission order ("fifo-p2") — the
 // plain-Hadoop baseline discipline.

@@ -3,6 +3,9 @@ package policy
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mapred"
+	"repro/internal/workload"
 )
 
 // TestRegistryRoundTrip constructs every registered policy by name and
@@ -83,7 +86,7 @@ func TestDefaultMatchesPaperKnobs(t *testing.T) {
 		t.Errorf("default Phase II scheduler = %q", set.Phase2.NewScheduler().Name())
 	}
 	sp := set.Phase2.Speculation()
-	if sp.Disable || sp.Slowdown != 0 {
+	if sp.Slowdown != 0 {
 		t.Errorf("default speculation = %+v", sp)
 	}
 }
@@ -136,6 +139,68 @@ func TestParseSpec(t *testing.T) {
 	}
 	if set2.Phase2.NewScheduler().Name() != "fifo" {
 		t.Errorf("wrapped scheduler = %q", set2.Phase2.NewScheduler().Name())
+	}
+
+	// The paper's Phase II takes the slowdown through the same wrapper:
+	// the knob reaches the straggler detector and the canonical string,
+	// and the policy still answers to its registry name.
+	spec3, err := ParseSpec("p2.slowdown=0.75")
+	if err != nil {
+		t.Fatalf("ParseSpec paper slowdown: %v", err)
+	}
+	set3, err := spec3.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve paper slowdown: %v", err)
+	}
+	if got := set3.Phase2.Speculation().Slowdown; got != 0.75 {
+		t.Errorf("paper-p2 slowdown override = %v", got)
+	}
+	want = "p1=paper-p1,drm=paper-drm,ips=paper-ips,p2=paper-p2,p2.slowdown=0.75"
+	if got := spec3.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestPhase2Setup checks the one Phase II translation: the set's
+// scheduler, its slowdown filling only a zero config field, and the
+// paper default for a nil set.
+func TestPhase2Setup(t *testing.T) {
+	var nilSet *Set
+	sched, cfg := nilSet.Phase2Setup(mapred.Config{})
+	if sched.Name() != "fair" || cfg != (mapred.Config{}) {
+		t.Errorf("nil set: %q, %+v", sched.Name(), cfg)
+	}
+	set, err := Spec{Phase2: "fifo-p2", SpecSlowdown: 0.3}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, cfg = set.Phase2Setup(mapred.Config{})
+	if sched.Name() != "fifo" || cfg.SpeculationSlowdown != 0.3 {
+		t.Errorf("fifo-p2,p2.slowdown=0.3: %q, slowdown %v", sched.Name(), cfg.SpeculationSlowdown)
+	}
+	if _, cfg = set.Phase2Setup(mapred.Config{SpeculationSlowdown: 0.6}); cfg.SpeculationSlowdown != 0.6 {
+		t.Errorf("explicit config slowdown overwritten: %v", cfg.SpeculationSlowdown)
+	}
+}
+
+func TestRandomAndStaticPlacers(t *testing.T) {
+	r := NewRandomPlacer(3)
+	counts := map[Placement]int{}
+	for i := 0; i < 100; i++ {
+		p, err := r.Place(workload.PiEst(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[p]++
+	}
+	if counts[PlacedNative] < 20 || counts[PlacedVirtual] < 20 {
+		t.Errorf("random placer skewed: %v", counts)
+	}
+	for _, want := range []Placement{PlacedNative, PlacedVirtual} {
+		got, err := StaticPlacer(want).Place(workload.Sort(), 0)
+		if err != nil || got != want {
+			t.Errorf("StaticPlacer(%v) = %v, %v", want, got, err)
+		}
 	}
 }
 

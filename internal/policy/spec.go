@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/mapred"
 )
 
 // Spec is the textual selection of one policy per seam, plus the
@@ -98,8 +100,9 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Set is a resolved bundle of policies, one per seam — what the wiring
-// layers (core.Config, testbed.Options, ClusterSpec) consume.
+// Set is a resolved bundle of policies, one per seam — the one policy
+// input of the wiring layers (core.Config, which the facade's
+// ClusterSpec.Config carries, and testbed.Options).
 type Set struct {
 	// Spec is the selection the set was resolved from.
 	Spec Spec
@@ -108,6 +111,20 @@ type Set struct {
 	DRM    DRMPolicy
 	IPS    IPSPolicy
 	Phase2 Phase2Policy
+}
+
+// Phase2Setup translates the set's Phase II half into JobTracker
+// arguments: the slot scheduler, and cfg with the straggler threshold
+// filled in where cfg leaves it zero. A nil set is Default(). Every
+// JobTracker built for a policy set takes its arguments from here.
+func (s *Set) Phase2Setup(cfg mapred.Config) (mapred.Scheduler, mapred.Config) {
+	if s == nil {
+		s = Default()
+	}
+	if sl := s.Phase2.Speculation().Slowdown; sl > 0 && cfg.SpeculationSlowdown == 0 {
+		cfg.SpeculationSlowdown = sl
+	}
+	return s.Phase2.NewScheduler(), cfg
 }
 
 // specSlowdownOverride wraps a Phase II policy with a swept straggler
@@ -149,12 +166,7 @@ func (s Spec) Resolve() (*Set, error) {
 		}
 	}
 	if s.SpecSlowdown > 0 {
-		if pp, ok := p2.(PaperPhase2); ok {
-			pp.Slowdown = s.SpecSlowdown
-			p2 = pp
-		} else {
-			p2 = specSlowdownOverride{Phase2Policy: p2, slowdown: s.SpecSlowdown}
-		}
+		p2 = specSlowdownOverride{Phase2Policy: p2, slowdown: s.SpecSlowdown}
 	}
 	return &Set{Spec: s, Phase1: p1, DRM: drm, IPS: ips, Phase2: p2}, nil
 }

@@ -342,7 +342,7 @@ func runCandidate(spec policy.Spec, scen Scenario, seed int64, log *audit.Log) (
 		VirtualHostPMs: scen.VirtualHostPMs,
 		VMsPerHost:     scen.VMsPerHost,
 		Seed:           seed,
-		Policies:       set,
+		Config:         hybridmr.SystemConfig{Policies: set},
 		Perf:           perf,
 		Audit:          log,
 	})

@@ -22,7 +22,7 @@ import (
 )
 
 // Options selects a rig shape. Zero values mean: native cluster, paper
-// hardware, FIFO-free (Fair) scheduling off — i.e. FIFO.
+// hardware, the paper's Fair scheduling.
 type Options struct {
 	// PMs is the number of physical machines (default 4).
 	PMs int
@@ -57,14 +57,12 @@ type Options struct {
 	ClusterConfig cluster.Config
 	// MapredConfig overrides framework parameters (zero fields default).
 	MapredConfig mapred.Config
-	// Scheduler overrides the job scheduler (default mapred.Fair, as on
-	// the paper's testbed).
-	Scheduler mapred.Scheduler
-	// Policies, when non-nil, supplies the Phase II half of a policy
-	// set: its scheduler is used when Scheduler is nil, and its
-	// speculation knobs fill the zero MapredConfig speculation fields.
-	// (The Phase I/DRM/IPS halves are consumed by core.Config.Policies;
-	// a plain rig has no System.)
+	// Policies selects the Phase II policy: the JobTracker's slot
+	// scheduler and a straggler threshold for a zero
+	// MapredConfig.SpeculationSlowdown (policy.Set.Phase2Setup). Nil is
+	// the paper's set: Fair, as on the paper's testbed. The Phase I, DRM
+	// and IPS seams are consumed by core.Config.Policies; a plain rig
+	// has no System.
 	Policies *policy.Set
 	// Obs holds the rig's recording sinks, bound to the rig's engine and
 	// passed to every layer as it is built; the zero value records
@@ -78,11 +76,6 @@ type Options struct {
 	// a runtime safety-invariant checker; read its Violations (or call
 	// Final) after the run. Checkers are per-rig, like the sinks.
 	Invariants *invariant.Checker
-	// SampleInterval sets the cadence of recorders built by Rig.NewRecorder
-	// (default 10s). Each sample costs 56 bytes regardless of PM count —
-	// utilization is pre-aggregated into a fixed resource.Vector — so one
-	// simulated hour at the default interval is ~20 KB even at 10k PMs.
-	SampleInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -94,21 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.VMCPUs <= 0 {
 		o.VMCPUs = 1
-	}
-	if o.Policies != nil {
-		if o.Scheduler == nil {
-			o.Scheduler = o.Policies.Phase2.NewScheduler()
-		}
-		sp := o.Policies.Phase2.Speculation()
-		if sp.Disable {
-			o.MapredConfig.DisableSpeculation = true
-		}
-		if sp.Slowdown > 0 && o.MapredConfig.SpeculationSlowdown == 0 {
-			o.MapredConfig.SpeculationSlowdown = sp.Slowdown
-		}
-	}
-	if o.Scheduler == nil {
-		o.Scheduler = mapred.Fair{}
 	}
 	return o
 }
@@ -144,20 +122,19 @@ type Rig struct {
 	// Obs is the rig's bound observer handle: Options.Obs, plus the Perf
 	// collector Bind creates when only Metrics was set.
 	Obs obs.Sinks
-
-	sampleInterval time.Duration
 }
 
 // New assembles a rig.
 func New(opts Options) (*Rig, error) {
 	opts = opts.withDefaults()
 	engine := sim.New()
-	rig := &Rig{Engine: engine, Obs: opts.Obs, sampleInterval: opts.SampleInterval}
+	rig := &Rig{Engine: engine, Obs: opts.Obs}
 	rig.Obs.Bind(engine)
 	o := &rig.Obs
 	cl := cluster.New(engine, opts.ClusterConfig, opts.Seed, o)
 	fs := dfs.New(engine, dfs.Config{}, opts.Seed+1, o)
-	jt := mapred.NewJobTracker(engine, fs, opts.MapredConfig, opts.Scheduler, o, "")
+	sched, mrCfg := opts.Policies.Phase2Setup(opts.MapredConfig)
+	jt := mapred.NewJobTracker(engine, fs, mrCfg, sched, o, "")
 	rig.Cluster, rig.FS, rig.JT = cl, fs, jt
 	rig.PMs = cl.AddPMs("pm", opts.PMs)
 	cluster.StripeTopology(rig.PMs, opts.Racks, opts.PowerDomains)
@@ -289,13 +266,14 @@ func (r *Rig) RunJob(spec mapred.JobSpec) (JobResult, error) {
 func (r *Rig) FlushPerf() { r.Obs.Flush(r.Engine) }
 
 // NewRecorder builds a utilization/power recorder over the rig's cluster
-// at Options.SampleInterval (default 10s), wired to the rig's telemetry
-// collector when one was configured — each tick then also samples the
-// registered probes (engine depth, task queues) and the cluster gauges.
-// Stop it (typically from OnAllJobsDone) before draining the queue, or
-// give it a horizon.
+// at the recorder's default 10 s interval (each sample costs 56 bytes
+// regardless of PM count, so one simulated hour is ~20 KB even at 10k
+// PMs), wired to the rig's telemetry collector when one was configured —
+// each tick then also samples the registered probes (engine depth, task
+// queues) and the cluster gauges. Stop it (typically from
+// OnAllJobsDone) before draining the queue, or give it a horizon.
 func (r *Rig) NewRecorder(horizon time.Duration) *metrics.Recorder {
-	return metrics.NewRecorder(r.Cluster, r.sampleInterval, horizon, &r.Obs)
+	return metrics.NewRecorder(r.Cluster, 0, horizon, &r.Obs)
 }
 
 // RunJobs submits all jobs at once and drives the simulation until every
