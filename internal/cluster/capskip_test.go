@@ -100,14 +100,14 @@ func randomCap(rng *rand.Rand, demand, old resource.Vector) resource.Vector {
 // solveState is everything a re-solve and the completion rescheduling
 // produce on one machine.
 type solveState struct {
-	rawUsage resource.Vector
-	alloc    []resource.Vector
-	speed    []float64
-	due      []time.Duration // completion time, -1 for none
+	util  resource.Vector
+	alloc []resource.Vector
+	speed []float64
+	due   []time.Duration // completion time, -1 for none
 }
 
 func captureSolve(pm *PM) solveState {
-	s := solveState{rawUsage: pm.rawUsage}
+	s := solveState{util: pm.row().util}
 	pm.EachConsumer(func(c *Consumer) {
 		s.alloc = append(s.alloc, c.alloc)
 		s.speed = append(s.speed, c.speed)
@@ -130,7 +130,7 @@ func sameBits(a, b solveState) bool {
 		}
 		return true
 	}
-	if !vecEq(a.rawUsage, b.rawUsage) || len(a.alloc) != len(b.alloc) {
+	if !vecEq(a.util, b.util) || len(a.alloc) != len(b.alloc) {
 		return false
 	}
 	for i := range a.alloc {

@@ -214,6 +214,10 @@ type Cluster struct {
 	rng    *rand.Rand
 	pms    []*PM
 	vms    []*VM
+	// fleet is the fleet table: one row per PM, in PM order, holding
+	// what the energy recorder reads of each machine, so its sample
+	// streams one contiguous table instead of visiting every PM.
+	fleet []fleetRow
 
 	// migrations tracks in-flight live migrations so machine failures
 	// can unwind them.
@@ -329,6 +333,15 @@ func (c *Cluster) Config() Config { return c.cfg }
 // compare it to rebuild only when the layout actually moved.
 func (c *Cluster) TopologyGen() uint64 { return c.topoGen }
 
+// fleetRow is one PM's row in the fleet table.
+type fleetRow struct {
+	// util is the machine's raw usage divided by capacity, clamped to
+	// [0, 1] per dimension, as of its latest solve.
+	util resource.Vector
+	// off is set while the machine is powered off or failed.
+	off bool
+}
+
 // AddPM provisions a physical machine.
 func (c *Cluster) AddPM(name string) *PM {
 	pm := &PM{
@@ -337,13 +350,19 @@ func (c *Cluster) AddPM(name string) *PM {
 		capacity: resource.NewVector(
 			float64(c.cfg.Cores), c.cfg.MemoryMB, c.cfg.DiskMBps, c.cfg.NetMBps),
 		nativeOverhead: NoOverhead(),
+		idx:            len(c.pms),
 	}
 	c.pms = append(c.pms, pm)
+	c.fleet = append(c.fleet, fleetRow{})
 	return pm
 }
 
-// AddPMs provisions n physical machines named prefix-0..n-1.
+// AddPMs provisions n physical machines named prefix-0..n-1. The PM
+// list and the fleet table grow by exactly n, not by append's doubling:
+// at fleet scale the slack would be live heap for the whole run.
 func (c *Cluster) AddPMs(prefix string, n int) []*PM {
+	c.pms = growExact(c.pms, n)
+	c.fleet = growExact(c.fleet, n)
 	out := make([]*PM, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, c.AddPM(fmt.Sprintf("%s-%d", prefix, i)))
@@ -434,20 +453,36 @@ type FleetStats struct {
 	PMsOn int
 }
 
-// FleetStats walks the fleet once and returns its power draw, mean
-// utilization and powered-on count — the energy recorder's view. Each
-// sum runs in PM order over the per-PM values, and a powered-off PM adds
-// nothing to any of them.
+// growExact returns s with room for n more elements, reallocating to
+// exactly len(s)+n when it lacks the room.
+func growExact[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make([]E, len(s), len(s)+n)
+	copy(t, s)
+	return t
+}
+
+// FleetStats returns the fleet's power draw, mean utilization and
+// powered-on count — the energy recorder's view. It solves the machines
+// still waiting for a flush, then streams the fleet table: each sum runs
+// in PM order over the per-PM values, and a powered-off PM adds nothing
+// to any of them, exactly as a walk calling PowerW and Utilization on
+// every PM would.
 func (c *Cluster) FleetStats() FleetStats {
+	for _, pm := range c.dirty {
+		pm.solve()
+	}
 	var s FleetStats
 	var sum resource.Vector
-	for _, pm := range c.pms {
-		if pm.off {
+	for i := range c.fleet {
+		r := &c.fleet[i]
+		if r.off {
 			continue
 		}
-		u := pm.Utilization()
-		s.PowerW += pm.powerAt(u)
-		sum = sum.Add(u)
+		s.PowerW += c.powerAt(r.util)
+		sum = sum.Add(r.util)
 		s.PMsOn++
 	}
 	if s.PMsOn > 0 {
@@ -458,11 +493,18 @@ func (c *Cluster) FleetStats() FleetStats {
 	return s
 }
 
+// powerAt is the linear power model at utilization u, the one definition
+// PM.PowerW and FleetStats share.
+func (c *Cluster) powerAt(u resource.Vector) float64 {
+	cfg := &c.cfg
+	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*u.Get(resource.CPU)
+}
+
 // PoweredOnPMs counts PMs that are not powered off.
 func (c *Cluster) PoweredOnPMs() int {
 	n := 0
-	for _, pm := range c.pms {
-		if !pm.off {
+	for i := range c.fleet {
+		if !c.fleet[i].off {
 			n++
 		}
 	}

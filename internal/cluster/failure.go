@@ -16,7 +16,7 @@ import (
 // source and the migration retries with backoff. Failing an
 // already-off machine is a no-op.
 func (pm *PM) Fail() error {
-	if pm.off {
+	if pm.Off() {
 		// Already dark: crashing a dead machine changes nothing, and
 		// re-counting the power transition or re-opening the
 		// powered-off span would corrupt the accounting.
@@ -33,7 +33,7 @@ func (pm *PM) Fail() error {
 	}
 	vms := pm.vms
 	pm.vms = nil
-	pm.off = true
+	pm.row().off = true
 	pm.update()
 	pm.cluster.mPowerTransitions.Inc()
 	pm.cluster.mPMCrashes.Inc()
@@ -66,7 +66,7 @@ func (pm *PM) Fail() error {
 
 // Failed reports whether the machine is down (powered off with no way
 // back other than PowerOn after repair).
-func (pm *PM) Failed() bool { return pm.off }
+func (pm *PM) Failed() bool { return pm.Off() }
 
 // Fail crashes a single VM — a guest kernel panic or OOM kill rather
 // than a whole-server loss. Its consumers are killed (OnKilled fires, so

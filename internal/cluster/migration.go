@@ -68,7 +68,7 @@ func (c *Cluster) migrate(vm *VM, dst *PM, done func(MigrationStats), retries in
 	if src == dst {
 		return fmt.Errorf("cluster: Migrate(%s): already on %s", vm.name, dst.name)
 	}
-	if dst.off {
+	if dst.Off() {
 		return fmt.Errorf("cluster: Migrate(%s): destination %s is powered off", vm.name, dst.name)
 	}
 	if !c.Reachable(src, dst) {
@@ -294,7 +294,7 @@ func (c *Cluster) scheduleMigrationRetry(vm *VM, dst *PM, done func(MigrationSta
 		if vm.host == nil || vm.host == dst || vm.state != VMRunning {
 			return // the VM died, landed, or is otherwise occupied
 		}
-		if dst.off || !c.Reachable(vm.host, dst) {
+		if dst.Off() || !c.Reachable(vm.host, dst) {
 			// Destination still down or partitioned away: keep backing
 			// off until retries run out.
 			c.scheduleMigrationRetry(vm, dst, done, attempt)

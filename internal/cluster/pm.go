@@ -45,11 +45,12 @@ type PM struct {
 	nativeOverhead OverheadProfile
 	vms            []*VM
 	native         []*Consumer
-	off            bool
 	rack           string
 	powerDomain    string
+	// idx is the machine's provisioning index: its row in the cluster's
+	// fleet table, which holds its utilization and power state.
+	idx int
 
-	rawUsage   resource.Vector // current total raw allocation, for accounting
 	lastSettle time.Duration
 	slowdown   float64 // injected straggler factor; <= 1 means full speed
 
@@ -129,7 +130,7 @@ func (pm *PM) Start(c *Consumer) error {
 	if c.state == consumerRunning {
 		return fmt.Errorf("cluster: %s: consumer %q already running on %s", pm.name, c.Name, c.node.Name())
 	}
-	if pm.off {
+	if pm.Off() {
 		return fmt.Errorf("cluster: %s: powered off", pm.name)
 	}
 	pm.settle()
@@ -152,7 +153,7 @@ func (pm *PM) PowerOff() error {
 		return fmt.Errorf("cluster: %s: cannot power off with %d consumers and %d VMs",
 			pm.name, len(pm.native), len(pm.vms))
 	}
-	pm.off = true
+	pm.row().off = true
 	pm.cluster.mPowerTransitions.Inc()
 	pm.cluster.ts.Add("cluster.pm.power_transitions", "", pm.cluster.engine.Now(), 1)
 	if tr := pm.cluster.tracer; tr != nil {
@@ -164,7 +165,7 @@ func (pm *PM) PowerOff() error {
 
 // PowerOn turns the PM back on.
 func (pm *PM) PowerOn() {
-	if pm.off {
+	if pm.Off() {
 		pm.cluster.mPowerTransitions.Inc()
 		pm.cluster.ts.Add("cluster.pm.power_transitions", "", pm.cluster.engine.Now(), 1)
 		if tr := pm.cluster.tracer; tr != nil {
@@ -173,11 +174,14 @@ func (pm *PM) PowerOn() {
 		pm.offSpan.End()
 		pm.offSpan = trace.Span{}
 	}
-	pm.off = false
+	pm.row().off = false
 }
 
 // Off reports whether the PM is powered off.
-func (pm *PM) Off() bool { return pm.off }
+func (pm *PM) Off() bool { return pm.row().off }
+
+// row returns the machine's entry in the cluster's fleet table.
+func (pm *PM) row() *fleetRow { return &pm.cluster.fleet[pm.idx] }
 
 // SetSlowdown installs a degradation factor on the machine: every
 // consumer — native and inside every hosted VM — progresses factor
@@ -209,28 +213,20 @@ func (pm *PM) Slowdown() float64 {
 }
 
 // Utilization returns the PM's current raw usage divided by capacity,
-// per resource dimension, each in [0, 1].
+// per resource dimension, each in [0, 1]: the fleet table's row, which
+// every solve rewrites.
 func (pm *PM) Utilization() resource.Vector {
 	pm.solve()
-	u := pm.rawUsage.Div(pm.capacity)
-	one := resource.NewVector(1, 1, 1, 1)
-	return u.Min(one)
+	return pm.row().util
 }
 
 // PowerW returns the instantaneous power draw under the linear model
 // P(u_cpu) = idle + (peak-idle) * u_cpu; 0 when powered off.
 func (pm *PM) PowerW() float64 {
-	if pm.off {
+	if pm.Off() {
 		return 0
 	}
-	return pm.powerAt(pm.Utilization())
-}
-
-// powerAt is the linear power model at utilization u, the one definition
-// PowerW and Cluster.FleetStats share.
-func (pm *PM) powerAt(u resource.Vector) float64 {
-	cfg := &pm.cluster.cfg
-	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*u.Get(resource.CPU)
+	return pm.cluster.powerAt(pm.Utilization())
 }
 
 // EachConsumer calls fn on every consumer resident on the machine, in
@@ -357,8 +353,11 @@ func (pm *PM) solve() {
 	}
 }
 
-// resolve computes allocations and speeds for every consumer on the PM.
-func (pm *PM) resolve() {
+// resolve computes allocations and speeds for every consumer on the PM,
+// and records the machine's utilization — its total raw allocation over
+// capacity, clamped to 1 — in its fleet table row. It returns that raw
+// allocation.
+func (pm *PM) resolve() resource.Vector {
 	cfg := pm.cluster.cfg
 
 	// Count VMs actively demanding disk and network I/O: the Dom-0
@@ -548,7 +547,8 @@ func (pm *PM) resolve() {
 		totalRaw = totalRaw.Set(resource.Memory,
 			totalRaw.Get(resource.Memory)+vm.memMB)
 	}
-	pm.rawUsage = totalRaw
+	pm.row().util = totalRaw.Div(pm.capacity).Min(resource.NewVector(1, 1, 1, 1))
+	return totalRaw
 }
 
 // solveScratch holds the buffers resolve reuses from solve to solve, so

@@ -108,7 +108,7 @@ func (vm *VM) Start(c *Consumer) error {
 	if vm.host == nil {
 		return fmt.Errorf("cluster: %s: VM destroyed (host failed)", vm.name)
 	}
-	if vm.host.off {
+	if vm.host.Off() {
 		return fmt.Errorf("cluster: %s: host %s powered off", vm.name, vm.host.name)
 	}
 	pm := vm.host

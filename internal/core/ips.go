@@ -217,11 +217,11 @@ func (p *IPS) arbitrate(st *ipsService) {
 
 	// TASK_LIST_interference: running attempts sharing the service's PM.
 	var interferers []*mapred.Attempt
-	for _, a := range p.jt.RunningAttempts() {
+	p.jt.EachRunningAttempt(func(a *mapred.Attempt) {
 		if a.Node().Machine() == svcPM {
 			interferers = append(interferers, a)
 		}
-	}
+	})
 	// Stop new batch work from landing on this host until the service
 	// recovers. Repeat offenders back off exponentially, so a host whose
 	// tenant keeps getting re-violated converges to staying clear.
@@ -231,14 +231,14 @@ func (p *IPS) arbitrate(st *ipsService) {
 		p.backoff[svcPM] = bo
 	}
 	blacklistedNow := false
-	for _, tr := range p.jt.Trackers() {
+	p.jt.EachTracker(func(tr *mapred.TaskTracker) {
 		if tr.Compute.Machine() == svcPM && !tr.Disabled() {
 			tr.SetDisabled(true)
 			p.blacklisted[tr] = st.svc.Spec().Name
 			blacklistedNow = true
 			p.log("blacklist", st.svc.Spec().Name, tr.Compute.Name())
 		}
-	}
+	})
 	if blacklistedNow {
 		bo.count++
 		hold := 30 * time.Second << uint(minInt(bo.count-1, 5))

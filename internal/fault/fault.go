@@ -173,6 +173,9 @@ type Injector struct {
 	perf     *perfstat.Stats
 	inv      InvariantSink
 	byKind   map[Kind]int
+	// trackers is TrackerHang's draw population, every JobTracker's
+	// trackers in order, rebuilt in place at each draw.
+	trackers []*mapred.TaskTracker
 }
 
 // InvariantSink is notified after every injection so a runtime checker
@@ -424,10 +427,11 @@ func (in *Injector) fireChaos(kind Kind, p Profile, rng *rand.Rand) {
 		}
 		in.CrashVM(candidates[rng.Intn(len(candidates))])
 	case TrackerHang:
-		var pop []*mapred.TaskTracker
+		pop := in.trackers[:0]
 		for _, jt := range in.env.JTs {
-			pop = append(pop, jt.Trackers()...)
+			jt.EachTracker(func(tr *mapred.TaskTracker) { pop = append(pop, tr) })
 		}
+		in.trackers = pop
 		if len(pop) == 0 {
 			return
 		}
@@ -694,11 +698,11 @@ func (in *Injector) RepairPM(pm *cluster.PM) int {
 	pm.PowerOn()
 	in.record(PMRepair, pm.Name())
 	for _, jt := range in.env.JTs {
-		for _, tr := range jt.Trackers() {
+		jt.EachTracker(func(tr *mapred.TaskTracker) {
 			if sp, ok := tr.Storage.(*cluster.PM); ok && sp == pm {
 				jt.FS().AddDataNode(pm)
 			}
-		}
+		})
 	}
 	copies := 0
 	for _, fs := range in.env.FSs {
@@ -833,11 +837,15 @@ func (in *Injector) findVM(name string) *cluster.VM {
 }
 
 func (in *Injector) findTracker(name string) *mapred.TaskTracker {
+	var found *mapred.TaskTracker
 	for _, jt := range in.env.JTs {
-		for _, tr := range jt.Trackers() {
-			if tr.Compute.Name() == name {
-				return tr
+		jt.EachTracker(func(tr *mapred.TaskTracker) {
+			if found == nil && tr.Compute.Name() == name {
+				found = tr
 			}
+		})
+		if found != nil {
+			return found
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,43 +11,45 @@ import (
 	"repro/internal/resource"
 )
 
-// appendTo appends the set's trackers to dst in order: the snapshot
-// schedule() used to copy every round, kept as the reference its live
-// walk is checked against.
-func (s *freeSet) appendTo(dst []*TaskTracker) []*TaskTracker {
-	for _, b := range s.blocks {
-		dst = append(dst, b...)
-	}
-	return dst
-}
-
-// checkFreeSet verifies a free set against its reference: the flattened
-// blocks equal the sorted model, and the block structure keeps its
-// bounds (no empty or oversized block, adjacent pairs above half a
-// block).
-func checkFreeSet(t *testing.T, step int, s *freeSet, model []*TaskTracker) {
+// checkBlockList verifies a block list against its reference: the
+// flattened blocks and an each walk equal the sorted model, and the
+// block structure keeps its bounds (no empty or oversized block,
+// adjacent pairs above half a block).
+func checkBlockList[T comparable](t *testing.T, step int, s *blockList[T], model []T) {
 	t.Helper()
 	if got := s.appendTo(nil); !slices.Equal(got, model) {
-		t.Fatalf("step %d: flattened set differs from the sorted model (%d vs %d entries)", step, len(got), len(model))
+		t.Fatalf("step %d: flattened list differs from the sorted model (%d vs %d entries)", step, len(got), len(model))
 	}
+	var walked []T
+	s.each(func(x T) { walked = append(walked, x) })
+	if !slices.Equal(walked, model) {
+		t.Fatalf("step %d: each walk differs from the sorted model (%d vs %d entries)", step, len(walked), len(model))
+	}
+	if s.len() != len(model) {
+		t.Fatalf("step %d: len = %d, want %d", step, s.len(), len(model))
+	}
+	for i, b := range s.blocks {
+		if len(b) == 0 || len(b) > blockMax {
+			t.Fatalf("step %d: block %d holds %d entries", step, i, len(b))
+		}
+		if i > 0 && len(s.blocks[i-1])+len(b) <= blockMax/2 {
+			t.Fatalf("step %d: blocks %d and %d hold %d entries together, should have merged",
+				step, i-1, i, len(s.blocks[i-1])+len(b))
+		}
+	}
+}
+
+// checkFreeSet is checkBlockList for a free set, plus its first/after
+// walk, which relies on unique keys.
+func checkFreeSet(t *testing.T, step int, s *freeSet, model []*TaskTracker) {
+	t.Helper()
+	checkBlockList(t, step, s, model)
 	var walked []*TaskTracker
 	for tr := s.first(); tr != nil; tr = s.after(tr) {
 		walked = append(walked, tr)
 	}
 	if !slices.Equal(walked, model) {
 		t.Fatalf("step %d: first/after walk differs from the sorted model (%d vs %d entries)", step, len(walked), len(model))
-	}
-	if s.n != len(model) {
-		t.Fatalf("step %d: n = %d, want %d", step, s.n, len(model))
-	}
-	for i, b := range s.blocks {
-		if len(b) == 0 || len(b) > freeBlockMax {
-			t.Fatalf("step %d: block %d holds %d entries", step, i, len(b))
-		}
-		if i > 0 && len(s.blocks[i-1])+len(b) <= freeBlockMax/2 {
-			t.Fatalf("step %d: blocks %d and %d hold %d entries together, should have merged",
-				step, i-1, i, len(s.blocks[i-1])+len(b))
-		}
 	}
 }
 
@@ -60,12 +63,12 @@ func checkFreeSet(t *testing.T, step int, s *freeSet, model []*TaskTracker) {
 func TestFreeSetMatchesSortedModel(t *testing.T) {
 	for _, byPressure := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(17))
-		trackers := make([]*TaskTracker, 5*freeBlockMax)
+		trackers := make([]*TaskTracker, 5*blockMax)
 		for i := range trackers {
 			// Few distinct pressures: ties fall back to the index.
 			trackers[i] = &TaskTracker{idx: i, pressure: float64(rng.Intn(6))}
 		}
-		s := freeSet{byPressure: byPressure}
+		s := newFreeSet(byPressure)
 		var model []*TaskTracker
 		in := make([]bool, len(trackers))
 		less := func(a, b *TaskTracker) bool { return freeOrder(byPressure, a, b) }
@@ -140,6 +143,78 @@ func TestFreeSetMatchesSortedModel(t *testing.T) {
 	}
 }
 
+// oldRunningInsert and oldRunningRemove are the running list as a plain
+// name-sorted slice, before it became a block list: an attempt goes in
+// before every attempt with an equal name, and comes out by identity.
+func oldRunningInsert(list []*Attempt, a *Attempt) []*Attempt {
+	name := a.consumer.Name
+	i := sort.Search(len(list), func(i int) bool { return list[i].consumer.Name >= name })
+	list = append(list, nil)
+	copy(list[i+1:], list[i:])
+	list[i] = a
+	return list
+}
+
+func oldRunningRemove(list []*Attempt, a *Attempt) []*Attempt {
+	name := a.consumer.Name
+	i := sort.Search(len(list), func(i int) bool { return list[i].consumer.Name >= name })
+	for i < len(list) && list[i] != a {
+		i++
+	}
+	if i < len(list) {
+		list = append(list[:i], list[i+1:]...)
+	}
+	return list
+}
+
+// TestRunningListMatchesOldSortedSlice drives the running list through
+// seeded launches and ends of attempts drawn from few names, so runs of
+// equal names span blocks, while the population swings between empty
+// and several blocks' worth. After every step it must equal the old
+// sorted slice, ties included: a new attempt ahead of its equal-named
+// elders, and a removal taking the very attempt asked for.
+func TestRunningListMatchesOldSortedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	attempts := make([]*Attempt, 6*blockMax)
+	for i := range attempts {
+		// Few names: about 20 attempts share each one.
+		name := fmt.Sprintf("Sort-%d/map-0@pm-%d", rng.Intn(4), rng.Intn(10))
+		attempts[i] = &Attempt{consumer: &attemptConsumer{Consumer: cluster.Consumer{Name: name}}}
+	}
+	s := newBlockList(runningLess)
+	var model []*Attempt
+	in := make(map[*Attempt]bool)
+	spanning := 0
+	for step := 0; step < 30000; step++ {
+		fillBias := 0.85
+		if (step/4000)%2 == 1 {
+			fillBias = 0.1
+		}
+		if rng.Float64() < fillBias {
+			if a := attempts[rng.Intn(len(attempts))]; !in[a] {
+				s.insert(a)
+				model = oldRunningInsert(model, a)
+				in[a] = true
+			}
+		} else if len(model) > 0 {
+			a := model[rng.Intn(len(model))]
+			s.remove(a)
+			model = oldRunningRemove(model, a)
+			in[a] = false
+		}
+		checkBlockList(t, step, &s, model)
+		for i := 1; i < len(s.blocks); i++ {
+			if s.blocks[i-1][len(s.blocks[i-1])-1].consumer.Name == s.blocks[i][0].consumer.Name {
+				spanning++
+				break
+			}
+		}
+	}
+	if spanning < 1000 {
+		t.Fatalf("only %d steps had a run of equal names spanning two blocks; the ties are too tame", spanning)
+	}
+}
+
 // visitRecorder is a Scheduler that assigns nothing and records the
 // (tracker, kind) probes schedule() makes, in order.
 type visitRecorder struct{ visits []visit }
@@ -164,7 +239,7 @@ func (r *visitRecorder) NextTask(_ *JobTracker, tr *TaskTracker, kind TaskKind) 
 // visiting a tracker free for both kinds once, map kind first.
 func TestScheduleWalksFreeSetsInFreshSortOrder(t *testing.T) {
 	rec := &visitRecorder{}
-	_, jt := rig(t, 3*freeBlockMax+40, Config{CapacityAware: true}, rec)
+	_, jt := rig(t, 3*blockMax+40, Config{CapacityAware: true}, rec)
 	trackers := jt.Trackers()
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 25; round++ {

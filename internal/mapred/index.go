@@ -7,9 +7,14 @@ import (
 	"repro/internal/cluster"
 )
 
-// This file is the JobTracker's incremental index layer. Three structures
-// replace the full-fleet scans the scale sweep measured superlinear:
+// This file is the JobTracker's incremental index layer. Four structures
+// replace the scans over the fleet, the running attempts and the job
+// queue that grew with the cluster:
 //
+//   - blockList: one sorted list stored as blocks of at most blockMax
+//     entries, so an insert or remove moves a bounded number of
+//     pointers instead of half the list. It holds the free-slot sets
+//     and the running list below; it is the only block-list code.
 //   - freeMaps/freeReds: trackers with a free slot of each task type,
 //     ordered by (cached machine pressure, registration index).
 //     schedule() merge-walks the live sets in place instead of copying
@@ -17,18 +22,20 @@ import (
 //     type because they must be: a tracker whose map slots are full but
 //     reduce slots are empty would otherwise sit in every map wave's
 //     scan as a no-op visit, and with waves sized to the fleet those
-//     visits are the O(n^2) the sweep measured. Each set is a blocked
-//     sorted list (freeSet: blocks of at most freeBlockMax trackers), so
-//     the remove-and-reinsert of every launch, release and pressure
-//     refresh moves a bounded number of pointers instead of half the
-//     fleet.
-//   - runningSorted: every running attempt ordered by consumer name,
-//     maintained at launch/release. RunningAttempts() copies it instead
-//     of rebuilding and sorting from the attempts map; per-tick readers
-//     (the IPS, the straggler scan) walk it in place.
-//   - buckets/bucketOrder: running attempts grouped per compute node in
-//     node-name order, the exact iteration order the DRM's tick used to
-//     reconstruct by sorting every sweep.
+//     visits are the O(n^2) the sweep measured.
+//   - running: every running attempt ordered by consumer name, a new
+//     attempt ahead of any with an equal name, maintained at
+//     launch/release. RunningAttempts() copies it; per-tick readers (the
+//     IPS, the straggler scan) walk it in place. buckets/bucketOrder
+//     group the same attempts per compute node in node-name order, the
+//     exact iteration order the DRM's tick used to reconstruct by
+//     sorting every sweep.
+//   - pending: for each task kind, the active jobs with a schedulable
+//     task of that kind, in submission order, kept by setTaskState,
+//     setJobState and Submit beside the pending, running and
+//     schedulable counters. Every built-in scheduler walks this list
+//     instead of every active job: a probe at the scale-up point finds
+//     about one job with pending work among hundreds active.
 //
 // Cached pressures are invalidated through cluster watchers: every PM
 // backing a tracker notifies the JobTracker when its allocation is
@@ -60,62 +67,104 @@ func freeOrder(byPressure bool, a, b *TaskTracker) bool {
 	return a.idx < b.idx
 }
 
-// freeBlockMax is the capacity of one free-set block. An insert or
-// remove shifts at most this many trackers, plus a block list
-// freeBlockMax times shorter than the set.
-const freeBlockMax = 128
+// newFreeSet returns an empty free-slot set in freeLess order.
+func newFreeSet(byPressure bool) freeSet {
+	return newBlockList(func(a, b *TaskTracker) bool { return freeOrder(byPressure, a, b) })
+}
 
-// freeSet is one free-slot set in freeLess order, stored as a two-level
-// sorted list: a sequence of blocks, each sorted and holding 1 to
-// freeBlockMax trackers, every block's entries ordering before the next
-// block's. A lookup binary-searches the blocks by their last entry, then
-// the one block, so insert and remove cost O(log n + freeBlockMax)
-// instead of memmoving half the fleet. A full block splits in half; a
-// block that empties, or that a removal leaves small enough to fold into
-// a neighbour (the two together holding at most freeBlockMax/2), is
-// moved to spare and reused by the next split or by a refill of a
-// drained set, so steady-state churn never allocates. Merging keeps
-// every pair of adjacent blocks above freeBlockMax/2 entries, bounding
-// the block count at 4n/freeBlockMax + 1.
-type freeSet struct {
-	byPressure bool
-	blocks     [][]*TaskTracker
-	spare      [][]*TaskTracker // emptied blocks, length 0, capacity freeBlockMax
-	n          int              // trackers across all blocks
-	// hintB/hintI locate the tracker first or after last returned, if
-	// the set has not shifted it since; see after.
+// freeSet is one free-slot set: trackers in freeLess order.
+type freeSet = blockList[*TaskTracker]
+
+// runningLess orders the running list by consumer name.
+func runningLess(a, b *Attempt) bool { return a.consumer.Name < b.consumer.Name }
+
+// blockMax is the capacity of one block of a blockList. An insert or
+// remove shifts at most this many entries, plus a block list blockMax
+// times shorter than the list.
+const blockMax = 128
+
+// blockList is a sorted list stored in two levels: a sequence of blocks,
+// each sorted and holding 1 to blockMax entries, every block's entries
+// ordering before or level with the next block's. A lookup
+// binary-searches the blocks by their last entry, then the one block, so
+// insert and remove cost O(log n + blockMax) instead of memmoving half
+// the list. A full block splits in half; a block that empties, or that a
+// removal leaves small enough to fold into a neighbour (the two together
+// holding at most blockMax/2), is moved to spare and reused by the next
+// split or by a refill of a drained list, so steady-state churn never
+// allocates. Merging keeps every pair of adjacent blocks above blockMax/2
+// entries, bounding the block count at 4n/blockMax + 1.
+//
+// Equal keys are allowed: insert puts an entry before every entry with
+// an equal key, and remove finds its entry by identity among them. The
+// free-slot sets never hold equal keys (the registration index breaks
+// every tie); the running list may, as two attempts of one task on one
+// node share a name.
+type blockList[T comparable] struct {
+	less   func(a, b T) bool
+	blocks [][]T
+	spare  [][]T // emptied blocks, length 0, capacity blockMax
+	n      int   // entries across all blocks
+	// hintB/hintI locate the entry first or after last returned, if the
+	// list has not shifted it since; see after.
 	hintB, hintI int
 }
 
-func (s *freeSet) less(a, b *TaskTracker) bool { return freeOrder(s.byPressure, a, b) }
+// newBlockList returns an empty list ordered by less.
+func newBlockList[T comparable](less func(a, b T) bool) blockList[T] {
+	return blockList[T]{less: less}
+}
 
-// first returns the set's first tracker, or nil when it is empty.
-func (s *freeSet) first() *TaskTracker {
+// len returns the number of entries.
+func (s *blockList[T]) len() int { return s.n }
+
+// each calls fn on every entry in order. fn must not change the list.
+func (s *blockList[T]) each(fn func(x T)) {
+	for _, b := range s.blocks {
+		for _, x := range b {
+			fn(x)
+		}
+	}
+}
+
+// appendTo appends the entries to dst in order.
+func (s *blockList[T]) appendTo(dst []T) []T {
+	for _, b := range s.blocks {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
+// first returns the first entry, or the zero T when the list is empty.
+func (s *blockList[T]) first() T {
 	if len(s.blocks) == 0 {
-		return nil
+		var zero T
+		return zero
 	}
 	s.hintB, s.hintI = 0, 0
 	return s.blocks[0][0]
 }
 
-// after returns the first tracker in the set that orders strictly after
-// tr's key, or nil. tr itself need not be in the set, so a walk can
-// continue past a tracker a launch just removed. When tr still sits
-// where first or after last returned it, its successor is the next slot,
-// so an undisturbed walk steps in O(1); otherwise after binary-searches.
-// Keys are unique, so a hint confirmed by identity is always right.
-func (s *freeSet) after(tr *TaskTracker) *TaskTracker {
+// after returns the first entry that orders strictly after x's key, or
+// the zero T. x itself need not be in the list, so a walk can continue
+// past an entry a launch just removed. When x still sits where first or
+// after last returned it, its successor is the next slot, so an
+// undisturbed walk steps in O(1); otherwise after binary-searches. A
+// hint is confirmed by identity, so it is right whenever keys are
+// unique, as in the free-slot sets that walk this way.
+func (s *blockList[T]) after(x T) T {
 	bi, i := s.hintB, s.hintI
-	if bi < len(s.blocks) && i < len(s.blocks[bi]) && s.blocks[bi][i] == tr {
+	if bi < len(s.blocks) && i < len(s.blocks[bi]) && s.blocks[bi][i] == x {
 		if i++; i == len(s.blocks[bi]) {
 			bi, i = bi+1, 0
 		}
 	} else {
-		lo, hi := 0, len(s.blocks)
+		less, blocks := s.less, s.blocks
+		lo, hi := 0, len(blocks)
 		for lo < hi {
 			m := int(uint(lo+hi) >> 1)
-			b := s.blocks[m]
-			if s.less(tr, b[len(b)-1]) {
+			b := blocks[m]
+			if less(x, b[len(b)-1]) {
 				hi = m
 			} else {
 				lo = m + 1
@@ -123,26 +172,59 @@ func (s *freeSet) after(tr *TaskTracker) *TaskTracker {
 		}
 		bi = lo
 		if bi < len(s.blocks) {
-			b := s.blocks[bi]
-			i = sort.Search(len(b), func(i int) bool { return s.less(tr, b[i]) })
+			i = s.upperBound(s.blocks[bi], x)
 		}
 	}
 	if bi == len(s.blocks) {
-		return nil
+		var zero T
+		return zero
 	}
 	s.hintB, s.hintI = bi, i
 	return s.blocks[bi][i]
 }
 
-// locate returns the index of the first block whose last entry does not
-// order before tr — the block tr is in or belongs in — or len(blocks)
-// when tr orders after every entry.
-func (s *freeSet) locate(tr *TaskTracker) int {
-	lo, hi := 0, len(s.blocks)
+// lowerBound returns the index of the first entry of b that does not
+// order before x.
+func (s *blockList[T]) lowerBound(b []T, x T) int {
+	less := s.less
+	lo, hi := 0, len(b)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		b := s.blocks[m]
-		if s.less(b[len(b)-1], tr) {
+		if less(b[m], x) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// upperBound returns the index of the first entry of b that orders
+// strictly after x.
+func (s *blockList[T]) upperBound(b []T, x T) int {
+	less := s.less
+	lo, hi := 0, len(b)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if less(x, b[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// locate returns the index of the first block whose last entry does not
+// order before x — the first block x's key can sit in — or len(blocks)
+// when x orders after every entry.
+func (s *blockList[T]) locate(x T) int {
+	less, blocks := s.less, s.blocks
+	lo, hi := 0, len(blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		b := blocks[m]
+		if less(b[len(b)-1], x) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -152,71 +234,79 @@ func (s *freeSet) locate(tr *TaskTracker) int {
 }
 
 // newBlock returns an empty block, recycled when one is spare.
-func (s *freeSet) newBlock() []*TaskTracker {
+func (s *blockList[T]) newBlock() []T {
 	if n := len(s.spare); n > 0 {
 		b := s.spare[n-1]
 		s.spare[n-1] = nil
 		s.spare = s.spare[:n-1]
 		return b
 	}
-	return make([]*TaskTracker, 0, freeBlockMax)
+	return make([]T, 0, blockMax)
 }
 
 // recycle keeps an emptied block for reuse.
-func (s *freeSet) recycle(b []*TaskTracker) {
+func (s *blockList[T]) recycle(b []T) {
 	clear(b)
 	s.spare = append(s.spare, b[:0])
 }
 
-// insert adds a tracker at its sorted position.
-func (s *freeSet) insert(tr *TaskTracker) {
+// insert adds x before every entry with an equal key.
+func (s *blockList[T]) insert(x T) {
 	s.n++
 	if len(s.blocks) == 0 {
-		s.blocks = append(s.blocks, append(s.newBlock(), tr))
+		s.blocks = append(s.blocks, append(s.newBlock(), x))
 		return
 	}
-	bi := s.locate(tr)
+	bi := s.locate(x)
 	if bi == len(s.blocks) {
 		bi--
 	}
 	b := s.blocks[bi]
-	if len(b) == freeBlockMax {
+	if len(b) == blockMax {
 		// Split: the upper half moves to a new block right after this
-		// one, and tr goes to whichever half its key falls in.
-		upper := append(s.newBlock(), b[freeBlockMax/2:]...)
-		clear(b[freeBlockMax/2:])
-		b = b[:freeBlockMax/2]
+		// one, and x goes to whichever half its position falls in.
+		upper := append(s.newBlock(), b[blockMax/2:]...)
+		clear(b[blockMax/2:])
+		b = b[:blockMax/2]
 		s.blocks[bi] = b
 		s.blocks = slices.Insert(s.blocks, bi+1, upper)
-		if s.less(b[len(b)-1], tr) {
+		if s.less(b[len(b)-1], x) {
 			bi++
 			b = upper
 		}
 	}
-	i := sort.Search(len(b), func(i int) bool { return s.less(tr, b[i]) })
-	b = append(b, nil)
+	i := s.lowerBound(b, x)
+	b = append(b, x)
 	copy(b[i+1:], b[i:])
-	b[i] = tr
+	b[i] = x
 	s.blocks[bi] = b
 }
 
-// remove deletes a tracker. The search runs on the same cached key the
-// tracker was inserted under, so it always lands on the exact slot.
-func (s *freeSet) remove(tr *TaskTracker) {
-	bi := s.locate(tr)
-	if bi == len(s.blocks) {
-		return // not present; defensive only
+// remove deletes x, found by identity among the entries with its key,
+// which may run on across blocks. The search uses the key x was inserted
+// under, so the caller must not have changed it.
+func (s *blockList[T]) remove(x T) {
+	for bi := s.locate(x); bi < len(s.blocks); bi++ {
+		b := s.blocks[bi]
+		for i := s.lowerBound(b, x); i < len(b); i++ {
+			if b[i] == x {
+				s.removeAt(bi, i)
+				return
+			}
+			if s.less(x, b[i]) {
+				return // past every entry with x's key: not present
+			}
+		}
 	}
+}
+
+// removeAt deletes entry i of block bi, then frees the block if it
+// emptied or folds it into a neighbour if the pair fits in half a block.
+func (s *blockList[T]) removeAt(bi, i int) {
 	b := s.blocks[bi]
-	i := sort.Search(len(b), func(i int) bool { return !s.less(b[i], tr) })
-	for i < len(b) && b[i] != tr {
-		i++ // equal keys cannot happen (idx is unique); defensive only
-	}
-	if i == len(b) {
-		return
-	}
 	copy(b[i:], b[i+1:])
-	b[len(b)-1] = nil
+	var zero T
+	b[len(b)-1] = zero
 	b = b[:len(b)-1]
 	s.blocks[bi] = b
 	s.n--
@@ -225,16 +315,16 @@ func (s *freeSet) remove(tr *TaskTracker) {
 		s.blocks = slices.Delete(s.blocks, bi, bi+1)
 		return
 	}
-	if bi+1 < len(s.blocks) && len(b)+len(s.blocks[bi+1]) <= freeBlockMax/2 {
+	if bi+1 < len(s.blocks) && len(b)+len(s.blocks[bi+1]) <= blockMax/2 {
 		s.mergeNext(bi)
 	}
-	if bi > 0 && len(s.blocks[bi-1])+len(s.blocks[bi]) <= freeBlockMax/2 {
+	if bi > 0 && len(s.blocks[bi-1])+len(s.blocks[bi]) <= blockMax/2 {
 		s.mergeNext(bi - 1)
 	}
 }
 
 // mergeNext folds block i+1 into block i.
-func (s *freeSet) mergeNext(i int) {
+func (s *blockList[T]) mergeNext(i int) {
 	next := s.blocks[i+1]
 	s.blocks[i] = append(s.blocks[i], next...)
 	s.recycle(next)
@@ -401,27 +491,15 @@ func (jt *JobTracker) probePressure(tr *TaskTracker) {
 }
 
 // runningInsert adds a just-launched attempt to the name-sorted running
-// list and its node bucket.
+// list and its node bucket, before any attempt with an equal name.
 func (jt *JobTracker) runningInsert(a *Attempt) {
-	name := a.consumer.Name
-	i := sort.Search(len(jt.runningSorted), func(i int) bool {
-		return jt.runningSorted[i].consumer.Name >= name
-	})
-	jt.runningSorted = append(jt.runningSorted, nil)
-	copy(jt.runningSorted[i+1:], jt.runningSorted[i:])
-	jt.runningSorted[i] = a
+	jt.running.insert(a)
 
-	node := a.Tracker.Compute
-	b, ok := jt.buckets[node]
-	if !ok {
-		b = &nodeBucket{node: node, name: node.Name()}
-		jt.buckets[node] = b
-		j := sort.Search(len(jt.bucketOrder), func(j int) bool {
-			return jt.bucketOrder[j].name >= b.name
-		})
-		jt.bucketOrder = append(jt.bucketOrder, nil)
-		copy(jt.bucketOrder[j+1:], jt.bucketOrder[j:])
-		jt.bucketOrder[j] = b
+	name := a.consumer.Name
+	b := a.Tracker.bucket
+	if b == nil {
+		b = jt.bucketFor(a.Tracker.Compute)
+		a.Tracker.bucket = b
 	}
 	j := sort.Search(len(b.attempts), func(j int) bool {
 		return b.attempts[j].consumer.Name >= name
@@ -435,17 +513,9 @@ func (jt *JobTracker) runningInsert(a *Attempt) {
 // and its node bucket. Emptied buckets stay registered (skipped by
 // iteration) so node churn never reshuffles bucketOrder.
 func (jt *JobTracker) runningRemove(a *Attempt) {
-	name := a.consumer.Name
-	i := sort.Search(len(jt.runningSorted), func(i int) bool {
-		return jt.runningSorted[i].consumer.Name >= name
-	})
-	for i < len(jt.runningSorted) && jt.runningSorted[i] != a {
-		i++
-	}
-	if i < len(jt.runningSorted) {
-		jt.runningSorted = append(jt.runningSorted[:i], jt.runningSorted[i+1:]...)
-	}
-	if b, ok := jt.buckets[a.Tracker.Compute]; ok {
+	jt.running.remove(a)
+	if b := a.Tracker.bucket; b != nil {
+		name := a.consumer.Name
 		j := sort.Search(len(b.attempts), func(j int) bool {
 			return b.attempts[j].consumer.Name >= name
 		})
@@ -458,9 +528,24 @@ func (jt *JobTracker) runningRemove(a *Attempt) {
 	}
 }
 
+// bucketFor returns a compute node's running-attempt bucket, registering
+// it in node-name order the first time the node runs an attempt.
+func (jt *JobTracker) bucketFor(node cluster.Node) *nodeBucket {
+	if b, ok := jt.buckets[node]; ok {
+		return b
+	}
+	b := &nodeBucket{node: node, name: node.Name()}
+	jt.buckets[node] = b
+	j := sort.Search(len(jt.bucketOrder), func(j int) bool {
+		return jt.bucketOrder[j].name >= b.name
+	})
+	jt.bucketOrder = slices.Insert(jt.bucketOrder, j, b)
+	return b
+}
+
 // RunningCount returns the number of attempts currently executing,
 // without materializing the list.
-func (jt *JobTracker) RunningCount() int { return len(jt.runningSorted) }
+func (jt *JobTracker) RunningCount() int { return jt.running.len() }
 
 // EachNodeAttempts visits every compute node with running attempts in
 // node-name order, passing the attempts on it ordered by consumer name —
@@ -481,7 +566,7 @@ func (jt *JobTracker) EachNodeAttempts(fn func(node cluster.Node, attempts []*At
 // across calls.
 func (jt *JobTracker) attemptsOn(tr *TaskTracker) []*Attempt {
 	out := jt.runningSnap[:0]
-	if b, ok := jt.buckets[tr.Compute]; ok {
+	if b := tr.bucket; b != nil {
 		for _, a := range b.attempts {
 			if a.Tracker == tr {
 				out = append(out, a)
@@ -493,8 +578,9 @@ func (jt *JobTracker) attemptsOn(tr *TaskTracker) []*Attempt {
 }
 
 // setTaskState moves a task between scheduling states, maintaining the
-// per-job pending counters and the gate-aware schedulable totals that let
-// schedule() prove "no assignable work" in O(1).
+// per-job pending and running counters, the gate-aware schedulable
+// totals that let schedule() prove "no assignable work" in O(1), and the
+// pending-job lists.
 func (jt *JobTracker) setTaskState(t *Task, s TaskState) {
 	old := t.state
 	if old == s {
@@ -502,6 +588,12 @@ func (jt *JobTracker) setTaskState(t *Task, s TaskState) {
 	}
 	t.state = s
 	job := t.Job
+	if old == TaskRunning {
+		job.running--
+	}
+	if s == TaskRunning {
+		job.running++
+	}
 	if t.Kind == MapTask {
 		if old == TaskPending {
 			job.pendingMaps--
@@ -515,26 +607,28 @@ func (jt *JobTracker) setTaskState(t *Task, s TaskState) {
 				jt.schedulableMaps++
 			}
 		}
-		return
-	}
-	if old == TaskPending {
-		job.pendingReds--
-		if job.state == JobReducePhase {
-			jt.schedulableReds--
+	} else {
+		if old == TaskPending {
+			job.pendingReds--
+			if job.state == JobReducePhase {
+				jt.schedulableReds--
+			}
+		}
+		if s == TaskPending {
+			job.pendingReds++
+			if job.state == JobReducePhase {
+				jt.schedulableReds++
+			}
 		}
 	}
-	if s == TaskPending {
-		job.pendingReds++
-		if job.state == JobReducePhase {
-			jt.schedulableReds++
-		}
-	}
+	jt.syncPending(job, t.Kind)
 }
 
 // setJobState moves a job between phases, shifting its pending tasks'
 // contribution between the schedulable totals as the phase gates open and
 // close (maps schedule only in JobMapPhase, reduces only in
-// JobReducePhase — the same gates pendingTask and hasPending enforce).
+// JobReducePhase — the same gates pendingTask and hasPending enforce),
+// and its membership of the pending-job lists with them.
 func (jt *JobTracker) setJobState(job *Job, s JobState) {
 	switch job.state {
 	case JobMapPhase:
@@ -549,7 +643,44 @@ func (jt *JobTracker) setJobState(job *Job, s JobState) {
 	case JobReducePhase:
 		jt.schedulableReds += job.pendingReds
 	}
+	jt.syncPending(job, MapTask)
+	jt.syncPending(job, ReduceTask)
 }
+
+// syncPending reconciles a job's membership of the kind's pending-job
+// list with hasPending; Submit, setTaskState and setJobState call it
+// after every change to the job's phase or pending counters.
+func (jt *JobTracker) syncPending(job *Job, kind TaskKind) {
+	k := kind - MapTask
+	if has := job.hasPending(kind); has != job.inPending[k] {
+		if has {
+			jt.pending[k] = insertJob(jt.pending[k], job)
+		} else {
+			jt.pending[k] = removeJob(jt.pending[k], job)
+		}
+		job.inPending[k] = has
+	}
+}
+
+// insertJob adds a job to a submission-ordered job list.
+func insertJob(list []*Job, job *Job) []*Job {
+	i, _ := slices.BinarySearchFunc(list, job.ID, func(j *Job, id int) int { return j.ID - id })
+	return slices.Insert(list, i, job)
+}
+
+// removeJob deletes a job from a submission-ordered job list.
+func removeJob(list []*Job, job *Job) []*Job {
+	if i, ok := slices.BinarySearchFunc(list, job.ID, func(j *Job, id int) int { return j.ID - id }); ok {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
+// pendingJobs returns the active jobs with schedulable tasks of the
+// kind — the jobs for which hasPending(kind) holds — in submission order.
+// It is the list every built-in scheduler walks: pendingTask returns a
+// task for exactly these jobs, so skipping the rest changes no choice.
+func (jt *JobTracker) pendingJobs(kind TaskKind) []*Job { return jt.pending[kind-MapTask] }
 
 // removeActiveJob drops a completed job from the submission-ordered
 // active list.

@@ -1,6 +1,12 @@
 package mapred
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cluster"
+)
 
 // BenchmarkFreeSetChurn measures the free-slot index maintenance one
 // launch, release and pressure refresh pay on a 15,000-tracker fleet
@@ -19,5 +25,28 @@ func BenchmarkFreeSetChurn(b *testing.B) {
 		tr.mapRunning, tr.redsRunning = 0, 0
 		jt.syncFree(tr)
 		jt.refreshPressure(tr)
+	}
+}
+
+// BenchmarkRunningChurn measures the running-attempt index maintenance
+// of one attempt ending and one launching against 5,000 running
+// attempts on 500 nodes: the name-ordered running list and the node's
+// bucket each lose one attempt and gain one.
+func BenchmarkRunningChurn(b *testing.B) {
+	_, jt := rig(b, 500, Config{}, nil)
+	rng := rand.New(rand.NewSource(3))
+	attempts := make([]*Attempt, 5000)
+	for i := range attempts {
+		tr := jt.trackers[rng.Intn(len(jt.trackers))]
+		name := fmt.Sprintf("Sort-%d/map-%d@%s", rng.Intn(400), rng.Intn(64), tr.Compute.Name())
+		attempts[i] = &Attempt{Tracker: tr, consumer: &attemptConsumer{Consumer: cluster.Consumer{Name: name}}}
+		jt.runningInsert(attempts[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := attempts[(i*7919)%len(attempts)]
+		jt.runningRemove(a)
+		jt.runningInsert(a)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // sets completely and refills them — the pattern of a small fleet
 // saturating and idling between waves.
 func TestFreeSetMaintenanceZeroAlloc(t *testing.T) {
-	_, jt := rig(t, 3*freeBlockMax+17, Config{}, nil)
+	_, jt := rig(t, 3*blockMax+17, Config{}, nil)
 	trackers := jt.Trackers()
 	setFull := func(tr *TaskTracker, full bool) {
 		tr.mapRunning, tr.redsRunning = 0, 0
@@ -41,10 +41,10 @@ func TestFreeSetMaintenanceZeroAlloc(t *testing.T) {
 			setFull(tr, false) // re-enters both sets
 		}},
 		{"block edges", func() {
-			for _, i := range []int{0, freeBlockMax - 1, freeBlockMax, len(trackers) - 1} {
+			for _, i := range []int{0, blockMax - 1, blockMax, len(trackers) - 1} {
 				setFull(trackers[i], true)
 			}
-			for _, i := range []int{freeBlockMax, 0, len(trackers) - 1, freeBlockMax - 1} {
+			for _, i := range []int{blockMax, 0, len(trackers) - 1, blockMax - 1} {
 				setFull(trackers[i], false)
 			}
 		}},

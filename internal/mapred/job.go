@@ -24,8 +24,6 @@ type Job struct {
 	ID int
 	// Spec is the workload description.
 	Spec JobSpec
-	// Weight is the job's Fair-scheduler share weight (default 1).
-	Weight float64
 	// OnComplete fires when the last reduce (or last map of a map-only
 	// job) finishes.
 	OnComplete func(*Job)
@@ -49,6 +47,12 @@ type Job struct {
 	// hasPending in O(1) and feed the scheduler's schedulable totals.
 	pendingMaps int
 	pendingReds int
+	// running counts tasks in TaskRunning, maintained by setTaskState
+	// for the Fair scheduler.
+	running int
+	// inPending marks the job's membership of the JobTracker's map
+	// (index 0) and reduce (index 1) pending-job lists; see syncPending.
+	inPending [2]bool
 
 	// mapOutputMB records, per physical machine, how much map output
 	// lives there; the shuffle model charges network for the fraction a
@@ -188,22 +192,6 @@ func (j *Job) hasPending(kind TaskKind) bool {
 		return j.state == JobReducePhase && j.pendingReds > 0
 	}
 	return j.state == JobMapPhase && j.pendingMaps > 0
-}
-
-// runningTasks counts tasks currently in the running state.
-func (j *Job) runningTasks() int {
-	n := 0
-	for _, t := range j.maps {
-		if t.state == TaskRunning {
-			n++
-		}
-	}
-	for _, t := range j.reduces {
-		if t.state == TaskRunning {
-			n++
-		}
-	}
-	return n
 }
 
 // blockMB is the input size of a map task's block.

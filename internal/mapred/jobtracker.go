@@ -131,7 +131,6 @@ type TaskTracker struct {
 	jt          *JobTracker
 	mapRunning  int
 	redsRunning int
-	disabled    bool
 
 	// idx is the registration order, the deterministic tie-breaker the
 	// free-slot index sorts on.
@@ -146,6 +145,11 @@ type TaskTracker struct {
 	pressure float64
 	// pressureGen is pm's ResidentGen when pressure was computed.
 	pressureGen uint64
+	// bucket is Compute's running-attempt bucket, looked up once, at the
+	// tracker's first launch; see runningInsert.
+	bucket *nodeBucket
+	// disabled excludes the tracker from assignment; see SetDisabled.
+	disabled bool
 	// inFreeMaps/inFreeReds record membership in the JobTracker's
 	// per-task-type free-slot sets.
 	inFreeMaps bool
@@ -277,6 +281,10 @@ type JobTracker struct {
 
 	// activeJobs holds non-done jobs in submission order.
 	activeJobs []*Job
+	// pending holds, for maps (index 0) and reduces (index 1), the
+	// active jobs with a schedulable task of the kind, in submission
+	// order; see pendingJobs.
+	pending [2][]*Job
 	// schedulableMaps/Reds count pending tasks whose phase gate is open
 	// (maps of JobMapPhase jobs, reduces of JobReducePhase jobs). A zero
 	// count proves NextTask would return nil for every tracker, letting
@@ -296,10 +304,10 @@ type JobTracker struct {
 	// then see no insertion (see freeInsertHook).
 	walking     bool
 	runningSnap []*Attempt
-	// runningSorted holds every running attempt ordered by consumer name,
+	// running holds every running attempt ordered by consumer name,
 	// maintained at launch/release instead of rebuilt and re-sorted per
-	// RunningAttempts call.
-	runningSorted []*Attempt
+	// RunningAttempts call, as a blocked sorted list like the free sets.
+	running blockList[*Attempt]
 	// spec is speculate's per-tick scratch, reused so a tick that finds
 	// no straggler allocates nothing.
 	spec specScratch
@@ -359,8 +367,9 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		fs:         fs,
 		cfg:        cfg,
 		sched:      sched,
-		freeMaps:   freeSet{byPressure: cfg.CapacityAware},
-		freeReds:   freeSet{byPressure: cfg.CapacityAware},
+		freeMaps:   newFreeSet(cfg.CapacityAware),
+		freeReds:   newFreeSet(cfg.CapacityAware),
+		running:    newBlockList(runningLess),
 		buckets:    make(map[cluster.Node]*nodeBucket),
 		dirtySet:   make(map[*cluster.PM]bool),
 		pmTrackers: make(map[*cluster.PM][]*TaskTracker),
@@ -389,7 +398,7 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 			return float64(jt.schedulableMaps + jt.schedulableReds)
 		})
 		jt.ts.Probe("mapred.tasks.running", label, func() float64 {
-			return float64(len(jt.runningSorted))
+			return float64(jt.running.len())
 		})
 	}
 	return jt
@@ -560,11 +569,9 @@ func (jt *JobTracker) Jobs() []*Job {
 // result was identical.
 func (jt *JobTracker) RunningAttempts() []*Attempt {
 	if jt.perf != nil {
-		jt.perf.C.JTAttemptsSorted += int64(len(jt.runningSorted))
+		jt.perf.C.JTAttemptsSorted += int64(jt.running.len())
 	}
-	out := make([]*Attempt, len(jt.runningSorted))
-	copy(out, jt.runningSorted)
-	return out
+	return jt.running.appendTo(make([]*Attempt, 0, jt.running.len()))
 }
 
 // EachRunningAttempt calls fn on every running attempt in place, in the
@@ -573,11 +580,9 @@ func (jt *JobTracker) RunningAttempts() []*Attempt {
 // launch, kill, or relocate attempts; reading allocations is safe.
 func (jt *JobTracker) EachRunningAttempt(fn func(a *Attempt)) {
 	if jt.perf != nil {
-		jt.perf.C.JTAttemptsSorted += int64(len(jt.runningSorted))
+		jt.perf.C.JTAttemptsSorted += int64(jt.running.len())
 	}
-	for _, a := range jt.runningSorted {
-		fn(a)
-	}
+	jt.running.each(fn)
 }
 
 // Submit enqueues a job. Input data is materialized in the DFS
@@ -593,7 +598,6 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 	job := &Job{
 		ID:          jt.nextID,
 		Spec:        spec,
-		Weight:      1,
 		OnComplete:  onComplete,
 		jt:          jt,
 		state:       JobMapPhase,
@@ -643,6 +647,7 @@ func (jt *JobTracker) Submit(spec JobSpec, onComplete func(*Job)) (*Job, error) 
 
 	jt.jobs = append(jt.jobs, job)
 	jt.activeJobs = append(jt.activeJobs, job)
+	jt.syncPending(job, MapTask)
 	jt.ensureSpecTicker()
 	jt.ensureHealthTicker()
 	jt.schedule()
@@ -1167,7 +1172,7 @@ func (jt *JobTracker) speculate() {
 	sc := &jt.spec
 	defer sc.reset()
 	if jt.perf != nil {
-		jt.perf.C.JTSpeculationScans += int64(len(jt.runningSorted))
+		jt.perf.C.JTSpeculationScans += int64(jt.running.len())
 	}
 	jt.EachRunningAttempt(sc.add)
 	for _, job := range jt.activeJobs {

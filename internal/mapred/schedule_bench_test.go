@@ -33,3 +33,40 @@ func BenchmarkJTSchedule(b *testing.B) {
 		jt.schedule()
 	}
 }
+
+// idleScheduler assigns nothing, so jobs submitted under it stay queued
+// until a benchmark moves their tasks itself.
+type idleScheduler struct{}
+
+func (idleScheduler) Name() string                                       { return "idle" }
+func (idleScheduler) NextTask(*JobTracker, *TaskTracker, TaskKind) *Task { return nil }
+
+// BenchmarkNextTask measures one scheduler probe with 800 active jobs of
+// which only the last submitted has pending work — the shape of a probe
+// at the scale-up point, where a wave's jobs have every task running and
+// one job still waits for slots.
+func BenchmarkNextTask(b *testing.B) {
+	_, jt := rig(b, 64, Config{}, idleScheduler{})
+	spec := piLike()
+	spec.FixedMapTasks = 1
+	for i := 0; i < 800; i++ {
+		job, err := jt.Submit(spec, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i < 799 {
+			jt.setTaskState(job.maps[0], TaskRunning)
+		}
+	}
+	tr := jt.trackers[0]
+	for _, s := range []Scheduler{FIFO{}, Fair{}, LocalityGreedy{}, JobDriven{}} {
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.NextTask(jt, tr, MapTask) == nil {
+					b.Fatal("no task found")
+				}
+			}
+		})
+	}
+}

@@ -25,20 +25,18 @@ var _ Scheduler = FIFO{}
 // Name returns "fifo".
 func (FIFO) Name() string { return "fifo" }
 
-// NextTask returns the first pending task of the oldest job that has one.
-// activeJobs holds exactly the non-done jobs in submission order, so the
-// walk skips completed history instead of filtering it per call.
+// NextTask returns the first pending task of the oldest job that has one:
+// the first job on the kind's pending-job list, which holds exactly the
+// active jobs with a schedulable task of the kind, in submission order.
 func (FIFO) NextTask(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
-	for _, j := range jt.activeJobs {
-		if t := j.pendingTask(kind, tr); t != nil {
-			return t
-		}
+	if jobs := jt.pendingJobs(kind); len(jobs) > 0 {
+		return jobs[0].pendingTask(kind, tr)
 	}
 	return nil
 }
 
-// Fair approximates the Hadoop Fair Scheduler: the job whose running task
-// count is furthest below its weighted fair share is served first.
+// Fair approximates the Hadoop Fair Scheduler: the job furthest below
+// its fair share of the slots is served first.
 type Fair struct{}
 
 var _ Scheduler = Fair{}
@@ -46,35 +44,21 @@ var _ Scheduler = Fair{}
 // Name returns "fair".
 func (Fair) Name() string { return "fair" }
 
-// NextTask picks the most under-served job with pending work.
+// NextTask picks the most under-served job with pending work: the one
+// with the fewest running tasks, the earliest submitted on ties.
+//
+// That is the rule "largest deficit share − running, the first on ties",
+// with every job's share the same float, slots/active jobs, since all
+// jobs weigh the same. Each subtraction rounds by at most half an ulp of
+// its result, at most 1/4 while |share − r| < 2^52, so two integer
+// counts r1 < r2 give deficits at least 1/2 apart: share − r1 >
+// share − r2. The deficit strictly decreases in r, so the largest
+// deficit falls on the same job as the smallest count, bit for bit.
 func (Fair) NextTask(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
 	var best *Job
-	bestDeficit := 0.0
-	var totalWeight float64
-	for _, j := range jt.activeJobs {
-		w := j.Weight
-		if w <= 0 {
-			w = 1
-		}
-		totalWeight += w
-	}
-	if len(jt.activeJobs) == 0 {
-		return nil
-	}
-	totalSlots := float64(len(jt.trackers) * (jt.cfg.MapSlots + jt.cfg.ReduceSlots))
-	for _, j := range jt.activeJobs {
-		if !j.hasPending(kind) {
-			continue
-		}
-		w := j.Weight
-		if w <= 0 {
-			w = 1
-		}
-		share := totalSlots * w / totalWeight
-		deficit := share - float64(j.runningTasks())
-		if best == nil || deficit > bestDeficit {
+	for _, j := range jt.pendingJobs(kind) {
+		if best == nil || j.running < best.running {
 			best = j
-			bestDeficit = deficit
 		}
 	}
 	if best == nil {
@@ -94,16 +78,13 @@ var _ Scheduler = LocalityGreedy{}
 // Name returns "locality-greedy".
 func (LocalityGreedy) Name() string { return "locality-greedy" }
 
-// NextTask prefers, across all active jobs in submission order, the
-// first task whose input block is node-local to the tracker; reduces
-// (which have no input block) fall back to FIFO order.
+// NextTask prefers, across the jobs with pending work in submission
+// order, the first task whose input block is node-local to the tracker;
+// reduces (which have no input block) fall back to FIFO order.
 func (LocalityGreedy) NextTask(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
 	var fallback *Task
-	for _, j := range jt.activeJobs {
+	for _, j := range jt.pendingJobs(kind) {
 		t := j.pendingTask(kind, tr)
-		if t == nil {
-			continue
-		}
 		if kind == MapTask && t.Block != nil &&
 			jt.fs.BlockLocality(t.Block, tr.Storage) == dfs.NodeLocal {
 			return t
@@ -132,10 +113,7 @@ func (JobDriven) Name() string { return "job-driven" }
 func (JobDriven) NextTask(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
 	var best *Job
 	bestLeft := 0
-	for _, j := range jt.activeJobs {
-		if !j.hasPending(kind) {
-			continue
-		}
+	for _, j := range jt.pendingJobs(kind) {
 		left := j.pendingMaps + j.pendingReds
 		if best == nil || left < bestLeft {
 			best = j

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -84,6 +85,173 @@ func snapshotSchedule(jt *JobTracker) {
 	}
 }
 
+// The schedulers as they were before the pending-job lists: each scans
+// every active job, and Fair weighs each job's share by a weight of 1
+// and counts its running tasks by scanning them. They are the reference
+// the list-walking schedulers must reproduce, choice for choice.
+
+func scanRunningTasks(j *Job) int {
+	n := 0
+	for _, t := range j.maps {
+		if t.state == TaskRunning {
+			n++
+		}
+	}
+	for _, t := range j.reduces {
+		if t.state == TaskRunning {
+			n++
+		}
+	}
+	return n
+}
+
+func scanFIFO(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
+	for _, j := range jt.activeJobs {
+		if t := j.pendingTask(kind, tr); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+func scanFair(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
+	var best *Job
+	bestDeficit := 0.0
+	var totalWeight float64
+	for range jt.activeJobs {
+		totalWeight += 1
+	}
+	if len(jt.activeJobs) == 0 {
+		return nil
+	}
+	totalSlots := float64(len(jt.trackers) * (jt.cfg.MapSlots + jt.cfg.ReduceSlots))
+	for _, j := range jt.activeJobs {
+		if !j.hasPending(kind) {
+			continue
+		}
+		share := totalSlots * 1 / totalWeight
+		deficit := share - float64(scanRunningTasks(j))
+		if best == nil || deficit > bestDeficit {
+			best = j
+			bestDeficit = deficit
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	return best.pendingTask(kind, tr)
+}
+
+func scanLocalityGreedy(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
+	var fallback *Task
+	for _, j := range jt.activeJobs {
+		t := j.pendingTask(kind, tr)
+		if t == nil {
+			continue
+		}
+		if kind == MapTask && t.Block != nil &&
+			jt.fs.BlockLocality(t.Block, tr.Storage) == dfs.NodeLocal {
+			return t
+		}
+		if fallback == nil {
+			fallback = t
+		}
+	}
+	return fallback
+}
+
+func scanJobDriven(jt *JobTracker, tr *TaskTracker, kind TaskKind) *Task {
+	var best *Job
+	bestLeft := 0
+	for _, j := range jt.activeJobs {
+		if !j.hasPending(kind) {
+			continue
+		}
+		left := j.pendingMaps + j.pendingReds
+		if best == nil || left < bestLeft {
+			best = j
+			bestLeft = left
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	return best.pendingTask(kind, tr)
+}
+
+// sortedRunning is the running list rebuilt from the tasks: every
+// attempt holding a slot, sorted by name, an attempt ahead of the
+// equal-named ones launched before it (the list's tie order).
+func sortedRunning(jt *JobTracker) []*Attempt {
+	var out []*Attempt
+	for _, j := range jt.jobs {
+		for _, tasks := range [][]*Task{j.maps, j.reduces} {
+			for _, t := range tasks {
+				for i := len(t.attempts) - 1; i >= 0; i-- {
+					if a := t.attempts[i]; a.slotHeld {
+						out = append(out, a)
+					}
+				}
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].consumer.Name < out[j].consumer.Name })
+	return out
+}
+
+// checkSchedulingState checks the JobTracker's maintained scheduling
+// state against scans: each pending-job list equals the active jobs
+// filtered by hasPending, each job's running counter equals a count of
+// its running tasks, each built-in scheduler picks for every probed
+// tracker what its scanning reference picks, and the running list
+// equals the name-sorted attempts. It returns how many jobs the two
+// pending lists held.
+func checkSchedulingState(t *testing.T, step int, jt *JobTracker, probes []*TaskTracker) int {
+	t.Helper()
+	held := 0
+	for _, kind := range []TaskKind{MapTask, ReduceTask} {
+		var want []*Job
+		for _, j := range jt.activeJobs {
+			if j.hasPending(kind) {
+				want = append(want, j)
+			}
+		}
+		if got := jt.pendingJobs(kind); !slices.Equal(got, want) {
+			t.Fatalf("step %d: %s pending-job list holds %d jobs, the filtered active list %d, or in another order",
+				step, kind, len(got), len(want))
+		}
+		held += len(want)
+	}
+	for _, j := range jt.jobs {
+		if n := scanRunningTasks(j); j.running != n {
+			t.Fatalf("step %d: job %s counts %d running tasks, a scan %d", step, j.key, j.running, n)
+		}
+	}
+	pairs := []struct {
+		sched Scheduler
+		scan  func(*JobTracker, *TaskTracker, TaskKind) *Task
+	}{
+		{FIFO{}, scanFIFO},
+		{Fair{}, scanFair},
+		{LocalityGreedy{}, scanLocalityGreedy},
+		{JobDriven{}, scanJobDriven},
+	}
+	for _, tr := range probes {
+		for _, kind := range []TaskKind{MapTask, ReduceTask} {
+			for _, p := range pairs {
+				if got, want := p.sched.NextTask(jt, tr, kind), p.scan(jt, tr, kind); got != want {
+					t.Fatalf("step %d: %s picks a different %s task for %s than its scan", step, p.sched.Name(), kind, tr.Compute.Name())
+				}
+			}
+		}
+	}
+	if got, want := jt.running.appendTo(nil), sortedRunning(jt); !slices.Equal(got, want) {
+		t.Fatalf("step %d: running list holds %d attempts, the name-sorted reference %d, or in another order",
+			step, len(got), len(want))
+	}
+	return held
+}
+
 // probe is one (tracker, kind) visit, keyed by registration index so
 // visits compare across separately built rigs.
 type probe struct {
@@ -124,10 +292,13 @@ func failOnWalkInsert(t *testing.T) {
 
 // TestLiveWalkMatchesSnapshotWalk runs two identical 401-tracker rigs in
 // lockstep through seeded churn — job arrivals, completions, machine
-// load changes that re-key pressures, trackers disabled and re-enabled —
-// scheduling one with schedule()'s live walk and the other with the
-// snapshot reference. Every call must probe the same (tracker, kind)
-// sequence and leave the same attempts running.
+// load changes that re-key pressures, trackers disabled and re-enabled,
+// nodes lost with the map outputs they held — scheduling one with
+// schedule()'s live walk and the other with the snapshot reference.
+// Every call must probe the same (tracker, kind) sequence and leave the
+// same attempts running, and after every step the live rig's pending-job
+// lists, running counters, scheduler choices and running list must match
+// their scanning references (checkSchedulingState).
 func TestLiveWalkMatchesSnapshotWalk(t *testing.T) {
 	failOnWalkInsert(t)
 	type walkRig struct {
@@ -171,13 +342,29 @@ func TestLiveWalkMatchesSnapshotWalk(t *testing.T) {
 			tr := trackers[rng.Intn(len(trackers))]
 			tr.SetDisabled(!tr.disabled)
 		}
+		if step%6 == 5 {
+			// A lost node re-queues the maps whose output it held and
+			// rolls reduce-phase jobs back to the map phase.
+			r.jt.HandleNodeLost(trackers[rng.Intn(len(trackers))].Compute)
+		}
 	}
 
 	live, ref := newRig(), newRig()
-	multi := 0
+	multi, crowded := 0, 0
+	var probes []*TaskTracker
+	for i, tr := range live.jt.Trackers() {
+		if i%40 == 0 {
+			probes = append(probes, tr)
+		}
+	}
 	for step := 0; step < 120; step++ {
 		churn(live, step)
 		churn(ref, step)
+		// The gated scheduler launches nothing during churn, so jobs
+		// that reached the reduce phase or lost map outputs queue up.
+		if checkSchedulingState(t, step, live.jt, probes) > 2 {
+			crowded++
+		}
 		live.sched.armed, ref.sched.armed = true, true
 		live.sched.probes, ref.sched.probes = live.sched.probes[:0], ref.sched.probes[:0]
 		live.jt.schedule()
@@ -193,15 +380,19 @@ func TestLiveWalkMatchesSnapshotWalk(t *testing.T) {
 		if len(live.sched.probes) > 1 {
 			multi++
 		}
+		checkSchedulingState(t, step, live.jt, probes)
 	}
 	if multi < 20 {
 		t.Fatalf("only %d steps probed more than one tracker; the comparison is too tame", multi)
+	}
+	if crowded < 15 {
+		t.Fatalf("only %d steps had more than two pending-list entries; the scheduler checks are too tame", crowded)
 	}
 }
 
 // TestFreeSetAfterZeroAlloc pins the live walk's step allocation-free.
 func TestFreeSetAfterZeroAlloc(t *testing.T) {
-	_, jt := rig(t, 3*freeBlockMax+17, Config{CapacityAware: true}, nil)
+	_, jt := rig(t, 3*blockMax+17, Config{CapacityAware: true}, nil)
 	trackers := jt.Trackers()
 	if allocs := testing.AllocsPerRun(100, func() {
 		for tr := jt.freeMaps.first(); tr != nil; tr = jt.freeMaps.after(tr) {
