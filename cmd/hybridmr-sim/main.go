@@ -236,53 +236,30 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 			d.SLO = &sloRep
 			d.SLORows = sloRows
 		}
-		path := suffixed(o.cfg.reportFile, o.suffix)
-		f, err := os.Create(path)
+		path, err := o.create(o.cfg.reportFile, func(w io.Writer) error { return report.Write(w, d) })
 		if err != nil {
-			return err
-		}
-		if err := report.Write(f, d); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nreport: %s (%d trace events, %d audit records, %d jobs profiled)\n",
 			path, len(d.Events), len(d.Audit), len(d.Jobs))
 	}
 	if o.cfg.auditFile != "" {
-		path := suffixed(o.cfg.auditFile, o.suffix)
-		f, err := os.Create(path)
+		path, err := o.create(o.cfg.auditFile, o.sinks.Audit.WriteJSONL)
 		if err != nil {
-			return err
-		}
-		if err := o.sinks.Audit.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\naudit: %d decisions -> %s\n", o.sinks.Audit.Len(), path)
 	}
 	if o.cfg.tsFile != "" {
-		path := suffixed(o.cfg.tsFile, o.suffix)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
 		// Series windows first, then the SLO evaluation rows (when -slo is
 		// on): one JSONL stream carries the full windowed record.
-		if err := o.sinks.TimeSeries.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := timeseries.WriteSLOJSONL(f, sloRows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		path, err := o.create(o.cfg.tsFile, func(w io.Writer) error {
+			if err := o.sinks.TimeSeries.WriteJSONL(w); err != nil {
+				return err
+			}
+			return timeseries.WriteSLOJSONL(w, sloRows)
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\ntimeseries: %d windows x %.0fs -> %s\n",
@@ -306,16 +283,10 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		o.sinks.Metrics.Gauge("engine.events_per_sec").Set(eventsPerSec)
 	}
 	if o.cfg.traceFile != "" {
-		path := suffixed(o.cfg.traceFile, o.suffix)
-		f, err := os.Create(path)
+		path, err := o.create(o.cfg.traceFile, func(w io.Writer) error {
+			return o.sinks.Tracer.Write(w, trace.ExportFormat(o.cfg.traceFormat))
+		})
 		if err != nil {
-			return err
-		}
-		if err := o.sinks.Tracer.Write(f, trace.ExportFormat(o.cfg.traceFormat)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\ntrace: %d events -> %s (%s format)\n", o.sinks.Tracer.Len(), path, o.cfg.traceFormat)
@@ -325,6 +296,21 @@ func (o *runObs) finish(out io.Writer, eventsPerSec float64) error {
 		o.sinks.Metrics.Fprint(out)
 	}
 	return nil
+}
+
+// create writes the run's suffixed form of path with write and returns
+// the path written.
+func (o *runObs) create(path string, write func(io.Writer) error) (string, error) {
+	path = suffixed(path, o.suffix)
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return "", err
+	}
+	return path, f.Close()
 }
 
 func run(args []string, out io.Writer) error {

@@ -34,9 +34,6 @@ func (pm *PM) SetRack(name string) {
 	pm.cluster.topoGen++
 }
 
-// SetPowerDomain assigns the PM to a named power domain.
-func (pm *PM) SetPowerDomain(name string) { pm.powerDomain = name }
-
 // StripeTopology assigns the given PMs to racks and power domains:
 // racks take contiguous runs (machines in one rack are physically
 // adjacent, as a top-of-rack switch implies), while power domains

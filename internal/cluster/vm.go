@@ -64,9 +64,6 @@ func (vm *VM) Machine() *PM { return vm.host }
 // State returns the lifecycle state.
 func (vm *VM) State() VMState { return vm.state }
 
-// VCPUs returns the virtual CPU count.
-func (vm *VM) VCPUs() int { return vm.vcpus }
-
 // MemoryMB returns the configured guest memory.
 func (vm *VM) MemoryMB() float64 { return vm.memMB }
 

@@ -129,9 +129,6 @@ func (d *DRM) Stop() {
 	}
 }
 
-// Modes returns the managed dimensions.
-func (d *DRM) Modes() ResourceModes { return d.modes }
-
 // tick runs one DRM epoch: profile, detect contention, re-balance. It
 // walks the JobTracker's maintained per-node attempt buckets — already
 // grouped by compute node in name order, attempts name-ordered within

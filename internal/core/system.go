@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -45,11 +44,6 @@ type Config struct {
 	// TrainingSeed parameterizes the Phase I training simulations and
 	// seeds randomized placers (random-p1).
 	TrainingSeed int64
-	// EventSink, when non-nil, accumulates fired-event totals from the
-	// Phase I training rigs (the nested simulations SimRunner spins up),
-	// so experiments attribute every simulated event — including
-	// profiler training — to the run that caused it.
-	EventSink *atomic.Uint64
 }
 
 // System is a running HybridMR deployment over a hybrid cluster: a
@@ -89,7 +83,11 @@ type System struct {
 // placements (with the JCT estimates weighed), DRM cap grants and
 // deferrals and IPS mitigations are audited, the IPS records
 // per-service latency and SLA-violation series, and every controller is
-// counted and timed. A nil handle records nothing.
+// counted and timed. The handle's Events sink also accumulates the
+// fired-event totals of the Phase I training rigs (the nested
+// simulations SimRunner spins up), so experiments attribute every
+// simulated event, profiler training included, to the run that caused
+// it. A nil handle records nothing.
 func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config, sinks *obs.Sinks) (*System, error) {
 	if nativeJT == nil && virtualJT == nil {
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
@@ -109,7 +107,7 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	s.prof = profiler.New(SimRunner(testbed.Options{
 		Seed:          cfg.TrainingSeed,
 		ClusterConfig: cl.Config(),
-		Obs:           obs.Sinks{Events: cfg.EventSink},
+		Obs:           obs.Sinks{Events: o.Events},
 	}), sinks)
 	nativeNodes, virtualNodes := 0, 0
 	if nativeJT != nil {

@@ -141,13 +141,13 @@ func ExtStream() (*Outcome, error) {
 			return result{}, err
 		}
 		defer pool.fold(reg)
-		cfg := core.Config{TrainingSeed: 1207, EventSink: &fired}
+		cfg := core.Config{TrainingSeed: 1207}
 		if !hybrid {
 			cfg.DisableDRM = true
 			cfg.DisableIPS = true
 			cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 		}
-		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
+		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, &obs.Sinks{Events: &fired})
 		if err != nil {
 			return result{}, err
 		}

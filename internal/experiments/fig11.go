@@ -92,7 +92,7 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 			nativeJT.AddTracker(pm)
 		}
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117, EventSink: sink}, nil)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, &obs.Sinks{Events: sink})
 	if err != nil {
 		return fig11Run{}, err
 	}

@@ -85,13 +85,13 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, sink *atomic.Uint6
 	}
 	// The baseline is the paper's FCFS discipline: random placement with
 	// no Phase II protection, i.e. plain Hadoop on the hybrid hardware.
-	cfg := core.Config{TrainingSeed: seed, EventSink: sink}
+	cfg := core.Config{TrainingSeed: seed}
 	if !usePhase1 {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 	}
-	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
+	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, &obs.Sinks{Events: sink})
 	if err != nil {
 		return mixResult{}, err
 	}

@@ -182,7 +182,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		return nil, fmt.Errorf("experiments: unknown design %q", design)
 	}
 
-	cfg := core.Config{TrainingSeed: 907, EventSink: sink}
+	cfg := core.Config{TrainingSeed: 907}
 	if design != "HybridMR" {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
@@ -193,7 +193,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 	case "Virtual":
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "static-virtual"})
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, nil)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, &obs.Sinks{Events: sink})
 	if err != nil {
 		return nil, err
 	}

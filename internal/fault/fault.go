@@ -546,19 +546,6 @@ func (in *Injector) CrashPM(pm *cluster.PM) dfs.FailureReport {
 	return in.crashPMs([]*cluster.PM{pm})
 }
 
-// CrashPMs fails several machines as one correlated event: every
-// jobtracker learns about the whole batch before any machine dies, so
-// work re-queued for the first victim cannot land on the second, and
-// the filesystems see one merged damage report. Records one pm-crash
-// per machine; already-failed machines are skipped.
-func (in *Injector) CrashPMs(pms []*cluster.PM) dfs.FailureReport {
-	targets := crashable(pms)
-	for _, pm := range targets {
-		in.record(PMCrash, pm.Name())
-	}
-	return in.crashPMs(targets)
-}
-
 // CrashRack fails every live machine in the named rack as one atomic
 // batch — a top-of-rack switch or shared chassis going down. Returns
 // the machines crashed (nil when the rack is empty or already dead).

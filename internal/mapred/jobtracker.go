@@ -445,24 +445,12 @@ type InvariantSink interface {
 // off.
 func (jt *JobTracker) SetInvariants(s InvariantSink) { jt.inv = s }
 
-// LiveTrackers counts trackers able to accept work right now: enabled,
-// not declared lost, and responsive (machines alive, daemon not hung,
-// no partition cutting them off). Phase I consults it to avoid placing
-// a job into a partition whose failure domain is currently down.
-func (jt *JobTracker) LiveTrackers() int {
-	n := 0
-	for _, tr := range jt.trackers {
-		if !tr.disabled && !tr.lost && tr.responsive() {
-			n++
-		}
-	}
-	return n
-}
-
 // AnyLiveTracker reports whether at least one tracker can accept work
-// right now — the early-exit form of LiveTrackers() > 0 for callers that
-// only need existence, not the count (Phase I's failure-domain check runs
-// per submission; counting the whole fleet each time is O(n²) over a run).
+// right now: enabled, not declared lost, and responsive (machines
+// alive, daemon not hung, no partition cutting them off). Phase I
+// consults it per submission to avoid placing a job into a partition
+// whose failure domain is currently down; it stops at the first live
+// tracker rather than counting the fleet.
 func (jt *JobTracker) AnyLiveTracker() bool {
 	for _, tr := range jt.trackers {
 		if !tr.disabled && !tr.lost && tr.responsive() {
@@ -1147,16 +1135,6 @@ func (jt *JobTracker) HandleNodeLost(n cluster.Node) int {
 		}
 	}
 	return jt.trackersLost(affected, "node-lost")
-}
-
-// TrackerFor returns the tracker whose compute node is n, if any.
-func (jt *JobTracker) TrackerFor(n cluster.Node) (*TaskTracker, bool) {
-	for _, tr := range jt.trackers {
-		if tr.Compute == n {
-			return tr, true
-		}
-	}
-	return nil, false
 }
 
 // speculate launches backup attempts for stragglers: running attempts

@@ -9,9 +9,9 @@
 //
 // Every seam has a named default registered under a paper-* name that
 // reconstructs the hard-coded controller byte-for-byte: selecting the
-// default set must not change a single scheduling decision (the CI
-// policy-gate compares fidelity output against a pre-refactor golden to
-// prove it). Alternatives are drawn from the paper's own baselines
+// default set must not change a single scheduling decision (CI compares
+// fidelity output against a pre-refactor golden, ci/golden/, to prove
+// it). Alternatives are drawn from the paper's own baselines
 // (random/static placement), its ablations (proportional memory split),
 // and related work (the job-driven Phase II discipline of Lee & Lin,
 // "Hybrid Job-driven Scheduling for Virtual MapReduce Clusters").

@@ -72,7 +72,7 @@ func TestUnknownNamesError(t *testing.T) {
 
 // TestDefaultMatchesPaperKnobs pins the default set to the hard-coded
 // controller parameters the policy extraction replaced — the values the
-// CI policy-gate's byte comparison depends on.
+// golden byte comparisons in ci/golden/ depend on.
 func TestDefaultMatchesPaperKnobs(t *testing.T) {
 	set := Default()
 	if got := set.DRM.Params(); got != (DRMParams{Deferral: true, HogTrimAbove: 1.5, HogTrimTo: 1.2}) {

@@ -229,17 +229,6 @@ func resultOf(j *mapred.Job) JobResult {
 	return res
 }
 
-// FailPM crashes one of the rig's physical machines and propagates the
-// failure through every layer: trackers on the machine are declared
-// lost (MapReduce re-executes their attempts and any stranded map
-// outputs elsewhere), in-flight migrations touching the machine are
-// aborted, and the DFS re-replicates the blocks that lost a copy. It
-// returns the DFS damage report. The error return is always nil and
-// kept for compatibility.
-func (r *Rig) FailPM(pm *cluster.PM) (dfs.FailureReport, error) {
-	return r.Faults.CrashPM(pm), nil
-}
-
 // RunJob submits a job and drives the simulation until it completes.
 func (r *Rig) RunJob(spec mapred.JobSpec) (JobResult, error) {
 	job, err := r.JT.Submit(spec, func(*mapred.Job) {

@@ -124,10 +124,7 @@ func TestJobSurvivesPMFailure(t *testing.T) {
 	}
 	var report dfs.FailureReport
 	rig.Engine.After(10*time.Second, func() {
-		report, err = rig.FailPM(rig.PMs[2])
-		if err != nil {
-			t.Error(err)
-		}
+		report = rig.Faults.CrashPM(rig.PMs[2])
 	})
 	rig.Engine.Run()
 	if !job.Done() {
@@ -163,9 +160,7 @@ func TestSourceFailureAbortsMigration(t *testing.T) {
 	}
 	// Mid-pre-copy the source crashes: the destination discards the
 	// received pages and the VM dies with its source.
-	if _, err := rig.FailPM(rig.PMs[0]); err != nil {
-		t.Fatalf("failing the migration source: %v", err)
-	}
+	rig.Faults.CrashPM(rig.PMs[0])
 	if vm.State() != cluster.VMDestroyed || vm.Machine() != nil {
 		t.Errorf("VM after source failure: state=%v machine=%v, want destroyed/nil", vm.State(), vm.Machine())
 	}
@@ -190,9 +185,7 @@ func TestDestinationFailureRetriesMigration(t *testing.T) {
 	}
 	// Mid-pre-copy the destination crashes: the VM keeps running on its
 	// source and the migration retries with backoff.
-	if _, err := rig.FailPM(rig.PMs[1]); err != nil {
-		t.Fatalf("failing the migration destination: %v", err)
-	}
+	rig.Faults.CrashPM(rig.PMs[1])
 	if vm.State() != cluster.VMRunning || vm.Machine() != rig.PMs[0] {
 		t.Errorf("VM after destination failure: state=%v machine=%v, want running on source", vm.State(), vm.Machine())
 	}
@@ -217,9 +210,7 @@ func TestNativeClusterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.Engine.After(8*time.Second, func() {
-		if _, err := rig.FailPM(rig.PMs[0]); err != nil {
-			t.Error(err)
-		}
+		rig.Faults.CrashPM(rig.PMs[0])
 	})
 	rig.Engine.Run()
 	if !job.Done() {
@@ -235,10 +226,7 @@ func TestFailingOffMachineIsNoOp(t *testing.T) {
 	if err := rig.PMs[0].PowerOff(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := rig.FailPM(rig.PMs[0])
-	if err != nil {
-		t.Fatalf("failing an off machine errored: %v", err)
-	}
+	report := rig.Faults.CrashPM(rig.PMs[0])
 	if report.ReReplicated != 0 || report.Lost != 0 {
 		t.Errorf("failing an off machine touched the DFS: %+v", report)
 	}
