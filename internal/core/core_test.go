@@ -440,3 +440,46 @@ func TestIPSMigratesBatchVMUnderPersistentViolation(t *testing.T) {
 		t.Skip("no migration triggered at this load; escalation path exercised elsewhere")
 	}
 }
+
+// TestBestFitTrackerSkipsLostAndSameTask checks the relocation
+// destination filter: a lost tracker and a tracker already running an
+// attempt of the same task are never chosen, even when nothing else
+// qualifies.
+func TestBestFitTrackerSkipsLostAndSameTask(t *testing.T) {
+	rig := virtualRig(t, 3)
+	spec := mapred.JobSpec{Name: "PiEst", FixedMapWork: 600, FixedMapTasks: 1, MapMemMB: 150}
+	if _, err := rig.JT.Submit(spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	rig.Engine.RunUntil(time.Second)
+	attempts := rig.JT.RunningAttempts()
+	if len(attempts) != 1 {
+		t.Fatalf("%d attempts running, want 1", len(attempts))
+	}
+	a := attempts[0]
+	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	if ips.bestFitTracker(a, a.Node().Machine()) == nil {
+		t.Fatal("no destination on an idle fleet")
+	}
+	// Every other tracker is lost; a's own tracker has a free slot but
+	// runs a. Avoid a machine that is not a's.
+	var avoid *cluster.PM
+	for _, pm := range rig.Cluster.PMs() {
+		if pm != a.Node().Machine() {
+			avoid = pm
+			break
+		}
+	}
+	for _, tr := range rig.JT.Trackers() {
+		if tr != a.Tracker && !tr.Lost() {
+			rig.JT.HandleNodeLost(tr.Compute)
+		}
+	}
+	if a.Tracker.Lost() || a.Tracker.FreeSlots(mapred.MapTask) == 0 {
+		t.Fatal("a's tracker should be live with a free map slot")
+	}
+	if dst := ips.bestFitTracker(a, avoid); dst != nil {
+		t.Fatalf("bestFitTracker chose %s (lost=%v, runs the task=%v)",
+			dst.Compute.Name(), dst.Lost(), dst == a.Tracker)
+	}
+}

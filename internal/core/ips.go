@@ -358,23 +358,14 @@ func (p *IPS) interferenceOf(a *mapred.Attempt, kind resource.Kind) float64 {
 }
 
 // bestFitTracker picks the relocation destination by BestFit bin-packing:
-// among trackers on other PMs with a free slot of the right kind and no
-// SLA-violating service, choose the one whose remaining capacity after
-// placement is smallest but sufficient.
+// among the candidates (see relocationCandidate), choose the one whose
+// remaining capacity after placement is smallest but sufficient.
 func (p *IPS) bestFitTracker(a *mapred.Attempt, avoid *cluster.PM) *mapred.TaskTracker {
 	demand := a.Consumer().Demand
 	var best *mapred.TaskTracker
 	bestLeft := 0.0
 	p.jt.EachTracker(func(tr *mapred.TaskTracker) {
-		if tr.Compute.Machine() == avoid {
-			return
-		}
-		if tr.FreeSlots(a.Task.Kind) <= 0 {
-			return
-		}
-		// Never evict interference onto a machine hosting any watched
-		// service — that just moves the problem.
-		if p.hostsAnyService(tr.Compute.Machine()) {
+		if !p.relocationCandidate(a, tr, avoid) {
 			return
 		}
 		free := p.freeCapacity(tr.Compute)
@@ -396,10 +387,7 @@ func (p *IPS) bestFitTracker(a *mapred.Attempt, avoid *cluster.PM) *mapred.TaskT
 		// slot, even if the task will contend there: re-execution beats
 		// SLA violation.
 		p.jt.EachTracker(func(tr *mapred.TaskTracker) {
-			if tr.Compute.Machine() == avoid || tr.FreeSlots(a.Task.Kind) <= 0 {
-				return
-			}
-			if p.hostsAnyService(tr.Compute.Machine()) {
+			if !p.relocationCandidate(a, tr, avoid) {
 				return
 			}
 			if best == nil || len(tr.Compute.Consumers()) < len(best.Compute.Consumers()) {
@@ -408,6 +396,23 @@ func (p *IPS) bestFitTracker(a *mapred.Attempt, avoid *cluster.PM) *mapred.TaskT
 		})
 	}
 	return best
+}
+
+// relocationCandidate reports whether tr may receive a relocated a: it
+// is live, off the avoided machine, has a free slot of a's kind, runs no
+// attempt of a's task (a backup beside its own primary is no backup)
+// and sits on no machine hosting a watched service — evicting
+// interference there just moves the problem.
+func (p *IPS) relocationCandidate(a *mapred.Attempt, tr *mapred.TaskTracker, avoid *cluster.PM) bool {
+	if tr.Lost() || tr.Compute.Machine() == avoid || tr.FreeSlots(a.Task.Kind) <= 0 {
+		return false
+	}
+	for _, other := range a.Task.Attempts() {
+		if other.Running() && other.Tracker == tr {
+			return false
+		}
+	}
+	return !p.hostsAnyService(tr.Compute.Machine())
 }
 
 func (p *IPS) hostsViolatingService(pm *cluster.PM) bool {

@@ -1052,9 +1052,16 @@ func (jt *JobTracker) finishJob(job *Job) {
 
 // Relocate moves a running attempt to another tracker: the original
 // attempt is cancelled (its progress is lost, as in Hadoop task
-// re-execution) and a fresh attempt starts on the destination. The
-// Phase II IPS uses this to evict interfering map/reduce tasks from VMs
-// whose interactive tenants are violating their SLA.
+// re-execution) and a fresh attempt of the same kind (primary or
+// speculative backup) starts on the destination. The task returns to
+// the pending state only for the instant between the two, and only if
+// no other attempt of it runs, so relocating a backup never makes it a
+// second primary. The destination is checked first for everything the
+// relaunch needs (not lost, not a migrating VM, a running machine, a
+// free slot of the task's kind), so a Relocate that fails leaves the
+// original attempt running. The Phase II IPS uses this
+// to evict interfering map/reduce tasks from VMs whose interactive
+// tenants are violating their SLA.
 func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	if a == nil || dst == nil {
 		return fmt.Errorf("mapred: Relocate: nil attempt or destination")
@@ -1064,6 +1071,15 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	}
 	if dst == a.Tracker {
 		return fmt.Errorf("mapred: Relocate(%s): already on %s", a.Task.ID(), dst.Compute.Name())
+	}
+	if dst.lost {
+		return fmt.Errorf("mapred: Relocate(%s): tracker %s is lost", a.Task.ID(), dst.Compute.Name())
+	}
+	if inMigration(dst) {
+		return fmt.Errorf("mapred: Relocate(%s): %s is migrating", a.Task.ID(), dst.Compute.Name())
+	}
+	if pm := dst.Compute.Machine(); pm == nil || pm.Off() {
+		return fmt.Errorf("mapred: Relocate(%s): %s has no running machine", a.Task.ID(), dst.Compute.Name())
 	}
 	if dst.FreeSlots(a.Task.Kind) <= 0 {
 		return fmt.Errorf("mapred: Relocate(%s): no free %s slot on %s", a.Task.ID(), a.Task.Kind, dst.Compute.Name())
@@ -1080,9 +1096,13 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 		a.serve.Stop()
 	}
 	a.release()
-	jt.setTaskState(a.Task, TaskPending)
-	a.Task.pendingSince = jt.engine.Now()
-	return jt.launch(a.Task, dst, false)
+	task := a.Task
+	if task.runningAttempts() == 0 {
+		jt.setTaskState(task, TaskPending)
+	}
+	// A relaunch waits for no slot: a relocated primary's slot wait is 0.
+	task.pendingSince = jt.engine.Now()
+	return jt.launch(task, dst, a.Speculative)
 }
 
 // HandleMachineFailure declares lost every tracker whose compute or
