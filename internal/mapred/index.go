@@ -13,11 +13,17 @@ import (
 //
 //   - blockList: one sorted list stored as blocks of at most blockMax
 //     entries, so an insert or remove moves a bounded number of
-//     pointers instead of half the list. It holds the free-slot sets
-//     and the running list below; it is the only block-list code.
-//   - freeMaps/freeReds: trackers with a free slot of each task type,
-//     ordered by (cached machine pressure, registration index).
-//     schedule() merge-walks the live sets in place instead of copying
+//     entries instead of half the list. It holds the free sets' pressure
+//     levels and the running list below; it is the only block-list code.
+//   - freeMaps/freeReds (freeset.go): the registration indexes of the
+//     trackers with a free slot of each task type, grouped into one
+//     level per distinct cached machine pressure, levels in pressure
+//     order; a level holds its ids inline, as a sorted []int32 or as a
+//     fleet-wide bitset, whichever is smallest. A pressure refresh
+//     moves a tracker from its old level to its new one — at the
+//     scale-up point, where about three levels hold ten thousand
+//     trackers, that is two bit flips. schedule() walks the live sets
+//     in (pressure, index) order with first/after instead of copying
 //     and sorting the whole fleet every call. The sets are per task
 //     type because they must be: a tracker whose map slots are full but
 //     reduce slots are empty would otherwise sit in every map wave's
@@ -52,29 +58,6 @@ import (
 // computation would return — the index changes where the cost goes,
 // never what is decided.
 
-// freeLess orders the free-slot index: by cached pressure then
-// registration index under CapacityAware (the stable-sort order the old
-// code produced each call), by registration index alone otherwise (the
-// fixed heartbeat order of vanilla Hadoop).
-func (jt *JobTracker) freeLess(a, b *TaskTracker) bool {
-	return freeOrder(jt.cfg.CapacityAware, a, b)
-}
-
-func freeOrder(byPressure bool, a, b *TaskTracker) bool {
-	if byPressure && a.pressure != b.pressure {
-		return a.pressure < b.pressure
-	}
-	return a.idx < b.idx
-}
-
-// newFreeSet returns an empty free-slot set in freeLess order.
-func newFreeSet(byPressure bool) freeSet {
-	return newBlockList(func(a, b *TaskTracker) bool { return freeOrder(byPressure, a, b) })
-}
-
-// freeSet is one free-slot set: trackers in freeLess order.
-type freeSet = blockList[*TaskTracker]
-
 // runningLess orders the running list by consumer name.
 func runningLess(a, b *Attempt) bool { return a.consumer.Name < b.consumer.Name }
 
@@ -96,18 +79,15 @@ const blockMax = 128
 // entries, bounding the block count at 4n/blockMax + 1.
 //
 // Equal keys are allowed: insert puts an entry before every entry with
-// an equal key, and remove finds its entry by identity among them. The
-// free-slot sets never hold equal keys (the registration index breaks
-// every tie); the running list may, as two attempts of one task on one
+// an equal key, and remove finds its entry by identity among them. A
+// free set's level list never holds equal keys (one level per
+// pressure); the running list may, as two attempts of one task on one
 // node share a name.
 type blockList[T comparable] struct {
 	less   func(a, b T) bool
 	blocks [][]T
 	spare  [][]T // emptied blocks, length 0, capacity blockMax
 	n      int   // entries across all blocks
-	// hintB/hintI locate the entry first or after last returned, if the
-	// list has not shifted it since; see after.
-	hintB, hintI int
 }
 
 // newBlockList returns an empty list ordered by less.
@@ -135,54 +115,6 @@ func (s *blockList[T]) appendTo(dst []T) []T {
 	return dst
 }
 
-// first returns the first entry, or the zero T when the list is empty.
-func (s *blockList[T]) first() T {
-	if len(s.blocks) == 0 {
-		var zero T
-		return zero
-	}
-	s.hintB, s.hintI = 0, 0
-	return s.blocks[0][0]
-}
-
-// after returns the first entry that orders strictly after x's key, or
-// the zero T. x itself need not be in the list, so a walk can continue
-// past an entry a launch just removed. When x still sits where first or
-// after last returned it, its successor is the next slot, so an
-// undisturbed walk steps in O(1); otherwise after binary-searches. A
-// hint is confirmed by identity, so it is right whenever keys are
-// unique, as in the free-slot sets that walk this way.
-func (s *blockList[T]) after(x T) T {
-	bi, i := s.hintB, s.hintI
-	if bi < len(s.blocks) && i < len(s.blocks[bi]) && s.blocks[bi][i] == x {
-		if i++; i == len(s.blocks[bi]) {
-			bi, i = bi+1, 0
-		}
-	} else {
-		less, blocks := s.less, s.blocks
-		lo, hi := 0, len(blocks)
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			b := blocks[m]
-			if less(x, b[len(b)-1]) {
-				hi = m
-			} else {
-				lo = m + 1
-			}
-		}
-		bi = lo
-		if bi < len(s.blocks) {
-			i = s.upperBound(s.blocks[bi], x)
-		}
-	}
-	if bi == len(s.blocks) {
-		var zero T
-		return zero
-	}
-	s.hintB, s.hintI = bi, i
-	return s.blocks[bi][i]
-}
-
 // lowerBound returns the index of the first entry of b that does not
 // order before x.
 func (s *blockList[T]) lowerBound(b []T, x T) int {
@@ -194,22 +126,6 @@ func (s *blockList[T]) lowerBound(b []T, x T) int {
 			lo = m + 1
 		} else {
 			hi = m
-		}
-	}
-	return lo
-}
-
-// upperBound returns the index of the first entry of b that orders
-// strictly after x.
-func (s *blockList[T]) upperBound(b []T, x T) int {
-	less := s.less
-	lo, hi := 0, len(b)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if less(x, b[m]) {
-			hi = m
-		} else {
-			lo = m + 1
 		}
 	}
 	return lo
@@ -252,14 +168,25 @@ func (s *blockList[T]) recycle(b []T) {
 
 // insert adds x before every entry with an equal key.
 func (s *blockList[T]) insert(x T) {
+	bi, i := s.locate(x), 0
+	if bi == len(s.blocks) {
+		if bi > 0 {
+			bi--
+			i = len(s.blocks[bi])
+		}
+	} else {
+		i = s.lowerBound(s.blocks[bi], x)
+	}
+	s.insertAt(bi, i, x)
+}
+
+// insertAt adds x as entry i of block bi (i may be the block's length),
+// or as the only entry of an empty list. The caller keeps the order.
+func (s *blockList[T]) insertAt(bi, i int, x T) {
 	s.n++
 	if len(s.blocks) == 0 {
 		s.blocks = append(s.blocks, append(s.newBlock(), x))
 		return
-	}
-	bi := s.locate(x)
-	if bi == len(s.blocks) {
-		bi--
 	}
 	b := s.blocks[bi]
 	if len(b) == blockMax {
@@ -270,12 +197,10 @@ func (s *blockList[T]) insert(x T) {
 		b = b[:blockMax/2]
 		s.blocks[bi] = b
 		s.blocks = slices.Insert(s.blocks, bi+1, upper)
-		if s.less(b[len(b)-1], x) {
-			bi++
-			b = upper
+		if i >= blockMax/2 {
+			bi, i, b = bi+1, i-blockMax/2, upper
 		}
 	}
-	i := s.lowerBound(b, x)
 	b = append(b, x)
 	copy(b[i+1:], b[i:])
 	b[i] = x
@@ -336,12 +261,32 @@ func (s *blockList[T]) mergeNext(i int) {
 // one, which is what lets the walk stand in for a snapshot.
 var freeInsertHook func(jt *JobTracker, tr *TaskTracker)
 
+// freeKey returns a tracker's key in the free-slot sets: its cached
+// pressure under CapacityAware (the stable-sort order the old code
+// produced each call), 0 otherwise (the fixed heartbeat order of vanilla
+// Hadoop), then its registration index.
+func (jt *JobTracker) freeKey(tr *TaskTracker) freeKey {
+	k := freeKey{idx: int32(tr.idx)}
+	if jt.cfg.CapacityAware {
+		k.pressure = tr.pressure
+	}
+	return k
+}
+
+// freeTracker returns the tracker with a free-set id, or nil for -1.
+func (jt *JobTracker) freeTracker(id int32) *TaskTracker {
+	if id < 0 {
+		return nil
+	}
+	return jt.trackers[id]
+}
+
 // insertFree adds a tracker to one of the free-slot sets.
 func (jt *JobTracker) insertFree(s *freeSet, tr *TaskTracker) {
 	if freeInsertHook != nil {
 		freeInsertHook(jt, tr)
 	}
-	s.insert(tr)
+	s.insert(jt.freeKey(tr))
 }
 
 // syncFree reconciles a tracker's free-slot set memberships with its
@@ -351,7 +296,7 @@ func (jt *JobTracker) syncFree(tr *TaskTracker) {
 		if freeM {
 			jt.insertFree(&jt.freeMaps, tr)
 		} else {
-			jt.freeMaps.remove(tr)
+			jt.freeMaps.remove(jt.freeKey(tr))
 		}
 		tr.inFreeMaps = freeM
 	}
@@ -359,7 +304,7 @@ func (jt *JobTracker) syncFree(tr *TaskTracker) {
 		if freeR {
 			jt.insertFree(&jt.freeReds, tr)
 		} else {
-			jt.freeReds.remove(tr)
+			jt.freeReds.remove(jt.freeKey(tr))
 		}
 		tr.inFreeReds = freeR
 	}
@@ -459,20 +404,20 @@ func inMigration(tr *TaskTracker) bool {
 }
 
 // refreshPressure recomputes one tracker's cached pressure, keeping the
-// free-slot sets ordered: entries are removed under the old key and
-// reinserted under the new one.
+// free-slot sets ordered: a tracker whose pressure moved leaves its old
+// level and joins the new one.
 func (jt *JobTracker) refreshPressure(tr *TaskTracker) {
-	if tr.inFreeMaps {
-		jt.freeMaps.remove(tr)
-	}
-	if tr.inFreeReds {
-		jt.freeReds.remove(tr)
-	}
+	old := jt.freeKey(tr)
 	jt.probePressure(tr)
+	if tr.pressure == old.pressure {
+		return
+	}
 	if tr.inFreeMaps {
+		jt.freeMaps.remove(old)
 		jt.insertFree(&jt.freeMaps, tr)
 	}
 	if tr.inFreeReds {
+		jt.freeReds.remove(old)
 		jt.insertFree(&jt.freeReds, tr)
 	}
 }

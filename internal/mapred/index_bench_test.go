@@ -28,6 +28,32 @@ func BenchmarkFreeSetChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkFreeSetChurnDistinct is the free sets' worst case: 15,000
+// trackers, each at its own pressure, so every tracker is a level of its
+// own. Each iteration re-keys one tracker to a fresh pressure the way a
+// refresh would: it leaves both sets under its old key and rejoins them
+// under the new one.
+func BenchmarkFreeSetChurnDistinct(b *testing.B) {
+	_, jt := rig(b, 15000, Config{CapacityAware: true}, nil)
+	trackers := jt.Trackers()
+	rng := rand.New(rand.NewSource(9))
+	rekey := func(tr *TaskTracker, pressure float64) {
+		tr.mapRunning, tr.redsRunning = jt.cfg.MapSlots, jt.cfg.ReduceSlots
+		jt.syncFree(tr)
+		tr.pressure = pressure
+		tr.mapRunning, tr.redsRunning = 0, 0
+		jt.syncFree(tr)
+	}
+	for _, tr := range trackers {
+		rekey(tr, rng.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rekey(trackers[(i*7919)%len(trackers)], rng.Float64())
+	}
+}
+
 // BenchmarkRunningChurn measures the running-attempt index maintenance
 // of one attempt ending and one launching against 5,000 running
 // attempts on 500 nodes: the name-ordered running list and the node's

@@ -17,10 +17,10 @@ import (
 
 // TestFreeSetMaintenanceZeroAlloc measures the slot-churn hot path:
 // trackers leaving and re-entering the free-slot sets as their map and
-// reduce slots fill and drain. The fleet spans several blocks, so the
-// churn crosses block splits and merges, and the last case drains both
-// sets completely and refills them — the pattern of a small fleet
-// saturating and idling between waves.
+// reduce slots fill and drain. The last case drains both sets
+// completely and refills them — the pattern of a small fleet saturating
+// and idling between waves — so each set's one level crosses the
+// ids↔bitset switch both ways and empties.
 func TestFreeSetMaintenanceZeroAlloc(t *testing.T) {
 	_, jt := rig(t, 3*blockMax+17, Config{}, nil)
 	trackers := jt.Trackers()
@@ -95,17 +95,26 @@ func TestRunningIndexMaintenanceZeroAlloc(t *testing.T) {
 	}
 }
 
+// freeTrackers returns a free set's trackers in key order.
+func freeTrackers(jt *JobTracker, s *freeSet) []*TaskTracker {
+	var out []*TaskTracker
+	for _, id := range s.appendTo(nil) {
+		out = append(out, jt.trackers[id])
+	}
+	return out
+}
+
 // TestPressureRefreshKeepsSetsOrdered drives the dirty-PM refresh path
-// and verifies both free-slot sets stay sorted under their comparator —
-// the invariant the binary searches in freeSet.insert/remove rely on.
+// and verifies both free-slot sets stay sorted by key — the invariant
+// the level lookups in freeSet.insert/remove rely on.
 func TestPressureRefreshKeepsSetsOrdered(t *testing.T) {
 	_, jt := rig(t, 16, Config{CapacityAware: true}, nil)
 	for _, tr := range jt.Trackers() {
 		jt.refreshPressure(tr)
 	}
-	for _, set := range [][]*TaskTracker{jt.freeMaps.appendTo(nil), jt.freeReds.appendTo(nil)} {
+	for _, set := range [][]*TaskTracker{freeTrackers(jt, &jt.freeMaps), freeTrackers(jt, &jt.freeReds)} {
 		for i := 1; i < len(set); i++ {
-			if jt.freeLess(set[i], set[i-1]) {
+			if jt.freeKey(set[i]).less(jt.freeKey(set[i-1])) {
 				t.Fatalf("free set out of order at %d: %s before %s",
 					i, set[i-1].Compute.Name(), set[i].Compute.Name())
 			}

@@ -297,7 +297,8 @@ type JobTracker struct {
 	// prefix order the old sort.SliceStable produced. Their union is the
 	// old single free set; schedule() merge-iterates whichever sets have
 	// schedulable work so a map wave never walks map-full trackers.
-	// Both are blocked sorted lists (freeSet in index.go).
+	// Both are pressure-level sets of registration indexes (freeSet in
+	// freeset.go).
 	freeMaps freeSet
 	freeReds freeSet
 	// walking is set while schedule() walks the free sets, which must
@@ -367,8 +368,6 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		fs:         fs,
 		cfg:        cfg,
 		sched:      sched,
-		freeMaps:   newFreeSet(cfg.CapacityAware),
-		freeReds:   newFreeSet(cfg.CapacityAware),
 		running:    newBlockList(runningLess),
 		buckets:    make(map[cluster.Node]*nodeBucket),
 		dirtySet:   make(map[*cluster.PM]bool),
@@ -686,10 +685,10 @@ func (jt *JobTracker) schedule() {
 		jt.walking = true
 		var nextM, nextR *TaskTracker
 		if jt.schedulableMaps > 0 {
-			nextM = jt.freeMaps.first()
+			nextM = jt.freeTracker(jt.freeMaps.first())
 		}
 		if jt.schedulableReds > 0 {
-			nextR = jt.freeReds.first()
+			nextR = jt.freeTracker(jt.freeReds.first())
 		}
 		// A tracker free for both kinds appears in both sets and is
 		// visited once, map kind first — the old per-tracker kind order.
@@ -703,17 +702,17 @@ func (jt *JobTracker) schedule() {
 				tr = nextM
 			case nextM == nil:
 				tr = nextR
-			case jt.freeLess(nextM, nextR):
+			case jt.freeKey(nextM).less(jt.freeKey(nextR)):
 				tr = nextM
 			default:
 				tr = nextR
 			}
 			tryMap, tryRed := tr == nextM, tr == nextR
 			if tryMap {
-				nextM = jt.freeMaps.after(tr)
+				nextM = jt.freeTracker(jt.freeMaps.after(jt.freeKey(tr)))
 			}
 			if tryRed {
-				nextR = jt.freeReds.after(tr)
+				nextR = jt.freeTracker(jt.freeReds.after(jt.freeKey(tr)))
 			}
 			if tr.disabled || tr.lost {
 				continue
@@ -1059,9 +1058,9 @@ func (jt *JobTracker) finishJob(job *Job) {
 // second primary. The destination is checked first for everything the
 // relaunch needs (not lost, not a migrating VM, a running machine, a
 // free slot of the task's kind), so a Relocate that fails leaves the
-// original attempt running. The Phase II IPS uses this
-// to evict interfering map/reduce tasks from VMs whose interactive
-// tenants are violating their SLA.
+// original attempt running. The Phase II IPS uses this to evict
+// interfering map/reduce tasks from VMs whose interactive tenants are
+// violating their SLA.
 func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	if a == nil || dst == nil {
 		return fmt.Errorf("mapred: Relocate: nil attempt or destination")

@@ -29,10 +29,10 @@ func snapshotSchedule(jt *JobTracker) {
 		assigned := false
 		var snapM, snapR []*TaskTracker
 		if jt.schedulableMaps > 0 {
-			snapM = jt.freeMaps.appendTo(nil)
+			snapM = freeTrackers(jt, &jt.freeMaps)
 		}
 		if jt.schedulableReds > 0 {
-			snapR = jt.freeReds.appendTo(nil)
+			snapR = freeTrackers(jt, &jt.freeReds)
 		}
 		mi, ri := 0, 0
 		for mi < len(snapM) || ri < len(snapR) {
@@ -47,7 +47,7 @@ func snapshotSchedule(jt *JobTracker) {
 					tr, tryMap, tryRed = snapM[mi], true, true
 					mi++
 					ri++
-				} else if jt.freeLess(snapM[mi], snapR[ri]) {
+				} else if jt.freeKey(snapM[mi]).less(jt.freeKey(snapR[ri])) {
 					tr, tryMap = snapM[mi], true
 					mi++
 				} else {
@@ -395,9 +395,9 @@ func TestFreeSetAfterZeroAlloc(t *testing.T) {
 	_, jt := rig(t, 3*blockMax+17, Config{CapacityAware: true}, nil)
 	trackers := jt.Trackers()
 	if allocs := testing.AllocsPerRun(100, func() {
-		for tr := jt.freeMaps.first(); tr != nil; tr = jt.freeMaps.after(tr) {
+		for id := jt.freeMaps.first(); id >= 0; id = jt.freeMaps.after(jt.freeKey(trackers[id])) {
 		}
-		jt.freeReds.after(trackers[len(trackers)/2])
+		jt.freeReds.after(jt.freeKey(trackers[len(trackers)/2]))
 	}); allocs != 0 {
 		t.Errorf("walking a free set allocates %.1f times, want 0", allocs)
 	}
