@@ -42,6 +42,8 @@ chaos-audit.jsonl           0 sim -scenario chaos -seed 7 -fault-seed 99 -audit 
 chaos-metrics.txt           0 sim -scenario chaos -seed 7 -fault-seed 99 -metrics | grep -v engine.events_per_sec > $f
 search-smoke.json           0 bench -sweep policy -parallel 1 -out $f
 search-smoke.json           0 bench -sweep policy -parallel 8 -out $f -report $out/search-observatory.html
+search-full.json            0 bench -sweep policy -grid full -parallel 1 -out $f
+search-full.json            0 bench -sweep policy -grid full -parallel 8 -out $f
 chaos-broken.json           1 bench -sweep chaos -break-recovery -budget 60 -seed 11 -out $f
 chaos-broken.json           1 bench -sweep chaos -break-recovery -budget 60 -seed 11 -out $f -parallel 8
 perfbench-sim.json          0 perfbench sim > $f

@@ -1,7 +1,7 @@
 // Command hybridmr-sim drives the simulated hybrid data center and can
 // record a structured trace of everything that happens inside it.
 //
-// Four modes:
+// Three modes:
 //
 //   - The default "quickstart" scenario assembles a hybrid cluster
 //     (native + virtual partitions), deploys RUBiS, runs Sort and PiEst
@@ -16,10 +16,6 @@
 //     TaskTrackers, corrupts DFS replicas and injects stragglers. The run
 //     verifies that every job completes and the DFS heals back to target
 //     replication, and prints the fault seed so any run can be replayed.
-//   - "scaleup" mode runs the scale sweep's weak-scaling scenario at a
-//     single datacenter-scale operating point (-pms, default 2500) and
-//     prints the deterministic cost counters — a quick probe of how the
-//     indexed controllers behave at sizes far past the paper's testbed.
 //
 // Usage:
 //
@@ -34,7 +30,6 @@
 //	hybridmr-sim -benchmark Sort -pms 12 -vms-per-pm 2 -policy p2=locality-p2
 //	hybridmr-sim -scenario chaos -seed 7 -fault-seed 99
 //	hybridmr-sim -scenario chaos -faults pm-crash=4,block-loss=12,repair-sec=90
-//	hybridmr-sim -scenario scaleup -pms 10000
 //	hybridmr-sim -benchmark Sort -pms 48 -profile-dir prof/
 //	hybridmr-sim -scenario chaos -timeseries ts.jsonl -slo slo.json -progress
 //
@@ -83,7 +78,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -100,7 +94,6 @@ import (
 	"repro/internal/perfstat"
 	"repro/internal/progress"
 	"repro/internal/report"
-	"repro/internal/scalesweep"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/timeseries"
@@ -315,7 +308,7 @@ func (o *runObs) create(path string, write func(io.Writer) error) (string, error
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hybridmr-sim", flag.ContinueOnError)
-	scenario := fs.String("scenario", "", "scenario: quickstart (default), job, chaos or scaleup")
+	scenario := fs.String("scenario", "", "scenario: quickstart (default), job or chaos")
 	bench := fs.String("benchmark", "Sort", "benchmark name or comma-separated list (Twitter, Wcount, PiEst, DistGrep, Sort, Kmeans)")
 	parallel := fs.Int("parallel", 0, "worker goroutines for a multi-benchmark job list (0 = GOMAXPROCS)")
 	dataGB := fs.Float64("data-gb", 0, "input size in GB (0 = the paper's size for the benchmark)")
@@ -347,11 +340,7 @@ func run(args []string, out io.Writer) error {
 	// An explicit -benchmark keeps the pre-scenario CLI working: it
 	// implies job mode unless the user also picked a scenario.
 	mode := *scenario
-	pmsSet := false
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "pms" {
-			pmsSet = true
-		}
 		if f.Name == "benchmark" && mode == "" {
 			mode = "job"
 		}
@@ -364,15 +353,12 @@ func run(args []string, out io.Writer) error {
 	// immediately with the registered names, instead of surfacing after
 	// setup already ran.
 	switch mode {
-	case "quickstart", "job", "chaos", "scaleup":
+	case "quickstart", "job", "chaos":
 	default:
-		return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos, scaleup)", mode)
+		return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos)", mode)
 	}
 	var policies *hybridmr.PolicySet
 	if *policyFlag != "" {
-		if mode == "scaleup" {
-			return fmt.Errorf("-policy does not apply to the scaleup scenario")
-		}
 		pspec, err := hybridmr.ParsePolicySpec(*policyFlag)
 		if err != nil {
 			return err
@@ -440,15 +426,9 @@ func run(args []string, out io.Writer) error {
 			}
 			pr.Stop()
 			return obs.finish(out, throughput())
-		case "scaleup":
-			size := *pms
-			if !pmsSet {
-				size = scalesweep.DefaultScaleUpSizes()[0]
-			}
-			return runScaleUpPoint(size, *seed, out)
 		default:
 			// Unreachable: the mode was validated before setup.
-			return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos, scaleup)", mode)
+			return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos)", mode)
 		}
 	}()
 	// The profiles must cover the whole run, so they stop only after the
@@ -657,37 +637,6 @@ func runChaos(seed, faultSeed int64, profileSpec string, checkInvariants bool, p
 	}
 	obs.snapPerf(rig.Obs.Perf)
 	obs.simEnd = rig.Engine.Now()
-	return nil
-}
-
-// runScaleUpPoint runs the scale sweep's weak-scaling scenario at one
-// datacenter-scale operating point (-pms PMs, default the suite's
-// 2500-PM smoke point) and prints its deterministic outcome plus the
-// perfstat cost counters. The counter block is byte-identical across
-// runs with the same seed and size; only the wall-time line varies.
-func runScaleUpPoint(size int, seed int64, out io.Writer) error {
-	res, wall, err := scalesweep.RunPoint(size, scalesweep.Options{Seed: seed})
-	if err != nil {
-		return err
-	}
-	eps := 0.0
-	if wall.WallSeconds > 0 {
-		eps = float64(res.EventsFired) / wall.WallSeconds
-	}
-	fmt.Fprintf(out, "scale-up point: %d PMs (seed %d)\n", res.Size, seed)
-	fmt.Fprintf(out, "trackers:     %d\n", res.Trackers)
-	fmt.Fprintf(out, "jobs:         %d (all completed)\n", res.Jobs)
-	fmt.Fprintf(out, "events fired: %d\n", res.EventsFired)
-	fmt.Fprintf(out, "wall time:    %.2fs (%.0f events/sec)\n", wall.WallSeconds, eps)
-	names := make([]string, 0, len(res.Counters))
-	for name := range res.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(out, "cost counters:")
-	for _, name := range names {
-		fmt.Fprintf(out, "  %-34s %d\n", name, res.Counters[name])
-	}
 	return nil
 }
 

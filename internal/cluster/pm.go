@@ -85,6 +85,11 @@ func (pm *PM) Machine() *PM { return pm }
 // Cluster returns the cluster the PM was provisioned in.
 func (pm *PM) Cluster() *Cluster { return pm.cluster }
 
+// Index returns the machine's provisioning index: dense from 0 in the
+// order its cluster provisioned machines, and never reused, so per-PM
+// state can live in a slice indexed by it.
+func (pm *PM) Index() int { return pm.idx }
+
 // Capacity returns the raw hardware capacity.
 func (pm *PM) Capacity() resource.Vector { return pm.capacity }
 

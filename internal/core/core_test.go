@@ -146,7 +146,7 @@ func TestProfilingPlacerDeadlineRouting(t *testing.T) {
 	}
 	sort := workload.Sort().WithInputMB(4096)
 	// Impossible deadline: virtual estimate exceeds it -> native.
-	got, err := placer.Place(sort, 30*time.Second)
+	got, _, _, err := placer.Place(sort, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestProfilingPlacerDeadlineRouting(t *testing.T) {
 		t.Errorf("tight deadline placed %v, want native", got)
 	}
 	// Generous deadline -> virtual.
-	got, err = placer.Place(sort, 24*time.Hour)
+	got, _, _, err = placer.Place(sort, 24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestProfilingPlacerOverheadRouting(t *testing.T) {
 		OverheadThreshold: 0.10,
 	}
 	// Sort is I/O bound: virtualization inflates it beyond 10%.
-	got, err := placer.Place(workload.Sort().WithInputMB(4096), 0)
+	got, _, _, err := placer.Place(workload.Sort().WithInputMB(4096), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestProfilingPlacerOverheadRouting(t *testing.T) {
 		t.Errorf("I/O-bound job placed %v, want native under 10%% threshold", got)
 	}
 	// PiEst is CPU bound: overhead is small, stays virtual.
-	got, err = placer.Place(workload.PiEst(), 0)
+	got, _, _, err = placer.Place(workload.PiEst(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,11 +362,11 @@ func newTestProfiler() *profiler.Profiler {
 
 func TestPlacerValidation(t *testing.T) {
 	p := &ProfilingPlacer{}
-	if _, err := p.Place(workload.Sort(), 0); err == nil {
+	if _, _, _, err := p.Place(workload.Sort(), 0); err == nil {
 		t.Error("placer without profiler succeeded")
 	}
 	p = &ProfilingPlacer{Profiler: newTestProfiler(), VirtualNodes: 0, NativeNodes: 4}
-	got, err := p.Place(workload.Sort(), 0)
+	got, _, _, err := p.Place(workload.Sort(), 0)
 	if err != nil || got != PlacedNative {
 		t.Errorf("no virtual partition: %v, %v", got, err)
 	}
@@ -386,6 +386,26 @@ func TestModesString(t *testing.T) {
 		if got := tt.m.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
 		}
+	}
+}
+
+// TestControllerConstants pins the IPS escalation knobs and the DRM hog
+// trim, which no registered policy varies, and the paper rows a bare
+// NewIPS and NewDRM start from: the values the goldens depend on.
+func TestControllerConstants(t *testing.T) {
+	if pauseStreak != 3 || maxRelocationsPerEpoch != 2 || throttleFactor != 0.5 {
+		t.Errorf("IPS: pause streak %d, relocations per epoch %d, throttle factor %v; want 3, 2, 0.5",
+			pauseStreak, maxRelocationsPerEpoch, throttleFactor)
+	}
+	if hogTrimAbove != 1.5 || hogTrimTo != 1.2 {
+		t.Errorf("DRM: hog trim above %v to %v; want 1.5 to 1.2", hogTrimAbove, hogTrimTo)
+	}
+	rig := virtualRig(t, 2)
+	if got := NewIPS(rig.Engine, rig.Cluster, rig.JT).relocateBelow; got != 0.6 {
+		t.Errorf("NewIPS relocation threshold = %v, want paper-ips's 0.6", got)
+	}
+	if got := NewDRM(rig.Engine, rig.JT, AllModes(), 0).Policy; !got.Deferral {
+		t.Errorf("NewDRM policy = %+v, want paper-drm's deferral", got)
 	}
 }
 

@@ -64,9 +64,9 @@ type DRM struct {
 	// consumer: the JobTracker recycles an ended attempt's consumer.
 	deferred map[*mapred.Attempt]bool
 	// Policy holds the Performance Balancer's knobs: the paper's
-	// deferral discipline by default, the proportional static split (the
-	// deferral ablation's alternative) when policy.StaticSplitDRM is
-	// selected.
+	// deferral discipline by default (the paper-drm row), the
+	// proportional static split (the deferral ablation's alternative)
+	// when the static-split row is selected.
 	Policy policy.DRMParams
 	// Adjustments counts cap changes, for reporting.
 	Adjustments int
@@ -102,7 +102,7 @@ func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoc
 		engine:     engine,
 		estimators: make(map[estimatorKey]*interference.Predictor),
 		deferred:   make(map[*mapred.Attempt]bool),
-		Policy:     policy.PaperDRM{}.Params(),
+		Policy:     policy.Default().DRM,
 	}
 }
 
@@ -194,6 +194,14 @@ func (d *DRM) EstimatedSpeedAt(job string, kind mapred.TaskKind, frac float64) (
 	return p.Predict(frac)
 }
 
+// The hog trim, which no registered DRM policy varies: a rate cap above
+// demand×hogTrimAbove is trimmed to demand×hogTrimTo, so the contention
+// detector's headroom means something next epoch.
+const (
+	hogTrimAbove = 1.5
+	hogTrimTo    = 1.2
+)
+
 // balanceRate re-divides one rate dimension's capacity: tasks whose caps
 // pin them below their demand (resource-deficit, per the Contention
 // Detector) get their caps raised into the measured headroom, most
@@ -215,11 +223,11 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 		used += c.Alloc().Get(kind)
 		demand := c.Demand.Get(kind)
 		capV := c.Cap.Get(kind)
-		if capV > 0 && capV > demand*d.Policy.HogTrimAbove {
+		if capV > 0 && capV > demand*hogTrimAbove {
 			// Hogging container: trim so the detector's headroom means
 			// something next epoch.
-			d.setCap(c, kind, demand*d.Policy.HogTrimTo)
-			capV = demand * d.Policy.HogTrimTo
+			d.setCap(c, kind, demand*hogTrimTo)
+			capV = demand * hogTrimTo
 		}
 		if capV > 0 && capV < demand {
 			// Benefit estimate: time saved if the cap were lifted to

@@ -58,22 +58,24 @@ type IPS struct {
 	perf     *perfstat.Stats
 	ts       *timeseries.Collector
 
-	// PauseStreak is the number of consecutive violating epochs before
-	// the Arbiter escalates from relocation/throttling to pausing a
-	// batch VM (default 3).
-	PauseStreak int
-	// MaxRelocationsPerEpoch bounds evictions per service per epoch
-	// (default 2).
-	MaxRelocationsPerEpoch int
-	// RelocateBelowProgress relocates only attempts below this progress
-	// (default 0.6): restarting nearly-finished work wastes it, so those
-	// are throttled instead. Zero never relocates (the throttle-first
-	// policy).
-	RelocateBelowProgress float64
-	// ThrottleFactor scales a throttled interferer's bottleneck cap
-	// (default 0.5).
-	ThrottleFactor float64
+	// relocateBelow is the selected ips policy's relocation threshold:
+	// the Arbiter relocates only attempts below this progress, since
+	// restarting nearly-finished work wastes it, and throttles the rest.
+	// Zero never relocates (the throttle-first policy).
+	relocateBelow float64
 }
+
+// The Arbiter's escalation knobs, which no registered IPS policy varies.
+const (
+	// pauseStreak is the number of consecutive violating epochs before
+	// the Arbiter escalates from relocation/throttling to pausing a
+	// batch VM; twice the streak live-migrates one.
+	pauseStreak = 3
+	// maxRelocationsPerEpoch bounds evictions per service per epoch.
+	maxRelocationsPerEpoch = 2
+	// throttleFactor scales a throttled interferer's bottleneck cap.
+	throttleFactor = 0.5
+)
 
 type ipsService struct {
 	svc    *workload.Service
@@ -85,25 +87,14 @@ type ipsService struct {
 // Watch for each deployed service, then Start.
 func NewIPS(engine *sim.Engine, cl *cluster.Cluster, jt *mapred.JobTracker) *IPS {
 	return &IPS{
-		engine:                 engine,
-		cluster:                cl,
-		jt:                     jt,
-		paused:                 make(map[*cluster.VM]string),
-		blacklisted:            make(map[*mapred.TaskTracker]string),
-		backoff:                make(map[*cluster.PM]*blacklistBackoff),
-		PauseStreak:            3,
-		MaxRelocationsPerEpoch: 2,
-		RelocateBelowProgress:  0.6,
-		ThrottleFactor:         0.5,
+		engine:        engine,
+		cluster:       cl,
+		jt:            jt,
+		paused:        make(map[*cluster.VM]string),
+		blacklisted:   make(map[*mapred.TaskTracker]string),
+		backoff:       make(map[*cluster.PM]*blacklistBackoff),
+		relocateBelow: policy.Default().RelocateBelow,
 	}
-}
-
-// ApplyPolicy installs an arbitration policy's knobs.
-func (p *IPS) ApplyPolicy(params policy.IPSParams) {
-	p.PauseStreak = params.PauseStreak
-	p.MaxRelocationsPerEpoch = params.MaxRelocationsPerEpoch
-	p.RelocateBelowProgress = params.RelocateBelowProgress
-	p.ThrottleFactor = params.ThrottleFactor
 }
 
 // Watch registers an interactive service for SLA monitoring.
@@ -257,7 +248,7 @@ func (p *IPS) arbitrate(st *ipsService) {
 
 	relocated := 0
 	for _, a := range interferers {
-		if relocated >= p.MaxRelocationsPerEpoch {
+		if relocated >= maxRelocationsPerEpoch {
 			break
 		}
 		// Read before Relocate: it ends the attempt, which drops the
@@ -265,7 +256,7 @@ func (p *IPS) arbitrate(st *ipsService) {
 		c := a.Consumer()
 		// Relocation restarts the attempt from scratch; nearly-finished
 		// tasks are throttled instead so their work is not wasted.
-		if a.Progress() < p.RelocateBelowProgress {
+		if a.Progress() < p.relocateBelow {
 			if dst := p.bestFitTracker(a, svcPM); dst != nil {
 				if err := p.jt.Relocate(a, dst); err == nil {
 					relocated++
@@ -280,18 +271,18 @@ func (p *IPS) arbitrate(st *ipsService) {
 			cur = c.Alloc().Get(bottleneck)
 		}
 		if cur > 0 {
-			c.SetCap(c.Cap.Set(bottleneck, cur*p.ThrottleFactor))
+			c.SetCap(c.Cap.Set(bottleneck, cur*throttleFactor))
 			p.log("throttle", st.svc.Spec().Name, c.Name)
 		}
 	}
 
-	if st.streak >= p.PauseStreak {
+	if st.streak >= pauseStreak {
 		p.pauseWorstBatchVM(st, svcPM, bottleneck)
 	}
 	// Final escalation: if pausing has not cleared the violation after
 	// twice the pause threshold, live-migrate a pure-batch VM off the
 	// host entirely (the paper's strongest mitigation).
-	if st.streak >= 2*p.PauseStreak {
+	if st.streak >= 2*pauseStreak {
 		p.migrateBatchVM(st, svcPM)
 	}
 }

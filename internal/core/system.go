@@ -58,8 +58,8 @@ type System struct {
 	NativeJT  *mapred.JobTracker
 	VirtualJT *mapred.JobTracker
 
-	// placer decides Phase I placement, built by Config.Policies'
-	// Phase I policy.
+	// placer decides Phase I placement, built by Config.Policies' p1
+	// row.
 	placer Placer
 
 	drm      *DRM
@@ -120,7 +120,7 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	if pol == nil {
 		pol = policy.Default()
 	}
-	s.placer = pol.Phase1.NewPlacer(policy.Phase1Env{
+	s.placer = pol.NewPlacer(policy.Phase1Env{
 		Profiler:     s.prof,
 		NativeNodes:  nativeNodes,
 		VirtualNodes: virtualNodes,
@@ -129,14 +129,14 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	if virtualJT != nil {
 		if !cfg.DisableDRM {
 			s.drm = NewDRM(engine, virtualJT, AllModes(), drmEpoch)
-			s.drm.Policy = pol.DRM.Params()
+			s.drm.Policy = pol.DRM
 			s.drm.tracer, s.drm.auditLog, s.drm.perf = o.Tracer, o.Audit, o.Perf
 			s.drm.mAdjustments = o.Metrics.Counter("drm.cap_adjustments")
 			s.drm.mDeferrals = o.Metrics.Counter("drm.deferrals")
 		}
 		if !cfg.DisableIPS {
 			s.ips = NewIPS(engine, cl, virtualJT)
-			s.ips.ApplyPolicy(pol.IPS.Params())
+			s.ips.relocateBelow = pol.RelocateBelow
 			s.ips.tracer, s.ips.reg, s.ips.auditLog = o.Tracer, o.Metrics, o.Audit
 			s.ips.perf, s.ips.ts = o.Perf, o.TimeSeries
 		}
@@ -185,19 +185,8 @@ func (s *System) Services() []*workload.Service {
 // chosen partition. desiredJCT of zero means no deadline. The returned
 // placement says where it went.
 func (s *System) SubmitJob(spec mapred.JobSpec, desiredJCT time.Duration, onDone func(*mapred.Job)) (*mapred.Job, Placement, error) {
-	var placement Placement
-	var reason string
-	var candidates []audit.Candidate
-	var err error
 	s.perf.Enter("core.phase1")
-	switch p := s.placer.(type) {
-	case ExplainedPlacer:
-		placement, reason, candidates, err = p.PlaceExplained(spec, desiredJCT)
-	case ReasonedPlacer:
-		placement, reason, err = p.PlaceWithReason(spec, desiredJCT)
-	default:
-		placement, err = s.placer.Place(spec, desiredJCT)
-	}
+	placement, reason, candidates, err := s.placer.Place(spec, desiredJCT)
 	if s.perf != nil {
 		s.perf.C.P1Placements++
 		s.perf.C.P1CandidatesEvaluated += int64(len(candidates))
@@ -254,9 +243,6 @@ func (s *System) SubmitJob(spec mapred.JobSpec, desiredJCT time.Duration, onDone
 	}
 	s.placements[job] = placement
 	s.mPlacements.Inc()
-	if reason == "" {
-		reason = "placer gave no reason"
-	}
 	if s.tracer != nil {
 		s.tracer.Instant("phase1", "placement", spec.Name,
 			trace.S("placement", placement.String()),

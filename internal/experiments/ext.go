@@ -401,7 +401,7 @@ func AblDeferral() (*Outcome, error) {
 		}
 		drm := core.NewDRM(rig.Engine, rig.JT, core.ResourceModes{Memory: true}, 5*time.Second)
 		if disableDeferral {
-			drm.Policy = policy.StaticSplitDRM{}.Params()
+			drm.Policy.Deferral = false
 		}
 		drm.Start()
 		defer drm.Stop()

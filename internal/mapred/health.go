@@ -21,7 +21,7 @@ func (jt *JobTracker) ensureHealthTicker() {
 	if jt.healthTick != nil && !jt.healthTick.Stopped() {
 		return
 	}
-	jt.healthTick = sim.NewTicker(jt.engine, jt.cfg.HeartbeatInterval, func(time.Duration) {
+	jt.healthTick = sim.NewTicker(jt.engine, heartbeatInterval, func(time.Duration) {
 		if len(jt.activeJobs) == 0 {
 			jt.healthTick.Stop()
 			return
@@ -57,7 +57,7 @@ func (jt *JobTracker) anyViableTracker() bool {
 
 // checkTrackerHealth is one heartbeat sweep: responsive trackers renew
 // their lease (and rejoin once any blacklist hold-off expires), silent
-// ones are declared lost after TrackerTimeout.
+// ones are declared lost after trackerTimeout.
 func (jt *JobTracker) checkTrackerHealth() {
 	now := jt.engine.Now()
 	for _, tr := range jt.trackers {
@@ -71,7 +71,7 @@ func (jt *JobTracker) checkTrackerHealth() {
 			tr.lastSeen = now
 			continue
 		}
-		if now-tr.lastSeen >= jt.cfg.TrackerTimeout {
+		if now-tr.lastSeen >= trackerTimeout {
 			jt.trackerLost(tr, "heartbeat-timeout")
 		}
 	}
@@ -189,13 +189,13 @@ func (jt *JobTracker) trackersLost(batch []*TaskTracker, cause string) int {
 			trCause = "network-partition"
 		} else {
 			tr.failures++
-			if over := tr.failures - jt.cfg.TrackerFailureLimit; over >= 0 {
+			if over := tr.failures - trackerFailureLimit; over >= 0 {
 				// Repeat offenders sit out exponentially longer, capped so
 				// the shift cannot overflow.
 				if over > 6 {
 					over = 6
 				}
-				tr.blacklistUntil = now + jt.cfg.BlacklistBackoff<<uint(over)
+				tr.blacklistUntil = now + blacklistBackoff<<uint(over)
 				blacklisted = true
 				jt.mTrackersBlacklisted.Inc()
 			}
@@ -213,7 +213,7 @@ func (jt *JobTracker) trackersLost(batch []*TaskTracker, cause string) int {
 		}
 		if jt.auditLog != nil {
 			decision := "rejoin on next responsive heartbeat"
-			reason := fmt.Sprintf("%s; failure %d of %d tolerated", trCause, tr.failures, jt.cfg.TrackerFailureLimit)
+			reason := fmt.Sprintf("%s; failure %d of %d tolerated", trCause, tr.failures, trackerFailureLimit)
 			if blacklisted {
 				decision = fmt.Sprintf("blacklist for %v", tr.blacklistUntil-now)
 			}

@@ -310,22 +310,23 @@ func (jt *JobTracker) syncFree(tr *TaskTracker) {
 	}
 }
 
-// watchPM installs the pressure-invalidation watcher on a PM the first
-// time a tracker is backed by it.
-func (jt *JobTracker) watchPM(pm *cluster.PM) {
-	if pm == nil || jt.watched[pm] {
-		return
-	}
-	jt.watched[pm] = true
-	pm.Watch(func() { jt.markDirty(pm) })
+// pmState is the pressure cache's view of one machine.
+type pmState struct {
+	// trackers are the trackers the machine backs.
+	trackers []*TaskTracker
+	// watched records that the invalidation watcher is installed.
+	watched bool
+	// dirty records that the machine is queued on dirtyPMs.
+	dirty bool
 }
 
 // markDirty queues a PM whose allocation changed for a pressure refresh.
 func (jt *JobTracker) markDirty(pm *cluster.PM) {
-	if jt.dirtySet[pm] {
+	st := &jt.pms[pm.Index()]
+	if st.dirty {
 		return
 	}
-	jt.dirtySet[pm] = true
+	st.dirty = true
 	jt.dirtyPMs = append(jt.dirtyPMs, pm)
 }
 
@@ -350,9 +351,11 @@ func (jt *JobTracker) flushDirty() {
 	for i := 0; i < len(jt.migrating); i++ {
 		tr := jt.migrating[i]
 		if cur := tr.Compute.Machine(); cur != tr.pm {
-			list := jt.pmTrackers[tr.pm]
-			if j := slices.Index(list, tr); j >= 0 {
-				jt.pmTrackers[tr.pm] = slices.Delete(list, j, j+1)
+			if tr.pm != nil {
+				st := &jt.pms[tr.pm.Index()]
+				if j := slices.Index(st.trackers, tr); j >= 0 {
+					st.trackers = slices.Delete(st.trackers, j, j+1)
+				}
 			}
 			jt.remap(tr, cur)
 			jt.refreshPressure(tr)
@@ -363,8 +366,9 @@ func (jt *JobTracker) flushDirty() {
 		}
 	}
 	for _, pm := range jt.dirtyPMs {
-		delete(jt.dirtySet, pm)
-		list := jt.pmTrackers[pm]
+		// remap may grow jt.pms, so the state is re-indexed, not held.
+		jt.pms[pm.Index()].dirty = false
+		list := jt.pms[pm.Index()].trackers
 		gen := pm.ResidentGen()
 		for i := 0; i < len(list); i++ {
 			tr := list[i]
@@ -382,18 +386,28 @@ func (jt *JobTracker) flushDirty() {
 				jt.migrating = append(jt.migrating, tr)
 			}
 		}
-		jt.pmTrackers[pm] = list
+		jt.pms[pm.Index()].trackers = list
 	}
 	jt.dirtyPMs = jt.dirtyPMs[:0]
 }
 
-// remap lists a tracker under the machine now backing it; the caller has
-// already dropped it from its old machine's list.
+// remap lists a tracker under the machine now backing it, installing
+// the machine's invalidation watcher the first time it backs one; the
+// caller has already dropped it from its old machine's list.
 func (jt *JobTracker) remap(tr *TaskTracker, cur *cluster.PM) {
 	tr.pm = cur
-	if cur != nil {
-		jt.pmTrackers[cur] = append(jt.pmTrackers[cur], tr)
-		jt.watchPM(cur)
+	if cur == nil {
+		return
+	}
+	i := cur.Index()
+	if i >= len(jt.pms) {
+		jt.pms = append(jt.pms, make([]pmState, i+1-len(jt.pms))...)
+	}
+	st := &jt.pms[i]
+	st.trackers = append(st.trackers, tr)
+	if !st.watched {
+		st.watched = true
+		cur.Watch(func() { jt.markDirty(cur) })
 	}
 }
 

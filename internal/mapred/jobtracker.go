@@ -28,9 +28,6 @@ type Config struct {
 	ReduceSlots int
 	// DisableSpeculation turns straggler backups off.
 	DisableSpeculation bool
-	// SpeculationInterval is how often the straggler detector scans
-	// (default 10 s).
-	SpeculationInterval time.Duration
 	// SpeculationSlowdown is the fraction of the median attempt speed
 	// below which a task is considered a straggler (default 0.5).
 	SpeculationSlowdown float64
@@ -46,21 +43,6 @@ type Config struct {
 	// heartbeat order.
 	CapacityAware bool
 
-	// HeartbeatInterval is how often the JobTracker checks tracker
-	// liveness (default 3 s, Hadoop's heartbeat period).
-	HeartbeatInterval time.Duration
-	// TrackerTimeout is how long a tracker may miss heartbeats before it
-	// is declared lost and its work re-executed (default 30 s; Hadoop's
-	// default was 10 min, scaled down to the simulation's job sizes).
-	TrackerTimeout time.Duration
-	// TrackerFailureLimit is the failure count at which a tracker is
-	// blacklisted with exponential backoff instead of rejoining as soon
-	// as it responds again (default 3).
-	TrackerFailureLimit int
-	// BlacklistBackoff is the initial blacklist hold-off; it doubles
-	// with each failure beyond the limit (default 60 s).
-	BlacklistBackoff time.Duration
-
 	// DisableMapReexecution is a fault-injection hook: it turns off the
 	// re-execution of completed maps whose output node was lost, leaving
 	// reducers to consume vanished intermediate data. Only the chaos
@@ -68,6 +50,27 @@ type Config struct {
 	// recovery path; it must never be on in a real configuration.
 	DisableMapReexecution bool
 }
+
+// The framework's detector periods and failure handling, as on the
+// paper's Hadoop testbed.
+const (
+	// speculationInterval is how often the straggler detector scans.
+	speculationInterval = 10 * time.Second
+	// heartbeatInterval is how often the JobTracker checks tracker
+	// liveness (Hadoop's heartbeat period).
+	heartbeatInterval = 3 * time.Second
+	// trackerTimeout is how long a tracker may miss heartbeats before it
+	// is declared lost and its work re-executed (Hadoop's default was
+	// 10 min, scaled down to the simulation's job sizes).
+	trackerTimeout = 30 * time.Second
+	// trackerFailureLimit is the failure count at which a tracker is
+	// blacklisted with exponential backoff instead of rejoining as soon
+	// as it responds again.
+	trackerFailureLimit = 3
+	// blacklistBackoff is the initial blacklist hold-off; it doubles
+	// with each failure beyond the limit.
+	blacklistBackoff = 60 * time.Second
+)
 
 // SlotCapPolicy fixes each task's resource cap as a fraction of its
 // node's useful capacity, regardless of what the task actually needs —
@@ -97,23 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.ReduceSlots <= 0 {
 		c.ReduceSlots = 2
 	}
-	if c.SpeculationInterval <= 0 {
-		c.SpeculationInterval = 10 * time.Second
-	}
 	if c.SpeculationSlowdown <= 0 {
 		c.SpeculationSlowdown = 0.5
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 3 * time.Second
-	}
-	if c.TrackerTimeout <= 0 {
-		c.TrackerTimeout = 30 * time.Second
-	}
-	if c.TrackerFailureLimit <= 0 {
-		c.TrackerFailureLimit = 3
-	}
-	if c.BlacklistBackoff <= 0 {
-		c.BlacklistBackoff = 60 * time.Second
 	}
 	return c
 }
@@ -166,7 +154,7 @@ type TaskTracker struct {
 	// lastSeen is the last simulation time the tracker heartbeated.
 	lastSeen time.Duration
 	// failures counts how many times this tracker has been declared
-	// lost; at TrackerFailureLimit it starts getting blacklisted.
+	// lost; at trackerFailureLimit it starts getting blacklisted.
 	failures int
 	// blacklistUntil is the earliest time a responsive tracker may
 	// rejoin after being lost.
@@ -319,11 +307,11 @@ type JobTracker struct {
 	// Pressure-cache invalidation: each PM hosting a tracker gets a
 	// cluster watcher that marks it dirty when its allocation is
 	// re-solved; flushDirty refreshes the affected cached pressures at the
-	// next schedule() entry.
-	dirtySet   map[*cluster.PM]bool
-	dirtyPMs   []*cluster.PM
-	pmTrackers map[*cluster.PM][]*TaskTracker
-	watched    map[*cluster.PM]bool
+	// next schedule() entry. pms holds each machine's state, indexed by
+	// PM.Index() (the trackers of one JobTracker share one cluster), and
+	// dirtyPMs the machines marked since the last flush.
+	pms      []pmState
+	dirtyPMs []*cluster.PM
 	// migrating holds trackers whose compute VM was mid-migration at a
 	// flush; see flushDirty.
 	migrating []*TaskTracker
@@ -370,9 +358,6 @@ func NewJobTracker(engine *sim.Engine, fs *dfs.FileSystem, cfg Config, sched Sch
 		sched:      sched,
 		running:    newBlockList(runningLess),
 		buckets:    make(map[cluster.Node]*nodeBucket),
-		dirtySet:   make(map[*cluster.PM]bool),
-		pmTrackers: make(map[*cluster.PM][]*TaskTracker),
-		watched:    make(map[*cluster.PM]bool),
 		tracer:     o.Tracer,
 		auditLog:   o.Audit,
 		perf:       o.Perf,
@@ -418,7 +403,7 @@ func (jt *JobTracker) ensureSpecTicker() {
 	if jt.cfg.DisableSpeculation || (jt.specTick != nil && !jt.specTick.Stopped()) {
 		return
 	}
-	jt.specTick = sim.NewTicker(jt.engine, jt.cfg.SpeculationInterval, func(time.Duration) {
+	jt.specTick = sim.NewTicker(jt.engine, speculationInterval, func(time.Duration) {
 		// Park on a drained queue, and also when every worker is
 		// permanently gone — stalled jobs would otherwise keep this
 		// ticker (and simulated time) running forever.
@@ -495,11 +480,7 @@ func (jt *JobTracker) AddSplitTracker(compute, storage cluster.Node) *TaskTracke
 	jt.fs.AddDataNode(storage)
 	jt.trackers = append(jt.trackers, tr)
 	if jt.cfg.CapacityAware {
-		tr.pm = compute.Machine()
-		if tr.pm != nil {
-			jt.pmTrackers[tr.pm] = append(jt.pmTrackers[tr.pm], tr)
-			jt.watchPM(tr.pm)
-		}
+		jt.remap(tr, compute.Machine())
 		jt.probePressure(tr)
 	}
 	jt.syncFree(tr) // a fresh tracker always has free slots

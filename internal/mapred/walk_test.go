@@ -454,7 +454,7 @@ func TestCachedPressuresStayFresh(t *testing.T) {
 			}
 		}
 		for _, pm := range jt.dirtyPMs {
-			visits += int64(len(jt.pmTrackers[pm]))
+			visits += int64(len(jt.pms[pm.Index()].trackers))
 		}
 		before := ps.C.JTPressureProbes
 		jt.flushDirty()
@@ -467,5 +467,52 @@ func TestCachedPressuresStayFresh(t *testing.T) {
 	}
 	if probes >= visits || probes == 0 {
 		t.Fatalf("flushes recomputed %d of %d dirtied trackers' pressures; expected some but not all", probes, visits)
+	}
+}
+
+// TestFlushRemapsTrackerMigratedBetweenFlushes covers the flush that
+// first sees a tracker after its VM's migration ended: with no flush
+// during the migration, the tracker is found on the dirtied source and
+// must move to the destination's list, leaving the source's list
+// without it.
+func TestFlushRemapsTrackerMigratedBetweenFlushes(t *testing.T) {
+	engine := sim.New()
+	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{CapacityAware: true}, nil, nil, "")
+	hosts := c.AddPMs("pm", 3)
+	vms, err := c.SpreadVMs("vm", 6, hosts, 1, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range vms {
+		jt.AddTracker(vm)
+	}
+	jt.flushDirty()
+	src, dst := vms[0].Machine(), hosts[2]
+	if err := c.Migrate(vms[0], dst, nil); err != nil {
+		t.Fatal(err)
+	}
+	engine.Run() // no jobs, so nothing flushes until the migration ends
+	if vms[0].Machine() != dst {
+		t.Fatalf("vm-0 on %v after migration, want %s", vms[0].Machine(), dst.Name())
+	}
+	jt.flushDirty()
+	for _, pm := range hosts {
+		for _, tr := range jt.pms[pm.Index()].trackers {
+			if tr == nil || tr.Compute.Machine() != pm || tr.pm != pm {
+				t.Fatalf("%s lists a tracker it does not back: %v", pm.Name(), tr)
+			}
+		}
+	}
+	if got, want := len(jt.pms[src.Index()].trackers), 1; got != want {
+		t.Errorf("%s lists %d trackers after vm-0 left, want %d", src.Name(), got, want)
+	}
+	if got, want := len(jt.pms[dst.Index()].trackers), 3; got != want {
+		t.Errorf("%s lists %d trackers after vm-0 arrived, want %d", dst.Name(), got, want)
+	}
+	for _, tr := range jt.trackers {
+		if got, want := tr.pressure, trackerPressure(tr); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s caches pressure %v, fresh %v", tr.Compute.Name(), got, want)
+		}
 	}
 }

@@ -29,31 +29,14 @@ func (p Placement) String() string {
 
 // Placer decides the initial placement of a batch job (Phase I).
 type Placer interface {
-	// Place returns where the job should start. desiredJCT of zero means
-	// the submitter expressed no deadline.
-	Place(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, error)
-}
-
-// ReasonedPlacer is an optional Placer extension that also explains the
-// decision; the System records the reason in the trace.
-type ReasonedPlacer interface {
-	Placer
-	// PlaceWithReason returns the placement and a short human-readable
-	// justification.
-	PlaceWithReason(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, string, error)
-}
-
-// ExplainedPlacer is an optional further extension that also reports
-// the candidates the placer actually weighed — the per-partition JCT
-// estimates — so the System can audit the decision. Only estimates the
-// placer computed anyway appear as scored candidates: explaining a
-// decision must never add profiler work (and thus training simulations)
-// that an unaudited run would not do.
-type ExplainedPlacer interface {
-	ReasonedPlacer
-	// PlaceExplained returns the placement, the justification, and the
-	// candidates considered with their scores.
-	PlaceExplained(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, string, []audit.Candidate, error)
+	// Place returns where the job should start, a short human-readable
+	// justification the System records in the trace and the audit log,
+	// and the candidates the placer actually weighed with their scores.
+	// Only estimates the placer computes anyway appear as candidates:
+	// explaining a decision must never add profiler work (and thus
+	// training simulations) that an unaudited run would not do.
+	// desiredJCT of zero means the submitter expressed no deadline.
+	Place(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, string, []audit.Candidate, error)
 }
 
 // ProfilingPlacer is HybridMR's Phase I scheduler (Algorithm 2): profile
@@ -73,27 +56,14 @@ type ProfilingPlacer struct {
 	OverheadThreshold float64
 }
 
-var _ ExplainedPlacer = (*ProfilingPlacer)(nil)
+var _ Placer = (*ProfilingPlacer)(nil)
 
-// Place implements Algorithm 2 for batch jobs.
-func (p *ProfilingPlacer) Place(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, error) {
-	placement, _, err := p.PlaceWithReason(spec, desiredJCT)
-	return placement, err
-}
-
-// PlaceWithReason implements Algorithm 2 and reports why the partition
-// was chosen.
-func (p *ProfilingPlacer) PlaceWithReason(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, string, error) {
-	placement, reason, _, err := p.PlaceExplained(spec, desiredJCT)
-	return placement, reason, err
-}
-
-// PlaceExplained implements Algorithm 2 and reports the estimates it
-// weighed. Candidate scores are estimated JCT seconds; deadline
+// Place implements Algorithm 2 for batch jobs and reports the estimates
+// it weighed. Candidate scores are estimated JCT seconds; deadline
 // placements only estimate the virtual partition (Algorithm 2 never
 // profiles native execution in that mode), so the native candidate then
 // carries no score.
-func (p *ProfilingPlacer) PlaceExplained(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, string, []audit.Candidate, error) {
+func (p *ProfilingPlacer) Place(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, string, []audit.Candidate, error) {
 	if p.Profiler == nil {
 		return 0, "", nil, fmt.Errorf("policy: ProfilingPlacer has no profiler")
 	}
@@ -148,39 +118,28 @@ type RandomPlacer struct {
 	rng *rand.Rand
 }
 
-var _ ReasonedPlacer = (*RandomPlacer)(nil)
+var _ Placer = (*RandomPlacer)(nil)
 
 // NewRandomPlacer builds the baseline placer.
 func NewRandomPlacer(seed int64) *RandomPlacer {
 	return &RandomPlacer{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Place ignores the job entirely.
-func (r *RandomPlacer) Place(spec mapred.JobSpec, desiredJCT time.Duration) (Placement, error) {
-	placement, _, err := r.PlaceWithReason(spec, desiredJCT)
-	return placement, err
-}
-
-// PlaceWithReason flips the seeded coin and says so.
-func (r *RandomPlacer) PlaceWithReason(mapred.JobSpec, time.Duration) (Placement, string, error) {
+// Place ignores the job entirely: it flips the seeded coin and says so.
+func (r *RandomPlacer) Place(mapred.JobSpec, time.Duration) (Placement, string, []audit.Candidate, error) {
 	if r.rng.Intn(2) == 0 {
-		return PlacedNative, "random baseline", nil
+		return PlacedNative, "random baseline", nil, nil
 	}
-	return PlacedVirtual, "random baseline", nil
+	return PlacedVirtual, "random baseline", nil, nil
 }
 
 // StaticPlacer always answers the same partition; it provides the
 // native-only and virtual-only design points of Figure 9.
 type StaticPlacer Placement
 
-var _ ReasonedPlacer = StaticPlacer(0)
+var _ Placer = StaticPlacer(0)
 
 // Place returns the fixed partition.
-func (s StaticPlacer) Place(mapred.JobSpec, time.Duration) (Placement, error) {
-	return Placement(s), nil
-}
-
-// PlaceWithReason returns the fixed partition.
-func (s StaticPlacer) PlaceWithReason(mapred.JobSpec, time.Duration) (Placement, string, error) {
-	return Placement(s), "static placement", nil
+func (s StaticPlacer) Place(mapred.JobSpec, time.Duration) (Placement, string, []audit.Candidate, error) {
+	return Placement(s), "static placement", nil, nil
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,86 +9,65 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRegistryRoundTrip constructs every registered policy by name and
-// checks the constructed policy answers to that name — the property the
-// -policy flag and SEARCH.json identity strings rest on.
+// TestRegistryRoundTrip resolves every registered name of every seam
+// and checks it renders back as <key>=<name> — the property the -policy
+// flag and SEARCH.json identity strings rest on — and that an unknown
+// name errors with the registered alternatives.
 func TestRegistryRoundTrip(t *testing.T) {
-	for _, name := range Phase1Names() {
-		p, err := NewPhase1(name)
-		if err != nil {
-			t.Fatalf("NewPhase1(%q): %v", name, err)
+	for _, seam := range []struct {
+		key   string
+		names []string
+		spec  func(name string) Spec
+	}{
+		{"p1", Phase1Names(), func(n string) Spec { return Spec{Phase1: n} }},
+		{"drm", DRMNames(), func(n string) Spec { return Spec{DRM: n} }},
+		{"ips", IPSNames(), func(n string) Spec { return Spec{IPS: n} }},
+		{"p2", Phase2Names(), func(n string) Spec { return Spec{Phase2: n} }},
+	} {
+		if len(seam.names) < 2 {
+			t.Errorf("%s: %d policies registered, want an alternative to the paper's", seam.key, len(seam.names))
 		}
-		if p.Name() != name {
-			t.Errorf("NewPhase1(%q).Name() = %q", name, p.Name())
+		for _, name := range seam.names {
+			spec := seam.spec(name)
+			set, err := spec.Resolve()
+			if err != nil {
+				t.Fatalf("%s=%s: %v", seam.key, name, err)
+			}
+			if set.NewPlacer(Phase1Env{}) == nil || set.scheduler == nil {
+				t.Errorf("%s=%s resolves to a nil placer or scheduler", seam.key, name)
+			}
+			if got := spec.String(); !strings.Contains(","+got+",", ","+seam.key+"="+name+",") {
+				t.Errorf("%s=%s renders as %q", seam.key, name, got)
+			}
 		}
-	}
-	for _, name := range DRMNames() {
-		p, err := NewDRM(name)
-		if err != nil {
-			t.Fatalf("NewDRM(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("NewDRM(%q).Name() = %q", name, p.Name())
-		}
-	}
-	for _, name := range IPSNames() {
-		p, err := NewIPS(name)
-		if err != nil {
-			t.Fatalf("NewIPS(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("NewIPS(%q).Name() = %q", name, p.Name())
-		}
-	}
-	for _, name := range Phase2Names() {
-		p, err := NewPhase2(name)
-		if err != nil {
-			t.Fatalf("NewPhase2(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("NewPhase2(%q).Name() = %q", name, p.Name())
-		}
-		if p.NewScheduler() == nil {
-			t.Errorf("NewPhase2(%q).NewScheduler() = nil", name)
+		want := fmt.Sprintf("policy: unknown %s policy \"nope\" (registered: %s)", seam.key, strings.Join(seam.names, ", "))
+		if _, err := seam.spec("nope").Resolve(); err == nil || err.Error() != want {
+			t.Errorf("%s unknown: %v, want %q", seam.key, err, want)
 		}
 	}
 }
 
-// TestUnknownNamesError checks every seam rejects unregistered names
-// and lists the registered alternatives in the error.
-func TestUnknownNamesError(t *testing.T) {
-	if _, err := NewPhase1("nope"); err == nil || !strings.Contains(err.Error(), "paper-p1") {
-		t.Errorf("NewPhase1 unknown: %v", err)
-	}
-	if _, err := NewDRM("nope"); err == nil || !strings.Contains(err.Error(), "paper-drm") {
-		t.Errorf("NewDRM unknown: %v", err)
-	}
-	if _, err := NewIPS("nope"); err == nil || !strings.Contains(err.Error(), "paper-ips") {
-		t.Errorf("NewIPS unknown: %v", err)
-	}
-	if _, err := NewPhase2("nope"); err == nil || !strings.Contains(err.Error(), "paper-p2") {
-		t.Errorf("NewPhase2 unknown: %v", err)
-	}
-}
-
-// TestDefaultMatchesPaperKnobs pins the default set to the hard-coded
-// controller parameters the policy extraction replaced — the values the
-// golden byte comparisons in ci/golden/ depend on.
+// TestDefaultMatchesPaperKnobs pins the paper rows the default set
+// resolves to — the values the golden byte comparisons in ci/golden/
+// depend on.
 func TestDefaultMatchesPaperKnobs(t *testing.T) {
 	set := Default()
-	if got := set.DRM.Params(); got != (DRMParams{Deferral: true, HogTrimAbove: 1.5, HogTrimTo: 1.2}) {
-		t.Errorf("default DRM params = %+v", got)
+	if set.DRM != (DRMParams{Deferral: true}) {
+		t.Errorf("default DRM params = %+v", set.DRM)
 	}
-	want := IPSParams{PauseStreak: 3, MaxRelocationsPerEpoch: 2, RelocateBelowProgress: 0.6, ThrottleFactor: 0.5}
-	if got := set.IPS.Params(); got != want {
-		t.Errorf("default IPS params = %+v", got)
+	if set.RelocateBelow != 0.6 {
+		t.Errorf("default IPS relocation threshold = %v", set.RelocateBelow)
 	}
-	if set.Phase2.NewScheduler().Name() != "fair" {
-		t.Errorf("default Phase II scheduler = %q", set.Phase2.NewScheduler().Name())
+	p1, ok := set.NewPlacer(Phase1Env{}).(*ProfilingPlacer)
+	if !ok || p1.OverheadThreshold != 0 {
+		t.Errorf("default placer = %#v", set.NewPlacer(Phase1Env{}))
 	}
-	sp := set.Phase2.Speculation()
-	if sp.Slowdown != 0 {
-		t.Errorf("default speculation = %+v", sp)
+	sched, cfg := set.Phase2Setup(mapred.Config{})
+	if sched.Name() != "fair" {
+		t.Errorf("default Phase II scheduler = %q", sched.Name())
+	}
+	if cfg.SpeculationSlowdown != 0 {
+		t.Errorf("default speculation slowdown = %v", cfg.SpeculationSlowdown)
 	}
 }
 
@@ -110,8 +90,7 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	p1 := set.Phase1.(PaperPhase1)
-	if p1.Overhead != 0.4 {
+	if p1 := set.NewPlacer(Phase1Env{}).(*ProfilingPlacer); p1.OverheadThreshold != 0.4 {
 		t.Errorf("overhead override not applied: %+v", p1)
 	}
 
@@ -134,16 +113,13 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve slowdown: %v", err)
 	}
-	if got := set2.Phase2.Speculation().Slowdown; got != 0.3 {
-		t.Errorf("slowdown override = %v", got)
-	}
-	if set2.Phase2.NewScheduler().Name() != "fifo" {
-		t.Errorf("wrapped scheduler = %q", set2.Phase2.NewScheduler().Name())
+	if sched, cfg := set2.Phase2Setup(mapred.Config{}); sched.Name() != "fifo" || cfg.SpeculationSlowdown != 0.3 {
+		t.Errorf("fifo-p2,p2.slowdown=0.3: scheduler %q, slowdown %v", sched.Name(), cfg.SpeculationSlowdown)
 	}
 
-	// The paper's Phase II takes the slowdown through the same wrapper:
-	// the knob reaches the straggler detector and the canonical string,
-	// and the policy still answers to its registry name.
+	// The paper's Phase II takes the slowdown the same way: the knob
+	// reaches the straggler detector and the canonical string, and the
+	// policy still answers to its registry name.
 	spec3, err := ParseSpec("p2.slowdown=0.75")
 	if err != nil {
 		t.Fatalf("ParseSpec paper slowdown: %v", err)
@@ -152,8 +128,8 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve paper slowdown: %v", err)
 	}
-	if got := set3.Phase2.Speculation().Slowdown; got != 0.75 {
-		t.Errorf("paper-p2 slowdown override = %v", got)
+	if _, cfg := set3.Phase2Setup(mapred.Config{}); cfg.SpeculationSlowdown != 0.75 {
+		t.Errorf("paper-p2 slowdown override = %v", cfg.SpeculationSlowdown)
 	}
 	want = "p1=paper-p1,drm=paper-drm,ips=paper-ips,p2=paper-p2,p2.slowdown=0.75"
 	if got := spec3.String(); got != want {
@@ -187,9 +163,12 @@ func TestRandomAndStaticPlacers(t *testing.T) {
 	r := NewRandomPlacer(3)
 	counts := map[Placement]int{}
 	for i := 0; i < 100; i++ {
-		p, err := r.Place(workload.PiEst(), 0)
+		p, reason, _, err := r.Place(workload.PiEst(), 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if reason != "random baseline" {
+			t.Errorf("random placer reason %q", reason)
 		}
 		counts[p]++
 	}
@@ -197,9 +176,9 @@ func TestRandomAndStaticPlacers(t *testing.T) {
 		t.Errorf("random placer skewed: %v", counts)
 	}
 	for _, want := range []Placement{PlacedNative, PlacedVirtual} {
-		got, err := StaticPlacer(want).Place(workload.Sort(), 0)
-		if err != nil || got != want {
-			t.Errorf("StaticPlacer(%v) = %v, %v", want, got, err)
+		got, reason, _, err := StaticPlacer(want).Place(workload.Sort(), 0)
+		if err != nil || got != want || reason != "static placement" {
+			t.Errorf("StaticPlacer(%v) = %v, %q, %v", want, got, reason, err)
 		}
 	}
 }
@@ -207,18 +186,8 @@ func TestRandomAndStaticPlacers(t *testing.T) {
 // TestEmptySpecIsDefault checks the zero Spec resolves to the paper
 // names on every seam.
 func TestEmptySpecIsDefault(t *testing.T) {
-	set, err := Spec{}.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, got := range []struct{ name, want string }{
-		{set.Phase1.Name(), "paper-p1"},
-		{set.DRM.Name(), "paper-drm"},
-		{set.IPS.Name(), "paper-ips"},
-		{set.Phase2.Name(), "paper-p2"},
-	} {
-		if got.name != got.want {
-			t.Errorf("default seam = %q, want %q", got.name, got.want)
-		}
+	want := "p1=paper-p1,drm=paper-drm,ips=paper-ips,p2=paper-p2"
+	if got := (Spec{}).String(); got != want {
+		t.Errorf("Spec{}.String() = %q, want %q", got, want)
 	}
 }

@@ -81,15 +81,14 @@ func ParseSpec(s string) (Spec, error) {
 // String renders the spec in canonical -policy syntax, defaults
 // included, so equal policy bundles always render to equal strings.
 func (s Spec) String() string {
-	set, err := s.Resolve()
-	if err != nil {
+	if _, err := s.Resolve(); err != nil {
 		return fmt.Sprintf("invalid policy spec: %v", err)
 	}
 	parts := []string{
-		"p1=" + set.Phase1.Name(),
-		"drm=" + set.DRM.Name(),
-		"ips=" + set.IPS.Name(),
-		"p2=" + set.Phase2.Name(),
+		"p1=" + phase1Table.name(s.Phase1),
+		"drm=" + drmTable.name(s.DRM),
+		"ips=" + ipsTable.name(s.IPS),
+		"p2=" + phase2Table.name(s.Phase2),
 	}
 	if s.Overhead > 0 {
 		parts = append(parts, fmt.Sprintf("p1.overhead=%g", s.Overhead))
@@ -102,73 +101,58 @@ func (s Spec) String() string {
 
 // Set is a resolved bundle of policies, one per seam — the one policy
 // input of the wiring layers (core.Config, which the facade's
-// ClusterSpec.Config carries, and testbed.Options).
+// ClusterSpec.Config carries, and testbed.Options). It carries the rows
+// its names select.
 type Set struct {
 	// Spec is the selection the set was resolved from.
 	Spec Spec
-	// Phase1, DRM, IPS and Phase2 are the concrete policies.
-	Phase1 Phase1Policy
-	DRM    DRMPolicy
-	IPS    IPSPolicy
-	Phase2 Phase2Policy
+	// DRM is the drm row: the DRM's balancing knobs.
+	DRM DRMParams
+	// RelocateBelow is the ips row: the IPS relocates interferers below
+	// this progress and throttles the rest. Zero never relocates.
+	RelocateBelow float64
+
+	newPlacer func(Phase1Env, float64) Placer
+	scheduler mapred.Scheduler
 }
 
+// NewPlacer builds the set's Phase I placer for a deployment, with the
+// spec's p1.overhead.
+func (s *Set) NewPlacer(env Phase1Env) Placer { return s.newPlacer(env, s.Spec.Overhead) }
+
 // Phase2Setup translates the set's Phase II half into JobTracker
-// arguments: the slot scheduler, and cfg with the straggler threshold
-// filled in where cfg leaves it zero. A nil set is Default(). Every
-// JobTracker built for a policy set takes its arguments from here.
+// arguments: the slot scheduler, and cfg with the spec's straggler
+// threshold (p2.slowdown) filled in where cfg leaves it zero. A nil set
+// is Default(). Every JobTracker built for a policy set takes its
+// arguments from here.
 func (s *Set) Phase2Setup(cfg mapred.Config) (mapred.Scheduler, mapred.Config) {
 	if s == nil {
 		s = Default()
 	}
-	if sl := s.Phase2.Speculation().Slowdown; sl > 0 && cfg.SpeculationSlowdown == 0 {
+	if sl := s.Spec.SpecSlowdown; sl > 0 && cfg.SpeculationSlowdown == 0 {
 		cfg.SpeculationSlowdown = sl
 	}
-	return s.Phase2.NewScheduler(), cfg
+	return s.scheduler, cfg
 }
 
-// specSlowdownOverride wraps a Phase II policy with a swept straggler
-// threshold.
-type specSlowdownOverride struct {
-	Phase2Policy
-	slowdown float64
-}
-
-func (o specSlowdownOverride) Speculation() SpecParams {
-	sp := o.Phase2Policy.Speculation()
-	sp.Slowdown = o.slowdown
-	return sp
-}
-
-// Resolve constructs the named policies, applying the numeric
-// overrides. Unknown names error with the registered alternatives.
+// Resolve looks the named policies up in their registries. Unknown
+// names error with the registered alternatives.
 func (s Spec) Resolve() (*Set, error) {
-	p1, err := NewPhase1(s.Phase1)
-	if err != nil {
+	set := &Set{Spec: s}
+	var err error
+	if set.newPlacer, err = phase1Table.lookup(s.Phase1); err != nil {
 		return nil, err
 	}
-	drm, err := NewDRM(s.DRM)
-	if err != nil {
+	if set.DRM, err = drmTable.lookup(s.DRM); err != nil {
 		return nil, err
 	}
-	ips, err := NewIPS(s.IPS)
-	if err != nil {
+	if set.RelocateBelow, err = ipsTable.lookup(s.IPS); err != nil {
 		return nil, err
 	}
-	p2, err := NewPhase2(s.Phase2)
-	if err != nil {
+	if set.scheduler, err = phase2Table.lookup(s.Phase2); err != nil {
 		return nil, err
 	}
-	if s.Overhead > 0 {
-		if pp, ok := p1.(PaperPhase1); ok {
-			pp.Overhead = s.Overhead
-			p1 = pp
-		}
-	}
-	if s.SpecSlowdown > 0 {
-		p2 = specSlowdownOverride{Phase2Policy: p2, slowdown: s.SpecSlowdown}
-	}
-	return &Set{Spec: s, Phase1: p1, DRM: drm, IPS: ips, Phase2: p2}, nil
+	return set, nil
 }
 
 // Default is the paper's policy set — the one every deployment uses

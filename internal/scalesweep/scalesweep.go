@@ -59,11 +59,6 @@ func OverCeiling(cs []Controller) []Controller {
 	return over
 }
 
-// DefaultScaleUpSizes are the synthetic datacenter-scale operating
-// points (hybridmr-bench -sweep scale -sizes 2500,10000): 2.5k PMs
-// (CI-speed smoke) and 10k PMs (the full datacenter point).
-func DefaultScaleUpSizes() []int { return []int{2500, 10000} }
-
 // DefaultSweepSizes are the controller-complexity sweep's geometric
 // cluster sizes, used when Options.Sizes is empty.
 func DefaultSweepSizes() []int { return []int{24, 96, 384} }
@@ -196,13 +191,6 @@ func Run(opts Options) (File, error) {
 	rep.Exponents = FitExponents(rep.Results)
 	rep.Controllers = ClassifyControllers(rep.Exponents)
 	return File{Schema: Schema, Report: rep, Wall: walls}, nil
-}
-
-// RunPoint runs the sweep's weak-scaling scenario at a single cluster
-// size and returns its deterministic result and wall timing — the
-// single-operating-point entry used by the sim CLI's scaleup scenario.
-func RunPoint(size int, opts Options) (SizeResult, WallResult, error) {
-	return runSize(size, opts.withDefaults())
 }
 
 // runSize runs the weak-scaling scenario at one cluster size: waves of

@@ -120,28 +120,6 @@ func TestOverCeiling(t *testing.T) {
 	}
 }
 
-// TestRunPoint pins the single-operating-point entry: one size run via
-// RunPoint must produce the identical deterministic result as the same
-// size inside a sweep.
-func TestRunPoint(t *testing.T) {
-	res, wall, err := RunPoint(16, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall.Size != 16 || res.Size != 16 {
-		t.Fatalf("wrong size in results: res=%d wall=%d", res.Size, wall.Size)
-	}
-	f, err := Run(Options{Sizes: []int{16}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(res)
-	b, _ := json.Marshal(f.Report.Results[0])
-	if !bytes.Equal(a, b) {
-		t.Errorf("RunPoint result differs from sweep result:\n%s\n%s", a, b)
-	}
-}
-
 // TestFitExponents pins the log-log regression on a known power law.
 func TestFitExponents(t *testing.T) {
 	results := []SizeResult{
