@@ -9,21 +9,24 @@ import (
 	"repro/internal/workload"
 )
 
+// seams lists each policy seam's -policy key, its registered names and
+// a Spec selecting one name at that seam.
+var seams = []struct {
+	key   string
+	names []string
+	spec  func(name string) Spec
+}{
+	{"p1", Phase1Names(), func(n string) Spec { return Spec{Phase1: n} }},
+	{"drm", DRMNames(), func(n string) Spec { return Spec{DRM: n} }},
+	{"ips", IPSNames(), func(n string) Spec { return Spec{IPS: n} }},
+	{"p2", Phase2Names(), func(n string) Spec { return Spec{Phase2: n} }},
+}
+
 // TestRegistryRoundTrip resolves every registered name of every seam
 // and checks it renders back as <key>=<name> — the property the -policy
-// flag and SEARCH.json identity strings rest on — and that an unknown
-// name errors with the registered alternatives.
+// flag and SEARCH.json identity strings rest on.
 func TestRegistryRoundTrip(t *testing.T) {
-	for _, seam := range []struct {
-		key   string
-		names []string
-		spec  func(name string) Spec
-	}{
-		{"p1", Phase1Names(), func(n string) Spec { return Spec{Phase1: n} }},
-		{"drm", DRMNames(), func(n string) Spec { return Spec{DRM: n} }},
-		{"ips", IPSNames(), func(n string) Spec { return Spec{IPS: n} }},
-		{"p2", Phase2Names(), func(n string) Spec { return Spec{Phase2: n} }},
-	} {
+	for _, seam := range seams {
 		if len(seam.names) < 2 {
 			t.Errorf("%s: %d policies registered, want an alternative to the paper's", seam.key, len(seam.names))
 		}
@@ -40,6 +43,13 @@ func TestRegistryRoundTrip(t *testing.T) {
 				t.Errorf("%s=%s renders as %q", seam.key, name, got)
 			}
 		}
+	}
+}
+
+// TestUnknownNamesError checks that an unknown name at any seam fails
+// to resolve, naming the seam and every registered alternative.
+func TestUnknownNamesError(t *testing.T) {
+	for _, seam := range seams {
 		want := fmt.Sprintf("policy: unknown %s policy \"nope\" (registered: %s)", seam.key, strings.Join(seam.names, ", "))
 		if _, err := seam.spec("nope").Resolve(); err == nil || err.Error() != want {
 			t.Errorf("%s unknown: %v, want %q", seam.key, err, want)
