@@ -21,8 +21,9 @@
 // With -json, each experiment additionally writes a BENCH_<id>.json file
 // recording its wall-clock time, simulation events fired and events per
 // second, so the performance trajectory can be tracked across revisions.
-// Events are attributed per experiment through engine sinks, so the
-// totals stay exact even when sweep points run concurrently. Records
+// Experiments run one at a time, so the events fired are the
+// sim.ProcessEvents delta around each run, nested Phase I training
+// simulations and concurrent sweep points included. Records
 // also embed the experiment's merged metrics-registry snapshot (scheduler
 // counters, utilization gauges, latency histogram quantiles) and, where
 // the experiment surfaces them, per-benchmark critical-path summaries;
@@ -62,7 +63,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -75,12 +75,14 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fidelity"
 	"repro/internal/invariant"
+	"repro/internal/jsonenc"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/policysearch"
 	"repro/internal/progress"
 	"repro/internal/report"
 	"repro/internal/scalesweep"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -103,11 +105,11 @@ type benchRecord struct {
 }
 
 func writeBenchJSON(rec benchRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
+	data, err := jsonenc.Artifact(rec)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile("BENCH_"+rec.Name+".json", append(data, '\n'), 0o644)
+	return os.WriteFile("BENCH_"+rec.Name+".json", data, 0o644)
 }
 
 // options holds the parsed command line.
@@ -153,7 +155,7 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.check, "check", false, "run the paper-fidelity assertion suite (implies -ext)")
 	fs.StringVar(&o.sweep, "sweep", "", "run a sweep harness instead of the figure experiments: chaos, scale or policy")
 	fs.Int64Var(&o.seed, "seed", 0, "sweep seed (default: chaos 1, scale 1, policy 11)")
-	fs.StringVar(&o.sizes, "sizes", "", "comma-separated total-PM counts for -sweep scale (default 24,96,384)")
+	fs.StringVar(&o.sizes, "sizes", "", "comma-separated increasing total-PM counts for -sweep scale (default 24,96,384)")
 	fs.IntVar(&o.budget, "budget", 0, "schedules for -sweep chaos (default 200), or the -grid random size for -sweep policy (default 24)")
 	fs.StringVar(&o.out, "out", "", "artifact path (default: FIDELITY.json with -check, else CHAOS.json, PERF.json or SEARCH.json per -sweep)")
 	fs.StringVar(&o.replay, "replay", "", "replay a minimized CHAOS.json repro instead of running anything else")
@@ -269,6 +271,7 @@ func runFigures(o options, pr *progress.Reporter, stdout io.Writer) error {
 	pr.SetTotal(int64(len(selected)))
 	for _, e := range selected {
 		start := time.Now()
+		before := sim.ProcessEvents()
 		outcome, err := e.Run()
 		if err != nil {
 			if o.check {
@@ -281,19 +284,19 @@ func runFigures(o options, pr *progress.Reporter, stdout io.Writer) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		wall := time.Since(start).Seconds()
+		// Nothing else runs an engine meanwhile, so the delta is this
+		// experiment's own.
+		fired := sim.ProcessEvents() - before
 		outcome.Fprint(stdout)
 		fmt.Fprintf(stdout, "  (%s completed in %.1fs wall time)\n\n", e.ID, wall)
 		if o.jsonOut {
-			// EventsFired comes from the experiment's own engine sinks,
-			// not a process-global delta, so concurrent experiments (or
-			// nested training simulations) never bleed into each other.
 			rec := benchRecord{
 				Name: e.ID, Scale: o.scale, Parallel: experiments.Workers(),
-				WallSeconds: wall, EventsFired: outcome.EventsFired,
+				WallSeconds: wall, EventsFired: fired,
 				Metrics: outcome.Metrics, CritPaths: outcome.CritPaths,
 			}
 			if wall > 0 {
-				rec.EventsPerSec = float64(outcome.EventsFired) / wall
+				rec.EventsPerSec = float64(fired) / wall
 			}
 			if err := writeBenchJSON(rec); err != nil {
 				return fmt.Errorf("%s: write bench json: %w", e.ID, err)
@@ -302,7 +305,7 @@ func runFigures(o options, pr *progress.Reporter, stdout io.Writer) error {
 		if o.check {
 			fr := fidelity.Evaluate(e.ID, outcome, o.scale)
 			fr.WallSeconds = wall
-			fr.EventsFired = outcome.EventsFired
+			fr.EventsFired = fired
 			rep.Add(fr)
 		}
 		pr.Add(1)
@@ -311,7 +314,7 @@ func runFigures(o options, pr *progress.Reporter, stdout io.Writer) error {
 	if !o.check {
 		return nil
 	}
-	data, err := rep.JSON()
+	data, err := jsonenc.Artifact(rep)
 	if err != nil {
 		return err
 	}
@@ -329,7 +332,7 @@ func runFigures(o options, pr *progress.Reporter, stdout io.Writer) error {
 // for -out, the summary to print after writing it, and the guards to
 // run last (nil when the kind has none).
 type sweepRun struct {
-	artifact interface{ JSON() ([]byte, error) }
+	artifact any
 	summary  string
 	guard    func(stdout io.Writer) error
 }
@@ -349,7 +352,7 @@ func runSweep(o options, pr *progress.Reporter, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	data, err := s.artifact.JSON()
+	data, err := jsonenc.Artifact(s.artifact)
 	if err != nil {
 		return err
 	}
@@ -442,6 +445,8 @@ func scaleSweep(o options, pr *progress.Reporter) (sweepRun, error) {
 }
 
 // parseSizes parses the -sizes list; empty leaves the sweep's default.
+// The list must be strictly increasing (smallest first): a repeated
+// size leaves nothing to fit a growth exponent over.
 func parseSizes(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -451,6 +456,9 @@ func parseSizes(s string) ([]int, error) {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 2 {
 			return nil, fmt.Errorf("bad -sizes entry %q", part)
+		}
+		if len(sizes) > 0 && n <= sizes[len(sizes)-1] {
+			return nil, fmt.Errorf("-sizes %q must be strictly increasing", s)
 		}
 		sizes = append(sizes, n)
 	}

@@ -246,3 +246,56 @@ func TestFidelityReportDeterministic(t *testing.T) {
 		t.Fatalf("fidelity checks failed at scale 0.1:\n%s", a)
 	}
 }
+
+// TestSizesMustIncrease checks that -sizes rejects a list that is not
+// strictly increasing before any sweep point runs, and accepts one that is.
+func TestSizesMustIncrease(t *testing.T) {
+	chdir(t, t.TempDir())
+	for _, sizes := range []string{"24,24", "96,24"} {
+		err := run([]string{"-sweep", "scale", "-sizes", sizes}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "strictly increasing") {
+			t.Errorf("-sizes %s: want a strictly-increasing error, got %v", sizes, err)
+		}
+	}
+	if _, err := os.Stat("PERF.json"); !os.IsNotExist(err) {
+		t.Errorf("a rejected -sizes list still wrote PERF.json (stat: %v)", err)
+	}
+	got, err := parseSizes("24,96")
+	if err != nil || len(got) != 2 || got[0] != 24 || got[1] != 96 {
+		t.Errorf("-sizes 24,96 parsed to %v, %v; want [24 96]", got, err)
+	}
+}
+
+// TestBenchJSONEventsFired drives -json at 1 and 8 workers and requires
+// each BENCH_<id>.json to record the same nonzero events_fired.
+func TestBenchJSONEventsFired(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	chdir(t, t.TempDir())
+	ids := []string{"fig2b", "fig6b"}
+	var fired [2]map[string]uint64
+	for i, workers := range []string{"1", "8"} {
+		err := run([]string{"-only", strings.Join(ids, ","), "-scale", "0.1", "-json", "-parallel", workers}, io.Discard)
+		if err != nil {
+			t.Fatalf("-json at %s workers: %v", workers, err)
+		}
+		fired[i] = map[string]uint64{}
+		for _, id := range ids {
+			data, err := os.ReadFile("BENCH_" + id + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec benchRecord
+			if err := json.Unmarshal(data, &rec); err != nil {
+				t.Fatalf("BENCH_%s.json: %v", id, err)
+			}
+			fired[i][id] = rec.EventsFired
+		}
+	}
+	for _, id := range ids {
+		if fired[0][id] == 0 || fired[0][id] != fired[1][id] {
+			t.Errorf("%s events_fired: %d at 1 worker, %d at 8; want equal and nonzero", id, fired[0][id], fired[1][id])
+		}
+	}
+}

@@ -215,16 +215,6 @@ type Report struct {
 	Violations     []invariant.Violation `json:"violations,omitempty"`
 }
 
-// JSON renders the report deterministically (stable field order, no
-// wall-clock anywhere).
-func (r Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // Load parses a report written by JSON.
 func Load(b []byte) (Report, error) {
 	var r Report

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonenc"
 )
 
 // Generation must be a pure function of (template, seed, index).
@@ -106,11 +107,11 @@ func TestSearchBytesIndependentOfParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := serial.JSON()
+	a, err := jsonenc.Artifact(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := wide.JSON()
+	b, err := jsonenc.Artifact(wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestReportRoundTrip(t *testing.T) {
 		FailingIndex: 4,
 		Schedule:     []Entry{{AtUs: 1_000_000, Kind: "rack-crash", Target: "rack-1"}},
 	}
-	b, err := rep.JSON()
+	b, err := jsonenc.Artifact(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

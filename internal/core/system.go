@@ -83,11 +83,9 @@ type System struct {
 // placements (with the JCT estimates weighed), DRM cap grants and
 // deferrals and IPS mitigations are audited, the IPS records
 // per-service latency and SLA-violation series, and every controller is
-// counted and timed. The handle's Events sink also accumulates the
-// fired-event totals of the Phase I training rigs (the nested
-// simulations SimRunner spins up), so experiments attribute every
-// simulated event, profiler training included, to the run that caused
-// it. A nil handle records nothing.
+// counted and timed. The Phase I training rigs (the nested simulations
+// SimRunner spins up) record into no sink; their events still count in
+// sim.ProcessEvents. A nil handle records nothing.
 func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config, sinks *obs.Sinks) (*System, error) {
 	if nativeJT == nil && virtualJT == nil {
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
@@ -107,7 +105,6 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	s.prof = profiler.New(SimRunner(testbed.Options{
 		Seed:          cfg.TrainingSeed,
 		ClusterConfig: cl.Config(),
-		Obs:           obs.Sinks{Events: o.Events},
 	}), sinks)
 	nativeNodes, virtualNodes := 0, 0
 	if nativeJT != nil {

@@ -215,12 +215,6 @@ type Outcome struct {
 	// (degradation extremes, fit qualities, savings ratios). The
 	// fidelity suite asserts the paper's claims against these by name.
 	Scalars map[string]float64
-	// EventsFired counts the simulation events this experiment fired
-	// across all of its rigs — including nested Phase I training
-	// simulations — attributed via per-engine sinks rather than the
-	// process-global counter, so concurrent experiments don't bleed
-	// into each other's totals.
-	EventsFired uint64
 	// Metrics is the merged metrics-registry snapshot across every rig
 	// the experiment built (counters and histogram buckets summed,
 	// gauges maxed), recorded into BENCH_<id>.json by hybridmr-bench

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"math"
@@ -62,11 +61,10 @@ func ExtIterative() (*Outcome, error) {
 			OutputRatio:      1,
 		}
 	}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(virtual, inMemory bool) (float64, error) {
 		reg := pool.registry()
-		opts := testbed.Options{PMs: 8, Seed: 1201, Obs: obs.Sinks{Events: &fired, Metrics: reg}}
+		opts := testbed.Options{PMs: 8, Seed: 1201, Obs: obs.Sinks{Metrics: reg}}
 		if virtual {
 			opts.VMsPerPM = 2
 		}
@@ -116,7 +114,6 @@ func ExtIterative() (*Outcome, error) {
 		speedups[0], speedups[1])
 	out.Scalar("speedup_native", speedups[0])
 	out.Scalar("speedup_virtual", speedups[1])
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -132,11 +129,10 @@ func ExtStream() (*Outcome, error) {
 		p95JCT     float64
 		compliance float64
 	}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(hybrid bool) (result, error) {
 		reg := pool.registry()
-		h, err := newHybridRig(8, 8, 1207, hybrid, &fired, reg)
+		h, err := newHybridRig(8, 8, 1207, hybrid, reg)
 		if err != nil {
 			return result{}, err
 		}
@@ -147,7 +143,7 @@ func ExtStream() (*Outcome, error) {
 			cfg.DisableIPS = true
 			cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 		}
-		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, &obs.Sinks{Events: &fired})
+		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
 		if err != nil {
 			return result{}, err
 		}
@@ -225,7 +221,6 @@ func ExtStream() (*Outcome, error) {
 	out.Scalar("jct_delta", (vanilla.meanJCT-hybrid.meanJCT)/vanilla.meanJCT)
 	out.Scalar("completed_vanilla", float64(vanilla.completed))
 	out.Scalar("completed_hybrid", float64(hybrid.completed))
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -233,7 +228,6 @@ func ExtStream() (*Outcome, error) {
 // AblSpeculation quantifies speculative execution: a Sort on a cluster
 // with one antagonist-loaded straggler node, with and without backups.
 func AblSpeculation() (*Outcome, error) {
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	var paths critPaths
 	run := func(disable bool) (float64, error) {
@@ -241,7 +235,7 @@ func AblSpeculation() (*Outcome, error) {
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, Seed: 1217,
 			MapredConfig: mapred.Config{DisableSpeculation: disable},
-			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
+			Obs:          obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -286,7 +280,6 @@ func AblSpeculation() (*Outcome, error) {
 	if sp, ok := paths.m["speculation-on"]; ok {
 		out.Notef("critical path with speculation: %d retried unit(s), %d speculative win(s)", sp.Retried, sp.SpeculativeWins)
 	}
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	out.CritPaths = paths.m
 	return out, nil
@@ -296,7 +289,6 @@ func AblSpeculation() (*Outcome, error) {
 // plus loaded services, with trackers visited least-loaded-first versus
 // fixed heartbeat order.
 func AblCapacity() (*Outcome, error) {
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(aware bool) (jct float64, latency float64, err error) {
 		reg := pool.registry()
@@ -306,7 +298,7 @@ func AblCapacity() (*Outcome, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: aware,
 			},
-			Obs: obs.Sinks{Events: &fired, Metrics: reg},
+			Obs: obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return 0, 0, err
@@ -366,7 +358,6 @@ func AblCapacity() (*Outcome, error) {
 		(blindJCT-awareJCT)/blindJCT*100, (blindLat-awareLat)/blindLat*100)
 	out.Scalar("jct_delta", (blindJCT-awareJCT)/blindJCT)
 	out.Scalar("lat_delta", (blindLat-awareLat)/blindLat)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -375,14 +366,13 @@ func AblCapacity() (*Outcome, error) {
 // overcommitted mix: deferring the youngest tasks versus shrinking every
 // task's residency proportionally.
 func AblDeferral() (*Outcome, error) {
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(disableDeferral bool) (float64, error) {
 		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, VMsPerPM: 2, Seed: 1229,
 			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
-			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
+			Obs:          obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -431,7 +421,6 @@ func AblDeferral() (*Outcome, error) {
 	out.Table.AddCells(Str("proportional paging"), F1(proportional))
 	out.Notef("deferral vs proportional paging: %.1f%% mean-JCT difference", (proportional-defer2)/proportional*100)
 	out.Scalar("jct_delta", (proportional-defer2)/proportional)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -24,7 +23,6 @@ func ExtFaults() (*Outcome, error) {
 	const faultSeed = 1231
 	const pms = 8
 	rates := []float64{0, 2, 4, 8} // crashes per machine-hour
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	var paths critPaths
 	run := func(virtual bool, rate float64) (float64, error) {
@@ -34,7 +32,7 @@ func ExtFaults() (*Outcome, error) {
 		// must fail the experiment (and with it the -check fidelity gate)
 		// by name rather than skew the JCT curve silently.
 		inv := invariant.New()
-		opts := testbed.Options{PMs: pms, Seed: 1237, Obs: obs.Sinks{Events: &fired, Metrics: reg}, Invariants: inv}
+		opts := testbed.Options{PMs: pms, Seed: 1237, Obs: obs.Sinks{Metrics: reg}, Invariants: inv}
 		if virtual {
 			opts.VMsPerPM = 2
 		}
@@ -103,7 +101,6 @@ func ExtFaults() (*Outcome, error) {
 		(worst[0]-base[0])/base[0]*100, (worst[1]-base[1])/base[1]*100, faultSeed)
 	out.Scalar("slowdown_native", (worst[0]-base[0])/base[0])
 	out.Scalar("slowdown_virtual", (worst[1]-base[1])/base[1])
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	out.CritPaths = paths.m
 	return out, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
@@ -21,15 +20,13 @@ const testbedPMs = 24
 
 // runIsolated measures one benchmark's JCT on a fresh rig of 24 PMs,
 // virtualized at the given density (0 = native), averaged over three
-// seeded runs as in the paper's methodology. Fired-event totals
-// accumulate into sink (which may be shared across concurrent sweep
-// points).
-func runIsolated(spec mapred.JobSpec, vmsPerPM int, seed int64, sink *atomic.Uint64, pool *metricsPool) (testbed.JobResult, error) {
+// seeded runs as in the paper's methodology.
+func runIsolated(spec mapred.JobSpec, vmsPerPM int, seed int64, pool *metricsPool) (testbed.JobResult, error) {
 	var sum testbed.JobResult
 	const repeats = 3
 	for r := 0; r < repeats; r++ {
 		reg := pool.registry()
-		opts := testbed.Options{Seed: seed + int64(r)*131, PMs: testbedPMs, VMsPerPM: vmsPerPM, Obs: obs.Sinks{Events: sink, Metrics: reg}}
+		opts := testbed.Options{Seed: seed + int64(r)*131, PMs: testbedPMs, VMsPerPM: vmsPerPM, Obs: obs.Sinks{Metrics: reg}}
 		if vmsPerPM == 1 {
 			// A single VM per PM is sized to fill the host, as an
 			// operator would configure it.
@@ -65,14 +62,13 @@ func Fig1a() (*Outcome, error) {
 	}}
 	specs := workload.Benchmarks()
 	densities := []int{0, 1, 2, 4}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	// Every (benchmark, density) pair is an independent sweep point:
 	// fan them all out, then assemble rows in paper order.
 	results, err := Map(len(specs)*len(densities), func(i int) (testbed.JobResult, error) {
 		spec := specs[i/len(densities)]
 		vpp := densities[i%len(densities)]
-		res, err := runIsolated(spec, vpp, 101, &fired, pool)
+		res, err := runIsolated(spec, vpp, 101, pool)
 		if err != nil {
 			return testbed.JobResult{}, fmt.Errorf("fig1a %s %d-VM: %w", spec.Name, vpp, err)
 		}
@@ -110,7 +106,6 @@ func Fig1a() (*Outcome, error) {
 	out.Scalar("io_degrade_min", ioMin)
 	out.Scalar("io_degrade_max", ioMax)
 	out.Scalar("cpu_degrade_max", cpuMax)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	var paths critPaths
 	for si, spec := range specs {
@@ -132,12 +127,11 @@ func Fig1b() (*Outcome, error) {
 	}}
 	sizes := []float64{1 * workload.GB, 8 * workload.GB, 16 * workload.GB}
 	densities := []int{0, 1, 2, 4}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	results, err := Map(len(densities)*len(sizes), func(i int) (testbed.JobResult, error) {
 		vpp := densities[i/len(sizes)]
 		mb := sizes[i%len(sizes)]
-		return runIsolated(workload.Sort().WithInputMB(mb), vpp, 103, &fired, pool)
+		return runIsolated(workload.Sort().WithInputMB(mb), vpp, 103, pool)
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +160,6 @@ func Fig1b() (*Outcome, error) {
 		gapSmall*100, gapLarge*100)
 	out.Scalar("gap_small", gapSmall)
 	out.Scalar("gap_large", gapLarge)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -181,12 +174,11 @@ func Fig1c() (*Outcome, error) {
 		Columns: []string{"data(GB)", "R-IO", "W-IO", "R-Tput", "W-Tput"},
 	}}
 	type point struct{ rio, wio, rtp, wtp float64 }
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(vmsPerPM int, totalMB float64) (point, error) {
 		reg := pool.registry()
 		defer pool.fold(reg)
-		sinks := &obs.Sinks{Metrics: reg, Events: &fired}
+		sinks := &obs.Sinks{Metrics: reg}
 		engine := sim.New()
 		sinks.Bind(engine)
 		cl := cluster.New(engine, cluster.Config{}, 107, sinks)
@@ -265,7 +257,6 @@ func Fig1c() (*Outcome, error) {
 	out.Scalar("read_io_first", firstR)
 	out.Scalar("read_io_last", lastR)
 	out.Scalar("max_norm", maxNorm)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -21,7 +19,6 @@ import (
 // over-provisioned machines and batch work on the rest — while HybridMR
 // consolidates batch VMs onto every host and harvests the spare capacity.
 func Fig10a() (*Outcome, error) {
-	var fired atomic.Uint64
 	run := func(hybrid bool) (*metrics.Recorder, error) {
 		batchPMs := 12
 		if !hybrid {
@@ -33,7 +30,6 @@ func Fig10a() (*Outcome, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: hybrid,
 			},
-			Obs: obs.Sinks{Events: &fired},
 		})
 		if err != nil {
 			return nil, err
@@ -131,14 +127,13 @@ func Fig10a() (*Outcome, error) {
 	out.Scalar("mem_hyb_mean", hyb.MeanUtil(resource.Memory))
 	out.Scalar("io_base_mean", base.MeanUtil(resource.DiskIO))
 	out.Scalar("io_hyb_mean", hyb.MeanUtil(resource.DiskIO))
-	out.EventsFired = fired.Load()
 	return out, nil
 }
 
 // migrationSweep migrates each of 24 VMs once and returns per-node stats.
-func migrationSweep(memMB float64, runWcount bool, sink *atomic.Uint64) ([]cluster.MigrationStats, error) {
+func migrationSweep(memMB float64, runWcount bool) ([]cluster.MigrationStats, error) {
 	rig, err := testbed.New(testbed.Options{
-		PMs: 24, VMsPerPM: 1, VMMemoryMB: memMB, Seed: 1009, Obs: obs.Sinks{Events: sink},
+		PMs: 24, VMsPerPM: 1, VMMemoryMB: memMB, Seed: 1009,
 	})
 	if err != nil {
 		return nil, err
@@ -191,10 +186,10 @@ var migrationConfigs = []migrationConfig{
 	{"Wcount-1GB", 1024, true},
 }
 
-func runMigrationConfigs(sink *atomic.Uint64) (map[string][]cluster.MigrationStats, error) {
+func runMigrationConfigs() (map[string][]cluster.MigrationStats, error) {
 	results, err := Map(len(migrationConfigs), func(i int) ([]cluster.MigrationStats, error) {
 		cfg := migrationConfigs[i]
-		s, err := migrationSweep(cfg.memMB, cfg.wcount, sink)
+		s, err := migrationSweep(cfg.memMB, cfg.wcount)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.name, err)
 		}
@@ -213,8 +208,7 @@ func runMigrationConfigs(sink *atomic.Uint64) (map[string][]cluster.MigrationSta
 // Fig10b reproduces Figure 10(b): per-VM live-migration time for idle
 // and Wcount-loaded VMs at 0.5 and 1 GB.
 func Fig10b() (*Outcome, error) {
-	var fired atomic.Uint64
-	all, err := runMigrationConfigs(&fired)
+	all, err := runMigrationConfigs()
 	if err != nil {
 		return nil, err
 	}
@@ -243,15 +237,13 @@ func Fig10b() (*Outcome, error) {
 	out.Scalar("mean_idle_1", mean("Idle-1GB"))
 	out.Scalar("mean_wcount_05", mean("Wcount-0.5GB"))
 	out.Scalar("mean_wcount_1", mean("Wcount-1GB"))
-	out.EventsFired = fired.Load()
 	return out, nil
 }
 
 // Fig10c reproduces Figure 10(c): per-VM migration downtime; loaded VMs
 // show wide variation.
 func Fig10c() (*Outcome, error) {
-	var fired atomic.Uint64
-	all, err := runMigrationConfigs(&fired)
+	all, err := runMigrationConfigs()
 	if err != nil {
 		return nil, err
 	}
@@ -287,6 +279,5 @@ func Fig10c() (*Outcome, error) {
 		iLo, iHi, wLo, wHi)
 	out.Scalar("idle_spread_ms", iHi-iLo)
 	out.Scalar("wcount_spread_ms", wHi-wLo)
-	out.EventsFired = fired.Load()
 	return out, nil
 }

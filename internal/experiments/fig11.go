@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -57,7 +55,7 @@ type fig11Run struct {
 }
 
 // runFig11Config measures one split under a fixed small workload mix.
-func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
+func runFig11Config(cfg fig11Config) (fig11Run, error) {
 	vmHosts := cfg.vms / 2
 	var rig *testbed.Rig
 	var err error
@@ -69,14 +67,13 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: true,
 			},
-			Obs: obs.Sinks{Events: sink},
 		})
 		if err != nil {
 			return fig11Run{}, err
 		}
 		virtualJT = rig.JT
 	} else {
-		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, Obs: obs.Sinks{Events: sink}})
+		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117})
 		if err != nil {
 			return fig11Run{}, err
 		}
@@ -92,7 +89,7 @@ func runFig11Config(cfg fig11Config, sink *atomic.Uint64) (fig11Run, error) {
 			nativeJT.AddTracker(pm)
 		}
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, &obs.Sinks{Events: sink})
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, nil)
 	if err != nil {
 		return fig11Run{}, err
 	}
@@ -191,9 +188,8 @@ func Fig11() (*Outcome, error) {
 		Columns: []string{"config", "PMs", "VMs", "perf/energy"},
 	}}
 	configs := fig11Configs()
-	var fired atomic.Uint64
 	runs, err := Map(len(configs), func(i int) (fig11Run, error) {
-		r, err := runFig11Config(configs[i], &fired)
+		r, err := runFig11Config(configs[i])
 		if err != nil {
 			return fig11Run{}, fmt.Errorf("fig11 %s: %w", configs[i].name, err)
 		}
@@ -248,6 +244,5 @@ func Fig11() (*Outcome, error) {
 	out.Scalar("best_vms", float64(configs[best].vms))
 	out.Scalar("worst_pms", float64(configs[worst].nativePMs))
 	out.Scalar("worst_vms", float64(configs[worst].vms))
-	out.EventsFired = fired.Load()
 	return out, nil
 }

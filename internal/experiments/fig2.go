@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mapred"
 	"repro/internal/obs"
@@ -19,7 +18,6 @@ func Fig2a() (*Outcome, error) {
 		Title:   "Sort JCT (s): Same-Host (16 VMs on 2 PMs) vs Cross-Host (16 VMs on 8 PMs)",
 		Columns: []string{"data(GB)", "Same-Host", "Cross-Host"},
 	}}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	// The paper squeezes 16 one-vCPU VMs onto 2 dual-core PMs for the
 	// Same-Host case; VMs are shrunk to 480 MB with single task slots so
@@ -32,7 +30,7 @@ func Fig2a() (*Outcome, error) {
 			VMMemoryMB:   480,
 			Seed:         211,
 			MapredConfig: mapred.Config{MapSlots: 1, ReduceSlots: 1},
-			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
+			Obs:          obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -78,7 +76,6 @@ func Fig2a() (*Outcome, error) {
 	out.Scalar("cross_host_slower_sizes", float64(worseCount))
 	out.Scalar("same_host_first", firstSame)
 	out.Scalar("same_host_last", lastSame)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -104,7 +101,6 @@ func Fig2b() (*Outcome, error) {
 		{"V4-4M-6R", 4, 4, 6},
 	}
 	sizes := []float64{1, 4, 8}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	flat, err := Map(len(cfgs)*len(sizes), func(i int) (float64, error) {
 		c := cfgs[i/len(sizes)]
@@ -115,7 +111,7 @@ func Fig2b() (*Outcome, error) {
 			VMsPerPM:     c.vmsPerPM,
 			Seed:         223,
 			MapredConfig: mapred.Config{MapSlots: c.mapSlots, ReduceSlots: c.redSlots},
-			Obs:          obs.Sinks{Events: &fired, Metrics: reg},
+			Obs:          obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -146,7 +142,6 @@ func Fig2b() (*Outcome, error) {
 	out.Notef("V4 beats V1 by %.0f%% at 1 GB and %.0f%% at 8 GB (paper: CPU-bound jobs gain from more VMs, more at larger inputs)", gain1*100, gain8*100)
 	out.Scalar("gain_1gb", gain1)
 	out.Scalar("gain_8gb", gain8)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -160,15 +155,14 @@ func Fig2c() (*Outcome, error) {
 		Columns: []string{"benchmark", "Native", "Dom-0"},
 	}}
 	specs := workload.Benchmarks()
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	ratios, err := Map(len(specs), func(i int) (float64, error) {
 		spec := specs[i]
-		nat, err := runIsolated(spec, 0, 229, &fired, pool)
+		nat, err := runIsolated(spec, 0, 229, pool)
 		if err != nil {
 			return 0, err
 		}
-		rig, err := testbed.New(testbed.Options{PMs: testbedPMs, Dom0: true, Seed: 229, Obs: obs.Sinks{Events: &fired}})
+		rig, err := testbed.New(testbed.Options{PMs: testbedPMs, Dom0: true, Seed: 229})
 		if err != nil {
 			return 0, err
 		}
@@ -188,7 +182,6 @@ func Fig2c() (*Outcome, error) {
 	}
 	out.Notef("average Dom-0 overhead %.1f%% (paper: under 5%% on average)", sum/float64(len(specs))*100)
 	out.Scalar("dom0_overhead_avg", sum/float64(len(specs)))
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -202,15 +195,14 @@ func Fig2d() (*Outcome, error) {
 		Columns: []string{"benchmark", "Combined", "Split"},
 	}}
 	specs := workload.Benchmarks()
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	ratios, err := Map(len(specs), func(i int) (float64, error) {
 		spec := specs[i]
-		combined, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Seed: 233, Obs: obs.Sinks{Events: &fired}}, spec, pool)
+		combined, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Seed: 233}, spec, pool)
 		if err != nil {
 			return 0, err
 		}
-		split, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Split: true, Seed: 233, Obs: obs.Sinks{Events: &fired}}, spec, pool)
+		split, err := runOnRig(testbed.Options{PMs: 24, VMsPerPM: 2, Split: true, Seed: 233}, spec, pool)
 		if err != nil {
 			return 0, err
 		}
@@ -226,7 +218,6 @@ func Fig2d() (*Outcome, error) {
 	}
 	out.Notef("split architecture improves JCT by %.1f%% on average (paper: 12.8%%)", sum/float64(len(specs))*100)
 	out.Scalar("split_gain_avg", sum/float64(len(specs)))
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mapred"
 	"repro/internal/obs"
@@ -13,14 +12,14 @@ import (
 
 // virtualJCT runs a spec on a virtual cluster of the given VM count
 // (2 VMs per PM) and returns the phase timings.
-func virtualJCT(spec mapred.JobSpec, vms int, seed int64, sink *atomic.Uint64, pool *metricsPool) (testbed.JobResult, error) {
+func virtualJCT(spec mapred.JobSpec, vms int, seed int64, pool *metricsPool) (testbed.JobResult, error) {
 	pms := (vms + 1) / 2
 	vpp := 2
 	if vms == 1 {
 		pms, vpp = 1, 1
 	}
 	reg := pool.registry()
-	rig, err := testbed.New(testbed.Options{PMs: pms, VMsPerPM: vpp, Seed: seed, Obs: obs.Sinks{Events: sink, Metrics: reg}})
+	rig, err := testbed.New(testbed.Options{PMs: pms, VMsPerPM: vpp, Seed: seed, Obs: obs.Sinks{Metrics: reg}})
 	if err != nil {
 		return testbed.JobResult{}, err
 	}
@@ -45,12 +44,11 @@ func Fig5a() (*Outcome, error) {
 		Title:   "Normalized JCT vs cluster size (number of VMs)",
 		Columns: []string{"VMs", "Sort", "PiEst", "DistGrep"},
 	}}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	flat, err := Map(len(specs)*len(clusterSizes), func(i int) (float64, error) {
 		spec := specs[i/len(clusterSizes)]
 		n := clusterSizes[i%len(clusterSizes)]
-		res, err := virtualJCT(spec, n, 503, &fired, pool)
+		res, err := virtualJCT(spec, n, 503, pool)
 		if err != nil {
 			return 0, fmt.Errorf("fig5a %s/%d: %w", spec.Name, n, err)
 		}
@@ -77,14 +75,13 @@ func Fig5a() (*Outcome, error) {
 	}
 	out.Notef("Sort JCT vs cluster size fits A + B/x with R²=%.3f (paper: inverse relation)", fit.R2)
 	out.Scalar("inverse_r2", fit.R2)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
 
 // fig5Phases runs the Figure 5(b)/(c) sweep: Sort at 2-5 GB over 2-12
 // VMs, returning map and reduce phase times.
-func fig5Phases(fired *atomic.Uint64, pool *metricsPool) (clusterSizes []int, sizesGB []float64, mapSec, redSec map[string]float64, err error) {
+func fig5Phases(pool *metricsPool) (clusterSizes []int, sizesGB []float64, mapSec, redSec map[string]float64, err error) {
 	clusterSizes = []int{2, 4, 6, 8, 10, 12}
 	sizesGB = []float64{2, 3, 4, 5}
 	mapSec = make(map[string]float64)
@@ -92,7 +89,7 @@ func fig5Phases(fired *atomic.Uint64, pool *metricsPool) (clusterSizes []int, si
 	results, err := Map(len(sizesGB)*len(clusterSizes), func(i int) (testbed.JobResult, error) {
 		gb := sizesGB[i/len(clusterSizes)]
 		n := clusterSizes[i%len(clusterSizes)]
-		return virtualJCT(workload.Sort().WithInputMB(scaledMB(gb*workload.GB)), n, 509, fired, pool)
+		return virtualJCT(workload.Sort().WithInputMB(scaledMB(gb*workload.GB)), n, 509, pool)
 	})
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -119,9 +116,8 @@ func Fig5c() (*Outcome, error) {
 }
 
 func fig5PhaseTable(id, title string, mapPhase bool) (*Outcome, error) {
-	var fired atomic.Uint64
 	pool := newMetricsPool()
-	clusterSizes, sizesGB, mapSec, redSec, err := fig5Phases(&fired, pool)
+	clusterSizes, sizesGB, mapSec, redSec, err := fig5Phases(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +152,6 @@ func fig5PhaseTable(id, title string, mapPhase bool) (*Outcome, error) {
 		out.Notef("5 GB series piece-wise fit R²=%.3f (paper: map inverse, reduce piece-wise)", pw.R2)
 		out.Scalar("piecewise_r2", pw.R2)
 	}
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -171,12 +166,11 @@ func Fig5d() (*Outcome, error) {
 		Title:   "Sort JCT (s) vs input size per virtual cluster size",
 		Columns: []string{"data(GB)", "C1", "C2", "C4", "C8", "C16"},
 	}}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	flat, err := Map(len(sizesGB)*len(clusterSizes), func(i int) (float64, error) {
 		gb := sizesGB[i/len(clusterSizes)]
 		n := clusterSizes[i%len(clusterSizes)]
-		res, err := virtualJCT(workload.Sort().WithInputMB(scaledMB(gb*workload.GB)), n, 521, &fired, pool)
+		res, err := virtualJCT(workload.Sort().WithInputMB(scaledMB(gb*workload.GB)), n, 521, pool)
 		if err != nil {
 			return 0, err
 		}
@@ -211,7 +205,6 @@ func Fig5d() (*Outcome, error) {
 	}
 	out.Notef("C4 series linear fit R²=%.3f (paper: JCT almost linearly proportional to data size)", fit.R2)
 	out.Scalar("linear_r2", fit.R2)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }

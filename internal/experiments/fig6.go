@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -21,9 +20,8 @@ import (
 // compared with an actual simulated run. The paper reports 10.8% mean
 // error with 9.7% standard deviation.
 func Fig6a() (*Outcome, error) {
-	var fired atomic.Uint64
 	pool := newMetricsPool()
-	prof := profiler.New(core.SimRunner(testbed.Options{Seed: 601, Obs: obs.Sinks{Events: &fired}}), nil)
+	prof := profiler.New(core.SimRunner(testbed.Options{Seed: 601}), nil)
 	// Profile a slightly denser training grid than the placement default,
 	// as the paper's accuracy study accumulates more history.
 	prof.TrainNodes = []int{4, 8, 16}
@@ -42,7 +40,7 @@ func Fig6a() (*Outcome, error) {
 		vms := vmGrid[i/len(gbGrid)]
 		gb := gbGrid[i%len(gbGrid)]
 		spec := workload.Sort().WithInputMB(scaledMB(gb * workload.GB))
-		res, err := virtualJCT(spec, vms, 607, &fired, pool)
+		res, err := virtualJCT(spec, vms, 607, pool)
 		if err != nil {
 			return testbed.JobResult{}, fmt.Errorf("fig6a actual: %w", err)
 		}
@@ -79,7 +77,6 @@ func Fig6a() (*Outcome, error) {
 		stats.Mean(errs)*100, stats.StdDev(errs)*100)
 	out.Scalar("mean_err", stats.Mean(errs))
 	out.Scalar("stddev_err", stats.StdDev(errs))
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -108,10 +105,10 @@ func interferenceRig(sinks *obs.Sinks) (*sim.Engine, []*cluster.VM, error) {
 // victimJCT runs a victim task on vms[0] with antagonists spreading the
 // given total CPU (cores) and disk (MB/s) demand over vms[1:3], and
 // returns the victim's completion time in seconds.
-func victimJCT(victim resource.Vector, antagonistCPU, antagonistDisk float64, sink *atomic.Uint64, pool *metricsPool) (float64, error) {
+func victimJCT(victim resource.Vector, antagonistCPU, antagonistDisk float64, pool *metricsPool) (float64, error) {
 	reg := pool.registry()
 	defer pool.fold(reg)
-	engine, vms, err := interferenceRig(&obs.Sinks{Metrics: reg, Events: sink})
+	engine, vms, err := interferenceRig(&obs.Sinks{Metrics: reg})
 	if err != nil {
 		return 0, err
 	}
@@ -162,17 +159,17 @@ func sortVictim() resource.Vector { return resource.NewVector(0.2, 380, 60, 0) }
 // the pool.
 type victimPair struct{ pi, srt float64 }
 
-func interferenceSweep(levels []float64, load func(level float64) (cpu, disk float64), fired *atomic.Uint64, pool *metricsPool) (base victimPair, points []victimPair, err error) {
+func interferenceSweep(levels []float64, load func(level float64) (cpu, disk float64), pool *metricsPool) (base victimPair, points []victimPair, err error) {
 	results, err := Map(len(levels)+1, func(i int) (victimPair, error) {
 		cpu, disk := 0.0, 0.0
 		if i > 0 {
 			cpu, disk = load(levels[i-1])
 		}
-		pi, err := victimJCT(piVictim(), cpu, disk, fired, pool)
+		pi, err := victimJCT(piVictim(), cpu, disk, pool)
 		if err != nil {
 			return victimPair{}, err
 		}
-		srt, err := victimJCT(sortVictim(), cpu, disk, fired, pool)
+		srt, err := victimJCT(sortVictim(), cpu, disk, pool)
 		if err != nil {
 			return victimPair{}, err
 		}
@@ -193,11 +190,10 @@ func Fig6b() (*Outcome, error) {
 		Columns: []string{"cpu(%)", "Sort", "PiEst"},
 	}}
 	pcts := []float64{0, 100, 300, 500, 700, 900}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	base, points, err := interferenceSweep(pcts, func(pct float64) (float64, float64) {
 		return pct / 100, 0
-	}, &fired, pool)
+	}, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +217,6 @@ func Fig6b() (*Outcome, error) {
 	out.Scalar("pi_fit_r2", fit.R2)
 	out.Scalar("pi_slowdown_max", piYs[len(piYs)-1])
 	out.Scalar("sort_slowdown_max", sortMax)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -235,11 +230,10 @@ func Fig6c() (*Outcome, error) {
 		Columns: []string{"io(MB/s)", "Sort", "PiEst"},
 	}}
 	rates := []float64{0, 10, 20, 30, 40, 50, 60}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	base, points, err := interferenceSweep(rates, func(rate float64) (float64, float64) {
 		return 0, rate
-	}, &fired, pool)
+	}, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +257,6 @@ func Fig6c() (*Outcome, error) {
 	out.Scalar("sort_fit_r2", fit.R2)
 	out.Scalar("sort_slowdown_max", sortYs[len(sortYs)-1])
 	out.Scalar("pi_slowdown_max", piMax)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -30,7 +29,7 @@ type hybridRig struct {
 	vms       []*cluster.VM
 }
 
-func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, sink *atomic.Uint64, reg *trace.Registry) (*hybridRig, error) {
+func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, reg *trace.Registry) (*hybridRig, error) {
 	rig, err := testbed.New(testbed.Options{
 		PMs:      vmHosts,
 		VMsPerPM: 2,
@@ -39,7 +38,7 @@ func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, sink *
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: capacityAware,
 		},
-		Obs: obs.Sinks{Events: sink, Metrics: reg},
+		Obs: obs.Sinks{Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -74,12 +73,12 @@ type mixResult struct {
 // runMix drives nServices interactive applications and nJobs batch jobs
 // on a hybrid rig under the given placement policy, returning mean batch
 // JCT and mean interactive latency.
-func runMix(nServices, nJobs int, usePhase1 bool, seed int64, sink *atomic.Uint64, pool *metricsPool) (mixResult, error) {
+func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool) (mixResult, error) {
 	// 8 native PMs plus 16 PMs hosting 32 VMs: the virtual partition
 	// keeps real spare capacity, which is the premise the paper's
 	// consolidation argument rests on.
 	reg := pool.registry()
-	h, err := newHybridRig(8, 16, seed, usePhase1, sink, reg)
+	h, err := newHybridRig(8, 16, seed, usePhase1, reg)
 	if err != nil {
 		return mixResult{}, err
 	}
@@ -91,7 +90,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, sink *atomic.Uint6
 		cfg.DisableIPS = true
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 	}
-	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, &obs.Sinks{Events: sink})
+	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
 	if err != nil {
 		return mixResult{}, err
 	}
@@ -197,14 +196,13 @@ func Fig8a() (*Outcome, error) {
 		{"wmix-2 (20/80)", 2, 10},
 		{"wmix-3 (80/20)", 10, 3},
 	}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	// Each (mix, policy) run is independent: even index = random
 	// placement, odd = Phase I.
 	results, err := Map(len(mixes)*2, func(i int) (mixResult, error) {
 		mix := mixes[i/2]
 		usePhase1 := i%2 == 1
-		res, err := runMix(mix.services, mix.jobs, usePhase1, 801, &fired, pool)
+		res, err := runMix(mix.services, mix.jobs, usePhase1, 801, pool)
 		if err != nil {
 			policy := "random"
 			if usePhase1 {
@@ -229,7 +227,6 @@ func Fig8a() (*Outcome, error) {
 	}
 	out.Notef("profiled placement helps both classes in the batch-heavy mixes; best batch gain %.0f%% (paper: gains up to ~0.4, magnitude varying with mix); wmix-3 has too little batch work for placement to matter much", best*100)
 	out.Scalar("best_batch_gain", best)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -237,7 +234,7 @@ func Fig8a() (*Outcome, error) {
 // drmJCT runs jobs on a 48-VM virtual cluster with static slot caps,
 // optionally managed by the DRM in the given mode, and returns each
 // job's JCT by benchmark name.
-func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed int64, sink *atomic.Uint64, pool *metricsPool) (map[string]float64, error) {
+func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed int64, pool *metricsPool) (map[string]float64, error) {
 	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs:      24,
@@ -247,7 +244,7 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: managed,
 		},
-		Obs: obs.Sinks{Events: sink, Metrics: reg},
+		Obs: obs.Sinks{Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -306,12 +303,11 @@ func fig8bc(id, title string, together bool, paperAvg, paperMax float64) (*Outco
 	for _, m := range drmModes {
 		cfgs = append(cfgs, drmCfg{true, m.modes})
 	}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	var byCfg []map[string]float64
 	if together {
 		res, err := Map(len(cfgs), func(i int) (map[string]float64, error) {
-			return drmJCT(specs, cfgs[i].managed, cfgs[i].modes, 811, &fired, pool)
+			return drmJCT(specs, cfgs[i].managed, cfgs[i].modes, 811, pool)
 		})
 		if err != nil {
 			return nil, err
@@ -320,7 +316,7 @@ func fig8bc(id, title string, together bool, paperAvg, paperMax float64) (*Outco
 	} else {
 		flat, err := Map(len(cfgs)*len(specs), func(i int) (map[string]float64, error) {
 			c := cfgs[i/len(specs)]
-			return drmJCT([]mapred.JobSpec{specs[i%len(specs)]}, c.managed, c.modes, 811, &fired, pool)
+			return drmJCT([]mapred.JobSpec{specs[i%len(specs)]}, c.managed, c.modes, 811, pool)
 		})
 		if err != nil {
 			return nil, err
@@ -363,7 +359,6 @@ func fig8bc(id, title string, together bool, paperAvg, paperMax float64) (*Outco
 		avg*100, max*100, paperAvg, paperMax)
 	out.Scalar("allmode_avg_reduction", avg)
 	out.Scalar("allmode_max_reduction", max)
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -388,7 +383,6 @@ func Fig8d() (*Outcome, error) {
 		Title:   "RUBiS latency (ms) vs clients",
 		Columns: []string{"clients", "RUBiS", "RUBiS+MapReduce", "HybridMR"},
 	}}
-	var fired atomic.Uint64
 	pool := newMetricsPool()
 	run := func(clients int, batch, ips bool) (float64, error) {
 		reg := pool.registry()
@@ -401,7 +395,7 @@ func Fig8d() (*Outcome, error) {
 				CapacityAware: ips,
 			},
 			Policies: mustResolve(policy.Spec{Phase2: "fifo-p2"}),
-			Obs:      obs.Sinks{Events: &fired, Metrics: reg},
+			Obs:      obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return 0, err
@@ -490,7 +484,6 @@ func Fig8d() (*Outcome, error) {
 		fifoViolations, hybridViolations)
 	out.Scalar("fifo_sla_violations", float64(fifoViolations))
 	out.Scalar("hybrid_sla_violations", float64(hybridViolations))
-	out.EventsFired = fired.Load()
 	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/resource"
 	"repro/internal/stats"
@@ -25,7 +23,6 @@ import (
 func Fig9a() (*Outcome, error) {
 	// A single 35-minute timeline is one continuous simulation, so there
 	// is nothing to fan out; it still attributes its events to the run.
-	var fired atomic.Uint64
 	rig, err := testbed.New(testbed.Options{
 		PMs:      12,
 		VMsPerPM: 2,
@@ -34,7 +31,6 @@ func Fig9a() (*Outcome, error) {
 			SlotCaps:      mapred.DefaultSlotCaps(),
 			CapacityAware: true,
 		},
-		Obs: obs.Sinks{Events: &fired},
 	})
 	if err != nil {
 		return nil, err
@@ -96,7 +92,6 @@ func Fig9a() (*Outcome, error) {
 	out.Scalar("minutes_above_sla", float64(above))
 	out.Scalar("minutes_recovered", float64(recovered))
 	out.Scalar("ips_actions", float64(len(ips.Actions())))
-	out.EventsFired = fired.Load()
 	return out, nil
 }
 
@@ -116,7 +111,7 @@ type crossPlatformResult struct {
 // runCrossPlatform evaluates one of the three cluster design choices on
 // the same workload mix (all six benchmarks plus three interactive
 // services).
-func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult, error) {
+func runCrossPlatform(design string) (*crossPlatformResult, error) {
 	var (
 		rig       *testbed.Rig
 		nativeJT  *mapred.JobTracker
@@ -126,7 +121,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 	)
 	switch design {
 	case "Native":
-		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, Obs: obs.Sinks{Events: sink}})
+		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +133,6 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 		rig, err = testbed.New(testbed.Options{
 			PMs: 12, VMsPerPM: 2, Seed: 907,
 			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
-			Obs:          obs.Sinks{Events: sink},
 		})
 		if err != nil {
 			return nil, err
@@ -158,7 +152,6 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 				SlotCaps:      mapred.DefaultSlotCaps(),
 				CapacityAware: true,
 			},
-			Obs: obs.Sinks{Events: sink},
 		})
 		if err != nil {
 			return nil, err
@@ -193,7 +186,7 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 	case "Virtual":
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "static-virtual"})
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, &obs.Sinks{Events: sink})
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -262,9 +255,9 @@ func runCrossPlatform(design string, sink *atomic.Uint64) (*crossPlatformResult,
 
 var fig9Designs = []string{"Native", "Virtual", "HybridMR"}
 
-func runAllDesigns(sink *atomic.Uint64) ([]*crossPlatformResult, error) {
+func runAllDesigns() ([]*crossPlatformResult, error) {
 	out, err := Map(len(fig9Designs), func(i int) (*crossPlatformResult, error) {
-		r, err := runCrossPlatform(fig9Designs[i], sink)
+		r, err := runCrossPlatform(fig9Designs[i])
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s: %w", fig9Designs[i], err)
 		}
@@ -297,8 +290,7 @@ func runAllDesigns(sink *atomic.Uint64) ([]*crossPlatformResult, error) {
 // Fig9b reproduces Figure 9(b): per-benchmark JCT across the Native,
 // Virtual and HybridMR design choices, normalized to the worst.
 func Fig9b() (*Outcome, error) {
-	var fired atomic.Uint64
-	results, err := runAllDesigns(&fired)
+	results, err := runAllDesigns()
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +324,6 @@ func Fig9b() (*Outcome, error) {
 	out.Scalar("mean_jct_native", results[0].meanJCT)
 	out.Scalar("mean_jct_virtual", results[1].meanJCT)
 	out.Scalar("mean_jct_hybrid", results[2].meanJCT)
-	out.EventsFired = fired.Load()
 	return out, nil
 }
 
@@ -340,8 +331,7 @@ func Fig9b() (*Outcome, error) {
 // performance per energy, server count and utilization — normalized to
 // the maximum across designs.
 func Fig9c() (*Outcome, error) {
-	var fired atomic.Uint64
-	results, err := runAllDesigns(&fired)
+	results, err := runAllDesigns()
 	if err != nil {
 		return nil, err
 	}
@@ -382,6 +372,5 @@ func Fig9c() (*Outcome, error) {
 	out.Scalar("perf_energy_native", perf[0])
 	out.Scalar("perf_energy_virtual", perf[1])
 	out.Scalar("perf_energy_hybrid", perf[2])
-	out.EventsFired = fired.Load()
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/critpath"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -77,15 +78,17 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 
 // TestParallelDeterminism is the regression gate for the experiment
 // worker pool: a representative subset of figures must render
-// byte-identical tables and notes — and attribute identical event
-// totals — at parallelism 1 and 8. Every sweep point owns its seeded
-// engine, so the worker count can only change scheduling, never results.
+// byte-identical tables and notes — and fire identical event totals,
+// read as the sim.ProcessEvents delta around the run — at parallelism 1
+// and 8. Every sweep point owns its seeded engine, so the worker count
+// can only change scheduling, never results. No test in this package
+// runs in parallel, so each delta is the run's own.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
 	// The subset covers the refactor patterns: grid fan-out (fig1a),
-	// shared helper with sink (fig2a), normalized series (fig5a), the
+	// shared helper (fig2a), normalized series (fig5a), the
 	// interference sweep (fig6c), paired A/B runs (abl-speculation) and
 	// fault-injected runs (ext-faults).
 	ids := []string{"fig1a", "fig2a", "fig5a", "fig6c", "abl-speculation", "ext-faults"}
@@ -100,14 +103,15 @@ func TestParallelDeterminism(t *testing.T) {
 				var events uint64
 				var snap string
 				withParallelism(t, workers, func() {
+					before := sim.ProcessEvents()
 					outcome, err := exp.Run()
+					events = sim.ProcessEvents() - before
 					if err != nil {
 						t.Fatalf("%s at parallelism %d: %v", id, workers, err)
 					}
 					var sb strings.Builder
 					outcome.Fprint(&sb)
 					text = sb.String()
-					events = outcome.EventsFired
 					data, err := json.Marshal(struct {
 						M trace.Snapshot              `json:"metrics"`
 						C map[string]critpath.Summary `json:"critical_paths"`
@@ -125,10 +129,10 @@ func TestParallelDeterminism(t *testing.T) {
 				t.Errorf("%s output differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial, parallel)
 			}
 			if serialEvents != parallelEvents {
-				t.Errorf("%s EventsFired differs: %d serial vs %d parallel", id, serialEvents, parallelEvents)
+				t.Errorf("%s fired events differ: %d serial vs %d parallel", id, serialEvents, parallelEvents)
 			}
 			if serialEvents == 0 {
-				t.Errorf("%s attributed zero events — sink not plumbed", id)
+				t.Errorf("%s fired zero events", id)
 			}
 			// The merged metrics snapshot (and any critical-path digests)
 			// must also be worker-count independent: Registry.Merge is

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonenc"
 )
 
 // outcomeWith builds a minimal outcome carrying the given scalars and
@@ -253,7 +254,7 @@ func TestReportTallies(t *testing.T) {
 	if !r.HasFailures() {
 		t.Fatal("HasFailures should be true")
 	}
-	b, err := r.JSON()
+	b, err := jsonenc.Artifact(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestReportSummaryCostAnnotation(t *testing.T) {
 	}
 	// And it must never leak into FIDELITY.json, which stays
 	// byte-deterministic across runs.
-	b, err := r.JSON()
+	b, err := jsonenc.Artifact(r)
 	if err != nil {
 		t.Fatal(err)
 	}

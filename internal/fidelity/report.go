@@ -1,7 +1,6 @@
 package fidelity
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -66,15 +65,6 @@ func (r *Report) Add(fr FigureResult) {
 // HasFailures reports whether any unwaived assertion failed (or any
 // experiment errored).
 func (r *Report) HasFailures() bool { return r.Failed > 0 }
-
-// JSON renders the report deterministically with a trailing newline.
-func (r *Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
 
 // Summary prints a per-assertion table — each figure annotated with its
 // wall time and events fired when the caller recorded them — and the

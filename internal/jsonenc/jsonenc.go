@@ -3,10 +3,12 @@
 // and audit exporters write their fixed-schema records with them, so
 // exporting needs no reflection, no intermediate maps and no per-value
 // allocation, while every export stays byte-identical to the
-// encoding/json output it replaced.
+// encoding/json output it replaced. Artifact is the one layout every
+// JSON report file uses.
 package jsonenc
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"strconv"
@@ -14,6 +16,16 @@ import (
 )
 
 const hex = "0123456789abcdef"
+
+// Artifact renders v as a report file: encoding/json's output indented
+// by two spaces, with a trailing newline.
+func Artifact(v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
 
 // AppendString appends s as a quoted JSON string, escaped as
 // encoding/json escapes it by default: '"' and '\\' get a backslash;

@@ -92,6 +92,25 @@ func TestAppendKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestArtifactLayout pins the report-file layout: two-space indent and
+// one trailing newline.
+func TestArtifactLayout(t *testing.T) {
+	got, err := Artifact(struct {
+		A int      `json:"a"`
+		B []string `json:"b"`
+	}{1, []string{"x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"a\": 1,\n  \"b\": [\n    \"x\"\n  ]\n}\n"
+	if string(got) != want {
+		t.Fatalf("Artifact = %q, want %q", got, want)
+	}
+	if _, err := Artifact(math.NaN()); err == nil {
+		t.Fatal("Artifact(NaN) should fail as encoding/json does")
+	}
+}
+
 func FuzzAppendString(f *testing.F) {
 	for _, s := range stringCases {
 		f.Add(s)

@@ -4,12 +4,12 @@
 // profiler, the utilization recorder) takes one *Sinks in its
 // constructor and copies out the sinks it records into; a nil handle
 // turns every sink off. Each sink is nil-safe on its own, so a handle
-// may carry any subset.
+// may carry any subset. A handle holds one deployment's sinks and is
+// never shared; the process-wide fired-event count is
+// sim.ProcessEvents.
 package obs
 
 import (
-	"sync/atomic"
-
 	"repro/internal/audit"
 	"repro/internal/perfstat"
 	"repro/internal/sim"
@@ -17,9 +17,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Sinks bundles the recording sinks of one deployment. Every sink but
-// Events is unsynchronized: it must not be shared by engines that run
-// concurrently. Events is atomic and may be.
+// Sinks bundles the recording sinks of one deployment. No sink is
+// synchronized: a handle must never be shared by engines that run
+// concurrently.
 type Sinks struct {
 	// Tracer records structured spans and instant events from every
 	// layer. Bind sets its clock to the engine.
@@ -38,11 +38,6 @@ type Sinks struct {
 	// engine occupancy probes Bind registers. Pair it with a recorder
 	// (metrics.NewRecorder) so probe series get sampled.
 	TimeSeries *timeseries.Collector
-	// Events accumulates the engine's fired-event total, flushed at
-	// Run/RunUntil boundaries. Experiment runners share one across every
-	// engine a figure builds to attribute simulation events per
-	// experiment.
-	Events *atomic.Uint64
 
 	// flushed is the Perf counter state at the last Flush.
 	flushed perfstat.Counters
@@ -53,10 +48,9 @@ type Sinks struct {
 
 // Bind attaches the handle to the deployment's engine: it binds the
 // tracer and audit clocks, creates Perf when only Metrics is set,
-// attaches the engine's perf collector and fired-event sink, and
-// registers the engine's occupancy probes on TimeSeries. Call it once
-// per engine, before building the layers: a second call would register
-// every probe twice.
+// attaches the engine's perf collector and registers the engine's
+// occupancy probes on TimeSeries. Call it once per engine, before
+// building the layers: a second call would register every probe twice.
 func (s *Sinks) Bind(engine *sim.Engine) {
 	if s.Perf == nil && s.Metrics != nil {
 		s.Perf = perfstat.New()
@@ -64,7 +58,6 @@ func (s *Sinks) Bind(engine *sim.Engine) {
 	s.Tracer.SetClock(engine)
 	s.Audit.SetClock(engine)
 	engine.SetPerf(s.Perf)
-	engine.SetFiredSink(s.Events)
 	// The probe closures escape, so they would be allocated even for a
 	// nil collector; Phase I builds a sink-less rig per training run.
 	if ts := s.TimeSeries; ts != nil {

@@ -22,7 +22,6 @@
 package perfstat
 
 import (
-	"encoding/json"
 	"sort"
 	"time"
 )
@@ -298,15 +297,6 @@ func snapshotChildren(sp *span) []SpanSnapshot {
 		})
 	}
 	return out
-}
-
-// JSON renders the snapshot deterministically up to its wall-time fields.
-func (sn Snapshot) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(sn, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // Telescopes verifies the span-tree invariant on a snapshot subtree: the

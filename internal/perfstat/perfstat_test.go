@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/jsonenc"
 )
 
 // fakeClock drives the span tree deterministically.
@@ -121,11 +123,11 @@ func TestMergeOrderIndependence(t *testing.T) {
 	b.Merge(mk(7, 11, 20))
 	b.Merge(mk(3, 5, 10))
 
-	ja, err := a.Snapshot().JSON()
+	ja, err := jsonenc.Artifact(a.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := b.Snapshot().JSON()
+	jb, err := jsonenc.Artifact(b.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

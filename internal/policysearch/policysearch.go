@@ -17,7 +17,6 @@
 package policysearch
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,7 +26,6 @@ import (
 	hybridmr "repro"
 	"repro/internal/audit"
 	"repro/internal/experiments"
-	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -213,15 +211,6 @@ type File struct {
 	Report Report `json:"report"`
 }
 
-// JSON renders the document with stable formatting.
-func (f File) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // Run scores every grid candidate, fanning across experiments.Workers()
 // goroutines, computes the Pareto frontier, and re-runs the winner with
 // the audit log attached. The returned log holds the winner's full
@@ -336,14 +325,12 @@ func runCandidate(spec policy.Spec, scen Scenario, seed int64, log *audit.Log) (
 	if err != nil {
 		return Candidate{}, err
 	}
-	perf := perfstat.New()
 	hc, err := hybridmr.NewHybridCluster(hybridmr.ClusterSpec{
 		NativePMs:      scen.NativePMs,
 		VirtualHostPMs: scen.VirtualHostPMs,
 		VMsPerHost:     scen.VMsPerHost,
 		Seed:           seed,
 		Config:         hybridmr.SystemConfig{Policies: set},
-		Perf:           perf,
 		Audit:          log,
 	})
 	if err != nil {
@@ -437,7 +424,7 @@ func runCandidate(spec policy.Spec, scen Scenario, seed int64, log *audit.Log) (
 			SLAViolationRate: round3(rate),
 		},
 		Jobs:        done,
-		EventsFired: perf.C.EngineEventsFired,
+		EventsFired: int64(hc.System.Engine().Fired()),
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonenc"
 	"repro/internal/policy"
 )
 
@@ -27,7 +28,7 @@ func runJSON(t *testing.T, parallelism int) []byte {
 	if err != nil {
 		t.Fatalf("Run(parallelism=%d): %v", parallelism, err)
 	}
-	data, err := file.JSON()
+	data, err := jsonenc.Artifact(file)
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}

@@ -14,7 +14,6 @@
 package scalesweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -59,6 +58,9 @@ func OverCeiling(cs []Controller) []Controller {
 	return over
 }
 
+// waves is the number of job-arrival waves at every size.
+const waves = 5
+
 // DefaultSweepSizes are the controller-complexity sweep's geometric
 // cluster sizes, used when Options.Sizes is empty.
 func DefaultSweepSizes() []int { return []int{24, 96, 384} }
@@ -71,8 +73,6 @@ type Options struct {
 	Sizes []int
 	// Seed fixes all randomized behaviour across the whole sweep.
 	Seed int64
-	// Waves is the number of job-arrival waves (default 5).
-	Waves int
 	// OnPointDone, when non-nil, is called once as each size finishes —
 	// a progress hook for live heartbeats. Sizes fan across worker
 	// goroutines, so the callback may run concurrently; it must not
@@ -83,9 +83,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if len(o.Sizes) == 0 {
 		o.Sizes = DefaultSweepSizes()
-	}
-	if o.Waves <= 0 {
-		o.Waves = 5
 	}
 	return o
 }
@@ -157,15 +154,6 @@ type File struct {
 	Wall   []WallResult `json:"wall"`
 }
 
-// JSON renders the document with stable formatting.
-func (f File) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // Run executes the sweep, fanning sizes across experiments.Workers()
 // goroutines. Each size is an independent seeded simulation, so the
 // report section is identical at any worker count.
@@ -182,7 +170,7 @@ func Run(opts Options) (File, error) {
 	if err != nil {
 		return File{}, err
 	}
-	rep := Report{Seed: opts.Seed, Sizes: opts.Sizes, Waves: opts.Waves}
+	rep := Report{Seed: opts.Seed, Sizes: opts.Sizes, Waves: waves}
 	var walls []WallResult
 	for _, p := range points {
 		rep.Results = append(rep.Results, p.res)
@@ -225,7 +213,7 @@ func runSize(size int, opts Options) (SizeResult, WallResult, error) {
 	}
 	jobs := 0
 	done := 0
-	for w := 0; w < opts.Waves; w++ {
+	for w := 0; w < waves; w++ {
 		for j := 0; j < waveSize; j++ {
 			deadline := time.Duration(0)
 			if j%2 == 0 {

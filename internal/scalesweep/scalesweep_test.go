@@ -2,10 +2,10 @@ package scalesweep
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonenc"
 )
 
 // sweepReportJSON runs a small sweep at the given parallelism and
@@ -19,7 +19,7 @@ func sweepReportJSON(t *testing.T, parallel int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(f.Report, "", "  ")
+	data, err := jsonenc.Artifact(f.Report)
 	if err != nil {
 		t.Fatal(err)
 	}

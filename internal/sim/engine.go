@@ -68,8 +68,8 @@ import (
 // processEvents counts events fired across every Engine in the process.
 // Engines flush into it in batches when Run or RunUntil return, so the
 // hot loop pays no atomic operation per event; read it between runs, not
-// mid-run. Benchmark tooling that wants exact per-run totals should use
-// Engine.Fired or SetFiredSink instead.
+// mid-run. Benchmark tooling that wants one run's total reads it before
+// and after a run that no other goroutine overlaps, or uses Engine.Fired.
 var processEvents atomic.Uint64
 
 // ProcessEvents returns the total number of events fired by all engines
@@ -104,13 +104,12 @@ type Engine struct {
 	free       []*Event
 	seq        uint64
 	fired      uint64
-	flushed    uint64 // fired count already pushed to processEvents/sink
+	flushed    uint64 // fired count already pushed to processEvents
 	cancelled  uint64
 	live       int // queued events not yet cancelled
 	dead       int // queued events cancelled but not yet popped
 	maxPending int
 	halted     bool
-	sink       *atomic.Uint64
 	deferred   []func() // run once before the next pop; see Defer
 
 	// Heap-operation tallies for perfstat. They are engine-local plain
@@ -166,18 +165,11 @@ func (e *Engine) CancelDebt() int { return e.dead }
 // not count.
 func (e *Engine) Cancelled() uint64 { return e.cancelled }
 
-// SetFiredSink attaches an atomic counter that accumulates this engine's
-// fired-event total. The engine adds its as-yet-unflushed count whenever
-// Run or RunUntil return, so a sink shared by many engines (one per
-// concurrent sweep point) attributes every event without a per-event
-// atomic operation. Pass nil to detach.
-func (e *Engine) SetFiredSink(sink *atomic.Uint64) { e.sink = sink }
-
 // SetPerf attaches a performance-attribution collector. Heap-operation
 // and fired-event counters are accumulated engine-locally and flushed
-// into it at Run/RunUntil boundaries (the same batching as the fired
-// sink), and each pump is recorded as an "engine.pump" wall-time span.
-// Pass nil to detach.
+// into it at Run/RunUntil boundaries (the same batching as
+// ProcessEvents), and each pump is recorded as an "engine.pump"
+// wall-time span. Pass nil to detach.
 func (e *Engine) SetPerf(ps *perfstat.Stats) { e.perf = ps }
 
 // alloc takes an event from the freelist, or allocates one.
@@ -375,8 +367,8 @@ func (e *Engine) fire(ev *Event) {
 }
 
 // flush pushes the fired-count delta since the last flush into the
-// process-wide counter and the engine's sink, if any, and the heap-op
-// deltas into the perf collector, if attached.
+// process-wide counter and the heap-op deltas into the perf collector,
+// if attached.
 func (e *Engine) flush() {
 	if e.perf != nil {
 		c := &e.perf.C
@@ -397,9 +389,6 @@ func (e *Engine) flush() {
 	}
 	e.flushed = e.fired
 	processEvents.Add(d)
-	if e.sink != nil {
-		e.sink.Add(d)
-	}
 }
 
 // Step fires the next event, advancing the clock. It returns false when the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -133,29 +132,38 @@ func TestCancelCurrentlyFiringEvent(t *testing.T) {
 	}
 }
 
-// TestFiredSink verifies batched flushing into an attached sink at
-// Run/RunUntil boundaries.
-func TestFiredSink(t *testing.T) {
-	var sink atomic.Uint64
+// TestProcessEvents verifies that the process-wide fired-event count is
+// batched: it moves only when Run or RunUntil returns, never mid-run, and
+// a second engine adds to it. No test in this package runs in parallel,
+// so the deltas are this test's own.
+func TestProcessEvents(t *testing.T) {
+	base := ProcessEvents()
+	var atStart uint64 // the delta when the current run began
 	e := New()
-	e.SetFiredSink(&sink)
 	for i := 0; i < 5; i++ {
-		e.After(time.Duration(i)*time.Second, func() {})
+		e.After(time.Duration(i)*time.Second, func() {
+			if got := ProcessEvents() - base; got != atStart {
+				t.Errorf("delta = %d mid-run, want %d as at the run's start", got, atStart)
+			}
+		})
+	}
+	if got := ProcessEvents() - base; got != 0 {
+		t.Errorf("delta = %d before any run, want 0", got)
 	}
 	e.RunUntil(2 * time.Second)
-	if got := sink.Load(); got != 3 {
-		t.Errorf("sink = %d after RunUntil(2s), want 3", got)
+	if got := ProcessEvents() - base; got != 3 {
+		t.Errorf("delta = %d after RunUntil(2s), want 3", got)
 	}
+	atStart = 3
 	e.Run()
-	if got := sink.Load(); got != 5 {
-		t.Errorf("sink = %d after Run, want 5", got)
+	if got := ProcessEvents() - base; got != 5 {
+		t.Errorf("delta = %d after Run, want 5", got)
 	}
-	// A second engine sharing the sink accumulates.
+	// A second engine adds to the same count.
 	e2 := New()
-	e2.SetFiredSink(&sink)
 	e2.After(time.Second, func() {})
 	e2.Run()
-	if got := sink.Load(); got != 6 {
-		t.Errorf("shared sink = %d, want 6", got)
+	if got := ProcessEvents() - base; got != 6 {
+		t.Errorf("delta = %d after a second engine's Run, want 6", got)
 	}
 }

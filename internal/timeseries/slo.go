@@ -15,6 +15,8 @@ import (
 	"io"
 	"math"
 	"time"
+
+	"repro/internal/jsonenc"
 )
 
 // Objective is one declarative service-level objective: an aggregate of
@@ -419,9 +421,5 @@ func (r SLOReport) JSON() ([]byte, error) {
 			return nil, fmt.Errorf("timeseries: objective %s has non-finite budget", o.Objective.Name)
 		}
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return jsonenc.Artifact(r)
 }
