@@ -169,7 +169,7 @@ func capSwapMismatches(tb testing.TB, pred func(demand, old, new resource.Vector
 			inert++
 			pm.settle()
 			c.Cap = cap
-			pm.request(false)
+			pm.request()
 			pm.cluster.flush()
 			skipped := captureSolve(pm)
 			pm.resolve()
@@ -180,6 +180,49 @@ func capSwapMismatches(tb testing.TB, pred func(demand, old, new resource.Vector
 		}
 	}
 	return mismatches, inert
+}
+
+// TestScopedResolveMatchesFullResolve proves the scoped re-solve: after
+// a burst of binding cap and weight changes on VM members at one
+// instant — paused VMs' members, slowed machines and paging caps
+// included — the flush re-solves only the dirty VMs, and the machine is
+// bit-identical to a forced full re-solve, its utilization row and the
+// completion times included.
+func TestScopedResolveMatchesFullResolve(t *testing.T) {
+	scoped := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		engine, pm, consumers := capSkipRig(t, rng)
+		for step := 0; step < 40; step++ {
+			engine.RunUntil(engine.Now() + time.Duration(rng.Intn(3000))*time.Millisecond)
+			for n := rng.Intn(3) + 1; n > 0; n-- {
+				c := consumers[rng.Intn(len(consumers))]
+				if c.host != pm || c.vm == nil {
+					continue // completed, or native
+				}
+				if rng.Intn(3) == 0 {
+					c.SetWeight(rng.Float64()*2 + 0.5)
+				} else {
+					c.SetCap(randomCap(rng, c.Demand, c.Cap))
+				}
+			}
+			if pm.stale || !pm.scoped {
+				pm.cluster.flush()
+				continue
+			}
+			scoped++
+			pm.cluster.flush()
+			got := captureSolve(pm)
+			pm.resolve()
+			pm.rekey()
+			if want := captureSolve(pm); !sameBits(got, want) {
+				t.Fatalf("seed %d step %d: scoped re-solve differs from a full one\n got %+v\nwant %+v", seed, step, got, want)
+			}
+		}
+	}
+	if scoped < 300 {
+		t.Fatalf("only %d scoped re-solves exercised", scoped)
+	}
 }
 
 // TestCapSwapSkipMatchesFullResolve proves the SetCap skip: on every

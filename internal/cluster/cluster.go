@@ -17,7 +17,9 @@
 // events' tie order and marks the PM stale, and the solve runs at the
 // first read of an allocation or at the flush the engine runs before it
 // pops the next event, so several changes to one PM at one instant cost
-// one solve and the same outcome. The model reproduces the contention
+// one solve and the same outcome. A cap or weight change of a VM's
+// member marks only that VM, and its solve re-divides just the VM's
+// cached share among its members. The model reproduces the contention
 // behaviours the paper measures: virtual I/O penalties that grow with VMs
 // per PM, memory-overcommit thrashing, and exponential slowdown under
 // cross-VM I/O contention.
@@ -25,6 +27,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -375,8 +378,8 @@ func (c *Cluster) AddVM(name string, host *PM, vcpus int, memMB float64) (*VM, e
 	if host == nil {
 		return nil, fmt.Errorf("cluster: AddVM(%s): nil host", name)
 	}
-	if vcpus <= 0 {
-		return nil, fmt.Errorf("cluster: AddVM(%s): vcpus must be positive", name)
+	if vcpus <= 0 || vcpus > math.MaxInt32 {
+		return nil, fmt.Errorf("cluster: AddVM(%s): vcpus must be in [1, %d]", name, math.MaxInt32)
 	}
 	if memMB <= 0 {
 		return nil, fmt.Errorf("cluster: AddVM(%s): memory must be positive", name)
@@ -390,13 +393,12 @@ func (c *Cluster) AddVM(name string, host *PM, vcpus int, memMB float64) (*VM, e
 			name, host.name, committed, memMB, host.capacity.Get(resource.Memory))
 	}
 	vm := &VM{
-		name:     name,
-		host:     host,
-		vcpus:    vcpus,
-		memMB:    memMB,
-		state:    VMRunning,
-		overhead: c.cfg.GuestOverhead,
-		weight:   float64(vcpus),
+		name:   name,
+		host:   host,
+		vcpus:  int32(vcpus),
+		memMB:  memMB,
+		state:  VMRunning,
+		weight: float64(vcpus),
 	}
 	host.vms = append(host.vms, vm)
 	c.vms = append(c.vms, vm)

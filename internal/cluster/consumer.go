@@ -38,12 +38,14 @@ type Consumer struct {
 	// OnKilled fires if the consumer is killed before completing.
 	OnKilled func()
 
-	node       Node
-	host       *PM
-	vm         *VM
+	host       *PM // the machine it runs on, nil when detached
+	vm         *VM // the VM it runs in, nil when native or detached
 	remaining  float64
 	lastSettle time.Duration
 	alloc      resource.Vector
+	// raw is alloc in raw host units, as of the latest solve: a scoped
+	// re-solve re-adds it into the machine's utilization.
+	raw        resource.Vector
 	speed      float64
 	completion *sim.Event
 	// completeFn is c.complete, bound at the first completion scheduled
@@ -73,7 +75,15 @@ func (c *Consumer) Done() bool { return c.state == consumerDone }
 func (c *Consumer) Killed() bool { return c.state == consumerKilled }
 
 // Node returns where the consumer runs, or nil.
-func (c *Consumer) Node() Node { return c.node }
+func (c *Consumer) Node() Node {
+	switch {
+	case c.vm != nil:
+		return c.vm
+	case c.host != nil:
+		return c.host
+	}
+	return nil
+}
 
 // Alloc returns the current resource allocation, re-solving the host
 // first if a change left it stale.
@@ -138,14 +148,17 @@ func (c *Consumer) SetDemand(d resource.Vector) {
 // SetCap installs a resource throttle (the Phase II DRM's actuator) and
 // requests a re-solve of the host, notifying its watchers; the solve
 // runs when its outputs are first read or at the engine's next flush, so
-// k caps on one machine at one instant cost one solve. The solve reads a
-// cap only as the claim bound min(demand, cap) and in the paging test
-// 0 < cap < demand, so when neither the old nor the new cap binds in any
-// dimension that changed (capSwapInert) it would reproduce every
-// allocation and speed bit for bit: SetCap then requests no solve and
-// notifies no watcher, but still settles and has the flush re-key every
-// completion event on the machine from the settled remaining work,
-// exactly as a re-solve would.
+// k caps on one machine at one instant cost one solve. On a VM member
+// the request re-solves only that VM's members: a member's cap bounds
+// its claim on the VM's share and never enters the top-level division
+// of the machine, so every other share keeps its bits (see PM.request).
+// The solve reads a cap only as the claim bound min(demand, cap) and in
+// the paging test 0 < cap < demand, so when neither the old nor the new
+// cap binds in any dimension that changed (capSwapInert) it would
+// reproduce every allocation and speed bit for bit: SetCap then requests
+// no solve and notifies no watcher, but still settles and has the flush
+// re-key every completion event on the machine from the settled
+// remaining work, exactly as a re-solve would.
 func (c *Consumer) SetCap(cap resource.Vector) {
 	host := c.host
 	if host == nil {
@@ -156,10 +169,10 @@ func (c *Consumer) SetCap(cap resource.Vector) {
 	old := c.Cap
 	c.Cap = cap
 	if capSwapInert(c.Demand, old, cap) {
-		host.request(false)
+		host.request()
 		return
 	}
-	host.reshare()
+	host.reshare(c.vm)
 }
 
 // capSwapInert reports whether replacing cap old by new leaves the solve
@@ -181,14 +194,19 @@ func capSwapInert(demand, old, new resource.Vector) bool {
 // capUnbound reports whether a cap leaves a demand untouched.
 func capUnbound(cap, demand float64) bool { return cap <= 0 || cap >= demand }
 
-// SetWeight changes the fair-share weight and re-solves the host.
+// SetWeight changes the fair-share weight and re-solves the host. On a
+// VM member only that VM's members are re-solved: a member's weight
+// divides the VM's share among its members and never enters the
+// top-level division of the machine (see PM.request). A native
+// consumer is its own top-level group, so its weight re-solves the
+// whole machine.
 func (c *Consumer) SetWeight(w float64) {
 	if c.host != nil {
 		c.host.settle()
 	}
 	c.Weight = w
 	if c.host != nil {
-		c.host.reshare()
+		c.host.reshare(c.vm)
 	}
 }
 
@@ -230,7 +248,6 @@ func (c *Consumer) detach() {
 	} else if c.host != nil {
 		c.host.native = removeConsumer(c.host.native, c)
 	}
-	c.node = nil
 	c.host = nil
 	c.vm = nil
 	c.alloc = resource.Vector{}

@@ -149,12 +149,51 @@ func lazyScript(tb testing.TB, seed int64, eager bool) []string {
 		logf("fleet %s %s %d", f(fs.PowerW), vec(fs.Util), fs.PMsOn)
 	}
 
+	readOne := func(c *cluster.Consumer) {
+		logf("%s alloc %s speed %s", c.Name, vec(c.Alloc()), f(c.Speed()))
+	}
+	// busyVM returns a running VM with members, if any.
+	busyVM := func() *cluster.VM {
+		var out []*cluster.VM
+		for _, vm := range vms {
+			if vm.State() == cluster.VMRunning && len(vm.Consumers()) > 0 {
+				out = append(out, vm)
+			}
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return out[rng.Intn(len(out))]
+	}
+	// bindingCap caps every dimension of demand strictly below it.
+	bindingCap := func(demand resource.Vector) resource.Vector {
+		return demand.Scale(0.2 + 0.6*rng.Float64())
+	}
+	// drmBurst is one Phase II DRM pass over a VM at one instant: a
+	// binding cap on a member, then reads of a same-VM member and of a
+	// member of another VM on the host, a second cap and a weight change.
+	drmBurst := func(vm *cluster.VM) {
+		members := vm.Consumers()
+		c := members[rng.Intn(len(members))]
+		c.SetCap(bindingCap(c.Demand))
+		readOne(members[rng.Intn(len(members))])
+		for _, sib := range vm.Machine().VMs() {
+			if sib != vm && len(sib.Consumers()) > 0 {
+				readOne(sib.Consumers()[rng.Intn(len(sib.Consumers()))])
+				break
+			}
+		}
+		c2 := members[rng.Intn(len(members))]
+		c2.SetCap(randomCap(c2.Demand, c2.Cap))
+		members[rng.Intn(len(members))].SetWeight(float64(1 + rng.Intn(3)))
+	}
+
 	for step := 0; step < 300; step++ {
 		rs := running()
 		pick := func() *cluster.Consumer { return rs[rng.Intn(len(rs))] }
 		vm := vms[rng.Intn(len(vms))]
 		pm := pms[rng.Intn(len(pms))]
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(23); {
 		case op < 4:
 			if ns := nodes(); len(ns) > 0 {
 				start(ns[rng.Intn(len(ns))])
@@ -197,6 +236,23 @@ func lazyScript(tb testing.TB, seed int64, eager bool) []string {
 			}
 		case op < 18:
 			read()
+		case op < 20:
+			if vm := busyVM(); vm != nil {
+				drmBurst(vm)
+			}
+		case op < 21:
+			// A member's binding cap, then a pause or a migration of its
+			// VM before anything flushes the cap's scoped re-solve.
+			if vm := busyVM(); vm != nil {
+				members := vm.Consumers()
+				c := members[rng.Intn(len(members))]
+				c.SetCap(bindingCap(c.Demand))
+				if rng.Intn(2) == 0 {
+					_ = vm.Pause()
+				} else if err := cl.Migrate(vm, pm, nil); err == nil {
+					logf("migrate %s to %s", vm.Name(), pm.Name())
+				}
+			}
 		default:
 			engine.RunUntil(engine.Now() + time.Duration(rng.Intn(4000))*time.Millisecond)
 		}
@@ -214,11 +270,13 @@ func lazyScript(tb testing.TB, seed int64, eager bool) []string {
 // TestDeferredSolveMatchesEagerReference is the equivalence property of
 // the deferred re-solve: on random scripts of starts, stops, kills and
 // completions, cap swaps (inert ones included), demand and weight
-// changes, VM pause, resume and migration, slowdowns, Dom-0 switches
-// and machine failures, the deferred cluster fires every completion at
-// the same time and in the same order as the reference that solves at
-// every change, and every allocation, speed, utilization and power
-// reading matches bit for bit.
+// changes, DRM-shaped bursts of member caps, reads and weight changes
+// at one instant, VM pause, resume and migration (also between a
+// member's cap and its flush), slowdowns, Dom-0 switches and machine
+// failures, the deferred cluster fires every completion at the same
+// time and in the same order as the reference that solves the whole
+// machine at every change, and every allocation, speed, utilization
+// and power reading matches bit for bit.
 func TestDeferredSolveMatchesEagerReference(t *testing.T) {
 	completions := 0
 	for seed := int64(1); seed <= 30; seed++ {

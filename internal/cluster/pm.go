@@ -61,8 +61,16 @@ type PM struct {
 	residentGen uint64
 
 	// stale marks allocations and speeds as out of date: the next read
-	// of them, or the cluster's flush, re-solves first. See request.
+	// of them, or the cluster's flush, re-solves the whole machine first.
+	// See request.
 	stale bool
+	// scoped marks the members' shares of the hosted VMs flagged dirty
+	// as out of date: without stale, the next read or flush re-solves
+	// only those. See request.
+	scoped bool
+	// settled records that settle ran at lastSettle and no resident has
+	// joined since, so settling again at that instant changes nothing.
+	settled bool
 	// queued marks the machine as on the cluster's flush list, its
 	// completion events awaiting re-keying.
 	queued bool
@@ -133,14 +141,13 @@ func (pm *PM) Start(c *Consumer) error {
 		return fmt.Errorf("cluster: %s: Start(nil)", pm.name)
 	}
 	if c.state == consumerRunning {
-		return fmt.Errorf("cluster: %s: consumer %q already running on %s", pm.name, c.Name, c.node.Name())
+		return fmt.Errorf("cluster: %s: consumer %q already running on %s", pm.name, c.Name, c.Node().Name())
 	}
 	if pm.Off() {
 		return fmt.Errorf("cluster: %s: powered off", pm.name)
 	}
 	pm.settle()
 	c.state = consumerRunning
-	c.node = pm
 	c.host = pm
 	c.vm = nil
 	c.remaining = c.Work
@@ -260,10 +267,17 @@ func (pm *PM) residents() int {
 
 // settle integrates every consumer's progress at the current speeds up to
 // the present instant. It must run before any state change that affects
-// allocations.
+// allocations. A second settle at one instant is a no-op — every
+// resident already holds its progress at that instant — so it returns
+// at once unless update has since cleared settled: a resident that
+// joined (a VM migrating in brings members last settled on its source)
+// still needs its clock brought forward.
 func (pm *PM) settle() {
 	now := pm.cluster.engine.Now()
-	if pm.stale && now != pm.lastSettle {
+	if pm.settled && now == pm.lastSettle {
+		return
+	}
+	if (pm.stale || pm.scoped) && now != pm.lastSettle {
 		// The engine flushes every request before its clock moves, so
 		// this is a safety net: integrate at the speeds in force since
 		// the last settle, not at stale ones.
@@ -284,17 +298,20 @@ func (pm *PM) settle() {
 		c.lastSettle = now
 	})
 	pm.lastSettle = now
+	pm.settled = true
 }
 
 // Watch registers a callback invoked on every re-solve request of this
 // PM's allocation (consumer attach/detach, demand/cap/weight change, VM
 // arrival/departure, pause, resume, migration, slowdown transitions,
-// failure). Schedulers use it to invalidate cached per-machine state
-// instead of rescanning the fleet. A cap swap the solve provably
-// ignores — neither the old nor the new cap binds in any dimension that
-// changed (see Consumer.SetCap) — requests no re-solve and notifies no
-// one: every allocation and speed stays bit-identical. The solve itself
-// runs on demand, so a callback may read allocations (Consumer.Alloc,
+// failure), whether the request re-solves the whole machine or, for a
+// VM member's cap or weight, only that VM's members (see request).
+// Schedulers use it to invalidate cached per-machine state instead of
+// rescanning the fleet. A cap swap the solve provably ignores — neither
+// the old nor the new cap binds in any dimension that changed (see
+// Consumer.SetCap) — requests no re-solve and notifies no one: every
+// allocation and speed stays bit-identical. The solve itself runs on
+// demand, so a callback may read allocations (Consumer.Alloc,
 // Consumer.Speed, Utilization): the first read re-solves. Callbacks must
 // not mutate cluster state; they run synchronously on the simulation
 // goroutine, so ordering is deterministic.
@@ -310,27 +327,36 @@ func (pm *PM) Watch(fn func()) {
 // still current while the generation has not moved.
 func (pm *PM) ResidentGen() uint64 { return pm.residentGen }
 
-// update requests a re-solve after a change that may have moved the
-// resident consumers or their demands.
+// update requests a full re-solve after a change that may have moved
+// the resident consumers or their demands.
 func (pm *PM) update() {
 	pm.residentGen++
-	pm.reshare()
+	pm.settled = false
+	pm.reshare(nil)
 }
 
 // reshare is update for a change that leaves every resident consumer and
 // its demand alone — a cap or weight change — so ResidentGen stays put.
-func (pm *PM) reshare() {
-	pm.request(true)
+// The change is to a member of vm, whose share alone it re-solves, or,
+// with vm nil, to the whole machine.
+func (pm *PM) reshare(vm *VM) {
+	pm.request()
+	if vm == nil {
+		pm.stale = true
+	} else {
+		vm.dirty = true
+		pm.scoped = true
+	}
 	for _, fn := range pm.watchers {
 		fn()
 	}
 }
 
 // request records a change to the machine without solving it. It
-// settles progress at the old speeds, marks the allocations stale when
-// resolve is set, and reserves one engine sequence number per resident
-// consumer, in EachConsumer order, for the completion events the change
-// re-keys. The machine then waits on the cluster's flush list: the
+// settles progress at the old speeds and reserves one engine sequence
+// number per resident consumer, in EachConsumer order, for the
+// completion events the change re-keys; reshare then marks what the
+// change made stale. The machine waits on the cluster's flush list: the
 // solve runs at the first read of its outputs or at the flush the engine
 // runs before its next pop, whichever comes first, and the flush re-keys
 // every completion to the reserved sequence numbers. Because the solve
@@ -338,11 +364,16 @@ func (pm *PM) reshare() {
 // where an immediate cancel-and-reschedule would have put them, the
 // outcome is exactly that of solving at every change — except that a
 // solve superseded by a later change at the same instant never runs.
-func (pm *PM) request(resolve bool) {
+//
+// A change to a VM member's cap or weight marks only that VM dirty.
+// The top level divides the machine among native consumers and VMs by
+// their raw demands, the VMs' weights and the VMs' caps — never a
+// member's cap or weight — so every top-level share, and every other
+// group's second level, is what the last full solve computed; re-running
+// that VM's second level from its cached share gives the full solve's
+// bits. Every other change marks the whole machine stale.
+func (pm *PM) request() {
 	pm.settle()
-	if resolve {
-		pm.stale = true
-	}
 	pm.keys = pm.cluster.engine.Reserve(pm.residents())
 	if !pm.queued {
 		pm.queued = true
@@ -350,42 +381,27 @@ func (pm *PM) request(resolve bool) {
 	}
 }
 
-// solve brings stale allocations and speeds up to date.
+// solve brings stale allocations and speeds up to date: the whole
+// machine when it is stale, else the dirty VMs' members.
 func (pm *PM) solve() {
-	if pm.stale {
-		pm.stale = false
+	switch {
+	case pm.stale:
+		pm.stale, pm.scoped = false, false
 		pm.resolve()
+	case pm.scoped:
+		pm.scoped = false
+		pm.resolveVMs()
 	}
 }
 
 // resolve computes allocations and speeds for every consumer on the PM,
-// and records the machine's utilization — its total raw allocation over
-// capacity, clamped to 1 — in its fleet table row. It returns that raw
-// allocation.
+// caches each VM's top-level share and each member's raw allocation for
+// resolveVMs, and records the machine's utilization — its total raw
+// allocation over capacity, clamped to 1 — in its fleet table row. It
+// returns that raw allocation.
 func (pm *PM) resolve() resource.Vector {
-	cfg := pm.cluster.cfg
-
-	// Count VMs actively demanding disk and network I/O: the Dom-0
-	// backend bottleneck penalizes concurrent virtual I/O streams.
-	kDisk, kNet := 0, 0
-	for _, vm := range pm.vms {
-		if vm.state != VMRunning {
-			continue
-		}
-		var disk, net float64
-		for _, c := range vm.consumers {
-			disk += c.Demand.Get(resource.DiskIO)
-			net += c.Demand.Get(resource.NetIO)
-		}
-		if disk > 0 {
-			kDisk++
-		}
-		if net > 0 {
-			kNet++
-		}
-	}
-	diskInflate := 1 + cfg.IOContentionPerVM*float64(max(kDisk-1, 0))
-	netInflate := 1 + cfg.IOContentionPerVM*float64(max(kNet-1, 0))
+	cfg := &pm.cluster.cfg
+	inflate := pm.ioInflate()
 
 	hostMem := pm.capacity.Get(resource.Memory)
 	var vmReserved float64
@@ -418,8 +434,8 @@ func (pm *PM) resolve() resource.Vector {
 		g := solveGroup{
 			members:  vm.consumers,
 			vm:       vm,
-			overhead: vm.overhead,
-			inflate:  resource.NewVector(1, 1, diskInflate, netInflate),
+			overhead: cfg.GuestOverhead,
+			inflate:  inflate,
 			weight:   vm.weight,
 			memCap:   vm.memMB,
 		}
@@ -487,61 +503,19 @@ func (pm *PM) resolve() resource.Vector {
 	var totalRaw resource.Vector
 	for gi := range groups {
 		g := &groups[gi]
-		weights := sc.memberWeights[:0]
-		caps := sc.memberCaps[:0]
+		if g.vm != nil {
+			g.vm.share = groupAlloc[gi]
+		}
+		pm.shareMembers(g, groupAlloc[gi], raw[g.rawStart:g.rawStart+len(g.members)])
 		for _, c := range g.members {
-			weights = append(weights, effWeight(c.Weight))
-			caps = append(caps, rawDemand(c.Cap, g.overhead, g.inflate))
-		}
-		sc.memberWeights, sc.memberCaps = weights, caps
-		rawDemands := raw[g.rawStart : g.rawStart+len(g.members)]
-		memberAlloc := resource.ShareVectorInto(sc.memberAlloc, groupAlloc[gi], rawDemands, weights, caps, &sc.share)
-		sc.memberAlloc = memberAlloc
-
-		// Memory pressure inside the container: overcommit causes
-		// thrashing that slows every memory-using member. A consumer
-		// with a memory cap below its demand pages on its own (self
-		// penalty) but relieves the container.
-		var memDemand float64
-		selfPenalty := sc.selfPenalty[:0]
-		for _, c := range g.members {
-			use := c.Demand.Get(resource.Memory)
-			penalty := 1.0
-			if capMem := c.Cap.Get(resource.Memory); capMem > 0 && capMem < use {
-				penalty = math.Pow(capMem/use, cfg.MemPenaltyExp)
-				use = capMem
-			}
-			selfPenalty = append(selfPenalty, penalty)
-			memDemand += use
-		}
-		sc.selfPenalty = selfPenalty
-		memPenalty := 1.0
-		if g.memCap > 0 && memDemand > g.memCap {
-			memPenalty = math.Pow(g.memCap/memDemand, cfg.MemPenaltyExp)
-		}
-
-		for mi, c := range g.members {
-			raw := memberAlloc[mi]
-			totalRaw = totalRaw.Add(raw)
-			useful := usefulAlloc(raw, g.overhead, g.inflate)
-			c.alloc = useful
-			c.speed = progressSpeed(c.Demand, useful)
-			if c.Demand.Get(resource.Memory) > 0 {
-				c.speed *= memPenalty * selfPenalty[mi]
-			}
+			totalRaw = totalRaw.Add(c.raw)
 		}
 	}
 
-	// An injected straggler factor slows every consumer on the machine
-	// below what its allocation would sustain.
-	if pm.slowdown > 1 {
-		pm.EachConsumer(func(c *Consumer) {
-			c.speed /= pm.slowdown
-		})
-	}
-
-	// Consumers on paused or migrating VMs are frozen.
+	// Consumers on paused or migrating VMs are frozen. Every VM's
+	// members are now solved, so none is left dirty.
 	for _, vm := range pm.vms {
+		vm.dirty = false
 		if vm.state == VMRunning {
 			continue
 		}
@@ -552,8 +526,147 @@ func (pm *PM) resolve() resource.Vector {
 		totalRaw = totalRaw.Set(resource.Memory,
 			totalRaw.Get(resource.Memory)+vm.memMB)
 	}
-	pm.row().util = totalRaw.Div(pm.capacity).Min(resource.NewVector(1, 1, 1, 1))
+	pm.recordUtil(totalRaw)
 	return totalRaw
+}
+
+// resolveVMs re-solves the second level of the dirty VMs only, each from
+// the top-level share the last full solve cached, then rebuilds the
+// machine's utilization from every member's cached raw allocation. It
+// re-adds them in resolve's order — native consumers, then each running
+// VM's members, then the frozen VMs' memory — because float addition is
+// not associative: summing per-group subtotals, say, would move the
+// machine's utilization and power in the last bits.
+func (pm *PM) resolveVMs() {
+	inflate := pm.ioInflate()
+	overhead := pm.cluster.cfg.GuestOverhead
+	sc := &pm.cluster.solve
+	for _, vm := range pm.vms {
+		if !vm.dirty {
+			continue
+		}
+		vm.dirty = false
+		if vm.state != VMRunning {
+			continue // frozen: its members keep no allocation
+		}
+		raw := sc.raw[:0]
+		for _, c := range vm.consumers {
+			raw = append(raw, rawDemand(c.Demand, overhead, inflate))
+		}
+		sc.raw = raw
+		pm.shareMembers(&solveGroup{members: vm.consumers, overhead: overhead, inflate: inflate, memCap: vm.memMB}, vm.share, raw)
+	}
+
+	var total resource.Vector
+	for _, c := range pm.native {
+		total = total.Add(c.raw)
+	}
+	for _, vm := range pm.vms {
+		if vm.state == VMRunning {
+			for _, c := range vm.consumers {
+				total = total.Add(c.raw)
+			}
+		}
+	}
+	for _, vm := range pm.vms {
+		if vm.state != VMRunning {
+			total = total.Set(resource.Memory, total.Get(resource.Memory)+vm.memMB)
+		}
+	}
+	pm.recordUtil(total)
+}
+
+// shareMembers divides a group's top-level allocation among its members,
+// given their raw demands, and sets each member's raw and useful
+// allocation and its speed.
+func (pm *PM) shareMembers(g *solveGroup, alloc resource.Vector, rawDemands []resource.Vector) {
+	cfg := &pm.cluster.cfg
+	sc := &pm.cluster.solve
+	weights := sc.memberWeights[:0]
+	caps := sc.memberCaps[:0]
+	for _, c := range g.members {
+		weights = append(weights, effWeight(c.Weight))
+		cap := c.Cap
+		if cap != (resource.Vector{}) {
+			cap = rawDemand(cap, g.overhead, g.inflate)
+		}
+		caps = append(caps, cap)
+	}
+	sc.memberWeights, sc.memberCaps = weights, caps
+	memberAlloc := resource.ShareVectorInto(sc.memberAlloc, alloc, rawDemands, weights, caps, &sc.share)
+	sc.memberAlloc = memberAlloc
+
+	// Memory pressure inside the container: overcommit causes
+	// thrashing that slows every memory-using member. A consumer with a
+	// memory cap below its demand pages on its own (self penalty) but
+	// relieves the container.
+	var memDemand float64
+	selfPenalty := sc.selfPenalty[:0]
+	for _, c := range g.members {
+		use := c.Demand.Get(resource.Memory)
+		penalty := 1.0
+		if capMem := c.Cap.Get(resource.Memory); capMem > 0 && capMem < use {
+			penalty = math.Pow(capMem/use, cfg.MemPenaltyExp)
+			use = capMem
+		}
+		selfPenalty = append(selfPenalty, penalty)
+		memDemand += use
+	}
+	sc.selfPenalty = selfPenalty
+	memPenalty := 1.0
+	if g.memCap > 0 && memDemand > g.memCap {
+		memPenalty = math.Pow(g.memCap/memDemand, cfg.MemPenaltyExp)
+	}
+
+	for mi, c := range g.members {
+		raw := memberAlloc[mi]
+		c.raw = raw
+		useful := usefulAlloc(raw, g.overhead, g.inflate)
+		c.alloc = useful
+		c.speed = progressSpeed(c.Demand, useful)
+		if c.Demand.Get(resource.Memory) > 0 {
+			c.speed *= memPenalty * selfPenalty[mi]
+		}
+		// An injected straggler factor slows every consumer on the
+		// machine below what its allocation would sustain.
+		if pm.slowdown > 1 {
+			c.speed /= pm.slowdown
+		}
+	}
+}
+
+// ioInflate returns the factors by which cross-VM I/O contention
+// inflates a VM member's raw disk and network demand: the Dom-0 backend
+// bottleneck penalizes each running VM actively demanding that kind of
+// I/O beyond the first.
+func (pm *PM) ioInflate() resource.Vector {
+	kDisk, kNet := 0, 0
+	for _, vm := range pm.vms {
+		if vm.state != VMRunning {
+			continue
+		}
+		var disk, net float64
+		for _, c := range vm.consumers {
+			disk += c.Demand.Get(resource.DiskIO)
+			net += c.Demand.Get(resource.NetIO)
+		}
+		if disk > 0 {
+			kDisk++
+		}
+		if net > 0 {
+			kNet++
+		}
+	}
+	perVM := pm.cluster.cfg.IOContentionPerVM
+	return resource.NewVector(1, 1,
+		1+perVM*float64(max(kDisk-1, 0)),
+		1+perVM*float64(max(kNet-1, 0)))
+}
+
+// recordUtil writes the machine's total raw allocation over capacity,
+// clamped to 1, into its fleet table row.
+func (pm *PM) recordUtil(totalRaw resource.Vector) {
+	pm.row().util = totalRaw.Div(pm.capacity).Min(resource.NewVector(1, 1, 1, 1))
 }
 
 // solveScratch holds the buffers resolve reuses from solve to solve, so

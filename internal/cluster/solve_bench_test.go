@@ -28,3 +28,25 @@ func BenchmarkSetCapBurst(b *testing.B) {
 		burst(i)
 	}
 }
+
+// BenchmarkDRMCapReadBack measures the access pattern of the Phase II
+// DRM's balanceRate on a VM host: walking each of two VMs' members, it
+// caps one and reads the next one's allocation, so every read follows a
+// binding cap on the same machine. Each read re-solves only the capped
+// member's VM.
+func BenchmarkDRMCapReadBack(b *testing.B) {
+	pm := solveRig(b, 3)
+	engine := pm.cluster.engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := 0.4 + 0.2*float64(i%2)
+		for _, vm := range pm.vms {
+			for k, c := range vm.consumers {
+				c.SetCap(c.Demand.Scale(f))
+				vm.consumers[(k+1)%len(vm.consumers)].Alloc()
+			}
+		}
+		engine.RunUntil(engine.Now())
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // VMState is the lifecycle state of a virtual machine.
-type VMState int
+type VMState uint8
 
 // VM lifecycle states.
 const (
@@ -38,14 +38,20 @@ func (s VMState) String() string {
 // guest virtualization overhead and contend with collocated VMs through
 // the host's two-level kernel.
 type VM struct {
-	name     string
-	host     *PM
-	vcpus    int
-	memMB    float64
-	state    VMState
-	overhead OverheadProfile
-	weight   float64
-	capIO    resource.Vector // DRM-installed VM-level caps; zero = uncapped
+	name  string
+	host  *PM
+	memMB float64
+	// vcpus, state and dirty share one word: every VM pays for share.
+	vcpus int32
+	state VMState
+	// dirty marks the members' second-level share as out of date after
+	// a member's cap or weight change; see PM.request.
+	dirty  bool
+	weight float64
+	capIO  resource.Vector // DRM-installed VM-level caps; zero = uncapped
+	// share is the VM's top-level allocation in raw host units at its
+	// host's last full solve, which the members divide among themselves.
+	share resource.Vector
 
 	consumers []*Consumer
 
@@ -74,15 +80,16 @@ func (vm *VM) UsefulCapacity() resource.Vector {
 		return resource.Vector{} // destroyed: no capacity anywhere
 	}
 	host := vm.host.capacity
+	overhead := vm.host.cluster.cfg.GuestOverhead
 	cpu := float64(vm.vcpus)
 	if hc := host.Get(resource.CPU); hc < cpu {
 		cpu = hc
 	}
 	return resource.NewVector(
-		cpu*vm.overhead.CPU,
+		cpu*overhead.CPU,
 		vm.memMB,
-		host.Get(resource.DiskIO)*vm.overhead.Disk,
-		host.Get(resource.NetIO)*vm.overhead.Net,
+		host.Get(resource.DiskIO)*overhead.Disk,
+		host.Get(resource.NetIO)*overhead.Net,
 	)
 }
 
@@ -97,7 +104,7 @@ func (vm *VM) Start(c *Consumer) error {
 		return fmt.Errorf("cluster: %s: Start(nil)", vm.name)
 	}
 	if c.state == consumerRunning {
-		return fmt.Errorf("cluster: %s: consumer %q already running on %s", vm.name, c.Name, c.node.Name())
+		return fmt.Errorf("cluster: %s: consumer %q already running on %s", vm.name, c.Name, c.Node().Name())
 	}
 	if vm.state == VMMigrating {
 		return fmt.Errorf("cluster: %s: cannot start work while migrating", vm.name)
@@ -111,7 +118,6 @@ func (vm *VM) Start(c *Consumer) error {
 	pm := vm.host
 	pm.settle()
 	c.state = consumerRunning
-	c.node = vm
 	c.host = pm
 	c.vm = vm
 	c.remaining = c.Work

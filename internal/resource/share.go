@@ -85,17 +85,7 @@ func FairShareInto(dst []float64, capacity float64, claims []Claim, s *ShareScra
 		totalWeight += w
 	}
 	s.entries = entries
-	// Same pdqsort as sort.Slice with the same comparisons, so equal
-	// levels keep the same order and the fill sums stay bit-identical.
-	slices.SortFunc(entries, func(a, b shareEntry) int {
-		switch {
-		case a.perUnit < b.perUnit:
-			return -1
-		case a.perUnit > b.perUnit:
-			return 1
-		}
-		return 0
-	})
+	sortEntries(entries)
 
 	remaining := capacity
 	for i, e := range entries {
@@ -121,6 +111,34 @@ func FairShareInto(dst []float64, capacity float64, claims []Claim, s *ShareScra
 	return alloc
 }
 
+// maxInsertion is the length up to which pdqsort insertion-sorts.
+const maxInsertion = 12
+
+// sortEntries orders entries by level with the pdqsort sort.Slice runs,
+// making the same comparisons, so equal levels keep the same order and
+// the fill sums stay bit-identical. Below pdqsort's insertion cutoff —
+// every second-level solve and most top-level ones — that sort is a
+// stable insertion sort, run here inline without the comparator calls.
+func sortEntries(entries []shareEntry) {
+	if len(entries) > maxInsertion {
+		slices.SortFunc(entries, func(a, b shareEntry) int {
+			switch {
+			case a.perUnit < b.perUnit:
+				return -1
+			case a.perUnit > b.perUnit:
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(entries); i++ {
+		for j := i; j > 0 && entries[j].perUnit < entries[j-1].perUnit; j-- {
+			entries[j], entries[j-1] = entries[j-1], entries[j]
+		}
+	}
+}
+
 // ShareVector solves FairShare independently on each resource dimension.
 // demands, weights and caps are parallel slices: weights applies to all
 // dimensions of a consumer, caps may be the zero Vector for "no cap".
@@ -132,6 +150,20 @@ func ShareVector(capacity Vector, demands []Vector, weights []float64, caps []Ve
 // len(demands) and reusing its storage) with its working set in s.
 func ShareVectorInto(dst []Vector, capacity Vector, demands []Vector, weights []float64, caps []Vector, s *ShareScratch) []Vector {
 	out := resize(dst, len(demands))
+	if len(demands) == 1 {
+		w := 1.0
+		if weights != nil {
+			w = weights[0]
+		}
+		for _, k := range Kinds() {
+			var cap float64
+			if caps != nil {
+				cap = caps[0].Get(k)
+			}
+			out[0][k.index()] = shareOne(capacity.Get(k), Claim{Demand: demands[0].Get(k), Weight: w, Cap: cap})
+		}
+		return out
+	}
 	s.claims = resize(s.claims, len(demands))
 	for _, k := range Kinds() {
 		for i := range demands {
@@ -151,6 +183,24 @@ func ShareVectorInto(dst []Vector, capacity Vector, demands []Vector, weights []
 		}
 	}
 	return out
+}
+
+// shareOne is FairShare of capacity over the single claim c, in closed
+// form with FairShareInto's arithmetic: the bound when its level b/w is
+// at most the water level capacity/w, else that level times w. Every
+// native consumer is its own group, so its second-level solve is one
+// claim.
+func shareOne(capacity float64, c Claim) float64 {
+	b := c.bound()
+	if capacity <= 0 || b <= 0 {
+		return 0
+	}
+	w := c.effWeight()
+	level := capacity / w
+	if b/w <= level {
+		return b
+	}
+	return level * w
 }
 
 // resize returns buf with length n and every element zeroed, reusing
