@@ -17,6 +17,12 @@
 //     verifies that every job completes and the DFS heals back to target
 //     replication, and prints the fault seed so any run can be replayed.
 //
+// A flag the chosen mode never reads (-invariants, -faults, -fault-seed
+// outside chaos; -benchmark, the cluster-shape flags and -parallel
+// outside job mode) is refused before any setup, as are the job-mode
+// shapes a rig cannot build (-dom0 with -vms-per-pm > 0, -split with
+// -vms-per-pm 0).
+//
 // Usage:
 //
 //	hybridmr-sim -trace out.json -trace-format chrome -metrics
@@ -310,13 +316,13 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hybridmr-sim", flag.ContinueOnError)
 	scenario := fs.String("scenario", "", "scenario: quickstart (default), job or chaos")
 	bench := fs.String("benchmark", "Sort", "benchmark name or comma-separated list (Twitter, Wcount, PiEst, DistGrep, Sort, Kmeans)")
-	parallel := fs.Int("parallel", 0, "worker goroutines for a multi-benchmark job list (0 = GOMAXPROCS)")
-	dataGB := fs.Float64("data-gb", 0, "input size in GB (0 = the paper's size for the benchmark)")
+	parallel := fs.Int("parallel", 0, "worker goroutines for a multi-benchmark job list (0 = GOMAXPROCS; job mode)")
+	dataGB := fs.Float64("data-gb", 0, "input size in GB (0 = the paper's size for the benchmark; job mode)")
 	pms := fs.Int("pms", 12, "physical machines (job mode)")
 	vmsPerPM := fs.Int("vms-per-pm", 0, "VMs per PM (0 = native execution; job mode)")
-	dom0 := fs.Bool("dom0", false, "run native work in the privileged domain")
-	split := fs.Bool("split", false, "split TaskTracker/DataNode architecture")
-	slotCaps := fs.Bool("slot-caps", false, "static Hadoop slot containers")
+	dom0 := fs.Bool("dom0", false, "run native work in the privileged domain (job mode, -vms-per-pm 0)")
+	split := fs.Bool("split", false, "split TaskTracker/DataNode architecture (job mode, -vms-per-pm > 0)")
+	slotCaps := fs.Bool("slot-caps", false, "static Hadoop slot containers (job mode)")
 	policyFlag := fs.String("policy", "", "policy selections as k=v pairs, e.g. p2=fifo-p2,drm=static-split,p1.overhead=0.5 (keys: p1, drm, ips, p2, p1.overhead, p2.slowdown)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	faults := fs.String("faults", "", "chaos profile, e.g. pm-crash=2,vm-crash=4,block-loss=6 (chaos scenario; default moderate profile)")
@@ -337,25 +343,44 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// An explicit -benchmark keeps the pre-scenario CLI working: it
 	// implies job mode unless the user also picked a scenario.
 	mode := *scenario
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "benchmark" && mode == "" {
-			mode = "job"
-		}
-	})
+	if mode == "" && set["benchmark"] {
+		mode = "job"
+	}
 	if mode == "" {
 		mode = "quickstart"
 	}
-	// Validate the scenario and any -policy selection before anything
-	// starts (profilers, progress reporters): a typo exits non-zero
-	// immediately with the registered names, instead of surfacing after
-	// setup already ran.
+	// Validate the scenario, the flags it reads and any -policy
+	// selection before anything starts (profilers, progress reporters):
+	// a typo or a flag the scenario would silently drop exits non-zero
+	// immediately, instead of surfacing after setup already ran.
 	switch mode {
 	case "quickstart", "job", "chaos":
 	default:
 		return fmt.Errorf("unknown scenario %q (registered: quickstart, job, chaos)", mode)
+	}
+	for _, only := range []struct {
+		mode  string
+		flags []string
+	}{
+		{"chaos", []string{"invariants", "faults", "fault-seed"}},
+		{"job", []string{"benchmark", "pms", "vms-per-pm", "dom0", "split", "slot-caps", "data-gb", "parallel"}},
+	} {
+		for _, name := range only.flags {
+			if set[name] && mode != only.mode {
+				return fmt.Errorf("-%s applies only to the %s scenario, not %s", name, only.mode, mode)
+			}
+		}
+	}
+	if *dom0 && *vmsPerPM > 0 {
+		return fmt.Errorf("-dom0 runs native work in the privileged domain; it does not combine with -vms-per-pm %d", *vmsPerPM)
+	}
+	if *split && *vmsPerPM <= 0 {
+		return fmt.Errorf("-split deploys TaskTracker VMs beside a DataNode VM; it needs -vms-per-pm > 0")
 	}
 	var policies *hybridmr.PolicySet
 	if *policyFlag != "" {

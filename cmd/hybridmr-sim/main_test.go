@@ -440,3 +440,55 @@ func TestJobModeRejectsSystemPolicySeams(t *testing.T) {
 func TestChaosRejectsSystemPolicySeams(t *testing.T) {
 	rejectsSystemSeams(t, []string{"-scenario", "chaos", "-seed", "7", "-fault-seed", "99"})
 }
+
+// TestUnreadFlagsRejected: a flag the chosen scenario never reads, or a
+// job-mode combination the rig would drop, is refused before any setup
+// runs instead of silently running a different experiment.
+func TestUnreadFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-invariants"}, "-invariants applies only to the chaos scenario, not quickstart"},
+		{[]string{"-faults", "pm-crash=1"}, "-faults applies only to the chaos scenario, not quickstart"},
+		{[]string{"-benchmark", "PiEst", "-fault-seed", "9"}, "-fault-seed applies only to the chaos scenario, not job"},
+		{[]string{"-benchmark", "PiEst", "-invariants"}, "-invariants applies only to the chaos scenario, not job"},
+		{[]string{"-scenario", "chaos", "-benchmark", "Sort"}, "-benchmark applies only to the job scenario, not chaos"},
+		{[]string{"-scenario", "quickstart", "-benchmark", "Sort"}, "-benchmark applies only to the job scenario, not quickstart"},
+		{[]string{"-scenario", "chaos", "-pms", "4"}, "-pms applies only to the job scenario, not chaos"},
+		{[]string{"-vms-per-pm", "2"}, "-vms-per-pm applies only to the job scenario, not quickstart"},
+		{[]string{"-scenario", "chaos", "-dom0"}, "-dom0 applies only to the job scenario, not chaos"},
+		{[]string{"-split"}, "-split applies only to the job scenario, not quickstart"},
+		{[]string{"-scenario", "chaos", "-slot-caps"}, "-slot-caps applies only to the job scenario, not chaos"},
+		{[]string{"-data-gb", "1"}, "-data-gb applies only to the job scenario, not quickstart"},
+		{[]string{"-scenario", "chaos", "-parallel", "2"}, "-parallel applies only to the job scenario, not chaos"},
+		{[]string{"-benchmark", "PiEst", "-pms", "2", "-vms-per-pm", "2", "-dom0"}, "-dom0 runs native work"},
+		{[]string{"-benchmark", "PiEst", "-pms", "2", "-split"}, "-split deploys TaskTracker VMs"},
+		{[]string{"-benchmark", "PiEst", "-pms", "2", "-vms-per-pm", "0", "-split"}, "-split deploys TaskTracker VMs"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: rejected only after the run started:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestReadFlagsAccepted: the same flags pass in the scenario that reads
+// them.
+func TestReadFlagsAccepted(t *testing.T) {
+	for _, args := range [][]string{
+		{"-benchmark", "PiEst", "-pms", "2", "-dom0"},
+		{"-benchmark", "PiEst", "-pms", "2", "-vms-per-pm", "1", "-split", "-slot-caps"},
+		{"-scenario", "job", "-benchmark", "PiEst,Wcount", "-pms", "2", "-data-gb", "0", "-parallel", "1"},
+		{"-scenario", "chaos", "-seed", "7", "-fault-seed", "99", "-invariants", "-faults", "straggler=2"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Errorf("%v: %v\noutput:\n%s", args, err, out.String())
+		}
+	}
+}

@@ -17,7 +17,7 @@
 //		NativePMs: 12, VirtualHostPMs: 12, VMsPerHost: 2, Seed: 1,
 //	})
 //	...
-//	svc, _ := dc.DeployService(hybridmr.RUBiS(), 0)
+//	svc, _ := dc.DeployService(hybridmr.RUBiS())
 //	svc.SetClients(2000)
 //	job, placement, _ := dc.System.SubmitJob(hybridmr.Sort(), 0, nil)
 //	dc.RunFor(30 * time.Minute)
@@ -34,7 +34,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/critpath"
-	"repro/internal/dfs"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/invariant"
@@ -79,9 +78,11 @@ type (
 	Recorder = metrics.Recorder
 	// MigrationStats reports a completed live VM migration.
 	MigrationStats = cluster.MigrationStats
-	// Rig is a pre-wired single-partition testbed.
+	// Rig is a pre-wired testbed: one partition, plus a native one in
+	// Rig.NativeJT when RigOptions.NativePMs is set.
 	Rig = testbed.Rig
-	// RigOptions shapes a Rig.
+	// RigOptions shapes a Rig. NativePMs > 0 adds a native partition
+	// with its own DFS and JobTracker; PMs 0 then builds it alone.
 	RigOptions = testbed.Options
 	// Experiment is one of the paper's figures.
 	Experiment = experiments.Experiment
@@ -275,9 +276,10 @@ var (
 	Olio  = workload.Olio
 )
 
-// NewRig builds a single-partition testbed (native, virtual, Dom-0 or
-// split architecture) — the shape used by the paper's Section II
-// analyses.
+// NewRig builds a testbed: one partition (native, virtual, Dom-0 or
+// split architecture), the shape used by the paper's Section II
+// analyses, or with RigOptions.NativePMs the hybrid layout
+// NewHybridCluster runs HybridMR on.
 var NewRig = testbed.New
 
 // Experiments returns the paper's figure reproductions in paper order.
@@ -403,53 +405,41 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		spec.VMsPerHost = 2
 	}
 
-	sinks := obs.Sinks{
-		Tracer: spec.Tracer, Metrics: spec.Metrics, Audit: spec.Audit,
-		Perf: spec.Perf, TimeSeries: spec.TimeSeries,
+	rig, err := testbed.New(testbed.Options{
+		PMs:          spec.VirtualHostPMs,
+		NativePMs:    spec.NativePMs,
+		VMsPerPM:     spec.VMsPerHost,
+		Racks:        spec.Racks,
+		PowerDomains: spec.PowerDomains,
+		Seed:         spec.Seed,
+		MapredConfig: mapred.Config{
+			SlotCaps:      mapred.DefaultSlotCaps(),
+			CapacityAware: !spec.VanillaHadoop,
+		},
+		Policies: spec.Config.Policies,
+		Obs: obs.Sinks{
+			Tracer: spec.Tracer, Metrics: spec.Metrics, Audit: spec.Audit,
+			Perf: spec.Perf, TimeSeries: spec.TimeSeries,
+		},
+		Faults:     spec.Faults,
+		Invariants: spec.Invariants,
+	})
+	if err != nil {
+		return nil, err
 	}
-	hc := &HybridCluster{}
-	var engine *sim.Engine
-	var cl *cluster.Cluster
-
-	if spec.VirtualHostPMs > 0 {
-		rig, err := testbed.New(testbed.Options{
-			PMs:          spec.VirtualHostPMs,
-			VMsPerPM:     spec.VMsPerHost,
-			Racks:        spec.Racks,
-			PowerDomains: spec.PowerDomains,
-			Seed:         spec.Seed,
-			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
-				CapacityAware: !spec.VanillaHadoop,
-			},
-			Policies: spec.Config.Policies,
-			Obs:      sinks,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Copy the bound handle: a pointer into the rig would keep the
-		// rig, and its worker list, alive for the deployment's lifetime.
-		engine, cl, hc.obs = rig.Engine, rig.Cluster, rig.Obs
-		hc.VirtualJT = rig.JT
-		hc.VMs = rig.VMs
-		hc.HostPMs = rig.PMs
-	} else {
-		engine, hc.obs = sim.New(), sinks
-		hc.obs.Bind(engine)
-		cl = cluster.New(engine, cluster.Config{}, spec.Seed, &hc.obs)
-	}
-	hc.Perf = hc.obs.Perf
-
-	if spec.NativePMs > 0 {
-		pms := cl.AddPMs("native", spec.NativePMs)
-		cluster.StripeTopology(pms, spec.Racks, spec.PowerDomains)
-		nativeFS := dfs.New(engine, dfs.Config{}, spec.Seed+13, &hc.obs)
-		nativeSched, nativeCfg := spec.Config.Policies.Phase2Setup(mapred.Config{})
-		hc.NativeJT = mapred.NewJobTracker(engine, nativeFS, nativeCfg, nativeSched, &hc.obs, "native")
-		for _, pm := range pms {
-			hc.NativeJT.AddTracker(pm)
-		}
+	// Copy the rig's fields, the bound handle included: a pointer into
+	// the rig would keep the rig, and its worker list, alive for the
+	// deployment's lifetime.
+	hc := &HybridCluster{
+		Cluster:   rig.Cluster,
+		NativeJT:  rig.NativeJT,
+		VirtualJT: rig.JT,
+		VMs:       rig.VMs,
+		HostPMs:   rig.PMs,
+		Faults:    rig.Faults,
+		Perf:      rig.Obs.Perf,
+		engine:    rig.Engine,
+		obs:       rig.Obs,
 	}
 
 	cfg := spec.Config
@@ -457,38 +447,9 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 	}
-	sys, err := core.NewSystem(engine, cl, hc.NativeJT, hc.VirtualJT, cfg, &hc.obs)
+	hc.System, err = core.NewSystem(hc.engine, hc.Cluster, hc.NativeJT, hc.VirtualJT, cfg, &hc.obs)
 	if err != nil {
 		return nil, err
-	}
-	hc.System = sys
-	hc.Cluster = cl
-	hc.engine = engine
-
-	env := fault.Env{Engine: engine, Cluster: cl, Obs: &hc.obs}
-	if hc.VirtualJT != nil {
-		env.FSs = append(env.FSs, hc.VirtualJT.FS())
-		env.JTs = append(env.JTs, hc.VirtualJT)
-	}
-	if hc.NativeJT != nil {
-		env.FSs = append(env.FSs, hc.NativeJT.FS())
-		env.JTs = append(env.JTs, hc.NativeJT)
-	}
-	faultOpts := fault.Options{Seed: spec.Seed + 2}
-	if spec.Faults != nil {
-		faultOpts = *spec.Faults
-		if faultOpts.Seed == 0 {
-			faultOpts.Seed = spec.Seed + 2
-		}
-	}
-	hc.Faults = fault.NewInjector(env, faultOpts)
-	// One attach covering both partitions: the checker keeps the full
-	// FS/JT set so its end-of-run liveness sweep sees every job.
-	spec.Invariants.Attach(hc.Faults)
-	if spec.Faults != nil {
-		if err := hc.Faults.Arm(); err != nil {
-			return nil, err
-		}
 	}
 	return hc, nil
 }

@@ -77,15 +77,15 @@ type System struct {
 
 // NewSystem wires a HybridMR instance. nativeJT or virtualJT may be nil
 // when the corresponding partition does not exist (the Figure 9 design
-// points). The profiler's training runner defaults to SimRunner with the
-// cluster's hardware profile. The system, its Phase II controllers and
-// the Phase I profiler record into the handle's sinks: Phase I
-// placements (with the JCT estimates weighed), DRM cap grants and
-// deferrals and IPS mitigations are audited, the IPS records
-// per-service latency and SLA-violation series, and every controller is
-// counted and timed. The Phase I training rigs (the nested simulations
-// SimRunner spins up) record into no sink; their events still count in
-// sim.ProcessEvents. A nil handle records nothing.
+// points). The profiler's training runner is SimRunner on the default
+// hardware, which every cluster in the program runs on. The system, its
+// Phase II controllers and the Phase I profiler record into the
+// handle's sinks: Phase I placements (with the JCT estimates weighed),
+// DRM cap grants and deferrals and IPS mitigations are audited, the IPS
+// records per-service latency and SLA-violation series, and every
+// controller is counted and timed. The Phase I training rigs (the nested
+// simulations SimRunner spins up) record into no sink; their events
+// still count in sim.ProcessEvents. A nil handle records nothing.
 func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config, sinks *obs.Sinks) (*System, error) {
 	if nativeJT == nil && virtualJT == nil {
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
@@ -102,10 +102,7 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 		perf:        o.Perf,
 		mPlacements: o.Metrics.Counter("core.placements"),
 	}
-	s.prof = profiler.New(SimRunner(testbed.Options{
-		Seed:          cfg.TrainingSeed,
-		ClusterConfig: cl.Config(),
-	}), sinks)
+	s.prof = profiler.New(SimRunner(testbed.Options{Seed: cfg.TrainingSeed}), sinks)
 	nativeNodes, virtualNodes := 0, 0
 	if nativeJT != nil {
 		nativeNodes = nativeJT.TrackerCount()

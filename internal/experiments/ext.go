@@ -132,7 +132,17 @@ func ExtStream() (*Outcome, error) {
 	pool := newMetricsPool()
 	run := func(hybrid bool) (result, error) {
 		reg := pool.registry()
-		h, err := newHybridRig(8, 8, 1207, hybrid, reg)
+		rig, err := testbed.New(testbed.Options{
+			PMs:       8,
+			NativePMs: 8,
+			VMsPerPM:  2,
+			Seed:      1207,
+			MapredConfig: mapred.Config{
+				SlotCaps:      mapred.DefaultSlotCaps(),
+				CapacityAware: hybrid,
+			},
+			Obs: obs.Sinks{Metrics: reg},
+		})
 		if err != nil {
 			return result{}, err
 		}
@@ -143,14 +153,14 @@ func ExtStream() (*Outcome, error) {
 			cfg.DisableIPS = true
 			cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 		}
-		sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
+		sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, nil)
 		if err != nil {
 			return result{}, err
 		}
 		defer sys.Stop()
 		var services []*workload.Service
 		for i, spec := range workload.Services() {
-			svcVM, err := addServiceVM(h.rig, i, spec.Name)
+			svcVM, err := addServiceVM(rig, i, spec.Name)
 			if err != nil {
 				return result{}, err
 			}
@@ -168,7 +178,7 @@ func ExtStream() (*Outcome, error) {
 			MeanInterarrival: 3 * time.Minute,
 			Horizon:          horizon,
 			Seed:             1213,
-		}, func(d time.Duration, fn func()) { h.engine.After(d, fn) }, func(a workload.Arrival) error {
+		}, func(d time.Duration, fn func()) { rig.Engine.After(d, fn) }, func(a workload.Arrival) error {
 			_, _, err := sys.SubmitJob(a.Spec, 0, func(j *mapred.Job) {
 				jcts = append(jcts, j.JCT().Seconds())
 			})
@@ -178,7 +188,7 @@ func ExtStream() (*Outcome, error) {
 			return result{}, err
 		}
 		samples, violations := 0, 0
-		tick := sim.NewTicker(h.engine, 15*time.Second, func(time.Duration) {
+		tick := sim.NewTicker(rig.Engine, 15*time.Second, func(time.Duration) {
 			for _, svc := range services {
 				samples++
 				if svc.SLAViolated() {
@@ -186,7 +196,7 @@ func ExtStream() (*Outcome, error) {
 				}
 			}
 		})
-		h.engine.RunUntil(horizon + 30*time.Minute) // drain the tail
+		rig.Engine.RunUntil(horizon + 30*time.Minute) // drain the tail
 		tick.Stop()
 		res := result{
 			completed: len(jcts),

@@ -5,64 +5,15 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// hybridRig is the Figure 8(a) testbed: a native partition plus a
-// virtual partition (2 VMs per PM) sharing one cluster and one DFS.
-type hybridRig struct {
-	rig       *testbed.Rig
-	engine    *sim.Engine
-	cluster   *cluster.Cluster
-	nativeJT  *mapred.JobTracker
-	virtualJT *mapred.JobTracker
-	vms       []*cluster.VM
-}
-
-func newHybridRig(nativePMs, vmHosts int, seed int64, capacityAware bool, reg *trace.Registry) (*hybridRig, error) {
-	rig, err := testbed.New(testbed.Options{
-		PMs:      vmHosts,
-		VMsPerPM: 2,
-		Seed:     seed,
-		MapredConfig: mapred.Config{
-			SlotCaps:      mapred.DefaultSlotCaps(),
-			CapacityAware: capacityAware,
-		},
-		Obs: obs.Sinks{Metrics: reg},
-	})
-	if err != nil {
-		return nil, err
-	}
-	h := &hybridRig{
-		rig:       rig,
-		engine:    rig.Engine,
-		cluster:   rig.Cluster,
-		virtualJT: rig.JT,
-		vms:       rig.VMs,
-	}
-	if nativePMs > 0 {
-		// The native partition runs its own HDFS instance, as on the
-		// paper's testbed; otherwise native jobs would pull blocks from
-		// (and interfere with) the virtual cluster's DataNodes.
-		pms := rig.Cluster.AddPMs("native", nativePMs)
-		nativeFS := dfs.New(rig.Engine, dfs.Config{}, seed+13, nil)
-		h.nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{}, nil, "")
-		for _, pm := range pms {
-			h.nativeJT.AddTracker(pm)
-		}
-	}
-	return h, nil
-}
 
 // mixResult summarizes one workload-mix run.
 type mixResult struct {
@@ -78,7 +29,17 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 	// keeps real spare capacity, which is the premise the paper's
 	// consolidation argument rests on.
 	reg := pool.registry()
-	h, err := newHybridRig(8, 16, seed, usePhase1, reg)
+	rig, err := testbed.New(testbed.Options{
+		PMs:       16,
+		NativePMs: 8,
+		VMsPerPM:  2,
+		Seed:      seed,
+		MapredConfig: mapred.Config{
+			SlotCaps:      mapred.DefaultSlotCaps(),
+			CapacityAware: usePhase1,
+		},
+		Obs: obs.Sinks{Metrics: reg},
+	})
 	if err != nil {
 		return mixResult{}, err
 	}
@@ -90,7 +51,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 		cfg.DisableIPS = true
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 	}
-	sys, err := core.NewSystem(h.engine, h.cluster, h.nativeJT, h.virtualJT, cfg, nil)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, nil)
 	if err != nil {
 		return mixResult{}, err
 	}
@@ -100,7 +61,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 	var services []*workload.Service
 	var drivers []*workload.LoadDriver
 	for i := 0; i < nServices; i++ {
-		svcVM, err := addServiceVM(h.rig, i, svcSpecs[i%len(svcSpecs)].Name)
+		svcVM, err := addServiceVM(rig, i, svcSpecs[i%len(svcSpecs)].Name)
 		if err != nil {
 			return mixResult{}, err
 		}
@@ -109,7 +70,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 			return mixResult{}, err
 		}
 		services = append(services, svc)
-		drivers = append(drivers, workload.NewLoadDriver(h.engine, svc, &workload.DiurnalTrace{
+		drivers = append(drivers, workload.NewLoadDriver(rig.Engine, svc, &workload.DiurnalTrace{
 			Base: 1500, Amplitude: 500, Seed: seed + int64(i),
 		}, 15*time.Second))
 	}
@@ -127,7 +88,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 			spec = scaledSpec(roster[i%len(roster)])
 		}
 		i := i
-		h.engine.After(time.Duration(i)*time.Minute, func() {
+		rig.Engine.After(time.Duration(i)*time.Minute, func() {
 			job, _, err := sys.SubmitJob(spec, 0, nil)
 			if err == nil {
 				jobs = append(jobs, job)
@@ -136,7 +97,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 	}
 
 	var latencies []float64
-	latTick := sim.NewTicker(h.engine, 15*time.Second, func(time.Duration) {
+	latTick := sim.NewTicker(rig.Engine, 15*time.Second, func(time.Duration) {
 		for _, svc := range services {
 			// Cap samples at a client-timeout level so a single
 			// saturated epoch does not dominate the mean.
@@ -157,7 +118,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 	}
 	deadline := 6 * time.Hour
 	for at := time.Minute; at <= deadline && !allDone(); at += time.Minute {
-		h.engine.RunUntil(at)
+		rig.Engine.RunUntil(at)
 	}
 	latTick.Stop()
 	for _, d := range drivers {

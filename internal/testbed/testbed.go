@@ -1,8 +1,10 @@
 // Package testbed assembles ready-to-run simulated clusters — native,
 // virtual (k VMs per PM), Dom-0, split-architecture and hybrid — wired
-// with a DFS and a MapReduce JobTracker. The HybridMR core and every
-// experiment build their scenarios from these rigs, mirroring the paper's
-// testbed of 24 physical nodes and 48 VMs.
+// with a DFS and a MapReduce JobTracker. A hybrid rig (Options.NativePMs)
+// adds a native partition with its own DFS and JobTracker beside the
+// rig's own, as in the paper's hybrid data center. The HybridMR core and
+// every experiment build their scenarios from these rigs, mirroring the
+// paper's testbed of 24 physical nodes and 48 VMs.
 package testbed
 
 import (
@@ -24,8 +26,18 @@ import (
 // Options selects a rig shape. Zero values mean: native cluster, paper
 // hardware, the paper's Fair scheduling.
 type Options struct {
-	// PMs is the number of physical machines (default 4).
+	// PMs is the number of physical machines in the rig's own partition
+	// (default 4 when NativePMs is 0). Zero with NativePMs > 0 builds the
+	// native partition alone, with nil JT and FS.
 	PMs int
+	// NativePMs > 0 adds a native partition of that many PMs, named
+	// native-i and built after the rig's own partition, in the same rack
+	// and power-domain striping. It runs its own DFS (seeded Seed+13) and
+	// its own JobTracker (Rig.NativeJT, with the Policies' Phase II
+	// scheduler over a default MapredConfig), as on the paper's testbed:
+	// native jobs neither read blocks from nor interfere with the other
+	// partition's DataNodes.
+	NativePMs int
 	// VMsPerPM > 0 builds a virtual cluster with that many VMs on each
 	// PM; 0 runs tasks natively on the PMs.
 	VMsPerPM int
@@ -53,8 +65,6 @@ type Options struct {
 	Split bool
 	// Seed fixes all randomized decisions.
 	Seed int64
-	// ClusterConfig overrides hardware parameters (zero fields default).
-	ClusterConfig cluster.Config
 	// MapredConfig overrides framework parameters (zero fields default).
 	MapredConfig mapred.Config
 	// Policies selects the Phase II policy: the JobTracker's slot
@@ -72,14 +82,15 @@ type Options struct {
 	// schedule and/or chaos profile. A zero Faults.Seed derives one from
 	// the rig seed, so a chaos run is pinned by -seed alone.
 	Faults *fault.Options
-	// Invariants, when non-nil, is attached to every layer of the rig as
-	// a runtime safety-invariant checker; read its Violations (or call
-	// Final) after the run. Checkers are per-rig, like the sinks.
+	// Invariants, when non-nil, is attached to every layer of the rig
+	// (both partitions of a hybrid rig) as a runtime safety-invariant
+	// checker; read its Violations (or call Final) after the run.
+	// Checkers are per-rig, like the sinks.
 	Invariants *invariant.Checker
 }
 
 func (o Options) withDefaults() Options {
-	if o.PMs <= 0 {
+	if o.PMs <= 0 && o.NativePMs <= 0 {
 		o.PMs = 4
 	}
 	if o.VMMemoryMB <= 0 {
@@ -97,19 +108,24 @@ type Rig struct {
 	Engine *sim.Engine
 	// Cluster holds the PMs and VMs.
 	Cluster *cluster.Cluster
-	// FS is the distributed filesystem.
+	// FS is the distributed filesystem (nil for a native-only rig).
 	FS *dfs.FileSystem
-	// JT is the MapReduce framework.
+	// JT is the MapReduce framework RunJob and RunJobs submit to (nil for
+	// a native-only rig).
 	JT *mapred.JobTracker
-	// Workers are the compute nodes registered as TaskTrackers.
+	// NativeJT is the native partition's JobTracker, over its own DFS
+	// (nil unless Options.NativePMs was set).
+	NativeJT *mapred.JobTracker
+	// Workers are the compute nodes registered as TaskTrackers with JT.
 	Workers []cluster.Node
-	// PMs are the physical machines backing the rig.
+	// PMs are the physical machines backing the rig's own partition; the
+	// native partition's PMs follow them in Cluster.PMs.
 	PMs []*cluster.PM
 	// VMs are all provisioned VMs (empty for native rigs).
 	VMs []*cluster.VM
-	// Faults injects failures into the rig; it is always constructed
-	// (manual injection works on any rig) and armed only when
-	// Options.Faults was set.
+	// Faults injects failures into the rig, spanning both partitions of
+	// a hybrid rig; it is always constructed (manual injection works on
+	// any rig) and armed only when Options.Faults was set.
 	Faults *fault.Injector
 	// Invariants is the runtime safety-invariant checker (nil unless
 	// Options.Invariants was set).
@@ -131,15 +147,25 @@ func New(opts Options) (*Rig, error) {
 	rig := &Rig{Engine: engine, Obs: opts.Obs}
 	rig.Obs.Bind(engine)
 	o := &rig.Obs
-	cl := cluster.New(engine, opts.ClusterConfig, opts.Seed, o)
-	fs := dfs.New(engine, dfs.Config{}, opts.Seed+1, o)
-	sched, mrCfg := opts.Policies.Phase2Setup(opts.MapredConfig)
-	jt := mapred.NewJobTracker(engine, fs, mrCfg, sched, o, "")
-	rig.Cluster, rig.FS, rig.JT = cl, fs, jt
-	rig.PMs = cl.AddPMs("pm", opts.PMs)
-	cluster.StripeTopology(rig.PMs, opts.Racks, opts.PowerDomains)
+	cl := cluster.New(engine, cluster.Config{}, opts.Seed, o)
+	rig.Cluster = cl
+	// The injector and checker span both partitions, the rig's own first.
+	var fss []*dfs.FileSystem
+	var jts []*mapred.JobTracker
+	if opts.PMs > 0 {
+		fs := dfs.New(engine, dfs.Config{}, opts.Seed+1, o)
+		sched, mrCfg := opts.Policies.Phase2Setup(opts.MapredConfig)
+		rig.FS = fs
+		rig.JT = mapred.NewJobTracker(engine, fs, mrCfg, sched, o, "")
+		fss, jts = append(fss, fs), append(jts, rig.JT)
+		rig.PMs = cl.AddPMs("pm", opts.PMs)
+		cluster.StripeTopology(rig.PMs, opts.Racks, opts.PowerDomains)
+	}
+	jt := rig.JT
 
 	switch {
+	case opts.PMs <= 0:
+		// Native-only: the rig has no partition of its own.
 	case opts.VMsPerPM <= 0:
 		for _, pm := range rig.PMs {
 			if opts.Dom0 {
@@ -177,6 +203,18 @@ func New(opts Options) (*Rig, error) {
 		}
 	}
 
+	if opts.NativePMs > 0 {
+		pms := cl.AddPMs("native", opts.NativePMs)
+		cluster.StripeTopology(pms, opts.Racks, opts.PowerDomains)
+		fs := dfs.New(engine, dfs.Config{}, opts.Seed+13, o)
+		sched, mrCfg := opts.Policies.Phase2Setup(mapred.Config{})
+		rig.NativeJT = mapred.NewJobTracker(engine, fs, mrCfg, sched, o, "native")
+		for _, pm := range pms {
+			rig.NativeJT.AddTracker(pm)
+		}
+		fss, jts = append(fss, fs), append(jts, rig.NativeJT)
+	}
+
 	faultOpts := fault.Options{Seed: opts.Seed + 2}
 	if opts.Faults != nil {
 		faultOpts = *opts.Faults
@@ -184,12 +222,16 @@ func New(opts Options) (*Rig, error) {
 			faultOpts.Seed = opts.Seed + 2
 		}
 	}
+	// The injector gets its own copy of the handle: a pointer into the
+	// rig would keep the rig, and its worker list, alive as long as the
+	// injector, which a deployment holds for its whole lifetime.
+	sinks := rig.Obs
 	rig.Faults = fault.NewInjector(fault.Env{
 		Engine:  engine,
 		Cluster: cl,
-		FSs:     []*dfs.FileSystem{fs},
-		JTs:     []*mapred.JobTracker{jt},
-		Obs:     o,
+		FSs:     fss,
+		JTs:     jts,
+		Obs:     &sinks,
 	}, faultOpts)
 	opts.Invariants.Attach(rig.Faults)
 	rig.Invariants = opts.Invariants

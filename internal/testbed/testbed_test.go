@@ -1,12 +1,14 @@
 package testbed
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/fault"
+	"repro/internal/invariant"
 	"repro/internal/mapred"
 	"repro/internal/workload"
 )
@@ -232,5 +234,98 @@ func TestFailingOffMachineIsNoOp(t *testing.T) {
 	}
 	if got := rig.Faults.Injections()[fault.PMCrash]; got != 0 {
 		t.Errorf("no-op failure recorded %d pm-crash injections", got)
+	}
+}
+
+// TestInjectorHoldsNoPointerIntoRig pins the heap trap: an injector
+// whose Env.Obs points at rig.Obs keeps the whole rig, worker list
+// included, reachable from every deployment that holds the injector.
+func TestInjectorHoldsNoPointerIntoRig(t *testing.T) {
+	rig, err := New(Options{PMs: 2, NativePMs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rig.Faults.Env().Obs == &rig.Obs {
+		t.Fatal("the injector's sink handle points into the rig")
+	}
+}
+
+func TestHybridRigLayout(t *testing.T) {
+	inv := invariant.New()
+	rig, err := New(Options{
+		PMs: 2, VMsPerPM: 2, NativePMs: 3, Seed: 5, Invariants: inv,
+		Faults: &fault.Options{Schedule: []fault.ScheduledFault{
+			{At: 10 * time.Second, Kind: fault.PMCrash, Target: "native-0"},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pm := range rig.Cluster.PMs() {
+		names = append(names, pm.Name())
+	}
+	if got, want := strings.Join(names, " "), "pm-0 pm-1 native-0 native-1 native-2"; got != want {
+		t.Errorf("PMs = %s, want %s", got, want)
+	}
+	if len(rig.PMs) != 2 || len(rig.Workers) != 4 {
+		t.Errorf("own partition: %d PMs, %d workers, want 2 and 4", len(rig.PMs), len(rig.Workers))
+	}
+	if rig.NativeJT == nil || rig.NativeJT.TrackerCount() != 3 {
+		t.Fatalf("NativeJT = %v, want 3 trackers", rig.NativeJT)
+	}
+	if rig.NativeJT.FS() == nil || rig.NativeJT.FS() == rig.FS {
+		t.Error("the native partition shares the rig's DFS")
+	}
+	env := rig.Faults.Env()
+	if len(env.JTs) != 2 || env.JTs[0] != rig.JT || env.JTs[1] != rig.NativeJT ||
+		len(env.FSs) != 2 || env.FSs[0] != rig.FS || env.FSs[1] != rig.NativeJT.FS() {
+		t.Error("the injector does not span the rig's partition, then the native one")
+	}
+
+	// A job left on each JobTracker shows up in the checker's liveness
+	// sweep only if the checker watches that tracker.
+	if _, err := rig.JT.Submit(workload.PiEst(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rig.NativeJT.Submit(workload.Sort().WithInputMB(8192), nil); err != nil {
+		t.Fatal(err)
+	}
+	rig.Engine.RunUntil(5 * time.Minute)
+	if !rig.NativeJT.Trackers()[0].Lost() {
+		t.Error("crashing native-0 did not lose its tracker in NativeJT")
+	}
+	livelocks := 0
+	for _, v := range inv.Final() {
+		if v.Name == "job-livelock" {
+			livelocks++
+		}
+	}
+	if livelocks != 2 {
+		t.Errorf("checker flagged %d unfinished jobs, want one per JobTracker: %v", livelocks, inv.Violations())
+	}
+}
+
+func TestNativeOnlyRig(t *testing.T) {
+	rig, err := New(Options{NativePMs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rig.JT != nil || rig.FS != nil || len(rig.PMs) != 0 {
+		t.Errorf("native-only rig built a partition of its own: JT %v, FS %v, %d PMs", rig.JT, rig.FS, len(rig.PMs))
+	}
+	if n := len(rig.Cluster.PMs()); n != 2 || rig.NativeJT.TrackerCount() != 2 {
+		t.Errorf("native-only rig: %d PMs, %d native trackers, want 2 and 2", n, rig.NativeJT.TrackerCount())
+	}
+	if env := rig.Faults.Env(); len(env.JTs) != 1 || env.JTs[0] != rig.NativeJT {
+		t.Error("the injector does not span the native partition alone")
+	}
+
+	plain, err := New(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.PMs) != 4 || plain.NativeJT != nil {
+		t.Errorf("default rig: %d PMs, NativeJT %v, want 4 and nil", len(plain.PMs), plain.NativeJT)
 	}
 }

@@ -60,10 +60,10 @@ func facadeShape(native, virtual int) func(*testing.T, wiringSinks) wiredShape {
 	}
 }
 
-func rigShape(vmsPerPM int, split bool) func(*testing.T, wiringSinks) wiredShape {
+func rigShape(vmsPerPM, nativePMs int, split bool) func(*testing.T, wiringSinks) wiredShape {
 	return func(t *testing.T, s wiringSinks) wiredShape {
 		rig, err := hybridmr.NewRig(hybridmr.RigOptions{
-			PMs: 4, VMsPerPM: vmsPerPM, Split: split, Seed: 3,
+			PMs: 4, VMsPerPM: vmsPerPM, NativePMs: nativePMs, Split: split, Seed: 3,
 			Obs: obs.Sinks{
 				Tracer: s.tracer, Metrics: s.reg, Audit: s.log, TimeSeries: s.ts,
 				Perf: s.perf,
@@ -75,7 +75,18 @@ func rigShape(vmsPerPM int, split bool) func(*testing.T, wiringSinks) wiredShape
 		}
 		rec := rig.NewRecorder(0)
 		return wiredShape{
-			submit: func(spec hybridmr.JobSpec) error { _, err := rig.JT.Submit(spec, nil); return err },
+			// A hybrid rig runs the job on both partitions.
+			submit: func(spec hybridmr.JobSpec) error {
+				for _, jt := range []*hybridmr.JobTracker{rig.JT, rig.NativeJT} {
+					if jt == nil {
+						continue
+					}
+					if _, err := jt.Submit(spec, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
 			run: func(d time.Duration) {
 				rig.Engine.RunUntil(rig.Engine.Now() + d)
 				rig.FlushPerf()
@@ -97,6 +108,9 @@ type wiringPins struct {
 	series string
 	// audit are the sorted audit subsystems.
 	audit string
+	// jobs is the registry's mapred.jobs.completed count: every
+	// partition's JobTracker counts into it.
+	jobs float64
 }
 
 // The registry names every shape reports (a layer resolves its counters
@@ -125,6 +139,7 @@ var rigPins = wiringPins{
 	metrics: rigMetrics,
 	series:  rigSeries + " mapred.tasks.pending/ mapred.tasks.running/",
 	audit:   "fault mapred",
+	jobs:    1,
 }
 
 // TestSinkWiringPerShape attaches every sink and the invariant checker
@@ -142,21 +157,31 @@ func TestSinkWiringPerShape(t *testing.T) {
 			metrics: rigMetrics + " core.placements",
 			series:  rigSeries + " mapred.tasks.pending/native mapred.tasks.running/native",
 			audit:   "fault mapred phase1",
+			jobs:    1,
 		}},
 		{"facade-virtual", facadeShape(0, 4), wiringPins{
 			metrics: rigMetrics + " core.placements drm.cap_adjustments drm.deferrals",
 			series:  rigSeries + " mapred.tasks.pending/ mapred.tasks.running/ service.latency_ms/RUBiS",
 			audit:   "drm fault mapred phase1",
+			jobs:    1,
 		}},
 		{"facade-hybrid", facadeShape(4, 4), wiringPins{
 			metrics: rigMetrics + " core.placements drm.cap_adjustments drm.deferrals",
 			series: rigSeries + " mapred.tasks.pending/ mapred.tasks.running/ service.latency_ms/RUBiS" +
 				" mapred.tasks.pending/native mapred.tasks.running/native",
 			audit: "drm fault mapred phase1",
+			jobs:  1,
 		}},
-		{"rig-native", rigShape(0, false), rigPins},
-		{"rig-virtual", rigShape(2, false), rigPins},
-		{"rig-split", rigShape(2, true), rigPins},
+		{"rig-native", rigShape(0, 0, false), rigPins},
+		{"rig-virtual", rigShape(2, 0, false), rigPins},
+		{"rig-split", rigShape(2, 0, true), rigPins},
+		{"rig-hybrid", rigShape(2, 4, false), wiringPins{
+			metrics: rigMetrics,
+			series: rigSeries + " mapred.tasks.pending/ mapred.tasks.running/" +
+				" mapred.tasks.pending/native mapred.tasks.running/native",
+			audit: "fault mapred",
+			jobs:  2,
+		}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -209,11 +234,15 @@ func TestSinkWiringPerShape(t *testing.T) {
 			for sub := range subsystems {
 				audits = append(audits, sub)
 			}
-			got := wiringPins{metrics: joinSorted(kept), series: joinSorted(series), audit: joinSorted(audits)}
+			got := wiringPins{
+				metrics: joinSorted(kept), series: joinSorted(series), audit: joinSorted(audits),
+				jobs: snap.Counters["mapred.jobs.completed"],
+			}
 			want := wiringPins{
 				metrics: joinSorted(strings.Fields(sh.want.metrics)),
 				series:  joinSorted(strings.Fields(sh.want.series)),
 				audit:   joinSorted(strings.Fields(sh.want.audit)),
+				jobs:    sh.want.jobs,
 			}
 			if got != want {
 				t.Errorf("pins differ\n got: %#v\nwant: %#v", got, want)
