@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestUnknownExperimentIDErrors(t *testing.T) {
@@ -297,5 +299,36 @@ func TestBenchJSONEventsFired(t *testing.T) {
 		if fired[0][id] == 0 || fired[0][id] != fired[1][id] {
 			t.Errorf("%s events_fired: %d at 1 worker, %d at 8; want equal and nonzero", id, fired[0][id], fired[1][id])
 		}
+	}
+}
+
+// TestBenchJSONControllerMetrics checks that the experiments driving a
+// full HybridMR system record its controllers, and that the cross-platform
+// designs record into a registry at all.
+func TestBenchJSONControllerMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	chdir(t, t.TempDir())
+	if err := run([]string{"-only", "fig8a,fig9b", "-scale", "0.1", "-json"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	metrics := map[string]trace.Snapshot{}
+	for _, id := range []string{"fig8a", "fig9b"} {
+		data, err := os.ReadFile("BENCH_" + id + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec benchRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatalf("BENCH_%s.json: %v", id, err)
+		}
+		metrics[id] = rec.Metrics
+	}
+	if got := metrics["fig8a"].Counters["core.placements"]; got <= 0 {
+		t.Errorf("fig8a core.placements = %v, want > 0", got)
+	}
+	if m := metrics["fig9b"]; len(m.Counters)+len(m.Gauges)+len(m.Histograms) == 0 {
+		t.Error("fig9b metrics are empty")
 	}
 }

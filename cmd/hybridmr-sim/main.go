@@ -739,10 +739,6 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		spec = spec.WithInputMB(o.dataGB * workload.GB)
 	}
 
-	mrCfg := mapred.Config{}
-	if o.slotCaps {
-		mrCfg.SlotCaps = mapred.DefaultSlotCaps()
-	}
 	rig, err := testbed.New(testbed.Options{
 		PMs:          o.pms,
 		VMsPerPM:     o.vmsPerPM,
@@ -750,7 +746,7 @@ func runJob(o jobOptions, obs *runObs, out io.Writer) error {
 		Split:        o.split,
 		Seed:         o.seed,
 		Policies:     o.policies,
-		MapredConfig: mrCfg,
+		MapredConfig: mapred.Config{SlotCaps: o.slotCaps},
 		Obs:          obs.sinks,
 	})
 	if err != nil {

@@ -413,7 +413,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		PowerDomains: spec.PowerDomains,
 		Seed:         spec.Seed,
 		MapredConfig: mapred.Config{
-			SlotCaps:      mapred.DefaultSlotCaps(),
+			SlotCaps:      true,
 			CapacityAware: !spec.VanillaHadoop,
 		},
 		Policies: spec.Config.Policies,

@@ -20,7 +20,7 @@ import (
 func capSkipRig(tb testing.TB, rng *rand.Rand) (*sim.Engine, *PM, []*Consumer) {
 	tb.Helper()
 	engine := sim.New()
-	c := New(engine, DefaultConfig(), rng.Int63(), nil)
+	c := New(engine, Config{}, rng.Int63(), nil)
 	pm := c.AddPM("pm")
 	var consumers []*Consumer
 	newConsumer := func(name string) *Consumer {

@@ -52,7 +52,7 @@ type OverheadProfile struct {
 // NoOverhead is the profile of bare-metal execution.
 func NoOverhead() OverheadProfile { return OverheadProfile{CPU: 1, Disk: 1, Net: 1} }
 
-// XenGuestOverhead is the default profile of a paravirtualized guest VM.
+// XenGuestOverhead is the profile of every paravirtualized guest VM.
 // Xen-3.4-era paravirtual networking in particular cost far more than
 // block I/O at gigabit rates, which is why the paper finds cross-host VM
 // communication so expensive.
@@ -66,154 +66,70 @@ func Dom0Overhead() OverheadProfile {
 	return OverheadProfile{CPU: 0.99, Disk: 0.975, Net: 0.98}
 }
 
-func (p OverheadProfile) normalized() OverheadProfile {
-	if p.CPU <= 0 || p.CPU > 1 {
-		p.CPU = 1
-	}
-	if p.Disk <= 0 || p.Disk > 1 {
-		p.Disk = 1
-	}
-	if p.Net <= 0 || p.Net > 1 {
-		p.Net = 1
-	}
-	return p
+// Config describes what varies between clusters: the core count of
+// every PM. The rest of the hardware and the virtualization cost model
+// are the paper's testbed, fixed below.
+type Config struct {
+	// Cores is the number of physical cores per PM; zero means 2, the
+	// testbed's dual-core Opterons.
+	Cores int
 }
 
-// Config describes the hardware of every PM in a cluster and the
-// virtualization cost model. The defaults mirror the paper's testbed:
-// dual-core 2.4 GHz Opterons, 4 GB RAM, Ultra320 SCSI, 1 Gbps Ethernet.
-type Config struct {
-	// Cores is the number of physical cores per PM.
-	Cores int
-	// MemoryMB is physical RAM per PM.
-	MemoryMB float64
-	// DiskMBps is the sequential disk bandwidth per PM.
-	DiskMBps float64
-	// NetMBps is the NIC bandwidth per PM (1 Gbps ≈ 117 MB/s usable).
-	NetMBps float64
+// The paper's testbed hardware: 2.4 GHz Opterons with 4 GB RAM,
+// Ultra320 SCSI and 1 Gbps Ethernet, under Xen 3.4.
+const (
+	// memoryMB is physical RAM per PM.
+	memoryMB float64 = 4096
+	// diskMBps is the sequential disk bandwidth per PM.
+	diskMBps float64 = 90
+	// netMBps is the NIC bandwidth per PM (1 Gbps ≈ 117 MB/s usable).
+	netMBps float64 = 117
 
-	// PowerIdleW and PowerPeakW parameterize the linear power model
+	// PowerIdleW and powerPeakW parameterize the linear power model
 	// P(u) = idle + (peak-idle)*u_cpu.
-	PowerIdleW float64
-	PowerPeakW float64
+	PowerIdleW float64 = 150
+	powerPeakW float64 = 250
 
-	// GuestOverhead is applied to consumers inside VMs.
-	GuestOverhead OverheadProfile
-	// IOContentionPerVM is the extra inflation of virtual I/O demand per
+	// ioContentionPerVM is the extra inflation of virtual I/O demand per
 	// additional VM concurrently performing I/O on the same PM. It models
 	// the Dom-0 backend-driver bottleneck that makes the paper's virtual
 	// HDFS numbers degrade super-linearly with VM count and data size.
-	IOContentionPerVM float64
-	// MemPenaltyExp shapes the thrashing slowdown under memory
-	// overcommit: speed *= (capacity/demand)^MemPenaltyExp.
-	MemPenaltyExp float64
+	ioContentionPerVM float64 = 0.03
+	// memPenaltyExp shapes the thrashing slowdown under memory
+	// overcommit: speed *= (capacity/demand)^memPenaltyExp.
+	memPenaltyExp float64 = 2.2
 
-	// DiskSeekOverloadFactor models seek thrashing on an oversubscribed
+	// diskSeekOverloadFactor models seek thrashing on an oversubscribed
 	// disk: when total demanded disk bandwidth exceeds capacity, the
-	// effective capacity becomes C / (1 + k*(demand/C - 1)), capped by
-	// DiskSeekMaxPenalty. This is what turns heavy cross-VM I/O
+	// effective capacity becomes C / (1 + k*(demand/C - 1)²), capped by
+	// diskSeekMaxPenalty. This is what turns heavy cross-VM I/O
 	// contention into the super-linear JCT blowup of Figure 6(c).
-	DiskSeekOverloadFactor float64
-	// DiskSeekMaxPenalty caps the seek-thrashing capacity divisor
-	// (default 1.35: the elevator scheduler keeps oversubscribed
-	// sequential streams at ~75% of peak bandwidth).
-	DiskSeekMaxPenalty float64
+	diskSeekOverloadFactor float64 = 2.0
+	// diskSeekMaxPenalty caps the seek-thrashing capacity divisor: the
+	// elevator scheduler keeps oversubscribed sequential streams at ~75%
+	// of peak bandwidth.
+	diskSeekMaxPenalty float64 = 1.35
 
-	// MigrationDirtyFactor converts a VM's activity level into a memory
+	// migrationDirtyFactor converts a VM's activity level into a memory
 	// dirty rate (MB/s per unit of busy CPU+memory activity).
-	MigrationDirtyFactor float64
-	// MigrationStopCopyMB is the residual dirty set at which pre-copy
+	migrationDirtyFactor float64 = 24
+	// migrationStopCopyMB is the residual dirty set at which pre-copy
 	// stops and the VM is suspended for the final copy.
-	MigrationStopCopyMB float64
+	migrationStopCopyMB float64 = 32
 
-	// MigrationRetryBackoff is the initial delay before re-attempting a
+	// migrationRetryBackoff is the initial delay before re-attempting a
 	// migration whose destination failed mid-transfer; each further
 	// retry doubles it.
-	MigrationRetryBackoff time.Duration
-	// MigrationMaxRetries bounds those re-attempts. Negative disables
-	// retries entirely.
-	MigrationMaxRetries int
-}
-
-// DefaultConfig returns the paper's testbed hardware.
-func DefaultConfig() Config {
-	return Config{
-		Cores:                  2,
-		MemoryMB:               4096,
-		DiskMBps:               90,
-		NetMBps:                117,
-		PowerIdleW:             150,
-		PowerPeakW:             250,
-		GuestOverhead:          XenGuestOverhead(),
-		IOContentionPerVM:      0.03,
-		MemPenaltyExp:          2.2,
-		DiskSeekOverloadFactor: 2.0,
-		DiskSeekMaxPenalty:     1.35,
-		MigrationDirtyFactor:   24,
-		MigrationStopCopyMB:    32,
-		MigrationRetryBackoff:  30 * time.Second,
-		MigrationMaxRetries:    3,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Cores <= 0 {
-		c.Cores = d.Cores
-	}
-	if c.MemoryMB <= 0 {
-		c.MemoryMB = d.MemoryMB
-	}
-	if c.DiskMBps <= 0 {
-		c.DiskMBps = d.DiskMBps
-	}
-	if c.NetMBps <= 0 {
-		c.NetMBps = d.NetMBps
-	}
-	if c.PowerIdleW <= 0 {
-		c.PowerIdleW = d.PowerIdleW
-	}
-	if c.PowerPeakW <= 0 {
-		c.PowerPeakW = d.PowerPeakW
-	}
-	c.GuestOverhead = c.GuestOverhead.normalized()
-	if c.GuestOverhead == NoOverhead() {
-		c.GuestOverhead = d.GuestOverhead
-	}
-	if c.IOContentionPerVM <= 0 {
-		c.IOContentionPerVM = d.IOContentionPerVM
-	}
-	if c.MemPenaltyExp <= 0 {
-		c.MemPenaltyExp = d.MemPenaltyExp
-	}
-	if c.MigrationDirtyFactor <= 0 {
-		c.MigrationDirtyFactor = d.MigrationDirtyFactor
-	}
-	if c.DiskSeekOverloadFactor <= 0 {
-		c.DiskSeekOverloadFactor = d.DiskSeekOverloadFactor
-	}
-	if c.DiskSeekMaxPenalty <= 1 {
-		c.DiskSeekMaxPenalty = d.DiskSeekMaxPenalty
-	}
-	if c.MigrationStopCopyMB <= 0 {
-		c.MigrationStopCopyMB = d.MigrationStopCopyMB
-	}
-	if c.MigrationRetryBackoff <= 0 {
-		c.MigrationRetryBackoff = d.MigrationRetryBackoff
-	}
-	if c.MigrationMaxRetries == 0 {
-		c.MigrationMaxRetries = d.MigrationMaxRetries
-	} else if c.MigrationMaxRetries < 0 {
-		c.MigrationMaxRetries = 0
-	}
-	return c
-}
+	migrationRetryBackoff time.Duration = 30 * time.Second
+	// migrationMaxRetries bounds those re-attempts.
+	migrationMaxRetries int = 3
+)
 
 // Cluster is a collection of PMs and the VMs they host, sharing one
 // simulation engine.
 type Cluster struct {
 	engine *sim.Engine
-	cfg    Config
+	cores  int
 	rng    *rand.Rand
 	pms    []*PM
 	vms    []*VM
@@ -258,17 +174,19 @@ type Cluster struct {
 	mPMCrashes         *trace.Counter
 }
 
-// New creates an empty cluster. Zero-valued Config fields take the paper's
-// testbed defaults. The cluster records migration lifecycle decisions
-// (start, completion, abort, retry, abandonment) on the handle's audit
-// log, and migration completions and PM power transitions as windowed
-// time series; a nil handle records nothing.
+// New creates an empty cluster. The cluster records migration lifecycle
+// decisions (start, completion, abort, retry, abandonment) on the
+// handle's audit log, and migration completions and PM power transitions
+// as windowed time series; a nil handle records nothing.
 func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *Cluster {
 	o := obs.Of(sinks)
 	reg := o.Metrics
+	if cfg.Cores <= 0 {
+		cfg.Cores = 2
+	}
 	c := &Cluster{
 		engine:   engine,
-		cfg:      cfg.withDefaults(),
+		cores:    cfg.Cores,
 		rng:      rand.New(rand.NewSource(seed)),
 		tracer:   o.Tracer,
 		auditLog: o.Audit,
@@ -326,9 +244,6 @@ type InvariantSink interface {
 // off.
 func (c *Cluster) SetInvariants(s InvariantSink) { c.inv = s }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // TopologyGen returns a counter that changes whenever a node's physical
 // placement or rack changes: a VM is provisioned, attaches to a
 // migration destination or is destroyed, or a PM's rack label is set.
@@ -348,10 +263,9 @@ type fleetRow struct {
 // AddPM provisions a physical machine.
 func (c *Cluster) AddPM(name string) *PM {
 	pm := &PM{
-		name:    name,
-		cluster: c,
-		capacity: resource.NewVector(
-			float64(c.cfg.Cores), c.cfg.MemoryMB, c.cfg.DiskMBps, c.cfg.NetMBps),
+		name:           name,
+		cluster:        c,
+		capacity:       resource.NewVector(float64(c.cores), memoryMB, diskMBps, netMBps),
 		nativeOverhead: NoOverhead(),
 		idx:            len(c.pms),
 	}
@@ -498,8 +412,7 @@ func (c *Cluster) FleetStats() FleetStats {
 // powerAt is the linear power model at utilization u, the one definition
 // PM.PowerW and FleetStats share.
 func (c *Cluster) powerAt(u resource.Vector) float64 {
-	cfg := &c.cfg
-	return cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*u.Get(resource.CPU)
+	return PowerIdleW + (powerPeakW-PowerIdleW)*u.Get(resource.CPU)
 }
 
 // PoweredOnPMs counts PMs that are not powered off.

@@ -15,7 +15,23 @@ import (
 func testCluster(t *testing.T) (*sim.Engine, *Cluster) {
 	t.Helper()
 	engine := sim.New()
-	return engine, New(engine, DefaultConfig(), 1, nil)
+	return engine, New(engine, Config{}, 1, nil)
+}
+
+// TestConfigCores checks the one hardware knob: Cores sets every PM's
+// core count, zero means the testbed's 2, and the rest of the machine
+// stays the testbed's.
+func TestConfigCores(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   Config
+		cores float64
+	}{{Config{}, 2}, {Config{Cores: 4}, 4}} {
+		pm := New(sim.New(), tc.cfg, 1, nil).AddPM("pm-0")
+		want := resource.NewVector(tc.cores, memoryMB, diskMBps, netMBps)
+		if got := pm.Capacity(); got != want {
+			t.Errorf("%+v: capacity %v, want %v", tc.cfg, got, want)
+		}
+	}
 }
 
 func runConsumer(t *testing.T, engine *sim.Engine, node Node, c *Consumer) time.Duration {
@@ -87,8 +103,7 @@ func TestCPUContentionHalvesSpeed(t *testing.T) {
 func TestStaggeredArrivalIntegration(t *testing.T) {
 	engine, c := testCluster(t)
 	pm := c.AddPM("pm-0")
-	cfg := c.Config()
-	if cfg.Cores != 2 {
+	if pm.Capacity().Get(resource.CPU) != 2 {
 		t.Fatalf("test assumes 2 cores")
 	}
 	// First consumer runs alone for 50s at full speed, then a second
@@ -123,7 +138,7 @@ func TestVMGuestOverheadOnIO(t *testing.T) {
 	// guest overhead (0.84) plus a little seek thrash is the bottleneck.
 	con := &Consumer{
 		Name:   "io",
-		Demand: resource.NewVector(0.1, 256, c.Config().DiskMBps, 0),
+		Demand: resource.NewVector(0.1, 256, diskMBps, 0),
 		Work:   100,
 	}
 	at := runConsumer(t, engine, vm, con)
@@ -138,7 +153,7 @@ func TestCrossVMIOContentionSuperlinear(t *testing.T) {
 	// share alone would predict, because of the Dom-0 inflation.
 	mkJCT := func(nVM int) float64 {
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), 1, nil)
+		c := New(engine, Config{}, 1, nil)
 		pm := c.AddPM("pm-0")
 		var last float64
 		for i := 0; i < nVM; i++ {
@@ -148,7 +163,7 @@ func TestCrossVMIOContentionSuperlinear(t *testing.T) {
 			}
 			con := &Consumer{
 				Name:   "io",
-				Demand: resource.NewVector(0.1, 0, c.Config().DiskMBps, 0),
+				Demand: resource.NewVector(0.1, 0, diskMBps, 0),
 				Work:   100,
 			}
 			con.OnComplete = func() { last = engine.Now().Seconds() }
@@ -327,14 +342,14 @@ func TestAddVMMemoryExhaustion(t *testing.T) {
 func TestDom0ModeSmallOverhead(t *testing.T) {
 	run := func(dom0 bool) float64 {
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), 1, nil)
+		c := New(engine, Config{}, 1, nil)
 		pm := c.AddPM("pm-0")
 		pm.SetDom0Mode(dom0)
 		// Saturate the disk so that the Dom-0 efficiency binds; overhead
 		// only appears when the device has no headroom to absorb it.
 		con := &Consumer{
 			Name:   "x",
-			Demand: resource.NewVector(1, 0, DefaultConfig().DiskMBps, 0),
+			Demand: resource.NewVector(1, 0, diskMBps, 0),
 			Work:   100,
 		}
 		var done float64
@@ -356,17 +371,16 @@ func TestDom0ModeSmallOverhead(t *testing.T) {
 func TestPowerModel(t *testing.T) {
 	engine, c := testCluster(t)
 	pm := c.AddPM("pm-0")
-	cfg := c.Config()
-	if got := pm.PowerW(); got != cfg.PowerIdleW {
-		t.Errorf("idle power = %v, want %v", got, cfg.PowerIdleW)
+	if got := pm.PowerW(); got != PowerIdleW {
+		t.Errorf("idle power = %v, want %v", got, PowerIdleW)
 	}
 	con := &Consumer{Name: "x", Demand: resource.NewVector(2, 0, 0, 0), Work: 1000}
 	if err := pm.Start(con); err != nil {
 		t.Fatal(err)
 	}
 	engine.RunUntil(time.Second)
-	if got := pm.PowerW(); math.Abs(got-cfg.PowerPeakW) > 1 {
-		t.Errorf("busy power = %v, want ~%v", got, cfg.PowerPeakW)
+	if got := pm.PowerW(); math.Abs(got-powerPeakW) > 1 {
+		t.Errorf("busy power = %v, want ~%v", got, powerPeakW)
 	}
 	if got := c.FleetStats().PowerW; math.Abs(got-pm.PowerW()) > 1e-9 {
 		t.Errorf("fleet power = %v, want %v", got, pm.PowerW())
@@ -473,7 +487,7 @@ func TestMigrationMovesVM(t *testing.T) {
 func TestMigrationBusyVMTakesLonger(t *testing.T) {
 	migTime := func(busy bool) time.Duration {
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), 1, nil)
+		c := New(engine, Config{}, 1, nil)
 		src := c.AddPM("s")
 		dst := c.AddPM("d")
 		vm, err := c.AddVM("vm", src, 1, 1024)
@@ -637,7 +651,7 @@ func TestClusterMetricsInstrumentation(t *testing.T) {
 	engine := sim.New()
 	tr := trace.New(engine)
 	reg := trace.NewRegistry()
-	c := New(engine, DefaultConfig(), 1, &obs.Sinks{Tracer: tr, Metrics: reg})
+	c := New(engine, Config{}, 1, &obs.Sinks{Tracer: tr, Metrics: reg})
 
 	src := c.AddPM("pm-src")
 	dst := c.AddPM("pm-dst")

@@ -18,7 +18,7 @@ func fleetRig(tb testing.TB, seed int64, pms int) *Cluster {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	engine := sim.New()
-	c := New(engine, DefaultConfig(), seed, nil)
+	c := New(engine, Config{}, seed, nil)
 	for i, pm := range c.AddPMs("pm", pms) {
 		switch rng.Intn(5) {
 		case 0:
@@ -135,13 +135,12 @@ func referenceUtil(pm *PM) resource.Vector {
 func referenceFleetStats(c *Cluster, off map[*PM]bool) FleetStats {
 	var s FleetStats
 	var sum resource.Vector
-	cfg := c.cfg
 	for _, pm := range c.pms {
 		if off[pm] {
 			continue
 		}
 		u := referenceUtil(pm)
-		s.PowerW += cfg.PowerIdleW + (cfg.PowerPeakW-cfg.PowerIdleW)*u.Get(resource.CPU)
+		s.PowerW += PowerIdleW + (powerPeakW-PowerIdleW)*u.Get(resource.CPU)
 		sum = sum.Add(u)
 		s.PMsOn++
 	}
@@ -167,7 +166,7 @@ type fleetChurn struct {
 func newFleetChurn(tb testing.TB, seed int64, pms int) *fleetChurn {
 	tb.Helper()
 	f := &fleetChurn{
-		c:   New(sim.New(), DefaultConfig(), seed, nil),
+		c:   New(sim.New(), Config{}, seed, nil),
 		rng: rand.New(rand.NewSource(seed)),
 		off: map[*PM]bool{},
 	}

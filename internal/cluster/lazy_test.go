@@ -26,7 +26,7 @@ func lazyScript(tb testing.TB, seed int64, eager bool) []string {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	engine := sim.New()
-	cl := cluster.New(engine, cluster.DefaultConfig(), seed, nil)
+	cl := cluster.New(engine, cluster.Config{}, seed, nil)
 	pms := cl.AddPMs("pm", 3)
 	if eager {
 		cluster.SolveOnEveryChange(cl)
@@ -315,7 +315,7 @@ func TestDeferredSolveMatchesEagerReference(t *testing.T) {
 func TestDeferredSolveKeepsTieOrder(t *testing.T) {
 	for _, eager := range []bool{false, true} {
 		engine := sim.New()
-		cl := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
+		cl := cluster.New(engine, cluster.Config{}, 1, nil)
 		pms := cl.AddPMs("pm", 2)
 		if eager {
 			cluster.SolveOnEveryChange(cl)

@@ -51,8 +51,7 @@ type migration struct {
 //
 // If the source fails mid-migration the VM dies with it; if the
 // destination fails, the VM keeps running on the source and the
-// migration retries with exponential backoff (see Config's
-// MigrationRetryBackoff and MigrationMaxRetries).
+// migration retries up to 3 times with exponential backoff from 30 s.
 func (c *Cluster) Migrate(vm *VM, dst *PM, done func(MigrationStats)) error {
 	return c.migrate(vm, dst, done, 0)
 }
@@ -85,18 +84,17 @@ func (c *Cluster) migrate(vm *VM, dst *PM, done func(MigrationStats), retries in
 		return fmt.Errorf("cluster: Migrate(%s): destination %s memory exhausted", vm.name, dst.name)
 	}
 
-	cfg := c.cfg
 	activity := vm.activityLevel()
-	dirtyMBps := cfg.MigrationDirtyFactor * activity
+	dirtyMBps := migrationDirtyFactor * activity
 
 	// Pre-copy rounds at nominal bandwidth. The actual elapsed time
 	// stretches under network contention because the transfer runs as a
 	// normal consumer.
-	bw := cfg.NetMBps * 0.8 // migration stream won't saturate the NIC
+	bw := netMBps * 0.8 // migration stream won't saturate the NIC
 	residual := vm.memMB
 	transferred := 0.0
 	rounds := 0
-	for residual > cfg.MigrationStopCopyMB && rounds < 30 {
+	for residual > migrationStopCopyMB && rounds < 30 {
 		transferred += residual
 		roundTime := residual / bw
 		residual = dirtyMBps * roundTime
@@ -266,9 +264,9 @@ func (c *Cluster) abortMigrationsFor(pm *PM) {
 }
 
 // scheduleMigrationRetry re-attempts an aborted migration after an
-// exponential backoff, giving up once MigrationMaxRetries is exhausted.
+// exponential backoff, giving up once migrationMaxRetries is exhausted.
 func (c *Cluster) scheduleMigrationRetry(vm *VM, dst *PM, done func(MigrationStats), prevRetries int) {
-	if prevRetries >= c.cfg.MigrationMaxRetries {
+	if prevRetries >= migrationMaxRetries {
 		if c.tracer != nil {
 			c.tracer.Instant(vm.name, "migration", "migration-abandoned",
 				trace.S("to", dst.name),
@@ -279,11 +277,11 @@ func (c *Cluster) scheduleMigrationRetry(vm *VM, dst *PM, done func(MigrationSta
 		return
 	}
 	attempt := prevRetries + 1
-	backoff := c.cfg.MigrationRetryBackoff << uint(prevRetries)
+	backoff := migrationRetryBackoff << uint(prevRetries)
 	c.mMigrationRetries.Inc()
 	c.auditLog.Add("cluster", "migrate-retry", vm.name,
 		fmt.Sprintf("retry toward %s in %v", dst.name, backoff),
-		fmt.Sprintf("attempt %d of %d, exponential backoff", attempt, c.cfg.MigrationMaxRetries))
+		fmt.Sprintf("attempt %d of %d, exponential backoff", attempt, migrationMaxRetries))
 	if c.tracer != nil {
 		c.tracer.Instant(vm.name, "migration", "migration-retry-scheduled",
 			trace.S("to", dst.name),

@@ -400,7 +400,6 @@ func (pm *PM) solve() {
 // allocation over capacity, clamped to 1 — in its fleet table row. It
 // returns that raw allocation.
 func (pm *PM) resolve() resource.Vector {
-	cfg := &pm.cluster.cfg
 	inflate := pm.ioInflate()
 
 	hostMem := pm.capacity.Get(resource.Memory)
@@ -434,7 +433,7 @@ func (pm *PM) resolve() resource.Vector {
 		g := solveGroup{
 			members:  vm.consumers,
 			vm:       vm,
-			overhead: cfg.GuestOverhead,
+			overhead: XenGuestOverhead(),
 			inflate:  inflate,
 			weight:   vm.weight,
 			memCap:   vm.memMB,
@@ -490,9 +489,9 @@ func (pm *PM) resolve() resource.Vector {
 		// (the elevator scheduler merges nearly-sequential streams),
 		// heavy oversubscription converges to the thrash floor.
 		over := totalDisk/diskCap - 1
-		divisor := 1 + cfg.DiskSeekOverloadFactor*over*over
-		if divisor > cfg.DiskSeekMaxPenalty {
-			divisor = cfg.DiskSeekMaxPenalty
+		divisor := 1 + diskSeekOverloadFactor*over*over
+		if divisor > diskSeekMaxPenalty {
+			divisor = diskSeekMaxPenalty
 		}
 		solveCap = solveCap.Set(resource.DiskIO, diskCap/divisor)
 	}
@@ -539,7 +538,7 @@ func (pm *PM) resolve() resource.Vector {
 // machine's utilization and power in the last bits.
 func (pm *PM) resolveVMs() {
 	inflate := pm.ioInflate()
-	overhead := pm.cluster.cfg.GuestOverhead
+	overhead := XenGuestOverhead()
 	sc := &pm.cluster.solve
 	for _, vm := range pm.vms {
 		if !vm.dirty {
@@ -580,7 +579,6 @@ func (pm *PM) resolveVMs() {
 // given their raw demands, and sets each member's raw and useful
 // allocation and its speed.
 func (pm *PM) shareMembers(g *solveGroup, alloc resource.Vector, rawDemands []resource.Vector) {
-	cfg := &pm.cluster.cfg
 	sc := &pm.cluster.solve
 	weights := sc.memberWeights[:0]
 	caps := sc.memberCaps[:0]
@@ -606,7 +604,7 @@ func (pm *PM) shareMembers(g *solveGroup, alloc resource.Vector, rawDemands []re
 		use := c.Demand.Get(resource.Memory)
 		penalty := 1.0
 		if capMem := c.Cap.Get(resource.Memory); capMem > 0 && capMem < use {
-			penalty = math.Pow(capMem/use, cfg.MemPenaltyExp)
+			penalty = math.Pow(capMem/use, memPenaltyExp)
 			use = capMem
 		}
 		selfPenalty = append(selfPenalty, penalty)
@@ -615,7 +613,7 @@ func (pm *PM) shareMembers(g *solveGroup, alloc resource.Vector, rawDemands []re
 	sc.selfPenalty = selfPenalty
 	memPenalty := 1.0
 	if g.memCap > 0 && memDemand > g.memCap {
-		memPenalty = math.Pow(g.memCap/memDemand, cfg.MemPenaltyExp)
+		memPenalty = math.Pow(g.memCap/memDemand, memPenaltyExp)
 	}
 
 	for mi, c := range g.members {
@@ -657,10 +655,9 @@ func (pm *PM) ioInflate() resource.Vector {
 			kNet++
 		}
 	}
-	perVM := pm.cluster.cfg.IOContentionPerVM
 	return resource.NewVector(1, 1,
-		1+perVM*float64(max(kDisk-1, 0)),
-		1+perVM*float64(max(kNet-1, 0)))
+		1+ioContentionPerVM*float64(max(kDisk-1, 0)),
+		1+ioContentionPerVM*float64(max(kNet-1, 0)))
 }
 
 // recordUtil writes the machine's total raw allocation over capacity,

@@ -18,7 +18,7 @@ func TestKernelAllocationInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), seed, nil)
+		c := New(engine, Config{}, seed, nil)
 		pm := c.AddPM("pm")
 		var vms []*VM
 		for i := 0; i < rng.Intn(3); i++ {
@@ -96,7 +96,7 @@ func TestKernelNoSuperluminalProgress(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		engine := sim.New()
-		c := New(engine, DefaultConfig(), seed, nil)
+		c := New(engine, Config{}, seed, nil)
 		pm := c.AddPM("pm")
 		type tracked struct {
 			work   float64

@@ -16,7 +16,7 @@ import (
 func solveRig(tb testing.TB, perVM int) *PM {
 	tb.Helper()
 	engine := sim.New()
-	c := New(engine, DefaultConfig(), 1, nil)
+	c := New(engine, Config{}, 1, nil)
 	pm := c.AddPM("pm")
 	for i := 0; i < 2; i++ {
 		if err := pm.Start(&Consumer{

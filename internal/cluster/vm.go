@@ -80,7 +80,7 @@ func (vm *VM) UsefulCapacity() resource.Vector {
 		return resource.Vector{} // destroyed: no capacity anywhere
 	}
 	host := vm.host.capacity
-	overhead := vm.host.cluster.cfg.GuestOverhead
+	overhead := XenGuestOverhead()
 	cpu := float64(vm.vcpus)
 	if hc := host.Get(resource.CPU); hc < cpu {
 		cpu = hc

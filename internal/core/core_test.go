@@ -21,7 +21,7 @@ func virtualRig(t *testing.T, pms int) *testbed.Rig {
 		PMs:          pms,
 		VMsPerPM:     2,
 		Seed:         11,
-		MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
+		MapredConfig: mapred.Config{SlotCaps: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func drmTickRig(tb testing.TB, pms int) *DRM {
 		PMs:          pms,
 		VMsPerPM:     2,
 		Seed:         11,
-		MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
+		MapredConfig: mapred.Config{SlotCaps: true},
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -406,15 +406,6 @@ func (p *IPS) relocationCandidate(a *mapred.Attempt, tr *mapred.TaskTracker, avo
 	return !p.hostsAnyService(tr.Compute.Machine())
 }
 
-func (p *IPS) hostsViolatingService(pm *cluster.PM) bool {
-	for _, st := range p.services {
-		if st.svc.Node().Machine() == pm && st.svc.SLAViolated() {
-			return true
-		}
-	}
-	return false
-}
-
 func (p *IPS) hostsAnyService(pm *cluster.PM) bool {
 	for _, st := range p.services {
 		if st.svc.Node().Machine() == pm {

@@ -21,19 +21,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes the filesystem. Zero values take the Hadoop v0.22
-// defaults used in the paper (64 MB blocks, 2 replicas).
+// blockMB is the block size of the Hadoop v0.22 deployment in the paper.
+const blockMB float64 = 64
+
+// Config parameterizes the filesystem. A zero Replication takes the
+// paper's 2 replicas.
 type Config struct {
-	// BlockMB is the block size.
-	BlockMB float64
 	// Replication is the number of replicas per block.
 	Replication int
 }
 
 func (c Config) withDefaults() Config {
-	if c.BlockMB <= 0 {
-		c.BlockMB = 64
-	}
 	if c.Replication <= 0 {
 		c.Replication = 2
 	}
@@ -240,7 +238,7 @@ func (fs *FileSystem) CreateFile(name string, sizeMB float64, preferred cluster.
 	defer fs.perf.Exit()
 	remaining := sizeMB
 	for remaining > 0 {
-		size := math.Min(fs.cfg.BlockMB, remaining)
+		size := math.Min(blockMB, remaining)
 		remaining -= size
 		b := &Block{
 			ID:     "blk-" + strconv.Itoa(fs.nextBlock),

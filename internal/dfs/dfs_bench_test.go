@@ -12,7 +12,7 @@ import (
 func benchFleet(b *testing.B) (*FileSystem, []cluster.Node) {
 	b.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
+	c := cluster.New(engine, cluster.Config{}, 1, nil)
 	native := c.AddPMs("pm", 5000)
 	hosts := c.AddPMs("host", 5000)
 	cluster.StripeTopology(append(native, hosts...), 40, 0)

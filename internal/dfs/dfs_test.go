@@ -12,7 +12,7 @@ import (
 func testFS(t *testing.T, nPMs, vmsPerPM int) (*sim.Engine, *cluster.Cluster, *FileSystem, []cluster.Node) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 42, nil)
+	c := cluster.New(engine, cluster.Config{}, 42, nil)
 	pms := c.AddPMs("pm", nPMs)
 	fs := New(engine, Config{}, 42, nil)
 	var nodes []cluster.Node
@@ -94,7 +94,7 @@ func TestDeleteFreesSpace(t *testing.T) {
 
 func TestLocalityLevels(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
+	c := cluster.New(engine, cluster.Config{}, 1, nil)
 	pm0 := c.AddPM("pm-0")
 	pm1 := c.AddPM("pm-1")
 	vmA, err := c.AddVM("vm-a", pm0, 1, 1024)
@@ -264,7 +264,7 @@ func TestPlacementInvariants(t *testing.T) {
 		size := float64(sizeRaw%4096) + 1
 		n := int(nNodes%12) + 1
 		engine := sim.New()
-		c := cluster.New(engine, cluster.DefaultConfig(), int64(nNodes), nil)
+		c := cluster.New(engine, cluster.Config{}, int64(nNodes), nil)
 		pms := c.AddPMs("pm", n)
 		fs := New(engine, Config{}, int64(sizeRaw), nil)
 		for _, pm := range pms {
@@ -360,7 +360,7 @@ func TestHandleNodeFailuresBatch(t *testing.T) {
 func TestTotalReplicaLossReported(t *testing.T) {
 	// Replication 1: failing the only holder loses the block.
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
+	c := cluster.New(engine, cluster.Config{}, 1, nil)
 	pms := c.AddPMs("pm", 2)
 	fs := New(engine, Config{Replication: 1}, 1, nil)
 	for _, pm := range pms {
@@ -420,7 +420,7 @@ func TestReReplicationAndConcurrentReadSurviveNodeFailure(t *testing.T) {
 
 func TestReadFailsCleanlyWhenAllReplicasGone(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 9, nil)
+	c := cluster.New(engine, cluster.Config{}, 9, nil)
 	pms := c.AddPMs("pm", 3)
 	fs := New(engine, Config{Replication: 1}, 9, nil)
 	for _, pm := range pms {

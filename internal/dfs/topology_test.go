@@ -44,7 +44,7 @@ func bruteOffHostFraction(fs *FileSystem, n cluster.Node) float64 {
 // shows up as a stale answer at the next check.
 func TestTopologyCacheCoherent(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 9, nil)
+	c := cluster.New(engine, cluster.Config{}, 9, nil)
 	pms := c.AddPMs("pm", 10)
 	fs := New(engine, Config{}, 9, nil)
 	var nodes []cluster.Node

@@ -138,7 +138,7 @@ func ExtStream() (*Outcome, error) {
 			VMsPerPM:  2,
 			Seed:      1207,
 			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
+				SlotCaps:      true,
 				CapacityAware: hybrid,
 			},
 			Obs: obs.Sinks{Metrics: reg},
@@ -153,7 +153,7 @@ func ExtStream() (*Outcome, error) {
 			cfg.DisableIPS = true
 			cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 		}
-		sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, nil)
+		sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, &rig.Obs)
 		if err != nil {
 			return result{}, err
 		}
@@ -305,7 +305,7 @@ func AblCapacity() (*Outcome, error) {
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, VMsPerPM: 2, Seed: 1223,
 			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
+				SlotCaps:      true,
 				CapacityAware: aware,
 			},
 			Obs: obs.Sinks{Metrics: reg},
@@ -381,7 +381,7 @@ func AblDeferral() (*Outcome, error) {
 		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, VMsPerPM: 2, Seed: 1229,
-			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
+			MapredConfig: mapred.Config{SlotCaps: true},
 			Obs:          obs.Sinks{Metrics: reg},
 		})
 		if err != nil {

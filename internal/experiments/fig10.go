@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -19,7 +20,9 @@ import (
 // over-provisioned machines and batch work on the rest — while HybridMR
 // consolidates batch VMs onto every host and harvests the spare capacity.
 func Fig10a() (*Outcome, error) {
+	pool := newMetricsPool()
 	run := func(hybrid bool) (*metrics.Recorder, error) {
+		reg := pool.registry()
 		batchPMs := 12
 		if !hybrid {
 			batchPMs = 8 // four hosts are reserved for the services
@@ -27,9 +30,10 @@ func Fig10a() (*Outcome, error) {
 		rig, err := testbed.New(testbed.Options{
 			PMs: batchPMs, VMsPerPM: 2, Seed: 1001,
 			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
+				SlotCaps:      true,
 				CapacityAware: hybrid,
 			},
+			Obs: obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return nil, err
@@ -93,6 +97,7 @@ func Fig10a() (*Outcome, error) {
 		if drm != nil {
 			drm.Stop()
 		}
+		pool.fold(reg)
 		return rec, nil
 	}
 	both, err := Map(2, func(i int) (*metrics.Recorder, error) {
@@ -127,13 +132,16 @@ func Fig10a() (*Outcome, error) {
 	out.Scalar("mem_hyb_mean", hyb.MeanUtil(resource.Memory))
 	out.Scalar("io_base_mean", base.MeanUtil(resource.DiskIO))
 	out.Scalar("io_hyb_mean", hyb.MeanUtil(resource.DiskIO))
+	out.Metrics = pool.snapshot()
 	return out, nil
 }
 
 // migrationSweep migrates each of 24 VMs once and returns per-node stats.
-func migrationSweep(memMB float64, runWcount bool) ([]cluster.MigrationStats, error) {
+func migrationSweep(memMB float64, runWcount bool, pool *metricsPool) ([]cluster.MigrationStats, error) {
+	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs: 24, VMsPerPM: 1, VMMemoryMB: memMB, Seed: 1009,
+		Obs: obs.Sinks{Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -170,6 +178,7 @@ func migrationSweep(memMB float64, runWcount bool) ([]cluster.MigrationStats, er
 	if gotAll != 24 {
 		return nil, fmt.Errorf("experiments: only %d/24 migrations completed", gotAll)
 	}
+	pool.fold(reg)
 	return stats, nil
 }
 
@@ -186,10 +195,10 @@ var migrationConfigs = []migrationConfig{
 	{"Wcount-1GB", 1024, true},
 }
 
-func runMigrationConfigs() (map[string][]cluster.MigrationStats, error) {
+func runMigrationConfigs(pool *metricsPool) (map[string][]cluster.MigrationStats, error) {
 	results, err := Map(len(migrationConfigs), func(i int) ([]cluster.MigrationStats, error) {
 		cfg := migrationConfigs[i]
-		s, err := migrationSweep(cfg.memMB, cfg.wcount)
+		s, err := migrationSweep(cfg.memMB, cfg.wcount, pool)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.name, err)
 		}
@@ -208,7 +217,8 @@ func runMigrationConfigs() (map[string][]cluster.MigrationStats, error) {
 // Fig10b reproduces Figure 10(b): per-VM live-migration time for idle
 // and Wcount-loaded VMs at 0.5 and 1 GB.
 func Fig10b() (*Outcome, error) {
-	all, err := runMigrationConfigs()
+	pool := newMetricsPool()
+	all, err := runMigrationConfigs(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -237,13 +247,15 @@ func Fig10b() (*Outcome, error) {
 	out.Scalar("mean_idle_1", mean("Idle-1GB"))
 	out.Scalar("mean_wcount_05", mean("Wcount-0.5GB"))
 	out.Scalar("mean_wcount_1", mean("Wcount-1GB"))
+	out.Metrics = pool.snapshot()
 	return out, nil
 }
 
 // Fig10c reproduces Figure 10(c): per-VM migration downtime; loaded VMs
 // show wide variation.
 func Fig10c() (*Outcome, error) {
-	all, err := runMigrationConfigs()
+	pool := newMetricsPool()
+	all, err := runMigrationConfigs(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -279,5 +291,6 @@ func Fig10c() (*Outcome, error) {
 		iLo, iHi, wLo, wHi)
 	out.Scalar("idle_spread_ms", iHi-iLo)
 	out.Scalar("wcount_spread_ms", wHi-wLo)
+	out.Metrics = pool.snapshot()
 	return out, nil
 }

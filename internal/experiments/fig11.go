@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -55,8 +57,9 @@ type fig11Run struct {
 }
 
 // runFig11Config measures one split under a fixed small workload mix.
-func runFig11Config(cfg fig11Config) (fig11Run, error) {
+func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 	vmHosts := cfg.vms / 2
+	reg := pool.registry()
 	var rig *testbed.Rig
 	var err error
 	var nativeJT, virtualJT *mapred.JobTracker
@@ -64,16 +67,17 @@ func runFig11Config(cfg fig11Config) (fig11Run, error) {
 		rig, err = testbed.New(testbed.Options{
 			PMs: vmHosts, VMsPerPM: 2, Seed: 1117,
 			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
+				SlotCaps:      true,
 				CapacityAware: true,
 			},
+			Obs: obs.Sinks{Metrics: reg},
 		})
 		if err != nil {
 			return fig11Run{}, err
 		}
 		virtualJT = rig.JT
 	} else {
-		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117})
+		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, Obs: obs.Sinks{Metrics: reg}})
 		if err != nil {
 			return fig11Run{}, err
 		}
@@ -89,7 +93,7 @@ func runFig11Config(cfg fig11Config) (fig11Run, error) {
 			nativeJT.AddTracker(pm)
 		}
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, nil)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, &rig.Obs)
 	if err != nil {
 		return fig11Run{}, err
 	}
@@ -170,6 +174,7 @@ func runFig11Config(cfg fig11Config) (fig11Run, error) {
 	if compliance < 0.05 {
 		compliance = 0.05
 	}
+	pool.fold(reg)
 	return fig11Run{
 		meanJCT:       sum / float64(len(jobs)),
 		slaCompliance: compliance,
@@ -188,8 +193,9 @@ func Fig11() (*Outcome, error) {
 		Columns: []string{"config", "PMs", "VMs", "perf/energy"},
 	}}
 	configs := fig11Configs()
+	pool := newMetricsPool()
 	runs, err := Map(len(configs), func(i int) (fig11Run, error) {
-		r, err := runFig11Config(configs[i])
+		r, err := runFig11Config(configs[i], pool)
 		if err != nil {
 			return fig11Run{}, fmt.Errorf("fig11 %s: %w", configs[i].name, err)
 		}
@@ -206,11 +212,10 @@ func Fig11() (*Outcome, error) {
 	}
 	// Energy over a common horizon, as in Figure 9(c): servers stay
 	// powered (idling) after their configuration finishes its workload.
-	idleW := 150.0
 	values := make([]float64, len(configs))
 	best, worst := 0, 0
 	for i, r := range runs {
-		energy := r.runEnergyWh + idleW*float64(r.servers)*(horizon-r.makespanSec)/3600
+		energy := r.runEnergyWh + cluster.PowerIdleW*float64(r.servers)*(horizon-r.makespanSec)/3600
 		// Performance covers every job class: batch completion time
 		// inflated by the interactive tenants' SLA violations.
 		values[i] = metrics.PerfPerEnergy(r.meanJCT/r.slaCompliance, energy)
@@ -244,5 +249,6 @@ func Fig11() (*Outcome, error) {
 	out.Scalar("best_vms", float64(configs[best].vms))
 	out.Scalar("worst_pms", float64(configs[worst].nativePMs))
 	out.Scalar("worst_vms", float64(configs[worst].vms))
+	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -87,9 +87,7 @@ func Fig6a() (*Outcome, error) {
 func interferenceRig(sinks *obs.Sinks) (*sim.Engine, []*cluster.VM, error) {
 	engine := sim.New()
 	sinks.Bind(engine)
-	cfg := cluster.DefaultConfig()
-	cfg.Cores = 4
-	cl := cluster.New(engine, cfg, 613, sinks)
+	cl := cluster.New(engine, cluster.Config{Cores: 4}, 613, sinks)
 	pm := cl.AddPM("quad")
 	vms := make([]*cluster.VM, 0, 4)
 	for i := 0; i < 4; i++ {

@@ -35,7 +35,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 		VMsPerPM:  2,
 		Seed:      seed,
 		MapredConfig: mapred.Config{
-			SlotCaps:      mapred.DefaultSlotCaps(),
+			SlotCaps:      true,
 			CapacityAware: usePhase1,
 		},
 		Obs: obs.Sinks{Metrics: reg},
@@ -51,7 +51,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 		cfg.DisableIPS = true
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, nil)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, &rig.Obs)
 	if err != nil {
 		return mixResult{}, err
 	}
@@ -202,7 +202,7 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 		VMsPerPM: 2,
 		Seed:     seed,
 		MapredConfig: mapred.Config{
-			SlotCaps:      mapred.DefaultSlotCaps(),
+			SlotCaps:      true,
 			CapacityAware: managed,
 		},
 		Obs: obs.Sinks{Metrics: reg},
@@ -352,7 +352,7 @@ func Fig8d() (*Outcome, error) {
 			VMsPerPM: 2,
 			Seed:     821,
 			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
+				SlotCaps:      true,
 				CapacityAware: ips,
 			},
 			Policies: mustResolve(policy.Spec{Phase2: "fifo-p2"}),

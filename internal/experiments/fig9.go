@@ -9,6 +9,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/resource"
 	"repro/internal/stats"
@@ -23,14 +24,17 @@ import (
 func Fig9a() (*Outcome, error) {
 	// A single 35-minute timeline is one continuous simulation, so there
 	// is nothing to fan out; it still attributes its events to the run.
+	pool := newMetricsPool()
+	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs:      12,
 		VMsPerPM: 2,
 		Seed:     901,
 		MapredConfig: mapred.Config{
-			SlotCaps:      mapred.DefaultSlotCaps(),
+			SlotCaps:      true,
 			CapacityAware: true,
 		},
+		Obs: obs.Sinks{Metrics: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -92,6 +96,8 @@ func Fig9a() (*Outcome, error) {
 	out.Scalar("minutes_above_sla", float64(above))
 	out.Scalar("minutes_recovered", float64(recovered))
 	out.Scalar("ips_actions", float64(len(ips.Actions())))
+	pool.fold(reg)
+	out.Metrics = pool.snapshot()
 	return out, nil
 }
 
@@ -111,7 +117,7 @@ type crossPlatformResult struct {
 // runCrossPlatform evaluates one of the three cluster design choices on
 // the same workload mix (all six benchmarks plus three interactive
 // services).
-func runCrossPlatform(design string) (*crossPlatformResult, error) {
+func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, error) {
 	var (
 		rig       *testbed.Rig
 		nativeJT  *mapred.JobTracker
@@ -119,9 +125,11 @@ func runCrossPlatform(design string) (*crossPlatformResult, error) {
 		svcNodes  []cluster.Node
 		err       error
 	)
+	reg := pool.registry()
+	sinks := obs.Sinks{Metrics: reg}
 	switch design {
 	case "Native":
-		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907})
+		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, Obs: sinks})
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +140,8 @@ func runCrossPlatform(design string) (*crossPlatformResult, error) {
 	case "Virtual":
 		rig, err = testbed.New(testbed.Options{
 			PMs: 12, VMsPerPM: 2, Seed: 907,
-			MapredConfig: mapred.Config{SlotCaps: mapred.DefaultSlotCaps()},
+			MapredConfig: mapred.Config{SlotCaps: true},
+			Obs:          sinks,
 		})
 		if err != nil {
 			return nil, err
@@ -149,9 +158,10 @@ func runCrossPlatform(design string) (*crossPlatformResult, error) {
 		rig, err = testbed.New(testbed.Options{
 			PMs: 6, VMsPerPM: 2, Seed: 907,
 			MapredConfig: mapred.Config{
-				SlotCaps:      mapred.DefaultSlotCaps(),
+				SlotCaps:      true,
 				CapacityAware: true,
 			},
+			Obs: sinks,
 		})
 		if err != nil {
 			return nil, err
@@ -186,7 +196,7 @@ func runCrossPlatform(design string) (*crossPlatformResult, error) {
 	case "Virtual":
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "static-virtual"})
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, nil)
+	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, &rig.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -250,14 +260,15 @@ func runCrossPlatform(design string) (*crossPlatformResult, error) {
 		sum += j.JCT().Seconds()
 	}
 	res.meanJCT = sum / float64(len(jobs))
+	pool.fold(reg)
 	return res, nil
 }
 
 var fig9Designs = []string{"Native", "Virtual", "HybridMR"}
 
-func runAllDesigns() ([]*crossPlatformResult, error) {
+func runAllDesigns(pool *metricsPool) ([]*crossPlatformResult, error) {
 	out, err := Map(len(fig9Designs), func(i int) (*crossPlatformResult, error) {
-		r, err := runCrossPlatform(fig9Designs[i])
+		r, err := runCrossPlatform(fig9Designs[i], pool)
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s: %w", fig9Designs[i], err)
 		}
@@ -276,10 +287,9 @@ func runAllDesigns() ([]*crossPlatformResult, error) {
 			horizon = r.makespanSec
 		}
 	}
-	idleW := cluster.DefaultConfig().PowerIdleW
 	for _, r := range out {
 		idleSec := horizon - r.makespanSec
-		r.energyWh = r.runEnergyWh + idleW*float64(r.servers)*idleSec/3600
+		r.energyWh = r.runEnergyWh + cluster.PowerIdleW*float64(r.servers)*idleSec/3600
 		if horizon > 0 {
 			r.util = r.runUtil * r.makespanSec / horizon
 		}
@@ -290,7 +300,8 @@ func runAllDesigns() ([]*crossPlatformResult, error) {
 // Fig9b reproduces Figure 9(b): per-benchmark JCT across the Native,
 // Virtual and HybridMR design choices, normalized to the worst.
 func Fig9b() (*Outcome, error) {
-	results, err := runAllDesigns()
+	pool := newMetricsPool()
+	results, err := runAllDesigns(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -324,6 +335,7 @@ func Fig9b() (*Outcome, error) {
 	out.Scalar("mean_jct_native", results[0].meanJCT)
 	out.Scalar("mean_jct_virtual", results[1].meanJCT)
 	out.Scalar("mean_jct_hybrid", results[2].meanJCT)
+	out.Metrics = pool.snapshot()
 	return out, nil
 }
 
@@ -331,7 +343,8 @@ func Fig9b() (*Outcome, error) {
 // performance per energy, server count and utilization — normalized to
 // the maximum across designs.
 func Fig9c() (*Outcome, error) {
-	results, err := runAllDesigns()
+	pool := newMetricsPool()
+	results, err := runAllDesigns(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -372,5 +385,6 @@ func Fig9c() (*Outcome, error) {
 	out.Scalar("perf_energy_native", perf[0])
 	out.Scalar("perf_energy_virtual", perf[1])
 	out.Scalar("perf_energy_hybrid", perf[2])
+	out.Metrics = pool.snapshot()
 	return out, nil
 }

@@ -18,7 +18,7 @@ func newEngineForTest() *sim.Engine { return sim.New() }
 // JobTracker over its VMs.
 func newVirtualJT(t *testing.T, engine *sim.Engine, pms, vmsPerPM int) *JobTracker {
 	t.Helper()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	fs := dfs.New(engine, dfs.Config{}, 7, nil)
 	jt := NewJobTracker(engine, fs, Config{}, nil, nil, "")
 	hosts := c.AddPMs("pm", pms)

@@ -31,12 +31,12 @@ type Config struct {
 	// SpeculationSlowdown is the fraction of the median attempt speed
 	// below which a task is considered a straggler (default 0.5).
 	SpeculationSlowdown float64
-	// SlotCaps, when non-nil, installs static per-task resource caps on
-	// every attempt, modeling vanilla Hadoop's rigid slot containers.
+	// SlotCaps caps every attempt at fixed fractions of its node's
+	// useful capacity, modeling vanilla Hadoop's rigid slot containers.
 	// HybridMR's Phase II DRM replaces these with dynamically
 	// orchestrated caps; the gap between the two is the paper's
 	// Figure 8(b,c) improvement.
-	SlotCaps *SlotCapPolicy
+	SlotCaps bool
 	// CapacityAware fills slots on the least-loaded physical machines
 	// first, the DRM's capacity-guided in-cluster placement. Vanilla
 	// Hadoop (the baseline configurations) visits trackers in fixed
@@ -72,26 +72,17 @@ const (
 	blacklistBackoff = 60 * time.Second
 )
 
-// SlotCapPolicy fixes each task's resource cap as a fraction of its
-// node's useful capacity, regardless of what the task actually needs —
-// the static containers of slot-based Hadoop.
-type SlotCapPolicy struct {
-	// CPUFrac caps CPU at this fraction of node capacity per task.
-	CPUFrac float64
-	// MemFrac caps resident memory likewise.
-	MemFrac float64
-	// DiskFrac and NetFrac cap the I/O dimensions.
-	DiskFrac float64
-	NetFrac  float64
-}
-
-// DefaultSlotCaps mirrors a 2-map/2-reduce-slot Hadoop node: fixed
-// fractions of CPU and memory per task container, and a coarser share of
-// each I/O channel (Hadoop never partitioned I/O as strictly as CPU and
-// memory).
-func DefaultSlotCaps() *SlotCapPolicy {
-	return &SlotCapPolicy{CPUFrac: 0.75, MemFrac: 0.25, DiskFrac: 0.45, NetFrac: 0.45}
-}
+// A slot container caps each task at a fixed fraction of its node's
+// useful capacity, regardless of what the task actually needs. The
+// fractions mirror a 2-map/2-reduce-slot Hadoop node: fixed shares of CPU
+// and memory per task container, and a coarser share of each I/O channel
+// (Hadoop never partitioned I/O as strictly as CPU and memory).
+const (
+	slotCPUFrac  float64 = 0.75
+	slotMemFrac  float64 = 0.25
+	slotDiskFrac float64 = 0.45
+	slotNetFrac  float64 = 0.45
+)
 
 func (c Config) withDefaults() Config {
 	if c.MapSlots <= 0 {
@@ -785,13 +776,13 @@ func (jt *JobTracker) launch(task *Task, tr *TaskTracker, speculative bool) erro
 		StartedAt:   jt.engine.Now(),
 	}
 	a.consumer = jt.newConsumer(a, name, demand, work)
-	if p := jt.cfg.SlotCaps; p != nil {
+	if jt.cfg.SlotCaps {
 		cap := tr.Compute.UsefulCapacity()
 		a.consumer.Cap = resource.NewVector(
-			cap.Get(resource.CPU)*p.CPUFrac,
-			cap.Get(resource.Memory)*p.MemFrac,
-			cap.Get(resource.DiskIO)*p.DiskFrac,
-			cap.Get(resource.NetIO)*p.NetFrac,
+			cap.Get(resource.CPU)*slotCPUFrac,
+			cap.Get(resource.Memory)*slotMemFrac,
+			cap.Get(resource.DiskIO)*slotDiskFrac,
+			cap.Get(resource.NetIO)*slotNetFrac,
 		)
 	}
 	if err := tr.Compute.Start(&a.consumer.Consumer); err != nil {

@@ -45,7 +45,7 @@ func piLike() JobSpec {
 func rig(t testing.TB, nPMs int, cfg Config, sched Scheduler) (*sim.Engine, *JobTracker) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	fs := dfs.New(engine, dfs.Config{}, 7, nil)
 	jt := NewJobTracker(engine, fs, cfg, sched, nil, "")
 	for _, pm := range c.AddPMs("pm", nPMs) {
@@ -211,7 +211,7 @@ func TestFairSchedulerHelpsSmallJob(t *testing.T) {
 func TestSpeculationRescuesStraggler(t *testing.T) {
 	run := func(disable bool) time.Duration {
 		engine := sim.New()
-		c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+		c := cluster.New(engine, cluster.Config{}, 7, nil)
 		fs := dfs.New(engine, dfs.Config{}, 7, nil)
 		jt := NewJobTracker(engine, fs, Config{DisableSpeculation: disable}, nil, nil, "")
 		pms := c.AddPMs("pm", 4)
@@ -281,7 +281,7 @@ func TestKilledAttemptReexecutes(t *testing.T) {
 
 func TestSplitArchitectureCompletes(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	fs := dfs.New(engine, dfs.Config{}, 7, nil)
 	jt := NewJobTracker(engine, fs, Config{}, nil, nil, "")
 	pms := c.AddPMs("pm", 4)
@@ -414,7 +414,7 @@ func TestMapredMetricsInstrumentation(t *testing.T) {
 	tr := trace.New(engine)
 	reg := trace.NewRegistry()
 	sinks := &obs.Sinks{Tracer: tr, Metrics: reg}
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, sinks)
+	c := cluster.New(engine, cluster.Config{}, 7, sinks)
 	fs := dfs.New(engine, dfs.Config{}, 7, sinks)
 	jt := NewJobTracker(engine, fs, Config{}, nil, sinks, "")
 	pms := c.AddPMs("pm", 4)

@@ -130,7 +130,7 @@ func TestMachineFailureKillsOnlyItsVictims(t *testing.T) {
 // the heartbeat timeout declared its tracker lost.
 func TestMachineFailureSparesItsVMs(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
 	hosts := c.AddPMs("pm", 3)
 	vms, err := c.SpreadVMs("vm", 6, hosts, 1, 1024)

@@ -84,7 +84,7 @@ func (r *launchRecorder) step(t *testing.T, engine *sim.Engine, job *Job, horizo
 func releaseRig(t *testing.T, pms int, cfg Config) (*sim.Engine, *JobTracker, *launchRecorder, []*cluster.PM) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), cfg, nil, nil, "")
 	hosts := c.AddPMs("pm", pms)
 	for _, pm := range hosts {

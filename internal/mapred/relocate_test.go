@@ -17,7 +17,7 @@ import (
 func relocateRig(t *testing.T) (*sim.Engine, *cluster.Cluster, *JobTracker, *Job, *Attempt) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
 	for _, pm := range c.AddPMs("pm", 5)[:4] {
 		vm, err := c.AddVM("tt", pm, 2, 2048)

@@ -18,7 +18,7 @@ import (
 func speculationRig(t testing.TB) (*JobTracker, *perfstat.Stats) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	ps := perfstat.New()
 	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{}, nil, &obs.Sinks{Perf: ps}, "")
 	for _, pm := range c.AddPMs("pm", 6) {

@@ -410,7 +410,7 @@ func TestFreeSetAfterZeroAlloc(t *testing.T) {
 // though cap- and weight-only re-solves skip the recomputation.
 func TestCachedPressuresStayFresh(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	ps := perfstat.New()
 	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{CapacityAware: true}, nil, &obs.Sinks{Perf: ps}, "")
 	hosts := c.AddPMs("pm", 12)
@@ -477,7 +477,7 @@ func TestCachedPressuresStayFresh(t *testing.T) {
 // without it.
 func TestFlushRemapsTrackerMigratedBetweenFlushes(t *testing.T) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 7, nil)
+	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{CapacityAware: true}, nil, nil, "")
 	hosts := c.AddPMs("pm", 3)
 	vms, err := c.SpreadVMs("vm", 6, hosts, 1, 1024)

@@ -13,7 +13,7 @@ import (
 func rig(t *testing.T) (*sim.Engine, *cluster.Cluster, *cluster.PM) {
 	t.Helper()
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 5, nil)
+	c := cluster.New(engine, cluster.Config{}, 5, nil)
 	pm := c.AddPM("pm-0")
 	return engine, c, pm
 }

@@ -19,7 +19,7 @@ import (
 // solve.
 func BenchmarkRecorderSample(b *testing.B) {
 	engine := sim.New()
-	c := cluster.New(engine, cluster.DefaultConfig(), 1, nil)
+	c := cluster.New(engine, cluster.Config{}, 1, nil)
 	for i, pm := range c.AddPMs("pm", 10000) {
 		switch {
 		case i%10 == 9:
