@@ -303,18 +303,20 @@ func TestBenchJSONEventsFired(t *testing.T) {
 }
 
 // TestBenchJSONControllerMetrics checks that the experiments driving a
-// full HybridMR system record its controllers, and that the cross-platform
-// designs record into a registry at all.
+// full HybridMR system record its controllers, that the experiments
+// building a standalone DRM or IPS record theirs, and that the
+// cross-platform designs record into a registry at all.
 func TestBenchJSONControllerMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
 	chdir(t, t.TempDir())
-	if err := run([]string{"-only", "fig8a,fig9b", "-scale", "0.1", "-json"}, io.Discard); err != nil {
+	ids := []string{"fig8a", "fig9b", "fig8d", "fig9a", "fig10a", "abl-deferral"}
+	if err := run([]string{"-only", strings.Join(ids, ","), "-scale", "0.1", "-json"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	metrics := map[string]trace.Snapshot{}
-	for _, id := range []string{"fig8a", "fig9b"} {
+	for _, id := range ids {
 		data, err := os.ReadFile("BENCH_" + id + ".json")
 		if err != nil {
 			t.Fatal(err)
@@ -324,6 +326,22 @@ func TestBenchJSONControllerMetrics(t *testing.T) {
 			t.Fatalf("BENCH_%s.json: %v", id, err)
 		}
 		metrics[id] = rec.Metrics
+	}
+	for _, id := range []string{"fig8d", "fig9a"} {
+		actions := 0.0
+		for name, v := range metrics[id].Counters {
+			if strings.HasPrefix(name, "ips.actions.") {
+				actions += v
+			}
+		}
+		if actions <= 0 {
+			t.Errorf("%s ips.actions.* = %v, want > 0", id, actions)
+		}
+	}
+	for _, id := range []string{"fig10a", "abl-deferral"} {
+		if got := metrics[id].Counters["drm.cap_adjustments"]; got <= 0 {
+			t.Errorf("%s drm.cap_adjustments = %v, want > 0", id, got)
+		}
 	}
 	if got := metrics["fig8a"].Counters["core.placements"]; got <= 0 {
 		t.Errorf("fig8a core.placements = %v, want > 0", got)

@@ -6,10 +6,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/resource"
 	"repro/internal/testbed"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -37,7 +39,7 @@ func TestDRMImprovesJCT(t *testing.T) {
 			t.Fatal(err)
 		}
 		if withDRM {
-			drm := NewDRM(rig.Engine, rig.JT, modes, 5*time.Second)
+			drm := NewDRM(rig.JT, modes, nil, nil)
 			drm.Start()
 			defer drm.Stop()
 		}
@@ -67,7 +69,7 @@ func TestDRMModeMatchesBottleneck(t *testing.T) {
 			t.Fatal(err)
 		}
 		if enable {
-			drm := NewDRM(rig.Engine, rig.JT, modes, 5*time.Second)
+			drm := NewDRM(rig.JT, modes, nil, nil)
 			drm.Start()
 			defer drm.Stop()
 		}
@@ -103,9 +105,9 @@ func TestIPSProtectsSLA(t *testing.T) {
 		svc.SetClients(3000)
 		var ips *IPS
 		if withIPS {
-			ips = NewIPS(rig.Engine, rig.Cluster, rig.JT)
+			ips = NewIPS(rig.Cluster, rig.JT, nil, nil)
 			ips.Watch(svc)
-			ips.Start(5 * time.Second)
+			ips.Start()
 		}
 		job, err := rig.JT.Submit(workload.Sort().WithInputMB(3072), nil)
 		if err != nil {
@@ -206,12 +208,9 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.SetClients(1000)
-	job, placement, err := sys.SubmitJob(workload.Sort().WithInputMB(2048), 0, nil)
+	job, _, err := sys.SubmitJob(workload.Sort().WithInputMB(2048), 0, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p, ok := sys.PlacementOf(job); !ok || p != placement {
-		t.Errorf("PlacementOf = %v, %v; want %v", p, ok, placement)
 	}
 	rig.Engine.RunUntil(2 * time.Hour)
 	if !job.Done() {
@@ -258,9 +257,10 @@ func TestIPSActionLogAndBottleneck(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.SetClients(4000)
-	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	reg := trace.NewRegistry()
+	ips := NewIPS(rig.Cluster, rig.JT, nil, &obs.Sinks{Metrics: reg})
 	ips.Watch(svc)
-	ips.Start(5 * time.Second)
+	ips.Start()
 	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(1024), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +269,7 @@ func TestIPSActionLogAndBottleneck(t *testing.T) {
 	if len(ips.Actions()) == 0 {
 		t.Error("IPS took no actions despite heavy collocation")
 	}
+	perKind := map[string]float64{}
 	for _, a := range ips.Actions() {
 		switch a.Kind {
 		case "relocate", "throttle", "pause", "resume", "migrate", "blacklist", "unblacklist":
@@ -278,12 +279,22 @@ func TestIPSActionLogAndBottleneck(t *testing.T) {
 		if a.Service == "" || a.Target == "" {
 			t.Errorf("incomplete action record: %+v", a)
 		}
+		perKind[a.Kind]++
+	}
+	// The sinks handle's registry counts every logged action.
+	for kind, n := range perKind {
+		if got := reg.Counter("ips.actions." + kind).Value(); got != n {
+			t.Errorf("ips.actions.%s = %v, want %v (the action log's count)", kind, got, n)
+		}
 	}
 }
 
-func TestDRMEstimatorLearns(t *testing.T) {
+// TestDRMRecordsIntoSinks runs the DRM with a metrics registry in its
+// sinks handle: its cap changes are counted there.
+func TestDRMRecordsIntoSinks(t *testing.T) {
 	rig := virtualRig(t, 4)
-	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)
+	reg := trace.NewRegistry()
+	drm := NewDRM(rig.JT, AllModes(), nil, &obs.Sinks{Metrics: reg})
 	job, err := rig.JT.Submit(workload.Sort().WithInputMB(2048), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -293,11 +304,8 @@ func TestDRMEstimatorLearns(t *testing.T) {
 	if !job.Done() {
 		t.Fatal("job incomplete")
 	}
-	if _, ok := drm.EstimatedSpeedAt("Sort", mapred.MapTask, 0.8); !ok {
-		t.Error("estimator has no model for Sort maps after a full run")
-	}
-	if drm.Adjustments == 0 {
-		t.Error("DRM made no adjustments")
+	if got := reg.Counter("drm.cap_adjustments").Value(); got == 0 {
+		t.Error("drm.cap_adjustments = 0: the DRM recorded no cap change")
 	}
 }
 
@@ -307,7 +315,7 @@ func TestDRMEstimatorLearns(t *testing.T) {
 // attempt that reuses its consumer does not inherit the deferral.
 func TestDRMForgetsEndedDeferrals(t *testing.T) {
 	rig := virtualRig(t, 4)
-	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)
+	drm := NewDRM(rig.JT, AllModes(), nil, nil)
 	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(2048), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +398,9 @@ func TestModesString(t *testing.T) {
 }
 
 // TestControllerConstants pins the IPS escalation knobs and the DRM hog
-// trim, which no registered policy varies, and the paper rows a bare
-// NewIPS and NewDRM start from: the values the goldens depend on.
+// trim, which no registered policy varies, and the rows each controller
+// runs: a nil set gives the paper rows, the values the goldens depend
+// on, and a resolved set gives its own.
 func TestControllerConstants(t *testing.T) {
 	if pauseStreak != 3 || maxRelocationsPerEpoch != 2 || throttleFactor != 0.5 {
 		t.Errorf("IPS: pause streak %d, relocations per epoch %d, throttle factor %v; want 3, 2, 0.5",
@@ -400,12 +409,25 @@ func TestControllerConstants(t *testing.T) {
 	if hogTrimAbove != 1.5 || hogTrimTo != 1.2 {
 		t.Errorf("DRM: hog trim above %v to %v; want 1.5 to 1.2", hogTrimAbove, hogTrimTo)
 	}
+	if drmEpoch != 5*time.Second || slaInterval != 5*time.Second {
+		t.Errorf("DRM epoch %v, IPS interval %v; want the paper's 5s", drmEpoch, slaInterval)
+	}
 	rig := virtualRig(t, 2)
-	if got := NewIPS(rig.Engine, rig.Cluster, rig.JT).relocateBelow; got != 0.6 {
+	if got := NewIPS(rig.Cluster, rig.JT, nil, nil).relocateBelow; got != 0.6 {
 		t.Errorf("NewIPS relocation threshold = %v, want paper-ips's 0.6", got)
 	}
-	if got := NewDRM(rig.Engine, rig.JT, AllModes(), 0).Policy; !got.Deferral {
+	if got := NewDRM(rig.JT, AllModes(), nil, nil).policy; !got.Deferral {
 		t.Errorf("NewDRM policy = %+v, want paper-drm's deferral", got)
+	}
+	set, err := policy.Spec{DRM: "static-split", IPS: "throttle-first"}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewIPS(rig.Cluster, rig.JT, set, nil).relocateBelow; got != set.RelocateBelow {
+		t.Errorf("NewIPS relocation threshold = %v, want the set's %v", got, set.RelocateBelow)
+	}
+	if got := NewDRM(rig.JT, AllModes(), set, nil).policy; got.Deferral {
+		t.Errorf("NewDRM policy = %+v, want static-split's proportional split", got)
 	}
 }
 
@@ -431,9 +453,9 @@ func TestIPSMigratesBatchVMUnderPersistentViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.SetClients(5200)
-	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	ips := NewIPS(rig.Cluster, rig.JT, nil, nil)
 	ips.Watch(svc)
-	ips.Start(5 * time.Second)
+	ips.Start()
 	defer ips.Stop()
 	// A continuous stream keeps pressure on every host.
 	spec := workload.Sort().WithInputMB(2048)
@@ -477,7 +499,7 @@ func TestBestFitTrackerSkipsLostAndSameTask(t *testing.T) {
 		t.Fatalf("%d attempts running, want 1", len(attempts))
 	}
 	a := attempts[0]
-	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	ips := NewIPS(rig.Cluster, rig.JT, nil, nil)
 	if ips.bestFitTracker(a, a.Node().Machine()) == nil {
 		t.Fatal("no destination on an idle fleet")
 	}

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
-	"repro/internal/interference"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/resource"
@@ -45,31 +45,25 @@ func (m ResourceModes) String() string {
 
 // DRM is the Dynamic Resource Manager of the Phase II scheduler. Its
 // Local Resource Managers profile each node's running attempts (Resource
-// Profiler) and fit run-time estimation models (Estimator); its Global
-// Resource Manager detects resource-deficit and resource-hogging tasks
-// (Contention Detector) and re-balances per-task resource caps across the
-// node (Performance Balancer), replacing the static Hadoop slot
-// containers that the default configuration imposes.
+// Profiler); its Global Resource Manager detects resource-deficit and
+// resource-hogging tasks (Contention Detector) and re-balances per-task
+// resource caps across the node (Performance Balancer), replacing the
+// static Hadoop slot containers that the default configuration imposes.
+// The LRM's Estimator is not modelled: grants are ranked by the
+// closed-form Leontief speed (speedWithCap).
 type DRM struct {
 	jt     *mapred.JobTracker
 	modes  ResourceModes
-	epoch  time.Duration
 	engine *sim.Engine
 	ticker *sim.Ticker
-	// estimators fit per-job/kind speed-versus-allocation models; the
-	// Performance Balancer ranks cap grants by their predicted benefit.
-	estimators map[estimatorKey]*interference.Predictor
 	// deferred tracks attempts swapped out by the memory balancer, until
 	// they resume or end (see pruneDeferred). It is keyed by attempt, not
 	// consumer: the JobTracker recycles an ended attempt's consumer.
 	deferred map[*mapred.Attempt]bool
-	// Policy holds the Performance Balancer's knobs: the paper's
-	// deferral discipline by default (the paper-drm row), the
-	// proportional static split (the deferral ablation's alternative)
-	// when the static-split row is selected.
-	Policy policy.DRMParams
-	// Adjustments counts cap changes, for reporting.
-	Adjustments int
+	// policy holds the Performance Balancer's knobs: the paper's
+	// deferral discipline (the paper-drm row) or the proportional static
+	// split (the deferral ablation's alternative).
+	policy policy.DRMParams
 
 	// Scratch reused by every node of every epoch, so a steady-state
 	// tick allocates nothing.
@@ -83,26 +77,27 @@ type DRM struct {
 	mDeferrals   *trace.Counter
 }
 
-// estimatorKey names one LRM Estimator: a job name and task kind.
-type estimatorKey struct {
-	job  string
-	kind mapred.TaskKind
-}
-
 // NewDRM attaches a Dynamic Resource Manager to a (virtual-cluster)
-// JobTracker. Call Start to begin the epoch loop.
-func NewDRM(engine *sim.Engine, jt *mapred.JobTracker, modes ResourceModes, epoch time.Duration) *DRM {
-	if epoch <= 0 {
-		epoch = 5 * time.Second
+// JobTracker, on the JobTracker's engine. It runs set's drm row (nil
+// takes policy.Default(), the paper's) every drmEpoch and records its cap
+// grants and deferrals into sinks (nil records nothing). Call Start to
+// begin the epoch loop.
+func NewDRM(jt *mapred.JobTracker, modes ResourceModes, set *policy.Set, sinks *obs.Sinks) *DRM {
+	if set == nil {
+		set = policy.Default()
 	}
+	o := obs.Of(sinks)
 	return &DRM{
-		jt:         jt,
-		modes:      modes,
-		epoch:      epoch,
-		engine:     engine,
-		estimators: make(map[estimatorKey]*interference.Predictor),
-		deferred:   make(map[*mapred.Attempt]bool),
-		Policy:     policy.Default().DRM,
+		jt:           jt,
+		modes:        modes,
+		engine:       jt.Engine(),
+		deferred:     make(map[*mapred.Attempt]bool),
+		policy:       set.DRM,
+		tracer:       o.Tracer,
+		auditLog:     o.Audit,
+		perf:         o.Perf,
+		mAdjustments: o.Metrics.Counter("drm.cap_adjustments"),
+		mDeferrals:   o.Metrics.Counter("drm.deferrals"),
 	}
 }
 
@@ -113,7 +108,7 @@ func (d *DRM) Start() {
 	if d.ticker != nil && !d.ticker.Stopped() {
 		return
 	}
-	d.ticker = sim.NewTicker(d.engine, d.epoch, func(time.Duration) {
+	d.ticker = sim.NewTicker(d.engine, drmEpoch, func(time.Duration) {
 		if len(d.jt.Jobs()) == 0 {
 			d.ticker.Stop()
 			return
@@ -136,9 +131,9 @@ func (d *DRM) Stop() {
 // sort every epoch (the O(n^1.97) the scale sweep measured before the
 // index refactor). The visit order, and therefore every cap adjustment
 // and rescheduled event, is unchanged. Every running attempt is still
-// observed each epoch: the Estimators' sliding windows, the IPS's cap
-// interplay and the audit trail all depend on per-attempt observation,
-// so the delta structure is the grouping, not a skip of "clean" nodes.
+// visited each epoch: the IPS's cap interplay and the audit trail depend
+// on per-attempt balancing, so the delta structure is the grouping, not
+// a skip of "clean" nodes.
 func (d *DRM) tick() {
 	d.perf.Enter("core.drm")
 	defer d.perf.Exit()
@@ -153,7 +148,6 @@ func (d *DRM) tick() {
 		if d.perf != nil {
 			d.perf.C.DRMNodesScanned++
 		}
-		d.observe(attempts)
 		cap := node.UsefulCapacity()
 		if d.modes.CPU {
 			d.balanceRate(node, attempts, resource.CPU, cap.Get(resource.CPU))
@@ -166,32 +160,6 @@ func (d *DRM) tick() {
 			d.balanceMemory(attempts, cap.Get(resource.Memory))
 		}
 	})
-}
-
-// observe feeds the LRM Estimators: per job and task kind, the attempt's
-// bottleneck allocation fraction against its achieved speed.
-func (d *DRM) observe(attempts []*mapred.Attempt) {
-	for _, a := range attempts {
-		c := a.Consumer()
-		frac := allocFraction(c)
-		key := estimatorKey{a.Task.Job.Spec.Name, a.Task.Kind}
-		p, ok := d.estimators[key]
-		if !ok {
-			p = interference.NewPredictor(interference.LinearFamily)
-			d.estimators[key] = p
-		}
-		p.Observe(frac, c.Speed())
-	}
-}
-
-// EstimatedSpeedAt predicts a job/kind's task speed at a given bottleneck
-// allocation fraction, once the Estimator has data.
-func (d *DRM) EstimatedSpeedAt(job string, kind mapred.TaskKind, frac float64) (float64, bool) {
-	p, ok := d.estimators[estimatorKey{job, kind}]
-	if !ok {
-		return 0, false
-	}
-	return p.Predict(frac)
 }
 
 // The hog trim, which no registered DRM policy varies: a rate cap above
@@ -231,8 +199,7 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 		}
 		if capV > 0 && capV < demand {
 			// Benefit estimate: time saved if the cap were lifted to
-			// demand, assuming the Leontief speed model the Estimator
-			// confirms online.
+			// demand, under the Leontief speed model.
 			rem := c.Remaining()
 			speed := c.Speed()
 			if rem <= 0 || speed <= 0 {
@@ -285,15 +252,15 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 
 // balanceMemory right-sizes memory within each VM container. When the
 // resident demands fit, caps rise to demand (no paging). When they do
-// not, the Estimator's verdict is that thrashing everyone is worse than
-// running fewer tasks at speed, so the least-progressed attempts are
+// not, thrashing everyone is worse than running fewer tasks at speed
+// (under the paper-drm row), so the least-progressed attempts are
 // deferred (swapped out: near-zero CPU and memory caps) until the
 // container drains; deferred attempts resume as space frees up.
 func (d *DRM) balanceMemory(attempts []*mapred.Attempt, capacityMB float64) {
 	if capacityMB <= 0 {
 		return
 	}
-	if !d.Policy.Deferral {
+	if !d.policy.Deferral {
 		// Static-split policy: share the paging pain proportionally.
 		var total float64
 		for _, a := range attempts {
@@ -412,24 +379,7 @@ func (d *DRM) setCap(c *cluster.Consumer, kind resource.Kind, v float64) {
 		return
 	}
 	c.SetCap(cur.Set(kind, v))
-	d.Adjustments++
 	d.mAdjustments.Inc()
-}
-
-// allocFraction is the bottleneck allocation / demand ratio of a
-// consumer.
-func allocFraction(c *cluster.Consumer) float64 {
-	frac := 1.0
-	for _, k := range [...]resource.Kind{resource.CPU, resource.DiskIO, resource.NetIO} {
-		dem := c.Demand.Get(k)
-		if dem <= 0 {
-			continue
-		}
-		if f := c.Alloc().Get(k) / dem; f < frac {
-			frac = f
-		}
-	}
-	return frac
 }
 
 // speedWithCap predicts the Leontief speed if one dimension's cap were

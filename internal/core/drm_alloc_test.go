@@ -12,29 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDRMObserveDoesNotAllocate pins the estimator lookup: keying by
-// job name and task kind instead of a formatted string makes a sweep's
-// observe pass allocation-free. Each estimator's full sample window
-// slides in place.
-func TestDRMObserveDoesNotAllocate(t *testing.T) {
-	rig := virtualRig(t, 4)
-	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)
-	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(2048), nil); err != nil {
-		t.Fatal(err)
-	}
-	rig.Engine.RunUntil(30 * time.Second)
-	attempts := rig.JT.RunningAttempts()
-	if len(attempts) == 0 {
-		t.Fatal("no attempts running")
-	}
-	for i := 0; i < 1000; i++ {
-		drm.observe(attempts) // fill every estimator's sample window
-	}
-	if allocs := testing.AllocsPerRun(100, func() { drm.observe(attempts) }); allocs != 0 {
-		t.Fatalf("observe over %d attempts: %v allocs/op, want 0", len(attempts), allocs)
-	}
-}
-
 // TestDRMSortsMatchSortSlice backs the claim that swapping sort.Slice
 // for slices.SortFunc keeps every DRM decision: both run the same
 // pdqsort making the same comparisons, so inputs full of ties come out
@@ -98,7 +75,7 @@ func drmTickRig(tb testing.TB, pms int) *DRM {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	drm := NewDRM(rig.Engine, rig.JT, AllModes(), 5*time.Second)
+	drm := NewDRM(rig.JT, AllModes(), nil, nil)
 	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(float64(512*pms)), nil); err != nil {
 		tb.Fatal(err)
 	}

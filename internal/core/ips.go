@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/interference"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/resource"
@@ -83,17 +84,29 @@ type ipsService struct {
 	streak int
 }
 
-// NewIPS creates an IPS over the virtual cluster's JobTracker. Call
-// Watch for each deployed service, then Start.
-func NewIPS(engine *sim.Engine, cl *cluster.Cluster, jt *mapred.JobTracker) *IPS {
+// NewIPS creates an IPS over the virtual cluster's JobTracker, on the
+// JobTracker's engine. It runs set's ips row (nil takes policy.Default(),
+// the paper's) every slaInterval and records its mitigations, latency and
+// SLA-violation series into sinks (nil records nothing). Call Watch for
+// each deployed service, then Start.
+func NewIPS(cl *cluster.Cluster, jt *mapred.JobTracker, set *policy.Set, sinks *obs.Sinks) *IPS {
+	if set == nil {
+		set = policy.Default()
+	}
+	o := obs.Of(sinks)
 	return &IPS{
-		engine:        engine,
+		engine:        jt.Engine(),
 		cluster:       cl,
 		jt:            jt,
 		paused:        make(map[*cluster.VM]string),
 		blacklisted:   make(map[*mapred.TaskTracker]string),
 		backoff:       make(map[*cluster.PM]*blacklistBackoff),
-		relocateBelow: policy.Default().RelocateBelow,
+		tracer:        o.Tracer,
+		reg:           o.Metrics,
+		auditLog:      o.Audit,
+		perf:          o.Perf,
+		ts:            o.TimeSeries,
+		relocateBelow: set.RelocateBelow,
 	}
 }
 
@@ -102,17 +115,13 @@ func (p *IPS) Watch(svc *workload.Service) {
 	p.services = append(p.services, &ipsService{svc: svc, models: interference.NewModels()})
 }
 
-// Start begins the monitoring loop at the given interval (default 5 s).
-// The loop runs until Stop; experiments with services drive the engine
-// with RunUntil horizons.
-func (p *IPS) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
+// Start begins the monitoring loop. The loop runs until Stop;
+// experiments with services drive the engine with RunUntil horizons.
+func (p *IPS) Start() {
 	if p.ticker != nil && !p.ticker.Stopped() {
 		return
 	}
-	p.ticker = sim.NewTicker(p.engine, interval, func(now time.Duration) { p.tick(now) })
+	p.ticker = sim.NewTicker(p.engine, slaInterval, func(now time.Duration) { p.tick(now) })
 }
 
 // Stop halts monitoring.

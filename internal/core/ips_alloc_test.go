@@ -26,7 +26,7 @@ func TestIPSObserveZeroAlloc(t *testing.T) {
 	if rig.JT.RunningCount() == 0 {
 		t.Fatal("no attempts running")
 	}
-	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	ips := NewIPS(rig.Cluster, rig.JT, nil, nil)
 	ips.Watch(svc)
 	st := ips.services[0]
 	for i := 0; i < 1100; i++ {
@@ -43,7 +43,7 @@ func TestIPSObserveZeroAlloc(t *testing.T) {
 // nothing.
 func TestIPSMaybeResumeZeroAlloc(t *testing.T) {
 	rig := virtualRig(t, 4)
-	ips := NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	ips := NewIPS(rig.Cluster, rig.JT, nil, nil)
 	vm := rig.VMs[0]
 	if err := vm.Pause(); err != nil {
 		t.Fatal(err)

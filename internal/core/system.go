@@ -50,8 +50,7 @@ type Config struct {
 // native MapReduce partition, a virtual partition shared with interactive
 // services, the Phase I placer, and the Phase II DRM and IPS.
 type System struct {
-	engine  *sim.Engine
-	cluster *cluster.Cluster
+	engine *sim.Engine
 
 	// NativeJT and VirtualJT are the two MapReduce partitions; either
 	// (but not both) may be nil.
@@ -66,8 +65,6 @@ type System struct {
 	ips      *IPS
 	prof     *profiler.Profiler
 	services []*workload.Service
-
-	placements map[*mapred.Job]Placement
 
 	tracer      *trace.Tracer
 	auditLog    *audit.Log
@@ -93,10 +90,8 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	o := obs.Of(sinks)
 	s := &System{
 		engine:      engine,
-		cluster:     cl,
 		NativeJT:    nativeJT,
 		VirtualJT:   virtualJT,
-		placements:  make(map[*mapred.Job]Placement),
 		tracer:      o.Tracer,
 		auditLog:    o.Audit,
 		perf:        o.Perf,
@@ -122,17 +117,10 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	})
 	if virtualJT != nil {
 		if !cfg.DisableDRM {
-			s.drm = NewDRM(engine, virtualJT, AllModes(), drmEpoch)
-			s.drm.Policy = pol.DRM
-			s.drm.tracer, s.drm.auditLog, s.drm.perf = o.Tracer, o.Audit, o.Perf
-			s.drm.mAdjustments = o.Metrics.Counter("drm.cap_adjustments")
-			s.drm.mDeferrals = o.Metrics.Counter("drm.deferrals")
+			s.drm = NewDRM(virtualJT, AllModes(), pol, sinks)
 		}
 		if !cfg.DisableIPS {
-			s.ips = NewIPS(engine, cl, virtualJT)
-			s.ips.relocateBelow = pol.RelocateBelow
-			s.ips.tracer, s.ips.reg, s.ips.auditLog = o.Tracer, o.Metrics, o.Audit
-			s.ips.perf, s.ips.ts = o.Perf, o.TimeSeries
+			s.ips = NewIPS(cl, virtualJT, pol, sinks)
 		}
 	}
 	return s, nil
@@ -145,13 +133,6 @@ func (s *System) Engine() *sim.Engine { return s.engine }
 // accuracy experiments).
 func (s *System) Profiler() *profiler.Profiler { return s.prof }
 
-// DRM returns the Phase II resource manager, nil when disabled.
-func (s *System) DRM() *DRM { return s.drm }
-
-// IPS returns the Phase II interference prevention system, nil when
-// disabled.
-func (s *System) IPS() *IPS { return s.ips }
-
 // DeployService places an interactive application on a VM of the virtual
 // cluster and registers it for SLA monitoring. Per Algorithm 2,
 // transactional workloads always land on the virtual partition.
@@ -163,7 +144,7 @@ func (s *System) DeployService(spec workload.ServiceSpec, vm *cluster.VM) (*work
 	s.services = append(s.services, svc)
 	if s.ips != nil {
 		s.ips.Watch(svc)
-		s.ips.Start(slaInterval)
+		s.ips.Start()
 	}
 	return svc, nil
 }
@@ -235,7 +216,6 @@ func (s *System) SubmitJob(spec mapred.JobSpec, desiredJCT time.Duration, onDone
 	if err != nil {
 		return nil, 0, err
 	}
-	s.placements[job] = placement
 	s.mPlacements.Inc()
 	if s.tracer != nil {
 		s.tracer.Instant("phase1", "placement", spec.Name,
@@ -250,12 +230,6 @@ func (s *System) SubmitJob(spec mapred.JobSpec, desiredJCT time.Duration, onDone
 		s.drm.Start()
 	}
 	return job, placement, nil
-}
-
-// PlacementOf reports where a job was placed.
-func (s *System) PlacementOf(job *mapred.Job) (Placement, bool) {
-	p, ok := s.placements[job]
-	return p, ok
 }
 
 // Stop halts the Phase II control loops.

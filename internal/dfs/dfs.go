@@ -24,19 +24,8 @@ import (
 // blockMB is the block size of the Hadoop v0.22 deployment in the paper.
 const blockMB float64 = 64
 
-// Config parameterizes the filesystem. A zero Replication takes the
-// paper's 2 replicas.
-type Config struct {
-	// Replication is the number of replicas per block.
-	Replication int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Replication <= 0 {
-		c.Replication = 2
-	}
-	return c
-}
+// replication is the paper deployment's number of replicas per block.
+const replication = 2
 
 // DataNode stores block replicas on a cluster node. The namespace's
 // Block.Replicas lists are the one record of which blocks a DataNode
@@ -92,12 +81,14 @@ type File struct {
 // FileSystem is the NameNode: namespace plus block placement.
 type FileSystem struct {
 	engine    *sim.Engine
-	cfg       Config
 	rng       *rand.Rand
 	datanodes []*DataNode
 	byNode    map[cluster.Node]*DataNode
 	files     map[string]*File
 	nextBlock int
+	// replication is the number of replicas per block: the replication
+	// constant, which only package tests lower.
+	replication int
 
 	// pool is the placement sampling pool: the same DataNodes as
 	// datanodes, but in an order placeReplicas is free to permute so a
@@ -131,18 +122,18 @@ type FileSystem struct {
 // New creates an empty filesystem on the given engine. Block placement
 // and repair work is counted and timed on the handle's perf collector;
 // a nil handle records nothing.
-func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *FileSystem {
+func New(engine *sim.Engine, seed int64, sinks *obs.Sinks) *FileSystem {
 	o := obs.Of(sinks)
 	reg := o.Metrics
 	return &FileSystem{
-		engine:  engine,
-		cfg:     cfg.withDefaults(),
-		rng:     rand.New(rand.NewSource(seed)),
-		byNode:  make(map[cluster.Node]*DataNode),
-		files:   make(map[string]*File),
-		poolPos: make(map[*DataNode]int),
-		tracer:  o.Tracer,
-		perf:    o.Perf,
+		engine:      engine,
+		rng:         rand.New(rand.NewSource(seed)),
+		byNode:      make(map[cluster.Node]*DataNode),
+		files:       make(map[string]*File),
+		replication: replication,
+		poolPos:     make(map[*DataNode]int),
+		tracer:      o.Tracer,
+		perf:        o.Perf,
 
 		mReadNodeLocal:     reg.Counter("dfs.reads.node_local"),
 		mReadHostLocal:     reg.Counter("dfs.reads.host_local"),
@@ -153,9 +144,6 @@ func New(engine *sim.Engine, cfg Config, seed int64, sinks *obs.Sinks) *FileSyst
 		mReplicasCorrupted: reg.Counter("dfs.replicas.corrupted"),
 	}
 }
-
-// Config returns the effective configuration.
-func (fs *FileSystem) Config() Config { return fs.cfg }
 
 // CountRead records a block read at the given locality in the metrics
 // registry and, when a tracer is installed, as an instant event on the
@@ -291,7 +279,7 @@ func (fs *FileSystem) placeReplicas(preferred cluster.Node) []*DataNode {
 	if fs.perf != nil {
 		fs.perf.C.DFSBlocksPlaced++
 	}
-	want := fs.cfg.Replication
+	want := fs.replication
 	if want > len(fs.datanodes) {
 		want = len(fs.datanodes)
 	}
@@ -555,10 +543,10 @@ func (fs *FileSystem) repairBlock(b *Block) bool {
 // sustain: the configured factor, bounded by the number of live
 // DataNodes.
 func (fs *FileSystem) TargetReplication() int {
-	if n := len(fs.datanodes); n < fs.cfg.Replication {
+	if n := len(fs.datanodes); n < fs.replication {
 		return n
 	}
-	return fs.cfg.Replication
+	return fs.replication
 }
 
 // Files returns the namespace in name order.

@@ -16,7 +16,7 @@ func benchFleet(b *testing.B) (*FileSystem, []cluster.Node) {
 	native := c.AddPMs("pm", 5000)
 	hosts := c.AddPMs("host", 5000)
 	cluster.StripeTopology(append(native, hosts...), 40, 0)
-	fs := New(engine, Config{}, 1, nil)
+	fs := New(engine, 1, nil)
 	var nodes []cluster.Node
 	for _, pm := range native {
 		nodes = append(nodes, pm)

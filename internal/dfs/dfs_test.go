@@ -14,7 +14,7 @@ func testFS(t *testing.T, nPMs, vmsPerPM int) (*sim.Engine, *cluster.Cluster, *F
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 42, nil)
 	pms := c.AddPMs("pm", nPMs)
-	fs := New(engine, Config{}, 42, nil)
+	fs := New(engine, 42, nil)
 	var nodes []cluster.Node
 	if vmsPerPM == 0 {
 		for _, pm := range pms {
@@ -109,7 +109,8 @@ func TestLocalityLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := New(engine, Config{Replication: 1}, 1, nil)
+	fs := New(engine, 1, nil)
+	fs.replication = 1
 	fs.AddDataNode(vmA)
 	f, err := fs.CreateFile("/f", 10, vmA)
 	if err != nil {
@@ -266,7 +267,7 @@ func TestPlacementInvariants(t *testing.T) {
 		engine := sim.New()
 		c := cluster.New(engine, cluster.Config{}, int64(nNodes), nil)
 		pms := c.AddPMs("pm", n)
-		fs := New(engine, Config{}, int64(sizeRaw), nil)
+		fs := New(engine, int64(sizeRaw), nil)
 		for _, pm := range pms {
 			fs.AddDataNode(pm)
 		}
@@ -362,7 +363,8 @@ func TestTotalReplicaLossReported(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 1, nil)
 	pms := c.AddPMs("pm", 2)
-	fs := New(engine, Config{Replication: 1}, 1, nil)
+	fs := New(engine, 1, nil)
+	fs.replication = 1
 	for _, pm := range pms {
 		fs.AddDataNode(pm)
 	}
@@ -422,7 +424,8 @@ func TestReadFailsCleanlyWhenAllReplicasGone(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 9, nil)
 	pms := c.AddPMs("pm", 3)
-	fs := New(engine, Config{Replication: 1}, 9, nil)
+	fs := New(engine, 9, nil)
+	fs.replication = 1
 	for _, pm := range pms {
 		fs.AddDataNode(pm)
 	}

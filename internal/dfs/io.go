@@ -153,9 +153,9 @@ func (fs *FileSystem) Write(name string, sizeMB float64, writer cluster.Node, op
 	}
 	// Fraction of replica traffic leaving the writer: every replica
 	// beyond a writer-local first copy crosses the network.
-	extraReplicas := float64(fs.cfg.Replication - 1)
+	extraReplicas := float64(fs.replication - 1)
 	if _, isDN := fs.byNode[writer]; !isDN {
-		extraReplicas = float64(fs.cfg.Replication)
+		extraReplicas = float64(fs.replication)
 	}
 	localDisk := opts.RateMBps
 	if _, isDN := fs.byNode[writer]; !isDN {

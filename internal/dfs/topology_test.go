@@ -46,7 +46,7 @@ func TestTopologyCacheCoherent(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 9, nil)
 	pms := c.AddPMs("pm", 10)
-	fs := New(engine, Config{}, 9, nil)
+	fs := New(engine, 9, nil)
 	var nodes []cluster.Node
 	var vms []*cluster.VM
 	for i, pm := range pms {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mapred"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -63,8 +62,7 @@ func ExtIterative() (*Outcome, error) {
 	}
 	pool := newMetricsPool()
 	run := func(virtual, inMemory bool) (float64, error) {
-		reg := pool.registry()
-		opts := testbed.Options{PMs: 8, Seed: 1201, Obs: obs.Sinks{Metrics: reg}}
+		opts := testbed.Options{PMs: 8, Seed: 1201, Obs: pool.sinks()}
 		if virtual {
 			opts.VMsPerPM = 2
 		}
@@ -72,7 +70,6 @@ func ExtIterative() (*Outcome, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer pool.fold(reg)
 		base := pageRank(scaledMB(2 * workload.GB))
 		base.InMemory = inMemory
 		ij, err := rig.JT.SubmitIterative(mapred.IterativeSpec{
@@ -131,7 +128,6 @@ func ExtStream() (*Outcome, error) {
 	}
 	pool := newMetricsPool()
 	run := func(hybrid bool) (result, error) {
-		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs:       8,
 			NativePMs: 8,
@@ -141,12 +137,11 @@ func ExtStream() (*Outcome, error) {
 				SlotCaps:      true,
 				CapacityAware: hybrid,
 			},
-			Obs: obs.Sinks{Metrics: reg},
+			Obs: pool.sinks(),
 		})
 		if err != nil {
 			return result{}, err
 		}
-		defer pool.fold(reg)
 		cfg := core.Config{TrainingSeed: 1207}
 		if !hybrid {
 			cfg.DisableDRM = true
@@ -241,16 +236,14 @@ func AblSpeculation() (*Outcome, error) {
 	pool := newMetricsPool()
 	var paths critPaths
 	run := func(disable bool) (float64, error) {
-		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, Seed: 1217,
 			MapredConfig: mapred.Config{DisableSpeculation: disable},
-			Obs:          obs.Sinks{Metrics: reg},
+			Obs:          pool.sinks(),
 		})
 		if err != nil {
 			return 0, err
 		}
-		defer pool.fold(reg)
 		antagonist := &cluster.Consumer{
 			Name:   "antagonist",
 			Demand: resource.NewVector(2, 0, 85, 0),
@@ -301,19 +294,17 @@ func AblSpeculation() (*Outcome, error) {
 func AblCapacity() (*Outcome, error) {
 	pool := newMetricsPool()
 	run := func(aware bool) (jct float64, latency float64, err error) {
-		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, VMsPerPM: 2, Seed: 1223,
 			MapredConfig: mapred.Config{
 				SlotCaps:      true,
 				CapacityAware: aware,
 			},
-			Obs: obs.Sinks{Metrics: reg},
+			Obs: pool.sinks(),
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		defer pool.fold(reg)
 		var services []*workload.Service
 		for i := 0; i < 3; i++ {
 			svcVM, err := addServiceVM(rig, i, fmt.Sprintf("s%d", i))
@@ -377,17 +368,15 @@ func AblCapacity() (*Outcome, error) {
 // task's residency proportionally.
 func AblDeferral() (*Outcome, error) {
 	pool := newMetricsPool()
-	run := func(disableDeferral bool) (float64, error) {
-		reg := pool.registry()
+	run := func(set *policy.Set) (float64, error) {
 		rig, err := testbed.New(testbed.Options{
 			PMs: 8, VMsPerPM: 2, Seed: 1229,
 			MapredConfig: mapred.Config{SlotCaps: true},
-			Obs:          obs.Sinks{Metrics: reg},
+			Obs:          pool.sinks(),
 		})
 		if err != nil {
 			return 0, err
 		}
-		defer pool.fold(reg)
 		var jobs []*mapred.Job
 		for _, spec := range []mapred.JobSpec{
 			workload.Twitter().WithInputMB(scaledMB(3 * workload.GB)),
@@ -399,10 +388,7 @@ func AblDeferral() (*Outcome, error) {
 			}
 			jobs = append(jobs, job)
 		}
-		drm := core.NewDRM(rig.Engine, rig.JT, core.ResourceModes{Memory: true}, 5*time.Second)
-		if disableDeferral {
-			drm.Policy.Deferral = false
-		}
+		drm := core.NewDRM(rig.JT, core.ResourceModes{Memory: true}, set, &rig.Obs)
 		drm.Start()
 		defer drm.Stop()
 		rig.Engine.Run()
@@ -415,8 +401,9 @@ func AblDeferral() (*Outcome, error) {
 		}
 		return sum / float64(len(jobs)), nil
 	}
-	both, err := Map(2, func(i int) (float64, error) {
-		return run(i == 1)
+	sets := []*policy.Set{policy.Default(), mustResolve(policy.Spec{DRM: "static-split"})}
+	both, err := Map(len(sets), func(i int) (float64, error) {
+		return run(sets[i])
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/invariant"
-	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -26,13 +25,12 @@ func ExtFaults() (*Outcome, error) {
 	pool := newMetricsPool()
 	var paths critPaths
 	run := func(virtual bool, rate float64) (float64, error) {
-		reg := pool.registry()
 		// The safety-invariant checker is always on here: this is the one
 		// figure whose whole point is recovery, so a broken recovery path
 		// must fail the experiment (and with it the -check fidelity gate)
 		// by name rather than skew the JCT curve silently.
 		inv := invariant.New()
-		opts := testbed.Options{PMs: pms, Seed: 1237, Obs: obs.Sinks{Metrics: reg}, Invariants: inv}
+		opts := testbed.Options{PMs: pms, Seed: 1237, Obs: pool.sinks(), Invariants: inv}
 		if virtual {
 			opts.VMsPerPM = 2
 		}
@@ -50,7 +48,6 @@ func ExtFaults() (*Outcome, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer pool.fold(reg)
 		res, err := rig.RunJob(workload.Sort().WithInputMB(scaledMB(8 * workload.GB)))
 		if err != nil {
 			return 0, err

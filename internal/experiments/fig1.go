@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -25,8 +24,7 @@ func runIsolated(spec mapred.JobSpec, vmsPerPM int, seed int64, pool *metricsPoo
 	var sum testbed.JobResult
 	const repeats = 3
 	for r := 0; r < repeats; r++ {
-		reg := pool.registry()
-		opts := testbed.Options{Seed: seed + int64(r)*131, PMs: testbedPMs, VMsPerPM: vmsPerPM, Obs: obs.Sinks{Metrics: reg}}
+		opts := testbed.Options{Seed: seed + int64(r)*131, PMs: testbedPMs, VMsPerPM: vmsPerPM, Obs: pool.sinks()}
 		if vmsPerPM == 1 {
 			// A single VM per PM is sized to fill the host, as an
 			// operator would configure it.
@@ -41,7 +39,6 @@ func runIsolated(spec mapred.JobSpec, vmsPerPM int, seed int64, pool *metricsPoo
 		if err != nil {
 			return testbed.JobResult{}, err
 		}
-		pool.fold(reg)
 		sum.Name = res.Name
 		sum.CritPath = res.CritPath
 		sum.JCT += res.JCT / repeats
@@ -176,13 +173,11 @@ func Fig1c() (*Outcome, error) {
 	type point struct{ rio, wio, rtp, wtp float64 }
 	pool := newMetricsPool()
 	run := func(vmsPerPM int, totalMB float64) (point, error) {
-		reg := pool.registry()
-		defer pool.fold(reg)
-		sinks := &obs.Sinks{Metrics: reg}
+		sinks := pool.sinks()
 		engine := sim.New()
 		sinks.Bind(engine)
-		cl := cluster.New(engine, cluster.Config{}, 107, sinks)
-		fs := dfs.New(engine, dfs.Config{}, 107, sinks)
+		cl := cluster.New(engine, cluster.Config{}, 107, &sinks)
+		fs := dfs.New(engine, 107, &sinks)
 		var nodes []cluster.Node
 		if vmsPerPM <= 0 {
 			for _, pm := range cl.AddPMs("pm", testbedPMs) {

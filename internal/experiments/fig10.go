@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -22,7 +21,6 @@ import (
 func Fig10a() (*Outcome, error) {
 	pool := newMetricsPool()
 	run := func(hybrid bool) (*metrics.Recorder, error) {
-		reg := pool.registry()
 		batchPMs := 12
 		if !hybrid {
 			batchPMs = 8 // four hosts are reserved for the services
@@ -33,7 +31,7 @@ func Fig10a() (*Outcome, error) {
 				SlotCaps:      true,
 				CapacityAware: hybrid,
 			},
-			Obs: obs.Sinks{Metrics: reg},
+			Obs: pool.sinks(),
 		})
 		if err != nil {
 			return nil, err
@@ -61,8 +59,8 @@ func Fig10a() (*Outcome, error) {
 			svc.SetClients(900)
 			if hybrid {
 				if ips == nil {
-					ips = core.NewIPS(rig.Engine, rig.Cluster, rig.JT)
-					ips.Start(5 * time.Second)
+					ips = core.NewIPS(rig.Cluster, rig.JT, nil, &rig.Obs)
+					ips.Start()
 				}
 				ips.Watch(svc)
 			}
@@ -84,7 +82,7 @@ func Fig10a() (*Outcome, error) {
 		}
 		if hybrid {
 			rig.Engine.After(time.Second, func() {
-				drm = core.NewDRM(rig.Engine, rig.JT, core.AllModes(), 5*time.Second)
+				drm = core.NewDRM(rig.JT, core.AllModes(), nil, &rig.Obs)
 				drm.Start()
 			})
 		}
@@ -97,7 +95,6 @@ func Fig10a() (*Outcome, error) {
 		if drm != nil {
 			drm.Stop()
 		}
-		pool.fold(reg)
 		return rec, nil
 	}
 	both, err := Map(2, func(i int) (*metrics.Recorder, error) {
@@ -138,10 +135,9 @@ func Fig10a() (*Outcome, error) {
 
 // migrationSweep migrates each of 24 VMs once and returns per-node stats.
 func migrationSweep(memMB float64, runWcount bool, pool *metricsPool) ([]cluster.MigrationStats, error) {
-	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs: 24, VMsPerPM: 1, VMMemoryMB: memMB, Seed: 1009,
-		Obs: obs.Sinks{Metrics: reg},
+		Obs: pool.sinks(),
 	})
 	if err != nil {
 		return nil, err
@@ -178,7 +174,6 @@ func migrationSweep(memMB float64, runWcount bool, pool *metricsPool) ([]cluster
 	if gotAll != 24 {
 		return nil, fmt.Errorf("experiments: only %d/24 migrations completed", gotAll)
 	}
-	pool.fold(reg)
 	return stats, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -59,7 +58,7 @@ type fig11Run struct {
 // runFig11Config measures one split under a fixed small workload mix.
 func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 	vmHosts := cfg.vms / 2
-	reg := pool.registry()
+	sinks := pool.sinks()
 	var rig *testbed.Rig
 	var err error
 	var nativeJT, virtualJT *mapred.JobTracker
@@ -70,14 +69,14 @@ func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 				SlotCaps:      true,
 				CapacityAware: true,
 			},
-			Obs: obs.Sinks{Metrics: reg},
+			Obs: sinks,
 		})
 		if err != nil {
 			return fig11Run{}, err
 		}
 		virtualJT = rig.JT
 	} else {
-		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, Obs: obs.Sinks{Metrics: reg}})
+		rig, err = testbed.New(testbed.Options{PMs: cfg.nativePMs, Seed: 1117, Obs: sinks})
 		if err != nil {
 			return fig11Run{}, err
 		}
@@ -87,7 +86,7 @@ func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 		// Separate HDFS instance for the native partition, as on the
 		// paper's testbed.
 		pms := rig.Cluster.AddPMs("native", cfg.nativePMs)
-		nativeFS := dfs.New(rig.Engine, dfs.Config{}, 1123, nil)
+		nativeFS := dfs.New(rig.Engine, 1123, nil)
 		nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{}, nil, "")
 		for _, pm := range pms {
 			nativeJT.AddTracker(pm)
@@ -174,7 +173,6 @@ func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 	if compliance < 0.05 {
 		compliance = 0.05
 	}
-	pool.fold(reg)
 	return fig11Run{
 		meanJCT:       sum / float64(len(jobs)),
 		slaCompliance: compliance,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mapred"
-	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -23,14 +22,13 @@ func Fig2a() (*Outcome, error) {
 	// Same-Host case; VMs are shrunk to 480 MB with single task slots so
 	// that eight guests fit in 4 GB of host memory.
 	run := func(pms int, mb float64) (float64, error) {
-		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs:          pms,
 			VMsPerPM:     16 / pms,
 			VMMemoryMB:   480,
 			Seed:         211,
 			MapredConfig: mapred.Config{MapSlots: 1, ReduceSlots: 1},
-			Obs:          obs.Sinks{Metrics: reg},
+			Obs:          pool.sinks(),
 		})
 		if err != nil {
 			return 0, err
@@ -39,7 +37,6 @@ func Fig2a() (*Outcome, error) {
 		if err != nil {
 			return 0, err
 		}
-		pool.fold(reg)
 		return res.JCT.Seconds(), nil
 	}
 	sizes := []float64{1, 2, 3, 4, 5}
@@ -105,13 +102,12 @@ func Fig2b() (*Outcome, error) {
 	flat, err := Map(len(cfgs)*len(sizes), func(i int) (float64, error) {
 		c := cfgs[i/len(sizes)]
 		gb := sizes[i%len(sizes)]
-		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs:          12,
 			VMsPerPM:     c.vmsPerPM,
 			Seed:         223,
 			MapredConfig: mapred.Config{MapSlots: c.mapSlots, ReduceSlots: c.redSlots},
-			Obs:          obs.Sinks{Metrics: reg},
+			Obs:          pool.sinks(),
 		})
 		if err != nil {
 			return 0, err
@@ -120,7 +116,6 @@ func Fig2b() (*Outcome, error) {
 		if err != nil {
 			return 0, err
 		}
-		pool.fold(reg)
 		return res.JCT.Seconds(), nil
 	})
 	if err != nil {
@@ -223,8 +218,7 @@ func Fig2d() (*Outcome, error) {
 }
 
 func runOnRig(opts testbed.Options, spec mapred.JobSpec, pool *metricsPool) (float64, error) {
-	reg := pool.registry()
-	opts.Obs.Metrics = reg
+	opts.Obs = pool.sinks()
 	rig, err := testbed.New(opts)
 	if err != nil {
 		return 0, err
@@ -233,6 +227,5 @@ func runOnRig(opts testbed.Options, spec mapred.JobSpec, pool *metricsPool) (flo
 	if err != nil {
 		return 0, err
 	}
-	pool.fold(reg)
 	return res.JCT.Seconds(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mapred"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -18,15 +17,11 @@ func virtualJCT(spec mapred.JobSpec, vms int, seed int64, pool *metricsPool) (te
 	if vms == 1 {
 		pms, vpp = 1, 1
 	}
-	reg := pool.registry()
-	rig, err := testbed.New(testbed.Options{PMs: pms, VMsPerPM: vpp, Seed: seed, Obs: obs.Sinks{Metrics: reg}})
+	rig, err := testbed.New(testbed.Options{PMs: pms, VMsPerPM: vpp, Seed: seed, Obs: pool.sinks()})
 	if err != nil {
 		return testbed.JobResult{}, err
 	}
 	res, err := rig.RunJob(spec)
-	if err == nil {
-		pool.fold(reg)
-	}
 	return res, err
 }
 

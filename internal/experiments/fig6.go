@@ -104,9 +104,8 @@ func interferenceRig(sinks *obs.Sinks) (*sim.Engine, []*cluster.VM, error) {
 // given total CPU (cores) and disk (MB/s) demand over vms[1:3], and
 // returns the victim's completion time in seconds.
 func victimJCT(victim resource.Vector, antagonistCPU, antagonistDisk float64, pool *metricsPool) (float64, error) {
-	reg := pool.registry()
-	defer pool.fold(reg)
-	engine, vms, err := interferenceRig(&obs.Sinks{Metrics: reg})
+	sinks := pool.sinks()
+	engine, vms, err := interferenceRig(&sinks)
 	if err != nil {
 		return 0, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapred"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -28,7 +27,6 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 	// 8 native PMs plus 16 PMs hosting 32 VMs: the virtual partition
 	// keeps real spare capacity, which is the premise the paper's
 	// consolidation argument rests on.
-	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs:       16,
 		NativePMs: 8,
@@ -38,7 +36,7 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 			SlotCaps:      true,
 			CapacityAware: usePhase1,
 		},
-		Obs: obs.Sinks{Metrics: reg},
+		Obs: pool.sinks(),
 	})
 	if err != nil {
 		return mixResult{}, err
@@ -131,7 +129,6 @@ func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool)
 	for _, j := range jobs {
 		js.add(j.JCT().Seconds())
 	}
-	pool.fold(reg)
 	return mixResult{meanJCT: js.mean(), meanLatency: stats.Mean(latencies)}, nil
 }
 
@@ -196,7 +193,6 @@ func Fig8a() (*Outcome, error) {
 // optionally managed by the DRM in the given mode, and returns each
 // job's JCT by benchmark name.
 func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed int64, pool *metricsPool) (map[string]float64, error) {
-	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs:      24,
 		VMsPerPM: 2,
@@ -205,7 +201,7 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 			SlotCaps:      true,
 			CapacityAware: managed,
 		},
-		Obs: obs.Sinks{Metrics: reg},
+		Obs: pool.sinks(),
 	})
 	if err != nil {
 		return nil, err
@@ -219,7 +215,7 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 		jobs = append(jobs, job)
 	}
 	if managed {
-		drm := core.NewDRM(rig.Engine, rig.JT, modes, 5*time.Second)
+		drm := core.NewDRM(rig.JT, modes, nil, &rig.Obs)
 		drm.Start()
 		defer drm.Stop()
 	}
@@ -231,7 +227,6 @@ func drmJCT(specs []mapred.JobSpec, managed bool, modes core.ResourceModes, seed
 		}
 		out[j.Spec.Name] = j.JCT().Seconds()
 	}
-	pool.fold(reg)
 	return out, nil
 }
 
@@ -346,7 +341,6 @@ func Fig8d() (*Outcome, error) {
 	}}
 	pool := newMetricsPool()
 	run := func(clients int, batch, ips bool) (float64, error) {
-		reg := pool.registry()
 		rig, err := testbed.New(testbed.Options{
 			PMs:      12,
 			VMsPerPM: 2,
@@ -356,7 +350,7 @@ func Fig8d() (*Outcome, error) {
 				CapacityAware: ips,
 			},
 			Policies: mustResolve(policy.Spec{Phase2: "fifo-p2"}),
-			Obs:      obs.Sinks{Metrics: reg},
+			Obs:      pool.sinks(),
 		})
 		if err != nil {
 			return 0, err
@@ -385,9 +379,9 @@ func Fig8d() (*Outcome, error) {
 			}
 		}
 		if ips {
-			ctl := core.NewIPS(rig.Engine, rig.Cluster, rig.JT)
+			ctl := core.NewIPS(rig.Cluster, rig.JT, nil, &rig.Obs)
 			ctl.Watch(svc)
-			ctl.Start(5 * time.Second)
+			ctl.Start()
 			defer ctl.Stop()
 		}
 		// Steady-state latency: the paper's continuously running system
@@ -401,7 +395,6 @@ func Fig8d() (*Outcome, error) {
 		})
 		rig.Engine.RunUntil(6 * time.Minute)
 		tick.Stop()
-		pool.fold(reg)
 		return stats.Mean(lat), nil
 	}
 	var levels []int

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/resource"
 	"repro/internal/stats"
@@ -25,7 +24,6 @@ func Fig9a() (*Outcome, error) {
 	// A single 35-minute timeline is one continuous simulation, so there
 	// is nothing to fan out; it still attributes its events to the run.
 	pool := newMetricsPool()
-	reg := pool.registry()
 	rig, err := testbed.New(testbed.Options{
 		PMs:      12,
 		VMsPerPM: 2,
@@ -34,7 +32,7 @@ func Fig9a() (*Outcome, error) {
 			SlotCaps:      true,
 			CapacityAware: true,
 		},
-		Obs: obs.Sinks{Metrics: reg},
+		Obs: pool.sinks(),
 	})
 	if err != nil {
 		return nil, err
@@ -58,10 +56,10 @@ func Fig9a() (*Outcome, error) {
 	rubis.SetClients(3200)
 	tpcw.SetClients(2400)
 
-	ips := core.NewIPS(rig.Engine, rig.Cluster, rig.JT)
+	ips := core.NewIPS(rig.Cluster, rig.JT, nil, &rig.Obs)
 	ips.Watch(rubis)
 	ips.Watch(tpcw)
-	ips.Start(5 * time.Second)
+	ips.Start()
 	defer ips.Stop()
 
 	// Batch load lands at minute 10: heavy I/O jobs across the cluster.
@@ -96,7 +94,6 @@ func Fig9a() (*Outcome, error) {
 	out.Scalar("minutes_above_sla", float64(above))
 	out.Scalar("minutes_recovered", float64(recovered))
 	out.Scalar("ips_actions", float64(len(ips.Actions())))
-	pool.fold(reg)
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -125,8 +122,7 @@ func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, e
 		svcNodes  []cluster.Node
 		err       error
 	)
-	reg := pool.registry()
-	sinks := obs.Sinks{Metrics: reg}
+	sinks := pool.sinks()
 	switch design {
 	case "Native":
 		rig, err = testbed.New(testbed.Options{PMs: 24, Seed: 907, Obs: sinks})
@@ -169,7 +165,7 @@ func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, e
 		virtualJT = rig.JT
 		// The native partition runs its own HDFS, as on the testbed.
 		pms := rig.Cluster.AddPMs("native", 12)
-		nativeFS := dfs.New(rig.Engine, dfs.Config{}, 911, nil)
+		nativeFS := dfs.New(rig.Engine, 911, nil)
 		nativeJT = mapred.NewJobTracker(rig.Engine, nativeFS, mapred.Config{}, mapred.Fair{}, nil, "")
 		for _, pm := range pms {
 			nativeJT.AddTracker(pm)
@@ -260,7 +256,6 @@ func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, e
 		sum += j.JCT().Seconds()
 	}
 	res.meanJCT = sum / float64(len(jobs))
-	pool.fold(reg)
 	return res, nil
 }
 

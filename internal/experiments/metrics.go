@@ -4,16 +4,17 @@ import (
 	"sync"
 
 	"repro/internal/critpath"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // metricsPool collects metrics from concurrent sweep points. Each point
 // records into its own private registry (shared registries are not
-// goroutine-safe, and interleaving would be nondeterministic anyway) and
-// folds it in afterwards. Folded registries are combined lazily with
-// Registry.MergeAll, whose float accumulations are order-canonical, so
-// the merged snapshot is byte-identical at any worker count even though
-// workers hand registries over in finish order.
+// goroutine-safe, and interleaving would be nondeterministic anyway),
+// which the pool keeps from the moment it hands it out. The registries
+// are combined lazily with Registry.MergeAll, whose float accumulations
+// are order-canonical, so the merged snapshot is byte-identical at any
+// worker count even though workers take registries in start order.
 type metricsPool struct {
 	mu   sync.Mutex
 	regs []*trace.Registry
@@ -23,26 +24,20 @@ func newMetricsPool() *metricsPool {
 	return &metricsPool{}
 }
 
-// registry hands out a fresh private registry for one sweep point.
-func (p *metricsPool) registry() *trace.Registry {
+// sinks hands out a sinks handle on a fresh private registry for one
+// sweep point; safe to call from Map workers.
+func (p *metricsPool) sinks() obs.Sinks {
 	if p == nil {
-		return nil
+		return obs.Sinks{}
 	}
-	return trace.NewRegistry()
-}
-
-// fold hands one sweep point's registry to the pool; safe to call from
-// Map workers.
-func (p *metricsPool) fold(r *trace.Registry) {
-	if p == nil || r == nil {
-		return
-	}
+	reg := trace.NewRegistry()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.regs = append(p.regs, r)
+	p.regs = append(p.regs, reg)
+	return obs.Sinks{Metrics: reg}
 }
 
-// snapshot merges everything folded so far and summarizes it.
+// snapshot merges every registry handed out so far and summarizes it.
 func (p *metricsPool) snapshot() trace.Snapshot {
 	if p == nil {
 		return trace.Snapshot{}

@@ -19,7 +19,7 @@ func newEngineForTest() *sim.Engine { return sim.New() }
 func newVirtualJT(t *testing.T, engine *sim.Engine, pms, vmsPerPM int) *JobTracker {
 	t.Helper()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	fs := dfs.New(engine, dfs.Config{}, 7, nil)
+	fs := dfs.New(engine, 7, nil)
 	jt := NewJobTracker(engine, fs, Config{}, nil, nil, "")
 	hosts := c.AddPMs("pm", pms)
 	vms, err := c.SpreadVMs("vm", pms*vmsPerPM, hosts, 1, 1024)

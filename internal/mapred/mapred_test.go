@@ -46,7 +46,7 @@ func rig(t testing.TB, nPMs int, cfg Config, sched Scheduler) (*sim.Engine, *Job
 	t.Helper()
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	fs := dfs.New(engine, dfs.Config{}, 7, nil)
+	fs := dfs.New(engine, 7, nil)
 	jt := NewJobTracker(engine, fs, cfg, sched, nil, "")
 	for _, pm := range c.AddPMs("pm", nPMs) {
 		jt.AddTracker(pm)
@@ -212,7 +212,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	run := func(disable bool) time.Duration {
 		engine := sim.New()
 		c := cluster.New(engine, cluster.Config{}, 7, nil)
-		fs := dfs.New(engine, dfs.Config{}, 7, nil)
+		fs := dfs.New(engine, 7, nil)
 		jt := NewJobTracker(engine, fs, Config{DisableSpeculation: disable}, nil, nil, "")
 		pms := c.AddPMs("pm", 4)
 		for _, pm := range pms {
@@ -282,7 +282,7 @@ func TestKilledAttemptReexecutes(t *testing.T) {
 func TestSplitArchitectureCompletes(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	fs := dfs.New(engine, dfs.Config{}, 7, nil)
+	fs := dfs.New(engine, 7, nil)
 	jt := NewJobTracker(engine, fs, Config{}, nil, nil, "")
 	pms := c.AddPMs("pm", 4)
 	for i, pm := range pms {
@@ -415,7 +415,7 @@ func TestMapredMetricsInstrumentation(t *testing.T) {
 	reg := trace.NewRegistry()
 	sinks := &obs.Sinks{Tracer: tr, Metrics: reg}
 	c := cluster.New(engine, cluster.Config{}, 7, sinks)
-	fs := dfs.New(engine, dfs.Config{}, 7, sinks)
+	fs := dfs.New(engine, 7, sinks)
 	jt := NewJobTracker(engine, fs, Config{}, nil, sinks, "")
 	pms := c.AddPMs("pm", 4)
 	for _, pm := range pms {

@@ -131,7 +131,7 @@ func TestMachineFailureKillsOnlyItsVictims(t *testing.T) {
 func TestMachineFailureSparesItsVMs(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
+	jt := NewJobTracker(engine, dfs.New(engine, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
 	hosts := c.AddPMs("pm", 3)
 	vms, err := c.SpreadVMs("vm", 6, hosts, 1, 1024)
 	if err != nil {

@@ -85,7 +85,7 @@ func releaseRig(t *testing.T, pms int, cfg Config) (*sim.Engine, *JobTracker, *l
 	t.Helper()
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), cfg, nil, nil, "")
+	jt := NewJobTracker(engine, dfs.New(engine, 7, nil), cfg, nil, nil, "")
 	hosts := c.AddPMs("pm", pms)
 	for _, pm := range hosts {
 		compute, err := c.AddVM("tt", pm, 1, 1024)

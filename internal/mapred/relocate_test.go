@@ -18,7 +18,7 @@ func relocateRig(t *testing.T) (*sim.Engine, *cluster.Cluster, *JobTracker, *Job
 	t.Helper()
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
+	jt := NewJobTracker(engine, dfs.New(engine, 7, nil), Config{DisableSpeculation: true}, nil, nil, "")
 	for _, pm := range c.AddPMs("pm", 5)[:4] {
 		vm, err := c.AddVM("tt", pm, 2, 2048)
 		if err != nil {

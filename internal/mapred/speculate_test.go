@@ -20,7 +20,7 @@ func speculationRig(t testing.TB) (*JobTracker, *perfstat.Stats) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	ps := perfstat.New()
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{}, nil, &obs.Sinks{Perf: ps}, "")
+	jt := NewJobTracker(engine, dfs.New(engine, 7, nil), Config{}, nil, &obs.Sinks{Perf: ps}, "")
 	for _, pm := range c.AddPMs("pm", 6) {
 		jt.AddTracker(pm)
 	}

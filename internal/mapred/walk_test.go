@@ -412,7 +412,7 @@ func TestCachedPressuresStayFresh(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
 	ps := perfstat.New()
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{CapacityAware: true}, nil, &obs.Sinks{Perf: ps}, "")
+	jt := NewJobTracker(engine, dfs.New(engine, 7, nil), Config{CapacityAware: true}, nil, &obs.Sinks{Perf: ps}, "")
 	hosts := c.AddPMs("pm", 12)
 	vms, err := c.SpreadVMs("vm", 24, hosts, 1, 1024)
 	if err != nil {
@@ -478,7 +478,7 @@ func TestCachedPressuresStayFresh(t *testing.T) {
 func TestFlushRemapsTrackerMigratedBetweenFlushes(t *testing.T) {
 	engine := sim.New()
 	c := cluster.New(engine, cluster.Config{}, 7, nil)
-	jt := NewJobTracker(engine, dfs.New(engine, dfs.Config{}, 7, nil), Config{CapacityAware: true}, nil, nil, "")
+	jt := NewJobTracker(engine, dfs.New(engine, 7, nil), Config{CapacityAware: true}, nil, nil, "")
 	hosts := c.AddPMs("pm", 3)
 	vms, err := c.SpreadVMs("vm", 6, hosts, 1, 1024)
 	if err != nil {

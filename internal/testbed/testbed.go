@@ -153,7 +153,7 @@ func New(opts Options) (*Rig, error) {
 	var fss []*dfs.FileSystem
 	var jts []*mapred.JobTracker
 	if opts.PMs > 0 {
-		fs := dfs.New(engine, dfs.Config{}, opts.Seed+1, o)
+		fs := dfs.New(engine, opts.Seed+1, o)
 		sched, mrCfg := opts.Policies.Phase2Setup(opts.MapredConfig)
 		rig.FS = fs
 		rig.JT = mapred.NewJobTracker(engine, fs, mrCfg, sched, o, "")
@@ -206,7 +206,7 @@ func New(opts Options) (*Rig, error) {
 	if opts.NativePMs > 0 {
 		pms := cl.AddPMs("native", opts.NativePMs)
 		cluster.StripeTopology(pms, opts.Racks, opts.PowerDomains)
-		fs := dfs.New(engine, dfs.Config{}, opts.Seed+13, o)
+		fs := dfs.New(engine, opts.Seed+13, o)
 		sched, mrCfg := opts.Policies.Phase2Setup(mapred.Config{})
 		rig.NativeJT = mapred.NewJobTracker(engine, fs, mrCfg, sched, o, "native")
 		for _, pm := range pms {
