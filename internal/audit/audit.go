@@ -12,8 +12,13 @@
 //
 // The log is a ring buffer: once capacity is reached the oldest
 // records are dropped (Dropped reports how many) so long simulations
-// cannot grow without bound. Records export as JSONL with a fixed
-// field order, making same-seed exports byte-identical.
+// cannot grow without bound. The ring's slots live in fixed chunks,
+// each allocated as the ring first reaches it and never regrown. Add
+// copies a record's candidates into its slot's own reusable buffer, so
+// callers may reuse their candidate slices and a wrapped ring allocates
+// nothing per record; Records and Last deep-copy what they return.
+// Records export as JSONL with a fixed field order, making same-seed
+// exports byte-identical.
 package audit
 
 import (
@@ -58,6 +63,9 @@ type Record struct {
 	Candidates []Candidate   // options weighed, if any
 }
 
+// chunkLen is the number of ring slots in one chunk.
+const chunkLen = 1024
+
 // Log is a bounded, deterministic decision log. It is not safe for
 // concurrent use; like the rest of the simulation it belongs to a
 // single engine goroutine.
@@ -65,7 +73,11 @@ type Log struct {
 	clock Clock
 	cap   int
 	seq   uint64
-	buf   []Record
+	// chunks hold the ring's slots, slot i at
+	// chunks[i/chunkLen][i%chunkLen]. Record seq lives in slot
+	// (seq-1)%cap. A slot's Candidates is its own buffer, reused by
+	// every record that occupies the slot.
+	chunks [][]Record
 }
 
 // New returns a Log holding at most capacity records (DefaultCap if
@@ -86,39 +98,46 @@ func (l *Log) SetClock(c Clock) {
 	l.clock = c
 }
 
-// Add appends one decision record. Candidates are retained as given;
-// callers should order them deterministically (e.g. by score, ties by
-// name) since record bytes feed byte-compared exports.
+// Add appends one decision record. The candidates are copied into the
+// log, so the caller may reuse or modify its slice afterwards; callers
+// should order them deterministically (e.g. by score, ties by name)
+// since record bytes feed byte-compared exports.
 func (l *Log) Add(subsystem, action, subject, decision, reason string, candidates ...Candidate) {
 	if l == nil {
 		return
 	}
-	r := Record{
+	i := int(l.seq % uint64(l.cap))
+	if i/chunkLen == len(l.chunks) { // only while the ring first fills
+		l.chunks = append(l.chunks, make([]Record, min(chunkLen, l.cap-i)))
+	}
+	l.seq++
+	r := l.slot(i)
+	old := r.Candidates
+	*r = Record{
+		Seq:        l.seq,
 		Subsystem:  subsystem,
 		Action:     action,
 		Subject:    subject,
 		Decision:   decision,
 		Reason:     reason,
-		Candidates: candidates,
+		Candidates: append(old[:0], candidates...),
+	}
+	if n := len(candidates); n < len(old) {
+		clear(old[n:]) // drop the previous occupant's strings
 	}
 	if l.clock != nil {
 		r.At = l.clock.Now()
 	}
-	r.Seq = l.seq + 1
-	l.seq++
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, r)
-		return
-	}
-	l.buf[int((r.Seq-1)%uint64(l.cap))] = r
 }
+
+func (l *Log) slot(i int) *Record { return &l.chunks[i/chunkLen][i%chunkLen] }
 
 // Len reports how many records are currently retained.
 func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.buf)
+	return int(min(l.seq, uint64(l.cap)))
 }
 
 // Dropped reports how many records the ring has discarded.
@@ -126,31 +145,72 @@ func (l *Log) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.seq - uint64(len(l.buf))
+	return l.seq - uint64(l.Len())
 }
 
-// ordered returns the retained records oldest-first as the two halves
-// of the ring, without copying.
-func (l *Log) ordered() (older, newer []Record) {
-	if l.seq <= uint64(l.cap) {
-		return l.buf, nil
+// each calls fn on the retained records in place, oldest first. The
+// first error stops the walk and is returned.
+func (l *Log) each(fn func(r *Record) error) error {
+	start := 0
+	if l.seq > uint64(l.cap) {
+		start = int(l.seq % uint64(l.cap))
 	}
-	start := int(l.seq % uint64(l.cap))
-	return l.buf[start:], l.buf[:start]
+	for k, n := 0, l.Len(); k < n; k++ {
+		i := start + k
+		if i >= l.cap {
+			i -= l.cap
+		}
+		if err := fn(l.slot(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Records returns the retained records oldest-first. The slice is a
-// copy; mutating it does not affect the log.
+// Records returns deep copies of the retained records, oldest first:
+// mutating the result, its candidates included, does not affect the
+// log.
 func (l *Log) Records() []Record {
-	if l == nil || len(l.buf) == 0 {
+	if l.Len() == 0 {
 		return nil
 	}
-	older, newer := l.ordered()
-	out := make([]Record, 0, len(l.buf))
-	return append(append(out, older...), newer...)
+	total := 0
+	_ = l.each(func(r *Record) error { total += len(r.Candidates); return nil })
+	out := make([]Record, 0, l.Len())
+	cands := make([]Candidate, 0, total)
+	_ = l.each(func(r *Record) error {
+		out = append(out, copyRecord(r, &cands))
+		return nil
+	})
+	return out
 }
 
-// Filter returns the retained records matching pred, oldest-first.
+// Last returns a deep copy of the newest record, or false if the log
+// holds none.
+func (l *Log) Last() (Record, bool) {
+	if l.Len() == 0 {
+		return Record{}, false
+	}
+	r := l.slot(int((l.seq - 1) % uint64(l.cap)))
+	cands := make([]Candidate, 0, len(r.Candidates))
+	return copyRecord(r, &cands), true
+}
+
+// copyRecord returns a copy of r whose candidates are appended to
+// *cands, which must have room for them so earlier copies stay intact.
+func copyRecord(r *Record, cands *[]Candidate) Record {
+	c := *r
+	c.Candidates = nil
+	if len(r.Candidates) > 0 {
+		lo := len(*cands)
+		*cands = append(*cands, r.Candidates...)
+		c.Candidates = (*cands)[lo:len(*cands):len(*cands)]
+	}
+	return c
+}
+
+// Filter returns deep copies of the retained records matching pred,
+// oldest first.
 func (l *Log) Filter(pred func(Record) bool) []Record {
 	var out []Record
 	for _, r := range l.Records() {
@@ -179,18 +239,17 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	var buf []byte
-	older, newer := l.ordered()
-	for _, half := range [2][]Record{older, newer} {
-		for i := range half {
-			var err error
-			if buf, err = appendRecord(buf[:0], &half[i]); err != nil {
-				_ = bw.Flush() // still deliver the records before this one
-				return err
-			}
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
+	err := l.each(func(r *Record) error {
+		var err error
+		if buf, err = appendRecord(buf[:0], r); err != nil {
+			_ = bw.Flush() // still deliver the records before this one
+			return err
 		}
+		_, err = bw.Write(buf)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

@@ -161,3 +161,51 @@ func TestWriteJSONLAllocsIndependentOfRecords(t *testing.T) {
 		t.Fatalf("WriteJSONL: %v allocs for 100 records, %v for 10000", a, b)
 	}
 }
+
+// TestWrappedRingMatchesEncodingJSONReference exports wrapped rings of
+// records carrying 0, 1, 8 and 20 candidates in seeded order and checks
+// the bytes against encoding/json's for the last cap records added, as
+// the test kept them rather than as the log returns them.
+func TestWrappedRingMatchesEncodingJSONReference(t *testing.T) {
+	sizes := []int{0, 1, 8, 20}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := []int{5, 64, 1500}[seed%3] // 1500 spans two chunks
+		clk := &fakeClock{}
+		l := New(capacity)
+		l.SetClock(clk)
+		var added []Record
+		for i, n := 0, capacity*2+rng.Intn(capacity); i < n; i++ {
+			clk.now += time.Duration(rng.Intn(4000)) * time.Microsecond
+			cands := make([]Candidate, sizes[rng.Intn(len(sizes))])
+			for j := range cands {
+				cands[j] = Candidate{Name: trickyStrings[rng.Intn(len(trickyStrings))],
+					Score: rng.NormFloat64() * 100, Chosen: rng.Intn(3) == 0,
+					Note: trickyStrings[rng.Intn(len(trickyStrings))]}
+			}
+			r := Record{
+				Seq:        uint64(i + 1),
+				At:         clk.now,
+				Subsystem:  "mapred",
+				Action:     "assign",
+				Subject:    "map-" + strconv.Itoa(i),
+				Decision:   "tt-" + strconv.Itoa(i%7),
+				Reason:     trickyStrings[rng.Intn(len(trickyStrings))],
+				Candidates: append([]Candidate(nil), cands...),
+			}
+			added = append(added, r)
+			l.Add(r.Subsystem, r.Action, r.Subject, r.Decision, r.Reason, cands...)
+		}
+		var got, want bytes.Buffer
+		if err := l.WriteJSONL(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteJSONL(&want, added[len(added)-capacity:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("seed %d (cap %d, dropped %d): export differs from reference\n got: %.300s\nwant: %.300s",
+				seed, capacity, l.Dropped(), got.String(), want.String())
+		}
+	}
+}

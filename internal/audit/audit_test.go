@@ -2,6 +2,8 @@ package audit
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -111,5 +113,82 @@ func TestFilter(t *testing.T) {
 	got := l.Filter(func(r Record) bool { return r.Subsystem == "phase1" })
 	if len(got) != 2 || got[0].Subject != "a" || got[1].Subject != "c" {
 		t.Errorf("Filter = %+v", got)
+	}
+}
+
+func TestLast(t *testing.T) {
+	l := New(3)
+	if _, ok := l.Last(); ok {
+		t.Fatal("Last on an empty log reported a record")
+	}
+	for i, subject := range []string{"a", "b", "c", "d"} {
+		l.Add("s", "a", subject, "d", "", Candidate{Name: subject, Score: float64(i)})
+		r, ok := l.Last()
+		if !ok || r.Seq != uint64(i+1) || r.Subject != subject ||
+			len(r.Candidates) != 1 || r.Candidates[0].Name != subject {
+			t.Fatalf("after adding %s: Last = %+v, %v", subject, r, ok)
+		}
+		r.Candidates[0].Name = "mutated"
+	}
+	if recs := l.Records(); recs[len(recs)-1].Candidates[0].Name != "d" {
+		t.Error("mutating Last's candidates changed the log")
+	}
+}
+
+// TestCandidatesAreCopiedInAndOut checks the ownership contract: Add
+// copies the caller's candidates and Records returns deep copies, so
+// mutating either slice afterwards changes neither a later Records nor
+// the export, before and after the ring wraps.
+func TestCandidatesAreCopiedInAndOut(t *testing.T) {
+	for _, n := range []int{3, 10} { // within the capacity of 4, then wrapped
+		l := New(4)
+		cands := make([]Candidate, 2)
+		for i := 0; i < n; i++ {
+			cands[0] = Candidate{Name: "tt-" + strconv.Itoa(i), Score: float64(i), Chosen: true, Note: "pressure"}
+			cands[1] = Candidate{Name: "tt-" + strconv.Itoa(i+1), Score: float64(i) / 2}
+			l.Add("mapred", "assign", "map-"+strconv.Itoa(i), cands[0].Name, "reason", cands...)
+		}
+		want := l.Records()
+		var export bytes.Buffer
+		if err := l.WriteJSONL(&export); err != nil {
+			t.Fatal(err)
+		}
+
+		cands[0] = Candidate{Name: "caller-mutated", Score: -1}
+		got := l.Records()
+		for i := range got {
+			got[i].Candidates[0] = Candidate{Name: "result-mutated", Score: -2}
+			got[i].Candidates = append(got[i].Candidates, Candidate{Name: "appended"})
+		}
+		if again := l.Records(); !reflect.DeepEqual(again, want) {
+			t.Errorf("n=%d: Records after mutation = %+v, want %+v", n, again, want)
+		}
+		var after bytes.Buffer
+		if err := l.WriteJSONL(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after.Bytes(), export.Bytes()) {
+			t.Errorf("n=%d: export changed after mutation:\n%s\nwant:\n%s", n, after.String(), export.String())
+		}
+	}
+}
+
+// TestWrappedAddDoesNotAllocate pins the recycling ring: once wrapped,
+// Add copies the candidates into the slot's own buffer and allocates
+// nothing.
+func TestWrappedAddDoesNotAllocate(t *testing.T) {
+	l := New(64)
+	l.SetClock(&fakeClock{})
+	cands := make([]Candidate, 8)
+	for i := range cands {
+		cands[i] = Candidate{Name: "tt-" + strconv.Itoa(i), Score: float64(i), Note: "machine pressure"}
+	}
+	for i := 0; i < 100; i++ {
+		l.Add("mapred", "assign", "map-1", "tt-0", "capacity-aware", cands...)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Add("mapred", "assign", "map-1", "tt-0", "capacity-aware", cands...)
+	}); allocs != 0 {
+		t.Errorf("Add on a wrapped ring: %v allocs/op, want 0", allocs)
 	}
 }

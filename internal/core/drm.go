@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/audit"
@@ -66,9 +67,12 @@ type DRM struct {
 	policy policy.DRMParams
 
 	// Scratch reused by every node of every epoch, so a steady-state
-	// tick allocates nothing.
+	// tick allocates nothing. cands and text build cap-grant audit
+	// records; the audit log copies the candidates it is given.
 	deficits []rateDeficit
 	ordered  []*mapred.Attempt
+	cands    []audit.Candidate
+	text     []byte
 
 	tracer       *trace.Tracer
 	auditLog     *audit.Log
@@ -220,7 +224,7 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 	slices.SortFunc(deficits, byBenefitDesc)
 	available := headroom
 	granted := 0
-	var cands []audit.Candidate
+	cands := d.cands[:0]
 	for _, df := range deficits {
 		grant := 0.0
 		if headroom > 0 {
@@ -241,13 +245,29 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 			})
 		}
 	}
+	d.cands = cands
 	if d.auditLog != nil {
-		d.auditLog.Add("drm", "cap-grant",
-			fmt.Sprintf("%s/%s", node.Name(), kind),
-			fmt.Sprintf("raised %d of %d deficit cap(s)", granted, len(deficits)),
-			fmt.Sprintf("%.3g %s headroom, most beneficial first", available, kind),
-			cands...)
+		subject, decision, reason := d.capGrantText(node.Name(), kind, granted, len(deficits), available)
+		d.auditLog.Add("drm", "cap-grant", subject, decision, reason, cands...)
 	}
+}
+
+// capGrantText formats a cap-grant record's subject, decision and
+// reason as fmt's "%s/%s", "raised %d of %d deficit cap(s)" and "%.3g %s
+// headroom, most beneficial first" would, in one string the three
+// share.
+func (d *DRM) capGrantText(node string, kind resource.Kind, granted, deficits int, headroom float64) (subject, decision, reason string) {
+	b := append(append(append(d.text[:0], node...), '/'), kind.String()...)
+	i := len(b)
+	b = strconv.AppendInt(append(b, "raised "...), int64(granted), 10)
+	b = strconv.AppendInt(append(b, " of "...), int64(deficits), 10)
+	b = append(b, " deficit cap(s)"...)
+	j := len(b)
+	b = strconv.AppendFloat(b, headroom, 'g', 3, 64)
+	b = append(append(append(b, ' '), kind.String()...), " headroom, most beneficial first"...)
+	d.text = b
+	s := string(b)
+	return s[:i], s[i:j], s[j:]
 }
 
 // balanceMemory right-sizes memory within each VM container. When the

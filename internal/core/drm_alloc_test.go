@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/mapred"
+	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -96,5 +99,26 @@ func TestDRMTickZeroAlloc(t *testing.T) {
 	drm := drmTickRig(t, 4)
 	if allocs := testing.AllocsPerRun(100, drm.tick); allocs != 0 {
 		t.Fatalf("DRM tick allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCapGrantTextMatchesSprintf checks that the cap-grant record's
+// strconv formatting gives the bytes of the fmt.Sprintf calls it
+// replaced.
+func TestCapGrantTextMatchesSprintf(t *testing.T) {
+	var d DRM
+	for _, headroom := range []float64{0, 1e-5, 0.0123, 999.5, 1e6, 1e21,
+		math.Copysign(0, -1), -3.25, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, kind := range []resource.Kind{resource.CPU, resource.DiskIO, resource.NetIO} {
+			subject, decision, reason := d.capGrantText("vm-12", kind, 3, 17, headroom)
+			want := [3]string{
+				fmt.Sprintf("%s/%s", "vm-12", kind),
+				fmt.Sprintf("raised %d of %d deficit cap(s)", 3, 17),
+				fmt.Sprintf("%.3g %s headroom, most beneficial first", headroom, kind),
+			}
+			if got := [3]string{subject, decision, reason}; got != want {
+				t.Errorf("headroom %v, %s: got %q, want %q", headroom, kind, got, want)
+			}
+		}
 	}
 }

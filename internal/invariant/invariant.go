@@ -122,8 +122,7 @@ func (c *Checker) violate(name, detail string) {
 	if c.engine != nil {
 		v.AtUs = c.engine.Now().Microseconds()
 	}
-	if recs := c.log.Records(); len(recs) > 0 {
-		r := recs[len(recs)-1]
+	if r, ok := c.log.Last(); ok {
 		v.Audit = &AuditRef{
 			Seq: r.Seq, AtUs: r.At.Microseconds(), Subsystem: r.Subsystem,
 			Action: r.Action, Subject: r.Subject, Decision: r.Decision, Reason: r.Reason,

@@ -17,6 +17,16 @@ import (
 
 const hex = "0123456789abcdef"
 
+// safe[b] reports whether the ASCII byte b is written as is inside a
+// JSON string: printable, and neither a quote, a backslash nor one of
+// the HTML characters <, > and &.
+var safe = func() (t [utf8.RuneSelf]bool) {
+	for b := byte(0x20); b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
 // Artifact renders v as a report file: encoding/json's output indented
 // by two spaces, with a trailing newline.
 func Artifact(v any) ([]byte, error) {
@@ -38,7 +48,7 @@ func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); {
 		b := s[i]
 		if b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if safe[b] {
 				i++
 				continue
 			}

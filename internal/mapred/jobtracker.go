@@ -291,6 +291,10 @@ type JobTracker struct {
 	// spec is speculate's per-tick scratch, reused so a tick that finds
 	// no straggler allocates nothing.
 	spec specScratch
+	// cands is the buffer assignCandidates and speedCandidates build
+	// audit candidates in; the audit log copies what Add is given, so
+	// one buffer serves every record.
+	cands []audit.Candidate
 	// buckets groups running attempts by compute node for the DRM's
 	// per-node sweep; bucketOrder keeps the buckets in node-name order.
 	buckets     map[cluster.Node]*nodeBucket
@@ -877,15 +881,16 @@ func (jt *JobTracker) assignCandidates(kind TaskKind, chosen *TaskTracker) []aud
 			break // nothing later can enter the list
 		}
 	}
-	out := make([]audit.Candidate, n)
-	for i, tr := range kept[:n] {
-		out[i] = audit.Candidate{
+	out := jt.cands[:0]
+	for _, tr := range kept[:n] {
+		out = append(out, audit.Candidate{
 			Name:   tr.Compute.Name(),
 			Score:  trackerPressure(tr),
 			Chosen: tr == chosen,
 			Note:   "machine pressure",
-		}
+		})
 	}
+	jt.cands = out
 	return out
 }
 
@@ -1177,17 +1182,20 @@ func (jt *JobTracker) speculate() {
 				if a.Speed() >= reference*jt.cfg.SpeculationSlowdown {
 					continue
 				}
-				reason := fmt.Sprintf("straggler: speed %.3f below %.3f (reference %.3f × slowdown %.2f)",
-					a.Speed(), reference*jt.cfg.SpeculationSlowdown, reference, jt.cfg.SpeculationSlowdown)
+				var reason string
+				if jt.auditLog != nil { // read the speed before a backup's launch moves it
+					reason = fmt.Sprintf("straggler: speed %.3f below %.3f (reference %.3f × slowdown %.2f)",
+						a.Speed(), reference*jt.cfg.SpeculationSlowdown, reference, jt.cfg.SpeculationSlowdown)
+				}
 				if tr := jt.freeTrackerExcluding(a.Tracker, a.Task.Kind); tr != nil {
 					if err := jt.launch(a.Task, tr, true); err == nil && jt.auditLog != nil {
 						jt.auditLog.Add("mapred", "speculate", a.Task.ID(),
-							tr.Compute.Name(), reason, speedCandidates(attempts, a)...)
+							tr.Compute.Name(), reason, jt.speedCandidates(attempts, a)...)
 					}
 				} else if jt.auditLog != nil {
 					jt.auditLog.Add("mapred", "speculate", a.Task.ID(),
 						"none", reason+"; no free tracker for a backup",
-						speedCandidates(attempts, a)...)
+						jt.speedCandidates(attempts, a)...)
 				}
 			}
 		}
@@ -1197,9 +1205,9 @@ func (jt *JobTracker) speculate() {
 // speedCandidates lists, for the audit log, the progress rates the
 // straggler detector compared: each running attempt of the scanned
 // job/kind group, the flagged straggler marked chosen.
-func speedCandidates(attempts []*Attempt, straggler *Attempt) []audit.Candidate {
+func (jt *JobTracker) speedCandidates(attempts []*Attempt, straggler *Attempt) []audit.Candidate {
 	const maxCandidates = 8
-	var out []audit.Candidate
+	out := jt.cands[:0]
 	for _, a := range attempts {
 		c := audit.Candidate{
 			Name:   a.consumer.Name,
@@ -1216,6 +1224,7 @@ func speedCandidates(attempts []*Attempt, straggler *Attempt) []audit.Candidate 
 		}
 		out = append(out, c)
 	}
+	jt.cands = out
 	return out
 }
 

@@ -18,15 +18,14 @@ import (
 // fields, and args written as a map would be, keys sorted and a later
 // duplicate key winning.
 
-// appendArgs appends args as a JSON object. scratch is reusable sort
-// space; the grown scratch is returned for the next call.
-func appendArgs(dst []byte, scratch, args []Arg) ([]byte, []Arg, error) {
-	scratch = append(scratch[:0], args...)
-	slices.SortStableFunc(scratch, func(a, b Arg) int { return strings.Compare(a.Key, b.Key) })
+// appendArgs appends args as a JSON object, sorting args by key in
+// place.
+func appendArgs(dst []byte, args []Arg) ([]byte, error) {
+	slices.SortStableFunc(args, func(a, b Arg) int { return strings.Compare(a.Key, b.Key) })
 	dst = append(dst, '{')
 	first := true
-	for i, a := range scratch {
-		if i+1 < len(scratch) && scratch[i+1].Key == a.Key {
+	for i, a := range args {
+		if i+1 < len(args) && args[i+1].Key == a.Key {
 			continue // a later duplicate overwrites this one
 		}
 		if !first {
@@ -41,10 +40,10 @@ func appendArgs(dst []byte, scratch, args []Arg) ([]byte, []Arg, error) {
 		}
 		var err error
 		if dst, err = jsonenc.AppendFloat(dst, a.num); err != nil {
-			return dst, scratch, err
+			return dst, err
 		}
 	}
-	return append(dst, '}'), scratch, nil
+	return append(dst, '}'), nil
 }
 
 // WriteJSONL writes every recorded event (plus still-open spans, closed
@@ -60,10 +59,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	var (
-		buf     []byte
-		scratch []Arg
-	)
+	var buf []byte
 	err := t.each(func(ev *event) error {
 		var err error
 		buf = append(buf[:0], `{"type":"span","ts_us":`...)
@@ -83,7 +79,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		buf = jsonenc.AppendString(buf, ev.name)
 		if len(ev.args) > 0 {
 			buf = append(buf, `,"args":`...)
-			if buf, scratch, err = appendArgs(buf, scratch, ev.args); err != nil {
+			if buf, err = appendArgs(buf, ev.args); err != nil {
 				return err
 			}
 		}
@@ -110,25 +106,26 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return err
 	}
 
-	// Track registry in first-appearance order.
-	tids := make(map[string]int)
+	// Track registry in first-appearance order, and each event's
+	// track ID in the order each walks the events.
+	tids := make(map[string]int32)
 	var tracks []string
-	_ = t.each(func(ev *event) error {
-		if _, ok := tids[ev.track]; !ok {
-			tracks = append(tracks, ev.track)
-			tids[ev.track] = len(tracks)
+	evTids := make([]int32, 0, t.n+len(t.open))
+	t.eachTrack(func(track string) {
+		tid, ok := tids[track]
+		if !ok {
+			tracks = append(tracks, track)
+			tid = int32(len(tracks))
+			tids[track] = tid
 		}
-		return nil
+		evTids = append(evTids, tid)
 	})
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
 		return err
 	}
-	var (
-		buf     []byte
-		scratch []Arg
-	)
+	var buf []byte
 	// Every track has metadata and every event a registered track, so
 	// the first thread_name entry is the only one without a separator.
 	for i, track := range tracks {
@@ -153,6 +150,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	err := t.each(func(ev *event) error {
 		var err error
+		tid := evTids[0]
+		evTids = evTids[1:]
 		buf = append(buf[:0], ",\n{\"name\":"...)
 		buf = jsonenc.AppendString(buf, ev.name)
 		if ev.cat != "" {
@@ -170,13 +169,13 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			buf = strconv.AppendInt(buf, ev.dur.Microseconds(), 10)
 		}
 		buf = append(buf, `,"pid":1,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tids[ev.track]), 10)
+		buf = strconv.AppendInt(buf, int64(tid), 10)
 		if ev.phase != 'X' {
 			buf = append(buf, `,"s":"t"`...)
 		}
 		if len(ev.args) > 0 {
 			buf = append(buf, `,"args":`...)
-			if buf, scratch, err = appendArgs(buf, scratch, ev.args); err != nil {
+			if buf, err = appendArgs(buf, ev.args); err != nil {
 				return err
 			}
 		}

@@ -254,7 +254,7 @@ func TestExportsMatchEncodingJSONReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		steps := 50
 		if seed%8 == 0 {
-			steps = 12000 // crosses event-chunk and arena-chunk boundaries
+			steps = 12000 // crosses chunk boundaries of the log
 		}
 		m := newTracerModel(seed, steps)
 		want := m.want()
@@ -343,10 +343,10 @@ func TestNonFiniteArgsFailExport(t *testing.T) {
 	}
 }
 
-// TestRecordingDoesNotAllocate pins the copy-free store: on a warm
+// TestRecordingDoesNotAllocate pins the copy-free log: on a warm
 // tracer, Instant and a Begin/End pair with args allocate nothing per
-// call (the chunk and arena allocations amortize to well under one per
-// thousand calls), and callers' variadic arg slices do not escape.
+// call (the chunk allocations amortize to well under one per thousand
+// calls), and callers' variadic arg slices do not escape.
 func TestRecordingDoesNotAllocate(t *testing.T) {
 	clk := &fakeClock{}
 	tr := New(clk)
@@ -368,9 +368,9 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestEventArgsAreIsolated checks that the arena copy detaches recorded
-// args from the caller's slice and that appending to one event's args
-// cannot overwrite its neighbour's.
+// TestEventArgsAreIsolated checks that encoding detaches recorded args
+// from the caller's slice and that appending to one of Events' arg
+// slices cannot overwrite its neighbour's.
 func TestEventArgsAreIsolated(t *testing.T) {
 	tr := New(&fakeClock{})
 	args := []Arg{S("k", "v1")}
@@ -384,5 +384,35 @@ func TestEventArgsAreIsolated(t *testing.T) {
 	}
 	if v, _ := evs[1].Args[0].Text(); v != "v2" {
 		t.Errorf("second event arg = %q, want v2", v)
+	}
+}
+
+// TestLogHoldsNoPointers pins the point of the byte log: the garbage
+// collector never scans what the tracer has recorded.
+func TestLogHoldsNoPointers(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return true
+		}
+		return false
+	}
+	chunk, ok := reflect.TypeOf(Tracer{}).FieldByName("chunks")
+	if !ok || chunk.Type.Kind() != reflect.Slice || chunk.Type.Elem().Kind() != reflect.Slice {
+		t.Fatalf("Tracer.chunks is not a slice of chunks: %v", chunk.Type)
+	}
+	if elem := chunk.Type.Elem().Elem(); hasPointers(elem) {
+		t.Errorf("the log's element type %v holds pointers", elem)
 	}
 }

@@ -175,7 +175,14 @@ func (t *Tracer) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, t.n+t.OpenSpans())
+	var args []Arg // backs every event's Args; a regrowth leaves earlier events on the old array
 	_ = t.each(func(ev *event) error {
+		var evArgs []Arg
+		if len(ev.args) > 0 {
+			lo := len(args)
+			args = append(args, ev.args...)
+			evArgs = args[lo:len(args):len(args)]
+		}
 		out = append(out, Event{
 			Instant:  ev.phase == 'i',
 			Start:    ev.start,
@@ -183,7 +190,7 @@ func (t *Tracer) Events() []Event {
 			Track:    ev.track,
 			Category: ev.cat,
 			Name:     ev.name,
-			Args:     ev.args,
+			Args:     evArgs,
 		})
 		return nil
 	})
