@@ -47,6 +47,7 @@ search-full.json            0 bench -sweep policy -grid full -parallel 8 -out $f
 chaos-broken.json           1 bench -sweep chaos -break-recovery -budget 60 -seed 11 -out $f
 chaos-broken.json           1 bench -sweep chaos -break-recovery -budget 60 -seed 11 -out $f -parallel 8
 job-wrap-sample.txt         0 sim -scenario job -benchmark Sort -data-gb 1200 -pms 12 -vms-per-pm 2 -audit $out/job-wrap-audit.jsonl -trace $out/job-wrap-trace.jsonl -trace-format jsonl && sample $out/job-wrap-audit.jsonl $out/job-wrap-trace.jsonl > $f
+job-wrap-chrome-sample.txt  0 sim -scenario job -benchmark Sort -data-gb 1200 -pms 12 -vms-per-pm 2 -trace $out/job-wrap-trace.json -trace-format chrome && sample $out/job-wrap-trace.json > $f
 perfbench-sim.json          0 perfbench sim > $f
 perfbench-cost.json         0 perfbench cost > $f
 EOF
@@ -57,9 +58,9 @@ bench() { "$out/bin/hybridmr-bench" "$@"; }
 
 # sample FILE... prints every 64th line and the last line of each file,
 # each under its file's base name and prefixed with its line number: a
-# golden for exports too long to keep whole. The job-wrap row's run
+# golden for exports too long to keep whole. The job-wrap rows' run
 # wraps the audit ring and fills the trace store well past its first
-# chunks.
+# chunks; the chrome row pins that exporter's track ids on a long trace.
 sample() {
 	for f in "$@"; do
 		echo "== ${f##*/}"
