@@ -20,8 +20,8 @@ import (
 
 // appendArgs appends args as a JSON object, sorting args by key in
 // place.
-func appendArgs(dst []byte, args []Arg) ([]byte, error) {
-	slices.SortStableFunc(args, func(a, b Arg) int { return strings.Compare(a.Key, b.Key) })
+func appendArgs(dst []byte, args []evArg) ([]byte, error) {
+	slices.SortStableFunc(args, func(a, b evArg) int { return strings.Compare(a.Key, b.Key) })
 	dst = append(dst, '{')
 	first := true
 	for i, a := range args {
@@ -32,7 +32,11 @@ func appendArgs(dst []byte, args []Arg) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		first = false
-		dst = jsonenc.AppendString(dst, a.Key)
+		if a.keyJSON != "" {
+			dst = append(dst, a.keyJSON...)
+		} else {
+			dst = jsonenc.AppendString(dst, a.Key)
+		}
 		dst = append(dst, ':')
 		if !a.isNum {
 			dst = jsonenc.AppendString(dst, a.str)
@@ -72,9 +76,9 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			buf = strconv.AppendInt(buf, dur, 10)
 		}
 		buf = append(buf, `,"track":`...)
-		buf = jsonenc.AppendString(buf, ev.track)
+		buf = append(buf, t.syms[ev.track].json...)
 		buf = append(buf, `,"cat":`...)
-		buf = jsonenc.AppendString(buf, ev.cat)
+		buf = append(buf, t.syms[ev.cat].json...)
 		buf = append(buf, `,"name":`...)
 		buf = jsonenc.AppendString(buf, ev.name)
 		if len(ev.args) > 0 {
@@ -106,19 +110,15 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return err
 	}
 
-	// Track registry in first-appearance order, and each event's
-	// track ID in the order each walks the events.
-	tids := make(map[string]int32)
-	var tracks []string
-	evTids := make([]int32, 0, t.n+len(t.open))
-	t.eachTrack(func(track string) {
-		tid, ok := tids[track]
-		if !ok {
+	// Thread IDs, indexed by track id, in order of first appearance
+	// in the walk: log records first, then open spans.
+	tids := make([]int32, len(t.syms))
+	var tracks []uint32
+	t.eachTrack(func(track uint32) {
+		if tids[track] == 0 {
 			tracks = append(tracks, track)
-			tid = int32(len(tracks))
-			tids[track] = tid
+			tids[track] = int32(len(tracks))
 		}
-		evTids = append(evTids, tid)
 	})
 
 	bw := bufio.NewWriter(w)
@@ -137,7 +137,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		buf = append(buf, `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":`...)
 		buf = append(buf, tid...)
 		buf = append(buf, `,"args":{"name":`...)
-		buf = jsonenc.AppendString(buf, track)
+		buf = append(buf, t.syms[track].json...)
 		buf = append(buf, "}},\n"...)
 		buf = append(buf, `{"name":"thread_sort_index","ph":"M","ts":0,"pid":1,"tid":`...)
 		buf = append(buf, tid...)
@@ -150,13 +150,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	err := t.each(func(ev *event) error {
 		var err error
-		tid := evTids[0]
-		evTids = evTids[1:]
 		buf = append(buf[:0], ",\n{\"name\":"...)
 		buf = jsonenc.AppendString(buf, ev.name)
-		if ev.cat != "" {
+		if cat := t.syms[ev.cat]; cat.str != "" {
 			buf = append(buf, `,"cat":`...)
-			buf = jsonenc.AppendString(buf, ev.cat)
+			buf = append(buf, cat.json...)
 		}
 		if ev.phase == 'X' {
 			buf = append(buf, `,"ph":"X","ts":`...)
@@ -169,7 +167,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			buf = strconv.AppendInt(buf, ev.dur.Microseconds(), 10)
 		}
 		buf = append(buf, `,"pid":1,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tid), 10)
+		buf = strconv.AppendInt(buf, int64(tids[ev.track]), 10)
 		if ev.phase != 'X' {
 			buf = append(buf, `,"s":"t"`...)
 		}

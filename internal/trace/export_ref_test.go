@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -138,6 +140,18 @@ var trickyStrings = []string{
 	"bad\xff\xfeutf8", "cut\xe2\x82", "ls\u2028ps\u2029", "\u00e9\u65e5\U0001F600",
 }
 
+// longStrings straddle the uvarint boundaries of the log's lengths
+// (one byte up to 127, two up to 16,383, three beyond), with escapes
+// throughout; the empty string is among trickyStrings.
+var longStrings = func() []string {
+	const unit = "ab<\"\u00e9\x01"
+	var out []string
+	for _, n := range []int{127, 128, 16383, 16384} {
+		out = append(out, strings.Repeat(unit, n/len(unit)+1)[:n])
+	}
+	return out
+}()
+
 var trickyFloats = []float64{
 	0, math.Copysign(0, -1), 1e-7, -1e-7, 1e21, -1e21, 5e-324, 1e-6,
 	9.99e20, 1.5e-10, 2.5e-300, 3.25, -42, 1.0 / 3, 1e100,
@@ -156,13 +170,21 @@ type tracerModel struct {
 	free  []int
 }
 
-func (m *tracerModel) str() string { return trickyStrings[m.rng.Intn(len(trickyStrings))] }
+// pick draws from list, or now and then from longStrings.
+func (m *tracerModel) pick(list []string) string {
+	if m.rng.Intn(256) == 0 {
+		return longStrings[m.rng.Intn(len(longStrings))]
+	}
+	return list[m.rng.Intn(len(list))]
+}
+
+func (m *tracerModel) str() string { return m.pick(trickyStrings) }
 
 func (m *tracerModel) args(max int) []Arg {
 	var out []Arg
 	keys := []string{"a", "b", "job", "<k>", "z\u2028", ""}
 	for i, n := 0, m.rng.Intn(max+1); i < n; i++ {
-		key := keys[m.rng.Intn(len(keys))]
+		key := m.pick(keys)
 		switch m.rng.Intn(3) {
 		case 0:
 			out = append(out, S(key, m.str()))
@@ -193,17 +215,7 @@ func (m *tracerModel) step() {
 		m.done = append(m.done, Event{Instant: true, Start: m.clk.t, Track: track,
 			Category: cat, Name: name, Args: args})
 	case op < 7:
-		track, cat, name, args := m.str(), m.str(), m.str(), m.args(4)
-		sp := m.tr.Begin(track, cat, name, args...)
-		idx := len(m.slots)
-		if n := len(m.free); n > 0 {
-			idx, m.free = m.free[n-1], m.free[:n-1]
-		} else {
-			m.slots = append(m.slots, nil)
-			m.span = append(m.span, Span{})
-		}
-		m.slots[idx] = &Event{Start: m.clk.t, Track: track, Category: cat, Name: name, Args: args}
-		m.span[idx] = sp
+		m.begin(m.str(), m.str(), m.str(), m.args(4))
 	default:
 		idx := m.rng.Intn(len(m.slots) + 1)
 		if idx == len(m.slots) || m.slots[idx] == nil {
@@ -212,18 +224,55 @@ func (m *tracerModel) step() {
 			}
 			return
 		}
-		extra := m.args(3)
-		m.span[idx].End(extra...)
-		ev := *m.slots[idx]
-		ev.Duration = m.clk.t - ev.Start
-		ev.Args = append(append([]Arg(nil), ev.Args...), extra...)
-		if len(ev.Args) == 0 {
-			ev.Args = nil
-		}
-		m.done = append(m.done, ev)
-		m.slots[idx] = nil
-		m.free = append(m.free, idx)
+		m.end(idx, m.args(3))
 	}
+}
+
+// begin opens a span on the tracer and in the model, returning its
+// slot.
+func (m *tracerModel) begin(track, cat, name string, args []Arg) int {
+	sp := m.tr.Begin(track, cat, name, args...)
+	idx := len(m.slots)
+	if n := len(m.free); n > 0 {
+		idx, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		m.slots = append(m.slots, nil)
+		m.span = append(m.span, Span{})
+	}
+	m.slots[idx] = &Event{Start: m.clk.t, Track: track, Category: cat, Name: name, Args: args}
+	m.span[idx] = sp
+	return idx
+}
+
+// end closes the span in slot idx with extra args.
+func (m *tracerModel) end(idx int, extra []Arg) {
+	m.span[idx].End(extra...)
+	ev := *m.slots[idx]
+	ev.Duration = m.clk.t - ev.Start
+	ev.Args = append(append([]Arg(nil), ev.Args...), extra...)
+	if len(ev.Args) == 0 {
+		ev.Args = nil
+	}
+	m.done = append(m.done, ev)
+	m.slots[idx] = nil
+	m.free = append(m.free, idx)
+}
+
+// wide records a span with more than 127 args whose track, name, keys
+// and values include every long string: its record needs multi-byte
+// uvarints for its size, its arg count and its lengths.
+func (m *tracerModel) wide() {
+	long := longStrings[m.rng.Intn(len(longStrings))]
+	args := m.args(5)
+	for i := 0; len(args) < 130; i++ {
+		args = append(args, S("k"+strconv.Itoa(i), m.str()), F(m.str(), float64(i)))
+	}
+	for _, s := range longStrings {
+		args = append(args, S(s, long), S("v", s))
+	}
+	idx := m.begin(long, m.str(), long, args)
+	m.clk.t += time.Second
+	m.end(idx, append(m.args(2), S(long, "end")))
 }
 
 // want is the event list an export at the current instant must show.
@@ -245,6 +294,9 @@ func newTracerModel(seed int64, steps int) *tracerModel {
 	clk := &fakeClock{}
 	m := &tracerModel{rng: rand.New(rand.NewSource(seed)), clk: clk, tr: New(clk)}
 	for i := 0; i < steps; i++ {
+		if i == steps/2 {
+			m.wide()
+		}
 		m.step()
 	}
 	return m

@@ -180,15 +180,17 @@ func (t *Tracer) Events() []Event {
 		var evArgs []Arg
 		if len(ev.args) > 0 {
 			lo := len(args)
-			args = append(args, ev.args...)
+			for _, a := range ev.args {
+				args = append(args, a.Arg)
+			}
 			evArgs = args[lo:len(args):len(args)]
 		}
 		out = append(out, Event{
 			Instant:  ev.phase == 'i',
 			Start:    ev.start,
 			Duration: ev.dur,
-			Track:    ev.track,
-			Category: ev.cat,
+			Track:    t.syms[ev.track].str,
+			Category: t.syms[ev.cat].str,
 			Name:     ev.name,
 			Args:     evArgs,
 		})

@@ -15,15 +15,20 @@
 //
 //   - Enabled tracing must be cheap. Completed events are encoded as
 //     bytes when they are recorded, into a log that holds no pointers,
-//     so the garbage collector never scans it: a fixed-width header,
-//     then the track, category, name and args. The log's chunks are
-//     allocated at their final size and never regrown, so recording
-//     never copies earlier events; callers' variadic arg slices never
-//     escape, and Instant and a Begin/End pair allocate nothing per call
-//     on a warm tracer. Exporters decode the log in place, their
-//     strings aliasing its bytes, and hand-encode each line with
+//     so the garbage collector never scans it. Every length, count and
+//     time in a record is a uvarint, and the track, category and arg
+//     keys, a vocabulary of a few hundred strings in a whole run, are
+//     ids in a per-tracer intern table, so a typical event takes well
+//     under a hundred bytes; names and string arg values, which are
+//     mostly unique, stay inline. The log's chunks are allocated at
+//     their final size and never regrown, so recording never copies
+//     earlier events; callers' variadic arg slices never escape, and
+//     Instant and a Begin/End pair allocate nothing per call on a warm
+//     tracer. Exporters decode the log in place, their strings aliasing
+//     its bytes or the intern table, and hand-encode each line with
 //     package jsonenc, whose appenders reproduce encoding/json byte for
-//     byte, into one reused buffer behind a bufio.Writer.
+//     byte, into one reused buffer behind a bufio.Writer; an interned
+//     string's JSON is encoded once, when it is interned.
 //
 //   - Traces must be deterministic. Timestamps come exclusively from the
 //     bound simulation clock (never the wall clock), events are stored in
@@ -36,8 +41,11 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"time"
 	"unsafe"
+
+	"repro/internal/jsonenc"
 )
 
 // Clock supplies simulated time. *sim.Engine satisfies it.
@@ -62,17 +70,32 @@ func S(key, value string) Arg { return Arg{Key: key, str: value} }
 // F builds a numeric argument.
 func F(key string, value float64) Arg { return Arg{Key: key, num: value, isNum: true} }
 
+// symbol is one interned string and its JSON encoding, which the
+// exporters copy instead of escaping the string again.
+type symbol struct {
+	str  string
+	json string
+}
+
 // event is one decoded trace entry. Decoded from the log, it is a view:
-// its strings alias the log's bytes and its args a buffer the decoder
-// reuses for the next event.
+// its name and string arg values alias the log's bytes, and its args
+// live in a buffer the decoder reuses for the next event.
 type event struct {
 	phase byte // 'X' complete span, 'i' instant
 	start time.Duration
 	dur   time.Duration
-	track string
-	cat   string
+	track uint32 // symbol ids
+	cat   uint32
 	name  string
-	args  []Arg
+	args  []evArg
+}
+
+// evArg is one decoded arg and the JSON encoding of its key. keyJSON is
+// empty for the args of a still-open span, whose keys are interned only
+// when the span ends.
+type evArg struct {
+	Arg
+	keyJSON string
 }
 
 // openSpan is a begun-but-unfinished span. Slots are reused through a
@@ -80,40 +103,42 @@ type event struct {
 // slot's own buffer, reused by every span that occupies the slot.
 type openSpan struct {
 	start time.Duration
-	track string
-	cat   string
+	track uint32 // symbol ids, interned at Begin
+	cat   uint32
 	name  string
 	args  []Arg
 	gen   uint32
 	live  bool
 }
 
-// Each completed event is one record of the log: a fixed-width header,
-// then the track, category and name bytes, then the args. All integers
-// are little-endian. The header is
+// Each completed event is one record of the log. Every integer in it is
+// a uvarint (encoding/binary), so the small lengths, counts and ids that
+// make up most of a record take one byte each:
 //
-//	size u32 | phase u8 | nargs u32 | start i64 | dur i64 | len(track) u32 | len(cat) u32 | len(name) u32
+//	size | phase u8 | track | cat | start | dur | len(name) | name | nargs | args
 //
-// where size is the whole record's length, so a walk that needs only the
-// track skips a record without decoding its args. Each arg is
+// size is the length of the rest of the record, so a walk that needs
+// only the track skips a record without decoding it. track and cat are
+// ids in the tracer's intern table, and start and dur are nanoseconds.
+// Each arg is
 //
-//	kind u8 | len(key) u32 | len(value) u32 | key | value
+//	key<<1 | isNum, then a number's 8 IEEE 754 little-endian bytes or a string's len(value) | value
 //
-// where a string arg's value is its bytes and a number's value is its 8
-// IEEE 754 bytes (its len(value) field is 0).
+// where key is the id of the arg's key. Tracks, categories and keys
+// come from a small vocabulary (hundreds of tracks, a handful of
+// categories and a few dozen keys in a whole run), so each is stored
+// once in the table. Names and string values are mostly unique (a task
+// attempt, a block), so they stay inline: interning them would grow
+// the table with the trace.
 const (
-	offPhase = 4
-	offNArgs = 5
-	offStart = 9
-	offDur   = 17
-	offTrack = 25
-	offCat   = 29
-	offName  = 33
-	hdrLen   = 37
+	argNum = 1 // the isNum bit of an arg's key tag
 
-	argHdrLen = 9
-	argStr    = 's'
-	argNum    = 'f'
+	// maxVarint bounds a uvarint's length; maxFixed bounds the bytes
+	// of a record besides its name and args, and maxArgFixed those of
+	// an arg besides its string value.
+	maxVarint   = binary.MaxVarintLen64
+	maxFixed    = 1 + 7*maxVarint
+	maxArgFixed = 2*maxVarint + 8
 )
 
 // Chunk capacities of the log, in bytes: the first chunk is small so
@@ -142,15 +167,24 @@ type Tracer struct {
 	// never rewritten, so decoded strings may alias them.
 	chunks [][]byte
 	n      int
-	open   []openSpan
-	free   []int
+	// ids and syms are the intern table: syms[id] is the string with
+	// that id, ids in first-seen order, and ids maps each string back.
+	// Both hold the table's own copies of the strings.
+	ids  map[string]uint32
+	syms []symbol
+	// hints caches ids by string address: callers pass the same few
+	// literals and stored names on every call, and a hit, confirmed by
+	// comparing the strings, costs less than the map lookup.
+	hints [hintSlots]hint
+	open  []openSpan
+	free  []int
 }
 
 // New returns an empty tracer. The clock may be nil initially (events
 // stamp at zero) and bound later with SetClock — deployment helpers
 // create the engine after the user creates the tracer.
 func New(clock Clock) *Tracer {
-	return &Tracer{clock: clock}
+	return &Tracer{clock: clock, ids: make(map[string]uint32)}
 }
 
 // SetClock binds (or re-binds) the simulated time source.
@@ -168,90 +202,143 @@ func (t *Tracer) now() time.Duration {
 	return t.clock.Now()
 }
 
+// hint is a cached intern result: the address of the bytes of a
+// string that had the id. An address alone proves nothing (the bytes
+// may since have been freed and reused), so intern compares the strings
+// before trusting a hit.
+type hint struct {
+	addr uintptr
+	id   uint32
+}
+
+// hintBits sets the size of the hint cache. With 128 slots, 97% of the
+// lookups of perfbench's faults workload (818 tracks) hit.
+const (
+	hintBits  = 7
+	hintSlots = 1 << hintBits
+)
+
+// intern returns the id of s in the intern table, adding a copy of s
+// on its first sight.
+func (t *Tracer) intern(s string) uint32 {
+	addr := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	h := &t.hints[(addr*0x9e3779b97f4a7c15)>>(64-hintBits)]
+	if addr != 0 && h.addr == addr && t.syms[h.id].str == s {
+		return h.id
+	}
+	id, ok := t.ids[s]
+	if !ok {
+		id = uint32(len(t.syms))
+		s := strings.Clone(s)
+		t.ids[s] = id
+		t.syms = append(t.syms, symbol{str: s, json: string(jsonenc.AppendString(nil, s))})
+	}
+	h.addr, h.id = addr, id
+	return id
+}
+
 // record appends one completed event to the log, its args a followed
 // by b.
-func (t *Tracer) record(phase byte, start, dur time.Duration, track, cat, name string, a, b []Arg) {
-	size := hdrLen + len(track) + len(cat) + len(name) + argsLen(a) + argsLen(b)
+func (t *Tracer) record(phase byte, start, dur time.Duration, track, cat uint32, name string, a, b []Arg) {
+	bound := maxFixed + len(name) + argsBound(a) + argsBound(b)
 	last := len(t.chunks) - 1
-	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < size {
+	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < bound {
 		prev := 0
 		if last >= 0 {
 			prev = cap(t.chunks[last])
 		}
-		t.chunks = append(t.chunks, make([]byte, 0, max(nextChunkCap(prev), size)))
+		t.chunks = append(t.chunks, make([]byte, 0, max(nextChunkCap(prev), bound)))
 		last++
 	}
-	le := binary.LittleEndian
-	c := le.AppendUint32(t.chunks[last], uint32(size))
-	c = append(c, phase)
-	c = le.AppendUint32(c, uint32(len(a)+len(b)))
-	c = le.AppendUint64(c, uint64(start))
-	c = le.AppendUint64(c, uint64(dur))
-	c = le.AppendUint32(c, uint32(len(track)))
-	c = le.AppendUint32(c, uint32(len(cat)))
-	c = le.AppendUint32(c, uint32(len(name)))
-	c = append(append(append(c, track...), cat...), name...)
+	c := t.chunks[last]
+	at := len(c)
+	c = append(c, 0, phase) // a one-byte size, widened below if need be
+	c = binary.AppendUvarint(c, uint64(track))
+	c = binary.AppendUvarint(c, uint64(cat))
+	c = binary.AppendUvarint(c, uint64(start))
+	c = binary.AppendUvarint(c, uint64(dur))
+	c = binary.AppendUvarint(c, uint64(len(name)))
+	c = append(c, name...)
+	c = binary.AppendUvarint(c, uint64(len(a)+len(b)))
 	for _, args := range [2][]Arg{a, b} {
 		for i := range args {
-			c = appendArg(c, &args[i])
+			c = t.appendArg(c, &args[i])
 		}
+	}
+	if size := len(c) - at - 1; size < 0x80 {
+		c[at] = byte(size)
+	} else {
+		var prefix [maxVarint]byte
+		w := binary.PutUvarint(prefix[:], uint64(size))
+		c = c[:len(c)+w-1]
+		copy(c[at+w:], c[at+1:at+1+size])
+		copy(c[at:], prefix[:w])
 	}
 	t.chunks[last] = c
 	t.n++
 }
 
-// argsLen is the encoded length of args.
-func argsLen(args []Arg) int {
+// argsBound bounds the encoded length of args.
+func argsBound(args []Arg) int {
 	n := 0
 	for i := range args {
-		n += argHdrLen + len(args[i].Key)
-		if args[i].isNum {
-			n += 8
-		} else {
-			n += len(args[i].str)
-		}
+		n += maxArgFixed + len(args[i].str)
 	}
 	return n
 }
 
-// appendArg appends one encoded arg.
-func appendArg(c []byte, a *Arg) []byte {
-	le := binary.LittleEndian
+// appendArg appends one encoded arg, interning its key.
+func (t *Tracer) appendArg(c []byte, a *Arg) []byte {
+	tag := uint64(t.intern(a.Key)) << 1
 	if a.isNum {
-		c = append(c, argNum)
-		c = le.AppendUint32(c, uint32(len(a.Key)))
-		c = le.AppendUint32(c, 0)
-		return le.AppendUint64(append(c, a.Key...), math.Float64bits(a.num))
+		c = binary.AppendUvarint(c, tag|argNum)
+		return binary.LittleEndian.AppendUint64(c, math.Float64bits(a.num))
 	}
-	c = append(c, argStr)
-	c = le.AppendUint32(c, uint32(len(a.Key)))
-	c = le.AppendUint32(c, uint32(len(a.str)))
-	return append(append(c, a.Key...), a.str...)
+	c = binary.AppendUvarint(c, tag)
+	c = binary.AppendUvarint(c, uint64(len(a.str)))
+	return append(c, a.str...)
 }
 
-// decode fills ev from the record rec, decoding its args into
-// ev.args[:0]. The strings alias rec.
-func decode(rec []byte, ev *event) {
-	le := binary.LittleEndian
-	ev.phase = rec[offPhase]
-	ev.start = time.Duration(le.Uint64(rec[offStart:]))
-	ev.dur = time.Duration(le.Uint64(rec[offDur:]))
-	off := hdrLen
-	ev.track, off = view(rec, off, le.Uint32(rec[offTrack:]))
-	ev.cat, off = view(rec, off, le.Uint32(rec[offCat:]))
-	ev.name, off = view(rec, off, le.Uint32(rec[offName:]))
-	n := int(le.Uint32(rec[offNArgs:]))
+// uvarint decodes the uvarint at b[off:] and returns it and the offset
+// after it. The one-byte case, almost every uvarint in the log, is
+// decoded inline.
+func uvarint(b []byte, off int) (uint64, int) {
+	if v := b[off]; v < 0x80 {
+		return uint64(v), off + 1
+	}
+	v, n := binary.Uvarint(b[off:])
+	return v, off + n
+}
+
+// decode fills ev from the record rec (without its size), decoding its
+// args into ev.args[:0]. The name and string values alias rec.
+func (t *Tracer) decode(rec []byte, ev *event) {
+	ev.phase = rec[0]
+	v, off := uvarint(rec, 1)
+	ev.track = uint32(v)
+	v, off = uvarint(rec, off)
+	ev.cat = uint32(v)
+	v, off = uvarint(rec, off)
+	ev.start = time.Duration(v)
+	v, off = uvarint(rec, off)
+	ev.dur = time.Duration(v)
+	v, off = uvarint(rec, off)
+	ev.name, off = view(rec, off, int(v))
+	v, off = uvarint(rec, off)
+	n := int(v)
 	ev.args = slices.Grow(ev.args[:0], n)[:n]
 	for i := range ev.args {
 		a := &ev.args[i]
-		kind, keyLen, valLen := rec[off], le.Uint32(rec[off+1:]), le.Uint32(rec[off+5:])
-		a.Key, off = view(rec, off+argHdrLen, keyLen)
-		if a.isNum = kind == argNum; a.isNum {
-			a.num, a.str = math.Float64frombits(le.Uint64(rec[off:])), ""
+		v, off = uvarint(rec, off)
+		key := &t.syms[v>>1]
+		a.Key, a.keyJSON = key.str, key.json
+		if a.isNum = v&argNum != 0; a.isNum {
+			a.num, a.str = math.Float64frombits(binary.LittleEndian.Uint64(rec[off:])), ""
 			off += 8
 		} else {
 			a.num = 0
-			a.str, off = view(rec, off, valLen)
+			v, off = uvarint(rec, off)
+			a.str, off = view(rec, off, int(v))
 		}
 	}
 }
@@ -259,23 +346,24 @@ func decode(rec []byte, ev *event) {
 // view returns the n bytes of rec at off as a string, without copying,
 // and the offset after them. The log never rewrites recorded bytes, so
 // the string stays valid for the life of the tracer.
-func view(rec []byte, off int, n uint32) (string, int) {
-	end := off + int(n)
+func view(rec []byte, off, n int) (string, int) {
+	end := off + n
 	if n == 0 {
 		return "", end
 	}
 	return unsafe.String(&rec[off], n), end
 }
 
-// records calls fn on every record of the log in emission order.
+// records calls fn on every record of the log, without its size, in
+// emission order.
 func (t *Tracer) records(fn func(rec []byte) error) error {
 	for _, c := range t.chunks {
 		for off := 0; off < len(c); {
-			size := int(binary.LittleEndian.Uint32(c[off:]))
-			if err := fn(c[off : off+size]); err != nil {
+			size, at := uvarint(c, off)
+			off = at + int(size)
+			if err := fn(c[at:off]); err != nil {
 				return err
 			}
-			off += size
 		}
 	}
 	return nil
@@ -308,7 +396,7 @@ func (t *Tracer) Instant(track, category, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.record('i', t.now(), 0, track, category, name, args, nil)
+	t.record('i', t.now(), 0, t.intern(track), t.intern(category), name, args, nil)
 }
 
 // Span is a handle to an in-progress span returned by Begin. The zero
@@ -336,7 +424,7 @@ func (t *Tracer) Begin(track, category, name string, args ...Arg) Span {
 	}
 	slot := &t.open[idx]
 	slot.start = t.now()
-	slot.track, slot.cat, slot.name = track, category, name
+	slot.track, slot.cat, slot.name = t.intern(track), t.intern(category), name
 	slot.args = append(slot.args[:0], args...)
 	slot.gen++
 	slot.live = true
@@ -378,7 +466,7 @@ func (s Span) Active() bool {
 func (t *Tracer) each(fn func(ev *event) error) error {
 	var ev event
 	err := t.records(func(rec []byte) error {
-		decode(rec, &ev)
+		t.decode(rec, &ev)
 		return fn(&ev)
 	})
 	if err != nil {
@@ -392,7 +480,11 @@ func (t *Tracer) each(fn func(ev *event) error) error {
 		}
 		ev.phase, ev.start, ev.dur = 'X', slot.start, now-slot.start
 		ev.track, ev.cat, ev.name = slot.track, slot.cat, slot.name
-		ev.args = append(append(ev.args[:0], slot.args...), S("state", "running"))
+		ev.args = ev.args[:0]
+		for _, a := range slot.args {
+			ev.args = append(ev.args, evArg{Arg: a})
+		}
+		ev.args = append(ev.args, evArg{Arg: S("state", "running")})
 		if err := fn(&ev); err != nil {
 			return err
 		}
@@ -400,12 +492,12 @@ func (t *Tracer) each(fn func(ev *event) error) error {
 	return nil
 }
 
-// eachTrack calls fn on every event's track, in the order each walks
-// them, without decoding args.
-func (t *Tracer) eachTrack(fn func(track string)) {
+// eachTrack calls fn on every event's track id, in the order each walks
+// them, without decoding the rest of the event.
+func (t *Tracer) eachTrack(fn func(track uint32)) {
 	_ = t.records(func(rec []byte) error {
-		track, _ := view(rec, hdrLen, binary.LittleEndian.Uint32(rec[offTrack:]))
-		fn(track)
+		track, _ := uvarint(rec, 1)
+		fn(uint32(track))
 		return nil
 	})
 	for i := range t.open {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -256,5 +257,33 @@ func TestWriteUnknownFormat(t *testing.T) {
 	tr := New(nil)
 	if err := tr.Write(&bytes.Buffer{}, "xml"); err == nil {
 		t.Fatal("expected error for unknown format")
+	}
+}
+
+// TestInternTableBounded checks that the intern table holds only the
+// tracks, categories and arg keys: names and string values, unique per
+// event here, stay out of it.
+func TestInternTableBounded(t *testing.T) {
+	tr := New(&fakeClock{})
+	const events = 100000
+	for i := 0; i < events; i++ {
+		track := "track-" + strconv.Itoa(i%10)
+		cat := "cat-" + strconv.Itoa(i%3)
+		name := "event-" + strconv.Itoa(i)
+		key := func(k int) string { return "key-" + strconv.Itoa((i+k)%5) }
+		if i%2 == 0 {
+			tr.Instant(track, cat, name, S(key(0), name), F(key(1), float64(i)))
+		} else {
+			tr.Begin(track, cat, name, S(key(2), name)).End(F(key(3), 1), S(key(4), "v"+strconv.Itoa(i)))
+		}
+	}
+	if tr.Len() != events {
+		t.Fatalf("Len = %d, want %d", tr.Len(), events)
+	}
+	if got, want := len(tr.syms), 10+3+5; got != want {
+		t.Errorf("intern table holds %d strings, want %d", got, want)
+	}
+	if len(tr.ids) != len(tr.syms) {
+		t.Errorf("intern map holds %d strings, table %d", len(tr.ids), len(tr.syms))
 	}
 }
