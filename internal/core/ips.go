@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
-	"repro/internal/interference"
 	"repro/internal/mapred"
 	"repro/internal/obs"
 	"repro/internal/perfstat"
@@ -80,7 +79,6 @@ const (
 
 type ipsService struct {
 	svc    *workload.Service
-	models *interference.Models
 	streak int
 }
 
@@ -112,7 +110,7 @@ func NewIPS(cl *cluster.Cluster, jt *mapred.JobTracker, set *policy.Set, sinks *
 
 // Watch registers an interactive service for SLA monitoring.
 func (p *IPS) Watch(svc *workload.Service) {
-	p.services = append(p.services, &ipsService{svc: svc, models: interference.NewModels()})
+	p.services = append(p.services, &ipsService{svc: svc})
 }
 
 // Start begins the monitoring loop. The loop runs until Stop;
@@ -169,7 +167,7 @@ func (p *IPS) tick(time.Duration) {
 			// left to observe or protect.
 			continue
 		}
-		p.observe(st)
+		p.ts.Observe("service.latency_ms", st.svc.Spec().Name, p.engine.Now(), st.svc.LatencyMs())
 		if st.svc.SLAViolated() {
 			st.streak++
 			p.ts.Add("service.sla_violations", st.svc.Spec().Name, p.engine.Now(), 1)
@@ -179,30 +177,6 @@ func (p *IPS) tick(time.Duration) {
 		}
 	}
 	p.maybeResume()
-}
-
-// observe feeds the service's interference models with the current batch
-// pressure on its host.
-func (p *IPS) observe(st *ipsService) {
-	pm := st.svc.Node().Machine()
-	var cpu, mem, io float64
-	if p.perf != nil {
-		p.perf.C.IPSAttemptsScanned += int64(p.jt.RunningCount())
-	}
-	p.jt.EachRunningAttempt(func(a *mapred.Attempt) {
-		if a.Node().Machine() != pm {
-			return
-		}
-		alloc := a.Consumer().Alloc()
-		cpu += alloc.Get(resource.CPU)
-		mem += a.Consumer().Demand.Get(resource.Memory)
-		io += alloc.Get(resource.DiskIO) + alloc.Get(resource.NetIO)
-	})
-	lat := st.svc.LatencyMs()
-	p.ts.Observe("service.latency_ms", st.svc.Spec().Name, p.engine.Now(), lat)
-	st.models.CPU.Observe(cpu, lat)
-	st.models.Memory.Observe(mem, lat)
-	st.models.IO.Observe(io, lat)
 }
 
 // arbitrate implements Algorithm 3: rank the collocated map/reduce tasks
@@ -217,6 +191,9 @@ func (p *IPS) arbitrate(st *ipsService) {
 
 	// TASK_LIST_interference: running attempts sharing the service's PM.
 	var interferers []*mapred.Attempt
+	if p.perf != nil {
+		p.perf.C.IPSAttemptsScanned += int64(p.jt.RunningCount())
+	}
 	p.jt.EachRunningAttempt(func(a *mapred.Attempt) {
 		if a.Node().Machine() == svcPM {
 			interferers = append(interferers, a)

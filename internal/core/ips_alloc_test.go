@@ -5,35 +5,86 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/mapred"
+	"repro/internal/obs"
+	"repro/internal/perfstat"
+	"repro/internal/testbed"
 	"repro/internal/workload"
 )
 
-// TestIPSObserveZeroAlloc pins a monitoring epoch's observe pass: the
-// running attempts are walked in place, the service's bottleneck reads
-// its VM's consumers without copying them, and each model's full sample
-// window slides in place, so a steady epoch allocates nothing.
-func TestIPSObserveZeroAlloc(t *testing.T) {
-	rig := virtualRig(t, 4)
-	svc, err := workload.Deploy(workload.RUBiS(), rig.VMs[0])
+// ipsTickRig returns an IPS over a virtual cluster part-way through a
+// Sort job, watching a RUBiS and a TPC-W service that sit under their
+// SLAs on VMs that also run tasks.
+func ipsTickRig(tb testing.TB, pms int, sinks obs.Sinks) (*IPS, *testbed.Rig, []*workload.Service) {
+	tb.Helper()
+	rig, err := testbed.New(testbed.Options{
+		PMs:          pms,
+		VMsPerPM:     2,
+		Seed:         11,
+		MapredConfig: mapred.Config{SlotCaps: true},
+		Obs:          sinks,
+	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	svc.SetClients(500)
-	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(2048), nil); err != nil {
-		t.Fatal(err)
+	var svcs []*workload.Service
+	for i, spec := range []workload.ServiceSpec{workload.RUBiS(), workload.TPCW()} {
+		svc, err := workload.Deploy(spec, rig.VMs[i*len(rig.VMs)/2])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		svc.SetClients(100)
+		svcs = append(svcs, svc)
+	}
+	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(float64(512*pms)), nil); err != nil {
+		tb.Fatal(err)
 	}
 	rig.Engine.RunUntil(30 * time.Second)
 	if rig.JT.RunningCount() == 0 {
-		t.Fatal("no attempts running")
+		tb.Fatal("no attempts running")
 	}
-	ips := NewIPS(rig.Cluster, rig.JT, nil, nil)
-	ips.Watch(svc)
-	st := ips.services[0]
-	for i := 0; i < 1100; i++ {
-		ips.observe(st) // fill every model's sample window
+	ips := NewIPS(rig.Cluster, rig.JT, nil, &rig.Obs)
+	for _, svc := range svcs {
+		if svc.SLAViolated() {
+			tb.Fatalf("%s violates its SLA at rest (%.0f ms)", svc.Spec().Name, svc.LatencyMs())
+		}
+		ips.Watch(svc)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { ips.observe(st) }); allocs != 0 {
-		t.Fatalf("observe over %d attempts: %v allocs/op, want 0", rig.JT.RunningCount(), allocs)
+	return ips, rig, svcs
+}
+
+// TestIPSTickScansOnlyViolatingEpochs pins what a monitoring epoch
+// walks: while every watched service is under its SLA the tick reads
+// no running attempt and allocates nothing; an epoch in which one
+// service violates walks the running attempts once, for the Arbiter's
+// interferer list.
+func TestIPSTickScansOnlyViolatingEpochs(t *testing.T) {
+	ps := perfstat.New()
+	ips, rig, svcs := ipsTickRig(t, 4, obs.Sinks{Perf: ps})
+	before := ps.C
+	for i := 0; i < 5; i++ {
+		ips.tick(rig.Engine.Now())
+	}
+	if ps.C.JTAttemptsSorted != before.JTAttemptsSorted || ps.C.IPSAttemptsScanned != before.IPSAttemptsScanned {
+		t.Errorf("healthy epochs walked attempts: jt.attempts_sorted +%d, ips.attempts_scanned +%d",
+			ps.C.JTAttemptsSorted-before.JTAttemptsSorted, ps.C.IPSAttemptsScanned-before.IPSAttemptsScanned)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ips.tick(rig.Engine.Now()) }); allocs != 0 {
+		t.Errorf("healthy tick: %v allocs/op, want 0", allocs)
+	}
+
+	svcs[0].SetClients(5000)
+	if !svcs[0].SLAViolated() {
+		t.Fatalf("%s under its SLA at 5000 clients", svcs[0].Spec().Name)
+	}
+	running := int64(rig.JT.RunningCount())
+	before = ps.C
+	ips.tick(rig.Engine.Now())
+	if d := ps.C.IPSAttemptsScanned - before.IPSAttemptsScanned; d != running {
+		t.Errorf("violating epoch: ips.attempts_scanned +%d, want +%d", d, running)
+	}
+	if d := ps.C.JTAttemptsSorted - before.JTAttemptsSorted; d != running {
+		t.Errorf("violating epoch: jt.attempts_sorted +%d, want +%d", d, running)
 	}
 }
 

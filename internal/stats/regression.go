@@ -1,8 +1,10 @@
-// Package stats provides the small statistical toolbox the HybridMR
-// schedulers rely on: ordinary least squares, piece-wise linear and
-// exponential regression (the three model families named in the paper for
-// CPU, memory and I/O interference respectively), plus summary statistics
-// used by the profiler and the experiment harness.
+// Package stats provides the small statistical toolbox of the profiler
+// and the experiment harness: ordinary least squares, piece-wise linear,
+// exponential and inverse regression, plus summary statistics. Phase I's
+// Algorithm 1 extrapolates with the linear, inverse and piece-wise fits.
+// Linear, piece-wise linear and exponential are also the families the
+// paper names for CPU, memory and I/O interference; the Figure 6(b)/(c)
+// runners fit the CPU and I/O ones offline to their measured slowdowns.
 package stats
 
 import (
