@@ -50,6 +50,7 @@ job-wrap-sample.txt         0 sim -scenario job -benchmark Sort -data-gb 1200 -p
 job-wrap-chrome-sample.txt  0 sim -scenario job -benchmark Sort -data-gb 1200 -pms 12 -vms-per-pm 2 -trace $out/job-wrap-trace.json -trace-format chrome && sample $out/job-wrap-trace.json > $f
 perfbench-sim.json          0 perfbench sim > $f
 perfbench-cost.json         0 perfbench cost > $f
+bench-tables.txt            0 benchtables > $f
 EOF
 }
 
@@ -66,6 +67,20 @@ sample() {
 		echo "== ${f##*/}"
 		awk '{ last = $0 } NR % 64 == 0 { print NR ": " $0 } END { if (NR % 64) print NR ": " last }' "$f"
 	done
+}
+
+# benchtables prints fig8a's and ext-stream's tables at scale 0.1
+# without their wall-time lines, then each experiment's events_fired
+# from its BENCH_<id>.json. It runs inside $out, so the records land
+# there and not in the repository root.
+benchtables() {
+	(
+		cd "$out"
+		bin/hybridmr-bench -only fig8a,ext-stream -scale 0.1 -parallel 8 -json | grep -v 'completed in'
+		for id in fig8a ext-stream; do
+			echo "$id $(grep '"events_fired"' "BENCH_$id.json")"
+		done
+	)
 }
 
 # perfbench sim|cost prints the three benchmark workloads at seed 1 as
