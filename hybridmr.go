@@ -293,10 +293,6 @@ var ExtensionExperiments = experiments.Extensions
 // ExperimentByID finds one figure reproduction, e.g. "fig8b".
 var ExperimentByID = experiments.ByID
 
-// SetExperimentScale shrinks experiment input sizes (1 = the paper's
-// sizes) for quick exploratory runs.
-func SetExperimentScale(scale float64) { experiments.Scale = scale }
-
 // ClusterSpec describes a hybrid deployment: a native MapReduce
 // partition, a virtualized partition whose VMs host both MapReduce
 // workers and interactive services, and the HybridMR scheduler over both.
@@ -458,11 +454,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 // virtual partition's hosts (round-robin) and deploys the interactive
 // application there, registered with the IPS.
 func (hc *HybridCluster) DeployService(spec ServiceSpec) (*Service, error) {
-	if len(hc.HostPMs) == 0 {
-		return nil, fmt.Errorf("hybridmr: no virtual partition to host services")
-	}
-	pm := hc.HostPMs[hc.nextSvc%len(hc.HostPMs)]
-	vm, err := hc.Cluster.AddVM(fmt.Sprintf("svc-%s-%d", spec.Name, hc.nextSvc), pm, 1, 1024)
+	vm, err := testbed.ServiceVM(hc.Cluster, hc.HostPMs, hc.nextSvc, spec.Name)
 	if err != nil {
 		return nil, err
 	}

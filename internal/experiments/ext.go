@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/policy"
 	"repro/internal/resource"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -120,112 +121,66 @@ func ExtIterative() (*Outcome, error) {
 // HybridMR, comparing completions, completion-time statistics and SLA
 // compliance of the co-hosted services.
 func ExtStream() (*Outcome, error) {
-	type result struct {
-		completed  int
-		meanJCT    float64
-		p95JCT     float64
-		compliance float64
+	var services []scenario.Service
+	for _, spec := range workload.Services() {
+		services = append(services, scenario.Service{Spec: spec, Clients: 2200})
+	}
+	suite, err := workload.GenerateSuite(workload.SuiteSpec{
+		Mix:              workload.DefaultMix(scaledMB(2 * workload.GB)),
+		MeanInterarrival: 3 * time.Minute,
+		Horizon:          2 * time.Hour,
+		Seed:             1213,
+	})
+	if err != nil {
+		return nil, err
+	}
+	arrivals := make([]scenario.Arrival, len(suite))
+	for i, a := range suite {
+		arrivals[i] = scenario.Arrival{At: a.At, Spec: a.Spec}
 	}
 	pool := newMetricsPool()
-	run := func(hybrid bool) (result, error) {
-		rig, err := testbed.New(testbed.Options{
-			PMs:       8,
-			NativePMs: 8,
-			VMsPerPM:  2,
-			Seed:      1207,
-			MapredConfig: mapred.Config{
-				SlotCaps:      true,
-				CapacityAware: hybrid,
+	both, err := Map(2, func(i int) (scenario.Outcome, error) {
+		hybrid := i == 1
+		return scenario.Run(scenario.Spec{
+			Rig: testbed.Options{
+				PMs:       8,
+				NativePMs: 8,
+				VMsPerPM:  2,
+				Seed:      1207,
+				MapredConfig: mapred.Config{
+					SlotCaps:      true,
+					CapacityAware: hybrid,
+				},
+				Obs: pool.sinks(),
 			},
-			Obs: pool.sinks(),
+			System:   mixSystem(hybrid, 1207),
+			Services: services,
+			Arrivals: arrivals,
+			Horizon:  2*time.Hour + 30*time.Minute, // drain the tail
 		})
-		if err != nil {
-			return result{}, err
-		}
-		cfg := core.Config{TrainingSeed: 1207}
-		if !hybrid {
-			cfg.DisableDRM = true
-			cfg.DisableIPS = true
-			cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
-		}
-		sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, &rig.Obs)
-		if err != nil {
-			return result{}, err
-		}
-		defer sys.Stop()
-		var services []*workload.Service
-		for i, spec := range workload.Services() {
-			svcVM, err := addServiceVM(rig, i, spec.Name)
-			if err != nil {
-				return result{}, err
-			}
-			svc, err := sys.DeployService(spec, svcVM)
-			if err != nil {
-				return result{}, err
-			}
-			svc.SetClients(2200)
-			services = append(services, svc)
-		}
-		var jcts []float64
-		horizon := 2 * time.Hour
-		_, err = workload.ScheduleSuite(workload.SuiteSpec{
-			Mix:              workload.DefaultMix(scaledMB(2 * workload.GB)),
-			MeanInterarrival: 3 * time.Minute,
-			Horizon:          horizon,
-			Seed:             1213,
-		}, func(d time.Duration, fn func()) { rig.Engine.After(d, fn) }, func(a workload.Arrival) error {
-			_, _, err := sys.SubmitJob(a.Spec, 0, func(j *mapred.Job) {
-				jcts = append(jcts, j.JCT().Seconds())
-			})
-			return err
-		})
-		if err != nil {
-			return result{}, err
-		}
-		samples, violations := 0, 0
-		tick := sim.NewTicker(rig.Engine, 15*time.Second, func(time.Duration) {
-			for _, svc := range services {
-				samples++
-				if svc.SLAViolated() {
-					violations++
-				}
-			}
-		})
-		rig.Engine.RunUntil(horizon + 30*time.Minute) // drain the tail
-		tick.Stop()
-		res := result{
-			completed: len(jcts),
-			meanJCT:   stats.Mean(jcts),
-			p95JCT:    stats.Percentile(jcts, 95),
-		}
-		if samples > 0 {
-			res.compliance = 1 - float64(violations)/float64(samples)
-		}
-		return res, nil
-	}
-	both, err := Map(2, func(i int) (result, error) {
-		return run(i == 1)
 	})
 	if err != nil {
 		return nil, err
 	}
 	vanilla, hybrid := both[0], both[1]
+	vMean, hMean := stats.Mean(vanilla.JCTs), stats.Mean(hybrid.JCTs)
+	vOK, hOK := 1-vanilla.SLAViolationRate(), 1-hybrid.SLAViolationRate()
 	out := &Outcome{Table: &Table{
 		ID:      "ext-stream",
 		Title:   "Two-hour Poisson job stream on an 8 PM + 16 VM hybrid fleet",
 		Columns: []string{"metric", "vanilla", "hybridmr"},
 	}}
-	out.Table.AddCells(Str("jobs completed"), Int(vanilla.completed), Int(hybrid.completed))
-	out.Table.AddCells(Str("mean JCT (s)"), F0(vanilla.meanJCT), F0(hybrid.meanJCT))
-	out.Table.AddCells(Str("p95 JCT (s)"), F0(vanilla.p95JCT), F0(hybrid.p95JCT))
-	out.Table.AddCells(Str("SLA compliance"), F3(vanilla.compliance), F3(hybrid.compliance))
+	out.Table.AddCells(Str("jobs completed"), Int(len(vanilla.JCTs)), Int(len(hybrid.JCTs)))
+	out.Table.AddCells(Str("mean JCT (s)"), F0(vMean), F0(hMean))
+	out.Table.AddCells(Str("p95 JCT (s)"), F0(stats.Percentile(vanilla.JCTs, 95)), F0(stats.Percentile(hybrid.JCTs, 95)))
+	out.Table.AddCells(Str("SLA compliance"), F3(vOK), F3(hOK))
 	out.Notef("HybridMR changes mean JCT by %.0f%% and SLA compliance from %.2f to %.2f under an open arrival process",
-		(vanilla.meanJCT-hybrid.meanJCT)/vanilla.meanJCT*100, vanilla.compliance, hybrid.compliance)
-	out.Scalar("compliance_vanilla", vanilla.compliance)
-	out.Scalar("compliance_hybrid", hybrid.compliance)
-	out.Scalar("jct_delta", (vanilla.meanJCT-hybrid.meanJCT)/vanilla.meanJCT)
-	out.Scalar("completed_vanilla", float64(vanilla.completed))
-	out.Scalar("completed_hybrid", float64(hybrid.completed))
+		(vMean-hMean)/vMean*100, vOK, hOK)
+	out.Scalar("compliance_vanilla", vOK)
+	out.Scalar("compliance_hybrid", hOK)
+	out.Scalar("jct_delta", (vMean-hMean)/vMean)
+	out.Scalar("completed_vanilla", float64(len(vanilla.JCTs)))
+	out.Scalar("completed_hybrid", float64(len(hybrid.JCTs)))
 	out.Metrics = pool.snapshot()
 	return out, nil
 }
@@ -307,7 +262,7 @@ func AblCapacity() (*Outcome, error) {
 		}
 		var services []*workload.Service
 		for i := 0; i < 3; i++ {
-			svcVM, err := addServiceVM(rig, i, fmt.Sprintf("s%d", i))
+			svcVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, i, fmt.Sprintf("s%d", i))
 			if err != nil {
 				return 0, 0, err
 			}

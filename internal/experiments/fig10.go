@@ -48,7 +48,7 @@ func Fig10a() (*Outcome, error) {
 			if !hybrid {
 				pmIndex = batchPMs + i // the dedicated service hosts
 			}
-			svcVM, err := addServiceVM(rig, pmIndex, fmt.Sprintf("%s%d", spec.Name, i))
+			svcVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, pmIndex, fmt.Sprintf("%s%d", spec.Name, i))
 			if err != nil {
 				return nil, err
 			}

@@ -103,7 +103,7 @@ func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 	for i, spec := range workload.Services()[:2] {
 		var svc *workload.Service
 		if vmHosts > 0 {
-			svcVM, err := addServiceVM(rig, i, spec.Name)
+			svcVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, i, spec.Name)
 			if err != nil {
 				return fig11Run{}, err
 			}

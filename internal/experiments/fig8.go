@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/policy"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -24,118 +25,66 @@ type mixResult struct {
 // on a hybrid rig under the given placement policy, returning mean batch
 // JCT and mean interactive latency.
 func runMix(nServices, nJobs int, usePhase1 bool, seed int64, pool *metricsPool) (mixResult, error) {
-	// 8 native PMs plus 16 PMs hosting 32 VMs: the virtual partition
-	// keeps real spare capacity, which is the premise the paper's
-	// consolidation argument rests on.
-	rig, err := testbed.New(testbed.Options{
-		PMs:       16,
-		NativePMs: 8,
-		VMsPerPM:  2,
-		Seed:      seed,
-		MapredConfig: mapred.Config{
-			SlotCaps:      true,
-			CapacityAware: usePhase1,
-		},
-		Obs: pool.sinks(),
-	})
-	if err != nil {
-		return mixResult{}, err
-	}
-	// The baseline is the paper's FCFS discipline: random placement with
-	// no Phase II protection, i.e. plain Hadoop on the hybrid hardware.
-	cfg := core.Config{TrainingSeed: seed}
-	if !usePhase1 {
-		cfg.DisableDRM = true
-		cfg.DisableIPS = true
-		cfg.Policies = mustResolve(policy.Spec{Phase1: "random-p1"})
-	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, cfg, &rig.Obs)
-	if err != nil {
-		return mixResult{}, err
-	}
-	defer sys.Stop()
-
-	svcSpecs := workload.Services()
-	var services []*workload.Service
-	var drivers []*workload.LoadDriver
-	for i := 0; i < nServices; i++ {
-		svcVM, err := addServiceVM(rig, i, svcSpecs[i%len(svcSpecs)].Name)
-		if err != nil {
-			return mixResult{}, err
-		}
-		svc, err := sys.DeployService(svcSpecs[i%len(svcSpecs)], svcVM)
-		if err != nil {
-			return mixResult{}, err
-		}
-		services = append(services, svc)
-		drivers = append(drivers, workload.NewLoadDriver(rig.Engine, svc, &workload.DiurnalTrace{
-			Base: 1500, Amplitude: 500, Seed: seed + int64(i),
-		}, 15*time.Second))
-	}
-
 	// A representative batch roster: I/O-heavy, CPU-heavy and mixed jobs
 	// in every mix, so small mixes are not dominated by one profile.
 	roster := []mapred.JobSpec{
 		workload.Sort(), workload.Kmeans(), workload.Wcount(),
 		workload.DistGrep(), workload.Twitter(), workload.PiEst(),
 	}
-	var jobs []*mapred.Job
-	for i := 0; i < nJobs; i++ {
+	arrivals := make([]scenario.Arrival, nJobs)
+	for i := range arrivals {
 		spec := roster[i%len(roster)].WithInputMB(scaledMB(3 * workload.GB))
 		if spec.FixedMapWork > 0 {
 			spec = scaledSpec(roster[i%len(roster)])
 		}
-		i := i
-		rig.Engine.After(time.Duration(i)*time.Minute, func() {
-			job, _, err := sys.SubmitJob(spec, 0, nil)
-			if err == nil {
-				jobs = append(jobs, job)
-			}
-		})
+		arrivals[i] = scenario.Arrival{At: time.Duration(i) * time.Minute, Spec: spec}
 	}
-
-	var latencies []float64
-	latTick := sim.NewTicker(rig.Engine, 15*time.Second, func(time.Duration) {
-		for _, svc := range services {
-			// Cap samples at a client-timeout level so a single
-			// saturated epoch does not dominate the mean.
-			latencies = append(latencies, math.Min(svc.LatencyMs(), 5000))
-		}
+	out, err := scenario.Run(scenario.Spec{
+		// 8 native PMs plus 16 PMs hosting 32 VMs: the virtual partition
+		// keeps real spare capacity, which is the premise the paper's
+		// consolidation argument rests on.
+		Rig: testbed.Options{
+			PMs:       16,
+			NativePMs: 8,
+			VMsPerPM:  2,
+			Seed:      seed,
+			MapredConfig: mapred.Config{
+				SlotCaps:      true,
+				CapacityAware: usePhase1,
+			},
+			Obs: pool.sinks(),
+		},
+		System:    mixSystem(usePhase1, seed),
+		Services:  scenario.Diurnal(nServices, 1500, 500, seed),
+		Arrivals:  arrivals,
+		Horizon:   6 * time.Hour,
+		UntilDone: true,
 	})
-
-	allDone := func() bool {
-		if len(jobs) < nJobs {
-			return false
-		}
-		for _, j := range jobs {
-			if !j.Done() {
-				return false
-			}
-		}
-		return true
+	if err != nil {
+		return mixResult{}, err
 	}
-	deadline := 6 * time.Hour
-	for at := time.Minute; at <= deadline && !allDone(); at += time.Minute {
-		rig.Engine.RunUntil(at)
+	jcts := make([]float64, len(out.Jobs))
+	for i, j := range out.Jobs {
+		jcts[i] = j.JCT().Seconds()
 	}
-	latTick.Stop()
-	for _, d := range drivers {
-		d.Stop()
+	// Cap samples at a client-timeout level so a single saturated epoch
+	// does not dominate the mean.
+	lats := make([]float64, len(out.Latencies))
+	for i, l := range out.Latencies {
+		lats[i] = math.Min(l, 5000)
 	}
-	if !allDone() {
-		return mixResult{}, fmt.Errorf("experiments: mix did not finish within %v", deadline)
-	}
-	var js metricsJCT
-	for _, j := range jobs {
-		js.add(j.JCT().Seconds())
-	}
-	return mixResult{meanJCT: js.mean(), meanLatency: stats.Mean(latencies)}, nil
+	return mixResult{meanJCT: stats.Mean(jcts), meanLatency: stats.Mean(lats)}, nil
 }
 
-type metricsJCT struct{ vals []float64 }
-
-func (m *metricsJCT) add(v float64) { m.vals = append(m.vals, v) }
-func (m *metricsJCT) mean() float64 { return stats.Mean(m.vals) }
+// mixSystem configures HybridMR or, with hybrid false, the paper's FCFS
+// baseline: random placement with no Phase II protection, i.e. plain
+// Hadoop on the hybrid hardware.
+func mixSystem(hybrid bool, seed int64) core.Config {
+	if hybrid {
+		return core.Config{TrainingSeed: seed}
+	}
+	return core.Config{DisableDRM: true, DisableIPS: true, Policies: mustResolve(policy.Spec{Phase1: "random-p1"}), TrainingSeed: seed}
+}
 
 // Fig8a reproduces Figure 8(a): the performance gain of Phase I
 // placement over random (FCFS) placement for the three workload mixes.
@@ -355,7 +304,7 @@ func Fig8d() (*Outcome, error) {
 		if err != nil {
 			return 0, err
 		}
-		svcVM, err := addServiceVM(rig, 0, "rubis")
+		svcVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, 0, "rubis")
 		if err != nil {
 			return 0, err
 		}

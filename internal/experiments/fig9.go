@@ -37,7 +37,7 @@ func Fig9a() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rubisVM, err := addServiceVM(rig, 0, "rubis")
+	rubisVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, 0, "rubis")
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func Fig9a() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	tpcwVM, err := addServiceVM(rig, 1, "tpcw")
+	tpcwVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, 1, "tpcw")
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, e
 		}
 		virtualJT = rig.JT
 		for i := 0; i < 3; i++ {
-			svcVM, err := addServiceVM(rig, i, fmt.Sprintf("s%d", i))
+			svcVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, i, fmt.Sprintf("s%d", i))
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +171,7 @@ func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, e
 			nativeJT.AddTracker(pm)
 		}
 		for i := 0; i < 3; i++ {
-			svcVM, err := addServiceVM(rig, i, fmt.Sprintf("s%d", i))
+			svcVM, err := testbed.ServiceVM(rig.Cluster, rig.PMs, i, fmt.Sprintf("s%d", i))
 			if err != nil {
 				return nil, err
 			}

@@ -1081,20 +1081,15 @@ func (jt *JobTracker) Relocate(a *Attempt, dst *TaskTracker) error {
 	return jt.launch(task, dst, a.Speculative)
 }
 
-// HandleMachineFailure declares lost every tracker whose compute or
-// storage node lived on the failed machine, returning how many were.
-// Running attempts on them are killed and their tasks re-queued,
-// completed map outputs stranded on the machine are re-executed
+// HandleMachineFailures declares lost every tracker whose compute or
+// storage node lived on one of the failed machines, returning how many
+// were. Running attempts on them are killed and their tasks re-queued,
+// completed map outputs stranded on the machines are re-executed
 // (reducers could no longer fetch them), and the trackers rejoin only
-// if their machine comes back and any blacklist hold-off expires.
-func (jt *JobTracker) HandleMachineFailure(pm *cluster.PM) int {
-	return jt.HandleMachineFailures([]*cluster.PM{pm})
-}
-
-// HandleMachineFailures is the correlated-loss variant: every tracker
-// on any of the failed machines is declared lost in ONE batch, so the
-// re-queue triggered by the first kill cannot land work on a sibling
-// that the same rack or power-domain crash is about to take down too.
+// if their machine comes back and any blacklist hold-off expires. The
+// trackers are lost in ONE batch, so the re-queue triggered by the
+// first kill cannot land work on a sibling that the same rack or
+// power-domain crash is about to take down too.
 func (jt *JobTracker) HandleMachineFailures(pms []*cluster.PM) int {
 	failed := make(map[*cluster.PM]bool, len(pms))
 	for _, pm := range pms {
@@ -1118,7 +1113,7 @@ func (jt *JobTracker) HandleMachineFailures(pms []*cluster.PM) int {
 }
 
 // HandleNodeLost declares lost every tracker using the given node — the
-// VM-crash analogue of HandleMachineFailure.
+// VM-crash analogue of HandleMachineFailures.
 func (jt *JobTracker) HandleNodeLost(n cluster.Node) int {
 	var affected []*TaskTracker
 	for _, tr := range jt.trackers {

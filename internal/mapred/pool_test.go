@@ -116,7 +116,7 @@ func TestMachineFailureKillsOnlyItsVictims(t *testing.T) {
 		}
 		owner[c] = a
 	}
-	jt.HandleMachineFailure(failed)
+	jt.HandleMachineFailures([]*cluster.PM{failed})
 	engine.Run()
 	if !job.Done() {
 		t.Fatal("job did not recover from the failure")
@@ -171,7 +171,7 @@ func TestMachineFailureSparesItsVMs(t *testing.T) {
 		}
 	})
 	engine.RunUntil(engine.Now() + time.Second)
-	jt.HandleMachineFailure(failed)
+	jt.HandleMachineFailures([]*cluster.PM{failed})
 	engine.Run()
 	if !job.Done() {
 		t.Fatal("job did not complete after the failure")

@@ -23,11 +23,15 @@ import (
 	"sort"
 	"time"
 
-	hybridmr "repro"
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/sim"
+	"repro/internal/scenario"
+	"repro/internal/stats"
+	"repro/internal/testbed"
 	"repro/internal/workload"
 )
 
@@ -325,106 +329,46 @@ func runCandidate(spec policy.Spec, scen Scenario, seed int64, log *audit.Log) (
 	if err != nil {
 		return Candidate{}, err
 	}
-	hc, err := hybridmr.NewHybridCluster(hybridmr.ClusterSpec{
-		NativePMs:      scen.NativePMs,
-		VirtualHostPMs: scen.VirtualHostPMs,
-		VMsPerHost:     scen.VMsPerHost,
-		Seed:           seed,
-		Config:         hybridmr.SystemConfig{Policies: set},
-		Audit:          log,
-	})
-	if err != nil {
-		return Candidate{}, err
-	}
-	defer hc.Close()
-
-	svcSpecs := workload.Services()
-	var services []*hybridmr.Service
-	var drivers []*workload.LoadDriver
-	for i := 0; i < scen.Services; i++ {
-		svc, err := hc.DeployService(svcSpecs[i%len(svcSpecs)])
-		if err != nil {
-			return Candidate{}, err
-		}
-		services = append(services, svc)
-		drivers = append(drivers, workload.NewLoadDriver(hc.System.Engine(), svc, &workload.DiurnalTrace{
-			Base: 1200, Amplitude: 600, Seed: seed + int64(i),
-		}, 15*time.Second))
-	}
-
-	rec := hc.NewRecorder(30 * time.Second)
-
-	roster := []hybridmr.JobSpec{
+	roster := []mapred.JobSpec{
 		workload.Sort(), workload.Wcount(), workload.DistGrep(),
 		workload.Kmeans(), workload.Twitter(),
 	}
-	done := 0
-	var jcts []float64
-	var submitErr error
-	for i := 0; i < scen.Jobs; i++ {
-		js := roster[i%len(roster)].WithInputMB(4096)
-		deadline := time.Duration(0)
+	arrivals := make([]scenario.Arrival, scen.Jobs)
+	for i := range arrivals {
+		arrivals[i] = scenario.Arrival{At: time.Duration(i) * 15 * time.Second, Spec: roster[i%len(roster)].WithInputMB(4096)}
 		if i%3 == 0 {
-			deadline = 90 * time.Minute
+			arrivals[i].Deadline = 90 * time.Minute
 		}
-		hc.System.Engine().After(time.Duration(i)*15*time.Second, func() {
-			if _, _, err := hc.SubmitJob(js, deadline, func(j *hybridmr.Job) {
-				done++
-				jcts = append(jcts, j.JCT().Seconds())
-			}); err != nil && submitErr == nil {
-				submitErr = err
-			}
-		})
 	}
-
-	// SLA compliance sampling at the IPS cadence.
-	epochs, violations := 0, 0
-	slaTick := sim.NewTicker(hc.System.Engine(), 15*time.Second, func(time.Duration) {
-		for _, svc := range services {
-			epochs++
-			if svc.SLAViolated() {
-				violations++
-			}
-		}
+	out, err := scenario.Run(scenario.Spec{
+		Rig: testbed.Options{
+			PMs:          scen.VirtualHostPMs,
+			NativePMs:    scen.NativePMs,
+			VMsPerPM:     scen.VMsPerHost,
+			Seed:         seed,
+			MapredConfig: mapred.Config{SlotCaps: true, CapacityAware: true},
+			Obs:          obs.Sinks{Audit: log},
+		},
+		System:           core.Config{Policies: set},
+		Services:         scenario.Diurnal(scen.Services, 1200, 600, seed),
+		Arrivals:         arrivals,
+		RecorderInterval: 30 * time.Second,
+		Horizon:          4 * time.Hour,
+		UntilDone:        true,
 	})
-
-	deadline := 4 * time.Hour
-	at := time.Duration(0)
-	for at < deadline && done < scen.Jobs {
-		at += time.Minute
-		hc.RunFor(time.Minute)
-	}
-	slaTick.Stop()
-	for _, d := range drivers {
-		d.Stop()
-	}
-	rec.Stop()
-	if submitErr != nil {
-		return Candidate{}, fmt.Errorf("policysearch: %s: submit: %w", spec.String(), submitErr)
-	}
-	if done < scen.Jobs {
-		return Candidate{}, fmt.Errorf("policysearch: %s: %d of %d jobs completed within %v",
-			spec.String(), done, scen.Jobs, deadline)
-	}
-
-	var jctSum float64
-	for _, v := range jcts {
-		jctSum += v
-	}
-	rate := 0.0
-	if epochs > 0 {
-		rate = float64(violations) / float64(epochs)
+	if err != nil {
+		return Candidate{}, fmt.Errorf("policysearch: %s: %w", spec.String(), err)
 	}
 	return Candidate{
 		Policy: spec.String(),
 		Spec:   spec,
 		Objectives: Objectives{
-			MeanJCTSec:       round3(jctSum / float64(len(jcts))),
-			EnergyWh:         round3(rec.EnergyWh()),
-			SLAViolationRate: round3(rate),
+			MeanJCTSec:       round3(stats.Mean(out.JCTs)),
+			EnergyWh:         round3(out.EnergyWh),
+			SLAViolationRate: round3(out.SLAViolationRate()),
 		},
-		Jobs:        done,
-		EventsFired: int64(hc.System.Engine().Fired()),
+		Jobs:        len(out.JCTs),
+		EventsFired: int64(out.EventsFired),
 	}, nil
 }
 

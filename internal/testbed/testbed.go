@@ -243,6 +243,19 @@ func New(opts Options) (*Rig, error) {
 	return rig, nil
 }
 
+// ServiceVM provisions the dedicated 1-vCPU/1-GB VM for the i-th
+// interactive application, named svc-<name>-<i>, on hosts[i mod
+// len(hosts)]. The paper runs interactive tenants in their own VMs (and
+// adopts the split Hadoop architecture), so service VMs are never
+// TaskTrackers or DataNodes: interference with batch work happens at
+// the physical-host level.
+func ServiceVM(cl *cluster.Cluster, hosts []*cluster.PM, i int, name string) (*cluster.VM, error) {
+	if len(hosts) == 0 {
+		return nil, fmt.Errorf("testbed: no virtual hosts for service %s", name)
+	}
+	return cl.AddVM(fmt.Sprintf("svc-%s-%d", name, i), hosts[i%len(hosts)], 1, 1024)
+}
+
 // JobResult summarizes one completed job.
 type JobResult struct {
 	// Name is the job's benchmark name.

@@ -118,23 +118,3 @@ func GenerateSuite(spec SuiteSpec) ([]Arrival, error) {
 		out = append(out, Arrival{At: at, Spec: chosen})
 	}
 }
-
-// ScheduleSuite generates the stream and submits each arrival through
-// submit at its arrival time on the engine behind now/after. The submit
-// callback returns an error to abort scheduling of that arrival (the
-// stream continues). It returns the generated arrivals for inspection.
-func ScheduleSuite(spec SuiteSpec, after func(d time.Duration, fn func()), submit func(Arrival) error) ([]Arrival, error) {
-	arrivals, err := GenerateSuite(spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range arrivals {
-		a := a
-		after(a.At, func() {
-			// Submission failures (e.g. a saturated queue) drop the
-			// arrival; the stream is best-effort like a real job queue.
-			_ = submit(a)
-		})
-	}
-	return arrivals, nil
-}

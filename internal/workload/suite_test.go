@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 func TestGenerateSuiteBasics(t *testing.T) {
@@ -144,31 +142,5 @@ func TestGenerateSuiteValidation(t *testing.T) {
 		Horizon: time.Hour,
 	}); err == nil {
 		t.Error("zero total weight accepted")
-	}
-}
-
-func TestScheduleSuiteDelivers(t *testing.T) {
-	engine := sim.New()
-	var submitted []Arrival
-	arrivals, err := ScheduleSuite(SuiteSpec{
-		Mix:              DefaultMix(512),
-		MeanInterarrival: time.Minute,
-		Horizon:          20 * time.Minute,
-		Seed:             6,
-	}, func(d time.Duration, fn func()) { engine.After(d, fn) }, func(a Arrival) error {
-		submitted = append(submitted, a)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.Run()
-	if len(submitted) != len(arrivals) {
-		t.Fatalf("submitted %d of %d arrivals", len(submitted), len(arrivals))
-	}
-	for i := range submitted {
-		if submitted[i].At != arrivals[i].At {
-			t.Errorf("arrival %d delivered out of order", i)
-		}
 	}
 }
