@@ -14,9 +14,12 @@
 # to store a row whose commands disagree or exit wrongly.
 #
 # For every file that moved, both modes print the first differing line
-# and class each changed line. Engine cost lines (engine_cost below,
-# and all of perfbench-cost.json) count the event queue's or a
-# controller's own work; every other line is a decision line. Refresh
+# and class each changed line. Engine cost lines (engine_cost below:
+# every perfstat counter line of the *-metrics.txt goldens and the
+# engine/sim freelist_events and cancel_debt lines; and all of
+# perfbench-cost.json, which holds the same perfstat counters) count the
+# event queue's or a controller's own work; every other line is a
+# decision line. Refresh
 # rule: a change that lowers engine cost may write those lines, listing
 # each old -> new in CHANGES.md; one that raises any explains why there.
 # Decision lines move only in the re-golden steps named by the goldens
@@ -24,7 +27,7 @@
 set -euo pipefail
 
 out=golden-out
-engine_cost='perfstat[.]engine[.](compactions|heap_pops|heap_pushes|heap_sift_swaps)|(engine|sim)[.](freelist_events|cancel_debt)'
+engine_cost='counter +perfstat[.]|(engine|sim)[.](freelist_events|cancel_debt)'
 all_cost=perfbench-cost.json
 
 # name, exit status, command. A command writes the golden to $f; rows

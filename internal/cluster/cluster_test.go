@@ -301,7 +301,7 @@ func TestKillInvokesCallbackAndFrees(t *testing.T) {
 	}
 	engine.After(50*time.Second, a.Kill)
 	engine.Run()
-	if !killed || !a.Killed() {
+	if !killed || a.state != consumerKilled {
 		t.Error("kill callback/state missing")
 	}
 	// b: 50s at half speed (25 done), then full speed for 75 → 125s.

@@ -71,9 +71,6 @@ func (c *Consumer) Running() bool { return c.state == consumerRunning }
 // Done reports whether the consumer completed its work.
 func (c *Consumer) Done() bool { return c.state == consumerDone }
 
-// Killed reports whether the consumer was killed before completing.
-func (c *Consumer) Killed() bool { return c.state == consumerKilled }
-
 // Node returns where the consumer runs, or nil.
 func (c *Consumer) Node() Node {
 	switch {

@@ -14,8 +14,6 @@ import (
 type Node interface {
 	// Name identifies the node.
 	Name() string
-	// IsVirtual reports whether the node is a VM.
-	IsVirtual() bool
 	// Machine returns the physical machine backing the node.
 	Machine() *PM
 	// Start attaches a consumer to the node and begins executing it.
@@ -83,9 +81,6 @@ type PM struct {
 
 // Name returns the PM's name.
 func (pm *PM) Name() string { return pm.name }
-
-// IsVirtual reports false: a PM is bare metal.
-func (pm *PM) IsVirtual() bool { return false }
 
 // Machine returns the PM itself.
 func (pm *PM) Machine() *PM { return pm }

@@ -61,9 +61,6 @@ type VM struct {
 // Name returns the VM's name.
 func (vm *VM) Name() string { return vm.name }
 
-// IsVirtual reports true.
-func (vm *VM) IsVirtual() bool { return true }
-
 // Machine returns the current physical host.
 func (vm *VM) Machine() *PM { return vm.host }
 
@@ -195,9 +192,6 @@ func (vm *VM) SetCap(cap resource.Vector) {
 	vm.capIO = cap
 	vm.host.update()
 }
-
-// Cap returns the currently installed VM-level cap.
-func (vm *VM) Cap() resource.Vector { return vm.capIO }
 
 // activityLevel estimates how busy the VM is, in [0, 1]; it drives the
 // dirty-page rate during live migration.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/mapred"
 	"repro/internal/obs"
@@ -141,7 +143,7 @@ func TestIPSProtectsSLA(t *testing.T) {
 }
 
 func TestProfilingPlacerDeadlineRouting(t *testing.T) {
-	placer := &ProfilingPlacer{
+	placer := &policy.ProfilingPlacer{
 		Profiler:     newTestProfiler(),
 		NativeNodes:  8,
 		VirtualNodes: 16,
@@ -166,7 +168,7 @@ func TestProfilingPlacerDeadlineRouting(t *testing.T) {
 }
 
 func TestProfilingPlacerOverheadRouting(t *testing.T) {
-	placer := &ProfilingPlacer{
+	placer := &policy.ProfilingPlacer{
 		Profiler:          newTestProfiler(),
 		NativeNodes:       8,
 		VirtualNodes:      16,
@@ -258,7 +260,8 @@ func TestIPSActionLogAndBottleneck(t *testing.T) {
 	}
 	svc.SetClients(4000)
 	reg := trace.NewRegistry()
-	ips := NewIPS(rig.Cluster, rig.JT, nil, &obs.Sinks{Metrics: reg})
+	log := audit.New(0)
+	ips := NewIPS(rig.Cluster, rig.JT, nil, &obs.Sinks{Metrics: reg, Audit: log})
 	ips.Watch(svc)
 	ips.Start()
 	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(1024), nil); err != nil {
@@ -266,25 +269,34 @@ func TestIPSActionLogAndBottleneck(t *testing.T) {
 	}
 	rig.Engine.RunUntil(10 * time.Minute)
 	ips.Stop()
-	if len(ips.Actions()) == 0 {
-		t.Error("IPS took no actions despite heavy collocation")
+	if log.Dropped() != 0 {
+		t.Fatalf("audit ring dropped %d records", log.Dropped())
 	}
 	perKind := map[string]float64{}
-	for _, a := range ips.Actions() {
-		switch a.Kind {
+	for _, r := range log.Filter(func(r audit.Record) bool { return r.Subsystem == "ips" }) {
+		switch r.Action {
 		case "relocate", "throttle", "pause", "resume", "migrate", "blacklist", "unblacklist":
 		default:
-			t.Errorf("unknown action kind %q", a.Kind)
+			t.Errorf("unknown action kind %q", r.Action)
 		}
-		if a.Service == "" || a.Target == "" {
-			t.Errorf("incomplete action record: %+v", a)
+		if r.Subject == "" || !strings.Contains(r.Reason, svc.Spec().Name) {
+			t.Errorf("incomplete action record: %+v", r)
 		}
-		perKind[a.Kind]++
+		perKind[r.Action]++
 	}
-	// The sinks handle's registry counts every logged action.
+	if len(perKind) == 0 {
+		t.Error("IPS took no actions despite heavy collocation")
+	}
+	// Each kind's ips.actions.<kind> counter equals its audit count, in
+	// both directions, so the counters sum to every action taken.
 	for kind, n := range perKind {
 		if got := reg.Counter("ips.actions." + kind).Value(); got != n {
-			t.Errorf("ips.actions.%s = %v, want %v (the action log's count)", kind, got, n)
+			t.Errorf("ips.actions.%s = %v, want %v (the audit log's count)", kind, got, n)
+		}
+	}
+	for name, v := range reg.Snapshot().Counters {
+		if kind, ok := strings.CutPrefix(name, "ips.actions."); ok && perKind[kind] != v {
+			t.Errorf("%s = %v, but the audit log holds %v such actions", name, v, perKind[kind])
 		}
 	}
 }
@@ -369,11 +381,11 @@ func newTestProfiler() *profiler.Profiler {
 }
 
 func TestPlacerValidation(t *testing.T) {
-	p := &ProfilingPlacer{}
+	p := &policy.ProfilingPlacer{}
 	if _, _, _, err := p.Place(workload.Sort(), 0); err == nil {
 		t.Error("placer without profiler succeeded")
 	}
-	p = &ProfilingPlacer{Profiler: newTestProfiler(), VirtualNodes: 0, NativeNodes: 4}
+	p = &policy.ProfilingPlacer{Profiler: newTestProfiler(), VirtualNodes: 0, NativeNodes: 4}
 	got, _, _, err := p.Place(workload.Sort(), 0)
 	if err != nil || got != PlacedNative {
 		t.Errorf("no virtual partition: %v, %v", got, err)
@@ -453,7 +465,8 @@ func TestIPSMigratesBatchVMUnderPersistentViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.SetClients(5200)
-	ips := NewIPS(rig.Cluster, rig.JT, nil, nil)
+	reg := trace.NewRegistry()
+	ips := NewIPS(rig.Cluster, rig.JT, nil, &obs.Sinks{Metrics: reg})
 	ips.Watch(svc)
 	ips.Start()
 	defer ips.Stop()
@@ -471,14 +484,8 @@ func TestIPSMigratesBatchVMUnderPersistentViolation(t *testing.T) {
 		}
 	}
 	rig.Engine.RunUntil(25 * time.Minute)
-	migrated := false
-	for _, a := range ips.Actions() {
-		if a.Kind == "migrate" {
-			migrated = true
-		}
-	}
-	if !migrated {
-		t.Log("actions:", len(ips.Actions()))
+	if reg.Counter("ips.actions.migrate").Value() == 0 {
+		t.Log("counters:", reg.Snapshot().Counters)
 		t.Skip("no migration triggered at this load; escalation path exercised elsewhere")
 	}
 }

@@ -19,19 +19,6 @@ import (
 	"repro/internal/workload"
 )
 
-// IPSAction records one mitigation the Arbiter took, for reporting and
-// the experiment timelines.
-type IPSAction struct {
-	// At is the simulation time of the action.
-	At time.Duration
-	// Kind is "relocate", "throttle", "pause", "resume" or "migrate".
-	Kind string
-	// Service is the SLA-violating application that triggered it.
-	Service string
-	// Target names the affected task or VM.
-	Target string
-}
-
 // IPS is the Interference Prevention System of the Phase II scheduler:
 // an online monitor of interactive applications that, on SLA violation,
 // invokes its Arbiter (Algorithm 3) to relocate, throttle or pause the
@@ -46,7 +33,6 @@ type IPS struct {
 	paused      map[*cluster.VM]string // paused VM -> service that caused it
 	blacklisted map[*mapred.TaskTracker]string
 	backoff     map[*cluster.PM]*blacklistBackoff
-	actions     []IPSAction
 	// Scratch reused by every maybeResume pass, so a tick that resumes
 	// nothing allocates nothing.
 	pausedScratch      []*cluster.VM
@@ -129,17 +115,9 @@ func (p *IPS) Stop() {
 	}
 }
 
-// Actions returns the mitigation log.
-func (p *IPS) Actions() []IPSAction {
-	out := make([]IPSAction, len(p.actions))
-	copy(out, p.actions)
-	return out
-}
-
+// log records one mitigation: it counts ips.actions.<kind>, and traces
+// and audits the action when those sinks are attached.
 func (p *IPS) log(kind, service, target string) {
-	p.actions = append(p.actions, IPSAction{
-		At: p.engine.Now(), Kind: kind, Service: service, Target: target,
-	})
 	p.reg.Counter("ips.actions." + kind).Inc()
 	if p.tracer != nil {
 		p.tracer.Instant("ips", "ips", kind,

@@ -12,8 +12,6 @@ type (
 	// Placer decides, explains and audits the initial placement of a
 	// batch job (Phase I).
 	Placer = policy.Placer
-	// ProfilingPlacer is HybridMR's Phase I scheduler (Algorithm 2).
-	ProfilingPlacer = policy.ProfilingPlacer
 )
 
 // Placements.

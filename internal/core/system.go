@@ -126,9 +126,6 @@ func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *map
 	return s, nil
 }
 
-// Engine returns the simulation engine.
-func (s *System) Engine() *sim.Engine { return s.engine }
-
 // Profiler exposes the Phase I profiler (e.g. for pre-training or
 // accuracy experiments).
 func (s *System) Profiler() *profiler.Profiler { return s.prof }

@@ -37,13 +37,13 @@ func TestCellConstructors(t *testing.T) {
 }
 
 // TestTableNumericAccessors covers the value plumbing the fidelity
-// suite reads: AddCells records numbers, AddRow backfills NaN, and the
-// accessors skip label cells instead of returning garbage zeros.
+// suite reads: AddCells records numbers and backfills NaN for Str
+// cells, and the accessors skip label cells instead of returning garbage zeros.
 func TestTableNumericAccessors(t *testing.T) {
 	tb := &Table{Columns: []string{"bench", "native", "virtual"}}
 	tb.AddCells(Str("Sort"), F1(100), F1(150))
 	tb.AddCells(Str("PiEst"), F1(80), F1(90))
-	tb.AddRow("Grep", "n/a", "n/a") // string-only row: all NaN
+	tb.AddCells(Str("Grep"), Str("n/a"), Str("n/a")) // string-only row: all NaN
 
 	if v, ok := tb.Value("Sort", "virtual"); !ok || v != 150 {
 		t.Errorf("Value(Sort, virtual) = %g, %v; want 150, true", v, ok)
@@ -52,7 +52,7 @@ func TestTableNumericAccessors(t *testing.T) {
 		t.Error("Value on a label cell should report no number")
 	}
 	if _, ok := tb.Value("Grep", "native"); ok {
-		t.Error("Value on an AddRow row should report no number")
+		t.Error("Value on a string-only row should report no number")
 	}
 	if _, ok := tb.Value("missing", "native"); ok {
 		t.Error("Value on a missing row should report no number")

@@ -76,16 +76,6 @@ type Table struct {
 	Vals [][]float64
 }
 
-// AddRow appends a row of label-only cells (no numeric values).
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-	vals := make([]float64, len(cells))
-	for i := range vals {
-		vals[i] = math.NaN()
-	}
-	t.Vals = append(t.Vals, vals)
-}
-
 // AddCells appends a row of cells, keeping each cell's numeric value
 // alongside its formatted text.
 func (t *Table) AddCells(cells ...Cell) {

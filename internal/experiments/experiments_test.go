@@ -22,8 +22,8 @@ func TestTableFormatting(t *testing.T) {
 		Title:   "a title",
 		Columns: []string{"col", "value"},
 	}
-	tbl.AddRow("short", "1")
-	tbl.AddRow("a-much-longer-cell", "2")
+	tbl.AddCells(Str("short"), Str("1"))
+	tbl.AddCells(Str("a-much-longer-cell"), Str("2"))
 	var sb strings.Builder
 	tbl.Fprint(&sb)
 	out := sb.String()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -89,12 +90,20 @@ func Fig9a() (*Outcome, error) {
 			recovered++
 		}
 	}
-	out.Notef("%d/35 minutes above SLA, %d minutes recovered after IPS intervention; %d mitigation actions (paper: violations around min 12-14, then restored)",
-		above, recovered, len(ips.Actions()))
+	// The pool holds only this rig's registry, so its ips.actions.<kind>
+	// counters sum to every mitigation the IPS took.
+	out.Metrics = pool.snapshot()
+	actions := 0.0
+	for name, n := range out.Metrics.Counters {
+		if strings.HasPrefix(name, "ips.actions.") {
+			actions += n
+		}
+	}
+	out.Notef("%d/35 minutes above SLA, %d minutes recovered after IPS intervention; %.0f mitigation actions (paper: violations around min 12-14, then restored)",
+		above, recovered, actions)
 	out.Scalar("minutes_above_sla", float64(above))
 	out.Scalar("minutes_recovered", float64(recovered))
-	out.Scalar("ips_actions", float64(len(ips.Actions())))
-	out.Metrics = pool.snapshot()
+	out.Scalar("ips_actions", actions)
 	return out, nil
 }
 

@@ -135,7 +135,7 @@ func TestParallelDeterminism(t *testing.T) {
 				t.Errorf("%s fired zero events", id)
 			}
 			// The merged metrics snapshot (and any critical-path digests)
-			// must also be worker-count independent: Registry.Merge is
+			// must also be worker-count independent: Registry.MergeAll is
 			// order-independent by construction.
 			if serialSnap != parallelSnap {
 				t.Errorf("%s metrics snapshot differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", id, serialSnap, parallelSnap)

@@ -99,12 +99,6 @@ func (s JobSpec) WithInputMB(mb float64) JobSpec {
 	return s
 }
 
-// WithReduces returns a copy with a different reduce count.
-func (s JobSpec) WithReduces(n int) JobSpec {
-	s.Reduces = n
-	return s
-}
-
 func (s JobSpec) overhead() float64 {
 	if s.TaskOverheadSec > 0 {
 		return s.TaskOverheadSec

@@ -127,9 +127,6 @@ func (r *Recorder) Samples() []Sample {
 // EnergyWh returns the integrated energy in watt-hours.
 func (r *Recorder) EnergyWh() float64 { return r.energyJ / 3600 }
 
-// EnergyJ returns the integrated energy in joules.
-func (r *Recorder) EnergyJ() float64 { return r.energyJ }
-
 // MeanUtil returns the average sampled utilization of a resource.
 func (r *Recorder) MeanUtil(kind resource.Kind) float64 {
 	if len(r.samples) == 0 {
@@ -138,18 +135,6 @@ func (r *Recorder) MeanUtil(kind resource.Kind) float64 {
 	vals := make([]float64, len(r.samples))
 	for i, s := range r.samples {
 		vals[i] = s.Util.Get(kind)
-	}
-	return stats.Mean(vals)
-}
-
-// MeanPowerW returns the average sampled power draw.
-func (r *Recorder) MeanPowerW() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(r.samples))
-	for i, s := range r.samples {
-		vals[i] = s.PowerW
 	}
 	return stats.Mean(vals)
 }
@@ -165,32 +150,6 @@ func (r *Recorder) Series(kind resource.Kind) ([]time.Duration, []float64) {
 	}
 	return ts, us
 }
-
-// JobStats aggregates completion times of a batch of jobs.
-type JobStats struct {
-	// JCTs holds each job's completion time in seconds.
-	JCTs []float64
-}
-
-// Add records one completion time.
-func (j *JobStats) Add(jct time.Duration) { j.JCTs = append(j.JCTs, jct.Seconds()) }
-
-// Mean returns the mean JCT in seconds.
-func (j *JobStats) Mean() float64 { return stats.Mean(j.JCTs) }
-
-// Max returns the largest JCT in seconds.
-func (j *JobStats) Max() float64 {
-	m := 0.0
-	for _, v := range j.JCTs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Count returns the number of recorded jobs.
-func (j *JobStats) Count() int { return len(j.JCTs) }
 
 // PerfPerEnergy is the paper's design metric: work rate per unit energy,
 // computed as jobs-per-second-per-kilowatt-hour scaled for readability.

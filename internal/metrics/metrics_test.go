@@ -28,9 +28,6 @@ func TestRecorderEnergyIdle(t *testing.T) {
 	if got := rec.EnergyWh(); math.Abs(got-150) > 1 {
 		t.Errorf("EnergyWh = %v, want ~150", got)
 	}
-	if got := rec.MeanPowerW(); math.Abs(got-150) > 1 {
-		t.Errorf("MeanPowerW = %v, want ~150", got)
-	}
 }
 
 func TestRecorderBusyEnergyAndUtil(t *testing.T) {
@@ -117,8 +114,8 @@ func TestRecorderHorizonClampsAccounting(t *testing.T) {
 	}
 	// One idle PM at 150 W for 25 s — not 30 s.
 	want := 150.0 * 25
-	if math.Abs(rec.EnergyJ()-want) > 1 {
-		t.Errorf("EnergyJ = %v, want %v (energy must not run past the horizon)", rec.EnergyJ(), want)
+	if math.Abs(rec.energyJ-want) > 1 {
+		t.Errorf("energyJ = %v, want %v (energy must not run past the horizon)", rec.energyJ, want)
 	}
 
 	// Stop after the horizon already closed the books: no extra sample,
@@ -128,8 +125,8 @@ func TestRecorderHorizonClampsAccounting(t *testing.T) {
 	if got := len(rec.Samples()); got != len(samples) {
 		t.Errorf("Stop after horizon added samples: %d -> %d", len(samples), got)
 	}
-	if math.Abs(rec.EnergyJ()-want) > 1 {
-		t.Errorf("Stop after horizon changed energy: %v", rec.EnergyJ())
+	if math.Abs(rec.energyJ-want) > 1 {
+		t.Errorf("Stop after horizon changed energy: %v", rec.energyJ)
 	}
 }
 
@@ -148,24 +145,8 @@ func TestRecorderStopAtTickInstantNoDoubleCount(t *testing.T) {
 			t.Errorf("duplicate sample timestamp %v", samples[i].At)
 		}
 	}
-	if want := 150.0 * 30; math.Abs(rec.EnergyJ()-want) > 1 {
-		t.Errorf("EnergyJ = %v, want %v", rec.EnergyJ(), want)
-	}
-}
-
-func TestJobStats(t *testing.T) {
-	var js JobStats
-	js.Add(100 * time.Second)
-	js.Add(200 * time.Second)
-	js.Add(300 * time.Second)
-	if js.Count() != 3 {
-		t.Errorf("Count = %d", js.Count())
-	}
-	if js.Mean() != 200 {
-		t.Errorf("Mean = %v", js.Mean())
-	}
-	if js.Max() != 300 {
-		t.Errorf("Max = %v", js.Max())
+	if want := 150.0 * 30; math.Abs(rec.energyJ-want) > 1 {
+		t.Errorf("energyJ = %v, want %v", rec.energyJ, want)
 	}
 }
 

@@ -143,13 +143,6 @@ func (c *Counters) EachDelta(prev *Counters, f func(i int, delta int64)) {
 	}
 }
 
-// AddFrom accumulates other into c, fieldwise.
-func (c *Counters) AddFrom(other *Counters) {
-	for _, d := range counterDefs {
-		*d.get(c) += *d.get(other)
-	}
-}
-
 // Map renders the counters as a name→value map (all names present).
 func (c *Counters) Map() map[string]int64 {
 	m := make(map[string]int64, len(counterDefs))
@@ -183,7 +176,7 @@ func (sp *span) child(name string) *span {
 
 // Stats is one run's performance attribution: the counter block plus the
 // span tree. It is single-goroutine, like the simulation stack; runs that
-// execute concurrently each get their own Stats and fold afterwards.
+// execute concurrently each get their own Stats.
 type Stats struct {
 	// C is the cost-counter block; instrumented code adds to its fields
 	// directly (after a nil check on the *Stats).
@@ -200,10 +193,6 @@ func New() *Stats {
 	s.open = s.root
 	return s
 }
-
-// Enabled reports whether the receiver records anything (i.e. is
-// non-nil); instrumented code may branch on it before batch updates.
-func (s *Stats) Enabled() bool { return s != nil }
 
 // Enter opens a wall-time span named name under the currently open span.
 // Every Enter must be paired with an Exit; the warm path (span already
@@ -227,25 +216,6 @@ func (s *Stats) Exit() {
 	sp.count++
 	sp.total += s.now().Sub(sp.started)
 	s.open = sp.parent
-}
-
-// Merge folds another run's Stats into s: counters sum, and span trees
-// union by path (counts and wall times sum). A nil receiver or argument
-// is a no-op.
-func (s *Stats) Merge(other *Stats) {
-	if s == nil || other == nil {
-		return
-	}
-	s.C.AddFrom(&other.C)
-	mergeSpan(s.root, other.root)
-}
-
-func mergeSpan(dst, src *span) {
-	dst.count += src.count
-	dst.total += src.total
-	for name, c := range src.children {
-		mergeSpan(dst.child(name), c)
-	}
 }
 
 // SpanSnapshot is an exported view of one span-tree node. WallSeconds is

@@ -45,24 +45,10 @@ type Options struct {
 	// Seed fixes the scenario; every candidate runs the same seed, zero
 	// included.
 	Seed int64
-	// Jobs is the batch-roster size (default 6).
-	Jobs int
-	// Services is the interactive-application count (default 2).
-	Services int
 	// OnPointDone, when non-nil, is called as each candidate finishes —
 	// a progress hook. Candidates fan across worker goroutines, so the
 	// callback may run concurrently; it must not touch the results.
 	OnPointDone func()
-}
-
-func (o Options) withDefaults() Options {
-	if o.Jobs <= 0 {
-		o.Jobs = 6
-	}
-	if o.Services <= 0 {
-		o.Services = 2
-	}
-	return o
 }
 
 // SmokeGrid is the CI-sized candidate set: the paper default plus one
@@ -220,13 +206,12 @@ type File struct {
 // the audit log attached. The returned log holds the winner's full
 // decision trail (nil when the grid is empty).
 func Run(opts Options) (File, *audit.Log, error) {
-	opts = opts.withDefaults()
 	scen := Scenario{
 		NativePMs:      6,
 		VirtualHostPMs: 6,
 		VMsPerHost:     2,
-		Services:       opts.Services,
-		Jobs:           opts.Jobs,
+		Services:       2,
+		Jobs:           6,
 	}
 	cands, err := experiments.Map(len(opts.Grid), func(i int) (Candidate, error) {
 		c, err := runCandidate(opts.Grid[i], scen, opts.Seed, nil)

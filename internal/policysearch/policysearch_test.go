@@ -24,7 +24,7 @@ func runJSON(t *testing.T, parallelism int) []byte {
 	prev := experiments.Parallelism
 	experiments.Parallelism = parallelism
 	defer func() { experiments.Parallelism = prev }()
-	file, _, err := Run(Options{Grid: testGrid(), Seed: 11, Jobs: 3, Services: 1})
+	file, _, err := Run(Options{Grid: testGrid(), Seed: 11})
 	if err != nil {
 		t.Fatalf("Run(parallelism=%d): %v", parallelism, err)
 	}
@@ -51,7 +51,7 @@ func TestParallelDeterminism(t *testing.T) {
 // and a winner digest referencing a frontier policy with audited
 // decisions.
 func TestRunShape(t *testing.T) {
-	file, log, err := Run(Options{Grid: testGrid(), Seed: 11, Jobs: 3, Services: 1})
+	file, log, err := Run(Options{Grid: testGrid(), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRunShape(t *testing.T) {
 		if rep.Candidates[i].Policy != spec.String() {
 			t.Errorf("candidate %d = %q, want %q (grid order)", i, rep.Candidates[i].Policy, spec.String())
 		}
-		if rep.Candidates[i].Jobs != 3 {
+		if rep.Candidates[i].Jobs != 6 {
 			t.Errorf("candidate %d completed %d jobs", i, rep.Candidates[i].Jobs)
 		}
 		if rep.Candidates[i].EventsFired <= 0 {

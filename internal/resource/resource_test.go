@@ -45,9 +45,6 @@ func TestVectorArithmetic(t *testing.T) {
 	if got := a.Scale(2); got != NewVector(2, 4, 6, 8) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Mul(b); got != NewVector(4, 6, 6, 4) {
-		t.Errorf("Mul = %v", got)
-	}
 	if got := a.Min(b); got != NewVector(1, 2, 2, 1) {
 		t.Errorf("Min = %v", got)
 	}
@@ -68,15 +65,6 @@ func TestVectorDivZeroMeansUnused(t *testing.T) {
 	}
 }
 
-func TestVectorClamp(t *testing.T) {
-	v := NewVector(-1, 5, 100, 2)
-	hi := NewVector(4, 4, 4, 4)
-	got := v.Clamp(hi)
-	if got != NewVector(0, 4, 4, 2) {
-		t.Errorf("Clamp = %v", got)
-	}
-}
-
 func TestVectorPredicates(t *testing.T) {
 	var zero Vector
 	if !zero.IsZero() {
@@ -84,45 +72,6 @@ func TestVectorPredicates(t *testing.T) {
 	}
 	if NewVector(0, 0, 0, 1).IsZero() {
 		t.Error("nonzero vector IsZero() = true")
-	}
-	if !NewVector(-1, 0, 0, 0).AnyNegative() {
-		t.Error("AnyNegative missed a negative")
-	}
-	if NewVector(1, 2, 3, 4).AnyNegative() {
-		t.Error("AnyNegative false positive")
-	}
-	if !NewVector(1, 1, 1, 1).LessEq(NewVector(1, 2, 3, 4)) {
-		t.Error("LessEq = false, want true")
-	}
-	if NewVector(2, 1, 1, 1).LessEq(NewVector(1, 2, 3, 4)) {
-		t.Error("LessEq = true, want false")
-	}
-}
-
-func TestVectorDominant(t *testing.T) {
-	ref := NewVector(2, 4096, 80, 100)
-	tests := []struct {
-		name string
-		v    Vector
-		want Kind
-		ok   bool
-	}{
-		{"cpu-heavy", NewVector(1.9, 100, 1, 1), CPU, true},
-		{"disk-heavy", NewVector(0.1, 100, 79, 1), DiskIO, true},
-		{"net-heavy", NewVector(0.1, 100, 1, 99), NetIO, true},
-		{"memory-heavy", NewVector(0.1, 4000, 1, 1), Memory, true},
-		{"zero", Vector{}, CPU, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, ok := tt.v.Dominant(ref)
-			if ok != tt.ok {
-				t.Fatalf("Dominant ok = %v, want %v", ok, tt.ok)
-			}
-			if ok && got != tt.want {
-				t.Errorf("Dominant = %s, want %s", got, tt.want)
-			}
-		})
 	}
 }
 

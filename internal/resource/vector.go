@@ -97,14 +97,6 @@ func (v Vector) Scale(f float64) Vector {
 	return v
 }
 
-// Mul returns the component-wise product.
-func (v Vector) Mul(o Vector) Vector {
-	for i := range v {
-		v[i] *= o[i]
-	}
-	return v
-}
-
 // Div returns the component-wise quotient; components where o is zero
 // yield zero rather than Inf, because a zero divisor in this codebase
 // always means "dimension unused".
@@ -139,19 +131,6 @@ func (v Vector) Max(o Vector) Vector {
 	return v
 }
 
-// Clamp limits each component to [0, hi_k].
-func (v Vector) Clamp(hi Vector) Vector {
-	for i := range v {
-		if v[i] < 0 {
-			v[i] = 0
-		}
-		if v[i] > hi[i] {
-			v[i] = hi[i]
-		}
-	}
-	return v
-}
-
 // IsZero reports whether every component is zero.
 func (v Vector) IsZero() bool {
 	for i := range v {
@@ -160,47 +139,6 @@ func (v Vector) IsZero() bool {
 		}
 	}
 	return true
-}
-
-// AnyNegative reports whether any component is negative.
-func (v Vector) AnyNegative() bool {
-	for i := range v {
-		if v[i] < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// LessEq reports whether v <= o in every component.
-func (v Vector) LessEq(o Vector) bool {
-	for i := range v {
-		if v[i] > o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Dominant returns the kind with the largest ratio v_k / ref_k, i.e. the
-// resource the vector stresses most relative to the reference capacity.
-// Dimensions with zero reference are skipped. If all ratios are zero the
-// second return is false.
-func (v Vector) Dominant(ref Vector) (Kind, bool) {
-	best, bestRatio := CPU, 0.0
-	found := false
-	for _, k := range Kinds() {
-		r := ref.Get(k)
-		if r <= 0 {
-			continue
-		}
-		ratio := v.Get(k) / r
-		if ratio > bestRatio {
-			best, bestRatio = k, ratio
-			found = true
-		}
-	}
-	return best, found
 }
 
 // String formats the vector with short component names.

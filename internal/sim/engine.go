@@ -451,16 +451,10 @@ func (e *Engine) RunUntil(t time.Duration) {
 // queued.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether Halt was called.
-func (e *Engine) Halted() bool { return e.halted }
-
 // String describes the engine state, for debugging.
 func (e *Engine) String() string {
 	return fmt.Sprintf("sim.Engine{now=%s pending=%d fired=%d}", e.now, e.live, e.fired)
 }
-
-// Seconds converts a virtual duration to float seconds.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
 
 // DurationFromSeconds converts float seconds into a duration, saturating at
 // the maximum representable duration instead of overflowing.

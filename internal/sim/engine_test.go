@@ -140,8 +140,8 @@ func TestEngineHalt(t *testing.T) {
 	if count != 1 {
 		t.Errorf("fired %d events after Halt, want 1", count)
 	}
-	if !e.Halted() {
-		t.Error("Halted() = false")
+	if !e.halted {
+		t.Error("halted = false after Halt")
 	}
 }
 

@@ -203,21 +203,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	actual := []float64{100, 200}
-	pred := []float64{110, 180}
-	want := (0.10 + 0.10) / 2
-	if got := MAPE(actual, pred); math.Abs(got-want) > 1e-9 {
-		t.Errorf("MAPE = %v, want %v", got, want)
-	}
-	if MAPE([]float64{0, 0}, []float64{1, 1}) != 0 {
-		t.Error("all-zero actuals should yield 0")
-	}
-	if MAPE([]float64{1}, []float64{1, 2}) != 0 {
-		t.Error("mismatched lengths should yield 0")
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	got := Normalize([]float64{2, 4, 8})
 	want := []float64{0.25, 0.5, 1}
@@ -229,19 +214,6 @@ func TestNormalize(t *testing.T) {
 	zeros := Normalize([]float64{0, 0})
 	if zeros[0] != 0 || zeros[1] != 0 {
 		t.Errorf("Normalize zeros = %v", zeros)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	tests := []struct{ x, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-	}
-	for _, tt := range tests {
-		if got := Clamp(tt.x, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%v) = %v, want %v", tt.x, got, tt.want)
-		}
 	}
 }
 

@@ -57,27 +57,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MAPE returns the mean absolute percentage error of predictions against
-// actuals, as a fraction (0.108 = 10.8%). Actuals of zero are skipped.
-func MAPE(actual, predicted []float64) float64 {
-	if len(actual) == 0 || len(actual) != len(predicted) {
-		return 0
-	}
-	var sum float64
-	var n int
-	for i := range actual {
-		if actual[i] == 0 {
-			continue
-		}
-		sum += math.Abs(actual[i]-predicted[i]) / math.Abs(actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // AbsPercentErrors returns per-sample absolute percentage errors as
 // fractions, skipping zero actuals.
 func AbsPercentErrors(actual, predicted []float64) []float64 {
@@ -109,15 +88,4 @@ func Normalize(xs []float64) []float64 {
 		out[i] = x / maxAbs
 	}
 	return out
-}
-
-// Clamp restricts x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mapred"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -284,22 +283,13 @@ func resultOf(j *mapred.Job) JobResult {
 	return res
 }
 
-// RunJob submits a job and drives the simulation until it completes.
+// RunJob runs one job through RunJobs and returns its result.
 func (r *Rig) RunJob(spec mapred.JobSpec) (JobResult, error) {
-	job, err := r.JT.Submit(spec, func(*mapred.Job) {
-		if r.OnAllJobsDone != nil {
-			r.OnAllJobsDone()
-		}
-	})
+	res, err := r.RunJobs([]mapred.JobSpec{spec})
 	if err != nil {
 		return JobResult{}, err
 	}
-	r.Engine.Run()
-	r.FlushPerf()
-	if !job.Done() {
-		return JobResult{}, fmt.Errorf("testbed: job %s stalled (deadlock or starvation)", spec.Name)
-	}
-	return resultOf(job), nil
+	return res[0], nil
 }
 
 // FlushPerf writes the engine's occupancy gauges and the cost-counter
@@ -308,17 +298,6 @@ func (r *Rig) RunJob(spec mapred.JobSpec) (JobResult, error) {
 // drivers that pump the engine directly (RunUntil loops) call this
 // before snapshotting.
 func (r *Rig) FlushPerf() { r.Obs.Flush(r.Engine) }
-
-// NewRecorder builds a utilization/power recorder over the rig's cluster
-// at the recorder's default 10 s interval (each sample costs 56 bytes
-// regardless of PM count, so one simulated hour is ~20 KB even at 10k
-// PMs), wired to the rig's telemetry collector when one was configured —
-// each tick then also samples the registered probes (engine depth, task
-// queues) and the cluster gauges. Stop it (typically from
-// OnAllJobsDone) before draining the queue, or give it a horizon.
-func (r *Rig) NewRecorder(horizon time.Duration) *metrics.Recorder {
-	return metrics.NewRecorder(r.Cluster, 0, horizon, &r.Obs)
-}
 
 // RunJobs submits all jobs at once and drives the simulation until every
 // one completes.

@@ -62,28 +62,16 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Merge folds another registry's metrics into r: counters and histogram
+// MergeAll folds a batch of registries into r: counters and histogram
 // buckets sum, and gauges take the maximum — the only order-independent
 // combination for last-value-wins metrics, and the conservative reading
-// for the utilization-style gauges the simulation publishes. One-shot
-// pairwise merges commute exactly, but folding many registries with
-// repeated Merge calls is float-associativity-sensitive; use MergeAll
-// to combine a batch bit-identically regardless of order. A nil
-// receiver or argument is a no-op.
-func (r *Registry) Merge(other *Registry) {
-	if other == nil {
-		return
-	}
-	r.MergeAll([]*Registry{other})
-}
-
-// MergeAll folds a batch of registries into r in a value-deterministic
-// way: every float accumulation (counter totals, histogram sums) adds
-// contributions in sorted numeric order, so the result is bit-identical
-// no matter how the slice is ordered. This is what lets concurrent
-// sweep points record into private registries, hand them over in
-// worker-finish order, and still produce byte-identical snapshots at
-// any worker count. Bucket counts and gauge maxima are intrinsically
+// for the utilization-style gauges the simulation publishes. Every float
+// accumulation (counter totals, histogram sums) adds contributions in
+// sorted numeric order, so the result is bit-identical no matter how
+// the slice is ordered. This is what lets concurrent sweep points
+// record into private registries, hand them over in worker-finish
+// order, and still produce byte-identical snapshots at any worker
+// count. Bucket counts and gauge maxima are intrinsically
 // order-independent. A nil receiver is a no-op; nil entries are skipped.
 func (r *Registry) MergeAll(others []*Registry) {
 	if r == nil {
@@ -202,7 +190,3 @@ func (t *Tracer) Events() []Event {
 // Text returns the string value of an Arg, and whether it is a string
 // argument (built with S).
 func (a Arg) Text() (string, bool) { return a.str, !a.isNum }
-
-// Number returns the numeric value of an Arg, and whether it is a
-// numeric argument (built with F).
-func (a Arg) Number() (float64, bool) { return a.num, a.isNum }

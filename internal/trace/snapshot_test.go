@@ -42,11 +42,9 @@ func TestMergeIsOrderIndependent(t *testing.T) {
 	b := func() *Registry { return build([]float64{10, 20}, 0.9) }
 
 	ab := NewRegistry()
-	ab.Merge(a())
-	ab.Merge(b())
+	ab.MergeAll([]*Registry{a(), b()})
 	ba := NewRegistry()
-	ba.Merge(b())
-	ba.Merge(a())
+	ba.MergeAll([]*Registry{b(), a()})
 
 	sa, _ := json.Marshal(ab.Snapshot())
 	sb, _ := json.Marshal(ba.Snapshot())
@@ -82,8 +80,8 @@ func TestEventsExposesArgs(t *testing.T) {
 	if txt, ok := evs[0].Args[0].Text(); !ok || txt != "boot" {
 		t.Errorf("arg 0 text = %q/%v, want boot/true", txt, ok)
 	}
-	if num, ok := evs[0].Args[1].Number(); !ok || num != 120 {
-		t.Errorf("arg 1 number = %v/%v, want 120/true", num, ok)
+	if arg := evs[0].Args[1]; !arg.isNum || arg.num != 120 {
+		t.Errorf("arg 1 number = %v/%v, want 120/true", arg.num, arg.isNum)
 	}
 	if evs[1].Instant || evs[1].Track != "pm-0" {
 		t.Errorf("event 1 = %+v, want span on pm-0", evs[1])

@@ -14,14 +14,6 @@ type Trace interface {
 	ClientsAt(t time.Duration) int
 }
 
-// ConstantTrace offers a fixed load.
-type ConstantTrace int
-
-var _ Trace = ConstantTrace(0)
-
-// ClientsAt returns the constant.
-func (c ConstantTrace) ClientsAt(time.Duration) int { return int(c) }
-
 // DiurnalTrace models the bursty, over-provisioned interactive load the
 // paper's consolidation argument depends on: a sinusoidal baseline plus
 // seeded random bursts.
@@ -70,33 +62,6 @@ func (d *DiurnalTrace) ClientsAt(t time.Duration) int {
 		return 0
 	}
 	return int(load)
-}
-
-// StepTrace ramps load in fixed steps, as in the Figure 8(d) client
-// sweep.
-type StepTrace struct {
-	// Start is the initial client count.
-	Start int
-	// Step is added every Interval.
-	Step int
-	// Interval is the ramp period.
-	Interval time.Duration
-	// Max caps the load (0 = uncapped).
-	Max int
-}
-
-var _ Trace = (*StepTrace)(nil)
-
-// ClientsAt evaluates the ramp.
-func (s *StepTrace) ClientsAt(t time.Duration) int {
-	if s.Interval <= 0 {
-		return s.Start
-	}
-	n := s.Start + s.Step*int(t/s.Interval)
-	if s.Max > 0 && n > s.Max {
-		return s.Max
-	}
-	return n
 }
 
 // LoadDriver periodically applies a trace to a service.

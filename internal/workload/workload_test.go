@@ -164,31 +164,6 @@ func TestAllServiceSpecs(t *testing.T) {
 	}
 }
 
-func TestConstantAndStepTraces(t *testing.T) {
-	if got := ConstantTrace(700).ClientsAt(time.Hour); got != 700 {
-		t.Errorf("ConstantTrace = %d", got)
-	}
-	st := &StepTrace{Start: 400, Step: 400, Interval: time.Minute, Max: 1500}
-	tests := []struct {
-		at   time.Duration
-		want int
-	}{
-		{0, 400},
-		{time.Minute, 800},
-		{2 * time.Minute, 1200},
-		{10 * time.Minute, 1500}, // capped
-	}
-	for _, tt := range tests {
-		if got := st.ClientsAt(tt.at); got != tt.want {
-			t.Errorf("StepTrace(%v) = %d, want %d", tt.at, got, tt.want)
-		}
-	}
-	zero := &StepTrace{Start: 42}
-	if got := zero.ClientsAt(time.Hour); got != 42 {
-		t.Errorf("zero-interval StepTrace = %d", got)
-	}
-}
-
 func TestDiurnalTraceDeterministicAndBounded(t *testing.T) {
 	tr := &DiurnalTrace{Base: 1000, Amplitude: 500, Seed: 9}
 	for _, at := range []time.Duration{0, time.Minute, 7 * time.Minute, time.Hour} {
@@ -217,9 +192,17 @@ func TestDiurnalTraceDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// ramp is a test trace: start clients plus step more every interval.
+type ramp struct {
+	start, step int
+	every       time.Duration
+}
+
+func (r ramp) ClientsAt(t time.Duration) int { return r.start + r.step*int(t/r.every) }
+
 func TestLoadDriverAppliesTrace(t *testing.T) {
 	engine, _, svc, _ := deployOnVM(t)
-	drv := NewLoadDriver(engine, svc, &StepTrace{Start: 100, Step: 100, Interval: 30 * time.Second}, 30*time.Second)
+	drv := NewLoadDriver(engine, svc, ramp{start: 100, step: 100, every: 30 * time.Second}, 30*time.Second)
 	engine.RunUntil(2 * time.Minute)
 	if got := svc.Clients(); got < 400 {
 		t.Errorf("clients after 2 min = %d, want >= 400", got)

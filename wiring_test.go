@@ -7,6 +7,7 @@ import (
 	"time"
 
 	hybridmr "repro"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -73,7 +74,7 @@ func rigShape(vmsPerPM, nativePMs int, split bool) func(*testing.T, wiringSinks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := rig.NewRecorder(0)
+		rec := metrics.NewRecorder(rig.Cluster, 0, 0, &rig.Obs)
 		return wiredShape{
 			// A hybrid rig runs the job on both partitions.
 			submit: func(spec hybridmr.JobSpec) error {
