@@ -50,6 +50,7 @@ search-full.json            0 bench -sweep policy -grid full -parallel 8 -out $f
 chaos-broken.json           1 bench -sweep chaos -break-recovery -budget 60 -seed 11 -out $f
 chaos-broken.json           1 bench -sweep chaos -break-recovery -budget 60 -seed 11 -out $f -parallel 8
 job-wrap-sample.txt         0 sim -scenario job -benchmark Sort -data-gb 1200 -pms 12 -vms-per-pm 2 -audit $out/job-wrap-audit.jsonl -trace $out/job-wrap-trace.jsonl -trace-format jsonl && sample $out/job-wrap-audit.jsonl $out/job-wrap-trace.jsonl > $f
+job-wrap-audit-digest.txt   0 sim -scenario job -benchmark Sort -data-gb 1200 -pms 12 -vms-per-pm 2 -audit $out/job-wrap-audit-full.jsonl && digest $out/job-wrap-audit-full.jsonl > $f
 job-wrap-chrome-sample.txt  0 sim -scenario job -benchmark Sort -data-gb 1200 -pms 12 -vms-per-pm 2 -trace $out/job-wrap-trace.json -trace-format chrome && sample $out/job-wrap-trace.json > $f
 perfbench-sim.json          0 perfbench sim > $f
 perfbench-cost.json         0 perfbench cost > $f
@@ -70,6 +71,14 @@ sample() {
 		echo "== ${f##*/}"
 		awk '{ last = $0 } NR % 64 == 0 { print NR ": " $0 } END { if (NR % 64) print NR ": " last }' "$f"
 	done
+}
+
+# digest FILE prints the line count and SHA-256 of a whole export under
+# its base name: a golden for an export too long to keep, which pins
+# every line where sample pins one in 64.
+digest() {
+	echo "${1##*/} $(wc -l <"$1") lines"
+	sha256sum <"$1" | cut -d' ' -f1
 }
 
 # benchtables prints fig8a's and ext-stream's tables at scale 0.1
