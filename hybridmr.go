@@ -443,7 +443,7 @@ func NewHybridCluster(spec ClusterSpec) (*HybridCluster, error) {
 		cfg.DisableDRM = true
 		cfg.DisableIPS = true
 	}
-	hc.System, err = core.NewSystem(hc.engine, hc.Cluster, hc.NativeJT, hc.VirtualJT, cfg, &hc.obs)
+	hc.System, err = core.NewSystem(hc.Cluster, hc.NativeJT, hc.VirtualJT, cfg, &hc.obs)
 	if err != nil {
 		return nil, err
 	}

@@ -10,22 +10,32 @@
 // simulation: a run with auditing enabled is byte-identical to one
 // without.
 //
-// The log is a ring buffer: once capacity is reached the oldest
-// records are dropped (Dropped reports how many) so long simulations
-// cannot grow without bound. The ring's slots live in fixed chunks,
-// each allocated as the ring first reaches it and never regrown. Add
-// copies a record's candidates into its slot's own reusable buffer, so
-// callers may reuse their candidate slices and a wrapped ring allocates
-// nothing per record; Records and Last deep-copy what they return.
-// Records export as JSONL with a fixed field order, making same-seed
-// exports byte-identical.
+// The log is a ring bounded by record count: once capacity is reached
+// the oldest records are dropped (Dropped reports how many) so long
+// simulations cannot grow without bound. Add encodes each record into
+// a byte stream cut into fixed chunks, which hold no pointers, so the
+// garbage collector never scans them, and which a record may straddle,
+// so they are filled to the last byte whatever the records' sizes.
+// Subsystems, actions and candidate notes, a vocabulary of call-site
+// constants, are ids in a per-log intern table; everything else stays
+// inline. Add copies every string it is given, so callers may reuse
+// their candidate slices and pass views of their own buffers, and a
+// wrapped ring recycles its drained chunks and allocates nothing per
+// record. Records, Last and Filter return deep copies. Records export
+// as JSONL with a fixed field order, making same-seed exports
+// byte-identical.
 package audit
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/jsonenc"
 )
@@ -63,21 +73,52 @@ type Record struct {
 	Candidates []Candidate   // options weighed, if any
 }
 
-// chunkLen is the number of ring slots in one chunk.
-const chunkLen = 1024
+// Each record is one stretch of the log's byte stream. Every integer
+// is a uvarint (encoding/binary) and every string a uvarint length and
+// its bytes:
+//
+//	size | at | subsystem | action | subject | decision | reason | ncands | candidates
+//
+// size is the length of the rest of the record and at is nanoseconds
+// of simulated time. subsystem and action are ids in the log's intern
+// table. Each candidate is
+//
+//	name | score, 8 IEEE 754 little-endian bytes | note<<1 | chosen
+//
+// where note is the id of the candidate's note. Seq is not stored: the
+// retained records are numbered consecutively up to the log's count.
+const (
+	maxVarint = binary.MaxVarintLen64
+	chosenBit = 1
+)
+
+// chunkSize is the byte capacity of every chunk of the log.
+const chunkSize = 16 << 10
 
 // Log is a bounded, deterministic decision log. It is not safe for
-// concurrent use; like the rest of the simulation it belongs to a
-// single engine goroutine.
+// concurrent use, reads included; like the rest of the simulation it
+// belongs to a single engine goroutine.
 type Log struct {
 	clock Clock
 	cap   int
 	seq   uint64
-	// chunks hold the ring's slots, slot i at
-	// chunks[i/chunkLen][i%chunkLen]. Record seq lives in slot
-	// (seq-1)%cap. A slot's Candidates is its own buffer, reused by
-	// every record that occupies the slot.
-	chunks [][]Record
+	// chunks is the encoded ring: a byte stream cut into chunkSize
+	// pieces, chunks[0][0] at stream offset base. The retained records
+	// lie in [head, tail) and the newest starts at last. Dropping the
+	// oldest record advances head, and a chunk it leaves behind becomes
+	// spare, which the tail takes before allocating a chunk. spare is
+	// kept only while the ring's slack (the consumed bytes of the first
+	// chunk and the unwritten ones of the last) is at most a chunk, so
+	// the chunks never hold more than the live bytes plus two chunks.
+	chunks                 [][]byte
+	base, head, last, tail uint64
+	spare                  []byte
+	// syms interns subsystems, actions and candidate notes.
+	syms jsonenc.Symbols
+	// enc holds the record Add is encoding and span a record that a
+	// reader gathers from across chunks.
+	enc  []byte
+	span []byte
 }
 
 // New returns a Log holding at most capacity records (DefaultCap if
@@ -98,39 +139,119 @@ func (l *Log) SetClock(c Clock) {
 	l.clock = c
 }
 
-// Add appends one decision record. The candidates are copied into the
-// log, so the caller may reuse or modify its slice afterwards; callers
-// should order them deterministically (e.g. by score, ties by name)
-// since record bytes feed byte-compared exports.
+// Add appends one decision record. Every string and candidate is
+// copied into the log, so the caller may reuse or modify its slice and
+// buffers afterwards; callers should order candidates
+// deterministically (e.g. by score, ties by name) since record bytes
+// feed byte-compared exports. Subsystem, action and the candidates'
+// notes are interned and must come from a small fixed vocabulary.
 func (l *Log) Add(subsystem, action, subject, decision, reason string, candidates ...Candidate) {
 	if l == nil {
 		return
 	}
-	i := int(l.seq % uint64(l.cap))
-	if i/chunkLen == len(l.chunks) { // only while the ring first fills
-		l.chunks = append(l.chunks, make([]Record, min(chunkLen, l.cap-i)))
-	}
-	l.seq++
-	r := l.slot(i)
-	old := r.Candidates
-	*r = Record{
-		Seq:        l.seq,
-		Subsystem:  subsystem,
-		Action:     action,
-		Subject:    subject,
-		Decision:   decision,
-		Reason:     reason,
-		Candidates: append(old[:0], candidates...),
-	}
-	if n := len(candidates); n < len(old) {
-		clear(old[n:]) // drop the previous occupant's strings
-	}
+	var at time.Duration
 	if l.clock != nil {
-		r.At = l.clock.Now()
+		at = l.clock.Now()
+	}
+	b := append(l.enc[:0], make([]byte, maxVarint)...) // room for the size
+	b = binary.AppendUvarint(b, uint64(at))
+	b = binary.AppendUvarint(b, uint64(l.syms.Intern(subsystem)))
+	b = binary.AppendUvarint(b, uint64(l.syms.Intern(action)))
+	b = appendString(b, subject)
+	b = appendString(b, decision)
+	b = appendString(b, reason)
+	b = binary.AppendUvarint(b, uint64(len(candidates)))
+	var note string // a record's candidates mostly share one note
+	var noteID uint32
+	for i := range candidates {
+		c := &candidates[i]
+		b = appendString(b, c.Name)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Score))
+		if i == 0 || c.Note != note {
+			note, noteID = c.Note, l.syms.Intern(c.Note)
+		}
+		tag := uint64(noteID) << 1
+		if c.Chosen {
+			tag |= chosenBit
+		}
+		b = binary.AppendUvarint(b, tag)
+	}
+	var size [maxVarint]byte
+	n := binary.PutUvarint(size[:], uint64(len(b)-maxVarint))
+	copy(b[maxVarint-n:], size[:n])
+	l.enc = b
+
+	l.seq++
+	if l.seq > uint64(l.cap) {
+		l.dropOldest()
+	}
+	l.last = l.tail
+	l.write(b[maxVarint-n:])
+	if l.spare != nil && l.slack() > chunkSize {
+		l.spare = nil
 	}
 }
 
-func (l *Log) slot(i int) *Record { return &l.chunks[i/chunkLen][i%chunkLen] }
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// dropOldest advances head past the oldest record, releasing every
+// chunk it leaves behind.
+func (l *Log) dropOldest() {
+	size, p := l.uvarintAt(l.head)
+	l.head = p + size
+	for l.head-l.base >= chunkSize {
+		l.spare = l.chunks[0]
+		n := copy(l.chunks, l.chunks[1:])
+		l.chunks[n] = nil
+		l.chunks = l.chunks[:n]
+		l.base += chunkSize
+	}
+}
+
+// write appends p to the stream, starting chunks as the tail needs
+// them.
+func (l *Log) write(p []byte) {
+	for len(p) > 0 {
+		k, off := l.locate(l.tail)
+		if k == len(l.chunks) {
+			c := l.spare
+			if c == nil {
+				c = make([]byte, chunkSize)
+			}
+			l.spare = nil
+			l.chunks = append(l.chunks, c)
+		}
+		n := copy(l.chunks[k][off:], p)
+		p = p[n:]
+		l.tail += uint64(n)
+	}
+}
+
+// slack is the number of chunk bytes outside [head, tail).
+func (l *Log) slack() uint64 {
+	return uint64(len(l.chunks))*chunkSize - (l.tail - l.head)
+}
+
+// locate returns the chunk and offset of stream offset p.
+func (l *Log) locate(p uint64) (k, off int) {
+	return int((p - l.base) / chunkSize), int((p - l.base) % chunkSize)
+}
+
+// uvarintAt decodes the uvarint at stream offset p, which may straddle
+// chunks, and returns it and the offset after it.
+func (l *Log) uvarintAt(p uint64) (v, next uint64) {
+	for shift := 0; ; shift += 7 {
+		k, off := l.locate(p)
+		b := l.chunks[k][off]
+		p++
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v, p
+		}
+	}
+}
 
 // Len reports how many records are currently retained.
 func (l *Log) Len() int {
@@ -148,23 +269,122 @@ func (l *Log) Dropped() uint64 {
 	return l.seq - uint64(l.Len())
 }
 
-// each calls fn on the retained records in place, oldest first. The
-// first error stops the walk and is returned.
-func (l *Log) each(fn func(r *Record) error) error {
-	start := 0
-	if l.seq > uint64(l.cap) {
-		start = int(l.seq % uint64(l.cap))
-	}
-	for k, n := 0, l.Len(); k < n; k++ {
-		i := start + k
-		if i >= l.cap {
-			i -= l.cap
+// entry is one decoded record. It is a view: its strings alias the
+// log's bytes (or span), and its candidates live in a buffer the
+// decoder reuses for the next record.
+type entry struct {
+	seq                       uint64
+	at                        time.Duration
+	subsystem, action         *jsonenc.Symbol
+	subject, decision, reason string
+	cands                     []cand
+}
+
+type cand struct {
+	name   string
+	score  float64
+	note   *jsonenc.Symbol
+	chosen bool
+}
+
+// decode fills e from the record at stream offset p, decoding its
+// candidates into e.cands[:0], and returns the offset after it. A
+// record within one chunk is decoded in place; one that straddles
+// chunks is first gathered into span.
+func (l *Log) decode(p uint64, e *entry) uint64 {
+	size, p := l.uvarintAt(p)
+	next := p + size
+	k, off := l.locate(p)
+	rec := l.chunks[k][off:min(off+int(size), chunkSize)]
+	if len(rec) < int(size) {
+		rec = l.span[:0]
+		for q := p; q < next; {
+			k, off := l.locate(q)
+			piece := l.chunks[k][off:min(off+int(next-q), chunkSize)]
+			rec = append(rec, piece...)
+			q += uint64(len(piece))
 		}
-		if err := fn(l.slot(i)); err != nil {
+		l.span = rec
+	}
+	v, o := uvarint(rec, 0)
+	e.at = time.Duration(v)
+	v, o = uvarint(rec, o)
+	e.subsystem = l.syms.At(uint32(v))
+	v, o = uvarint(rec, o)
+	e.action = l.syms.At(uint32(v))
+	e.subject, o = view(rec, o)
+	e.decision, o = view(rec, o)
+	e.reason, o = view(rec, o)
+	v, o = uvarint(rec, o)
+	n := int(v)
+	e.cands = slices.Grow(e.cands[:0], n)[:n]
+	for i := range e.cands {
+		c := &e.cands[i]
+		c.name, o = view(rec, o)
+		c.score = math.Float64frombits(binary.LittleEndian.Uint64(rec[o:]))
+		v, o = uvarint(rec, o+8)
+		c.note, c.chosen = l.syms.At(uint32(v>>1)), v&chosenBit != 0
+	}
+	return next
+}
+
+// uvarint decodes the uvarint at b[off:] and returns it and the offset
+// after it. The one-byte case, almost every uvarint in the log, is
+// decoded inline.
+func uvarint(b []byte, off int) (uint64, int) {
+	if v := b[off]; v < 0x80 {
+		return uint64(v), off + 1
+	}
+	v, n := binary.Uvarint(b[off:])
+	return v, off + n
+}
+
+// view decodes the string at rec[off:] without copying it and returns
+// it and the offset after it.
+func view(rec []byte, off int) (string, int) {
+	v, off := uvarint(rec, off)
+	n := int(v)
+	if n == 0 {
+		return "", off
+	}
+	return unsafe.String(&rec[off], n), off + n
+}
+
+// each calls fn on the retained records, oldest first, decoded into
+// one reused entry. The first error stops the walk and is returned.
+func (l *Log) each(fn func(e *entry) error) error {
+	var e entry
+	e.seq = l.seq - uint64(l.Len())
+	for p := l.head; p < l.tail; {
+		e.seq++
+		p = l.decode(p, &e)
+		if err := fn(&e); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// record returns a deep copy of e. Interned strings are the table's
+// own and never change; the others alias recycled bytes, so they are
+// cloned.
+func (e *entry) record() Record {
+	r := Record{
+		Seq:       e.seq,
+		At:        e.at,
+		Subsystem: e.subsystem.Str,
+		Action:    e.action.Str,
+		Subject:   strings.Clone(e.subject),
+		Decision:  strings.Clone(e.decision),
+		Reason:    strings.Clone(e.reason),
+	}
+	if len(e.cands) > 0 {
+		r.Candidates = make([]Candidate, len(e.cands))
+		for i, c := range e.cands {
+			r.Candidates[i] = Candidate{Name: strings.Clone(c.name), Score: c.score, Chosen: c.chosen, Note: c.note.Str}
+		}
+	}
+	return r
 }
 
 // Records returns deep copies of the retained records, oldest first:
@@ -174,12 +394,9 @@ func (l *Log) Records() []Record {
 	if l.Len() == 0 {
 		return nil
 	}
-	total := 0
-	_ = l.each(func(r *Record) error { total += len(r.Candidates); return nil })
 	out := make([]Record, 0, l.Len())
-	cands := make([]Candidate, 0, total)
-	_ = l.each(func(r *Record) error {
-		out = append(out, copyRecord(r, &cands))
+	_ = l.each(func(e *entry) error {
+		out = append(out, e.record())
 		return nil
 	})
 	return out
@@ -191,22 +408,9 @@ func (l *Log) Last() (Record, bool) {
 	if l.Len() == 0 {
 		return Record{}, false
 	}
-	r := l.slot(int((l.seq - 1) % uint64(l.cap)))
-	cands := make([]Candidate, 0, len(r.Candidates))
-	return copyRecord(r, &cands), true
-}
-
-// copyRecord returns a copy of r whose candidates are appended to
-// *cands, which must have room for them so earlier copies stay intact.
-func copyRecord(r *Record, cands *[]Candidate) Record {
-	c := *r
-	c.Candidates = nil
-	if len(r.Candidates) > 0 {
-		lo := len(*cands)
-		*cands = append(*cands, r.Candidates...)
-		c.Candidates = (*cands)[lo:len(*cands):len(*cands)]
-	}
-	return c
+	e := entry{seq: l.seq}
+	l.decode(l.last, &e)
+	return e.record(), true
 }
 
 // Filter returns deep copies of the retained records matching pred,
@@ -239,9 +443,9 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	var buf []byte
-	err := l.each(func(r *Record) error {
+	err := l.each(func(e *entry) error {
 		var err error
-		if buf, err = appendRecord(buf[:0], r); err != nil {
+		if buf, err = appendRecord(buf[:0], e); err != nil {
 			_ = bw.Flush() // still deliver the records before this one
 			return err
 		}
@@ -255,42 +459,43 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 }
 
 // appendRecord appends one record's JSONL line.
-func appendRecord(b []byte, r *Record) ([]byte, error) {
+func appendRecord(b []byte, e *entry) ([]byte, error) {
 	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, r.Seq, 10)
+	b = strconv.AppendUint(b, e.seq, 10)
 	b = append(b, `,"ts_us":`...)
-	b = strconv.AppendInt(b, r.At.Microseconds(), 10)
+	b = strconv.AppendInt(b, e.at.Microseconds(), 10)
 	b = append(b, `,"subsystem":`...)
-	b = jsonenc.AppendString(b, r.Subsystem)
+	b = append(b, e.subsystem.JSON...)
 	b = append(b, `,"action":`...)
-	b = jsonenc.AppendString(b, r.Action)
+	b = append(b, e.action.JSON...)
 	b = append(b, `,"subject":`...)
-	b = jsonenc.AppendString(b, r.Subject)
+	b = jsonenc.AppendString(b, e.subject)
 	b = append(b, `,"decision":`...)
-	b = jsonenc.AppendString(b, r.Decision)
-	if r.Reason != "" {
+	b = jsonenc.AppendString(b, e.decision)
+	if e.reason != "" {
 		b = append(b, `,"reason":`...)
-		b = jsonenc.AppendString(b, r.Reason)
+		b = jsonenc.AppendString(b, e.reason)
 	}
-	if len(r.Candidates) > 0 {
+	if len(e.cands) > 0 {
 		b = append(b, `,"candidates":[`...)
-		for i, c := range r.Candidates {
+		for i := range e.cands {
+			c := &e.cands[i]
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = append(b, `{"name":`...)
-			b = jsonenc.AppendString(b, c.Name)
+			b = jsonenc.AppendString(b, c.name)
 			b = append(b, `,"score":`...)
 			var err error
-			if b, err = jsonenc.AppendFloat(b, c.Score); err != nil {
+			if b, err = jsonenc.AppendFloat(b, c.score); err != nil {
 				return b, err
 			}
-			if c.Chosen {
+			if c.chosen {
 				b = append(b, `,"chosen":true`...)
 			}
-			if c.Note != "" {
+			if c.note.Str != "" {
 				b = append(b, `,"note":`...)
-				b = jsonenc.AppendString(b, c.Note)
+				b = append(b, c.note.JSON...)
 			}
 			b = append(b, '}')
 		}

@@ -174,8 +174,8 @@ func TestCandidatesAreCopiedInAndOut(t *testing.T) {
 }
 
 // TestWrappedAddDoesNotAllocate pins the recycling ring: once wrapped,
-// Add copies the candidates into the slot's own buffer and allocates
-// nothing.
+// Add encodes the record into chunks the dropped records left behind
+// and allocates nothing.
 func TestWrappedAddDoesNotAllocate(t *testing.T) {
 	l := New(64)
 	l.SetClock(&fakeClock{})

@@ -200,7 +200,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	for _, pm := range nativePMs {
 		nativeJT.AddTracker(pm)
 	}
-	sys, err := NewSystem(rig.Engine, rig.Cluster, nativeJT, rig.JT, Config{TrainingSeed: 21}, nil)
+	sys, err := NewSystem(rig.Cluster, nativeJT, rig.JT, Config{TrainingSeed: 21}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSystemEndToEnd(t *testing.T) {
 
 func TestSystemRequiresAPartition(t *testing.T) {
 	rig := virtualRig(t, 2)
-	if _, err := NewSystem(rig.Engine, rig.Cluster, nil, nil, Config{}, nil); err == nil {
+	if _, err := NewSystem(rig.Cluster, nil, nil, Config{}, nil); err == nil {
 		t.Error("NewSystem with no partitions succeeded")
 	}
 }
@@ -237,7 +237,7 @@ func TestSystemFallsBackWhenPartitionMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(rig.Engine, rig.Cluster, nil, rig.JT, Config{Policies: set, TrainingSeed: 5}, nil)
+	sys, err := NewSystem(rig.Cluster, nil, rig.JT, Config{Policies: set, TrainingSeed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

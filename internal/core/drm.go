@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
@@ -68,7 +69,8 @@ type DRM struct {
 
 	// Scratch reused by every node of every epoch, so a steady-state
 	// tick allocates nothing. cands and text build cap-grant audit
-	// records; the audit log copies the candidates it is given.
+	// records; the audit log copies the candidates and strings it is
+	// given.
 	deficits []rateDeficit
 	ordered  []*mapred.Attempt
 	cands    []audit.Candidate
@@ -254,8 +256,9 @@ func (d *DRM) balanceRate(node cluster.Node, attempts []*mapred.Attempt, kind re
 
 // capGrantText formats a cap-grant record's subject, decision and
 // reason as fmt's "%s/%s", "raised %d of %d deficit cap(s)" and "%.3g %s
-// headroom, most beneficial first" would, in one string the three
-// share.
+// headroom, most beneficial first" would. The three are views of
+// d.text, valid until the next call: the audit log copies what it is
+// given, so a cap grant allocates nothing.
 func (d *DRM) capGrantText(node string, kind resource.Kind, granted, deficits int, headroom float64) (subject, decision, reason string) {
 	b := append(append(append(d.text[:0], node...), '/'), kind.String()...)
 	i := len(b)
@@ -266,7 +269,7 @@ func (d *DRM) capGrantText(node string, kind resource.Kind, granted, deficits in
 	b = strconv.AppendFloat(b, headroom, 'g', 3, 64)
 	b = append(append(append(b, ' '), kind.String()...), " headroom, most beneficial first"...)
 	d.text = b
-	s := string(b)
+	s := unsafe.String(unsafe.SliceData(b), len(b))
 	return s[:i], s[i:j], s[j:]
 }
 

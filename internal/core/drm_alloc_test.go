@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/mapred"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -66,8 +68,9 @@ func TestDRMSortsMatchSortSlice(t *testing.T) {
 }
 
 // drmTickRig returns a DRM over a virtual cluster part-way through a
-// Sort job, warmed until its caps have settled.
-func drmTickRig(tb testing.TB, pms int) *DRM {
+// Sort job, recording into sinks (nil records nothing), warmed until
+// its caps have settled.
+func drmTickRig(tb testing.TB, pms int, sinks *obs.Sinks) *DRM {
 	tb.Helper()
 	rig, err := testbed.New(testbed.Options{
 		PMs:          pms,
@@ -78,7 +81,7 @@ func drmTickRig(tb testing.TB, pms int) *DRM {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	drm := NewDRM(rig.JT, AllModes(), nil, nil)
+	drm := NewDRM(rig.JT, AllModes(), nil, sinks)
 	if _, err := rig.JT.Submit(workload.Sort().WithInputMB(float64(512*pms)), nil); err != nil {
 		tb.Fatal(err)
 	}
@@ -92,13 +95,39 @@ func drmTickRig(tb testing.TB, pms int) *DRM {
 	return drm
 }
 
-// TestDRMTickZeroAlloc pins a steady-state epoch with auditing off:
-// the balancers reuse the DRM's scratch, and cap changes reuse the
-// engine's event freelist.
+// TestDRMTickZeroAlloc pins a steady-state epoch, with auditing off
+// and into a wrapped audit log: the balancers reuse the DRM's scratch,
+// cap changes reuse the engine's event freelist, and a cap-grant
+// record's text and candidates are copied out of the DRM's buffers
+// into the log's recycled chunks.
 func TestDRMTickZeroAlloc(t *testing.T) {
-	drm := drmTickRig(t, 4)
+	drm := drmTickRig(t, 4, nil)
 	if allocs := testing.AllocsPerRun(100, drm.tick); allocs != 0 {
 		t.Fatalf("DRM tick allocates %.1f times, want 0", allocs)
+	}
+
+	// Settled caps grant nothing, so each audited tick follows a
+	// squeeze of one attempt's CPU cap, which the tick grants back.
+	log := audit.New(16)
+	drm = drmTickRig(t, 4, &obs.Sinks{Audit: log})
+	c := drm.jt.RunningAttempts()[0].Consumer()
+	squeezeAndTick := func() {
+		c.SetCap(c.Cap.Set(resource.CPU, c.Demand.Get(resource.CPU)/2))
+		drm.tick()
+	}
+	for i := 0; i < 2*16; i++ {
+		squeezeAndTick()
+	}
+	if log.Dropped() == 0 {
+		t.Fatalf("audit log holds %d records and has not wrapped", log.Len())
+	}
+	before := log.Dropped()
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, squeezeAndTick); allocs != 0 {
+		t.Fatalf("audited DRM tick allocates %.1f times, want 0", allocs)
+	}
+	if got := log.Dropped() - before; got < runs {
+		t.Fatalf("%d audited ticks recorded %d cap grants, want one each at least", runs, got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/perfstat"
 	"repro/internal/policy"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -50,8 +49,6 @@ type Config struct {
 // native MapReduce partition, a virtual partition shared with interactive
 // services, the Phase I placer, and the Phase II DRM and IPS.
 type System struct {
-	engine *sim.Engine
-
 	// NativeJT and VirtualJT are the two MapReduce partitions; either
 	// (but not both) may be nil.
 	NativeJT  *mapred.JobTracker
@@ -83,13 +80,12 @@ type System struct {
 // controller is counted and timed. The Phase I training rigs (the nested
 // simulations SimRunner spins up) record into no sink; their events
 // still count in sim.ProcessEvents. A nil handle records nothing.
-func NewSystem(engine *sim.Engine, cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config, sinks *obs.Sinks) (*System, error) {
+func NewSystem(cl *cluster.Cluster, nativeJT, virtualJT *mapred.JobTracker, cfg Config, sinks *obs.Sinks) (*System, error) {
 	if nativeJT == nil && virtualJT == nil {
 		return nil, fmt.Errorf("core: NewSystem: need at least one partition")
 	}
 	o := obs.Of(sinks)
 	s := &System{
-		engine:      engine,
 		NativeJT:    nativeJT,
 		VirtualJT:   virtualJT,
 		tracer:      o.Tracer,

@@ -92,7 +92,7 @@ func runFig11Config(cfg fig11Config, pool *metricsPool) (fig11Run, error) {
 			nativeJT.AddTracker(pm)
 		}
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, &rig.Obs)
+	sys, err := core.NewSystem(rig.Cluster, nativeJT, virtualJT, core.Config{TrainingSeed: 1117}, &rig.Obs)
 	if err != nil {
 		return fig11Run{}, err
 	}

@@ -201,7 +201,7 @@ func runCrossPlatform(design string, pool *metricsPool) (*crossPlatformResult, e
 	case "Virtual":
 		cfg.Policies = mustResolve(policy.Spec{Phase1: "static-virtual"})
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, nativeJT, virtualJT, cfg, &rig.Obs)
+	sys, err := core.NewSystem(rig.Cluster, nativeJT, virtualJT, cfg, &rig.Obs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,9 @@
 // and audit exporters write their fixed-schema records with them, so
 // exporting needs no reflection, no intermediate maps and no per-value
 // allocation, while every export stays byte-identical to the
-// encoding/json output it replaced. Artifact is the one layout every
-// JSON report file uses.
+// encoding/json output it replaced. Symbols is the intern table the
+// trace and audit stores share, holding each interned string's
+// encoding. Artifact is the one layout every JSON report file uses.
 package jsonenc
 
 import (

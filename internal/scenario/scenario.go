@@ -111,7 +111,7 @@ func Run(spec Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	sys, err := core.NewSystem(rig.Engine, rig.Cluster, rig.NativeJT, rig.JT, spec.System, &rig.Obs)
+	sys, err := core.NewSystem(rig.Cluster, rig.NativeJT, rig.JT, spec.System, &rig.Obs)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -76,9 +76,9 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			buf = strconv.AppendInt(buf, dur, 10)
 		}
 		buf = append(buf, `,"track":`...)
-		buf = append(buf, t.syms[ev.track].json...)
+		buf = append(buf, t.syms.At(ev.track).JSON...)
 		buf = append(buf, `,"cat":`...)
-		buf = append(buf, t.syms[ev.cat].json...)
+		buf = append(buf, t.syms.At(ev.cat).JSON...)
 		buf = append(buf, `,"name":`...)
 		buf = jsonenc.AppendString(buf, ev.name)
 		if len(ev.args) > 0 {
@@ -112,7 +112,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 	// Thread IDs, indexed by track id, in order of first appearance
 	// in the walk: log records first, then open spans.
-	tids := make([]int32, len(t.syms))
+	tids := make([]int32, t.syms.Len())
 	var tracks []uint32
 	t.eachTrack(func(track uint32) {
 		if tids[track] == 0 {
@@ -137,7 +137,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		buf = append(buf, `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":`...)
 		buf = append(buf, tid...)
 		buf = append(buf, `,"args":{"name":`...)
-		buf = append(buf, t.syms[track].json...)
+		buf = append(buf, t.syms.At(track).JSON...)
 		buf = append(buf, "}},\n"...)
 		buf = append(buf, `{"name":"thread_sort_index","ph":"M","ts":0,"pid":1,"tid":`...)
 		buf = append(buf, tid...)
@@ -152,9 +152,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		var err error
 		buf = append(buf[:0], ",\n{\"name\":"...)
 		buf = jsonenc.AppendString(buf, ev.name)
-		if cat := t.syms[ev.cat]; cat.str != "" {
+		if cat := t.syms.At(ev.cat); cat.Str != "" {
 			buf = append(buf, `,"cat":`...)
-			buf = append(buf, cat.json...)
+			buf = append(buf, cat.JSON...)
 		}
 		if ev.phase == 'X' {
 			buf = append(buf, `,"ph":"X","ts":`...)

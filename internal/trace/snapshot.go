@@ -177,8 +177,8 @@ func (t *Tracer) Events() []Event {
 			Instant:  ev.phase == 'i',
 			Start:    ev.start,
 			Duration: ev.dur,
-			Track:    t.syms[ev.track].str,
-			Category: t.syms[ev.cat].str,
+			Track:    t.syms.At(ev.track).Str,
+			Category: t.syms.At(ev.cat).Str,
 			Name:     ev.name,
 			Args:     evArgs,
 		})

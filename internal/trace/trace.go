@@ -41,7 +41,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"strings"
 	"time"
 	"unsafe"
 
@@ -69,13 +68,6 @@ func S(key, value string) Arg { return Arg{Key: key, str: value} }
 
 // F builds a numeric argument.
 func F(key string, value float64) Arg { return Arg{Key: key, num: value, isNum: true} }
-
-// symbol is one interned string and its JSON encoding, which the
-// exporters copy instead of escaping the string again.
-type symbol struct {
-	str  string
-	json string
-}
 
 // event is one decoded trace entry. Decoded from the log, it is a view:
 // its name and string arg values alias the log's bytes, and its args
@@ -167,24 +159,17 @@ type Tracer struct {
 	// never rewritten, so decoded strings may alias them.
 	chunks [][]byte
 	n      int
-	// ids and syms are the intern table: syms[id] is the string with
-	// that id, ids in first-seen order, and ids maps each string back.
-	// Both hold the table's own copies of the strings.
-	ids  map[string]uint32
-	syms []symbol
-	// hints caches ids by string address: callers pass the same few
-	// literals and stored names on every call, and a hit, confirmed by
-	// comparing the strings, costs less than the map lookup.
-	hints [hintSlots]hint
-	open  []openSpan
-	free  []int
+	// syms interns tracks, categories and arg keys.
+	syms jsonenc.Symbols
+	open []openSpan
+	free []int
 }
 
 // New returns an empty tracer. The clock may be nil initially (events
 // stamp at zero) and bound later with SetClock — deployment helpers
 // create the engine after the user creates the tracer.
 func New(clock Clock) *Tracer {
-	return &Tracer{clock: clock, ids: make(map[string]uint32)}
+	return &Tracer{clock: clock}
 }
 
 // SetClock binds (or re-binds) the simulated time source.
@@ -200,41 +185,6 @@ func (t *Tracer) now() time.Duration {
 		return 0
 	}
 	return t.clock.Now()
-}
-
-// hint is a cached intern result: the address of the bytes of a
-// string that had the id. An address alone proves nothing (the bytes
-// may since have been freed and reused), so intern compares the strings
-// before trusting a hit.
-type hint struct {
-	addr uintptr
-	id   uint32
-}
-
-// hintBits sets the size of the hint cache. With 128 slots, 97% of the
-// lookups of perfbench's faults workload (818 tracks) hit.
-const (
-	hintBits  = 7
-	hintSlots = 1 << hintBits
-)
-
-// intern returns the id of s in the intern table, adding a copy of s
-// on its first sight.
-func (t *Tracer) intern(s string) uint32 {
-	addr := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-	h := &t.hints[(addr*0x9e3779b97f4a7c15)>>(64-hintBits)]
-	if addr != 0 && h.addr == addr && t.syms[h.id].str == s {
-		return h.id
-	}
-	id, ok := t.ids[s]
-	if !ok {
-		id = uint32(len(t.syms))
-		s := strings.Clone(s)
-		t.ids[s] = id
-		t.syms = append(t.syms, symbol{str: s, json: string(jsonenc.AppendString(nil, s))})
-	}
-	h.addr, h.id = addr, id
-	return id
 }
 
 // record appends one completed event to the log, its args a followed
@@ -289,7 +239,7 @@ func argsBound(args []Arg) int {
 
 // appendArg appends one encoded arg, interning its key.
 func (t *Tracer) appendArg(c []byte, a *Arg) []byte {
-	tag := uint64(t.intern(a.Key)) << 1
+	tag := uint64(t.syms.Intern(a.Key)) << 1
 	if a.isNum {
 		c = binary.AppendUvarint(c, tag|argNum)
 		return binary.LittleEndian.AppendUint64(c, math.Float64bits(a.num))
@@ -330,8 +280,8 @@ func (t *Tracer) decode(rec []byte, ev *event) {
 	for i := range ev.args {
 		a := &ev.args[i]
 		v, off = uvarint(rec, off)
-		key := &t.syms[v>>1]
-		a.Key, a.keyJSON = key.str, key.json
+		key := t.syms.At(uint32(v >> 1))
+		a.Key, a.keyJSON = key.Str, key.JSON
 		if a.isNum = v&argNum != 0; a.isNum {
 			a.num, a.str = math.Float64frombits(binary.LittleEndian.Uint64(rec[off:])), ""
 			off += 8
@@ -396,7 +346,7 @@ func (t *Tracer) Instant(track, category, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.record('i', t.now(), 0, t.intern(track), t.intern(category), name, args, nil)
+	t.record('i', t.now(), 0, t.syms.Intern(track), t.syms.Intern(category), name, args, nil)
 }
 
 // Span is a handle to an in-progress span returned by Begin. The zero
@@ -424,7 +374,7 @@ func (t *Tracer) Begin(track, category, name string, args ...Arg) Span {
 	}
 	slot := &t.open[idx]
 	slot.start = t.now()
-	slot.track, slot.cat, slot.name = t.intern(track), t.intern(category), name
+	slot.track, slot.cat, slot.name = t.syms.Intern(track), t.syms.Intern(category), name
 	slot.args = append(slot.args[:0], args...)
 	slot.gen++
 	slot.live = true

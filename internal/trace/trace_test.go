@@ -280,10 +280,7 @@ func TestInternTableBounded(t *testing.T) {
 	if tr.Len() != events {
 		t.Fatalf("Len = %d, want %d", tr.Len(), events)
 	}
-	if got, want := len(tr.syms), 10+3+5; got != want {
+	if got, want := tr.syms.Len(), 10+3+5; got != want {
 		t.Errorf("intern table holds %d strings, want %d", got, want)
-	}
-	if len(tr.ids) != len(tr.syms) {
-		t.Errorf("intern map holds %d strings, table %d", len(tr.ids), len(tr.syms))
 	}
 }
